@@ -12,8 +12,7 @@ Verbs:
 - ``selftest``: reduced-size consistency suites.
 
 Exit codes: 0 success, 1 selftest failure, 2 configuration error, 3 solver
-failure.  The env var SPECTRAL_HOMOTOPY_THREADS caps worker threads used by
-Jacobian assembly.
+failure.
 """
 
 from __future__ import annotations
@@ -231,11 +230,10 @@ def parse_config(doc, lenient_prior=False):
 
     if "continuation" in doc:
         spec = _as_section(doc["continuation"], "continuation",
-                           {"dt", "min_dt", "newton_tol", "max_newton",
-                            "grid_n"})
+                           {"dt", "min_dt", "newton_tol", "max_newton"})
         kwargs = {}
         for key in spec:
-            kind = int if key in ("max_newton", "grid_n") else float
+            kind = int if key == "max_newton" else float
             kwargs[key] = _parse_number(spec[key], f"continuation.{key}", kind)
         try:
             cfg.continuation = HomotopyConfig(**kwargs)

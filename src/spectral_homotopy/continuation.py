@@ -8,9 +8,10 @@ g(p(t), C(t)) = Sigma in t gives the path ODE
     g'(p(t), C; C') = -( g(psi, C) - g(1, C) ),
 
 which is followed by an Euler predictor and a Newton corrector per step.
-Steps are halved on corrector failure (each step retries from the
-configured dt, so one hard spot does not shrink the rest of the path) and a
-SolverError reports the failure history when the floor is reached.
+The tangent is solved once per accepted point; steps are halved on
+corrector failure (each step retries from the configured dt, so one hard
+spot does not shrink the rest of the path) and a SolverError reports the
+failure history when the floor is reached or the tangent solve fails.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ class HomotopyConfig:
     min_dt: float = 1e-4
     newton_tol: float = 1e-10
     max_newton: int = 20
-    grid_n: int = 1024
 
     def __post_init__(self):
         if not 0.0 < self.dt <= 1.0:
@@ -65,8 +65,6 @@ class HomotopyConfig:
             raise ConfigError("newton_tol must be positive")
         if int(self.max_newton) < 1:
             raise ConfigError("max_newton must be at least 1")
-        if int(self.grid_n) < 16:
-            raise ConfigError("grid_n must be at least 16")
 
 
 @dataclass(frozen=True)
@@ -243,14 +241,22 @@ def run_continuation(filterbank, prior, Sigma, config=None, chart=None,
     history = []
     while t < 1.0:
         dt_try = float(config.dt)
+        # the tangent at t does not depend on the step size, and a smaller
+        # step cannot repair a failed direction solve
+        try:
+            _, V, info = predictor_step(chart, prior, t, param, dt_try)
+        except SolverError as exc:
+            history.append((t, dt_try, str(exc)))
+            raise SolverError(
+                f"continuation stalled at t = {t:.6g}: tangent solve failed "
+                f"({exc})", history=history) from exc
         while True:
             t_next = t + dt_try
             if t_next > 1.0 - SNAP_TOL:
                 t_next = 1.0
             dt_eff = t_next - t
+            C_pred = param.C + dt_eff * V
             try:
-                C_pred, V, info = predictor_step(chart, prior, t, param,
-                                                 dt_eff)
                 if not is_in_Cplus(filterbank, C_pred):
                     raise SolverError(
                         "predicted parameter left the factor set")

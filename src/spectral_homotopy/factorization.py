@@ -91,7 +91,7 @@ def _left_outer_system(Z, method="doubling"):
     L = sol.L
     if Z.n_states:
         M = G + F @ sol.P @ H.conj().T
-        Bw = solve_triangular(L.conj(), M.conj().T, lower=True).conj().T
+        Bw = solve_triangular(L, M.conj().T, lower=True).conj().T
     else:
         Bw = np.zeros((0, L.shape[0]), dtype=L.dtype)
     W = StateSpaceSystem(F, Bw, H, L)

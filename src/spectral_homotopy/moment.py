@@ -18,28 +18,27 @@ same real dimension M; CoordinateChart carries orthonormal bases of the two
 (inner product Re trace(X Y*)) and converts between matrices and R^M.
 
 g also evaluates without quadrature: G (z C G)^{-1} is realized by the
-closed loop, so g(psi, C) is a controllability Gramian of a cascade, and the
-derivative g'(psi, C; V) follows from one spectral factorization.  The
-quadrature and Gramian routes are implemented independently and various
-tests hold them against each other.
+closed loop, so g(psi, C) = C_T P C_T* with P the controllability Gramian of
+the cascade T = sigma G (z C G)^{-1}.  A direction V moves T's realization
+by dA_T = -X A_T, dB_T = -X B_T with X = C_T* B (CB)^{-1} V C_T, so the
+derivative g'(psi, C; V) = C_T P' C_T* needs one more Stein solve,
+P' - A_T P' A_T* = -(X P + P X*), for any V.  The Gramian routes are the
+production routes; quadrature is implemented independently and the tests
+hold the two against each other.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import null_space
 
-from .errors import (EvaluationError, FactorizationError, MembershipError,
-                     SolverError)
+from .errors import EvaluationError, SolverError
 from .matrixeq import solve_dlyap
 from .statespace import (FactorParameter, StateSpaceSystem, cascade,
                          circle_grid, coerce_field, factor_inner_realization,
-                         grid_size_from_spacing, series_product)
-from .factorization import _left_outer_system
+                         grid_size_from_spacing)
 
 __all__ = [
     "CoordinateChart",
@@ -58,15 +57,12 @@ __all__ = [
     "assemble_jacobian_matrix",
     "jacobian_condition_number",
     "solve_jacobian_system",
-    "THREADS_ENV",
 ]
 
-THREADS_ENV = "SPECTRAL_HOMOTOPY_THREADS"
 DEFAULT_GRID_N = 4096
 BASIS_DROP_TOL = 1e-9
 GRAM_COND_LIMIT = 1e14
 VERIFY_TOL = 1e-8
-REFINE_ROUNDS = 30
 # accumulated roundoff of a long Riemann sum; looser than the strict
 # evaluation-route hygiene bound on purpose
 QUAD_FIELD_TOL = 1e-9
@@ -79,23 +75,6 @@ def trace_inner(X, Y):
 
 def _hermitize(X):
     return 0.5 * (X + X.conj().T)
-
-
-def _worker_count():
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _ordered_map(fn, items):
-    workers = _worker_count()
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
 
 
 def _as_param(filterbank, C):
@@ -201,86 +180,68 @@ def apply_g2_quadrature(filterbank, prior, C, V, grid_n=None, dtheta=None):
 # integration-free evaluation
 
 
+def _cascade_gramian(filterbank, prior, param):
+    """Cascade T = sigma G (z C G)^{-1}, the inner input matrix, and T's Gramian.
+
+    G (z C G)^{-1} is stable with realization (Pi, Bt, I, 0), Bt = B (CB)^{-1};
+    T feeds the prior's states into it, so T's output matrix C_T = [I 0]
+    reads the inner states.  Returns (T, Bt, P) with P - A_T P A_T* = B_T B_T*.
+    """
+    inner = factor_inner_realization(filterbank, param)
+    T = cascade(_sigma_system(prior), inner)
+    P = solve_dlyap(T.A, T.B @ T.B.conj().T)
+    return T, inner.B, P
+
+
 def moment_g_statespace(filterbank, prior, C):
     """g(psi, C) without quadrature.
 
-    G (z C G)^{-1} is stable with realization (Pi, B (CB)^{-1}, I, 0), so the
-    integrand is the power spectrum of the cascade T = sigma G (z C G)^{-1}
-    and g equals C_T P C_T* with P the controllability Gramian of T.
+    The integrand is the power spectrum of the cascade T = sigma G (z C G)^{-1},
+    so g equals C_T P C_T* with P the controllability Gramian of T.
     """
     param = _as_param(filterbank, C)
-    T = cascade(_sigma_system(prior), factor_inner_realization(filterbank, param))
-    P = solve_dlyap(T.A, T.B @ T.B.conj().T)
+    T, _, P = _cascade_gramian(filterbank, prior, param)
     val = _hermitize(T.C @ P @ T.C.conj().T)
     return coerce_field(val, filterbank.field, what="moment value")
 
 
-def _g2_exact(filterbank, prior, param, V):
-    """-integral(psi K (V*C + C*V) K) for an admissible direction V.
+def _g2_statespace_map(filterbank, prior, param):
+    """The map V -> g'(psi, C; V) at one point, set up once for many directions.
 
-    Admissible means G*(V*C + C*V)G > 0 on the circle.  The congruence
-    (z C G)^{-*} [G*(V*C + C*V)G] (z C G)^{-1} = Z + Z* with Z = z V G (zCG)^{-1}
-    turns the integrand into -psi T0 (Z + Z*) T0* for T0 = G (zCG)^{-1}; with
-    W the outer factor of Z + Z* the value is minus the Gramian form of the
-    cascade sigma T0 W.  Raises if the direction is not admissible.
+    Moving C along V moves the closed loop and the inner input matrix by
+    dPi = -Bt V Pi and dBt = -Bt V Bt, so the cascade moves by
+    dA_T = -X A_T and dB_T = -X B_T with X = C_T* Bt V C_T.  Differentiating
+    the Gramian equation gives the tangent Stein equation
+
+        P' - A_T P' A_T* = -(X P + P X*),
+
+    and g'(psi, C; V) = C_T P' C_T*.  Each direction costs one Stein solve.
     """
-    inner = factor_inner_realization(filterbank, param)
-    Bt = inner.B
-    Z = StateSpaceSystem(param.Pi, Bt, V @ param.Pi, V @ Bt)
-    W, _ = _left_outer_system(Z)
-    T = cascade(_sigma_system(prior), series_product(inner, W))
-    P = solve_dlyap(T.A, T.B @ T.B.conj().T)
-    return -_hermitize(T.C @ P @ T.C.conj().T)
+    T, Bt, P = _cascade_gramian(filterbank, prior, param)
+    Ct = T.C
+
+    def apply(V):
+        XP = Ct.conj().T @ (Bt @ V @ (Ct @ P))
+        dP = solve_dlyap(T.A, -(XP + XP.conj().T))
+        return coerce_field(_hermitize(Ct @ dP @ Ct.conj().T),
+                            filterbank.field, what="derivative value")
+
+    return apply
 
 
-def apply_g2_statespace(filterbank, prior, C, V, shift="auto"):
+def apply_g2_statespace(filterbank, prior, C, V):
     """Directional derivative of g in C, evaluated without quadrature.
 
-    The exact route needs G*(V*C + C*V)G > 0 on the circle, which a generic
-    direction violates.  Linearity fixes that: the derivative along C itself
-    is -2 g(psi, C), so for a shifted direction V + r C,
-
-        g'(psi, C; V) = g'(psi, C; V + r C) + 2 r g(psi, C),
-
-    and some r >= 0 always makes the shifted direction admissible.  With
-    ``shift="auto"`` (default) the smallest power-of-two multiple of a scale
-    estimate is found by grid search; ``shift="none"`` evaluates V directly
-    and propagates failure.
+    One Stein solve for the Gramian derivative of the cascade
+    T = sigma G (z C G)^{-1} (see _g2_statespace_map); exact for every
+    direction V of matching shape.
     """
     param = _as_param(filterbank, C)
     V = coerce_field(np.atleast_2d(np.asarray(V)), filterbank.field,
                      what="direction V")
     if V.shape != param.C.shape:
         raise ValueError(f"V must be {param.C.shape[0]}x{param.C.shape[1]}")
-    if not np.any(V):
-        return np.zeros((filterbank.n, filterbank.n),
-                        dtype=float if filterbank.field == "real" else complex)
-    if shift == "none":
-        val = _g2_exact(filterbank, prior, param, V)
-        return coerce_field(val, filterbank.field, what="derivative value")
-    if shift != "auto":
-        raise ValueError(f"shift must be 'auto' or 'none', got {shift!r}")
-
-    # Each attempt checks positivity of the shifted Z + Z* on a circle grid
-    # inside the factorization itself; a failed shift costs one grid scan.
-    Cm = param.C
-    unit = np.linalg.norm(V) / max(np.linalg.norm(Cm), 1e-300)
-    schedule = [0.0] + [unit * 2.0 ** k for k in range(32)]
-    last_exc = None
-    for r in schedule:
-        try:
-            val = _g2_exact(filterbank, prior, param, V + r * Cm)
-        except (SolverError, EvaluationError, FactorizationError,
-                MembershipError) as exc:
-            last_exc = exc
-            continue
-        if r:
-            val = val + 2.0 * r * moment_g_statespace(filterbank, prior, param)
-        return coerce_field(_hermitize(val), filterbank.field,
-                            what="derivative value")
-    raise SolverError(
-        "no admissible shift found for the exact derivative route"
-        + (f" (last failure: {last_exc})" if last_exc else ""))
+    return _g2_statespace_map(filterbank, prior, param)(V)
 
 
 def apply_g1_direction(filterbank, prior, C):
@@ -490,7 +451,7 @@ def assemble_jacobian_matrix(chart, prior, point, which="g", route="quadrature",
     parameter ``point`` (a matrix or FactorParameter); for which="f" along
     the range basis at ``point`` = Lambda.  Route "quadrature" sums the
     shared kernel on a circle grid; route "statespace" (g only) evaluates
-    each column by the exact Gramian formula.
+    each column by one tangent Stein solve.
     """
     fb = chart.filterbank
     if which == "g":
@@ -511,19 +472,14 @@ def assemble_jacobian_matrix(chart, prior, point, which="g", route="quadrature",
             psi, K = _kernel_grid(fb, prior, np.asarray(point), "f", N)
             mats = list(directions)
 
-        def column(Dm):
-            return -np.einsum("k,kab,bc,kcd->ad", psi, K, Dm, K) / N
-
-        cols = _ordered_map(column, mats)
+        cols = [-np.einsum("k,kab,bc,kcd->ad", psi, K, Dm, K) / N
+                for Dm in mats]
     elif route == "statespace":
         if which != "g":
             raise ValueError(
                 "the exact Gramian route only evaluates the factor-side map")
-
-        def column(V):
-            return apply_g2_statespace(fb, prior, param, V, shift="auto")
-
-        cols = _ordered_map(column, directions)
+        column = _g2_statespace_map(fb, prior, param)
+        cols = [column(V) for V in directions]
     else:
         raise ValueError(f"unknown route {route!r}")
 
@@ -570,16 +526,9 @@ def solve_jacobian_system(chart, prior, C, Y, gram_cond_limit=GRAM_COND_LIMIT,
     the range subspace; any component of Y orthogonal to it is roundoff of a
     covariance difference (absolute machine noise, so its share of ||Y||
     grows without bound as the rhs shrinks) and is discarded by the
-    projection.  The assembled columns carry the evaluation-route error
-    (~1e-11), which a plain solve amplifies by cond(J); iterative refinement
-    with the defect computed by the exact operator removes it.  The
-    convergence rate of the refinement degrades for right-hand sides near
-    the evaluation noise floor (observed ~0.13 per round there, against
-    machine-level rates at healthy scales), so the round cap is generous
-    and the loop exits early on convergence or stall.  Each round costs one
-    derivative evaluation.  The returned V is verified in-function by that
-    same exact evaluation: ||g'(psi,C;V) - Y|| <= verify_tol ||Y|| in the
-    range metric, skipped for Y = 0.
+    projection.  The returned V is verified in-function by one more exact
+    evaluation: ||g'(psi,C;V) - Y|| <= verify_tol ||Y|| in the range metric,
+    skipped for Y = 0.
 
     Returns (V, JacobianSolveInfo).  Raises SolverError when the Gram
     conditioning exceeds ``gram_cond_limit`` or verification fails.
@@ -593,14 +542,11 @@ def solve_jacobian_system(chart, prior, C, Y, gram_cond_limit=GRAM_COND_LIMIT,
         return V, JacobianSolveInfo(gram_cond=1.0, verify_residual=0.0,
                                     columns=chart.dim)
 
-    def column(Vk):
-        return apply_g2_statespace(fb, prior, param, Vk, shift="auto")
-
-    cols = _ordered_map(column, chart.factor_basis)
+    column = _g2_statespace_map(fb, prior, param)
     M = chart.dim
     J = np.empty((M, M))
-    for k in range(M):
-        J[:, k] = chart.range_coords(cols[k])
+    for k, Vk in enumerate(chart.factor_basis):
+        J[:, k] = chart.range_coords(column(Vk))
     condJ = float(np.linalg.cond(J))
     cond = condJ * condJ
     if not np.isfinite(cond) or cond > gram_cond_limit:
@@ -609,19 +555,10 @@ def solve_jacobian_system(chart, prior, C, Y, gram_cond_limit=GRAM_COND_LIMIT,
             f"{gram_cond_limit:.1e}")
     alpha, *_ = np.linalg.lstsq(J, yr, rcond=None)
     V = chart.factor_from_coords(alpha)
-    resid = np.inf
-    for _ in range(REFINE_ROUNDS):
-        yhat = chart.range_coords(
-            apply_g2_statespace(fb, prior, param, V, shift="auto"))
-        prev = resid
-        resid = float(np.linalg.norm(yhat - yr)) / ynorm
-        if resid <= verify_tol:
-            return V, JacobianSolveInfo(gram_cond=cond, verify_residual=resid,
-                                        columns=M)
-        if resid >= 0.9 * prev:
-            break
-        step, *_ = np.linalg.lstsq(J, yr - yhat, rcond=None)
-        V = V + chart.factor_from_coords(step)
-    raise SolverError(
-        f"direction solve verification failed: relative residual "
-        f"{resid:.3e} exceeds {verify_tol:.1e}")
+    resid = float(np.linalg.norm(chart.range_coords(column(V)) - yr)) / ynorm
+    if not resid <= verify_tol:
+        raise SolverError(
+            f"direction solve verification failed: relative residual "
+            f"{resid:.3e} exceeds {verify_tol:.1e}")
+    return V, JacobianSolveInfo(gram_cond=cond, verify_residual=resid,
+                                columns=M)

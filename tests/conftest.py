@@ -92,18 +92,23 @@ def random_pair(random_param, random_prior):
     return sample
 
 
-def random_additive_quadruple(rng, n=3, p=2):
+def random_additive_quadruple(rng, n=3, p=2, complex_data=False):
     """Random (F, G, H, J) with Z + Z* = S S* on the circle by construction,
     together with the generating stable system S = (A, B, C, D)."""
-    A = rng.standard_normal((n, n))
+
+    def normal(shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if complex_data else x
+
+    A = normal((n, n))
     rho = float(np.max(np.abs(np.linalg.eigvals(A))))
     A *= (0.3 + 0.6 * rng.random()) / max(rho, 1e-9)
-    B = rng.standard_normal((n, p))
-    C = rng.standard_normal((p, n))
-    D = rng.standard_normal((p, p)) + 2.0 * np.eye(p)
-    Pc = solve_dlyap(A, B @ B.T)
-    G = A @ Pc @ C.T + B @ D.T
-    J = 0.5 * (C @ Pc @ C.T + D @ D.T)
+    B = normal((n, p))
+    C = normal((p, n))
+    D = normal((p, p)) + 2.0 * np.eye(p)
+    Pc = solve_dlyap(A, B @ B.conj().T)
+    G = A @ Pc @ C.conj().T + B @ D.conj().T
+    J = 0.5 * (C @ Pc @ C.conj().T + D @ D.conj().T)
     return (A, G, C, J), (A, B, C, D)
 
 

@@ -145,8 +145,9 @@ def test_criterion_5_factorization_residuals(fb, chart, param_ref,
             relative_error(W.conj().transpose(0, 2, 1) @ W, lhs))
 
     worst_outer = 0.0
-    for _ in range(5):
-        (F, G, H, J), _ = random_additive_quadruple(rng)
+    for complex_data in (False,) * 5 + (True,) * 5:
+        (F, G, H, J), _ = random_additive_quadruple(
+            rng, complex_data=complex_data)
         Wf, sol = left_outer_factor_from_additive(F, G, H, J, details=True)
         worst_dare = max(worst_dare,
                          sol.residual_norm / (1.0 + np.linalg.norm(sol.P)))
@@ -164,7 +165,8 @@ def test_criterion_5_factorization_residuals(fb, chart, param_ref,
     ok = worst_dare <= 1e-10 and worst_outer <= 1e-9 and worst_density <= 1e-9
     _report(5, ok,
             f"Riccati residual worst {worst_dare:.2e} [<=1e-10 (1+|P|)], "
-            f"|WW* - (Z+Z*)| worst {worst_outer:.2e} [<=1e-9 rel, 512-pt], "
+            f"|WW* - (Z+Z*)| worst {worst_outer:.2e} over real and complex "
+            f"data [<=1e-9 rel, 512-pt], "
             f"|G* Lam G| = |zCG|^2 worst {worst_density:.2e} [<=1e-9 rel]")
 
 

@@ -8,12 +8,13 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from spectral_homotopy import (ConfigError, FactorParameter, HomotopyConfig,
-                               MembershipError, SolverError,
-                               constant_prior, corrector_newton,
-                               homotopy_prior, maxent_initialization,
-                               moment_g_statespace, predictor_step,
-                               run_continuation, write_path_csv,
-                               write_path_json)
+                               MembershipError, SolverError, constant_prior,
+                               continuation, corrector_newton,
+                               homotopy_prior,
+                               make_covariance_extension_filter,
+                               maxent_initialization, moment_g_statespace,
+                               predictor_step, run_continuation,
+                               write_path_csv, write_path_json)
 
 from conftest import relative_error
 
@@ -152,6 +153,33 @@ class TestRunContinuation:
         with pytest.raises(SolverError) as exc:
             run_continuation(fb, prior_ref, sigma_ref, config=cfg)
         assert exc.value.history
+
+    def test_complex_field_round_trip(self, prior_ref):
+        fbc = make_covariance_extension_filter(2, 1, field="complex")
+        C_true = np.array([[0.3 + 0.2j, -0.2 + 0.1j, 1.0, 0.0],
+                           [-0.4 + 0.3j, 0.1 - 0.2j, 0.5 - 0.5j, 1.5]])
+        Sigma = moment_g_statespace(fbc, prior_ref,
+                                    FactorParameter(fbc, C_true))
+        path = run_continuation(fbc, prior_ref, Sigma)
+        assert len(path.samples) == 11
+        assert np.linalg.norm(path.final.C - C_true) \
+            <= 1e-6 * np.linalg.norm(C_true)
+
+    def test_failed_tangent_solve_raises_at_once(self, fb, prior_ref,
+                                                 sigma_ref, monkeypatch):
+        # halving dt cannot change the tangent, so its failure is final
+        calls = []
+
+        def failing_solve(*args, **kwargs):
+            calls.append(args)
+            raise SolverError("Gram system condition 1e+16 exceeds limit")
+
+        monkeypatch.setattr(continuation, "solve_jacobian_system",
+                            failing_solve)
+        with pytest.raises(SolverError, match="tangent solve failed") as exc:
+            run_continuation(fb, prior_ref, sigma_ref)
+        assert len(calls) == 1
+        assert len(exc.value.history) == 1
 
     def test_first_sample_is_maxent(self, fb, prior_ref, sigma_ref):
         path = run_continuation(fb, prior_ref, sigma_ref,

@@ -2,19 +2,68 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from spectral_homotopy import (FactorParameter, SolverError,
-                               apply_f2_quadrature, apply_g1_direction,
-                               apply_g2_quadrature, apply_g2_statespace,
-                               assemble_jacobian_matrix, constant_prior,
-                               h_inverse, jacobian_condition_number,
-                               make_chart, make_covariance_extension_filter,
-                               moment_f_quadrature, moment_g_quadrature,
-                               moment_g_statespace, solve_jacobian_system,
+from spectral_homotopy import (FactorParameter, FilterBank, SolverError,
+                               StateSpaceSystem, apply_f2_quadrature,
+                               apply_g1_direction, apply_g2_quadrature,
+                               apply_g2_statespace, assemble_jacobian_matrix,
+                               constant_prior, h_inverse,
+                               jacobian_condition_number, make_chart,
+                               make_covariance_extension_filter,
+                               maxent_initialization, moment_f_quadrature,
+                               moment_g_quadrature, moment_g_statespace,
+                               prior_from_outer, prior_from_polynomial,
+                               solve_dlyap, solve_jacobian_system,
                                trace_inner)
 
 from conftest import fd_direction, relative_error
+
+# covariance-extension banks (m, p) and a general bank with nonzero poles
+BANKS = [(m, p) for m in (1, 2, 3) for p in (0, 1, 2)] + ["diag"]
+
+
+def _bank(bank, field):
+    if bank == "diag":
+        return FilterBank(np.diag([0.5, -0.3, 0.7, 0.2]), np.ones((4, 1)),
+                          field=field)
+    return make_covariance_extension_filter(*bank, field=field)
+
+
+def _normal(rng, shape, field):
+    x = rng.standard_normal(shape)
+    if field == "complex":
+        x = x + 1j * rng.standard_normal(shape)
+    return x
+
+
+def _random_prior(rng, kind, field):
+    if kind == "constant":
+        return constant_prior(0.5 + rng.random())
+    if kind == "rational":
+        # one pole and one zero inside the disc
+        a, zero = rng.uniform(-0.8, 0.8, 2)
+        return prior_from_outer(StateSpaceSystem(
+            np.array([[a]]), np.array([[1.0]]), np.array([[a - zero]]),
+            np.array([[1.0]])))
+    roots = rng.uniform(0.0, 0.8, 2) * np.exp(1j * rng.uniform(0, np.pi, 2))
+    if field == "real":
+        return prior_from_polynomial(np.poly([roots[0], roots[0].conj()]).real)
+    return prior_from_polynomial(np.poly(roots))
+
+
+def _random_param(fb, rng):
+    # maximum-entropy parameter of an attainable covariance: the white-noise
+    # state covariance X0 plus a random range element, scaled so that the
+    # sum keeps a share of X0's smallest eigenvalue
+    X0 = solve_dlyap(fb.A, fb.B @ fb.B.conj().T)
+    S = fb.B @ _normal(rng, (fb.m, fb.n), fb.field)
+    X1 = solve_dlyap(fb.A, S + S.conj().T)
+    scale = rng.uniform(0.1, 0.95) * np.linalg.eigvalsh(X0)[0] \
+        / np.linalg.norm(X1, 2)
+    return maxent_initialization(fb, X0 + scale * X1)
 
 
 class TestChart:
@@ -165,6 +214,25 @@ class TestDerivatives:
                                      grid_n=8192)
             assert relative_error(dq, ds) < 1e-8
 
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(bank=st.sampled_from(BANKS),
+           field=st.sampled_from(("real", "complex")),
+           prior_kind=st.sampled_from(("constant", "polynomial", "rational")),
+           seed=st.integers(0, 2**32 - 1))
+    def test_statespace_matches_quadrature_everywhere(self, bank, field,
+                                                      prior_kind, seed):
+        # every direction, not only the factor slice, on covext and general
+        # banks in both fields
+        fb = _bank(bank, field)
+        rng = np.random.default_rng(seed)
+        prior = _random_prior(rng, prior_kind, field)
+        param = _random_param(fb, rng)
+        V = _normal(rng, (fb.m, fb.n), field)
+        ds = apply_g2_statespace(fb, prior, param, V)
+        dq = apply_g2_quadrature(fb, prior, param, V, grid_n=8192)
+        assert relative_error(dq, ds) < 1e-8
+
     def test_matches_central_difference(self, fb, chart, prior_ref,
                                         param_ref, rng):
         h = 1e-6
@@ -239,16 +307,6 @@ class TestJacobian:
         c2 = jacobian_condition_number(anchored, prior_ref, param_ref,
                                        which="g", route="statespace")
         assert abs(c1 - c2) / c1 < 1e-6
-
-    def test_thread_count_does_not_change_values(self, fb, chart, prior_ref,
-                                                 param_ref, monkeypatch):
-        monkeypatch.setenv("SPECTRAL_HOMOTOPY_THREADS", "1")
-        J1 = assemble_jacobian_matrix(chart, prior_ref, param_ref,
-                                      which="g", route="statespace")
-        monkeypatch.setenv("SPECTRAL_HOMOTOPY_THREADS", "4")
-        J4 = assemble_jacobian_matrix(chart, prior_ref, param_ref,
-                                      which="g", route="statespace")
-        assert_array_equal(J1, J4)
 
 
 class TestJacobianSolve:
