@@ -8,10 +8,11 @@ g(p(t), C(t)) = Sigma in t gives the path ODE
     g'(p(t), C; C') = -( g(psi, C) - g(1, C) ),
 
 which is followed by an Euler predictor and a Newton corrector per step.
-The tangent is solved once per accepted point; steps are halved on
-corrector failure (each step retries from the configured dt, so one hard
-spot does not shrink the rest of the path) and a SolverError reports the
-failure history when the floor is reached or the tangent solve fails.
+The tangent is solved once per accepted point, with the prior p(t) the
+corrector built there; steps are halved on corrector failure (each step
+retries from the configured dt, so one hard spot does not shrink the rest
+of the path) and a SolverError reports the failure history when the floor
+is reached or the tangent solve fails.
 """
 
 from __future__ import annotations
@@ -190,11 +191,14 @@ def predictor_step(chart, prior, t, param, dt):
     prior family.  Returns (C_pred, v, info) with C_pred = C + dt v and info
     the direction-solve diagnostics.
     """
-    fb = chart.filterbank
-    prior_t = homotopy_prior(prior, t)
-    drift = apply_g1_direction(fb, prior, param)
-    v, info = solve_jacobian_system(chart, prior_t, param, -drift)
+    v, info = _tangent(chart, prior, homotopy_prior(prior, t), param)
     return param.C + dt * v, v, info
+
+
+def _tangent(chart, prior, prior_t, param):
+    """(v, info) for the path tangent at ``param``; ``prior_t`` is p(t)."""
+    drift = apply_g1_direction(chart.filterbank, prior, param)
+    return solve_jacobian_system(chart, prior_t, param, -drift)
 
 
 def run_continuation(filterbank, prior, Sigma, config=None, chart=None,
@@ -238,13 +242,14 @@ def run_continuation(filterbank, prior, Sigma, config=None, chart=None,
         callback(samples[0])
 
     t = 0.0
+    prior_t = homotopy_prior(prior, t)
     history = []
     while t < 1.0:
         dt_try = float(config.dt)
         # the tangent at t does not depend on the step size, and a smaller
         # step cannot repair a failed direction solve
         try:
-            _, V, info = predictor_step(chart, prior, t, param, dt_try)
+            V, info = _tangent(chart, prior, prior_t, param)
         except SolverError as exc:
             history.append((t, dt_try, str(exc)))
             raise SolverError(
@@ -276,6 +281,8 @@ def run_continuation(filterbank, prior, Sigma, config=None, chart=None,
             break
         t = t_next
         param = param_next
+        # the corrector's prior is the next tangent's
+        prior_t = prior_next
         sample = PathSample(
             t=t, C=param.C, y=chart.factor_coords(param.C), residual=rnorm,
             newton_iters=iters,

@@ -8,7 +8,11 @@ Phi is integral(G Phi G*) dtheta / 2 pi.  Two parametrizations appear,
 
 together with their directional derivatives.  Both share one quadrature
 kernel K = G M^{-1} G*: the derivative of either map in a direction D acting
-inside M is -integral(psi K D K).
+inside M is -integral(psi K D K).  Every quadrature derivative, and every
+column of a quadrature Jacobian, comes from one grid contraction
+Q = sum_k psi_k K_k (x) K_k (an n^2 x n^2 matrix; for g the right factor is
+C K_k, which keeps the cancellation in D = V*C + C*V pointwise), after
+which each direction costs O(n^4) operations, whatever the grid size.
 
 Values of f and g live in the range of the covariance operator
 Gamma: X = integral(G Phi G*) satisfies X - A X A* = B H + H* B* for some H,
@@ -132,6 +136,34 @@ def _kernel_grid(filterbank, prior, point, which, grid_n):
     return psi, K
 
 
+def _kernel_columns(psi, K, R, mats, N):
+    """-integral(psi K D R) on the grid for every matrix D in ``mats``, stacked.
+
+    Entry (a, d) of sum_k psi_k K_k D R_k is sum_{b,c} Q[a,b,c,d] D[b,c] with
+    Q = sum_k psi_k vec(K_k) vec(R_k)^T, so one (n^2 x N)(N x rn) product
+    over the grid serves every direction; the per-direction work is n^3 r.
+    """
+    size, n, _ = K.shape
+    r = R.shape[1]
+    Q = K.reshape(size, n * n).T @ (psi[:, None] * R.reshape(size, r * n))
+    return -np.einsum("abcd,mbc->mad", Q.reshape(n, n, r, n),
+                      np.asarray(mats)) / N
+
+
+def _g2_columns(psi, K, C, directions, N):
+    """-integral(psi K (V*C + C*V) K) for every V in ``directions``, stacked.
+
+    K is Hermitian, so the integrand is Y + Y* with Y = K V* (C K).  Where
+    M = (CG)*(CG) is nearly singular, K blows up along the direction that
+    C G nearly annihilates, so C K grows only like the square root of K.
+    Forming C K at each grid point keeps that cancellation to roundoff; a
+    grid sum with K on both sides rounds it away (cond_g off by 1e-5
+    instead of 1e-9 at cond_g ~ 1e8).
+    """
+    Y = _kernel_columns(psi, K, C @ K, [V.conj().T for V in directions], N)
+    return Y + Y.conj().transpose(0, 2, 1)
+
+
 def moment_f_quadrature(filterbank, prior, Lam, grid_n=None, dtheta=None):
     """f(psi, Lambda) by Riemann summation on a uniform circle grid.
 
@@ -159,7 +191,7 @@ def apply_f2_quadrature(filterbank, prior, Lam, dLam, grid_n=None, dtheta=None):
     """Directional derivative of f in Lambda: -integral(psi K dLam K)."""
     N = _resolve_grid(grid_n, dtheta)
     psi, K = _kernel_grid(filterbank, prior, np.asarray(Lam), "f", N)
-    val = -np.einsum("k,kab,bc,kcd->ad", psi, K, np.asarray(dLam), K) / N
+    (val,) = _kernel_columns(psi, K, K, [np.asarray(dLam)], N)
     return coerce_field(_hermitize(val), filterbank.field, tol=QUAD_FIELD_TOL,
                         what="derivative value")
 
@@ -168,10 +200,8 @@ def apply_g2_quadrature(filterbank, prior, C, V, grid_n=None, dtheta=None):
     """Directional derivative of g in C: -integral(psi K (V*C + C*V) K)."""
     N = _resolve_grid(grid_n, dtheta)
     param = _as_param(filterbank, C)
-    V = np.atleast_2d(np.asarray(V))
-    D = V.conj().T @ param.C + param.C.conj().T @ V
     psi, K = _kernel_grid(filterbank, prior, param.C, "g", N)
-    val = -np.einsum("k,kab,bc,kcd->ad", psi, K, D, K) / N
+    (val,) = _g2_columns(psi, K, param.C, [np.atleast_2d(np.asarray(V))], N)
     return coerce_field(_hermitize(val), filterbank.field, tol=QUAD_FIELD_TOL,
                         what="derivative value")
 
@@ -450,8 +480,10 @@ def assemble_jacobian_matrix(chart, prior, point, which="g", route="quadrature",
     For which="g" the columns are derivatives along the factor basis at the
     parameter ``point`` (a matrix or FactorParameter); for which="f" along
     the range basis at ``point`` = Lambda.  Route "quadrature" sums the
-    shared kernel on a circle grid; route "statespace" (g only) evaluates
-    each column by one tangent Stein solve.
+    shared kernel on a circle grid once, into Q = sum_k psi_k K_k (x) K_k
+    (for g, K_k (x) C K_k), and reads all columns off Q (see
+    _kernel_columns); route "statespace" (g only) evaluates each column by
+    one tangent Stein solve.
     """
     fb = chart.filterbank
     if which == "g":
@@ -466,14 +498,10 @@ def assemble_jacobian_matrix(chart, prior, point, which="g", route="quadrature",
         N = _resolve_grid(grid_n, dtheta)
         if which == "g":
             psi, K = _kernel_grid(fb, prior, param.C, "g", N)
-            mats = [D.conj().T @ param.C + param.C.conj().T @ D
-                    for D in directions]
+            cols = _g2_columns(psi, K, param.C, directions, N)
         else:
             psi, K = _kernel_grid(fb, prior, np.asarray(point), "f", N)
-            mats = list(directions)
-
-        cols = [-np.einsum("k,kab,bc,kcd->ad", psi, K, Dm, K) / N
-                for Dm in mats]
+            cols = _kernel_columns(psi, K, K, directions, N)
     elif route == "statespace":
         if which != "g":
             raise ValueError(

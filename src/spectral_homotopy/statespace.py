@@ -547,7 +547,7 @@ def is_in_Lplus(filterbank, Lam, grid_n=1024):
             f"Lambda is not Hermitian (defect {herm_defect:.3e})")
     theta = circle_grid(grid_n)
     G = filterbank.eval_grid(np.exp(1j * theta))
-    M = np.einsum("kij,jl,klm->kim", G.conj().transpose(0, 2, 1), Lam, G)
+    M = G.conj().transpose(0, 2, 1) @ Lam @ G
     M = 0.5 * (M + M.conj().transpose(0, 2, 1))
     eigs = np.linalg.eigvalsh(M)
     min_eig = float(eigs.min())

@@ -181,6 +181,22 @@ class TestRunContinuation:
         assert len(calls) == 1
         assert len(exc.value.history) == 1
 
+    def test_builds_each_homotopy_prior_once(self, fb, prior_ref, sigma_ref,
+                                             monkeypatch):
+        # the corrector's prior at an accepted point serves the next tangent
+        built = []
+
+        def counting_prior(prior, t):
+            built.append(t)
+            return homotopy_prior(prior, t)
+
+        monkeypatch.setattr(continuation, "homotopy_prior", counting_prior)
+        path = run_continuation(fb, prior_ref, sigma_ref)
+        steps = len(path.samples) - 1
+        assert steps == 10  # dt = 0.1 throughout: no step was rejected
+        # one build per sample, steps + 1 in all
+        assert built == [s.t for s in path.samples]
+
     def test_first_sample_is_maxent(self, fb, prior_ref, sigma_ref):
         path = run_continuation(fb, prior_ref, sigma_ref,
                                 config=HomotopyConfig(dt=0.5))

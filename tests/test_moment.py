@@ -19,7 +19,7 @@ from spectral_homotopy import (FactorParameter, FilterBank, SolverError,
                                solve_dlyap, solve_jacobian_system,
                                trace_inner)
 
-from conftest import fd_direction, relative_error
+from conftest import C_REF, fd_direction, relative_error
 
 # covariance-extension banks (m, p) and a general bank with nonzero poles
 BANKS = [(m, p) for m in (1, 2, 3) for p in (0, 1, 2)] + ["diag"]
@@ -268,15 +268,78 @@ class TestDerivatives:
         assert relative_error(drift, want) < 1e-12
 
 
+def _pointwise_jacobian(chart, prior, point, which, N):
+    """-sum_k psi_k K_k D K_k / N in chart coordinates, one grid point at a
+    time: the reference for the batched quadrature Jacobian."""
+    fb = chart.filterbank
+    if which == "g":
+        C = point.C
+        weight = C.conj().T @ C
+        mats = [V.conj().T @ C + C.conj().T @ V for V in chart.factor_basis]
+    else:
+        weight = point
+        mats = list(chart.range_basis)
+    cols = [np.zeros((fb.n, fb.n), dtype=complex) for _ in mats]
+    for k in range(1, N + 1):
+        theta = -np.pi + 2.0 * np.pi * k / N
+        G = fb.eval(np.exp(1j * theta))
+        K = G @ np.linalg.solve(G.conj().T @ weight @ G, G.conj().T)
+        psi = prior.psi_values(np.array([theta]))[0]
+        for col, D in zip(cols, mats):
+            col -= psi * (K @ D @ K) / N
+    return np.column_stack([chart.range_coords(col) for col in cols])
+
+
 class TestJacobian:
-    def test_routes_agree_entrywise(self, fb, chart, prior_ref, param_ref):
-        Js = assemble_jacobian_matrix(chart, prior_ref, param_ref,
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_routes_agree_entrywise(self, field, prior_ref, rng):
+        fb = make_covariance_extension_filter(2, 1, field=field)
+        chart = make_chart(fb)
+        param = FactorParameter(fb, C_REF) if field == "real" \
+            else _random_param(fb, rng)
+        Js = assemble_jacobian_matrix(chart, prior_ref, param,
                                       which="g", route="statespace")
-        Jq = assemble_jacobian_matrix(chart, prior_ref, param_ref,
+        Jq = assemble_jacobian_matrix(chart, prior_ref, param,
                                       which="g", route="quadrature",
                                       grid_n=4096)
-        assert Js.shape == (7, 7)
+        assert Js.shape == {"real": (7, 7), "complex": (12, 12)}[field]
         assert np.max(np.abs(Js - Jq)) / np.max(np.abs(Js)) < 1e-8
+
+    @pytest.mark.parametrize("which", ["f", "g"])
+    @pytest.mark.parametrize("bank,field", [
+        pytest.param((2, 1), "real", id="covext-real"),
+        pytest.param((2, 1), "complex", id="covext-complex"),
+        pytest.param("diag", "real", id="diag-real")])
+    def test_quadrature_matches_pointwise_loop(self, bank, field, which,
+                                               prior_ref, rng):
+        # same Riemann sum, summed in another order: equal to roundoff
+        fb = _bank(bank, field)
+        chart = make_chart(fb)
+        param = _random_param(fb, rng)
+        point = param if which == "g" else h_inverse(chart, param)
+        Jq = assemble_jacobian_matrix(chart, prior_ref, point, which=which,
+                                      route="quadrature", grid_n=64)
+        Jl = _pointwise_jacobian(chart, prior_ref, point, which, 64)
+        for j in range(chart.dim):
+            assert relative_error(Jq[:, j], Jl[:, j]) < 1e-12
+
+    @pytest.mark.parametrize("C", [
+        pytest.param(C_REF, id="reference"),
+        # closed-loop radius 0.952, cond_g ~ 9e7: K peaks near 4e5 on the grid
+        pytest.param(np.array([[0.6487, 0.6794, 1.1005, 0.0],
+                               [-2.5744, -1.2127, 1.9312, 0.9645]]),
+                     id="near-boundary")])
+    def test_quadrature_condition_matches_exact_route(self, fb, chart,
+                                                      prior_ref, C):
+        # on criterion 1's grid the Riemann sum has converged, so the two
+        # routes agree on cond_g to well below criterion 1's tolerance
+        param = FactorParameter(fb, C)
+        cq = jacobian_condition_number(chart, prior_ref, param,
+                                       which="g", route="quadrature",
+                                       dtheta=1e-4)
+        cs = jacobian_condition_number(chart, prior_ref, param,
+                                       which="g", route="statespace")
+        assert abs(cq - cs) / cs < 1e-6
 
     def test_weight_route_needs_quadrature(self, fb, chart, prior_ref,
                                            param_ref):
