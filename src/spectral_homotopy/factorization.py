@@ -75,7 +75,7 @@ def right_outer_factor(filterbank, C):
     return OuterFactor(StateSpaceSystem(A, B, param.C @ A, param.CB), "right")
 
 
-def _left_outer_system(Z, method="doubling"):
+def _left_outer_system(Z):
     """State-space outer W with W W* = Z + Z*, plus the Riccati record.
 
     W(z) = H (zI - F)^{-1} (G + F P H*) L^{-*} + L with L L* the innovation
@@ -86,7 +86,7 @@ def _left_outer_system(Z, method="doubling"):
     if not Z.is_stable():
         raise MembershipError(
             f"Z is not Schur stable: spectral radius {Z.spectral_radius():.15g}")
-    sol = solve_dare_appendix(Z.A, Z.B, Z.C, Z.D, method=method)
+    sol = solve_dare_appendix(Z.A, Z.B, Z.C, Z.D)
     F, G, H = Z.A, Z.B, Z.C
     L = sol.L
     if Z.n_states:
@@ -98,8 +98,7 @@ def _left_outer_system(Z, method="doubling"):
     return W, sol
 
 
-def left_outer_factor_from_additive(F, Gm, H, J, method="doubling",
-                                    details=False):
+def left_outer_factor_from_additive(F, Gm, H, J, details=False):
     """Outer W with W W* = Z + Z* for Z(z) = H (zI - F)^{-1} Gm + J.
 
     Preconditions and failure modes are those of the additive-form Riccati
@@ -107,14 +106,14 @@ def left_outer_factor_from_additive(F, Gm, H, J, method="doubling",
     the OuterFactor, or ``(factor, sol)`` when ``details`` is set.
     """
     Z = StateSpaceSystem(F, Gm, H, J)
-    W, sol = _left_outer_system(Z, method=method)
+    W, sol = _left_outer_system(Z)
     factor = OuterFactor(W, "left")
     if details:
         return factor, sol
     return factor
 
 
-def h_map(filterbank, Lam, method="doubling", grid_n=1024, details=False):
+def h_map(filterbank, Lam, details=False):
     """Stable factor parameter C with (z C G)(z C G)* = G* Lambda G.
 
     Solves the lag-weight Riccati equation for P, factors B*PB = L*L with L
@@ -125,7 +124,7 @@ def h_map(filterbank, Lam, method="doubling", grid_n=1024, details=False):
 
     Returns the FactorParameter, or ``(param, sol)`` when ``details`` is set.
     """
-    sol = solve_dare_lambda(filterbank, Lam, method=method, grid_n=grid_n)
+    sol = solve_dare_lambda(filterbank, Lam)
     B = filterbank.B
     P, L = sol.P, sol.L
     C = solve_triangular(L.conj().T, B.conj().T @ P, lower=False)

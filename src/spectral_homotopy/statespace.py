@@ -289,11 +289,6 @@ class FilterBank:
     def m(self):
         return self.B.shape[1]
 
-    def as_system(self):
-        """G as a state-space system (C = I, D = 0); n outputs, m inputs."""
-        return StateSpaceSystem(
-            self.A, self.B, np.eye(self.n), np.zeros((self.n, self.m)))
-
     def eval(self, z):
         """G(z) at a single point."""
         try:

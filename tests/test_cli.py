@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from spectral_homotopy import FactorParameter, factorization
 from spectral_homotopy.cli import main, parse_config, serialize_config
 
 from conftest import B_REF, C_REF
@@ -235,13 +236,43 @@ class TestSelftest:
 
     def test_perturbation_hook_forces_roundtrip_failure(self, capsys,
                                                         monkeypatch):
-        monkeypatch.setenv("SPECTRAL_HOMOTOPY_PERTURB_H", "1e-4")
+        # the round-trip suite looks h_map up at call time, so a perturbed
+        # map shows that a wrong answer fails it
+        h_map = factorization.h_map
+
+        def perturbed(fb, Lam):
+            return FactorParameter(fb, (1.0 + 1e-4) * h_map(fb, Lam).C)
+
+        monkeypatch.setattr(factorization, "h_map", perturbed)
         assert main(["selftest"]) == 1
         out = capsys.readouterr().out
         assert "round-trip: FAIL" in out
-        # the other suites are untouched by the hook
+        # the other suites do not call h_map
         assert "oracle-equivalence: PASS" in out
         assert "finite-difference: PASS" in out
+
+
+class TestOverrides:
+    """Each verb accepts only the override flags it reads."""
+
+    def test_selftest_takes_no_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", "--dt", "0.1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --dt" in capsys.readouterr().err
+
+    def test_check_takes_only_config(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config())
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--config", cfg, "--tol", "1e-9"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+    def test_maxent_rejects_continuation_flags(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config(sigma=SIGMA_FROM_REF))
+        with pytest.raises(SystemExit) as exc:
+            main(["maxent", "--config", cfg, "--dtheta", "1e-3"])
+        assert exc.value.code == 2
 
 
 class TestConfigRoundTrip:

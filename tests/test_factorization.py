@@ -7,11 +7,11 @@ from numpy.testing import assert_allclose
 from spectral_homotopy import (FactorParameter, FilterBank, MembershipError,
                                circle_grid, constant_prior, density_values,
                                h_inverse, h_map, homotopy_prior,
-                               left_outer_factor_from_additive,
+                               left_outer_factor_from_additive, matrixeq,
                                prior_from_polynomial, right_outer_factor,
                                scalar_outer_factor)
 
-from conftest import random_additive_quadruple, relative_error
+from conftest import C_REF, random_additive_quadruple, relative_error
 
 
 class TestWeightToFactor:
@@ -58,6 +58,21 @@ class TestWeightToFactor:
     def test_inverse_of_zero_is_zero(self, fb, chart):
         assert_allclose(chart.project_range_gamma(np.zeros((4, 4))),
                         np.zeros((4, 4)), atol=0)
+
+    def test_one_positivity_scan_per_call(self, fb, chart, monkeypatch):
+        # the additive form reached from Lambda has Z + Z* = G* Lambda G, so
+        # the membership check is the only circle scan h_map needs
+        calls = []
+        for name in ("is_in_Lplus", "_additive_positivity"):
+            original = getattr(matrixeq, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(_original)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(matrixeq, name, counted)
+        h_map(fb, h_inverse(chart, C_REF))
+        assert len(calls) == 1
 
     def test_inadmissible_weight_rejected(self, fb):
         with pytest.raises(MembershipError):

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from spectral_homotopy import (FactorizationError, MembershipError,
                                SolverError, circle_grid, h_inverse,
-                               make_chart, reverse_cholesky,
+                               make_chart, matrixeq, reverse_cholesky,
                                solve_dare_appendix, solve_dare_lambda,
                                solve_dlyap, standard_cholesky)
 
@@ -42,14 +42,6 @@ class TestStein:
             T = A1 @ T @ A1.T
         assert_allclose(X, S, rtol=1e-12)
         assert stein_residual(A1, Q, X) < 1e-12
-
-    def test_schur_and_series_methods_agree(self, rng):
-        A1 = 0.4 * rng.standard_normal((4, 4))
-        Q0 = rng.standard_normal((4, 4))
-        Q = Q0 @ Q0.T
-        Xs = solve_dlyap(A1, Q, method="schur")
-        Xr = solve_dlyap(A1, Q, method="series")
-        assert_allclose(Xs, Xr, rtol=1e-10, atol=1e-12)
 
     def test_rejects_unstable_A(self):
         with pytest.raises(MembershipError, match="Schur"):
@@ -140,9 +132,10 @@ class TestLagWeightRiccati:
     def test_methods_agree(self, fb, chart, random_param, rng):
         for _ in range(3):
             Lam = h_inverse(chart, random_param(rng))
-            sd = solve_dare_lambda(fb, Lam, method="doubling")
-            sf = solve_dare_lambda(fb, Lam, method="fixed-point")
-            assert_allclose(sd.P, sf.P, rtol=1e-9, atol=1e-11)
+            sd = solve_dare_lambda(fb, Lam)
+            # the direct lag-weight iteration is an independent oracle
+            Pf, _ = matrixeq._fixed_point_lambda(fb.A, fb.B, Lam)
+            assert_allclose(sd.P, Pf, rtol=1e-9, atol=1e-11)
 
     def test_inadmissible_weight_rejected(self, fb):
         with pytest.raises(MembershipError, match="positive"):
@@ -196,9 +189,9 @@ class TestAdditiveRiccati:
 
     def test_methods_agree(self, rng):
         (F, G, H, J), _ = random_additive_quadruple(rng)
-        sd = solve_dare_appendix(F, G, H, J, method="doubling")
-        sf = solve_dare_appendix(F, G, H, J, method="fixed-point")
-        assert_allclose(sd.P, sf.P, rtol=1e-9, atol=1e-11)
+        sd = solve_dare_appendix(F, G, H, J)
+        Pf, _ = matrixeq._fixed_point_appendix(F, G, H, J + J.conj().T)
+        assert_allclose(sd.P, Pf, rtol=1e-9, atol=1e-11)
 
     def test_rejects_indefinite_circle_values(self, rng):
         # Z(z) = 0.1 + 1/(z - 0.5) dips negative on the circle
@@ -220,3 +213,35 @@ class TestAdditiveRiccati:
         with pytest.raises(ValueError):
             solve_dare_appendix(np.eye(2) * 0.1, np.ones((3, 1)),
                                 np.ones((1, 2)), np.ones((1, 1)))
+
+
+def _fail_doubling(*args):
+    raise SolverError("doubling disabled for this test")
+
+
+class TestFixedPointFallback:
+    """A failed doubling iteration falls back to the fixed-point iteration."""
+
+    def test_additive_form(self, rng, monkeypatch):
+        (F, G, H, J), _ = random_additive_quadruple(rng)
+        sd = solve_dare_appendix(F, G, H, J)
+        monkeypatch.setattr(matrixeq, "_sda_appendix", _fail_doubling)
+        sf = solve_dare_appendix(F, G, H, J)
+        assert sd.method == "doubling"
+        assert sf.method == "fixed-point"
+        assert additive_residual(F, G, H, J, sf.P) <= 1e-10 * (
+            1 + np.linalg.norm(sf.P))
+        assert np.max(np.abs(np.linalg.eigvals(sf.closed_loop))) < 1.0
+        assert_allclose(sf.P, sd.P, rtol=1e-9, atol=1e-9)
+
+    def test_lag_weight_form(self, fb, chart, monkeypatch):
+        Lam = h_inverse(chart, C_REF)
+        sd = solve_dare_lambda(fb, Lam)
+        monkeypatch.setattr(matrixeq, "_sda_appendix", _fail_doubling)
+        sf = solve_dare_lambda(fb, Lam)
+        assert sd.method == "doubling"
+        assert sf.method == "fixed-point"
+        assert dare_lambda_residual(fb, Lam, sf.P) <= 1e-10 * (
+            1 + np.linalg.norm(sf.P))
+        assert np.max(np.abs(np.linalg.eigvals(sf.closed_loop))) < 1.0
+        assert_allclose(sf.P, sd.P, rtol=1e-9, atol=1e-9)
