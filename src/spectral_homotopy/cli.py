@@ -4,8 +4,9 @@ Verbs:
 
 - ``solve``: follow the prior homotopy and write the path artifacts (CSV,
   JSON sidecar, final parameters, run report).
-- ``condnum``: condition numbers of the two parametrizations at a given C,
-  by quadrature at the configured grid spacing.
+- ``condnum``: condition numbers of the two parametrizations at a given C:
+  cond_g from the exact Gramian Jacobian, cond_f by quadrature at the
+  configured grid spacing ``quadrature.dtheta`` (default 1e-4).
 - ``check``: membership and feasibility report for the config inputs;
   report-only, exits 0 whenever the config itself parses.
 - ``maxent``: closed-form flat-prior solution for Sigma.
@@ -34,11 +35,11 @@ from .continuation import (HomotopyConfig, maxent_initialization,
 from .errors import (ConfigError, EvaluationError, FactorizationError,
                      MembershipError, SolverError)
 from .factorization import h_inverse
-from .moment import (DEFAULT_GRID_N, apply_g2_statespace,
+from .moment import (_resolve_grid, apply_g2_statespace,
                      jacobian_condition_number, make_chart,
                      moment_g_quadrature, moment_g_statespace)
 from .statespace import (FactorParameter, FilterBank, StateSpaceSystem,
-                         constant_prior, grid_size_from_spacing, is_in_Cplus,
+                         constant_prior, is_in_Cplus,
                          is_in_Lplus, make_covariance_extension_filter,
                          matrix_from_json, matrix_to_json, prior_from_outer,
                          prior_from_polynomial)
@@ -145,11 +146,7 @@ def _parse_prior(spec, path="prior"):
                 _parse_matrix(_require(sub, "D", f"{path}.sigma"),
                               f"{path}.sigma.D"))
             return prior_from_outer(sys_)
-    except MembershipError:
-        raise
-    except (ValueError, ConfigError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+    except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     raise ConfigError(f"{path}.kind: unknown kind {kind!r} "
                       "(constant | polynomial | rational)")
@@ -178,7 +175,6 @@ class RunConfig:
         default_factory=HomotopyConfig)
     continuation_keys: tuple = ()
     dtheta: float = None
-    grid_n: int = None
     quadrature_keys: tuple = ()
     out_dir: str = None
     formats: tuple = ("csv", "json")
@@ -245,17 +241,11 @@ def parse_config(doc, lenient_prior=False):
         cfg.continuation_keys = tuple(spec)
 
     if "quadrature" in doc:
-        spec = _as_section(doc["quadrature"], "quadrature",
-                           {"dtheta", "grid_n"})
+        spec = _as_section(doc["quadrature"], "quadrature", {"dtheta"})
         if "dtheta" in spec:
             cfg.dtheta = _parse_number(spec["dtheta"], "quadrature.dtheta")
             if not cfg.dtheta > 0.0:
                 raise ConfigError("quadrature.dtheta: must be positive")
-        if "grid_n" in spec:
-            cfg.grid_n = _parse_number(spec["grid_n"], "quadrature.grid_n",
-                                       int)
-            if cfg.grid_n < 16:
-                raise ConfigError("quadrature.grid_n: must be at least 16")
         cfg.quadrature_keys = tuple(spec)
 
     if "output" in doc:
@@ -291,8 +281,7 @@ def serialize_config(cfg):
         values = dataclasses.asdict(cfg.continuation)
         doc["continuation"] = {k: values[k] for k in cfg.continuation_keys}
     if cfg.quadrature_keys:
-        quad = {"dtheta": cfg.dtheta, "grid_n": cfg.grid_n}
-        doc["quadrature"] = {k: quad[k] for k in cfg.quadrature_keys}
+        doc["quadrature"] = {k: cfg.dtheta for k in cfg.quadrature_keys}
     if cfg.output_keys:
         out = {"directory": cfg.out_dir, "formats": list(cfg.formats)}
         doc["output"] = {k: out[k] for k in cfg.output_keys}
@@ -331,14 +320,6 @@ def _resolve_sigma(cfg):
     raise ConfigError("sigma: section is required for this command")
 
 
-def _quad_grid_n(cfg, default=None):
-    if cfg.dtheta is not None:
-        return grid_size_from_spacing(cfg.dtheta)
-    if cfg.grid_n is not None:
-        return cfg.grid_n
-    return default if default is not None else DEFAULT_GRID_N
-
-
 def _ensure_outdir(cfg):
     out = cfg.out_dir or "."
     os.makedirs(out, exist_ok=True)
@@ -372,11 +353,10 @@ def cmd_solve(args):
     resid = float(np.linalg.norm(gfin - Sigma))
 
     t1 = time.perf_counter()
-    N = _quad_grid_n(cfg)
     cond_g = jacobian_condition_number(chart, cfg.prior, final, which="g",
-                                       route="quadrature", grid_n=N)
+                                       route="statespace")
     cond_f = jacobian_condition_number(chart, cfg.prior, Lam, which="f",
-                                       route="quadrature", grid_n=N)
+                                       route="quadrature", dtheta=cfg.dtheta)
     t_cond = time.perf_counter() - t1
 
     out = _ensure_outdir(cfg)
@@ -406,7 +386,7 @@ def cmd_solve(args):
         "cond_g": cond_g,
         "cond_f": cond_f,
         "cond_ratio": cond_f / cond_g,
-        "quadrature_grid_n": N,
+        "quadrature_grid_n": _resolve_grid(cfg.dtheta),
         "timings_s": {"continuation": t_solve, "condition_numbers": t_cond,
                       "total": time.perf_counter() - t0},
     }
@@ -430,13 +410,13 @@ def cmd_condnum(args):
     fb = cfg.filterbank
     param = FactorParameter(fb, cfg.C)
     chart = make_chart(fb)
-    N = _quad_grid_n(cfg, default=grid_size_from_spacing(1e-4))
+    dtheta = cfg.dtheta if cfg.dtheta is not None else 1e-4
     t0 = time.perf_counter()
     cond_g = jacobian_condition_number(chart, cfg.prior, param, which="g",
-                                       route="quadrature", grid_n=N)
+                                       route="statespace")
     Lam = h_inverse(chart, param)
     cond_f = jacobian_condition_number(chart, cfg.prior, Lam, which="f",
-                                       route="quadrature", grid_n=N)
+                                       route="quadrature", dtheta=dtheta)
     elapsed = time.perf_counter() - t0
     print(f"cond_g = {cond_g:.6e}")
     print(f"cond_f = {cond_f:.6e}")
@@ -446,7 +426,8 @@ def cmd_condnum(args):
         dest = os.path.join(out, "condnum.json")
         _write_json(dest, {"cond_g": cond_g, "cond_f": cond_f,
                            "ratio": cond_f / cond_g,
-                           "quadrature_grid_n": N, "time_s": elapsed})
+                           "quadrature_grid_n": _resolve_grid(dtheta),
+                           "time_s": elapsed})
         print(f"wrote {dest}")
     return 0
 
@@ -546,7 +527,7 @@ def _suite_oracle(fb, chart, rng, random_sigma):
     for _ in range(5):
         param = maxent_initialization(fb, random_sigma())
         gs = moment_g_statespace(fb, prior, param)
-        gq = moment_g_quadrature(fb, prior, param, grid_n=2048)
+        gq = moment_g_quadrature(fb, prior, param, dtheta=2 * np.pi / 2048)
         worst = max(worst, float(np.linalg.norm(gs - gq)
                                  / np.linalg.norm(gs)))
     return worst, 1e-7

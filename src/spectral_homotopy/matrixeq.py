@@ -375,7 +375,9 @@ def _lambda_residual(A, B, Lam, P):
 
 
 def _fixed_point_lambda(A, B, Lam):
-    P = Lam.copy()
+    # start from the Stein solution Q - A*QA = Lambda: B*QB is the circle
+    # integral of G* Lambda G, so positive definite; B*Lambda B need not be
+    P = solve_dlyap(A.conj().T, Lam)
     history = []
     for it in range(1, _FIXED_POINT_BUDGET + 1):
         M = _hermitize(B.conj().T @ P @ B)

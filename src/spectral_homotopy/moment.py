@@ -27,8 +27,11 @@ the cascade T = sigma G (z C G)^{-1}.  A direction V moves T's realization
 by dA_T = -X A_T, dB_T = -X B_T with X = C_T* B (CB)^{-1} V C_T, so the
 derivative g'(psi, C; V) = C_T P' C_T* needs one more Stein solve,
 P' - A_T P' A_T* = -(X P + P X*), for any V.  The Gramian routes are the
-production routes; quadrature is implemented independently and the tests
-hold the two against each other.
+only production routes for g (the continuation and the CLI's cond_g);
+quadrature of g is implemented independently and the tests hold the two
+against each other.  f has no exact route, so the CLI's cond_f is a
+quadrature Jacobian.  Every quadrature function takes one grid knob,
+``dtheta``; without it the grid has DEFAULT_GRID_N points.
 """
 
 from __future__ import annotations
@@ -103,17 +106,15 @@ def _sigma_system(prior):
 # quadrature kernel
 
 
-def _resolve_grid(grid_n, dtheta):
-    if grid_n is not None:
-        return int(grid_n)
-    if dtheta is not None:
-        return grid_size_from_spacing(dtheta)
-    return DEFAULT_GRID_N
+def _resolve_grid(dtheta):
+    if dtheta is None:
+        return DEFAULT_GRID_N
+    return grid_size_from_spacing(dtheta)
 
 
-def _kernel_grid(filterbank, prior, point, which, grid_n):
+def _kernel_grid(filterbank, prior, point, which, N):
     """Grid values of psi and K = G M^{-1} G* for M = G* Lambda G or (CG)*(CG)."""
-    theta = circle_grid(grid_n)
+    theta = circle_grid(N)
     z = np.exp(1j * theta)
     G = filterbank.eval_grid(z)
     Gh = G.conj().transpose(0, 2, 1)
@@ -164,22 +165,23 @@ def _g2_columns(psi, K, C, directions, N):
     return Y + Y.conj().transpose(0, 2, 1)
 
 
-def moment_f_quadrature(filterbank, prior, Lam, grid_n=None, dtheta=None):
+def moment_f_quadrature(filterbank, prior, Lam, dtheta=None):
     """f(psi, Lambda) by Riemann summation on a uniform circle grid.
 
     The grid is equispaced, so the sum converges spectrally fast for the
-    rational integrand; ``grid_n`` defaults to 4096.
+    rational integrand; its spacing is the divisor of 2 pi closest to
+    ``dtheta``, and it has 4096 points when ``dtheta`` is None.
     """
-    N = _resolve_grid(grid_n, dtheta)
+    N = _resolve_grid(dtheta)
     psi, K = _kernel_grid(filterbank, prior, np.asarray(Lam), "f", N)
     val = _hermitize(np.tensordot(psi, K, axes=(0, 0)) / N)
     return coerce_field(val, filterbank.field, tol=QUAD_FIELD_TOL,
                         what="moment value")
 
 
-def moment_g_quadrature(filterbank, prior, C, grid_n=None, dtheta=None):
+def moment_g_quadrature(filterbank, prior, C, dtheta=None):
     """g(psi, C) by Riemann summation on a uniform circle grid."""
-    N = _resolve_grid(grid_n, dtheta)
+    N = _resolve_grid(dtheta)
     param = _as_param(filterbank, C)
     psi, K = _kernel_grid(filterbank, prior, param.C, "g", N)
     val = _hermitize(np.tensordot(psi, K, axes=(0, 0)) / N)
@@ -187,18 +189,18 @@ def moment_g_quadrature(filterbank, prior, C, grid_n=None, dtheta=None):
                         what="moment value")
 
 
-def apply_f2_quadrature(filterbank, prior, Lam, dLam, grid_n=None, dtheta=None):
+def apply_f2_quadrature(filterbank, prior, Lam, dLam, dtheta=None):
     """Directional derivative of f in Lambda: -integral(psi K dLam K)."""
-    N = _resolve_grid(grid_n, dtheta)
+    N = _resolve_grid(dtheta)
     psi, K = _kernel_grid(filterbank, prior, np.asarray(Lam), "f", N)
     (val,) = _kernel_columns(psi, K, K, [np.asarray(dLam)], N)
     return coerce_field(_hermitize(val), filterbank.field, tol=QUAD_FIELD_TOL,
                         what="derivative value")
 
 
-def apply_g2_quadrature(filterbank, prior, C, V, grid_n=None, dtheta=None):
+def apply_g2_quadrature(filterbank, prior, C, V, dtheta=None):
     """Directional derivative of g in C: -integral(psi K (V*C + C*V) K)."""
-    N = _resolve_grid(grid_n, dtheta)
+    N = _resolve_grid(dtheta)
     param = _as_param(filterbank, C)
     psi, K = _kernel_grid(filterbank, prior, param.C, "g", N)
     (val,) = _g2_columns(psi, K, param.C, [np.atleast_2d(np.asarray(V))], N)
@@ -473,59 +475,55 @@ def make_chart(filterbank, anchor=None):
 # Jacobians
 
 
+def _range_columns(chart, cols):
+    """Jacobian matrix whose columns are the range coordinates of ``cols``."""
+    return np.column_stack([chart.range_coords(Y) for Y in cols])
+
+
 def assemble_jacobian_matrix(chart, prior, point, which="g", route="quadrature",
-                             grid_n=None, dtheta=None):
+                             dtheta=None):
     """M x M real Jacobian of the moment map in chart coordinates.
 
     For which="g" the columns are derivatives along the factor basis at the
     parameter ``point`` (a matrix or FactorParameter); for which="f" along
-    the range basis at ``point`` = Lambda.  Route "quadrature" sums the
-    shared kernel on a circle grid once, into Q = sum_k psi_k K_k (x) K_k
-    (for g, K_k (x) C K_k), and reads all columns off Q (see
-    _kernel_columns); route "statespace" (g only) evaluates each column by
-    one tangent Stein solve.
+    the range basis at ``point`` = Lambda.  Route "statespace" (g only) is
+    the production route: each column is one tangent Stein solve.  Route
+    "quadrature" sums the shared kernel on a circle grid of spacing
+    ``dtheta`` once, into Q = sum_k psi_k K_k (x) K_k (for g, K_k (x) C K_k),
+    and reads all columns off Q (see _kernel_columns); it is the only route
+    for f and the independent check of the exact one for g.
     """
     fb = chart.filterbank
-    if which == "g":
-        param = _as_param(fb, point)
-        directions = chart.factor_basis
-    elif which == "f":
-        directions = chart.range_basis
-    else:
+    if which not in ("f", "g"):
         raise ValueError(f"unknown moment map {which!r}")
-
-    if route == "quadrature":
-        N = _resolve_grid(grid_n, dtheta)
-        if which == "g":
-            psi, K = _kernel_grid(fb, prior, param.C, "g", N)
-            cols = _g2_columns(psi, K, param.C, directions, N)
-        else:
-            psi, K = _kernel_grid(fb, prior, np.asarray(point), "f", N)
-            cols = _kernel_columns(psi, K, K, directions, N)
-    elif route == "statespace":
+    if route == "statespace":
         if which != "g":
             raise ValueError(
                 "the exact Gramian route only evaluates the factor-side map")
-        column = _g2_statespace_map(fb, prior, param)
-        cols = [column(V) for V in directions]
-    else:
+        column = _g2_statespace_map(fb, prior, _as_param(fb, point))
+        return _range_columns(chart, map(column, chart.factor_basis))
+    if route != "quadrature":
         raise ValueError(f"unknown route {route!r}")
-
-    J = np.empty((chart.dim, chart.dim))
-    for j, Y in enumerate(cols):
-        J[:, j] = chart.range_coords(Y)
-    return J
+    N = _resolve_grid(dtheta)
+    if which == "g":
+        param = _as_param(fb, point)
+        psi, K = _kernel_grid(fb, prior, param.C, "g", N)
+        cols = _g2_columns(psi, K, param.C, chart.factor_basis, N)
+    else:
+        psi, K = _kernel_grid(fb, prior, np.asarray(point), "f", N)
+        cols = _kernel_columns(psi, K, K, chart.range_basis, N)
+    return _range_columns(chart, cols)
 
 
 def jacobian_condition_number(chart, prior, point, which="g",
-                              route="quadrature", grid_n=None, dtheta=None):
+                              route="quadrature", dtheta=None):
     """Spectral condition number of the chart-coordinate Jacobian.
 
     Invariant (up to discretization error) under orthonormal changes of
     either basis, since those act by orthogonal matrices on each side.
     """
     J = assemble_jacobian_matrix(chart, prior, point, which=which, route=route,
-                                 grid_n=grid_n, dtheta=dtheta)
+                                 dtheta=dtheta)
     return float(np.linalg.cond(J))
 
 
@@ -571,10 +569,7 @@ def solve_jacobian_system(chart, prior, C, Y, gram_cond_limit=GRAM_COND_LIMIT,
                                     columns=chart.dim)
 
     column = _g2_statespace_map(fb, prior, param)
-    M = chart.dim
-    J = np.empty((M, M))
-    for k, Vk in enumerate(chart.factor_basis):
-        J[:, k] = chart.range_coords(column(Vk))
+    J = _range_columns(chart, map(column, chart.factor_basis))
     condJ = float(np.linalg.cond(J))
     cond = condJ * condJ
     if not np.isfinite(cond) or cond > gram_cond_limit:
@@ -589,4 +584,4 @@ def solve_jacobian_system(chart, prior, C, Y, gram_cond_limit=GRAM_COND_LIMIT,
             f"direction solve verification failed: relative residual "
             f"{resid:.3e} exceeds {verify_tol:.1e}")
     return V, JacobianSolveInfo(gram_cond=cond, verify_residual=resid,
-                                columns=M)
+                                columns=chart.dim)

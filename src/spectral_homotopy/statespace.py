@@ -470,7 +470,6 @@ class LplusDiagnostics:
 
     member: bool
     min_eigenvalue: float
-    grid_n: int
 
     def __bool__(self):
         return self.member
@@ -526,8 +525,8 @@ def is_in_Cplus(filterbank, C):
     )
 
 
-def is_in_Lplus(filterbank, Lam, grid_n=1024):
-    """Check G(z)* Lambda G(z) > 0 on a circle grid of ``grid_n`` points.
+def is_in_Lplus(filterbank, Lam):
+    """Check G(z)* Lambda G(z) > 0 on a 1024-point circle grid.
 
     Lambda must be Hermitian to tolerance 1e-12.  Returns diagnostics with
     the minimum eigenvalue found over the grid.
@@ -540,14 +539,12 @@ def is_in_Lplus(filterbank, Lam, grid_n=1024):
     if herm_defect > STRICT_TOL * (1.0 + float(np.max(np.abs(Lam)))):
         raise ValueError(
             f"Lambda is not Hermitian (defect {herm_defect:.3e})")
-    theta = circle_grid(grid_n)
-    G = filterbank.eval_grid(np.exp(1j * theta))
+    G = filterbank.eval_grid(np.exp(1j * circle_grid(1024)))
     M = G.conj().transpose(0, 2, 1) @ Lam @ G
     M = 0.5 * (M + M.conj().transpose(0, 2, 1))
     eigs = np.linalg.eigvalsh(M)
     min_eig = float(eigs.min())
-    return LplusDiagnostics(member=min_eig > 0.0, min_eigenvalue=min_eig,
-                            grid_n=grid_n)
+    return LplusDiagnostics(member=min_eig > 0.0, min_eigenvalue=min_eig)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from spectral_homotopy import FactorParameter, factorization
+from spectral_homotopy import (FactorParameter, factorization,
+                               jacobian_condition_number, moment)
 from spectral_homotopy.cli import main, parse_config, serialize_config
 
 from conftest import B_REF, C_REF
@@ -65,6 +66,13 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, doc)
         assert main(["solve", "--config", cfg]) == 2
         assert "minimum phase" in capsys.readouterr().err
+
+    def test_grid_n_is_not_a_quadrature_key(self, tmp_path, capsys):
+        # dtheta is the only grid knob
+        doc = base_config(C=C_REF.tolist(), quadrature={"grid_n": 4096})
+        cfg = write_config(tmp_path, doc)
+        assert main(["condnum", "--config", cfg]) == 2
+        assert "quadrature.grid_n" in capsys.readouterr().err
 
     def test_missing_required_section(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config())
@@ -148,6 +156,28 @@ class TestCondnum:
         assert abs(report["cond_g"] - 2.4674e5) / 2.4674e5 < 0.02
         assert abs(report["cond_f"] - 3.8187e8) / 3.8187e8 < 0.02
         assert report["ratio"] > 1e3
+
+    def test_cond_g_is_the_exact_route(self, chart, prior_ref, param_ref,
+                                       tmp_path, capsys, monkeypatch):
+        # only cond_f is a quadrature Jacobian, so one grid is built; on
+        # this grid a quadrature cond_g would be off by 2e-5
+        built = []
+        kernel_grid = moment._kernel_grid
+
+        def counting(filterbank, prior, point, which, N):
+            built.append(which)
+            return kernel_grid(filterbank, prior, point, which, N)
+
+        monkeypatch.setattr(moment, "_kernel_grid", counting)
+        doc = base_config(C=C_REF.tolist(), quadrature={"dtheta": 1e-2})
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["condnum", "--config", cfg, "--out", str(out)]) == 0
+        assert built == ["f"]
+        report = json.loads((out / "condnum.json").read_text())
+        want = jacobian_condition_number(chart, prior_ref, param_ref,
+                                         which="g", route="statespace")
+        assert abs(report["cond_g"] - want) / want <= 1e-12
 
     def test_spacing_override_is_stable(self, tmp_path, capsys):
         # refining the grid by 2x moves the estimates by well under 1%

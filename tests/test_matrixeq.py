@@ -129,9 +129,11 @@ class TestLagWeightRiccati:
         assert_allclose(sol.L.conj().T @ sol.L,
                         fb.B.T @ sol.P @ fb.B, rtol=1e-12)
 
-    def test_methods_agree(self, fb, chart, random_param, rng):
-        for _ in range(3):
-            Lam = h_inverse(chart, random_param(rng))
+    def test_methods_agree(self, fb, chart, param_ref, random_param, rng):
+        # the reference weight (closed-loop radius 0.985) and random ones
+        params = [param_ref] + [random_param(rng) for _ in range(3)]
+        for param in params:
+            Lam = h_inverse(chart, param)
             sd = solve_dare_lambda(fb, Lam)
             # the direct lag-weight iteration is an independent oracle
             Pf, _ = matrixeq._fixed_point_lambda(fb.A, fb.B, Lam)

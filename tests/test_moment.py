@@ -132,7 +132,7 @@ class TestMomentMaps:
     def test_flat_weight_moment(self, fb):
         # f(1, I): the two unit-delay blocks average to half the Gramian
         F = moment_f_quadrature(fb, constant_prior(1.0), np.eye(4),
-                                grid_n=4096)
+                                dtheta=2 * np.pi / 4096)
         assert_allclose(F, 0.5 * np.eye(4), rtol=1e-12, atol=1e-12)
 
     def test_flat_factor_moment(self, fb):
@@ -152,28 +152,23 @@ class TestMomentMaps:
         for _ in range(5):
             prior, param = random_pair(rng)
             Ss = moment_g_statespace(fb, prior, param)
-            Sq = moment_g_quadrature(fb, prior, param, grid_n=4096)
+            Sq = moment_g_quadrature(fb, prior, param, dtheta=2 * np.pi / 4096)
             assert relative_error(Sq, Ss) < 1e-7
 
     def test_factor_and_weight_routes_agree(self, fb, chart, prior_ref,
                                             param_ref):
         # the two parametrizations of one density must produce one moment
         Lam = h_inverse(chart, param_ref)
-        Sf = moment_f_quadrature(fb, prior_ref, Lam, grid_n=8192)
-        Sg = moment_g_quadrature(fb, prior_ref, param_ref, grid_n=8192)
+        dtheta = 2 * np.pi / 8192
+        Sf = moment_f_quadrature(fb, prior_ref, Lam, dtheta=dtheta)
+        Sg = moment_g_quadrature(fb, prior_ref, param_ref, dtheta=dtheta)
         assert relative_error(Sf, Sg) < 1e-10
-
-    def test_dtheta_equivalent_to_grid_n(self, fb, prior_ref, param_ref):
-        S1 = moment_g_quadrature(fb, prior_ref, param_ref,
-                                 dtheta=2 * np.pi / 4096)
-        S2 = moment_g_quadrature(fb, prior_ref, param_ref, grid_n=4096)
-        assert_array_equal(S1, S2)
 
     def test_flat_prior_routes(self, fb, param_ref):
         # constant prior exercises the stateless branch of the cascade
         Ss = moment_g_statespace(fb, constant_prior(2.0), param_ref)
         Sq = moment_g_quadrature(fb, constant_prior(2.0), param_ref,
-                                 grid_n=4096)
+                                 dtheta=2 * np.pi / 4096)
         assert relative_error(Sq, Ss) < 1e-9
 
 
@@ -181,8 +176,9 @@ class TestDerivatives:
     def test_weight_scaling_direction(self, fb, chart, prior_ref, param_ref):
         # f(psi, c Lam) = f(psi, Lam) / c, so the derivative along Lam is -f
         Lam = h_inverse(chart, param_ref)
-        dF = apply_f2_quadrature(fb, prior_ref, Lam, Lam, grid_n=4096)
-        F = moment_f_quadrature(fb, prior_ref, Lam, grid_n=4096)
+        dtheta = 2 * np.pi / 4096
+        dF = apply_f2_quadrature(fb, prior_ref, Lam, Lam, dtheta=dtheta)
+        F = moment_f_quadrature(fb, prior_ref, Lam, dtheta=dtheta)
         assert relative_error(dF, -F) < 1e-10
 
     def test_factor_scaling_direction(self, fb, prior_ref, param_ref):
@@ -211,7 +207,7 @@ class TestDerivatives:
             V = fd_direction(chart, rng)
             ds = apply_g2_statespace(fb, prior_ref, param_ref, V)
             dq = apply_g2_quadrature(fb, prior_ref, param_ref, V,
-                                     grid_n=8192)
+                                     dtheta=2 * np.pi / 8192)
             assert relative_error(dq, ds) < 1e-8
 
     @settings(max_examples=40, deadline=None, derandomize=True,
@@ -230,7 +226,7 @@ class TestDerivatives:
         param = _random_param(fb, rng)
         V = _normal(rng, (fb.m, fb.n), field)
         ds = apply_g2_statespace(fb, prior, param, V)
-        dq = apply_g2_quadrature(fb, prior, param, V, grid_n=8192)
+        dq = apply_g2_quadrature(fb, prior, param, V, dtheta=2 * np.pi / 8192)
         assert relative_error(dq, ds) < 1e-8
 
     def test_matches_central_difference(self, fb, chart, prior_ref,
@@ -251,9 +247,10 @@ class TestDerivatives:
         dLam = chart.range_from_coords(rng.standard_normal(chart.dim))
         dLam *= 0.05 / np.linalg.norm(dLam)
         h = 1e-6
-        d = apply_f2_quadrature(fb, prior_ref, Lam, dLam, grid_n=4096)
-        fp = moment_f_quadrature(fb, prior_ref, Lam + h * dLam, grid_n=4096)
-        fm = moment_f_quadrature(fb, prior_ref, Lam - h * dLam, grid_n=4096)
+        dtheta = 2 * np.pi / 4096
+        d = apply_f2_quadrature(fb, prior_ref, Lam, dLam, dtheta=dtheta)
+        fp = moment_f_quadrature(fb, prior_ref, Lam + h * dLam, dtheta=dtheta)
+        fm = moment_f_quadrature(fb, prior_ref, Lam - h * dLam, dtheta=dtheta)
         assert relative_error((fp - fm) / (2 * h), d) < 1e-5
 
     def test_prior_drift_vanishes_for_flat_prior(self, fb, param_ref):
@@ -301,7 +298,7 @@ class TestJacobian:
                                       which="g", route="statespace")
         Jq = assemble_jacobian_matrix(chart, prior_ref, param,
                                       which="g", route="quadrature",
-                                      grid_n=4096)
+                                      dtheta=2 * np.pi / 4096)
         assert Js.shape == {"real": (7, 7), "complex": (12, 12)}[field]
         assert np.max(np.abs(Js - Jq)) / np.max(np.abs(Js)) < 1e-8
 
@@ -318,7 +315,8 @@ class TestJacobian:
         param = _random_param(fb, rng)
         point = param if which == "g" else h_inverse(chart, param)
         Jq = assemble_jacobian_matrix(chart, prior_ref, point, which=which,
-                                      route="quadrature", grid_n=64)
+                                      route="quadrature",
+                                      dtheta=2 * np.pi / 64)
         Jl = _pointwise_jacobian(chart, prior_ref, point, which, 64)
         for j in range(chart.dim):
             assert relative_error(Jq[:, j], Jl[:, j]) < 1e-12
@@ -357,7 +355,7 @@ class TestJacobian:
         Lam = h_inverse(chart, param_ref)
         cond_f = jacobian_condition_number(chart, prior_ref, Lam,
                                            which="f", route="quadrature",
-                                           grid_n=4096)
+                                           dtheta=2 * np.pi / 4096)
         assert 1e5 < cond_g < 1e6
         assert 1e8 < cond_f < 1e9
         assert cond_f / cond_g > 1e3
