@@ -46,8 +46,7 @@ from .moment import (CoordinateChart, JacobianSolveInfo,
                      moment_g_statespace, solve_jacobian_system, trace_inner)
 from .continuation import (HomotopyConfig, PathSample, SolutionPath,
                            corrector_newton, maxent_initialization,
-                           predictor_step, run_continuation, write_path_csv,
-                           write_path_json)
+                           run_continuation, write_path_csv, write_path_json)
 
 __version__ = "0.1.0"
 
@@ -73,7 +72,7 @@ __all__ = [
     "assemble_jacobian_matrix", "jacobian_condition_number",
     "JacobianSolveInfo", "solve_jacobian_system",
     "HomotopyConfig", "PathSample", "SolutionPath", "maxent_initialization",
-    "predictor_step", "corrector_newton", "run_continuation",
+    "corrector_newton", "run_continuation",
     "write_path_csv", "write_path_json",
     "__version__",
 ]

@@ -25,8 +25,8 @@ import numpy as np
 from .errors import ConfigError, MembershipError, SolverError
 from .factorization import homotopy_prior
 from .matrixeq import reverse_cholesky
-from .moment import (apply_g1_direction, make_chart, moment_g_statespace,
-                     solve_jacobian_system)
+from .moment import (_StatespacePoint, apply_g1_direction, make_chart,
+                     moment_g_statespace, solve_jacobian_system)
 from .statespace import (FactorParameter, coerce_field, is_in_Cplus,
                          matrix_to_json)
 
@@ -35,7 +35,6 @@ __all__ = [
     "PathSample",
     "SolutionPath",
     "maxent_initialization",
-    "predictor_step",
     "corrector_newton",
     "run_continuation",
     "write_path_csv",
@@ -147,21 +146,22 @@ def corrector_newton(chart, prior_t, param, Sigma, config):
     Steps are damped only to stay inside the factor set (residual growth is
     not a reason to shrink: the verified direction solve already guarantees
     descent to first order).  The residual is the plain Frobenius norm
-    ||Sigma - g||, not scaled by ||Sigma||.  Returns (param, residual,
-    iterations, gram_cond); raises SolverError when the budget is exhausted
-    or a candidate cannot be kept feasible.
+    ||Sigma - g||, not scaled by ||Sigma||.  At each iterate, g and the
+    direction solve share one cascade Gramian and its Schur form.  Returns
+    (param, residual, iterations, gram_cond); raises SolverError when the
+    budget is exhausted or a candidate cannot be kept feasible.
     """
     fb = chart.filterbank
     gram_cond = 0.0
     for it in range(int(config.max_newton) + 1):
-        gval = moment_g_statespace(fb, prior_t, param)
-        resid_mat = Sigma - gval
+        point = _StatespacePoint(fb, prior_t, param)
+        resid_mat = Sigma - point.value()
         rnorm = float(np.linalg.norm(resid_mat))
         if rnorm <= config.newton_tol:
             return param, rnorm, it, gram_cond
         if it == int(config.max_newton):
             break
-        V, info = solve_jacobian_system(chart, prior_t, param, resid_mat)
+        V, info = point.solve(chart, resid_mat)
         gram_cond = info.gram_cond
         s = 1.0
         accepted = None
@@ -180,23 +180,17 @@ def corrector_newton(chart, prior_t, param, Sigma, config):
         f"{config.max_newton} iterations (last residual {rnorm:.3e})")
 
 
-def predictor_step(chart, prior, t, param, dt):
-    """Euler predictor for the path at time t.
+def _tangent(chart, prior, prior_t, param):
+    """Path tangent at ``param``; ``prior_t`` is p(t).
 
     The tangent v solves the linearized path equation
 
         g'(p(t), C; v) = -(g(psi, C) - g(1, C)),
 
     whose right-hand side is the t-derivative of the moment map along the
-    prior family.  Returns (C_pred, v, info) with C_pred = C + dt v and info
-    the direction-solve diagnostics.
+    prior family.  Returns (v, info) with info the direction-solve
+    diagnostics; the Euler predictor is C + dt v.
     """
-    v, info = _tangent(chart, prior, homotopy_prior(prior, t), param)
-    return param.C + dt * v, v, info
-
-
-def _tangent(chart, prior, prior_t, param):
-    """(v, info) for the path tangent at ``param``; ``prior_t`` is p(t)."""
     drift = apply_g1_direction(chart.filterbank, prior, param)
     return solve_jacobian_system(chart, prior_t, param, -drift)
 

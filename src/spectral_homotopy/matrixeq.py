@@ -50,14 +50,18 @@ STRICT_TOL = 1e-12
 
 
 def _hermitize(X):
-    return 0.5 * (X + X.conj().T)
+    return 0.5 * (X + X.conj().swapaxes(-1, -2))
 
 
 def _check_hermitian(X, name):
+    """Hermitian part of X, or of each slice of a stack; raises on a defect."""
     X = np.atleast_2d(np.asarray(X))
-    defect = float(np.max(np.abs(X - X.conj().T))) if X.size else 0.0
-    if defect > STRICT_TOL * (1.0 + float(np.max(np.abs(X))) if X.size else 1.0):
-        raise ValueError(f"{name} is not Hermitian (defect {defect:.3e})")
+    if X.size:
+        defect = np.max(np.abs(X - X.conj().swapaxes(-1, -2)), axis=(-2, -1))
+        bad = defect > STRICT_TOL * (1.0 + np.max(np.abs(X), axis=(-2, -1)))
+        if np.any(bad):
+            raise ValueError(f"{name} is not Hermitian "
+                             f"(defect {float(np.max(defect[bad])):.3e})")
     return _hermitize(X)
 
 
@@ -70,56 +74,93 @@ def _spectral_radius(A):
 def solve_dlyap(A1, Q):
     """Solve the Stein equation R - A1 R A1* = Q for Hermitian Q.
 
-    Uses the complex Schur form A1 = U T U* and back-substitution over the
-    columns of the triangular equation.
+    Q may also be a stack of shape (k, n, n); each slice is then solved.
+    One complex Schur form A1 = U T U* serves every slice: its diagonal
+    gives the spectral radius for the stability check, and one
+    back-substitution over the columns of the triangular equation solves
+    column j of all k slices by one triangular solve with k right-hand
+    sides.  The residual gate holds for every slice.
 
     Parameters
     ----------
     A1 : (n, n) array, Schur stable (spectral radius < 1 - 1e-12)
-    Q : (n, n) Hermitian array
+    Q : (n, n) Hermitian array, or a (k, n, n) stack of them
 
     Returns
     -------
-    R : (n, n) Hermitian array with residual norm
-        ||R - A1 R A1* - Q||_F <= 1e-11 (1 + ||R||_F).
+    R : Hermitian array of Q's shape; each slice has residual norm
+        ||R_i - A1 R_i A1* - Q_i||_F <= 1e-11 (1 + ||R_i||_F).
+
+    Raises
+    ------
+    MembershipError
+        If A1 is not Schur stable.
+    SolverError
+        If any slice fails the residual gate.
     """
     A1 = np.atleast_2d(np.asarray(A1))
     Q = _check_hermitian(Q, "Q")
     n = A1.shape[0]
-    if A1.shape != (n, n) or Q.shape != (n, n):
-        raise ValueError(f"A1 and Q must both be {n}x{n}")
+    if A1.shape != (n, n) or Q.ndim > 3 or Q.shape[-2:] != (n, n):
+        raise ValueError(
+            f"A1 must be {n}x{n} and Q {n}x{n} or a stack of {n}x{n} slices")
+    return _stein_solver(A1)(Q)
+
+
+def _stein_solver(A1):
+    """Factor a Schur-stable (n, n) A1 once; return Q -> solve_dlyap(A1, Q).
+
+    The returned function takes Hermitian Q, 2-D or stacked (it is
+    hermitized, not checked), and gates the residual of every slice, so
+    any number of right-hand sides share the one Schur form of A1.
+    """
+    n = A1.shape[0]
     if n == 0:
-        return np.zeros((0, 0))
-    rho = _spectral_radius(A1)
+        return lambda Q: np.zeros(np.shape(Q))
+    T, U = schur(A1.astype(complex), output="complex")
+    rho = float(np.max(np.abs(np.diag(T))))
     if not rho < 1.0 - STRICT_TOL:
         raise MembershipError(
             f"Stein equation requires a Schur-stable A1; spectral radius {rho:.15g}")
-    R = _hermitize(_dlyap_schur(A1, Q))
-    if not (np.iscomplexobj(A1) or np.iscomplexobj(Q)):
-        R = R.real
-    resid = float(np.linalg.norm(R - A1 @ R @ A1.conj().T - Q))
-    if resid > DLYAP_RESIDUAL_TOL * (1.0 + float(np.linalg.norm(R))):
-        raise SolverError(
-            f"Stein solve residual {resid:.3e} exceeds tolerance",
-            history=[resid])
-    return R
+    A1h = A1.conj().T
+
+    def solve(Q):
+        Q = _hermitize(np.asarray(Q))
+        stack = Q.reshape(-1, n, n)
+        R = _hermitize(_dlyap_schur(T, U, stack))
+        if not (np.iscomplexobj(A1) or np.iscomplexobj(Q)):
+            R = R.real
+        resid = np.linalg.norm(R - A1 @ R @ A1h - stack, axis=(1, 2))
+        bound = DLYAP_RESIDUAL_TOL * (1.0 + np.linalg.norm(R, axis=(1, 2)))
+        bad = resid > bound
+        if np.any(bad):
+            i = int(np.argmax(np.where(bad, resid, -np.inf)))
+            where = f" in slice {i} of {len(stack)}" if Q.ndim == 3 else ""
+            raise SolverError(
+                f"Stein solve residual {resid[i]:.3e} exceeds tolerance{where}",
+                history=[float(resid[i])])
+        return R.reshape(Q.shape)
+
+    return solve
 
 
-def _dlyap_schur(A1, Q):
-    # Triangularize: with A1 = U T U*, the equation becomes
-    # Rt - T Rt T* = Qt in Rt = U* R U, solved column by column from the last.
-    T, U = schur(A1.astype(complex), output="complex")
-    Qt = U.conj().T @ Q @ U
-    n = T.shape[0]
-    Rt = np.zeros((n, n), dtype=complex)
+def _dlyap_schur(T, U, Q):
+    # Triangularize: with A1 = U T U*, each slice of the (k, n, n) stack Q
+    # becomes Rt - T Rt T* = Qt in Rt = U* R U, solved column by column from
+    # the last; column j of all k slices is one triangular solve.
+    k, n, _ = Q.shape
+    Uh = U.conj().T
+    Qt = Uh @ Q @ U
+    Tc = T.conj()
+    Rt = np.zeros((k, n, n), dtype=complex)
     eye = np.eye(n)
-    for k in range(n - 1, -1, -1):
-        rhs = Qt[:, k].copy()
-        if k < n - 1:
-            acc = Rt[:, k + 1:] @ T[k, k + 1:].conj()
-            rhs += T @ acc
-        Rt[:, k] = solve_triangular(eye - np.conj(T[k, k]) * T, rhs, lower=False)
-    return U @ Rt @ U.conj().T
+    for j in range(n - 1, -1, -1):
+        rhs = Qt[:, :, j]
+        if j < n - 1:
+            rhs = rhs + (Rt[:, :, j + 1:] @ Tc[j, j + 1:]) @ T.T
+        Rt[:, :, j] = solve_triangular(eye - Tc[j, j] * T, rhs.T,
+                                       lower=False).T
+    return U @ Rt @ Uh
 
 
 def standard_cholesky(M):

@@ -26,7 +26,10 @@ closed loop, so g(psi, C) = C_T P C_T* with P the controllability Gramian of
 the cascade T = sigma G (z C G)^{-1}.  A direction V moves T's realization
 by dA_T = -X A_T, dB_T = -X B_T with X = C_T* B (CB)^{-1} V C_T, so the
 derivative g'(psi, C; V) = C_T P' C_T* needs one more Stein solve,
-P' - A_T P' A_T* = -(X P + P X*), for any V.  The Gramian routes are the
+P' - A_T P' A_T* = -(X P + P X*), for any V.  Every Stein equation at a
+point has the same A_T, so one Schur form of A_T serves the Gramian, all
+M Jacobian columns (one stacked solve) and the verification of a direction
+solve (see _StatespacePoint).  The Gramian routes are the
 only production routes for g (the continuation and the CLI's cond_g);
 quadrature of g is implemented independently and the tests hold the two
 against each other.  f has no exact route, so the CLI's cond_f is a
@@ -42,7 +45,7 @@ import numpy as np
 from scipy.linalg import null_space
 
 from .errors import EvaluationError, SolverError
-from .matrixeq import solve_dlyap
+from .matrixeq import _stein_solver, solve_dlyap
 from .statespace import (FactorParameter, StateSpaceSystem, cascade,
                          circle_grid, coerce_field, factor_inner_realization,
                          grid_size_from_spacing)
@@ -81,7 +84,7 @@ def trace_inner(X, Y):
 
 
 def _hermitize(X):
-    return 0.5 * (X + X.conj().T)
+    return 0.5 * (X + X.conj().swapaxes(-1, -2))
 
 
 def _as_param(filterbank, C):
@@ -161,7 +164,8 @@ def _g2_columns(psi, K, C, directions, N):
     grid sum with K on both sides rounds it away (cond_g off by 1e-5
     instead of 1e-9 at cond_g ~ 1e8).
     """
-    Y = _kernel_columns(psi, K, C @ K, [V.conj().T for V in directions], N)
+    Vh = np.asarray(directions).conj().swapaxes(-1, -2)
+    Y = _kernel_columns(psi, K, C @ K, Vh, N)
     return Y + Y.conj().transpose(0, 2, 1)
 
 
@@ -212,17 +216,77 @@ def apply_g2_quadrature(filterbank, prior, C, V, dtheta=None):
 # integration-free evaluation
 
 
-def _cascade_gramian(filterbank, prior, param):
-    """Cascade T = sigma G (z C G)^{-1}, the inner input matrix, and T's Gramian.
+class _StatespacePoint:
+    """The exact route at one point (psi, C), set up once for all its uses.
 
     G (z C G)^{-1} is stable with realization (Pi, Bt, I, 0), Bt = B (CB)^{-1};
-    T feeds the prior's states into it, so T's output matrix C_T = [I 0]
-    reads the inner states.  Returns (T, Bt, P) with P - A_T P A_T* = B_T B_T*.
+    the cascade T = sigma G (z C G)^{-1} feeds the prior's states into it, so
+    T's output matrix C_T = [I 0] reads the inner states.  The point keeps
+    the Schur form of A_T and T's Gramian P (P - A_T P A_T* = B_T B_T*).
+    g(psi, C), every derivative column and the verification of a direction
+    solve are Stein solves against that one Schur form.
     """
-    inner = factor_inner_realization(filterbank, param)
-    T = cascade(_sigma_system(prior), inner)
-    P = solve_dlyap(T.A, T.B @ T.B.conj().T)
-    return T, inner.B, P
+
+    def __init__(self, filterbank, prior, param):
+        inner = factor_inner_realization(filterbank, param)
+        T = cascade(_sigma_system(prior), inner)
+        self.field = filterbank.field
+        self.param = param
+        self._Ct, self._Bt = T.C, inner.B
+        self._stein = _stein_solver(T.A)
+        self._P = self._stein(T.B @ T.B.conj().T)
+
+    def value(self):
+        """g(psi, C) = C_T P C_T*."""
+        Ct = self._Ct
+        return coerce_field(_hermitize(Ct @ self._P @ Ct.conj().T), self.field,
+                            what="moment value")
+
+    def derivatives(self, Vs):
+        """g'(psi, C; V) for every V of the (k, m, n) stack ``Vs``, stacked.
+
+        Moving C along V moves the closed loop and the inner input matrix by
+        dPi = -Bt V Pi and dBt = -Bt V Bt, so the cascade moves by
+        dA_T = -X A_T and dB_T = -X B_T with X = C_T* Bt V C_T.
+        Differentiating the Gramian equation gives the tangent Stein equation
+
+            P' - A_T P' A_T* = -(X P + P X*),
+
+        and g'(psi, C; V) = C_T P' C_T*.  All k equations share A_T, so they
+        are one batched Stein solve.
+        """
+        Ct, P = self._Ct, self._P
+        Cth = Ct.conj().T
+        XP = Cth @ (self._Bt @ Vs @ (Ct @ P))
+        dP = self._stein(-(XP + XP.conj().swapaxes(-1, -2)))
+        return np.array([coerce_field(D, self.field, what="derivative value")
+                         for D in _hermitize(Ct @ dP @ Cth)])
+
+    def solve(self, chart, Y, gram_cond_limit=GRAM_COND_LIMIT,
+              verify_tol=VERIFY_TOL):
+        """The direction solve of solve_jacobian_system at this point."""
+        yr = chart.range_coords(Y)
+        ynorm = float(np.linalg.norm(yr))
+        if ynorm == 0.0:
+            return np.zeros_like(self.param.C), JacobianSolveInfo(
+                gram_cond=1.0, verify_residual=0.0, columns=chart.dim)
+        J = chart.range_coords(self.derivatives(chart.factor_basis)).T
+        condJ = float(np.linalg.cond(J))
+        cond = condJ * condJ
+        if not np.isfinite(cond) or cond > gram_cond_limit:
+            raise SolverError(
+                f"Gram system condition {cond:.3e} exceeds limit "
+                f"{gram_cond_limit:.1e}")
+        alpha, *_ = np.linalg.lstsq(J, yr, rcond=None)
+        V = chart.factor_from_coords(alpha)
+        (dY,) = self.derivatives(V[None])
+        resid = float(np.linalg.norm(chart.range_coords(dY) - yr)) / ynorm
+        if not resid <= verify_tol:
+            raise SolverError(
+                f"direction solve verification failed: relative residual "
+                f"{resid:.3e} exceeds {verify_tol:.1e}")
+        return V, JacobianSolveInfo(gram_cond=cond, verify_residual=resid,
+                                    columns=chart.dim)
 
 
 def moment_g_statespace(filterbank, prior, C):
@@ -231,49 +295,23 @@ def moment_g_statespace(filterbank, prior, C):
     The integrand is the power spectrum of the cascade T = sigma G (z C G)^{-1},
     so g equals C_T P C_T* with P the controllability Gramian of T.
     """
-    param = _as_param(filterbank, C)
-    T, _, P = _cascade_gramian(filterbank, prior, param)
-    val = _hermitize(T.C @ P @ T.C.conj().T)
-    return coerce_field(val, filterbank.field, what="moment value")
-
-
-def _g2_statespace_map(filterbank, prior, param):
-    """The map V -> g'(psi, C; V) at one point, set up once for many directions.
-
-    Moving C along V moves the closed loop and the inner input matrix by
-    dPi = -Bt V Pi and dBt = -Bt V Bt, so the cascade moves by
-    dA_T = -X A_T and dB_T = -X B_T with X = C_T* Bt V C_T.  Differentiating
-    the Gramian equation gives the tangent Stein equation
-
-        P' - A_T P' A_T* = -(X P + P X*),
-
-    and g'(psi, C; V) = C_T P' C_T*.  Each direction costs one Stein solve.
-    """
-    T, Bt, P = _cascade_gramian(filterbank, prior, param)
-    Ct = T.C
-
-    def apply(V):
-        XP = Ct.conj().T @ (Bt @ V @ (Ct @ P))
-        dP = solve_dlyap(T.A, -(XP + XP.conj().T))
-        return coerce_field(_hermitize(Ct @ dP @ Ct.conj().T),
-                            filterbank.field, what="derivative value")
-
-    return apply
+    return _StatespacePoint(filterbank, prior, _as_param(filterbank, C)).value()
 
 
 def apply_g2_statespace(filterbank, prior, C, V):
     """Directional derivative of g in C, evaluated without quadrature.
 
     One Stein solve for the Gramian derivative of the cascade
-    T = sigma G (z C G)^{-1} (see _g2_statespace_map); exact for every
-    direction V of matching shape.
+    T = sigma G (z C G)^{-1} (see _StatespacePoint.derivatives); exact for
+    every direction V of matching shape.
     """
     param = _as_param(filterbank, C)
     V = coerce_field(np.atleast_2d(np.asarray(V)), filterbank.field,
                      what="direction V")
     if V.shape != param.C.shape:
         raise ValueError(f"V must be {param.C.shape[0]}x{param.C.shape[1]}")
-    return _g2_statespace_map(filterbank, prior, param)(V)
+    (dG,) = _StatespacePoint(filterbank, prior, param).derivatives(V[None])
+    return dG
 
 
 def apply_g1_direction(filterbank, prior, C):
@@ -292,36 +330,25 @@ def apply_g1_direction(filterbank, prior, C):
 
 
 def _field_matrix_basis(m, n, field):
-    out = []
-    for i in range(m):
-        for j in range(n):
-            E = np.zeros((m, n))
-            E[i, j] = 1.0
-            out.append(E)
+    """The m x n matrix units, then (complex field) i times them, stacked."""
+    units = np.eye(m * n).reshape(m * n, m, n)
     if field == "complex":
-        for i in range(m):
-            for j in range(n):
-                E = np.zeros((m, n), dtype=complex)
-                E[i, j] = 1.0j
-                out.append(E)
-    return out
+        return np.concatenate([units, 1j * units])
+    return units
 
 
 def build_range_gamma_basis(filterbank, drop_tol=BASIS_DROP_TOL):
     """Orthonormal basis of the range of the covariance operator.
 
     A Hermitian X lies in the range iff X - A X A* = B H + H* B* for some
-    m x n matrix H; sweeping H over a basis and orthonormalizing the Stein
-    solutions (Re-trace inner product, drop tolerance relative to the raw
-    scale) spans the range.
+    m x n matrix H; sweeping H over a basis (one stacked Stein solve for
+    all of them) and orthonormalizing the solutions (Re-trace inner
+    product, drop tolerance relative to the raw scale) spans the range.
     """
-    A, B = filterbank.A, filterbank.B
-    raw = []
-    for H in _field_matrix_basis(filterbank.m, filterbank.n, filterbank.field):
-        S = B @ H
-        X = solve_dlyap(A, S + S.conj().T)
-        raw.append(_hermitize(X))
-    scale = max(np.linalg.norm(X) for X in raw)
+    S = filterbank.B @ _field_matrix_basis(filterbank.m, filterbank.n,
+                                           filterbank.field)
+    raw = solve_dlyap(filterbank.A, S + S.conj().swapaxes(-1, -2))
+    scale = float(np.max(np.linalg.norm(raw, axis=(1, 2))))
     basis = []
     for X in raw:
         Y = X.copy()
@@ -405,20 +432,31 @@ def build_factor_basis(filterbank, anchor=None):
     return tuple(unvec(basis_params[:, k]) for k in range(basis_params.shape[1]))
 
 
-@dataclass(frozen=True)
+def _coords(basis, X):
+    """Re trace(X E*) for every E of the stacked ``basis``; X may be stacked."""
+    X = np.asarray(X)
+    flat = X.reshape(X.shape[:-2] + (-1,))
+    return np.real(flat @ basis.reshape(len(basis), -1).conj().T)
+
+
+@dataclass(frozen=True, eq=False)
 class CoordinateChart:
     """Orthonormal coordinates for moment values and factor directions.
 
     range_basis spans the range of the covariance operator (Hermitian
     matrices), factor_basis spans the ambient factor slice; both are
-    orthonormal under Re trace(X Y*), and both have length M.
+    orthonormal under Re trace(X Y*), both have length M, and both are
+    stored stacked, as (M, n, n) and (M, m, n) arrays, so that converting
+    any matrix, or a whole stack of them, is one contraction.
     """
 
     filterbank: object
-    range_basis: tuple
-    factor_basis: tuple
+    range_basis: np.ndarray
+    factor_basis: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "range_basis", np.asarray(self.range_basis))
+        object.__setattr__(self, "factor_basis", np.asarray(self.factor_basis))
         if len(self.range_basis) != len(self.factor_basis):
             raise ValueError(
                 f"basis size mismatch: range {len(self.range_basis)}, "
@@ -429,11 +467,12 @@ class CoordinateChart:
         return len(self.factor_basis)
 
     def range_coords(self, X):
-        return np.array([trace_inner(X, E) for E in self.range_basis])
+        """Range coordinates of X, or (k, M) for a (k, n, n) stack."""
+        return _coords(self.range_basis, X)
 
     def range_from_coords(self, y):
         y = np.asarray(y, dtype=float).ravel()
-        X = sum(c * E for c, E in zip(y, self.range_basis))
+        X = np.tensordot(y, self.range_basis, axes=1)
         return coerce_field(X, self.filterbank.field, what="range element")
 
     def project_range_gamma(self, X):
@@ -448,11 +487,12 @@ class CoordinateChart:
         return float(np.linalg.norm(X - self.project_range_gamma(X))) / nrm
 
     def factor_coords(self, V):
-        return np.array([trace_inner(V, E) for E in self.factor_basis])
+        """Factor coordinates of V, or (k, M) for a (k, m, n) stack."""
+        return _coords(self.factor_basis, V)
 
     def factor_from_coords(self, y):
         y = np.asarray(y, dtype=float).ravel()
-        V = sum(c * E for c, E in zip(y, self.factor_basis))
+        V = np.tensordot(y, self.factor_basis, axes=1)
         return coerce_field(V, self.filterbank.field, what="factor element")
 
 
@@ -475,11 +515,6 @@ def make_chart(filterbank, anchor=None):
 # Jacobians
 
 
-def _range_columns(chart, cols):
-    """Jacobian matrix whose columns are the range coordinates of ``cols``."""
-    return np.column_stack([chart.range_coords(Y) for Y in cols])
-
-
 def assemble_jacobian_matrix(chart, prior, point, which="g", route="quadrature",
                              dtheta=None):
     """M x M real Jacobian of the moment map in chart coordinates.
@@ -500,8 +535,9 @@ def assemble_jacobian_matrix(chart, prior, point, which="g", route="quadrature",
         if which != "g":
             raise ValueError(
                 "the exact Gramian route only evaluates the factor-side map")
-        column = _g2_statespace_map(fb, prior, _as_param(fb, point))
-        return _range_columns(chart, map(column, chart.factor_basis))
+        cols = _StatespacePoint(fb, prior, _as_param(fb, point)).derivatives(
+            chart.factor_basis)
+        return chart.range_coords(cols).T
     if route != "quadrature":
         raise ValueError(f"unknown route {route!r}")
     N = _resolve_grid(dtheta)
@@ -512,7 +548,7 @@ def assemble_jacobian_matrix(chart, prior, point, which="g", route="quadrature",
     else:
         psi, K = _kernel_grid(fb, prior, np.asarray(point), "f", N)
         cols = _kernel_columns(psi, K, K, chart.range_basis, N)
-    return _range_columns(chart, cols)
+    return chart.range_coords(cols).T
 
 
 def jacobian_condition_number(chart, prior, point, which="g",
@@ -540,7 +576,10 @@ def solve_jacobian_system(chart, prior, C, Y, gram_cond_limit=GRAM_COND_LIMIT,
                           verify_tol=VERIFY_TOL):
     """Solve g'(psi, C; V) = Y for a direction V in the factor slice.
 
-    Each basis direction is pushed through the exact derivative route.  The
+    All M basis directions go through the exact derivative route as one
+    stacked tangent Stein solve, against the Schur form of A_T that the
+    cascade Gramian already computed; the verification below reuses it, so
+    one call factors A_T once (see _StatespacePoint).  The
     coefficients are characterized by the Gram normal equations in the image
     space (inner product Re trace); because the range basis is orthonormal,
     those reduce to the square coordinate system J alpha = coords(Y) with
@@ -559,29 +598,6 @@ def solve_jacobian_system(chart, prior, C, Y, gram_cond_limit=GRAM_COND_LIMIT,
     Returns (V, JacobianSolveInfo).  Raises SolverError when the Gram
     conditioning exceeds ``gram_cond_limit`` or verification fails.
     """
-    fb = chart.filterbank
-    param = _as_param(fb, C)
-    yr = chart.range_coords(Y)
-    ynorm = float(np.linalg.norm(yr))
-    if ynorm == 0.0:
-        V = np.zeros_like(param.C)
-        return V, JacobianSolveInfo(gram_cond=1.0, verify_residual=0.0,
-                                    columns=chart.dim)
-
-    column = _g2_statespace_map(fb, prior, param)
-    J = _range_columns(chart, map(column, chart.factor_basis))
-    condJ = float(np.linalg.cond(J))
-    cond = condJ * condJ
-    if not np.isfinite(cond) or cond > gram_cond_limit:
-        raise SolverError(
-            f"Gram system condition {cond:.3e} exceeds limit "
-            f"{gram_cond_limit:.1e}")
-    alpha, *_ = np.linalg.lstsq(J, yr, rcond=None)
-    V = chart.factor_from_coords(alpha)
-    resid = float(np.linalg.norm(chart.range_coords(column(V)) - yr)) / ynorm
-    if not resid <= verify_tol:
-        raise SolverError(
-            f"direction solve verification failed: relative residual "
-            f"{resid:.3e} exceeds {verify_tol:.1e}")
-    return V, JacobianSolveInfo(gram_cond=cond, verify_residual=resid,
-                                columns=chart.dim)
+    param = _as_param(chart.filterbank, C)
+    return _StatespacePoint(chart.filterbank, prior, param).solve(
+        chart, Y, gram_cond_limit=gram_cond_limit, verify_tol=verify_tol)

@@ -52,6 +52,45 @@ class TestStein:
         Q = np.eye(3)
         assert not np.iscomplexobj(solve_dlyap(A1, Q))
 
+    @pytest.mark.parametrize("k", [1, 7])
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_stack_matches_per_slice_solves(self, field, n, k, rng):
+        A1, Q = _stable_and_stack(rng, field, n, k)
+        R = solve_dlyap(A1, Q)
+        assert R.shape == (k, n, n)
+        assert np.iscomplexobj(R) == (field == "complex")
+        for Ri, Qi in zip(R, Q):
+            want = solve_dlyap(A1, Qi)
+            assert np.linalg.norm(Ri - want) <= 1e-13 * np.linalg.norm(want)
+            assert stein_residual(A1, Qi, Ri) <= 1e-11 * (
+                1.0 + np.linalg.norm(Ri))
+
+    def test_one_bad_slice_fails_the_whole_stack(self, rng, monkeypatch):
+        A1, Q = _stable_and_stack(rng, "real", 4, 7)
+        sweep = matrixeq._dlyap_schur
+
+        def corrupt_slice_3(T, U, Qs):
+            R = sweep(T, U, Qs)
+            R[3] += 1e-6
+            return R
+
+        monkeypatch.setattr(matrixeq, "_dlyap_schur", corrupt_slice_3)
+        with pytest.raises(SolverError, match="slice 3 of 7"):
+            solve_dlyap(A1, Q)
+
+
+def _stable_and_stack(rng, field, n, k):
+    """A Schur-stable A1 (spectral radius 0.9) and k random Hermitian Q."""
+    def normal(shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if field == "complex" else x
+
+    A1 = normal((n, n))
+    A1 *= 0.9 / np.max(np.abs(np.linalg.eigvals(A1)))
+    Q0 = normal((k, n, n))
+    return A1, Q0 + Q0.conj().transpose(0, 2, 1)
+
 
 class TestCholesky:
     def test_standard_known_factor(self):

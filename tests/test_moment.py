@@ -13,8 +13,9 @@ from spectral_homotopy import (FactorParameter, FilterBank, SolverError,
                                constant_prior, h_inverse,
                                jacobian_condition_number, make_chart,
                                make_covariance_extension_filter,
-                               maxent_initialization, moment_f_quadrature,
-                               moment_g_quadrature, moment_g_statespace,
+                               matrixeq, maxent_initialization,
+                               moment_f_quadrature, moment_g_quadrature,
+                               moment_g_statespace,
                                prior_from_outer, prior_from_polynomial,
                                solve_dlyap, solve_jacobian_system,
                                trace_inner)
@@ -339,6 +340,24 @@ class TestJacobian:
                                        which="g", route="statespace")
         assert abs(cq - cs) / cs < 1e-6
 
+    @pytest.mark.parametrize("bank,field", [
+        pytest.param((2, 1), "real", id="covext-real"),
+        pytest.param((2, 1), "complex", id="covext-complex"),
+        pytest.param("diag", "real", id="diag-real")])
+    def test_batched_statespace_matches_column_by_column(self, bank, field,
+                                                         prior_ref, rng):
+        # all M tangent Stein solves in one stack against one Schur form,
+        # against one apply_g2_statespace call per basis direction
+        fb = _bank(bank, field)
+        chart = make_chart(fb)
+        param = _random_param(fb, rng)
+        J = assemble_jacobian_matrix(chart, prior_ref, param, which="g",
+                                     route="statespace")
+        for j, V in enumerate(chart.factor_basis):
+            col = chart.range_coords(
+                apply_g2_statespace(fb, prior_ref, param, V))
+            assert np.linalg.norm(J[:, j] - col) <= 1e-13 * np.linalg.norm(col)
+
     def test_weight_route_needs_quadrature(self, fb, chart, prior_ref,
                                            param_ref):
         Lam = h_inverse(chart, param_ref)
@@ -387,6 +406,25 @@ class TestJacobianSolve:
         Y = -2.0 * moment_g_statespace(fb, prior_ref, param_ref)
         V, _ = solve_jacobian_system(chart, prior_ref, param_ref, Y)
         assert relative_error(V, param_ref.C) < 1e-6
+
+    def test_one_schur_form_per_solve(self, fb, chart, prior_ref, param_ref,
+                                      rng, monkeypatch):
+        # the Gramian, all M columns and the verification are Stein solves
+        # in the same A_T, so one factorization serves all M + 2 of them
+        Y = apply_g2_statespace(fb, prior_ref, param_ref,
+                                fd_direction(chart, rng))
+        shapes = []
+        schur = matrixeq.schur
+
+        def counted(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return schur(a, *args, **kwargs)
+
+        monkeypatch.setattr(matrixeq, "schur", counted)
+        solve_jacobian_system(chart, prior_ref, param_ref, Y)
+        # the cascade runs one copy of the prior's states per input channel
+        n_T = fb.n + fb.m * prior_ref.sigma.A.shape[0]
+        assert shapes == [(n_T, n_T)]
 
     def test_zero_right_hand_side(self, fb, chart, prior_ref, param_ref):
         V, info = solve_jacobian_system(chart, prior_ref, param_ref,
