@@ -18,9 +18,9 @@ import numpy as np
 
 from spectral_homotopy import (
     FactorParameter,
+    assemble_jacobian_matrix,
+    constant_prior,
     h_inverse,
-    homotopy_prior,
-    jacobian_condition_number,
     make_chart,
     make_covariance_extension_filter,
     moment_g_statespace,
@@ -44,6 +44,17 @@ Sigma = moment_g_statespace(fb, prior, C_ref)
 # digits here
 DTHETA = 1e-3
 
+# both maps are affine in the prior density, so at (1 - t) + t psi each
+# Jacobian is the blend (1 - t) J(1) + t J(psi); the blended prior is never
+# factored
+flat = constant_prior(1.0)
+
+
+def blended_condition(t, point, which, **route):
+    J1, Jpsi = (assemble_jacobian_matrix(chart, p, point, which=which, **route)
+                for p in (flat, prior))
+    return float(np.linalg.cond((1.0 - t) * J1 + t * Jpsi))
+
 
 # %% follow the homotopy and linearize both maps at every accepted step
 
@@ -54,13 +65,11 @@ print(f"done: {len(path.samples) - 1} steps in {time.perf_counter() - t0:.1f} s"
 
 rows = []
 for s in path.samples:
-    pt = homotopy_prior(prior, s.t)
     param = FactorParameter(fb, s.C)
     Lam = h_inverse(chart, param)
-    cond_g = jacobian_condition_number(chart, pt, param, which="g",
-                                       route="statespace")
-    cond_f = jacobian_condition_number(chart, pt, Lam, which="f",
-                                       route="quadrature", dtheta=DTHETA)
+    cond_g = blended_condition(s.t, param, "g", route="statespace")
+    cond_f = blended_condition(s.t, Lam, "f", route="quadrature",
+                               dtheta=DTHETA)
     rows.append((s.t, cond_g, cond_f, cond_f / cond_g))
     print(f"  t = {s.t:4.1f}   cond_g = {cond_g:.4e}   "
           f"cond_f = {cond_f:.4e}   ratio = {cond_f / cond_g:7.1f}")

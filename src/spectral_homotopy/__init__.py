@@ -14,7 +14,7 @@ Layering, bottom up:
 - ``matrixeq``: Stein/Lyapunov and Riccati solvers (doubling plus Newton
   polish) and triangular factorizations.
 - ``factorization``: spectral factorization maps between covariance-side and
-  factor-side parameters, outer factors for scalar and additive data.
+  factor-side parameters, outer factors for additive data.
 - ``moment``: the two moment maps and their derivatives, by state-space
   formulas and by quadrature, coordinate charts, Jacobians.
 - ``continuation``: maximum-entropy start, predictor/corrector path
@@ -35,8 +35,8 @@ from .statespace import (CplusDiagnostics, FactorParameter, FilterBank,
 from .matrixeq import (DareSolution, reverse_cholesky, solve_dare_appendix,
                        solve_dare_lambda, solve_dlyap, standard_cholesky)
 from .factorization import (OuterFactor, density_values, h_inverse, h_map,
-                            homotopy_prior, left_outer_factor_from_additive,
-                            right_outer_factor, scalar_outer_factor)
+                            left_outer_factor_from_additive,
+                            right_outer_factor)
 from .moment import (CoordinateChart, JacobianSolveInfo,
                      apply_f2_quadrature, apply_g1_direction,
                      apply_g2_quadrature, apply_g2_statespace,
@@ -63,8 +63,7 @@ __all__ = [
     "DareSolution", "solve_dlyap", "solve_dare_appendix", "solve_dare_lambda",
     "standard_cholesky", "reverse_cholesky",
     "OuterFactor", "right_outer_factor", "left_outer_factor_from_additive",
-    "h_map", "h_inverse", "scalar_outer_factor", "homotopy_prior",
-    "density_values",
+    "h_map", "h_inverse", "density_values",
     "trace_inner", "moment_f_quadrature", "moment_g_quadrature",
     "moment_g_statespace", "apply_f2_quadrature", "apply_g2_quadrature",
     "apply_g2_statespace", "apply_g1_direction", "build_range_gamma_basis",

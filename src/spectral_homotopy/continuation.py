@@ -8,11 +8,12 @@ g(p(t), C(t)) = Sigma in t gives the path ODE
     g'(p(t), C; C') = -( g(psi, C) - g(1, C) ),
 
 which is followed by an Euler predictor and a Newton corrector per step.
-The tangent is solved once per accepted point, with the prior p(t) the
-corrector built there; steps are halved on corrector failure (each step
-retries from the configured dt, so one hard spot does not shrink the rest
-of the path) and a SolverError reports the failure history when the floor
-is reached or the tangent solve fails.
+p(t) is never factored: g is affine in it, so one cascade point at t
+(moment._StatespacePoint) gives g, its Jacobian and the drift.  The
+tangent is solved once per accepted point; steps are halved on corrector
+failure (each step retries from the configured dt, so one hard spot does
+not shrink the rest of the path) and a SolverError reports the failure
+history when the floor is reached or the tangent solve fails.
 """
 
 from __future__ import annotations
@@ -23,12 +24,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ConfigError, MembershipError, SolverError
-from .factorization import homotopy_prior
 from .matrixeq import reverse_cholesky
-from .moment import (_StatespacePoint, apply_g1_direction, make_chart,
-                     moment_g_statespace, solve_jacobian_system)
-from .statespace import (FactorParameter, coerce_field, is_in_Cplus,
-                         matrix_to_json)
+from .moment import _StatespacePoint, make_chart, moment_g_statespace
+from .statespace import FactorParameter, coerce_field, matrix_to_json
 
 __all__ = [
     "HomotopyConfig",
@@ -140,21 +138,22 @@ def maxent_initialization(filterbank, Sigma, chart=None,
     return param
 
 
-def corrector_newton(chart, prior_t, param, Sigma, config):
-    """Newton iteration on g(p(t), C) = Sigma from the predicted parameter.
+def corrector_newton(chart, prior, t, param, Sigma, config):
+    """Newton iteration on g(p(t), C) = Sigma, p(t) = (1 - t) + t psi, from
+    the predicted parameter.
 
     Steps are damped only to stay inside the factor set (residual growth is
     not a reason to shrink: the verified direction solve already guarantees
     descent to first order).  The residual is the plain Frobenius norm
     ||Sigma - g||, not scaled by ||Sigma||.  At each iterate, g and the
-    direction solve share one cascade Gramian and its Schur form.  Returns
+    direction solve share one cascade point and its Schur form.  Returns
     (param, residual, iterations, gram_cond); raises SolverError when the
     budget is exhausted or a candidate cannot be kept feasible.
     """
     fb = chart.filterbank
     gram_cond = 0.0
     for it in range(int(config.max_newton) + 1):
-        point = _StatespacePoint(fb, prior_t, param)
+        point = _StatespacePoint(fb, prior, param, t)
         resid_mat = Sigma - point.value()
         rnorm = float(np.linalg.norm(resid_mat))
         if rnorm <= config.newton_tol:
@@ -164,24 +163,22 @@ def corrector_newton(chart, prior_t, param, Sigma, config):
         V, info = point.solve(chart, resid_mat)
         gram_cond = info.gram_cond
         s = 1.0
-        accepted = None
         for _ in range(BACKTRACK_LIMIT + 1):
-            cand = param.C + s * V
-            if is_in_Cplus(fb, cand):
-                accepted = cand
+            try:
+                param = FactorParameter(fb, param.C + s * V)
                 break
-            s *= 0.5
-        if accepted is None:
+            except MembershipError:
+                s *= 0.5
+        else:
             raise SolverError(
                 "Newton step could not be damped into the factor set")
-        param = FactorParameter(fb, accepted)
     raise SolverError(
         f"Newton did not reach tolerance {config.newton_tol:.1e} in "
         f"{config.max_newton} iterations (last residual {rnorm:.3e})")
 
 
-def _tangent(chart, prior, prior_t, param):
-    """Path tangent at ``param``; ``prior_t`` is p(t).
+def _tangent(chart, prior, t, param):
+    """Path tangent at ``param`` and homotopy parameter t.
 
     The tangent v solves the linearized path equation
 
@@ -191,8 +188,8 @@ def _tangent(chart, prior, prior_t, param):
     prior family.  Returns (v, info) with info the direction-solve
     diagnostics; the Euler predictor is C + dt v.
     """
-    drift = apply_g1_direction(chart.filterbank, prior, param)
-    return solve_jacobian_system(chart, prior_t, param, -drift)
+    point = _StatespacePoint(chart.filterbank, prior, param, t)
+    return point.solve(chart, -point.drift())
 
 
 def run_continuation(filterbank, prior, Sigma, config=None, chart=None,
@@ -236,14 +233,13 @@ def run_continuation(filterbank, prior, Sigma, config=None, chart=None,
         callback(samples[0])
 
     t = 0.0
-    prior_t = homotopy_prior(prior, t)
     history = []
     while t < 1.0:
         dt_try = float(config.dt)
         # the tangent at t does not depend on the step size, and a smaller
         # step cannot repair a failed direction solve
         try:
-            V, info = _tangent(chart, prior, prior_t, param)
+            V, info = _tangent(chart, prior, t, param)
         except SolverError as exc:
             history.append((t, dt_try, str(exc)))
             raise SolverError(
@@ -256,13 +252,9 @@ def run_continuation(filterbank, prior, Sigma, config=None, chart=None,
             dt_eff = t_next - t
             C_pred = param.C + dt_eff * V
             try:
-                if not is_in_Cplus(filterbank, C_pred):
-                    raise SolverError(
-                        "predicted parameter left the factor set")
-                prior_next = homotopy_prior(prior, t_next)
                 pred = FactorParameter(filterbank, C_pred)
                 param_next, rnorm, iters, gcond = corrector_newton(
-                    chart, prior_next, pred, Sigma, config)
+                    chart, prior, t_next, pred, Sigma, config)
             except (SolverError, MembershipError) as exc:
                 history.append((t, dt_try, str(exc)))
                 dt_try *= 0.5
@@ -275,8 +267,6 @@ def run_continuation(filterbank, prior, Sigma, config=None, chart=None,
             break
         t = t_next
         param = param_next
-        # the corrector's prior is the next tangent's
-        prior_t = prior_next
         sample = PathSample(
             t=t, C=param.C, y=chart.factor_coords(param.C), residual=rnorm,
             newton_iters=iters,

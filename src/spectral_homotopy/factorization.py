@@ -9,9 +9,10 @@ factors:
   equation, C = L^{-*} B* P with B*PB = L*L;
 * ``h_inverse`` recovers Lambda as the range projection of C*C;
 * ``left_outer_factor`` factors Z + Z* = W W* for a stable Z with positive
-  real part, via the additive-form Riccati equation;
-* ``scalar_outer_factor`` factors the scalar density c + s |sigma|^2, the
-  building block of the prior homotopy.
+  real part, via the additive-form Riccati equation.
+
+The prior homotopy needs no factorization: the moment map is affine in the
+density weight (see moment._StatespacePoint).
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from scipy.linalg import solve_triangular
 from dataclasses import dataclass
 
 from .errors import MembershipError
-from .matrixeq import solve_dare_appendix, solve_dare_lambda, solve_dlyap
-from .statespace import (FactorParameter, StateSpaceSystem, coerce_field,
-                         constant_prior, prior_from_outer)
+from .matrixeq import solve_dare_appendix, solve_dare_lambda
+from .statespace import FactorParameter, StateSpaceSystem, coerce_field
 
 __all__ = [
     "OuterFactor",
@@ -32,8 +32,6 @@ __all__ = [
     "left_outer_factor_from_additive",
     "h_map",
     "h_inverse",
-    "scalar_outer_factor",
-    "homotopy_prior",
     "density_values",
 ]
 
@@ -149,71 +147,6 @@ def h_inverse(chart, C):
     """
     Cm = C.C if isinstance(C, FactorParameter) else np.atleast_2d(np.asarray(C))
     return chart.project_range_gamma(Cm.conj().T @ Cm)
-
-
-def _gramian_additive_data(sigma):
-    """(F, N, H, J) with sigma sigma* = Z + Z*, Z = H (zI-F)^{-1} N + J.
-
-    Built from the controllability Gramian: with Pc - A Pc A* = B B*,
-    N = A Pc C* + B D* and J = (C Pc C* + D D*) / 2.
-    """
-    A, B, C, D = sigma.A, sigma.B, sigma.C, sigma.D
-    if sigma.n_states == 0:
-        J = 0.5 * (D @ D.conj().T)
-        return A, np.zeros((0, 1)), C, J
-    Pc = solve_dlyap(A, B @ B.conj().T)
-    N = A @ Pc @ C.conj().T + B @ D.conj().T
-    J = 0.5 * (C @ Pc @ C.conj().T + D @ D.conj().T)
-    return A, N, C, J
-
-
-def scalar_outer_factor(c, s, sigma):
-    """Outer factor of the scalar density c + s |sigma(e^{i theta})|^2.
-
-    Parameters
-    ----------
-    c : float >= 0, constant offset
-    s : float >= 0, scaling of the rational part (c + s > 0)
-    sigma : StateSpaceSystem, scalar Schur-stable outer factor
-
-    Returns
-    -------
-    StateSpaceSystem
-        Outer W with |W|^2 = c + s |sigma|^2 on the unit circle.
-    """
-    c = float(c)
-    s = float(s)
-    if c < 0 or s < 0 or c + s <= 0:
-        raise ValueError("need c >= 0, s >= 0 and c + s > 0")
-    if sigma.n_inputs != 1 or sigma.n_outputs != 1:
-        raise ValueError("sigma must be scalar")
-    if s == 0.0:
-        zero = np.zeros((0, 0))
-        return StateSpaceSystem(zero, np.zeros((0, 1)), np.zeros((1, 0)),
-                                np.array([[np.sqrt(c)]]))
-    F, N, H, J = _gramian_additive_data(sigma)
-    W, _ = _left_outer_system(StateSpaceSystem(F, s * N, H, s * J + 0.5 * c))
-    return W
-
-
-def homotopy_prior(prior, t):
-    """The prior at homotopy parameter t: density (1 - t) + t psi.
-
-    t = 0 returns the flat unit prior exactly; t = 1 returns ``prior``
-    itself; intermediate values factor the blended density.
-    """
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t}")
-    if t == 0.0:
-        return constant_prior(1.0)
-    if prior.is_constant:
-        val = float(prior.psi_values(np.array([0.0]))[0])
-        return constant_prior((1.0 - t) + t * val)
-    if t == 1.0:
-        return prior
-    W = scalar_outer_factor(1.0 - t, t, prior.sigma)
-    return prior_from_outer(W)
 
 
 def density_values(filterbank, C, prior, theta):

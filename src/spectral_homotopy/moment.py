@@ -29,12 +29,13 @@ derivative g'(psi, C; V) = C_T P' C_T* needs one more Stein solve,
 P' - A_T P' A_T* = -(X P + P X*), for any V.  Every Stein equation at a
 point has the same A_T, so one Schur form of A_T serves the Gramian, all
 M Jacobian columns (one stacked solve) and the verification of a direction
-solve (see _StatespacePoint).  The Gramian routes are the
-only production routes for g (the continuation and the CLI's cond_g);
-quadrature of g is implemented independently and the tests hold the two
-against each other.  f has no exact route, so the CLI's cond_f is a
-quadrature Jacobian.  Every quadrature function takes one grid knob,
-``dtheta``; without it the grid has DEFAULT_GRID_N points.
+solve (see _StatespacePoint), for every homotopy prior (1 - t) + t psi:
+g is affine in the density weight, so that prior is never factored.  The
+Gramian routes are the only production routes for g (the continuation and
+the CLI's cond_g); quadrature of g is implemented independently and the
+tests hold the two against each other.  f has no exact route, so the CLI's
+cond_f is a quadrature Jacobian.  Every quadrature function takes one grid
+knob, ``dtheta``; without it the grid has DEFAULT_GRID_N points.
 """
 
 from __future__ import annotations
@@ -116,28 +117,37 @@ def _resolve_grid(dtheta):
 
 
 def _kernel_grid(filterbank, prior, point, which, N):
-    """Grid values of psi and K = G M^{-1} G* for M = G* Lambda G or (CG)*(CG)."""
+    """Grid values of psi and K = G M^{-1} G* for M = G* Lambda G or (CG)*(CG).
+
+    One Cholesky factorization M = L L* per grid block both gates positivity
+    and solves: K = W* W with W = L^{-1} G*.
+    """
     theta = circle_grid(N)
-    z = np.exp(1j * theta)
-    G = filterbank.eval_grid(z)
-    Gh = G.conj().transpose(0, 2, 1)
+    G = filterbank.eval_grid(np.exp(1j * theta))
+    W = np.linalg.solve(_cholesky_grid(G, point, which),
+                        G.conj().transpose(0, 2, 1))
+    K = W.conj().transpose(0, 2, 1) @ W
+    return _psi_on(prior, theta), K
+
+
+def _cholesky_grid(G, point, which):
+    """Cholesky factors of M on the grid, raising at the density boundary; a
+    function of its own so that M's grid temporaries die before K is formed."""
     if which == "f":
-        M = Gh @ point @ G
+        M = G.conj().transpose(0, 2, 1) @ point @ G
     elif which == "g":
         CG = np.matmul(point, G)
         M = CG.conj().transpose(0, 2, 1) @ CG
     else:
         raise ValueError(f"unknown moment map {which!r}")
     M = 0.5 * (M + M.conj().transpose(0, 2, 1))
-    eigs = np.linalg.eigvalsh(M)
-    min_eig = float(eigs.min())
-    if not min_eig > 0.0:
+    try:
+        return np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        min_eig = float(np.linalg.eigvalsh(M).min())
         raise EvaluationError(
             "density boundary reached: G* (.) G has minimum grid eigenvalue "
-            f"{min_eig:.6e}")
-    K = G @ np.linalg.solve(M, Gh)
-    psi = _psi_on(prior, theta)
-    return psi, K
+            f"{min_eig:.6e}") from None
 
 
 def _kernel_columns(psi, K, R, mats, N):
@@ -217,43 +227,59 @@ def apply_g2_quadrature(filterbank, prior, C, V, dtheta=None):
 
 
 class _StatespacePoint:
-    """The exact route at one point (psi, C), set up once for all its uses.
+    """The exact route at one point (p_t, C), p_t = (1 - t) + t psi.
 
     G (z C G)^{-1} is stable with realization (Pi, Bt, I, 0), Bt = B (CB)^{-1};
     the cascade T = sigma G (z C G)^{-1} feeds the prior's states into it, so
-    T's output matrix C_T = [I 0] reads the inner states.  The point keeps
-    the Schur form of A_T and T's Gramian P (P - A_T P A_T* = B_T B_T*).
-    g(psi, C), every derivative column and the verification of a direction
-    solve are Stein solves against that one Schur form.
+    T's output matrix C_T = [I 0] reads the inner states.  The flat prior
+    drives the same A_T through the input [Bt; 0], so one stacked Stein
+    solve against one Schur form gives both Gramians P_1 and P_psi.  g is
+    affine in the density weight, so p_t has the Gramian
+    P_t = (1 - t) P_1 + t P_psi and needs no factor of its own; the value,
+    every derivative column and the verification are linear in P_t.
     """
 
-    def __init__(self, filterbank, prior, param):
+    def __init__(self, filterbank, prior, param, t=1.0):
+        if not 0.0 <= t <= 1.0:
+            raise ValueError(f"t must lie in [0, 1], got {t}")
         inner = factor_inner_realization(filterbank, param)
         T = cascade(_sigma_system(prior), inner)
+        B1 = np.zeros_like(T.B)
+        B1[:filterbank.n] = inner.B
         self.field = filterbank.field
         self.param = param
         self._Ct, self._Bt = T.C, inner.B
         self._stein = _stein_solver(T.A)
-        self._P = self._stein(T.B @ T.B.conj().T)
+        P1, Ppsi = self._stein(np.stack([B1 @ B1.conj().T,
+                                         T.B @ T.B.conj().T]))
+        self._P = (1.0 - t) * P1 + t * Ppsi
+        self._P_drift = Ppsi - P1
+
+    def _read(self, P, what):
+        X = _hermitize(self._Ct @ P @ self._Ct.conj().T)
+        return coerce_field(X, self.field, what=what)
 
     def value(self):
-        """g(psi, C) = C_T P C_T*."""
-        Ct = self._Ct
-        return coerce_field(_hermitize(Ct @ self._P @ Ct.conj().T), self.field,
-                            what="moment value")
+        """g((1 - t) + t psi, C) = C_T P_t C_T*."""
+        return self._read(self._P, "moment value")
+
+    def drift(self):
+        """d/dt of the value: g(psi, C) - g(1, C) = C_T (P_psi - P_1) C_T*."""
+        return self._read(self._P_drift, "moment drift")
 
     def derivatives(self, Vs):
-        """g'(psi, C; V) for every V of the (k, m, n) stack ``Vs``, stacked.
+        """g'(p_t, C; V) for every V of the (k, m, n) stack ``Vs``, stacked.
 
         Moving C along V moves the closed loop and the inner input matrix by
         dPi = -Bt V Pi and dBt = -Bt V Bt, so the cascade moves by
-        dA_T = -X A_T and dB_T = -X B_T with X = C_T* Bt V C_T.
-        Differentiating the Gramian equation gives the tangent Stein equation
+        dA_T = -X A_T and dB_T = -X B_T with X = C_T* Bt V C_T; the flat
+        input [Bt; 0] moves by -X [Bt; 0] too.  Differentiating the Gramian
+        equation gives the tangent Stein equation
 
             P' - A_T P' A_T* = -(X P + P X*),
 
-        and g'(psi, C; V) = C_T P' C_T*.  All k equations share A_T, so they
-        are one batched Stein solve.
+        linear in P, so it holds for P = P_t, and g'(p_t, C; V) = C_T P' C_T*.
+        All k equations share A_T, so they are one batched Stein solve.
         """
         Ct, P = self._Ct, self._P
         Cth = Ct.conj().T
@@ -320,9 +346,8 @@ def apply_g1_direction(filterbank, prior, C):
     The moment map is affine in the density weight, so this direction does
     not depend on t; it is the inhomogeneous term of the path ODE.
     """
-    param = _as_param(filterbank, C)
-    return moment_g_statespace(filterbank, prior, param) \
-        - moment_g_statespace(filterbank, None, param)
+    return _StatespacePoint(filterbank, prior,
+                            _as_param(filterbank, C)).drift()
 
 
 # ---------------------------------------------------------------------------

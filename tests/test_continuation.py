@@ -8,12 +8,13 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from spectral_homotopy import (ConfigError, FactorParameter, HomotopyConfig,
-                               MembershipError, SolverError, constant_prior,
-                               continuation, corrector_newton,
-                               homotopy_prior,
+                               MembershipError, SolverError, StateSpaceSystem,
+                               constant_prior, continuation, corrector_newton,
+                               factorization,
                                make_covariance_extension_filter,
-                               maxent_initialization, moment_g_statespace,
-                               run_continuation, write_path_csv,
+                               maxent_initialization, matrixeq, moment,
+                               moment_g_statespace, prior_from_outer,
+                               run_continuation, statespace, write_path_csv,
                                write_path_json)
 
 from conftest import relative_error
@@ -51,9 +52,8 @@ class TestPredictorCorrector:
     def test_corrector_accepts_exact_solution(self, fb, chart, prior_ref,
                                               sigma_ref, param_ref):
         cfg = HomotopyConfig(newton_tol=1e-10)
-        prior_t = homotopy_prior(prior_ref, 1.0)
-        param, rnorm, iters, _ = corrector_newton(chart, prior_t, param_ref,
-                                                  sigma_ref, cfg)
+        param, rnorm, iters, _ = corrector_newton(chart, prior_ref, 1.0,
+                                                  param_ref, sigma_ref, cfg)
         assert iters == 0
         assert rnorm <= 1e-10
         assert_array_equal(param.C, param_ref.C)
@@ -63,9 +63,8 @@ class TestPredictorCorrector:
         bump = chart.factor_from_coords(1e-3 * rng.standard_normal(chart.dim))
         start = FactorParameter(fb, param_ref.C + bump)
         cfg = HomotopyConfig(newton_tol=1e-10, max_newton=20)
-        prior_t = homotopy_prior(prior_ref, 1.0)
-        param, rnorm, iters, _ = corrector_newton(chart, prior_t, start,
-                                                  sigma_ref, cfg)
+        param, rnorm, iters, _ = corrector_newton(chart, prior_ref, 1.0,
+                                                  start, sigma_ref, cfg)
         assert rnorm <= 1e-10
         assert 1 <= iters <= 6
         assert relative_error(param.C, param_ref.C) < 1e-7
@@ -75,16 +74,37 @@ class TestPredictorCorrector:
         bump = chart.factor_from_coords(1e-3 * rng.standard_normal(chart.dim))
         start = FactorParameter(fb, param_ref.C + bump)
         cfg = HomotopyConfig(newton_tol=1e-15, max_newton=1)
-        prior_t = homotopy_prior(prior_ref, 1.0)
         with pytest.raises(SolverError):
-            corrector_newton(chart, prior_t, start, sigma_ref, cfg)
+            corrector_newton(chart, prior_ref, 1.0, start, sigma_ref, cfg)
+
+    def test_one_membership_check_per_candidate(self, fb, chart, prior_ref,
+                                                sigma_ref, param_ref, rng,
+                                                monkeypatch):
+        # the candidate's FactorParameter is its membership check: one
+        # closed-loop eigenvalue computation per Newton candidate
+        bump = chart.factor_from_coords(1e-3 * rng.standard_normal(chart.dim))
+        start = FactorParameter(fb, param_ref.C + bump)
+        checks = []
+        is_in_Cplus = statespace.is_in_Cplus
+
+        def counted(*args, **kwargs):
+            checks.append(args)
+            return is_in_Cplus(*args, **kwargs)
+
+        for mod in (statespace, moment, continuation):
+            if getattr(mod, "is_in_Cplus", None) is is_in_Cplus:
+                monkeypatch.setattr(mod, "is_in_Cplus", counted)
+        _, _, iters, _ = corrector_newton(chart, prior_ref, 1.0, start,
+                                          sigma_ref, HomotopyConfig())
+        assert iters >= 1
+        # every full Newton step stayed feasible, so one candidate each
+        assert len(checks) == iters
 
     def test_predictor_moves_toward_prior(self, fb, chart, prior_ref,
                                           sigma_ref):
         # one Euler step from t = 0 must reduce the t = 1 residual
         start = maxent_initialization(fb, sigma_ref)
-        v, info = continuation._tangent(chart, prior_ref,
-                                        homotopy_prior(prior_ref, 0.0), start)
+        v, info = continuation._tangent(chart, prior_ref, 0.0, start)
         C_pred = start.C + 0.1 * v
         assert info.verify_residual <= 1e-8
         r0 = np.linalg.norm(
@@ -98,8 +118,7 @@ class TestPredictorCorrector:
                                                     sigma_ref):
         start = maxent_initialization(fb, sigma_ref)
         flat = constant_prior(1.0)
-        v, _ = continuation._tangent(chart, flat, homotopy_prior(flat, 0.0),
-                                     start)
+        v, _ = continuation._tangent(chart, flat, 0.0, start)
         C_pred = start.C + 0.1 * v
         assert np.linalg.norm(v) < 1e-10
         assert_allclose(C_pred, start.C, atol=1e-11)
@@ -177,28 +196,61 @@ class TestRunContinuation:
             calls.append(args)
             raise SolverError("Gram system condition 1e+16 exceeds limit")
 
-        monkeypatch.setattr(continuation, "solve_jacobian_system",
-                            failing_solve)
+        monkeypatch.setattr(moment._StatespacePoint, "solve", failing_solve)
         with pytest.raises(SolverError, match="tangent solve failed") as exc:
             run_continuation(fb, prior_ref, sigma_ref)
         assert len(calls) == 1
         assert len(exc.value.history) == 1
 
-    def test_builds_each_homotopy_prior_once(self, fb, prior_ref, sigma_ref,
-                                             monkeypatch):
-        # the corrector's prior at an accepted point serves the next tangent
+    def test_one_point_per_tangent_and_newton_iterate(self, fb, prior_ref,
+                                                      sigma_ref, monkeypatch):
+        # the blended prior is never factored: every evaluation is one
+        # cascade point of psi at weight t, and nothing is built twice
         built = []
+        init = moment._StatespacePoint.__init__
 
-        def counting_prior(prior, t):
+        def counting_init(self, filterbank, prior, param, t=1.0):
             built.append(t)
-            return homotopy_prior(prior, t)
+            init(self, filterbank, prior, param, t)
 
-        monkeypatch.setattr(continuation, "homotopy_prior", counting_prior)
+        monkeypatch.setattr(moment._StatespacePoint, "__init__",
+                            counting_init)
         path = run_continuation(fb, prior_ref, sigma_ref)
         steps = len(path.samples) - 1
         assert steps == 10  # dt = 0.1 throughout: no step was rejected
-        # one build per sample, steps + 1 in all
-        assert built == [s.t for s in path.samples]
+        # the start's defining equation and residual, then per step one
+        # tangent at t and one point per corrector iterate at the next t
+        want = [1.0, 1.0]
+        for s0, s1 in zip(path.samples, path.samples[1:]):
+            want += [s0.t] + [s1.t] * (s1.newton_iters + 1)
+        assert built == want
+
+    def test_no_riccati_solve(self, fb, prior_ref, sigma_ref, c_ref,
+                              monkeypatch):
+        # the homotopy prior needs no spectral factor, so no additive-form
+        # Riccati equation is solved on the path, for a polynomial or a
+        # rational prior
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Riccati solve on the continuation path")
+
+        original = matrixeq._solve_additive
+        for mod in (matrixeq, statespace, factorization, moment,
+                    continuation):
+            for name, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, name, forbidden)
+        path = run_continuation(fb, prior_ref, sigma_ref)
+        assert np.linalg.norm(path.final.C - c_ref) < 1e-6
+        rational = prior_from_outer(StateSpaceSystem(
+            np.array([[0.6]]), np.array([[1.0]]), np.array([[0.9]]),
+            np.array([[1.0]])))
+        C_true = np.array([[0.3, -0.2, 1.0, 0.0],
+                           [-0.4, 0.1, 0.5, 1.5]])
+        Sigma = moment_g_statespace(fb, rational, FactorParameter(fb, C_true))
+        path = run_continuation(fb, rational, Sigma)
+        assert path.final.t == 1.0
+        assert np.linalg.norm(path.final.C - C_true) \
+            <= 1e-6 * np.linalg.norm(C_true)
 
     def test_first_sample_is_maxent(self, fb, prior_ref, sigma_ref):
         path = run_continuation(fb, prior_ref, sigma_ref,

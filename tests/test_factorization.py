@@ -6,10 +6,9 @@ from numpy.testing import assert_allclose
 
 from spectral_homotopy import (FactorParameter, FilterBank, MembershipError,
                                circle_grid, constant_prior, density_values,
-                               h_inverse, h_map, homotopy_prior,
+                               h_inverse, h_map,
                                left_outer_factor_from_additive, matrixeq,
-                               prior_from_polynomial, right_outer_factor,
-                               scalar_outer_factor)
+                               prior_from_polynomial, right_outer_factor)
 
 from conftest import C_REF, random_additive_quadruple, relative_error
 
@@ -148,53 +147,6 @@ class TestLeftOuter:
         zero_dyn = s.A - s.B @ np.linalg.solve(s.D, s.C)
         assert np.max(np.abs(np.linalg.eigvals(zero_dyn))) < 1.0
         assert np.max(np.abs(np.linalg.eigvals(s.A))) < 1.0
-
-
-class TestScalarOuter:
-    def test_blend_magnitude(self, prior_ref):
-        theta = circle_grid(64)
-        for c, s in [(0.3, 0.7), (1.0, 0.0), (0.0, 1.0), (2.0, 0.5)]:
-            W = scalar_outer_factor(c, s, prior_ref.sigma)
-            vals = W.eval_grid(np.exp(1j * theta))[:, 0, 0]
-            want = c + s * np.abs(prior_ref.sigma_values(theta)) ** 2
-            assert_allclose(np.abs(vals) ** 2, want, rtol=1e-10)
-
-    def test_pure_constant_has_no_states(self):
-        W = scalar_outer_factor(4.0, 0.0, constant_prior(1.0).sigma)
-        assert W.n_states == 0
-        assert_allclose(W.D, [[2.0]], rtol=1e-14)
-
-    def test_invalid_weights_rejected(self, prior_ref):
-        with pytest.raises(ValueError):
-            scalar_outer_factor(-0.1, 1.0, prior_ref.sigma)
-        with pytest.raises(ValueError):
-            scalar_outer_factor(0.0, 0.0, prior_ref.sigma)
-
-
-class TestHomotopyPrior:
-    def test_endpoints_exact(self, prior_ref):
-        theta = circle_grid(32)
-        p0 = homotopy_prior(prior_ref, 0.0)
-        assert_allclose(np.abs(p0.sigma_values(theta)) ** 2, 1.0, rtol=0,
-                        atol=1e-15)
-        p1 = homotopy_prior(prior_ref, 1.0)
-        assert p1 is prior_ref
-
-    def test_intermediate_blend(self, prior_ref):
-        theta = circle_grid(64)
-        psi = np.abs(prior_ref.sigma_values(theta)) ** 2
-        for t in (0.25, 0.5, 0.9):
-            pt = homotopy_prior(prior_ref, t)
-            want = (1 - t) + t * psi
-            got = np.abs(pt.sigma_values(theta)) ** 2
-            assert_allclose(got, want, rtol=1e-10)
-
-    def test_constant_prior_blends_to_constant(self):
-        # blending a flat prior of level c only moves the level
-        prior = constant_prior(2.5)
-        pt = homotopy_prior(prior, 0.4)
-        got = np.abs(pt.sigma_values(np.array([0.3]))) ** 2
-        assert_allclose(got, [0.6 + 0.4 * 2.5], rtol=1e-14)
 
 
 class TestDensityValues:

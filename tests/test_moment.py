@@ -6,21 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from spectral_homotopy import (FactorParameter, FilterBank, SolverError,
-                               StateSpaceSystem, apply_f2_quadrature,
-                               apply_g1_direction, apply_g2_quadrature,
-                               apply_g2_statespace, assemble_jacobian_matrix,
+from spectral_homotopy import (EvaluationError, FactorParameter, FilterBank,
+                               SolverError, StateSpaceSystem,
+                               apply_f2_quadrature, apply_g1_direction,
+                               apply_g2_quadrature, apply_g2_statespace, assemble_jacobian_matrix,
                                constant_prior, h_inverse,
                                jacobian_condition_number, make_chart,
                                make_covariance_extension_filter,
-                               matrixeq, maxent_initialization,
+                               matrixeq, maxent_initialization, moment,
                                moment_f_quadrature, moment_g_quadrature,
                                moment_g_statespace,
                                prior_from_outer, prior_from_polynomial,
                                solve_dlyap, solve_jacobian_system,
                                trace_inner)
 
-from conftest import C_REF, fd_direction, relative_error
+from conftest import B_REF, C_REF, fd_direction, relative_error
 
 # covariance-extension banks (m, p) and a general bank with nonzero poles
 BANKS = [(m, p) for m in (1, 2, 3) for p in (0, 1, 2)] + ["diag"]
@@ -172,6 +172,12 @@ class TestMomentMaps:
                                  dtheta=2 * np.pi / 4096)
         assert relative_error(Sq, Ss) < 1e-9
 
+    def test_quadrature_outside_weight_cone_raises(self, fb, prior_ref):
+        # G* (-I) G is negative definite at every grid point
+        with pytest.raises(EvaluationError, match="density boundary") as exc:
+            moment_f_quadrature(fb, prior_ref, -np.eye(4))
+        assert "eigenvalue -" in str(exc.value)
+
 
 class TestDerivatives:
     def test_weight_scaling_direction(self, fb, chart, prior_ref, param_ref):
@@ -264,6 +270,89 @@ class TestDerivatives:
         want = (moment_g_statespace(fb, prior_ref, param_ref)
                 - moment_g_statespace(fb, constant_prior(1.0), param_ref))
         assert relative_error(drift, want) < 1e-12
+
+
+class _BlendedPrior:
+    """The density (1 - t) + t psi, for quadrature only: the grid needs its
+    values, never a factor."""
+
+    def __init__(self, prior, t):
+        self.prior, self.t = prior, t
+
+    def psi_values(self, theta):
+        return (1.0 - self.t) + self.t * self.prior.psi_values(theta)
+
+
+def _blend_case(case, rng):
+    if case == "covext-real":
+        fb = _bank((2, 1), "real")
+        return fb, prior_from_polynomial(B_REF), FactorParameter(fb, C_REF)
+    if case == "covext-complex":
+        fb = _bank((2, 1), "complex")
+        return fb, prior_from_polynomial(B_REF), _random_param(fb, rng)
+    fb = _bank("diag", "real")
+    rational = prior_from_outer(StateSpaceSystem(
+        np.array([[0.6]]), np.array([[1.0]]), np.array([[0.9]]),
+        np.array([[1.0]])))
+    return fb, rational, _random_param(fb, rng)
+
+
+class TestBlendedPoint:
+    """One cascade point serves every prior (1 - t) + t psi on the path."""
+
+    @pytest.mark.parametrize("t", [0.0, 0.05, 0.5, 0.95, 1.0])
+    @pytest.mark.parametrize("case", ["covext-real", "covext-complex",
+                                      "diag-rational"])
+    def test_matches_quadrature_of_blended_density(self, case, t, rng):
+        fb, prior, param = _blend_case(case, rng)
+        chart = make_chart(fb)
+        dtheta = 2 * np.pi / 4096
+        point = moment._StatespacePoint(fb, prior, param, t)
+        blend = _BlendedPrior(prior, t)
+        Sq = moment_g_quadrature(fb, blend, param, dtheta=dtheta)
+        assert relative_error(Sq, point.value()) < 1e-7
+        Js = chart.range_coords(point.derivatives(chart.factor_basis)).T
+        Jq = assemble_jacobian_matrix(chart, blend, param, which="g",
+                                      route="quadrature", dtheta=dtheta)
+        assert np.max(np.abs(Js - Jq)) / np.max(np.abs(Js)) < 1e-8
+        Dq = (moment_g_quadrature(fb, _BlendedPrior(prior, 1.0), param,
+                                  dtheta=dtheta)
+              - moment_g_quadrature(fb, _BlendedPrior(prior, 0.0), param,
+                                    dtheta=dtheta))
+        assert relative_error(Dq, point.drift()) < 1e-7
+
+    def test_endpoints_exact(self, fb, prior_ref, param_ref):
+        # t = 0 is the flat prior, t = 1 the prior itself
+        flat = moment._StatespacePoint(fb, prior_ref, param_ref, 0.0)
+        want = moment_g_statespace(fb, constant_prior(1.0), param_ref)
+        assert relative_error(flat.value(), want) < 1e-13
+        assert_array_equal(
+            moment._StatespacePoint(fb, prior_ref, param_ref, 1.0).value(),
+            moment_g_statespace(fb, prior_ref, param_ref))
+        for t in (-0.1, 1.1):
+            with pytest.raises(ValueError, match="t must lie"):
+                moment._StatespacePoint(fb, prior_ref, param_ref, t)
+
+    def test_intermediate_blend(self, fb, chart, prior_ref, param_ref):
+        # value and Jacobian are affine in t; the drift is their slope
+        ends = [moment._StatespacePoint(fb, prior_ref, param_ref, t)
+                for t in (0.0, 1.0)]
+        g0, g1 = (p.value() for p in ends)
+        J0, J1 = (p.derivatives(chart.factor_basis) for p in ends)
+        for t in (0.25, 0.5, 0.9):
+            point = moment._StatespacePoint(fb, prior_ref, param_ref, t)
+            assert relative_error(point.value(),
+                                  (1 - t) * g0 + t * g1) < 1e-13
+            assert relative_error(point.derivatives(chart.factor_basis),
+                                  (1 - t) * J0 + t * J1) < 1e-13
+            assert relative_error(point.drift(), g1 - g0) < 1e-12
+
+    def test_constant_prior_blends_to_constant(self, fb, param_ref):
+        # blending a flat prior of level c only moves the level
+        point = moment._StatespacePoint(fb, constant_prior(2.5), param_ref,
+                                        0.4)
+        want = (0.6 + 0.4 * 2.5) * moment_g_statespace(fb, None, param_ref)
+        assert relative_error(point.value(), want) < 1e-14
 
 
 def _pointwise_jacobian(chart, prior, point, which, N):
