@@ -16,7 +16,8 @@ Layering, bottom up:
 - ``factorization``: spectral factorization maps between covariance-side and
   factor-side parameters, outer factors for additive data.
 - ``moment``: the two moment maps and their derivatives, by state-space
-  formulas and by quadrature, coordinate charts, Jacobians.
+  formulas and by quadrature, coordinate charts, Jacobians (the weight-side
+  one by the chain rule), condition numbers.
 - ``continuation``: maximum-entropy start, predictor/corrector path
   following, CSV/JSON serialization.
 - ``cli``: ``spectral-homotopy`` command-line entry points.
@@ -41,7 +42,8 @@ from .moment import (CoordinateChart, JacobianSolveInfo,
                      apply_f2_quadrature, apply_g1_direction,
                      apply_g2_quadrature, apply_g2_statespace,
                      assemble_jacobian_matrix, build_factor_basis,
-                     build_range_gamma_basis, jacobian_condition_number,
+                     build_range_gamma_basis, condition_numbers,
+                     f_jacobian_from_g, jacobian_condition_number,
                      make_chart, moment_f_quadrature, moment_g_quadrature,
                      moment_g_statespace, solve_jacobian_system, trace_inner)
 from .continuation import (HomotopyConfig, PathSample, SolutionPath,
@@ -69,6 +71,7 @@ __all__ = [
     "apply_g2_statespace", "apply_g1_direction", "build_range_gamma_basis",
     "build_factor_basis", "CoordinateChart", "make_chart",
     "assemble_jacobian_matrix", "jacobian_condition_number",
+    "f_jacobian_from_g", "condition_numbers",
     "JacobianSolveInfo", "solve_jacobian_system",
     "HomotopyConfig", "PathSample", "SolutionPath", "maxent_initialization",
     "corrector_newton", "run_continuation",

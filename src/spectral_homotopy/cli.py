@@ -4,16 +4,20 @@ Verbs:
 
 - ``solve``: follow the prior homotopy and write the path artifacts (CSV,
   JSON sidecar, final parameters, run report).
-- ``condnum``: condition numbers of the two parametrizations at a given C:
-  cond_g from the exact Gramian Jacobian, cond_f by quadrature at the
-  configured grid spacing ``quadrature.dtheta`` (default 1e-4).
+- ``condnum``: condition numbers of the two parametrizations at a given C,
+  both exact: cond_g from the Gramian Jacobian of g at C, cond_f from the
+  Jacobian of f at Lambda = h^{-1}(C) by the chain rule (see
+  moment.condition_numbers).  ``solve`` reports the same pair at its end.
 - ``check``: membership and feasibility report for the config inputs;
   report-only, exits 0 whenever the config itself parses.
 - ``maxent``: closed-form flat-prior solution for Sigma.
 - ``selftest``: reduced-size consistency suites.
 
-Overrides: ``--out`` (solve, condnum, maxent), ``--dtheta`` (solve,
-condnum), ``--dt`` and ``--tol`` (solve); ``check`` takes only ``--config``.
+Overrides: ``--out`` (solve, condnum, maxent), ``--dt`` and ``--tol``
+(solve); ``check`` takes only ``--config``.  No verb builds a quadrature
+grid except ``selftest``, whose oracle suite checks the exact g against
+one.  The config section ``quadrature`` (``dtheta``) is still parsed and
+validated so that existing configs keep working, but nothing reads it.
 
 Exit codes: 0 success, 1 selftest failure, 2 configuration error, 3 solver
 failure.
@@ -35,8 +39,7 @@ from .continuation import (HomotopyConfig, maxent_initialization,
 from .errors import (ConfigError, EvaluationError, FactorizationError,
                      MembershipError, SolverError)
 from .factorization import h_inverse
-from .moment import (_resolve_grid, apply_g2_statespace,
-                     jacobian_condition_number, make_chart,
+from .moment import (apply_g2_statespace, condition_numbers, make_chart,
                      moment_g_quadrature, moment_g_statespace)
 from .statespace import (FactorParameter, FilterBank, StateSpaceSystem,
                          constant_prior, is_in_Cplus,
@@ -174,7 +177,7 @@ class RunConfig:
     continuation: HomotopyConfig = dataclasses.field(
         default_factory=HomotopyConfig)
     continuation_keys: tuple = ()
-    dtheta: float = None
+    dtheta: float = None       # validated and kept for serialization only
     quadrature_keys: tuple = ()
     out_dir: str = None
     formats: tuple = ("csv", "json")
@@ -304,8 +307,6 @@ def _load_config(args, lenient_prior=False):
     if getattr(args, "tol", None) is not None:
         cfg.continuation = dataclasses.replace(cfg.continuation,
                                                newton_tol=args.tol)
-    if getattr(args, "dtheta", None) is not None:
-        cfg.dtheta = args.dtheta
     return cfg
 
 
@@ -346,17 +347,13 @@ def cmd_solve(args):
     path = run_continuation(fb, cfg.prior, Sigma, config=cfg.continuation)
     t_solve = time.perf_counter() - t0
 
+    # the corrector's last residual is g(psi, C) - Sigma at the final C
     final = path.final_parameter()
-    chart = make_chart(fb)
-    Lam = h_inverse(chart, final)
-    gfin = moment_g_statespace(fb, cfg.prior, final)
-    resid = float(np.linalg.norm(gfin - Sigma))
+    resid = path.final.residual
+    Lam = h_inverse(path.chart, final)
 
     t1 = time.perf_counter()
-    cond_g = jacobian_condition_number(chart, cfg.prior, final, which="g",
-                                       route="statespace")
-    cond_f = jacobian_condition_number(chart, cfg.prior, Lam, which="f",
-                                       route="quadrature", dtheta=cfg.dtheta)
+    cond_g, cond_f = condition_numbers(path.chart, cfg.prior, final)
     t_cond = time.perf_counter() - t1
 
     out = _ensure_outdir(cfg)
@@ -386,7 +383,6 @@ def cmd_solve(args):
         "cond_g": cond_g,
         "cond_f": cond_f,
         "cond_ratio": cond_f / cond_g,
-        "quadrature_grid_n": _resolve_grid(cfg.dtheta),
         "timings_s": {"continuation": t_solve, "condition_numbers": t_cond,
                       "total": time.perf_counter() - t0},
     }
@@ -410,13 +406,8 @@ def cmd_condnum(args):
     fb = cfg.filterbank
     param = FactorParameter(fb, cfg.C)
     chart = make_chart(fb)
-    dtheta = cfg.dtheta if cfg.dtheta is not None else 1e-4
     t0 = time.perf_counter()
-    cond_g = jacobian_condition_number(chart, cfg.prior, param, which="g",
-                                       route="statespace")
-    Lam = h_inverse(chart, param)
-    cond_f = jacobian_condition_number(chart, cfg.prior, Lam, which="f",
-                                       route="quadrature", dtheta=dtheta)
+    cond_g, cond_f = condition_numbers(chart, cfg.prior, param)
     elapsed = time.perf_counter() - t0
     print(f"cond_g = {cond_g:.6e}")
     print(f"cond_f = {cond_f:.6e}")
@@ -426,7 +417,6 @@ def cmd_condnum(args):
         dest = os.path.join(out, "condnum.json")
         _write_json(dest, {"cond_g": cond_g, "cond_f": cond_f,
                            "ratio": cond_f / cond_g,
-                           "quadrature_grid_n": _resolve_grid(dtheta),
                            "time_s": elapsed})
         print(f"wrote {dest}")
     return 0
@@ -598,7 +588,6 @@ def _build_parser():
     overrides = {
         "--out": dict(help="output directory (overrides output.directory)"),
         "--dt": dict(type=float, help="continuation step override"),
-        "--dtheta": dict(type=float, help="quadrature spacing override"),
         "--tol": dict(type=float, help="Newton tolerance override"),
     }
 
@@ -612,9 +601,9 @@ def _build_parser():
         p.set_defaults(func=func)
 
     add("solve", cmd_solve, "follow the prior homotopy, write artifacts",
-        ("--out", "--dt", "--dtheta", "--tol"))
+        ("--out", "--dt", "--tol"))
     add("condnum", cmd_condnum, "condition numbers at a given parameter",
-        ("--out", "--dtheta"))
+        ("--out",))
     add("check", cmd_check, "membership and feasibility report")
     add("maxent", cmd_maxent, "closed-form flat-prior solution", ("--out",))
     add("selftest", cmd_selftest, "reduced-size consistency suites",

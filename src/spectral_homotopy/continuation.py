@@ -10,7 +10,8 @@ g(p(t), C(t)) = Sigma in t gives the path ODE
 which is followed by an Euler predictor and a Newton corrector per step.
 p(t) is never factored: g is affine in it, so one cascade point at t
 (moment._StatespacePoint) gives g, its Jacobian and the drift.  The
-tangent is solved once per accepted point; steps are halved on corrector
+tangent is solved once per accepted point, at the point the corrector
+built for its last residual check; steps are halved on corrector
 failure (each step retries from the configured dt, so one hard spot does
 not shrink the rest of the path) and a SolverError reports the failure
 history when the floor is reached or the tangent solve fails.
@@ -80,12 +81,14 @@ class PathSample:
 
 @dataclass(frozen=True)
 class SolutionPath:
-    """Full record of a continuation run."""
+    """Full record of a continuation run; ``chart`` fixes the meaning of
+    the samples' coordinates ``y``."""
 
     filterbank: object
     config: HomotopyConfig
     Sigma: np.ndarray
     samples: tuple = field(default_factory=tuple)
+    chart: object = None
 
     @property
     def final(self):
@@ -147,8 +150,10 @@ def corrector_newton(chart, prior, t, param, Sigma, config):
     descent to first order).  The residual is the plain Frobenius norm
     ||Sigma - g||, not scaled by ||Sigma||.  At each iterate, g and the
     direction solve share one cascade point and its Schur form.  Returns
-    (param, residual, iterations, gram_cond); raises SolverError when the
-    budget is exhausted or a candidate cannot be kept feasible.
+    (point, residual, iterations, gram_cond) with ``point`` the cascade point
+    at the accepted parameter ``point.param``, which the next tangent
+    reuses; raises SolverError when the budget is exhausted or a candidate
+    cannot be kept feasible.
     """
     fb = chart.filterbank
     gram_cond = 0.0
@@ -157,7 +162,7 @@ def corrector_newton(chart, prior, t, param, Sigma, config):
         resid_mat = Sigma - point.value()
         rnorm = float(np.linalg.norm(resid_mat))
         if rnorm <= config.newton_tol:
-            return param, rnorm, it, gram_cond
+            return point, rnorm, it, gram_cond
         if it == int(config.max_newton):
             break
         V, info = point.solve(chart, resid_mat)
@@ -177,8 +182,8 @@ def corrector_newton(chart, prior, t, param, Sigma, config):
         f"{config.max_newton} iterations (last residual {rnorm:.3e})")
 
 
-def _tangent(chart, prior, t, param):
-    """Path tangent at ``param`` and homotopy parameter t.
+def _tangent(chart, point):
+    """Path tangent at the cascade point of (p(t), C).
 
     The tangent v solves the linearized path equation
 
@@ -188,7 +193,6 @@ def _tangent(chart, prior, t, param):
     prior family.  Returns (v, info) with info the direction-solve
     diagnostics; the Euler predictor is C + dt v.
     """
-    point = _StatespacePoint(chart.filterbank, prior, param, t)
     return point.solve(chart, -point.drift())
 
 
@@ -233,13 +237,16 @@ def run_continuation(filterbank, prior, Sigma, config=None, chart=None,
         callback(samples[0])
 
     t = 0.0
+    point = None   # the tangent's point: built at t = 0, then the corrector's
     history = []
     while t < 1.0:
         dt_try = float(config.dt)
         # the tangent at t does not depend on the step size, and a smaller
         # step cannot repair a failed direction solve
         try:
-            V, info = _tangent(chart, prior, t, param)
+            if point is None:
+                point = _StatespacePoint(filterbank, prior, param, t)
+            V, info = _tangent(chart, point)
         except SolverError as exc:
             history.append((t, dt_try, str(exc)))
             raise SolverError(
@@ -253,7 +260,7 @@ def run_continuation(filterbank, prior, Sigma, config=None, chart=None,
             C_pred = param.C + dt_eff * V
             try:
                 pred = FactorParameter(filterbank, C_pred)
-                param_next, rnorm, iters, gcond = corrector_newton(
+                point_next, rnorm, iters, gcond = corrector_newton(
                     chart, prior, t_next, pred, Sigma, config)
             except (SolverError, MembershipError) as exc:
                 history.append((t, dt_try, str(exc)))
@@ -266,7 +273,8 @@ def run_continuation(filterbank, prior, Sigma, config=None, chart=None,
                 continue
             break
         t = t_next
-        param = param_next
+        point = point_next
+        param = point.param
         sample = PathSample(
             t=t, C=param.C, y=chart.factor_coords(param.C), residual=rnorm,
             newton_iters=iters,
@@ -276,7 +284,7 @@ def run_continuation(filterbank, prior, Sigma, config=None, chart=None,
         if callback is not None:
             callback(sample)
     return SolutionPath(filterbank=filterbank, config=config, Sigma=Sigma,
-                        samples=tuple(samples))
+                        samples=tuple(samples), chart=chart)
 
 
 def _fmt(v):

@@ -33,9 +33,12 @@ solve (see _StatespacePoint), for every homotopy prior (1 - t) + t psi:
 g is affine in the density weight, so that prior is never factored.  The
 Gramian routes are the only production routes for g (the continuation and
 the CLI's cond_g); quadrature of g is implemented independently and the
-tests hold the two against each other.  f has no exact route, so the CLI's
-cond_f is a quadrature Jacobian.  Every quadrature function takes one grid
-knob, ``dtheta``; without it the grid has DEFAULT_GRID_N points.
+tests hold the two against each other.  f = g o h, so the chain rule gives
+f's Jacobian exactly from the same point: J_f = J_g J_{h^{-1}}^{-1}, where
+J_{h^{-1}} (the range coordinates of V*C + C*V over the factor basis) does
+not depend on the prior (see condition_numbers).  Quadrature of f stays as
+the tests' oracle for it.  Every quadrature function takes one grid knob,
+``dtheta``; without it the grid has DEFAULT_GRID_N points.
 """
 
 from __future__ import annotations
@@ -66,7 +69,9 @@ __all__ = [
     "apply_g2_statespace",
     "apply_g1_direction",
     "assemble_jacobian_matrix",
+    "f_jacobian_from_g",
     "jacobian_condition_number",
+    "condition_numbers",
     "solve_jacobian_system",
 ]
 
@@ -288,6 +293,10 @@ class _StatespacePoint:
         return np.array([coerce_field(D, self.field, what="derivative value")
                          for D in _hermitize(Ct @ dP @ Cth)])
 
+    def jacobian(self, chart):
+        """J_g in chart coordinates: all M columns from one stacked solve."""
+        return chart.range_coords(self.derivatives(chart.factor_basis)).T
+
     def solve(self, chart, Y, gram_cond_limit=GRAM_COND_LIMIT,
               verify_tol=VERIFY_TOL):
         """The direction solve of solve_jacobian_system at this point."""
@@ -296,7 +305,7 @@ class _StatespacePoint:
         if ynorm == 0.0:
             return np.zeros_like(self.param.C), JacobianSolveInfo(
                 gram_cond=1.0, verify_residual=0.0, columns=chart.dim)
-        J = chart.range_coords(self.derivatives(chart.factor_basis)).T
+        J = self.jacobian(chart)
         condJ = float(np.linalg.cond(J))
         cond = condJ * condJ
         if not np.isfinite(cond) or cond > gram_cond_limit:
@@ -550,8 +559,9 @@ def assemble_jacobian_matrix(chart, prior, point, which="g", route="quadrature",
     the production route: each column is one tangent Stein solve.  Route
     "quadrature" sums the shared kernel on a circle grid of spacing
     ``dtheta`` once, into Q = sum_k psi_k K_k (x) K_k (for g, K_k (x) C K_k),
-    and reads all columns off Q (see _kernel_columns); it is the only route
-    for f and the independent check of the exact one for g.
+    and reads all columns off Q (see _kernel_columns); it is the tests'
+    independent check of the exact g route and of the chain-rule f
+    Jacobian (see f_jacobian_from_g).
     """
     fb = chart.filterbank
     if which not in ("f", "g"):
@@ -560,9 +570,8 @@ def assemble_jacobian_matrix(chart, prior, point, which="g", route="quadrature",
         if which != "g":
             raise ValueError(
                 "the exact Gramian route only evaluates the factor-side map")
-        cols = _StatespacePoint(fb, prior, _as_param(fb, point)).derivatives(
-            chart.factor_basis)
-        return chart.range_coords(cols).T
+        return _StatespacePoint(fb, prior, _as_param(fb, point)).jacobian(
+            chart)
     if route != "quadrature":
         raise ValueError(f"unknown route {route!r}")
     N = _resolve_grid(dtheta)
@@ -586,6 +595,48 @@ def jacobian_condition_number(chart, prior, point, which="g",
     J = assemble_jacobian_matrix(chart, prior, point, which=which, route=route,
                                  dtheta=dtheta)
     return float(np.linalg.cond(J))
+
+
+def _h_inverse_jacobian(chart, C):
+    """M x M Jacobian of h^{-1} at the factor C in chart coordinates.
+
+    h^{-1}(C) is the range projection of C*C, so the column along a factor
+    basis direction V is the range coordinates of V*C + C*V: one chart
+    contraction for all M columns.  It does not depend on the prior.
+    """
+    Cm = _as_param(chart.filterbank, C).C
+    CV = Cm.conj().T @ chart.factor_basis
+    return chart.range_coords(CV + CV.conj().swapaxes(-1, -2)).T
+
+
+def f_jacobian_from_g(chart, C, J_g):
+    """J_f at Lambda = h^{-1}(C) from J_g at C, by the chain rule.
+
+    g = f o h^{-1}, so J_g = J_f J_{h^{-1}} and J_f = J_g J_{h^{-1}}^{-1}:
+    one linear solve, J_{h^{-1}}^T J_f^T = J_g^T.  h^{-1} is a
+    diffeomorphism from the factor set onto the weights, so J_{h^{-1}} is
+    invertible there; a singular or non-finite one raises SolverError.
+    """
+    H = _h_inverse_jacobian(chart, C)
+    if not np.all(np.isfinite(H)):
+        raise SolverError("Jacobian of h^{-1} has non-finite entries")
+    try:
+        return np.linalg.solve(H.T, np.asarray(J_g).T).T
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"Jacobian of h^{{-1}} is singular ({exc})") from None
+
+
+def condition_numbers(chart, prior, C):
+    """(cond_g, cond_f): the Jacobian conditions of g at C and of f at
+    Lambda = h^{-1}(C), both exact.
+
+    J_g comes from one cascade point (one stacked tangent Stein solve) and
+    J_f from it by the chain rule (f_jacobian_from_g); no grid is built.
+    """
+    param = _as_param(chart.filterbank, C)
+    J_g = _StatespacePoint(chart.filterbank, prior, param).jacobian(chart)
+    J_f = f_jacobian_from_g(chart, param, J_g)
+    return float(np.linalg.cond(J_g)), float(np.linalg.cond(J_f))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ parameter, and samplers for admissible random inputs."""
 import numpy as np
 import pytest
 
-from spectral_homotopy import (FactorParameter, make_chart,
+from spectral_homotopy import (CoordinateChart, FactorParameter, make_chart,
                                make_covariance_extension_filter,
                                maxent_initialization, moment_g_statespace,
                                prior_from_polynomial, solve_dlyap)
@@ -116,6 +116,18 @@ def fd_direction(chart, rng):
     # directions for finite-difference probes must stay inside the factor
     # slice, otherwise the perturbed point leaves the admissible set
     return chart.factor_from_coords(rng.standard_normal(chart.dim))
+
+
+def rotated_chart(chart, rng):
+    # orthonormal change of both coordinate systems
+    def rotate(basis):
+        Q = np.linalg.qr(rng.standard_normal((len(basis), len(basis))))[0]
+        return tuple(
+            sum(Q[j, i] * basis[j] for j in range(len(basis)))
+            for i in range(len(basis)))
+
+    return CoordinateChart(chart.filterbank, rotate(chart.range_basis),
+                           rotate(chart.factor_basis))
 
 
 def relative_error(got, want):

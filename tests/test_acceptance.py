@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from spectral_homotopy import (CoordinateChart, FactorParameter,
+from spectral_homotopy import (FactorParameter,
                                HomotopyConfig, apply_g2_statespace,
                                assemble_jacobian_matrix, circle_grid,
                                constant_prior, h_inverse, h_map,
@@ -22,7 +22,7 @@ from spectral_homotopy import (CoordinateChart, FactorParameter,
                                run_continuation, solve_dare_lambda)
 
 from conftest import (B_REF, C_REF, fd_direction, random_additive_quadruple,
-                      relative_error)
+                      relative_error, rotated_chart)
 
 COND_G_TARGET = 2.4674e5
 COND_F_TARGET = 3.8187e8
@@ -203,18 +203,6 @@ def test_criterion_7_maxent_property(fb, random_sigma, _report):
             f"[<=1e-9 |Sigma|, 10 random feasible]")
 
 
-def _rotated_chart(chart, rng):
-    # orthonormal change of both coordinate systems
-    def rotate(basis):
-        Q = np.linalg.qr(rng.standard_normal((len(basis), len(basis))))[0]
-        return tuple(
-            sum(Q[j, i] * basis[j] for j in range(len(basis)))
-            for i in range(len(basis)))
-
-    return CoordinateChart(chart.filterbank, rotate(chart.range_basis),
-                           rotate(chart.factor_basis))
-
-
 def test_criterion_8_well_posedness_proxies(fb, chart, prior_ref, param_ref,
                                             _report):
     Sigma = moment_g_statespace(fb, prior_ref, param_ref)
@@ -240,7 +228,7 @@ def test_criterion_8_well_posedness_proxies(fb, chart, prior_ref, param_ref,
                                            route="quadrature")
     worst_chart = 0.0
     for _ in range(3):
-        rot = _rotated_chart(chart, rng)
+        rot = rotated_chart(chart, rng)
         cg = jacobian_condition_number(rot, prior_ref, param_ref, which="g",
                                        route="statespace")
         cf = jacobian_condition_number(rot, prior_ref, Lam, which="f",

@@ -159,40 +159,55 @@ class TestCondnum:
 
     def test_cond_g_is_the_exact_route(self, chart, prior_ref, param_ref,
                                        tmp_path, capsys, monkeypatch):
-        # only cond_f is a quadrature Jacobian, so one grid is built; on
-        # this grid a quadrature cond_g would be off by 2e-5
-        built = []
-        kernel_grid = moment._kernel_grid
+        # both condition numbers are exact, so no grid is built; on this
+        # config's grid a quadrature cond_g would be off by 2e-5
+        def no_grid(*args, **kwargs):
+            raise AssertionError("quadrature grid built")
 
-        def counting(filterbank, prior, point, which, N):
-            built.append(which)
-            return kernel_grid(filterbank, prior, point, which, N)
-
-        monkeypatch.setattr(moment, "_kernel_grid", counting)
+        monkeypatch.setattr(moment, "_kernel_grid", no_grid)
         doc = base_config(C=C_REF.tolist(), quadrature={"dtheta": 1e-2})
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "out"
         assert main(["condnum", "--config", cfg, "--out", str(out)]) == 0
-        assert built == ["f"]
         report = json.loads((out / "condnum.json").read_text())
         want = jacobian_condition_number(chart, prior_ref, param_ref,
                                          which="g", route="statespace")
         assert abs(report["cond_g"] - want) / want <= 1e-12
+        assert "quadrature_grid_n" not in report
 
-    def test_spacing_override_is_stable(self, tmp_path, capsys):
-        # refining the grid by 2x moves the estimates by well under 1%
-        doc = base_config(C=C_REF.tolist())
+    def test_solve_builds_no_grid(self, tmp_path, capsys, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("quadrature grid built")
+
+        monkeypatch.setattr(moment, "_kernel_grid", no_grid)
+        doc = base_config(sigma=SIGMA_FROM_REF, continuation={"dt": 0.5})
         cfg = write_config(tmp_path, doc)
-        vals = []
-        for dtheta in ("2e-3", "1e-3"):
-            out = tmp_path / f"d{dtheta}"
-            assert main(["condnum", "--config", cfg, "--out", str(out),
-                         "--dtheta", dtheta]) == 0
-            vals.append(json.loads((out / "condnum.json").read_text()))
-        assert abs(vals[0]["cond_g"] - vals[1]["cond_g"]) \
-            / vals[1]["cond_g"] < 0.01
-        assert abs(vals[0]["cond_f"] - vals[1]["cond_f"]) \
-            / vals[1]["cond_f"] < 0.01
+        out = tmp_path / "run"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert "quadrature_grid_n" not in report
+        assert report["cond_f"] / report["cond_g"] > 1e3
+
+    def test_quadrature_section_is_read_by_nothing(self, tmp_path, capsys):
+        # existing configs with quadrature.dtheta still run, and the
+        # spacing changes no number
+        reports = []
+        for name, extra in (("plain", {}),
+                            ("spaced", {"quadrature": {"dtheta": 1e-2}})):
+            cfg = write_config(tmp_path, base_config(C=C_REF.tolist(),
+                                                     **extra), f"{name}.json")
+            out = tmp_path / name
+            assert main(["condnum", "--config", cfg, "--out", str(out)]) == 0
+            reports.append(json.loads((out / "condnum.json").read_text()))
+        assert reports[0]["cond_f"] == reports[1]["cond_f"]
+        assert reports[0]["cond_g"] == reports[1]["cond_g"]
+
+    def test_bad_quadrature_spacing_is_still_a_config_error(self, tmp_path,
+                                                           capsys):
+        doc = base_config(C=C_REF.tolist(), quadrature={"dtheta": -1.0})
+        cfg = write_config(tmp_path, doc)
+        assert main(["condnum", "--config", cfg]) == 2
+        assert "quadrature.dtheta" in capsys.readouterr().err
 
     def test_flat_parameter_is_better_conditioned(self, fb, tmp_path,
                                                   capsys):
@@ -303,6 +318,18 @@ class TestOverrides:
         with pytest.raises(SystemExit) as exc:
             main(["maxent", "--config", cfg, "--dtheta", "1e-3"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("verb", ["solve", "condnum", "check", "maxent",
+                                      "selftest"])
+    def test_no_verb_takes_a_spacing(self, verb, tmp_path, capsys):
+        # no verb builds a quadrature grid, so none takes its spacing
+        argv = [verb, "--dtheta", "1e-3"]
+        if verb != "selftest":
+            argv += ["--config", write_config(tmp_path, base_config())]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --dtheta" in capsys.readouterr().err
 
 
 class TestConfigRoundTrip:

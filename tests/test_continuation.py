@@ -52,22 +52,22 @@ class TestPredictorCorrector:
     def test_corrector_accepts_exact_solution(self, fb, chart, prior_ref,
                                               sigma_ref, param_ref):
         cfg = HomotopyConfig(newton_tol=1e-10)
-        param, rnorm, iters, _ = corrector_newton(chart, prior_ref, 1.0,
+        point, rnorm, iters, _ = corrector_newton(chart, prior_ref, 1.0,
                                                   param_ref, sigma_ref, cfg)
         assert iters == 0
         assert rnorm <= 1e-10
-        assert_array_equal(param.C, param_ref.C)
+        assert_array_equal(point.param.C, param_ref.C)
 
     def test_corrector_recovers_from_perturbation(self, fb, chart, prior_ref,
                                                   sigma_ref, param_ref, rng):
         bump = chart.factor_from_coords(1e-3 * rng.standard_normal(chart.dim))
         start = FactorParameter(fb, param_ref.C + bump)
         cfg = HomotopyConfig(newton_tol=1e-10, max_newton=20)
-        param, rnorm, iters, _ = corrector_newton(chart, prior_ref, 1.0,
+        point, rnorm, iters, _ = corrector_newton(chart, prior_ref, 1.0,
                                                   start, sigma_ref, cfg)
         assert rnorm <= 1e-10
         assert 1 <= iters <= 6
-        assert relative_error(param.C, param_ref.C) < 1e-7
+        assert relative_error(point.param.C, param_ref.C) < 1e-7
 
     def test_corrector_budget_exhaustion(self, fb, chart, prior_ref,
                                          sigma_ref, param_ref, rng):
@@ -104,7 +104,8 @@ class TestPredictorCorrector:
                                           sigma_ref):
         # one Euler step from t = 0 must reduce the t = 1 residual
         start = maxent_initialization(fb, sigma_ref)
-        v, info = continuation._tangent(chart, prior_ref, 0.0, start)
+        v, info = continuation._tangent(
+            chart, moment._StatespacePoint(fb, prior_ref, start, 0.0))
         C_pred = start.C + 0.1 * v
         assert info.verify_residual <= 1e-8
         r0 = np.linalg.norm(
@@ -118,7 +119,8 @@ class TestPredictorCorrector:
                                                     sigma_ref):
         start = maxent_initialization(fb, sigma_ref)
         flat = constant_prior(1.0)
-        v, _ = continuation._tangent(chart, flat, 0.0, start)
+        v, _ = continuation._tangent(
+            chart, moment._StatespacePoint(fb, flat, start, 0.0))
         C_pred = start.C + 0.1 * v
         assert np.linalg.norm(v) < 1e-10
         assert_allclose(C_pred, start.C, atol=1e-11)
@@ -205,7 +207,8 @@ class TestRunContinuation:
     def test_one_point_per_tangent_and_newton_iterate(self, fb, prior_ref,
                                                       sigma_ref, monkeypatch):
         # the blended prior is never factored: every evaluation is one
-        # cascade point of psi at weight t, and nothing is built twice
+        # cascade point of psi at weight t, and nothing is built twice: the
+        # tangent at an accepted t_k reuses the corrector's last point
         built = []
         init = moment._StatespacePoint.__init__
 
@@ -218,12 +221,14 @@ class TestRunContinuation:
         path = run_continuation(fb, prior_ref, sigma_ref)
         steps = len(path.samples) - 1
         assert steps == 10  # dt = 0.1 throughout: no step was rejected
-        # the start's defining equation and residual, then per step one
-        # tangent at t and one point per corrector iterate at the next t
-        want = [1.0, 1.0]
-        for s0, s1 in zip(path.samples, path.samples[1:]):
-            want += [s0.t] + [s1.t] * (s1.newton_iters + 1)
+        # the start's defining equation and residual (flat prior), the
+        # tangent at t = 0, then per step one point per corrector iterate at
+        # the next t; the last of these serves the next tangent
+        want = [1.0, 1.0, 0.0]
+        for s in path.samples[1:]:
+            want += [s.t] * (s.newton_iters + 1)
         assert built == want
+        assert len(built) == 43
 
     def test_no_riccati_solve(self, fb, prior_ref, sigma_ref, c_ref,
                               monkeypatch):

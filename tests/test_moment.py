@@ -10,7 +10,8 @@ from spectral_homotopy import (EvaluationError, FactorParameter, FilterBank,
                                SolverError, StateSpaceSystem,
                                apply_f2_quadrature, apply_g1_direction,
                                apply_g2_quadrature, apply_g2_statespace, assemble_jacobian_matrix,
-                               constant_prior, h_inverse,
+                               condition_numbers, constant_prior,
+                               f_jacobian_from_g, h_inverse,
                                jacobian_condition_number, make_chart,
                                make_covariance_extension_filter,
                                matrixeq, maxent_initialization, moment,
@@ -20,7 +21,8 @@ from spectral_homotopy import (EvaluationError, FactorParameter, FilterBank,
                                solve_dlyap, solve_jacobian_system,
                                trace_inner)
 
-from conftest import B_REF, C_REF, fd_direction, relative_error
+from conftest import (B_REF, C_REF, fd_direction, relative_error,
+                      rotated_chart)
 
 # covariance-extension banks (m, p) and a general bank with nonzero poles
 BANKS = [(m, p) for m in (1, 2, 3) for p in (0, 1, 2)] + ["diag"]
@@ -283,6 +285,13 @@ class _BlendedPrior:
         return (1.0 - self.t) + self.t * self.prior.psi_values(theta)
 
 
+def _rational_prior():
+    # one pole at 0.6 and one zero at -0.3
+    return prior_from_outer(StateSpaceSystem(
+        np.array([[0.6]]), np.array([[1.0]]), np.array([[0.9]]),
+        np.array([[1.0]])))
+
+
 def _blend_case(case, rng):
     if case == "covext-real":
         fb = _bank((2, 1), "real")
@@ -291,10 +300,7 @@ def _blend_case(case, rng):
         fb = _bank((2, 1), "complex")
         return fb, prior_from_polynomial(B_REF), _random_param(fb, rng)
     fb = _bank("diag", "real")
-    rational = prior_from_outer(StateSpaceSystem(
-        np.array([[0.6]]), np.array([[1.0]]), np.array([[0.9]]),
-        np.array([[1.0]])))
-    return fb, rational, _random_param(fb, rng)
+    return fb, _rational_prior(), _random_param(fb, rng)
 
 
 class TestBlendedPoint:
@@ -476,6 +482,66 @@ class TestJacobian:
         c2 = jacobian_condition_number(anchored, prior_ref, param_ref,
                                        which="g", route="statespace")
         assert abs(c1 - c2) / c1 < 1e-6
+
+
+class TestChainRuleWeightJacobian:
+    """J_f = J_g J_{h^{-1}}^{-1} against the quadrature oracle for f."""
+
+    @pytest.mark.parametrize("prior_kind", ["polynomial", "rational"])
+    @pytest.mark.parametrize("bank,field", [
+        pytest.param((2, 1), "real", id="covext-real-C_REF"),
+        pytest.param((2, 1), "complex", id="covext-complex"),
+        pytest.param((3, 2), "real", id="covext-3-2"),
+        pytest.param("diag", "real", id="diag-real")])
+    def test_matches_quadrature(self, bank, field, prior_kind, rng):
+        fb = _bank(bank, field)
+        chart = make_chart(fb)
+        prior = (prior_from_polynomial(B_REF) if prior_kind == "polynomial"
+                 else _rational_prior())
+        if bank == (2, 1) and field == "real":
+            # criterion 1's point and grid
+            param, dtheta = FactorParameter(fb, C_REF), 1e-4
+        else:
+            param, dtheta = _random_param(fb, rng), 2 * np.pi / 4096
+        J_g = assemble_jacobian_matrix(chart, prior, param, which="g",
+                                       route="statespace")
+        J_f = f_jacobian_from_g(chart, param, J_g)
+        Lam = h_inverse(chart, param)
+        J_q = assemble_jacobian_matrix(chart, prior, Lam, which="f",
+                                       route="quadrature", dtheta=dtheta)
+        assert np.max(np.abs(J_f - J_q)) / np.max(np.abs(J_q)) < 1e-8
+        cond_g, cond_f = condition_numbers(chart, prior, param)
+        assert cond_g == float(np.linalg.cond(J_g))
+        want = float(np.linalg.cond(J_q))
+        # the benchmark's cross-route bound: roundoff grows with cond
+        assert abs(cond_f - want) / want <= 1e-6 + 1e-13 * cond_f
+
+    def test_chart_rotation_invariant(self, fb, chart, prior_ref, param_ref):
+        rng = np.random.default_rng(8)
+        _, cond_f = condition_numbers(chart, prior_ref, param_ref)
+        for _ in range(3):
+            _, cf = condition_numbers(rotated_chart(chart, rng), prior_ref,
+                                      param_ref)
+            assert abs(cf - cond_f) / cond_f < 1e-6
+
+    def test_h_inverse_jacobian_matches_central_differences(self, fb, chart,
+                                                            param_ref, rng):
+        H = moment._h_inverse_jacobian(chart, param_ref)
+        h = 1e-6
+        for _ in range(3):
+            y = rng.standard_normal(chart.dim)
+            V = chart.factor_from_coords(y)
+            fd = (h_inverse(chart, param_ref.C + h * V)
+                  - h_inverse(chart, param_ref.C - h * V)) / (2 * h)
+            assert relative_error(H @ y, chart.range_coords(fd)) < 1e-8
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan])
+    def test_singular_h_inverse_jacobian_raises(self, fb, chart, prior_ref,
+                                                param_ref, bad, monkeypatch):
+        monkeypatch.setattr(moment, "_h_inverse_jacobian",
+                            lambda chart, C: np.full((chart.dim,) * 2, bad))
+        with pytest.raises(SolverError, match="h\\^\\{-1\\}"):
+            condition_numbers(chart, prior_ref, param_ref)
 
 
 class TestJacobianSolve:
