@@ -11,7 +11,8 @@ which is followed by an Euler predictor and a Newton corrector per step.
 p(t) is never factored: g is affine in it, so one cascade point at t
 (moment._StatespacePoint) gives g, its Jacobian and the drift.  The
 tangent is solved once per accepted point, at the point the corrector
-built for its last residual check; steps are halved on corrector
+built for its last residual check (at t = 0, at a point whose P_t = P_1
+also gives the start sample's residual); steps are halved on corrector
 failure (each step retries from the configured dt, so one hard spot does
 not shrink the rest of the path) and a SolverError reports the failure
 history when the floor is reached or the tangent solve fails.
@@ -20,13 +21,14 @@ history when the floor is reached or the tangent solve fails.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError, MembershipError, SolverError
 from .matrixeq import reverse_cholesky
-from .moment import _StatespacePoint, make_chart, moment_g_statespace
+from .moment import (_StatespacePoint, build_factor_basis, make_chart,
+                     moment_g_statespace)
 from .statespace import FactorParameter, coerce_field, matrix_to_json
 
 __all__ = [
@@ -149,7 +151,8 @@ def corrector_newton(chart, prior, t, param, Sigma, config):
     not a reason to shrink: the verified direction solve already guarantees
     descent to first order).  The residual is the plain Frobenius norm
     ||Sigma - g||, not scaled by ||Sigma||.  At each iterate, g and the
-    direction solve share one cascade point and its Schur form.  Returns
+    direction solve share one cascade point and its Stein factorization
+    (the squared powers of A_T).  Returns
     (point, residual, iterations, gram_cond) with ``point`` the cascade point
     at the accepted parameter ``point.param``, which the next tangent
     reuses; raises SolverError when the budget is exhausted or a candidate
@@ -196,6 +199,14 @@ def _tangent(chart, point):
     return point.solve(chart, -point.drift())
 
 
+def _tangent_failure(t, dt, exc, history):
+    """The SolverError that ends a run whose tangent at t cannot be solved."""
+    history.append((t, dt, str(exc)))
+    return SolverError(
+        f"continuation stalled at t = {t:.6g}: tangent solve failed ({exc})",
+        history=history)
+
+
 def run_continuation(filterbank, prior, Sigma, config=None, chart=None,
                      callback=None):
     """Follow the prior homotopy from the maximum-entropy start to t = 1.
@@ -218,40 +229,40 @@ def run_continuation(filterbank, prior, Sigma, config=None, chart=None,
     """
     config = config or HomotopyConfig()
     if chart is None:
-        # the feasibility check needs a chart; anchor the real one at the
-        # start parameter once it is known
-        param = maxent_initialization(filterbank, Sigma,
-                                      chart=make_chart(filterbank))
-        chart = make_chart(filterbank, anchor=param.C)
+        # the feasibility check needs a chart; anchor its factor basis at
+        # the start parameter once it is known (the range basis stays)
+        chart = make_chart(filterbank)
+        param = maxent_initialization(filterbank, Sigma, chart=chart)
+        chart = replace(chart, factor_basis=build_factor_basis(
+            filterbank, anchor=param.C))
     else:
         param = maxent_initialization(filterbank, Sigma, chart=chart)
     Sigma = 0.5 * (np.atleast_2d(np.asarray(Sigma))
                    + np.atleast_2d(np.asarray(Sigma)).conj().T)
 
-    g0 = moment_g_statespace(filterbank, None, param)
+    t = 0.0
+    history = []
+    # the tangent's point: built here at t = 0, then the corrector's
+    try:
+        point = _StatespacePoint(filterbank, prior, param, t)
+    except SolverError as exc:
+        raise _tangent_failure(t, float(config.dt), exc, history) from exc
+    # P_t at t = 0 is P_1, so this point also gives g(1, C_0)
     samples = [PathSample(
         t=0.0, C=param.C, y=chart.factor_coords(param.C),
-        residual=float(np.linalg.norm(Sigma - g0)),
+        residual=float(np.linalg.norm(Sigma - point.value())),
         newton_iters=0, gram_cond=0.0, tangent_norm=0.0)]
     if callback is not None:
         callback(samples[0])
 
-    t = 0.0
-    point = None   # the tangent's point: built at t = 0, then the corrector's
-    history = []
     while t < 1.0:
         dt_try = float(config.dt)
         # the tangent at t does not depend on the step size, and a smaller
         # step cannot repair a failed direction solve
         try:
-            if point is None:
-                point = _StatespacePoint(filterbank, prior, param, t)
             V, info = _tangent(chart, point)
         except SolverError as exc:
-            history.append((t, dt_try, str(exc)))
-            raise SolverError(
-                f"continuation stalled at t = {t:.6g}: tangent solve failed "
-                f"({exc})", history=history) from exc
+            raise _tangent_failure(t, dt_try, exc, history) from exc
         while True:
             t_next = t + dt_try
             if t_next > 1.0 - SNAP_TOL:

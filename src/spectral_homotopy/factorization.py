@@ -18,7 +18,6 @@ density weight (see moment._StatespacePoint).
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from dataclasses import dataclass
 
@@ -89,7 +88,7 @@ def _left_outer_system(Z):
     L = sol.L
     if Z.n_states:
         M = G + F @ sol.P @ H.conj().T
-        Bw = solve_triangular(L, M.conj().T, lower=True).conj().T
+        Bw = np.linalg.solve(L, M.conj().T).conj().T
     else:
         Bw = np.zeros((0, L.shape[0]), dtype=L.dtype)
     W = StateSpaceSystem(F, Bw, H, L)
@@ -125,7 +124,7 @@ def h_map(filterbank, Lam, details=False):
     sol = solve_dare_lambda(filterbank, Lam)
     B = filterbank.B
     P, L = sol.P, sol.L
-    C = solve_triangular(L.conj().T, B.conj().T @ P, lower=False)
+    C = np.linalg.solve(L.conj().T, B.conj().T @ P)
     # CB equals L^{-*} (B*PB) = L^{-*} L* L = L up to roundoff; replace the
     # residual mismatch through the pseudoinverse so the triangular structure
     # is exact.

@@ -1,7 +1,8 @@
 """Matrix equation solvers.
 
-Discrete-time Stein/Lyapunov equations, two Riccati forms and the triangular
-factorizations they need.  Two Riccati conventions appear:
+Discrete-time Stein/Lyapunov equations (by Smith's squared iteration, in
+plain numpy), two Riccati forms and the triangular factorizations they need.
+Two Riccati conventions appear:
 
 * the lag-weight form  P = A*PA - A*PB (B*PB)^{-1} B*PA + Lambda,
   which carries no regularizing term inside B*PB and therefore cannot be fed
@@ -24,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur, solve_triangular
 
 from .errors import FactorizationError, MembershipError, SolverError
 from .statespace import circle_grid, coerce_field, is_in_Lplus
@@ -75,11 +75,11 @@ def solve_dlyap(A1, Q):
     """Solve the Stein equation R - A1 R A1* = Q for Hermitian Q.
 
     Q may also be a stack of shape (k, n, n); each slice is then solved.
-    One complex Schur form A1 = U T U* serves every slice: its diagonal
-    gives the spectral radius for the stability check, and one
-    back-substitution over the columns of the triangular equation solves
-    column j of all k slices by one triangular solve with k right-hand
-    sides.  The residual gate holds for every slice.
+    The solution is the series R = sum_j A1^j Q A1*^j, summed by Smith's
+    squared (doubling) iteration: with A_k = A1^(2^k), the update
+    R <- R + A_k R A_k* doubles the number of summed terms, so a few
+    dozen matrix products over the whole stack reach the tail bound (see
+    _stein_solver).  The residual gate holds for every slice.
 
     Parameters
     ----------
@@ -96,7 +96,8 @@ def solve_dlyap(A1, Q):
     MembershipError
         If A1 is not Schur stable.
     SolverError
-        If any slice fails the residual gate.
+        If the powers of A1 overflow or do not decay within 64 squarings,
+        or if any slice fails the residual gate.
     """
     A1 = np.atleast_2d(np.asarray(A1))
     Q = _check_hermitian(Q, "Q")
@@ -107,33 +108,54 @@ def solve_dlyap(A1, Q):
     return _stein_solver(A1)(Q)
 
 
+# Smith's sum stops at the first power A_K = A1^(2^K) with ||A_K||_F^2 at
+# most _POWER_TAIL: the terms left out add up to A_K R A_K*, so the
+# truncation error is at most _POWER_TAIL ||R||, far below the residual gate.
+_POWER_TAIL = 1e-17
+_MAX_SQUARINGS = 64
+
+
 def _stein_solver(A1):
     """Factor a Schur-stable (n, n) A1 once; return Q -> solve_dlyap(A1, Q).
 
-    The returned function takes Hermitian Q, 2-D or stacked (it is
-    hermitized, not checked), and gates the residual of every slice, so
-    any number of right-hand sides share the one Schur form of A1.
+    The factorization is the list of squared powers A1^(2^k) that Smith's
+    sum needs.  The returned function takes Hermitian Q, 2-D or stacked (it
+    is hermitized, not checked), and gates the residual of every slice, so
+    any number of right-hand sides share the one list of powers.
     """
     n = A1.shape[0]
     if n == 0:
         return lambda Q: np.zeros(np.shape(Q))
-    T, U = schur(A1.astype(complex), output="complex")
-    rho = float(np.max(np.abs(np.diag(T))))
+    rho = _spectral_radius(A1)
     if not rho < 1.0 - STRICT_TOL:
         raise MembershipError(
             f"Stein equation requires a Schur-stable A1; spectral radius {rho:.15g}")
+    powers = []
+    Ak = A1
+    while True:
+        size = np.vdot(Ak, Ak).real
+        if not np.isfinite(size):
+            raise SolverError(
+                f"powers of A1 overflow after {len(powers)} squarings")
+        if size <= _POWER_TAIL:
+            break
+        if len(powers) == _MAX_SQUARINGS:
+            raise SolverError(
+                f"powers of A1 do not decay in {_MAX_SQUARINGS} squarings "
+                f"(||A1^(2^{_MAX_SQUARINGS})||_F^2 = {size:.3e})")
+        powers.append((Ak, Ak.conj().T))
+        Ak = Ak @ Ak
     A1h = A1.conj().T
 
     def solve(Q):
         Q = _hermitize(np.asarray(Q))
         stack = Q.reshape(-1, n, n)
-        R = _hermitize(_dlyap_schur(T, U, stack))
-        if not (np.iscomplexobj(A1) or np.iscomplexobj(Q)):
-            R = R.real
+        R = _hermitize(_smith_sum(powers, stack))
         resid = np.linalg.norm(R - A1 @ R @ A1h - stack, axis=(1, 2))
         bound = DLYAP_RESIDUAL_TOL * (1.0 + np.linalg.norm(R, axis=(1, 2)))
-        bad = resid > bound
+        bad = ~(resid <= bound)
         if np.any(bad):
+            # argmax takes a NaN residual for the largest
             i = int(np.argmax(np.where(bad, resid, -np.inf)))
             where = f" in slice {i} of {len(stack)}" if Q.ndim == 3 else ""
             raise SolverError(
@@ -144,23 +166,13 @@ def _stein_solver(A1):
     return solve
 
 
-def _dlyap_schur(T, U, Q):
-    # Triangularize: with A1 = U T U*, each slice of the (k, n, n) stack Q
-    # becomes Rt - T Rt T* = Qt in Rt = U* R U, solved column by column from
-    # the last; column j of all k slices is one triangular solve.
-    k, n, _ = Q.shape
-    Uh = U.conj().T
-    Qt = Uh @ Q @ U
-    Tc = T.conj()
-    Rt = np.zeros((k, n, n), dtype=complex)
-    eye = np.eye(n)
-    for j in range(n - 1, -1, -1):
-        rhs = Qt[:, :, j]
-        if j < n - 1:
-            rhs = rhs + (Rt[:, :, j + 1:] @ Tc[j, j + 1:]) @ T.T
-        Rt[:, :, j] = solve_triangular(eye - Tc[j, j] * T, rhs.T,
-                                       lower=False).T
-    return U @ Rt @ Uh
+def _smith_sum(powers, Q):
+    # R_{k+1} = R_k + A_k R_k A_k* with A_k = A1^(2^k) sums the first
+    # 2^(k+1) terms of sum_j A1^j Q A1*^j, for every slice of the stack Q
+    R = Q
+    for Ak, Akh in powers:
+        R = R + Ak @ R @ Akh
+    return R
 
 
 def standard_cholesky(M):

@@ -27,8 +27,9 @@ the cascade T = sigma G (z C G)^{-1}.  A direction V moves T's realization
 by dA_T = -X A_T, dB_T = -X B_T with X = C_T* B (CB)^{-1} V C_T, so the
 derivative g'(psi, C; V) = C_T P' C_T* needs one more Stein solve,
 P' - A_T P' A_T* = -(X P + P X*), for any V.  Every Stein equation at a
-point has the same A_T, so one Schur form of A_T serves the Gramian, all
-M Jacobian columns (one stacked solve) and the verification of a direction
+point has the same A_T, so one list of its squared powers A_T^(2^k)
+(Smith's iteration, see matrixeq.solve_dlyap) serves the Gramian, all M
+Jacobian columns (one stacked solve) and the verification of a direction
 solve (see _StatespacePoint), for every homotopy prior (1 - t) + t psi:
 g is affine in the density weight, so that prior is never factored.  The
 Gramian routes are the only production routes for g (the continuation and
@@ -46,7 +47,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .errors import EvaluationError, SolverError
 from .matrixeq import _stein_solver, solve_dlyap
@@ -238,7 +238,8 @@ class _StatespacePoint:
     the cascade T = sigma G (z C G)^{-1} feeds the prior's states into it, so
     T's output matrix C_T = [I 0] reads the inner states.  The flat prior
     drives the same A_T through the input [Bt; 0], so one stacked Stein
-    solve against one Schur form gives both Gramians P_1 and P_psi.  g is
+    solve gives both Gramians P_1 and P_psi; the point keeps the squared
+    powers of A_T for every later Stein solve in the same matrix.  g is
     affine in the density weight, so p_t has the Gramian
     P_t = (1 - t) P_1 + t P_psi and needs no factor of its own; the value,
     every derivative column and the verification are linear in P_t.
@@ -442,7 +443,10 @@ def build_factor_basis(filterbank, anchor=None):
     if K.size == 0:
         basis_params = np.eye(pdim)
     else:
-        basis_params = null_space(K)
+        # null space: right singular vectors past the numerical rank
+        _, s, vh = np.linalg.svd(K)
+        rank = int(np.sum(s > np.finfo(float).eps * max(K.shape) * s[0]))
+        basis_params = vh[rank:].T
 
     if anchor is not None:
         if isinstance(anchor, FactorParameter):
@@ -653,9 +657,9 @@ def solve_jacobian_system(chart, prior, C, Y, gram_cond_limit=GRAM_COND_LIMIT,
     """Solve g'(psi, C; V) = Y for a direction V in the factor slice.
 
     All M basis directions go through the exact derivative route as one
-    stacked tangent Stein solve, against the Schur form of A_T that the
-    cascade Gramian already computed; the verification below reuses it, so
-    one call factors A_T once (see _StatespacePoint).  The
+    stacked tangent Stein solve, against the squared powers of A_T that
+    the cascade Gramian already computed; the verification below reuses
+    them, so one call factors A_T once (see _StatespacePoint).  The
     coefficients are characterized by the Gram normal equations in the image
     space (inner product Re trace); because the range basis is orthonormal,
     those reduce to the square coordinate system J alpha = coords(Y) with

@@ -1,11 +1,16 @@
 """Command-line interface: verbs, exit codes, artifacts, config handling."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import spectral_homotopy
 from spectral_homotopy import (FactorParameter, factorization,
                                jacobian_condition_number, moment)
 from spectral_homotopy.cli import main, parse_config, serialize_config
@@ -295,6 +300,25 @@ class TestSelftest:
         # the other suites do not call h_map
         assert "oracle-equivalence: PASS" in out
         assert "finite-difference: PASS" in out
+
+    def test_imports_no_scipy(self):
+        # the package is numpy-only: in a fresh interpreter, importing it
+        # and running a whole selftest loads no scipy module
+        code = (
+            "import sys\n"
+            "import spectral_homotopy\n"
+            "from spectral_homotopy import cli\n"
+            "assert cli.main(['selftest']) == 0\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'scipy' or m.startswith('scipy.')))\n")
+        src = str(Path(spectral_homotopy.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src if not path else src + os.pathsep + path)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestOverrides:

@@ -221,14 +221,34 @@ class TestRunContinuation:
         path = run_continuation(fb, prior_ref, sigma_ref)
         steps = len(path.samples) - 1
         assert steps == 10  # dt = 0.1 throughout: no step was rejected
-        # the start's defining equation and residual (flat prior), the
-        # tangent at t = 0, then per step one point per corrector iterate at
-        # the next t; the last of these serves the next tangent
-        want = [1.0, 1.0, 0.0]
+        # the start's defining equation (flat prior), the tangent at t = 0,
+        # whose P_t = P_1 also gives the start sample's residual, then per
+        # step one point per corrector iterate at the next t; the last of
+        # these serves the next tangent
+        want = [1.0, 0.0]
         for s in path.samples[1:]:
             want += [s.t] * (s.newton_iters + 1)
         assert built == want
-        assert len(built) == 43
+        assert len(built) == 42
+
+    def test_one_range_basis_per_solve(self, fb, prior_ref, sigma_ref,
+                                       monkeypatch):
+        # without a chart, the feasibility check's chart is anchored at the
+        # start parameter by replacing its factor basis only
+        calls = []
+        build = moment.build_range_gamma_basis
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(moment, "build_range_gamma_basis", counted)
+        path = run_continuation(fb, prior_ref, sigma_ref)
+        assert len(calls) == 1
+        C0 = path.samples[0].C
+        assert_allclose(path.chart.factor_basis[0],
+                        C0 / np.linalg.norm(C0), atol=1e-12)
+        assert_allclose(path.chart.factor_coords(C0)[1:], 0.0, atol=1e-12)
 
     def test_no_riccati_solve(self, fb, prior_ref, sigma_ref, c_ref,
                               monkeypatch):

@@ -68,16 +68,76 @@ class TestStein:
 
     def test_one_bad_slice_fails_the_whole_stack(self, rng, monkeypatch):
         A1, Q = _stable_and_stack(rng, "real", 4, 7)
-        sweep = matrixeq._dlyap_schur
-
-        def corrupt_slice_3(T, U, Qs):
-            R = sweep(T, U, Qs)
-            R[3] += 1e-6
-            return R
-
-        monkeypatch.setattr(matrixeq, "_dlyap_schur", corrupt_slice_3)
+        _corrupt_slice(monkeypatch, 3, 1e-6)
         with pytest.raises(SolverError, match="slice 3 of 7"):
             solve_dlyap(A1, Q)
+
+    def test_non_finite_residual_fails_the_gate(self, rng, monkeypatch):
+        # NaN compares false with any bound; it must fail, and be named as
+        # the worst slice next to a finite failure
+        A1, Q = _stable_and_stack(rng, "complex", 4, 7)
+        _corrupt_slice(monkeypatch, 2, 1e-6)
+        _corrupt_slice(monkeypatch, 5, np.nan)
+        with pytest.raises(SolverError, match="nan .* slice 5 of 7"):
+            solve_dlyap(A1, Q)
+
+    @pytest.mark.parametrize("shape", ["random", "jordan"])
+    @pytest.mark.parametrize("rho", [0.5, 0.985, 0.9999])
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_matches_kronecker_oracle(self, field, n, rho, shape, rng):
+        # vec(A1 R A1*) = (A1 kron conj(A1)) vec(R) for row-major vec;
+        # "jordan" is rho I + 3 (1 - rho) N, whose powers grow by up to
+        # 1e3 before they decay
+        if shape == "jordan":
+            A1 = rho * np.eye(n) + 3.0 * (1.0 - rho) * np.eye(n, k=1)
+            if field == "complex":
+                A1 = np.exp(0.7j) * A1
+        else:
+            A1, _ = _stable_and_stack(rng, field, n, 1)
+            A1 *= rho / 0.9
+        K = np.eye(n * n) - np.kron(A1, A1.conj())
+        for k in (1, 7):
+            _, Q = _stable_and_stack(rng, field, n, k)
+            R = solve_dlyap(A1, Q)
+            for Ri, Qi in zip(R, Q):
+                want = np.linalg.solve(K, Qi.ravel()).reshape(n, n)
+                assert np.linalg.norm(Ri - want) <= 1e-10 * np.linalg.norm(
+                    want)
+
+    @pytest.mark.parametrize("rho", [1.0 - 1e-12, 1.0, 1.5])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_rejects_radius_at_the_circle(self, field, rho):
+        A1 = np.diag([0.5, rho, 0.1]).astype(
+            complex if field == "complex" else float)
+        with pytest.raises(MembershipError,
+                           match=f"spectral radius {rho:.15g}"):
+            solve_dlyap(A1, np.eye(3))
+
+    def test_overflowing_powers_raise(self):
+        # stable (radius 0.9), but A1^2 has an entry ~1e200 and the
+        # solution entries ~1e400: not representable
+        A1 = 0.9 * np.eye(3) + 1e100 * np.eye(3, k=1)
+        with pytest.raises(SolverError, match="overflow"):
+            solve_dlyap(A1, np.eye(3))
+
+    def test_squaring_budget_is_enforced(self, monkeypatch):
+        # radius 0.985 needs 11 squarings to reach the tail bound
+        monkeypatch.setattr(matrixeq, "_MAX_SQUARINGS", 3)
+        with pytest.raises(SolverError, match="do not decay in 3 squarings"):
+            solve_dlyap(np.array([[0.985]]), np.array([[1.0]]))
+
+
+def _corrupt_slice(monkeypatch, i, bad):
+    """Make Smith's sum return slice i of every stack off by ``bad``."""
+    smith_sum = matrixeq._smith_sum
+
+    def corrupted(powers, Q):
+        R = smith_sum(powers, Q)
+        R[i] += bad
+        return R
+
+    monkeypatch.setattr(matrixeq, "_smith_sum", corrupted)
 
 
 def _stable_and_stack(rng, field, n, k):

@@ -14,7 +14,7 @@ from spectral_homotopy import (EvaluationError, FactorParameter, FilterBank,
                                f_jacobian_from_g, h_inverse,
                                jacobian_condition_number, make_chart,
                                make_covariance_extension_filter,
-                               matrixeq, maxent_initialization, moment,
+                               maxent_initialization, moment,
                                moment_f_quadrature, moment_g_quadrature,
                                moment_g_statespace,
                                prior_from_outer, prior_from_polynomial,
@@ -441,7 +441,7 @@ class TestJacobian:
         pytest.param("diag", "real", id="diag-real")])
     def test_batched_statespace_matches_column_by_column(self, bank, field,
                                                          prior_ref, rng):
-        # all M tangent Stein solves in one stack against one Schur form,
+        # all M tangent Stein solves in one stack against one factorization,
         # against one apply_g2_statespace call per basis direction
         fb = _bank(bank, field)
         chart = make_chart(fb)
@@ -562,20 +562,20 @@ class TestJacobianSolve:
         V, _ = solve_jacobian_system(chart, prior_ref, param_ref, Y)
         assert relative_error(V, param_ref.C) < 1e-6
 
-    def test_one_schur_form_per_solve(self, fb, chart, prior_ref, param_ref,
-                                      rng, monkeypatch):
+    def test_one_stein_factorization_per_solve(self, fb, chart, prior_ref,
+                                               param_ref, rng, monkeypatch):
         # the Gramian, all M columns and the verification are Stein solves
         # in the same A_T, so one factorization serves all M + 2 of them
         Y = apply_g2_statespace(fb, prior_ref, param_ref,
                                 fd_direction(chart, rng))
         shapes = []
-        schur = matrixeq.schur
+        stein_solver = moment._stein_solver
 
-        def counted(a, *args, **kwargs):
+        def counted(a):
             shapes.append(a.shape)
-            return schur(a, *args, **kwargs)
+            return stein_solver(a)
 
-        monkeypatch.setattr(matrixeq, "schur", counted)
+        monkeypatch.setattr(moment, "_stein_solver", counted)
         solve_jacobian_system(chart, prior_ref, param_ref, Y)
         # the cascade runs one copy of the prior's states per input channel
         n_T = fb.n + fb.m * prior_ref.sigma.A.shape[0]
