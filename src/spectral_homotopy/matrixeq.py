@@ -115,18 +115,21 @@ _POWER_TAIL = 1e-17
 _MAX_SQUARINGS = 64
 
 
-def _stein_solver(A1):
+def _stein_solver(A1, radius=None):
     """Factor a Schur-stable (n, n) A1 once; return Q -> solve_dlyap(A1, Q).
 
     The factorization is the list of squared powers A1^(2^k) that Smith's
     sum needs.  The returned function takes Hermitian Q, 2-D or stacked (it
     is hermitized, not checked), and gates the residual of every slice, so
-    any number of right-hand sides share the one list of powers.
+    any number of right-hand sides share the one list of powers.  A caller
+    that knows the spectral radius of A1 (from the blocks of a block
+    triangular A1, say) passes it as ``radius`` for the stability check;
+    otherwise it is computed from the eigenvalues.
     """
     n = A1.shape[0]
     if n == 0:
         return lambda Q: np.zeros(np.shape(Q))
-    rho = _spectral_radius(A1)
+    rho = _spectral_radius(A1) if radius is None else radius
     if not rho < 1.0 - STRICT_TOL:
         raise MembershipError(
             f"Stein equation requires a Schur-stable A1; spectral radius {rho:.15g}")

@@ -23,7 +23,11 @@ same real dimension M; CoordinateChart carries orthonormal bases of the two
 
 g also evaluates without quadrature: G (z C G)^{-1} is realized by the
 closed loop, so g(psi, C) = C_T P C_T* with P the controllability Gramian of
-the cascade T = sigma G (z C G)^{-1}.  A direction V moves T's realization
+the cascade T = sigma G (z C G)^{-1}.  T's state matrix A_T is block upper
+triangular, assembled from the closed loop Pi and the prior's per-channel
+blow-up (built once per prior and m), so its spectral radius is known
+without eigenvalues: Pi's from the factor parameter's membership check and
+the prior's from its own.  A direction V moves T's realization
 by dA_T = -X A_T, dB_T = -X B_T with X = C_T* B (CB)^{-1} V C_T, so the
 derivative g'(psi, C; V) = C_T P' C_T* needs one more Stein solve,
 P' - A_T P' A_T* = -(X P + P X*), for any V.  Every Stein equation at a
@@ -50,9 +54,8 @@ import numpy as np
 
 from .errors import EvaluationError, SolverError
 from .matrixeq import _stein_solver, solve_dlyap
-from .statespace import (FactorParameter, StateSpaceSystem, cascade,
-                         circle_grid, coerce_field, factor_inner_realization,
-                         grid_size_from_spacing)
+from .statespace import (FactorParameter, StateSpaceSystem, circle_grid,
+                         coerce_field, grid_size_from_spacing)
 
 __all__ = [
     "CoordinateChart",
@@ -103,12 +106,13 @@ def _psi_on(prior, theta):
     return prior.psi_values(theta)
 
 
-def _sigma_system(prior):
+def _prior_blowup(prior, m):
+    """The prior's copies for an m-input cascade (PriorSpectrum._blowup)
+    and their spectral radius; the flat prior has no states."""
     if prior is None:
-        zero = np.zeros((0, 0))
-        return StateSpaceSystem(zero, np.zeros((0, 1)), np.zeros((1, 0)),
-                                np.array([[1.0]]))
-    return prior.sigma
+        return StateSpaceSystem(np.zeros((0, 0)), np.zeros((0, m)),
+                                np.zeros((m, 0)), np.eye(m)), 0.0
+    return prior._blowup(m), prior._radius
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +239,17 @@ class _StatespacePoint:
     """The exact route at one point (p_t, C), p_t = (1 - t) + t psi.
 
     G (z C G)^{-1} is stable with realization (Pi, Bt, I, 0), Bt = B (CB)^{-1};
-    the cascade T = sigma G (z C G)^{-1} feeds the prior's states into it, so
-    T's output matrix C_T = [I 0] reads the inner states.  The flat prior
+    the cascade T = sigma G (z C G)^{-1} feeds the prior's states into it,
+
+        A_T = [[Pi, Bt C_s], [0, A_s]],   B_T = [Bt D_s; B_s],   C_T = [I 0],
+
+    where (A_s, B_s, C_s, D_s) = (A (x) I_m, B (x) I_m, C (x) I_m, D I_m)
+    are the prior's per-channel copies, built once per prior and m
+    (PriorSpectrum._blowup); a point assembles A_T around its own Pi and
+    Bt, the result of statespace.cascade without its realization objects.
+    A_T is block upper triangular, so its spectral radius is the larger of
+    Pi's (kept by the FactorParameter) and the prior's, and the Stein
+    factorization's stability check needs no eigenvalues.  The flat prior
     drives the same A_T through the input [Bt; 0], so one stacked Stein
     solve gives both Gramians P_1 and P_psi; the point keeps the squared
     powers of A_T for every later Stein solve in the same matrix.  g is
@@ -248,21 +261,31 @@ class _StatespacePoint:
     def __init__(self, filterbank, prior, param, t=1.0):
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"t must lie in [0, 1], got {t}")
-        inner = factor_inner_realization(filterbank, param)
-        T = cascade(_sigma_system(prior), inner)
-        B1 = np.zeros_like(T.B)
-        B1[:filterbank.n] = inner.B
+        n, m = filterbank.n, filterbank.m
+        sigma, sigma_radius = _prior_blowup(prior, m)
+        q = sigma.n_states
+        Bt = np.linalg.solve(param.CB.T, filterbank.B.T).T
+        dtype = np.result_type(param.Pi, Bt, sigma.A, sigma.D, float)
+        A = np.zeros((n + q, n + q), dtype)
+        A[:n, :n] = param.Pi
+        A[:n, n:] = Bt @ sigma.C
+        A[n:, n:] = sigma.A
+        B, B1 = np.zeros((2, n + q, m), dtype)
+        B[:n] = Bt @ sigma.D
+        B[n:] = sigma.B
+        B1[:n] = Bt
+        self.A_T, self.B_T, self.C_T = A, B, np.eye(n, n + q)
         self.field = filterbank.field
         self.param = param
-        self._Ct, self._Bt = T.C, inner.B
-        self._stein = _stein_solver(T.A)
-        P1, Ppsi = self._stein(np.stack([B1 @ B1.conj().T,
-                                         T.B @ T.B.conj().T]))
+        self._Bt = Bt
+        self._stein = _stein_solver(
+            A, radius=max(param.spectral_radius(), sigma_radius))
+        P1, Ppsi = self._stein(np.stack([B1 @ B1.conj().T, B @ B.conj().T]))
         self._P = (1.0 - t) * P1 + t * Ppsi
         self._P_drift = Ppsi - P1
 
     def _read(self, P, what):
-        X = _hermitize(self._Ct @ P @ self._Ct.conj().T)
+        X = _hermitize(self.C_T @ P @ self.C_T.T)
         return coerce_field(X, self.field, what=what)
 
     def value(self):
@@ -287,12 +310,11 @@ class _StatespacePoint:
         linear in P, so it holds for P = P_t, and g'(p_t, C; V) = C_T P' C_T*.
         All k equations share A_T, so they are one batched Stein solve.
         """
-        Ct, P = self._Ct, self._P
-        Cth = Ct.conj().T
-        XP = Cth @ (self._Bt @ Vs @ (Ct @ P))
+        Ct, P = self.C_T, self._P
+        XP = Ct.T @ (self._Bt @ Vs @ (Ct @ P))
         dP = self._stein(-(XP + XP.conj().swapaxes(-1, -2)))
-        return np.array([coerce_field(D, self.field, what="derivative value")
-                         for D in _hermitize(Ct @ dP @ Cth)])
+        return coerce_field(_hermitize(Ct @ dP @ Ct.T), self.field,
+                            what="derivative value")
 
     def jacobian(self, chart):
         """J_g in chart coordinates: all M columns from one stacked solve."""
@@ -306,14 +328,18 @@ class _StatespacePoint:
         if ynorm == 0.0:
             return np.zeros_like(self.param.C), JacobianSolveInfo(
                 gram_cond=1.0, verify_residual=0.0, columns=chart.dim)
-        J = self.jacobian(chart)
-        condJ = float(np.linalg.cond(J))
+        # one SVD gives the Gram condition (s_0 / s_min)^2 and the solve
+        U, sv, Vh = np.linalg.svd(self.jacobian(chart))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            condJ = float(sv[0] / sv[-1])
         cond = condJ * condJ
         if not np.isfinite(cond) or cond > gram_cond_limit:
             raise SolverError(
                 f"Gram system condition {cond:.3e} exceeds limit "
                 f"{gram_cond_limit:.1e}")
-        alpha, *_ = np.linalg.lstsq(J, yr, rcond=None)
+        # below the limit no singular value is under lstsq's default
+        # cutoff, so this is the least-squares solution it would return
+        alpha = Vh.T @ ((U.T @ yr) / sv)
         V = chart.factor_from_coords(alpha)
         (dY,) = self.derivatives(V[None])
         resid = float(np.linalg.norm(chart.range_coords(dY) - yr)) / ynorm

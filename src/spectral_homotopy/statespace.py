@@ -55,20 +55,24 @@ def coerce_field(x, fieldname, tol=STRICT_TOL, what="matrix"):
     """Return ``x`` as a real array when ``fieldname == 'real'``.
 
     Asserts that stray imaginary parts are below ``tol`` relative to the
-    matrix scale before discarding them; complex-field inputs pass through.
+    matrix scale before discarding them; a stack of matrices is checked
+    slice by slice.  Complex-field inputs pass through.
     """
     x = np.asarray(x)
-    if fieldname == "real":
-        if np.iscomplexobj(x):
-            scale = 1.0 + float(np.max(np.abs(x))) if x.size else 1.0
-            worst = float(np.max(np.abs(x.imag))) if x.size else 0.0
-            if worst > tol * scale:
+    if fieldname == "real" and np.iscomplexobj(x):
+        if x.size:
+            # each matrix of a stack is held to its own scale
+            axes = tuple(range(x.ndim))[-2:]
+            scale = np.ravel(1.0 + np.max(np.abs(x), axis=axes))
+            worst = np.ravel(np.max(np.abs(x.imag), axis=axes))
+            bad = np.flatnonzero(worst > tol * scale)
+            if bad.size:
+                i = bad[0]
                 raise ValueError(
-                    f"{what}: imaginary part {worst:.3e} exceeds the real-field "
-                    f"tolerance {tol:.1e} * {scale:.3e}"
+                    f"{what}: imaginary part {worst[i]:.3e} exceeds the "
+                    f"real-field tolerance {tol:.1e} * {scale[i]:.3e}"
                 )
-            return np.ascontiguousarray(x.real)
-        return x
+        return np.ascontiguousarray(x.real)
     return x
 
 
@@ -212,18 +216,18 @@ def cascade(outer, inner):
     """
     if outer.n_inputs != 1 or outer.n_outputs != 1:
         raise ValueError("outer factor must be scalar (1x1)")
-    m = inner.n_inputs
     if outer.n_states == 0:
         d = outer.D.reshape(())
         return StateSpaceSystem(inner.A, inner.B * d, inner.C, inner.D * d)
+    return series_product(inner, _channel_blowup(outer, inner.n_inputs))
+
+
+def _channel_blowup(outer, m):
+    """One copy of the scalar system ``outer`` per channel of an m-channel
+    signal: (A (x) I_m, B (x) I_m, C (x) I_m, D I_m)."""
     eye_m = np.eye(m)
-    blowup = StateSpaceSystem(
-        np.kron(outer.A, eye_m),
-        np.kron(outer.B, eye_m),
-        np.kron(outer.C, eye_m),
-        np.kron(outer.D, eye_m),
-    )
-    return series_product(inner, blowup)
+    return StateSpaceSystem(np.kron(outer.A, eye_m), np.kron(outer.B, eye_m),
+                            np.kron(outer.C, eye_m), np.kron(outer.D, eye_m))
 
 
 def _reachability_rank(A, B, rtol=1e-9):
@@ -332,21 +336,29 @@ class PriorSpectrum:
     kind is "constant", "polynomial" (sigma a minimum-phase FIR, coefficients
     stored highest lag last) or "rational".  The density is validated to be
     strictly positive on a 1024-point circle grid at construction.
+
+    The spectral radius of sigma's A, found by the stability check, is kept
+    with the per-channel copies of sigma that a cascade with an m-input
+    system runs (built once per m, see _blowup).
     """
 
     sigma: StateSpaceSystem
     kind: str = "rational"
     coefficients: np.ndarray | None = None
+    _radius: float = field(init=False, repr=False, compare=False)
+    _blowups: dict = field(init=False, repr=False, compare=False,
+                           default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in ("constant", "polynomial", "rational"):
             raise ValueError(f"unknown prior kind {self.kind!r}")
         if self.sigma.n_inputs != 1 or self.sigma.n_outputs != 1:
             raise ValueError("sigma must be a scalar system")
-        if not self.sigma.is_stable():
+        rho = self.sigma.spectral_radius()
+        if not rho < 1.0 - STRICT_TOL:
             raise MembershipError(
-                "sigma is not Schur stable: spectral radius "
-                f"{self.sigma.spectral_radius():.15g}")
+                f"sigma is not Schur stable: spectral radius {rho:.15g}")
+        object.__setattr__(self, "_radius", rho)
         vals = self.psi_values(circle_grid(1024))
         lo = float(vals.min())
         if not lo > 0.0:
@@ -371,6 +383,15 @@ class PriorSpectrum:
     @property
     def is_constant(self):
         return self.kind == "constant" or self.sigma.n_states == 0
+
+    def _blowup(self, m):
+        """sigma's copies for m channels (see _channel_blowup), read-only."""
+        if m not in self._blowups:
+            copies = _channel_blowup(self.sigma, m)
+            for val in (copies.A, copies.B, copies.C, copies.D):
+                val.setflags(write=False)
+            self._blowups[m] = copies
+        return self._blowups[m]
 
 
 def _fir_system(b):
@@ -483,17 +504,22 @@ def is_in_Cplus(filterbank, C):
     part > 1e-12) and spectral radius of Pi = A - B (CB)^{-1} C A below
     1 - 1e-12.  Returns diagnostics that are truthy iff all conditions hold.
     """
-    C = _as_matrix(C, "C")
+    return _closed_loop(filterbank, _as_matrix(C, "C"))[0]
+
+
+def _closed_loop(filterbank, C):
+    """(diagnostics, CB, Pi) of the membership check of the matrix C.
+
+    The one computation of CB, the CB solve, Pi and its spectral radius
+    behind both is_in_Cplus and FactorParameter; Pi is None when CB is
+    singular.
+    """
     m, n = filterbank.m, filterbank.n
     if C.shape != (m, n):
         raise ValueError(f"C must be {m}x{n}, got {C.shape}")
     CB = C @ filterbank.B
     failures = []
-    if m > 1:
-        upper = CB[np.triu_indices(m, k=1)]
-        max_upper = float(np.max(np.abs(upper)))
-    else:
-        max_upper = 0.0
+    max_upper = float(np.max(np.abs(np.triu(CB, 1))))
     diag = np.diag(CB)
     min_diag_real = float(np.min(diag.real))
     max_diag_imag = float(np.max(np.abs(diag.imag))) if np.iscomplexobj(CB) else 0.0
@@ -507,6 +533,7 @@ def is_in_Cplus(filterbank, C):
         failures.append(
             f"diagonal of CB is not positive (min real part {min_diag_real:.3e})")
     rho = np.inf
+    Pi = None
     if np.abs(np.linalg.det(CB)) > 0:
         Pi = filterbank.A - filterbank.B @ np.linalg.solve(CB, C @ filterbank.A)
         rho = float(np.max(np.abs(np.linalg.eigvals(Pi))))
@@ -515,7 +542,7 @@ def is_in_Cplus(filterbank, C):
                 f"closed loop is not Schur stable (spectral radius {rho:.15g})")
     else:
         failures.append("CB is singular; closed loop undefined")
-    return CplusDiagnostics(
+    diagnostics = CplusDiagnostics(
         member=not failures,
         spectral_radius=rho,
         max_upper_abs=max_upper,
@@ -523,6 +550,7 @@ def is_in_Cplus(filterbank, C):
         max_diag_imag=max_diag_imag,
         failures=tuple(failures),
     )
+    return diagnostics, CB, Pi
 
 
 def is_in_Lplus(filterbank, Lam):
@@ -551,28 +579,28 @@ def is_in_Lplus(filterbank, Lam):
 class FactorParameter:
     """A point C of the stable factor set, bound to its filter bank.
 
-    Construction validates membership and caches CB and the closed loop
-    Pi = A - B (CB)^{-1} C A.
+    Construction validates membership and caches CB, the closed loop
+    Pi = A - B (CB)^{-1} C A and its spectral radius, all from the one
+    computation of the membership check.
     """
 
     filterbank: FilterBank
     C: np.ndarray
     CB: np.ndarray = field(init=False, repr=False)
     Pi: np.ndarray = field(init=False, repr=False)
+    _radius: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         C = coerce_field(_as_matrix(self.C, "C"), self.filterbank.field,
                          what="factor parameter C")
-        diag = is_in_Cplus(self.filterbank, C)
+        diag, CB, Pi = _closed_loop(self.filterbank, C)
         if not diag:
             raise MembershipError(
                 "C is not in the stable factor set: " + "; ".join(diag.failures))
-        CB = C @ self.filterbank.B
-        Pi = self.filterbank.A - self.filterbank.B @ np.linalg.solve(
-            CB, C @ self.filterbank.A)
         for name, val in (("C", C.copy()), ("CB", CB), ("Pi", Pi)):
             val.setflags(write=False)
             object.__setattr__(self, name, val)
+        object.__setattr__(self, "_radius", diag.spectral_radius)
 
     @property
     def m(self):
@@ -583,7 +611,8 @@ class FactorParameter:
         return self.filterbank.n
 
     def spectral_radius(self):
-        return float(np.max(np.abs(np.linalg.eigvals(self.Pi))))
+        """Spectral radius of the closed loop Pi, kept from construction."""
+        return self._radius
 
 
 def factor_inner_realization(filterbank, C):

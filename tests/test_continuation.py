@@ -14,10 +14,10 @@ from spectral_homotopy import (ConfigError, FactorParameter, HomotopyConfig,
                                make_covariance_extension_filter,
                                maxent_initialization, matrixeq, moment,
                                moment_g_statespace, prior_from_outer,
-                               run_continuation, statespace, write_path_csv,
-                               write_path_json)
+                               prior_from_polynomial, run_continuation,
+                               statespace, write_path_csv, write_path_json)
 
-from conftest import relative_error
+from conftest import B_REF, relative_error
 
 
 class TestMaxent:
@@ -81,19 +81,18 @@ class TestPredictorCorrector:
                                                 sigma_ref, param_ref, rng,
                                                 monkeypatch):
         # the candidate's FactorParameter is its membership check: one
-        # closed-loop eigenvalue computation per Newton candidate
+        # closed-loop computation (CB, Pi and its eigenvalues) per Newton
+        # candidate
         bump = chart.factor_from_coords(1e-3 * rng.standard_normal(chart.dim))
         start = FactorParameter(fb, param_ref.C + bump)
         checks = []
-        is_in_Cplus = statespace.is_in_Cplus
+        closed_loop = statespace._closed_loop
 
         def counted(*args, **kwargs):
             checks.append(args)
-            return is_in_Cplus(*args, **kwargs)
+            return closed_loop(*args, **kwargs)
 
-        for mod in (statespace, moment, continuation):
-            if getattr(mod, "is_in_Cplus", None) is is_in_Cplus:
-                monkeypatch.setattr(mod, "is_in_Cplus", counted)
+        monkeypatch.setattr(statespace, "_closed_loop", counted)
         _, _, iters, _ = corrector_newton(chart, prior_ref, 1.0, start,
                                           sigma_ref, HomotopyConfig())
         assert iters >= 1
@@ -230,6 +229,52 @@ class TestRunContinuation:
             want += [s.t] * (s.newton_iters + 1)
         assert built == want
         assert len(built) == 42
+
+    def test_work_per_reference_solve(self, fb, sigma_ref, monkeypatch):
+        # what depends only on the prior is built once per solve, a point's
+        # Stein factorization takes A_T's spectral radius from its blocks,
+        # and each candidate's closed loop is computed once
+        prior = prior_from_polynomial(B_REF)  # its blow-up is not built yet
+        blowups, loops, in_point, point_radii = [], [], [], []
+        channel_blowup = statespace._channel_blowup
+        closed_loop = statespace._closed_loop
+        spectral_radius = matrixeq._spectral_radius
+        init = moment._StatespacePoint.__init__
+
+        def counted_blowup(outer, m):
+            if outer is prior.sigma:
+                blowups.append(m)
+            return channel_blowup(outer, m)
+
+        def counted_loop(*args):
+            loops.append(args)
+            return closed_loop(*args)
+
+        def counted_radius(A):
+            if in_point:
+                point_radii.append(A.shape)
+            return spectral_radius(A)
+
+        def tracked_init(self, *args, **kwargs):
+            in_point.append(True)
+            try:
+                init(self, *args, **kwargs)
+            finally:
+                in_point.pop()
+
+        monkeypatch.setattr(statespace, "_channel_blowup", counted_blowup)
+        monkeypatch.setattr(statespace, "_closed_loop", counted_loop)
+        monkeypatch.setattr(matrixeq, "_spectral_radius", counted_radius)
+        monkeypatch.setattr(moment._StatespacePoint, "__init__", tracked_init)
+        path = run_continuation(fb, prior, sigma_ref)
+        steps = len(path.samples) - 1
+        iters = sum(s.newton_iters for s in path.samples)
+        assert (steps, iters) == (10, 30)
+        assert blowups == [fb.m]
+        assert point_radii == []
+        # the start parameter, one prediction per step (none rejected) and
+        # one candidate per Newton iterate (none damped)
+        assert len(loops) == 1 + steps + iters
 
     def test_one_range_basis_per_solve(self, fb, prior_ref, sigma_ref,
                                        monkeypatch):

@@ -10,11 +10,12 @@ from spectral_homotopy import (EvaluationError, FactorParameter, FilterBank,
                                SolverError, StateSpaceSystem,
                                apply_f2_quadrature, apply_g1_direction,
                                apply_g2_quadrature, apply_g2_statespace, assemble_jacobian_matrix,
-                               condition_numbers, constant_prior,
-                               f_jacobian_from_g, h_inverse,
+                               cascade, condition_numbers, constant_prior,
+                               f_jacobian_from_g, factor_inner_realization,
+                               h_inverse,
                                jacobian_condition_number, make_chart,
                                make_covariance_extension_filter,
-                               maxent_initialization, moment,
+                               matrixeq, maxent_initialization, moment,
                                moment_f_quadrature, moment_g_quadrature,
                                moment_g_statespace,
                                prior_from_outer, prior_from_polynomial,
@@ -484,6 +485,41 @@ class TestJacobian:
         assert abs(c1 - c2) / c1 < 1e-6
 
 
+class TestCascadeAssembly:
+    @pytest.mark.parametrize("kind", ["constant", "polynomial", "rational",
+                                      None])
+    @pytest.mark.parametrize("bank", [(1, 2), (2, 1), (3, 2), "diag"])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_assembled_realization_matches_cascade(self, field, bank, kind,
+                                                   rng, monkeypatch):
+        # a point assembles A_T, B_T and C_T around Pi and the prior's kept
+        # blow-up; statespace.cascade of the prior and the inner system is
+        # the oracle, and the radius the point hands its Stein
+        # factorization is the spectral radius of A_T
+        fb = _bank(bank, field)
+        param = _random_param(fb, rng)
+        prior = None if kind is None else _random_prior(rng, kind, field)
+        factored = []
+        stein_solver = moment._stein_solver
+
+        def recorded(a, radius=None):
+            factored.append((a, radius))
+            return stein_solver(a, radius=radius)
+
+        monkeypatch.setattr(moment, "_stein_solver", recorded)
+        point = moment._StatespacePoint(fb, prior, param)
+        sigma = prior.sigma if prior is not None else StateSpaceSystem(
+            np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[1.0]])
+        T = cascade(sigma, factor_inner_realization(fb, param))
+        for got, want in ((point.A_T, T.A), (point.B_T, T.B),
+                          (point.C_T, T.C)):
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+        ((a, radius),) = factored
+        assert a is point.A_T
+        assert abs(radius - matrixeq._spectral_radius(a)) <= 1e-12
+
+
 class TestChainRuleWeightJacobian:
     """J_f = J_g J_{h^{-1}}^{-1} against the quadrature oracle for f."""
 
@@ -571,9 +607,9 @@ class TestJacobianSolve:
         shapes = []
         stein_solver = moment._stein_solver
 
-        def counted(a):
+        def counted(a, radius=None):
             shapes.append(a.shape)
-            return stein_solver(a)
+            return stein_solver(a, radius=radius)
 
         monkeypatch.setattr(moment, "_stein_solver", counted)
         solve_jacobian_system(chart, prior_ref, param_ref, Y)

@@ -244,6 +244,15 @@ class TestFieldCoercion:
         with pytest.raises(ValueError, match="imaginary"):
             coerce_field(M, "real")
 
+    def test_stack_is_checked_slice_by_slice(self):
+        # 1e-9 is roundoff next to slice 0's entries of 1e6, not next to
+        # slice 1's entries of 1: each slice is held to its own scale
+        M = np.stack([1e6 * np.eye(2), np.eye(2)]) + 1e-9j
+        out = coerce_field(M[:1], "real")
+        assert out.shape == (1, 2, 2) and not np.iscomplexobj(out)
+        with pytest.raises(ValueError, match=r"1\.000e-09 exceeds .* 2\.000e"):
+            coerce_field(M, "real")
+
     def test_complex_field_passes_through(self):
         M = np.eye(2) + 1j
         out = coerce_field(M, "complex")
