@@ -27,12 +27,11 @@ from .errors import (ConfigError, EvaluationError, FactorizationError,
                      MembershipError, SolverError, SpectralHomotopyError)
 from .statespace import (CplusDiagnostics, FactorParameter, FilterBank,
                          LplusDiagnostics, PriorSpectrum, StateSpaceSystem,
-                         cascade, circle_grid, coerce_field, constant_prior,
-                         factor_inner_realization, grid_size_from_spacing,
-                         is_in_Cplus, is_in_Lplus,
+                         circle_grid, coerce_field, constant_prior,
+                         grid_size_from_spacing, is_in_Cplus, is_in_Lplus,
                          make_covariance_extension_filter, matrix_from_json,
                          matrix_to_json, prior_from_outer,
-                         prior_from_polynomial, series_product)
+                         prior_from_polynomial)
 from .matrixeq import (DareSolution, reverse_cholesky, solve_dare_appendix,
                        solve_dare_lambda, solve_dlyap, standard_cholesky)
 from .factorization import (OuterFactor, density_values, h_inverse, h_map,
@@ -59,9 +58,8 @@ __all__ = [
     "CplusDiagnostics", "LplusDiagnostics",
     "make_covariance_extension_filter", "constant_prior",
     "prior_from_polynomial", "prior_from_outer", "is_in_Cplus", "is_in_Lplus",
-    "factor_inner_realization", "circle_grid", "grid_size_from_spacing",
-    "cascade", "series_product", "coerce_field", "matrix_to_json",
-    "matrix_from_json",
+    "circle_grid", "grid_size_from_spacing", "coerce_field",
+    "matrix_to_json", "matrix_from_json",
     "DareSolution", "solve_dlyap", "solve_dare_appendix", "solve_dare_lambda",
     "standard_cholesky", "reverse_cholesky",
     "OuterFactor", "right_outer_factor", "left_outer_factor_from_additive",

@@ -1,8 +1,8 @@
 """Matrix equation solvers.
 
 Discrete-time Stein/Lyapunov equations (by Smith's squared iteration, in
-plain numpy), two Riccati forms and the triangular factorizations they need.
-Two Riccati conventions appear:
+plain numpy), two Riccati forms, the exact positivity test they rest on, and
+the triangular factorizations they need.  Two Riccati conventions appear:
 
 * the lag-weight form  P = A*PA - A*PB (B*PB)^{-1} B*PA + Lambda,
   which carries no regularizing term inside B*PB and therefore cannot be fed
@@ -13,11 +13,12 @@ Two Riccati conventions appear:
 The lag-weight form is reduced exactly to the additive form: with Q solving
 the Stein equation Q - A*QA = Lambda, the substitution P = Q + X turns the
 first equation into the second with (F, G, H, J) = (A*, A*QB, B*, B*QB / 2),
-and the closed loops correspond by conjugate transposition.  The additive
-form is solved by a structure-preserving doubling iteration, with a
-fixed-point iteration as fallback when doubling fails, then polished by Newton
-steps, each of which is one Stein solve.  The direct fixed-point iteration of
-the lag-weight form is kept only as an independent check of that route.
+and the closed loops correspond by conjugate transposition.  Either form is
+solved only after _circle_positivity has shown Z + Z* > 0 on the unit circle
+exactly (the discrete-time positive-real lemma), which is when the
+stabilizing solution exists.  It is found by a structure-preserving doubling
+iteration, the one route, then polished by Newton steps, each of which is one
+Stein solve.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FactorizationError, MembershipError, SolverError
-from .statespace import circle_grid, coerce_field, is_in_Lplus
+from .statespace import coerce_field
 
 __all__ = [
     "DareSolution",
@@ -42,11 +43,12 @@ DLYAP_RESIDUAL_TOL = 1e-11
 DARE_RESIDUAL_TOL = 1e-10
 ITER_UPDATE_TOL = 1e-13
 ITER_BUDGET = 200
-# The fixed-point iterations contract only linearly, at the squared spectral
-# radius of the closed loop: at the reference weight (radius 0.985) the
-# additive form needs 739 steps to reach ITER_UPDATE_TOL.
-_FIXED_POINT_BUDGET = 10000
 STRICT_TOL = 1e-12
+# An eigenvalue s of the Cayley-transformed pencil of _circle_positivity with
+# |Re s| <= AXIS_TOL (1 + |s|) counts as a zero of Z + Z* on the unit circle.
+# Roundoff leaves a zero on the circle ~1e-12 off the axis; a density with a
+# positive margin of 1e-6 keeps its zeros ~1e-5 away from it.
+AXIS_TOL = 1e-8
 
 
 def _hermitize(X):
@@ -274,51 +276,58 @@ def _sda_appendix(F, G, H, R):
         history=[float(delta)])
 
 
-def _fixed_point_appendix(F, G, H, R):
-    P = np.zeros_like(F, dtype=np.result_type(F, G, H, R, float))
-    history = []
-    for it in range(1, _FIXED_POINT_BUDGET + 1):
-        Om = _hermitize(R + H @ P @ H.conj().T)
-        try:
-            np.linalg.cholesky(Om)
-        except np.linalg.LinAlgError:
-            raise SolverError(
-                "fixed-point iterate left the feasible region "
-                f"(R + HPH* indefinite at iteration {it})", history=history)
-        K = np.linalg.solve(Om.conj().T, (G + F @ P @ H.conj().T).conj().T).conj().T
-        Pn = _hermitize(F @ P @ F.conj().T - K @ Om @ K.conj().T)
-        delta = np.linalg.norm(Pn - P) / (1.0 + np.linalg.norm(Pn))
-        history.append(float(delta))
-        P = Pn
-        if delta <= ITER_UPDATE_TOL:
-            return P, it
-    raise SolverError(
-        "fixed-point iteration did not converge in "
-        f"{_FIXED_POINT_BUDGET} steps",
-        history=history)
+def _circle_positivity(F, G, H, J):
+    """Why Z + Z* is not positive definite on the unit circle, or None.
 
+    Z = H (zI - F)^{-1} G + J with F Schur stable.  The test is exact, by the
+    discrete-time positive-real lemma (Anderson & Vongpanitlerd, Network
+    Analysis and Synthesis): Z + Z* > 0 on the circle iff R = J + J* > 0,
+    Z + Z* > 0 at z = -1, and Z + Z* is nonsingular on the whole circle.
+    The zeros of Z + Z* are the eigenvalues z of the symplectic pencil
+    M - z L with
 
-def _additive_positivity(F, G, H, J):
-    """Min eigenvalue of Z + Z*, Z = H (zI - F)^{-1} G + J, on 1024 points."""
-    z = np.exp(1j * circle_grid(1024))
+        M = [[F - G R^{-1} H, -G R^{-1} G*], [0, I]],
+        L = [[I, 0], [-H* R^{-1} H, F* - H* R^{-1} G*]].
+
+    The Cayley transform s = (z - 1) / (z + 1), the eigenvalues of
+    (M + L)^{-1} (M - L), maps the circle onto the imaginary axis and the
+    infinite eigenvalues of a singular L (nilpotent F) to s = 1; M + L is
+    invertible because z = -1 is not a zero.
+    """
+    R = _hermitize(J + J.conj().T)
+    rmin = float(np.min(np.linalg.eigvalsh(R)))
+    if not rmin > 0.0:
+        return ("its mean J + J* is not positive definite "
+                f"(min eigenvalue {rmin:.6e})")
     nz = F.shape[0]
     if nz == 0:
-        S = J + J.conj().T
-        return float(np.min(np.linalg.eigvalsh(0.5 * (S + S.conj().T))))
-    X = np.linalg.solve(z[:, None, None] * np.eye(nz) - F,
-                        np.broadcast_to(G.astype(complex), (z.size,) + G.shape))
-    Zv = H @ X + J
-    S = Zv + Zv.conj().transpose(0, 2, 1)
-    S = 0.5 * (S + S.conj().transpose(0, 2, 1))
-    return float(np.min(np.linalg.eigvalsh(S)))
+        return None
+    eye = np.eye(nz)
+    Zm = H @ np.linalg.solve(-eye - F, G)
+    pmin = float(np.min(np.linalg.eigvalsh(_hermitize(R + Zm + Zm.conj().T))))
+    if not pmin > 0.0:
+        return f"its min eigenvalue at z = -1 is {pmin:.6e}"
+    Hh = H.conj().T
+    RiH = np.linalg.solve(R, H)
+    RiGh = np.linalg.solve(R, G.conj().T)
+    zero = np.zeros((nz, nz))
+    M = np.block([[F - G @ RiH, -G @ RiGh], [zero, eye]])
+    L = np.block([[eye, zero], [-Hh @ RiH, F.conj().T - Hh @ RiGh]])
+    s = np.linalg.eigvals(np.linalg.solve(M + L, M - L))
+    dist = np.abs(s.real) / (1.0 + np.abs(s))
+    k = int(np.argmin(dist))
+    if dist[k] <= AXIS_TOL:
+        theta = float(np.angle((1.0 + s[k]) / (1.0 - s[k])))
+        return f"it is singular at theta = {theta:.6f}"
+    return None
 
 
 def solve_dare_appendix(F, G, H, J):
     """Stabilizing solution of the additive-form Riccati equation.
 
     Solves P = FPF* - (G + FPH*)(R + HPH*)^{-1}(G* + HPF*) with R = J + J*,
-    for Z(z) = H (zI - F)^{-1} G + J with Z + Z* > 0 on the unit circle (the
-    positivity is prechecked on a 1024-point grid).
+    for Z(z) = H (zI - F)^{-1} G + J with Z + Z* > 0 on the unit circle
+    (decided exactly by _circle_positivity).
 
     Parameters
     ----------
@@ -357,16 +366,19 @@ def solve_dare_appendix(F, G, H, J):
     if not rmin > 0.0:
         raise FactorizationError(
             f"J + J* is not positive definite (min eigenvalue {rmin:.3e})")
-    pmin = _additive_positivity(F, G, H, J)
-    if not pmin > 0.0:
+    why = _circle_positivity(F, G, H, J)
+    if why is not None:
         raise MembershipError(
-            "Z + Z* is not positive on the unit circle "
-            f"(min grid eigenvalue {pmin:.6e})")
+            f"Z + Z* is not positive on the unit circle: {why}")
     return _solve_additive(F, G, H, J, R)
 
 
 def _solve_additive(F, G, H, J, R):
-    """The additive-form solve proper, on inputs that passed the checks."""
+    """The additive-form solve proper, on inputs that passed the checks.
+
+    Doubling is the only route: on data with Z + Z* > 0 on the circle it
+    converges, and a SolverError from it propagates.
+    """
     nz = F.shape[0]
     scale = (1.0 + np.linalg.norm(G)) / (1.0 + np.linalg.norm(R))
     if nz == 0 or np.linalg.norm(H) * scale <= 1e-13:
@@ -374,12 +386,7 @@ def _solve_additive(F, G, H, J, R):
         return DareSolution(P=np.zeros((nz, nz)), L=L, closed_loop=F.copy(),
                             residual_norm=0.0, iterations=0, method="degenerate")
 
-    try:
-        P, iters = _sda_appendix(F, G, H, R)
-        used = "doubling"
-    except SolverError:
-        P, iters = _fixed_point_appendix(F, G, H, R)
-        used = "fixed-point"
+    P, iters = _sda_appendix(F, G, H, R)
 
     # Newton polish: each step solves a Stein equation in the current
     # closed loop; quadratic, so one or two steps reach machine residual.
@@ -414,7 +421,7 @@ def _solve_additive(F, G, H, J, R):
     if not any(np.iscomplexobj(X) for X in (F, G, H, J)):
         P, L, Kcl = P.real, L.real, Kcl.real
     return DareSolution(P=P, L=L, closed_loop=Kcl, residual_norm=rnorm,
-                        iterations=iters, method=used)
+                        iterations=iters, method="doubling")
 
 
 def _lambda_residual(A, B, Lam, P):
@@ -430,31 +437,12 @@ def _lambda_residual(A, B, Lam, P):
     return _hermitize(resid), M, Pi
 
 
-def _fixed_point_lambda(A, B, Lam):
-    # start from the Stein solution Q - A*QA = Lambda: B*QB is the circle
-    # integral of G* Lambda G, so positive definite; B*Lambda B need not be
-    P = solve_dlyap(A.conj().T, Lam)
-    history = []
-    for it in range(1, _FIXED_POINT_BUDGET + 1):
-        M = _hermitize(B.conj().T @ P @ B)
-        try:
-            np.linalg.cholesky(M)
-        except np.linalg.LinAlgError:
-            raise SolverError(
-                "fixed-point iterate has indefinite B*PB at iteration "
-                f"{it}", history=history)
-        W = np.linalg.solve(M, B.conj().T @ P @ A)
-        Pn = _hermitize(
-            A.conj().T @ P @ A - (B.conj().T @ P @ A).conj().T @ W + Lam)
-        delta = np.linalg.norm(Pn - P) / (1.0 + np.linalg.norm(Pn))
-        history.append(float(delta))
-        P = Pn
-        if delta <= ITER_UPDATE_TOL:
-            return P, it
-    raise SolverError(
-        "fixed-point iteration did not converge in "
-        f"{_FIXED_POINT_BUDGET} steps",
-        history=history)
+def _lambda_additive(A, B, Lam):
+    """Q solving Q - A*QA = Lambda, and the additive data
+    (A*, A*QB, B*, B*QB / 2) of the reduction, whose Z + Z* is G* Lambda G."""
+    Ah = A.conj().T
+    Q = solve_dlyap(Ah, Lam)
+    return Q, (Ah, Ah @ Q @ B, B.conj().T, 0.5 * B.conj().T @ Q @ B)
 
 
 def solve_dare_lambda(filterbank, Lam):
@@ -464,7 +452,7 @@ def solve_dare_lambda(filterbank, Lam):
     ----------
     filterbank : FilterBank
     Lam : (n, n) Hermitian array whose induced density G* Lambda G is
-        positive on the unit circle (prechecked on a 1024-point grid)
+        positive on the unit circle (decided exactly by _circle_positivity)
 
     Returns
     -------
@@ -477,21 +465,18 @@ def solve_dare_lambda(filterbank, Lam):
     Lam = _check_hermitian(Lam, "Lambda")
     if Lam.shape != (filterbank.n, filterbank.n):
         raise ValueError(f"Lambda must be {filterbank.n}x{filterbank.n}")
-    diag = is_in_Lplus(filterbank, Lam)
-    if not diag:
-        raise MembershipError(
-            "G* Lambda G is not positive on the unit circle "
-            f"(min grid eigenvalue {diag.min_eigenvalue:.6e})")
 
     # Exact reduction: Q - A*QA = Lambda, then P = Q + X with X the
     # stabilizing solution of the additive form for
     # (F, G, H, J) = (A*, A*QB, B*, B*QB / 2).  Its Z + Z* is G* Lambda G,
-    # whose positivity was just checked, so the additive solve is entered
-    # without a second scan.
-    Q = solve_dlyap(A.conj().T, Lam)
-    J = 0.5 * B.conj().T @ Q @ B
-    app = _solve_additive(A.conj().T, A.conj().T @ Q @ B, B.conj().T, J,
-                          _hermitize(J + J.conj().T))
+    # so the one Stein solve for Q serves both the membership test and the
+    # solve.
+    Q, (F, G, H, J) = _lambda_additive(A, B, Lam)
+    why = _circle_positivity(F, G, H, J)
+    if why is not None:
+        raise MembershipError(
+            f"G* Lambda G is not positive on the unit circle: {why}")
+    app = _solve_additive(F, G, H, J, _hermitize(J + J.conj().T))
     P = _hermitize(Q + app.P)
 
     resid, M, Pi = _lambda_residual(A, B, Lam, P)

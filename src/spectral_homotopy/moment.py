@@ -245,8 +245,8 @@ class _StatespacePoint:
 
     where (A_s, B_s, C_s, D_s) = (A (x) I_m, B (x) I_m, C (x) I_m, D I_m)
     are the prior's per-channel copies, built once per prior and m
-    (PriorSpectrum._blowup); a point assembles A_T around its own Pi and
-    Bt, the result of statespace.cascade without its realization objects.
+    (PriorSpectrum._blowup); a point assembles A_T in place around its own
+    Pi and Bt, with no realization objects.
     A_T is block upper triangular, so its spectral radius is the larger of
     Pi's (kept by the FactorParameter) and the prior's, and the Stein
     factorization's stability check needs no eigenvalues.  The flat prior

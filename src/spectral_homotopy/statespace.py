@@ -30,9 +30,6 @@ __all__ = [
     "prior_from_outer",
     "constant_prior",
     "eval_transfer",
-    "cascade",
-    "series_product",
-    "factor_inner_realization",
     "is_in_Cplus",
     "is_in_Lplus",
     "circle_grid",
@@ -182,46 +179,6 @@ def eval_transfer(system, z):
     return system.C @ X + system.D
 
 
-def series_product(left, right):
-    """Realization of the matrix product ``left(z) @ right(z)``.
-
-    The right factor acts on the input first.  State dimension is the sum of
-    the factors' state dimensions.
-    """
-    if left.n_inputs != right.n_outputs:
-        raise ValueError(
-            f"inner dimensions differ: left has {left.n_inputs} inputs, "
-            f"right has {right.n_outputs} outputs"
-        )
-    n1, n2 = left.n_states, right.n_states
-    dtype = np.result_type(left.A.dtype, right.A.dtype,
-                           left.D.dtype, right.D.dtype, float)
-    A = np.zeros((n1 + n2, n1 + n2), dtype=dtype)
-    A[:n1, :n1] = left.A
-    A[:n1, n1:] = left.B @ right.C
-    A[n1:, n1:] = right.A
-    B = np.vstack([left.B @ right.D, right.B]).astype(dtype)
-    C = np.hstack([left.C, left.D @ right.C]).astype(dtype)
-    D = (left.D @ right.D).astype(dtype)
-    return StateSpaceSystem(A, B, C, D)
-
-
-def cascade(outer, inner):
-    """Realization of ``outer(z) * inner(z)`` for a scalar outer factor.
-
-    The scalar factor is applied per input channel of ``inner``, so the state
-    dimension is ``inner.n_states + outer.n_states * inner.n_inputs`` (for a
-    multi-input inner system the per-channel copies are unavoidable: the
-    product has that many poles counting multiplicity).
-    """
-    if outer.n_inputs != 1 or outer.n_outputs != 1:
-        raise ValueError("outer factor must be scalar (1x1)")
-    if outer.n_states == 0:
-        d = outer.D.reshape(())
-        return StateSpaceSystem(inner.A, inner.B * d, inner.C, inner.D * d)
-    return series_product(inner, _channel_blowup(outer, inner.n_inputs))
-
-
 def _channel_blowup(outer, m):
     """One copy of the scalar system ``outer`` per channel of an m-channel
     signal: (A (x) I_m, B (x) I_m, C (x) I_m, D I_m)."""
@@ -335,7 +292,10 @@ class PriorSpectrum:
 
     kind is "constant", "polynomial" (sigma a minimum-phase FIR, coefficients
     stored highest lag last) or "rational".  The density is validated to be
-    strictly positive on a 1024-point circle grid at construction.
+    strictly positive on the unit circle at construction, exactly: with Pc
+    sigma's reachability Gramian, sigma sigma* = Z + Z* for the additive data
+    (A, A Pc C* + B D*, C, (C Pc C* + D D*) / 2), and
+    matrixeq._circle_positivity decides Z + Z* > 0.
 
     The spectral radius of sigma's A, found by the stability check, is kept
     with the per-channel copies of sigma that a cascade with an m-input
@@ -359,12 +319,15 @@ class PriorSpectrum:
             raise MembershipError(
                 f"sigma is not Schur stable: spectral radius {rho:.15g}")
         object.__setattr__(self, "_radius", rho)
-        vals = self.psi_values(circle_grid(1024))
-        lo = float(vals.min())
-        if not lo > 0.0:
+        # matrixeq imports this module
+        from .matrixeq import _circle_positivity, _stein_solver
+        A, B, C, D = (self.sigma.A, self.sigma.B, self.sigma.C, self.sigma.D)
+        Pc = _stein_solver(A, radius=rho)(B @ B.conj().T)
+        why = _circle_positivity(A, A @ Pc @ C.conj().T + B @ D.conj().T, C,
+                                 0.5 * (C @ Pc @ C.conj().T + D @ D.conj().T))
+        if why is not None:
             raise MembershipError(
-                f"prior density is not positive on the unit circle "
-                f"(grid minimum {lo:.3e})")
+                f"prior density is not positive on the unit circle: {why}")
         if self.coefficients is not None:
             c = np.atleast_1d(np.asarray(self.coefficients)).copy()
             c.setflags(write=False)
@@ -554,11 +517,15 @@ def _closed_loop(filterbank, C):
 
 
 def is_in_Lplus(filterbank, Lam):
-    """Check G(z)* Lambda G(z) > 0 on a 1024-point circle grid.
+    """Check G(z)* Lambda G(z) > 0 on the unit circle.
 
-    Lambda must be Hermitian to tolerance 1e-12.  Returns diagnostics with
-    the minimum eigenvalue found over the grid.
+    Lambda must be Hermitian to tolerance 1e-12.  Membership is decided
+    exactly, by matrixeq._circle_positivity on the additive data of the
+    reduction Q - A*QA = Lambda; the diagnostics' ``min_eigenvalue`` is the
+    minimum over a 1024-point circle grid, reported only as a diagnostic.
     """
+    # matrixeq imports this module
+    from .matrixeq import _circle_positivity, _lambda_additive
     Lam = _as_matrix(Lam, "Lambda")
     n = filterbank.n
     if Lam.shape != (n, n):
@@ -570,9 +537,10 @@ def is_in_Lplus(filterbank, Lam):
     G = filterbank.eval_grid(np.exp(1j * circle_grid(1024)))
     M = G.conj().transpose(0, 2, 1) @ Lam @ G
     M = 0.5 * (M + M.conj().transpose(0, 2, 1))
-    eigs = np.linalg.eigvalsh(M)
-    min_eig = float(eigs.min())
-    return LplusDiagnostics(member=min_eig > 0.0, min_eigenvalue=min_eig)
+    min_eig = float(np.linalg.eigvalsh(M).min())
+    additive = _lambda_additive(filterbank.A, filterbank.B, Lam)[1]
+    return LplusDiagnostics(member=_circle_positivity(*additive) is None,
+                            min_eigenvalue=min_eig)
 
 
 @dataclass(frozen=True)
@@ -613,17 +581,6 @@ class FactorParameter:
     def spectral_radius(self):
         """Spectral radius of the closed loop Pi, kept from construction."""
         return self._radius
-
-
-def factor_inner_realization(filterbank, C):
-    """Stable realization (Pi, B (CB)^{-1}, I, 0) of G(z) (z C G(z))^{-1}.
-
-    Accepts a FactorParameter or a raw matrix in the stable factor set.
-    """
-    param = C if isinstance(C, FactorParameter) else FactorParameter(filterbank, C)
-    n = filterbank.n
-    Bt = np.linalg.solve(param.CB.T, filterbank.B.T).T
-    return StateSpaceSystem(param.Pi, Bt, np.eye(n), np.zeros((n, filterbank.m)))
 
 
 def matrix_to_json(M):

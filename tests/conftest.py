@@ -4,10 +4,12 @@ parameter, and samplers for admissible random inputs."""
 import numpy as np
 import pytest
 
-from spectral_homotopy import (CoordinateChart, FactorParameter, make_chart,
+from spectral_homotopy import (CoordinateChart, FactorParameter,
+                               StateSpaceSystem, make_chart,
                                make_covariance_extension_filter,
                                maxent_initialization, moment_g_statespace,
                                prior_from_polynomial, solve_dlyap)
+from spectral_homotopy.statespace import _channel_blowup
 
 # reference point used throughout: a parameter whose two coordinate systems
 # have sharply different conditioning
@@ -110,6 +112,57 @@ def random_additive_quadruple(rng, n=3, p=2, complex_data=False):
     G = A @ Pc @ C.conj().T + B @ D.conj().T
     J = 0.5 * (C @ Pc @ C.conj().T + D @ D.conj().T)
     return (A, G, C, J), (A, B, C, D)
+
+
+def series_product(left, right):
+    """Realization of the matrix product ``left(z) @ right(z)``.
+
+    The right factor acts on the input first.  State dimension is the sum of
+    the factors' state dimensions.
+    """
+    if left.n_inputs != right.n_outputs:
+        raise ValueError(
+            f"inner dimensions differ: left has {left.n_inputs} inputs, "
+            f"right has {right.n_outputs} outputs"
+        )
+    n1, n2 = left.n_states, right.n_states
+    dtype = np.result_type(left.A.dtype, right.A.dtype,
+                           left.D.dtype, right.D.dtype, float)
+    A = np.zeros((n1 + n2, n1 + n2), dtype=dtype)
+    A[:n1, :n1] = left.A
+    A[:n1, n1:] = left.B @ right.C
+    A[n1:, n1:] = right.A
+    B = np.vstack([left.B @ right.D, right.B]).astype(dtype)
+    C = np.hstack([left.C, left.D @ right.C]).astype(dtype)
+    D = (left.D @ right.D).astype(dtype)
+    return StateSpaceSystem(A, B, C, D)
+
+
+def cascade(outer, inner):
+    """Realization of ``outer(z) * inner(z)`` for a scalar outer factor.
+
+    The scalar factor is applied per input channel of ``inner``, so the state
+    dimension is ``inner.n_states + outer.n_states * inner.n_inputs``.  The
+    tests' oracle for the cascade that moment._StatespacePoint assembles in
+    place.
+    """
+    if outer.n_inputs != 1 or outer.n_outputs != 1:
+        raise ValueError("outer factor must be scalar (1x1)")
+    if outer.n_states == 0:
+        d = outer.D.reshape(())
+        return StateSpaceSystem(inner.A, inner.B * d, inner.C, inner.D * d)
+    return series_product(inner, _channel_blowup(outer, inner.n_inputs))
+
+
+def factor_inner_realization(filterbank, C):
+    """Stable realization (Pi, B (CB)^{-1}, I, 0) of G(z) (z C G(z))^{-1}.
+
+    Accepts a FactorParameter or a raw matrix in the stable factor set.
+    """
+    param = C if isinstance(C, FactorParameter) else FactorParameter(filterbank, C)
+    n = filterbank.n
+    Bt = np.linalg.solve(param.CB.T, filterbank.B.T).T
+    return StateSpaceSystem(param.Pi, Bt, np.eye(n), np.zeros((n, filterbank.m)))
 
 
 def fd_direction(chart, rng):

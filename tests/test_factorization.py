@@ -7,8 +7,9 @@ from numpy.testing import assert_allclose
 from spectral_homotopy import (FactorParameter, FilterBank, MembershipError,
                                circle_grid, constant_prior, density_values,
                                h_inverse, h_map,
-                               left_outer_factor_from_additive, matrixeq,
-                               prior_from_polynomial, right_outer_factor)
+                               left_outer_factor_from_additive,
+                               prior_from_polynomial, right_outer_factor,
+                               statespace)
 
 from conftest import C_REF, random_additive_quadruple, relative_error
 
@@ -58,20 +59,18 @@ class TestWeightToFactor:
         assert_allclose(chart.project_range_gamma(np.zeros((4, 4))),
                         np.zeros((4, 4)), atol=0)
 
-    def test_one_positivity_scan_per_call(self, fb, chart, monkeypatch):
-        # the additive form reached from Lambda has Z + Z* = G* Lambda G, so
-        # the membership check is the only circle scan h_map needs
-        calls = []
-        for name in ("is_in_Lplus", "_additive_positivity"):
-            original = getattr(matrixeq, name)
+    def test_h_map_builds_no_circle_grid(self, fb, chart, monkeypatch):
+        # membership of Lambda is decided by the exact test on the additive
+        # data of the Riccati reduction, so nothing is evaluated on a grid
+        Lam = h_inverse(chart, C_REF)
 
-            def counted(*args, _original=original, **kwargs):
-                calls.append(_original)
-                return _original(*args, **kwargs)
+        def no_grid(*args, **kwargs):
+            raise AssertionError("h_map evaluated on a circle grid")
 
-            monkeypatch.setattr(matrixeq, name, counted)
-        h_map(fb, h_inverse(chart, C_REF))
-        assert len(calls) == 1
+        monkeypatch.setattr(statespace, "circle_grid", no_grid)
+        monkeypatch.setattr(statespace.FilterBank, "eval_grid", no_grid)
+        monkeypatch.setattr(statespace.StateSpaceSystem, "eval_grid", no_grid)
+        assert relative_error(h_map(fb, Lam).C, C_REF) < 1e-8
 
     def test_inadmissible_weight_rejected(self, fb):
         with pytest.raises(MembershipError):

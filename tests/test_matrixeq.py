@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from spectral_homotopy import (FactorizationError, MembershipError,
-                               SolverError, circle_grid, h_inverse,
-                               make_chart, matrixeq, reverse_cholesky,
-                               solve_dare_appendix, solve_dare_lambda,
-                               solve_dlyap, standard_cholesky)
+from spectral_homotopy import (FactorizationError, FactorParameter,
+                               FilterBank, MembershipError, PriorSpectrum,
+                               SolverError, StateSpaceSystem, circle_grid,
+                               h_inverse, h_map, is_in_Lplus, make_chart,
+                               make_covariance_extension_filter, matrixeq,
+                               reverse_cholesky, solve_dare_appendix,
+                               solve_dare_lambda, solve_dlyap,
+                               standard_cholesky)
 
-from conftest import C_REF, random_additive_quadruple
+from conftest import random_additive_quadruple, relative_error
 
 
 def stein_residual(A1, Q, X):
@@ -235,7 +238,7 @@ class TestLagWeightRiccati:
             Lam = h_inverse(chart, param)
             sd = solve_dare_lambda(fb, Lam)
             # the direct lag-weight iteration is an independent oracle
-            Pf, _ = matrixeq._fixed_point_lambda(fb.A, fb.B, Lam)
+            Pf = _fixed_point_lambda(fb.A, fb.B, Lam)
             assert_allclose(sd.P, Pf, rtol=1e-9, atol=1e-11)
 
     def test_inadmissible_weight_rejected(self, fb):
@@ -291,7 +294,7 @@ class TestAdditiveRiccati:
     def test_methods_agree(self, rng):
         (F, G, H, J), _ = random_additive_quadruple(rng)
         sd = solve_dare_appendix(F, G, H, J)
-        Pf, _ = matrixeq._fixed_point_appendix(F, G, H, J + J.conj().T)
+        Pf = _fixed_point_appendix(F, G, H, J + J.conj().T)
         assert_allclose(sd.P, Pf, rtol=1e-9, atol=1e-11)
 
     def test_rejects_indefinite_circle_values(self, rng):
@@ -316,33 +319,203 @@ class TestAdditiveRiccati:
                                 np.ones((1, 2)), np.ones((1, 1)))
 
 
-def _fail_doubling(*args):
-    raise SolverError("doubling disabled for this test")
+# The fixed-point iterations below are the test_methods_agree oracles for the
+# doubling route.  They contract only linearly, at the squared spectral
+# radius of the closed loop: at the reference weight (radius 0.985) the
+# additive form needs 739 steps to reach matrixeq.ITER_UPDATE_TOL.
+FIXED_POINT_BUDGET = 10000
 
 
-class TestFixedPointFallback:
-    """A failed doubling iteration falls back to the fixed-point iteration."""
+def _fixed_point_appendix(F, G, H, R):
+    """Stabilizing P of the additive form by P <- FPF* - K (R + HPH*) K*."""
+    P = np.zeros_like(F, dtype=np.result_type(F, G, H, R, float))
+    for _ in range(FIXED_POINT_BUDGET):
+        Om = matrixeq._hermitize(R + H @ P @ H.conj().T)
+        np.linalg.cholesky(Om)
+        K = np.linalg.solve(Om.conj().T,
+                            (G + F @ P @ H.conj().T).conj().T).conj().T
+        Pn = matrixeq._hermitize(F @ P @ F.conj().T - K @ Om @ K.conj().T)
+        delta = np.linalg.norm(Pn - P) / (1.0 + np.linalg.norm(Pn))
+        P = Pn
+        if delta <= matrixeq.ITER_UPDATE_TOL:
+            return P
+    raise AssertionError(f"no convergence in {FIXED_POINT_BUDGET} steps")
 
-    def test_additive_form(self, rng, monkeypatch):
-        (F, G, H, J), _ = random_additive_quadruple(rng)
-        sd = solve_dare_appendix(F, G, H, J)
-        monkeypatch.setattr(matrixeq, "_sda_appendix", _fail_doubling)
-        sf = solve_dare_appendix(F, G, H, J)
-        assert sd.method == "doubling"
-        assert sf.method == "fixed-point"
-        assert additive_residual(F, G, H, J, sf.P) <= 1e-10 * (
-            1 + np.linalg.norm(sf.P))
-        assert np.max(np.abs(np.linalg.eigvals(sf.closed_loop))) < 1.0
-        assert_allclose(sf.P, sd.P, rtol=1e-9, atol=1e-9)
 
-    def test_lag_weight_form(self, fb, chart, monkeypatch):
-        Lam = h_inverse(chart, C_REF)
-        sd = solve_dare_lambda(fb, Lam)
-        monkeypatch.setattr(matrixeq, "_sda_appendix", _fail_doubling)
-        sf = solve_dare_lambda(fb, Lam)
-        assert sd.method == "doubling"
-        assert sf.method == "fixed-point"
-        assert dare_lambda_residual(fb, Lam, sf.P) <= 1e-10 * (
-            1 + np.linalg.norm(sf.P))
-        assert np.max(np.abs(np.linalg.eigvals(sf.closed_loop))) < 1.0
-        assert_allclose(sf.P, sd.P, rtol=1e-9, atol=1e-9)
+def _fixed_point_lambda(A, B, Lam):
+    """Stabilizing P of the lag-weight form by its direct iteration."""
+    # start from the Stein solution Q - A*QA = Lambda: B*QB is the circle
+    # integral of G* Lambda G, so positive definite; B*Lambda B need not be
+    P = solve_dlyap(A.conj().T, Lam)
+    for _ in range(FIXED_POINT_BUDGET):
+        M = matrixeq._hermitize(B.conj().T @ P @ B)
+        np.linalg.cholesky(M)
+        W = np.linalg.solve(M, B.conj().T @ P @ A)
+        Pn = matrixeq._hermitize(
+            A.conj().T @ P @ A - (B.conj().T @ P @ A).conj().T @ W + Lam)
+        delta = np.linalg.norm(Pn - P) / (1.0 + np.linalg.norm(Pn))
+        P = Pn
+        if delta <= matrixeq.ITER_UPDATE_TOL:
+            return P
+    raise AssertionError(f"no convergence in {FIXED_POINT_BUDGET} steps")
+
+
+def _counterexample_weight(eps):
+    """Lambda on covext(1, 2) with G* Lambda G = (cos theta - cos a)^2 - eps.
+
+    a = 2 pi 100.5 / 1024 lies halfway between two points of a 1024-point
+    grid, whose minimum is +3.1e-6 for either sign of eps = 1e-9.
+    """
+    c = np.cos(2.0 * np.pi * 100.5 / 1024)
+    return np.array([[0.5 + c * c - eps, -c, 0.25],
+                     [-c, 0.0, 0.0],
+                     [0.25, 0.0, 0.0]])
+
+
+class TestCounterexample:
+    fb = make_covariance_extension_filter(1, 2)
+
+    def test_negative_dip_between_grid_points_is_rejected(self):
+        Lam = _counterexample_weight(1e-9)
+        diag = is_in_Lplus(self.fb, Lam)
+        assert not diag.member
+        assert diag.min_eigenvalue > 0.0  # the grid alone would pass it
+        for solve in (h_map, solve_dare_lambda):
+            with pytest.raises(MembershipError, match="not positive"):
+                solve(self.fb, Lam)
+
+    def test_positive_weight_near_the_boundary_solves(self):
+        Lam = _counterexample_weight(-1e-9)
+        assert is_in_Lplus(self.fb, Lam).member
+        sol = solve_dare_lambda(self.fb, Lam)
+        assert sol.method == "doubling"
+        assert dare_lambda_residual(self.fb, Lam, sol.P) <= 1e-10 * (
+            1 + np.linalg.norm(sol.P))
+        param = h_map(self.fb, Lam)
+        assert 0.999 < param.spectral_radius() < 1.0
+
+    @pytest.mark.parametrize("b, positive", [([1.0, -1.0], False),
+                                             ([0.0, 1.0], True)])
+    def test_prior_density(self, b, positive):
+        # sigma = b_0 + b_1 z^{-1}: 1 - z^{-1} vanishes at z = 1, while
+        # z^{-1} has |sigma|^2 = 1 on the circle (though it is not outer)
+        sigma = StateSpaceSystem([[0.0]], [[1.0]], [[b[1]]], [[b[0]]])
+        if positive:
+            assert PriorSpectrum(sigma).sigma is sigma
+        else:
+            with pytest.raises(MembershipError, match="theta = 0.000000"):
+                PriorSpectrum(sigma)
+
+
+def _positivity_bank(bank, field):
+    A = np.diag([0.5, -0.3, 0.7, 0.2])
+    if bank == "diag":
+        return FilterBank(A, np.ones((4, 1)), field=field)
+    if bank == "diag2":
+        B = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.3, 1.0]])
+        return FilterBank(A, B, field=field)
+    return make_covariance_extension_filter(*bank, field=field)
+
+
+def _ratio_min(fb, Lam0, theta):
+    """Smallest eigenvalue of the pencil (G* Lam0 G, G* G) at each angle."""
+    G = fb.eval_grid(np.exp(1j * theta))
+    Gh = G.conj().transpose(0, 2, 1)
+    L = np.linalg.cholesky(Gh @ G)
+    X = np.linalg.solve(L, Gh @ Lam0 @ G)
+    Y = np.linalg.solve(L, X.conj().transpose(0, 2, 1))
+    return np.linalg.eigvalsh(0.5 * (Y + Y.conj().transpose(0, 2, 1)))[:, 0]
+
+
+def _circle_minimum(fb, Lam0):
+    """min over the circle of _ratio_min: a 2048-point grid, then five
+    33-point zooms around each of the three lowest grid minima."""
+    theta = circle_grid(2048)
+    r = _ratio_min(fb, Lam0, theta)
+    local = np.flatnonzero((r <= np.roll(r, 1)) & (r <= np.roll(r, -1)))
+    best = np.inf
+    for k in local[np.argsort(r[local])[:3]]:
+        centre, half = theta[k], 2.0 * np.pi / 2048
+        for _ in range(5):
+            t = np.linspace(centre - half, centre + half, 33)
+            rt = _ratio_min(fb, Lam0, t)
+            centre, half = t[np.argmin(rt)], half / 16
+        best = min(best, float(rt.min()))
+    return best
+
+
+class TestExactPositivity:
+    """The exact test against a fine-grid truth, on weights at signed margins.
+
+    Lambda = Lam0 - (mu - margin) I with mu the minimum of the smallest
+    eigenvalue of the pencil (G* Lam0 G, G* G) over the circle.  Then
+    G* Lambda G >= margin G* G > 0 for margin > 0, while for margin < 0 it
+    is indefinite at the minimizer: the sign of the margin is the truth.
+    """
+
+    @pytest.mark.parametrize("bank, field", [
+        ((1, 2), "real"), ((2, 1), "real"), ((3, 2), "real"),
+        ((2, 1), "complex"), ("diag", "real"), ("diag2", "real"),
+        ("diag2", "complex")])
+    def test_matches_signed_margins_and_doubling_converges(self, bank, field,
+                                                           rng):
+        fb = _positivity_bank(bank, field)
+        for k in range(12):
+            X = rng.standard_normal((fb.n, fb.n))
+            if fb.field == "complex":
+                X = X + 1j * rng.standard_normal((fb.n, fb.n))
+            Lam0 = 0.5 * (X + X.conj().T)
+            margin = (-1) ** k * 10.0 ** rng.uniform(-6, -1)
+            Lam = Lam0 - (_circle_minimum(fb, Lam0) - margin) * np.eye(fb.n)
+            assert is_in_Lplus(fb, Lam).member == (margin > 0)
+            if margin > 0:
+                sol = solve_dare_lambda(fb, Lam)
+                assert sol.method == "doubling"
+                assert dare_lambda_residual(fb, Lam, sol.P) <= 1e-10 * (
+                    1 + np.linalg.norm(sol.P))
+            else:
+                with pytest.raises(MembershipError, match="not positive"):
+                    solve_dare_lambda(fb, Lam)
+
+
+    def test_indefinite_everywhere_is_caught_at_minus_one(self):
+        # G* Lambda G = I + 2 [[cos 2t, sin 2t], [sin 2t, -cos 2t]] has
+        # eigenvalues 3 and -1 at every angle: it is never singular and its
+        # mean J + J* = I is positive, so only the value at z = -1 tells
+        fb = make_covariance_extension_filter(2, 2, field="complex")
+        X = np.array([[1.0, -1j], [-1j, -1.0]])
+        Lam = np.zeros((6, 6), dtype=complex)
+        Lam[:2, :2] = np.eye(2)
+        Lam[:2, 4:] = X
+        Lam[4:, :2] = X.conj().T
+        diag = is_in_Lplus(fb, Lam)
+        assert not diag.member
+        assert_allclose(diag.min_eigenvalue, -1.0, rtol=1e-12)
+        with pytest.raises(MembershipError, match="at z = -1"):
+            solve_dare_lambda(fb, Lam)
+
+
+def _complex_param(fb, rng, radius):
+    """C = [-C2 K, C2] on covext(2, 1): W = zCG = C2 (I - K z^{-1}), so the
+    closed loop has the eigenvalues of K (spectral radius ``radius``) and
+    two zeros; C2 = CB is lower triangular with positive diagonal."""
+    K = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    K *= radius / np.max(np.abs(np.linalg.eigvals(K)))
+    C2 = np.tril(rng.standard_normal((2, 2))
+                 + 1j * rng.standard_normal((2, 2)))
+    C2[np.diag_indices(2)] = 0.5 + rng.random(2)
+    return FactorParameter(fb, np.hstack([-C2 @ K, C2]))
+
+
+class TestComplexField:
+    @pytest.mark.parametrize("radius", [0.5, 0.9, 0.99])
+    def test_round_trip_and_residual(self, radius, rng):
+        fb = make_covariance_extension_filter(2, 1, field="complex")
+        param = _complex_param(fb, rng, radius)
+        assert abs(param.spectral_radius() - radius) < 1e-12
+        Lam = h_inverse(make_chart(fb), param)
+        sol = solve_dare_lambda(fb, Lam)
+        assert sol.method == "doubling"
+        assert dare_lambda_residual(fb, Lam, sol.P) <= 1e-10 * (
+            1 + np.linalg.norm(sol.P))
+        assert relative_error(h_map(fb, Lam).C, param.C) < 1e-10

@@ -10,9 +10,8 @@ from spectral_homotopy import (EvaluationError, FactorParameter, FilterBank,
                                SolverError, StateSpaceSystem,
                                apply_f2_quadrature, apply_g1_direction,
                                apply_g2_quadrature, apply_g2_statespace, assemble_jacobian_matrix,
-                               cascade, condition_numbers, constant_prior,
-                               f_jacobian_from_g, factor_inner_realization,
-                               h_inverse,
+                               condition_numbers, constant_prior,
+                               f_jacobian_from_g, h_inverse,
                                jacobian_condition_number, make_chart,
                                make_covariance_extension_filter,
                                matrixeq, maxent_initialization, moment,
@@ -22,8 +21,8 @@ from spectral_homotopy import (EvaluationError, FactorParameter, FilterBank,
                                solve_dlyap, solve_jacobian_system,
                                trace_inner)
 
-from conftest import (B_REF, C_REF, fd_direction, relative_error,
-                      rotated_chart)
+from conftest import (B_REF, C_REF, cascade, factor_inner_realization,
+                      fd_direction, relative_error, rotated_chart)
 
 # covariance-extension banks (m, p) and a general bank with nonzero poles
 BANKS = [(m, p) for m in (1, 2, 3) for p in (0, 1, 2)] + ["diag"]
@@ -493,7 +492,7 @@ class TestCascadeAssembly:
     def test_assembled_realization_matches_cascade(self, field, bank, kind,
                                                    rng, monkeypatch):
         # a point assembles A_T, B_T and C_T around Pi and the prior's kept
-        # blow-up; statespace.cascade of the prior and the inner system is
+        # blow-up; the oracle cascade of the prior and the inner system is
         # the oracle, and the radius the point hands its Stein
         # factorization is the spectral radius of A_T
         fb = _bank(bank, field)

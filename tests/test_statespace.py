@@ -5,16 +5,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spectral_homotopy import (EvaluationError, FactorParameter, FilterBank,
-                               MembershipError, StateSpaceSystem, cascade,
+                               MembershipError, StateSpaceSystem,
                                circle_grid, coerce_field,
-                               factor_inner_realization,
                                grid_size_from_spacing, is_in_Cplus,
                                is_in_Lplus, make_covariance_extension_filter,
                                matrix_from_json, matrix_to_json,
-                               prior_from_outer, prior_from_polynomial,
-                               series_product)
+                               prior_from_outer, prior_from_polynomial)
 
-from conftest import C_REF
+from conftest import (C_REF, cascade, factor_inner_realization,
+                      series_product)
 
 
 class TestFilterBank:
