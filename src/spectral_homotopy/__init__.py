@@ -11,8 +11,8 @@ Layering, bottom up:
 
 - ``statespace``: filter banks, priors, membership tests for the admissible
   parameter sets, grid evaluation.
-- ``matrixeq``: Stein/Lyapunov and Riccati solvers (doubling plus Newton
-  polish) and triangular factorizations.
+- ``matrixeq``: Stein/Lyapunov and Riccati solvers (by doubling) and
+  triangular factorizations.
 - ``factorization``: spectral factorization maps between covariance-side and
   factor-side parameters, outer factors for additive data.
 - ``moment``: the two moment maps and their derivatives, by state-space

@@ -35,15 +35,16 @@ import time
 
 import numpy as np
 
-from .continuation import (HomotopyConfig, maxent_initialization,
-                           run_continuation, write_path_csv, write_path_json)
+from .continuation import (HomotopyConfig, _check_covariance,
+                           maxent_initialization, run_continuation,
+                           write_path_csv, write_path_json)
 from .errors import (ConfigError, EvaluationError, FactorizationError,
                      MembershipError, SolverError)
 from .factorization import h_inverse
 from .moment import (apply_g2_statespace, condition_numbers, make_chart,
                      moment_g_quadrature, moment_g_statespace)
 from .statespace import (FactorParameter, FilterBank, StateSpaceSystem,
-                         constant_prior, is_in_Cplus,
+                         _spectral_radius, constant_prior, is_in_Cplus,
                          is_in_Lplus, make_covariance_extension_filter,
                          matrix_from_json, matrix_to_json, prior_from_outer,
                          prior_from_polynomial)
@@ -113,7 +114,10 @@ def _parse_filter(spec, path="filter"):
             fb = make_covariance_extension_filter(m, p, field=field)
         except (ValueError, MembershipError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
-        return fb, {"preset": "covext", "m": m, "p": p}
+        kept = {"preset": "covext", "m": m, "p": p}
+        if "field" in spec:
+            kept["field"] = field
+        return fb, kept
     A = _parse_matrix(_require(spec, "A", path), f"{path}.A")
     B = _parse_matrix(_require(spec, "B", path), f"{path}.B")
     field = spec.get("field",
@@ -313,11 +317,18 @@ def _load_config(args, lenient_prior=False):
 
 def _resolve_sigma(cfg):
     if cfg.sigma is not None:
+        n = cfg.filterbank.n
+        if cfg.sigma.shape != (n, n):
+            raise ConfigError(f"sigma.matrix: must be {n}x{n} for the "
+                              f"filter, got {cfg.sigma.shape}")
         return cfg.sigma
     if cfg.sigma_from is not None:
         gen_prior, genC = cfg.sigma_from
         prior = gen_prior if gen_prior is not None else cfg.prior
-        param = FactorParameter(cfg.filterbank, genC)
+        try:
+            param = FactorParameter(cfg.filterbank, genC)
+        except ValueError as exc:
+            raise ConfigError(f"sigma.from.C: {exc}") from exc
         return moment_g_statespace(cfg.filterbank, prior, param)
     raise ConfigError("sigma: section is required for this command")
 
@@ -427,9 +438,8 @@ def cmd_check(args):
     cfg = _load_config(args, lenient_prior=True)
     fb = cfg.filterbank
     chart = make_chart(fb)
-    rho = float(np.max(np.abs(np.linalg.eigvals(fb.A)))) if fb.n else 0.0
     print(f"filter: n={fb.n} m={fb.m} field={fb.field} "
-          f"spectral radius {rho:.6g}")
+          f"spectral radius {_spectral_radius(fb.A):.6g}")
 
     if cfg.prior_error is not None:
         print(f"prior: VIOLATION {cfg.prior_error}")
@@ -453,22 +463,11 @@ def cmd_check(args):
 
     if cfg.sigma is not None or cfg.sigma_from is not None:
         try:
-            Sigma = _resolve_sigma(cfg)
-        except (MembershipError, ValueError) as exc:
+            _, problems, eig_min, rr = _check_covariance(
+                chart, _resolve_sigma(cfg))
+        except (ConfigError, MembershipError) as exc:
             print(f"sigma: VIOLATION {exc}")
             return 0
-        Sigma = np.atleast_2d(np.asarray(Sigma))
-        herm = float(np.max(np.abs(Sigma - Sigma.conj().T)))
-        eig_min = float(np.min(np.linalg.eigvalsh(
-            0.5 * (Sigma + Sigma.conj().T))))
-        rr = chart.range_residual(0.5 * (Sigma + Sigma.conj().T))
-        problems = []
-        if herm > 1e-12 * (1.0 + float(np.max(np.abs(Sigma)))):
-            problems.append(f"not Hermitian (defect {herm:.3e})")
-        if not eig_min > 0.0:
-            problems.append(f"not positive definite (min eig {eig_min:.3e})")
-        if rr > 1e-8:
-            problems.append(f"not attainable (range residual {rr:.3e})")
         if problems:
             print("sigma: VIOLATION " + "; ".join(problems))
         else:

@@ -29,7 +29,8 @@ from .errors import ConfigError, MembershipError, SolverError
 from .matrixeq import reverse_cholesky
 from .moment import (_StatespacePoint, build_factor_basis, make_chart,
                      moment_g_statespace)
-from .statespace import FactorParameter, coerce_field, matrix_to_json
+from .statespace import (FactorParameter, _hermitian_defect, _hermitize,
+                         coerce_field, matrix_to_json)
 
 __all__ = [
     "HomotopyConfig",
@@ -100,34 +101,51 @@ class SolutionPath:
         return FactorParameter(self.filterbank, self.final.C)
 
 
-def maxent_initialization(filterbank, Sigma, chart=None,
-                          feasibility_tol=FEASIBILITY_TOL):
+def _check_covariance(chart, Sigma):
+    """Admissibility of Sigma as a state covariance of ``chart``'s bank.
+
+    Returns (Sigma, findings, eig_min, rr): the Hermitian part of Sigma, the
+    list of what disqualifies it (empty when it is admissible), its smallest
+    eigenvalue and its relative distance from the range of the covariance
+    operator.  Sigma must be Hermitian to STRICT_TOL, positive definite and
+    attainable: rr at most FEASIBILITY_TOL.  A wrong shape raises ValueError.
+    """
+    Sigma = np.atleast_2d(np.asarray(Sigma))
+    n = chart.filterbank.n
+    if Sigma.shape != (n, n):
+        raise ValueError(f"Sigma must be {n}x{n}, got {Sigma.shape}")
+    findings = []
+    defect = _hermitian_defect(Sigma)
+    if defect is not None:
+        findings.append(f"not Hermitian (defect {defect:.3e})")
+    Sigma = _hermitize(Sigma)
+    eig_min = float(np.min(np.linalg.eigvalsh(Sigma)))
+    if not eig_min > 0.0:
+        findings.append(
+            f"not positive definite (min eigenvalue {eig_min:.6e})")
+    rr = chart.range_residual(Sigma)
+    if rr > FEASIBILITY_TOL:
+        findings.append(f"not attainable as a state covariance (relative "
+                        f"distance {rr:.3e} from the range of the covariance "
+                        f"operator)")
+    return Sigma, findings, eig_min, rr
+
+
+def maxent_initialization(filterbank, Sigma, chart=None):
     """Closed-form solution of g(1, C) = Sigma.
 
     With B* Sigma^{-1} B = L* L (L lower triangular, positive diagonal), the
-    parameter is C = L^{-*} B* Sigma^{-1}.  Sigma must be Hermitian positive
-    definite and feasible: its distance from the range of the covariance
-    operator must not exceed ``feasibility_tol`` relative to its norm.
+    parameter is C = L^{-*} B* Sigma^{-1}.  Sigma must be n x n (else
+    ValueError), and Hermitian, positive definite and attainable: its
+    distance from the range of the covariance operator must not exceed
+    FEASIBILITY_TOL relative to its norm (else MembershipError naming every
+    violation).
     """
-    Sigma = np.atleast_2d(np.asarray(Sigma))
-    n = filterbank.n
-    if Sigma.shape != (n, n):
-        raise ValueError(f"Sigma must be {n}x{n}, got {Sigma.shape}")
-    defect = float(np.max(np.abs(Sigma - Sigma.conj().T)))
-    if defect > 1e-12 * (1.0 + float(np.max(np.abs(Sigma)))):
-        raise ValueError(f"Sigma is not Hermitian (defect {defect:.3e})")
-    Sigma = 0.5 * (Sigma + Sigma.conj().T)
-    eig_min = float(np.min(np.linalg.eigvalsh(Sigma)))
-    if not eig_min > 0.0:
-        raise MembershipError(
-            f"Sigma is not positive definite (min eigenvalue {eig_min:.6e})")
     if chart is None:
         chart = make_chart(filterbank)
-    rr = chart.range_residual(Sigma)
-    if rr > feasibility_tol:
-        raise MembershipError(
-            f"Sigma is not attainable as a state covariance: relative "
-            f"distance {rr:.3e} from the range of the covariance operator")
+    Sigma, findings, _, _ = _check_covariance(chart, Sigma)
+    if findings:
+        raise MembershipError("Sigma is " + "; ".join(findings))
     Si = np.linalg.inv(Sigma)
     B = filterbank.B
     L = reverse_cholesky(B.conj().T @ Si @ B)
@@ -237,8 +255,7 @@ def run_continuation(filterbank, prior, Sigma, config=None, chart=None,
             filterbank, anchor=param.C))
     else:
         param = maxent_initialization(filterbank, Sigma, chart=chart)
-    Sigma = 0.5 * (np.atleast_2d(np.asarray(Sigma))
-                   + np.atleast_2d(np.asarray(Sigma)).conj().T)
+    Sigma = _hermitize(np.atleast_2d(np.asarray(Sigma)))
 
     t = 0.0
     history = []

@@ -21,7 +21,6 @@ import numpy as np
 
 from dataclasses import dataclass
 
-from .errors import MembershipError
 from .matrixeq import solve_dare_appendix, solve_dare_lambda
 from .statespace import FactorParameter, StateSpaceSystem, coerce_field
 
@@ -80,9 +79,6 @@ def _left_outer_system(Z):
     """
     if Z.n_inputs != Z.n_outputs:
         raise ValueError("Z must be square")
-    if not Z.is_stable():
-        raise MembershipError(
-            f"Z is not Schur stable: spectral radius {Z.spectral_radius():.15g}")
     sol = solve_dare_appendix(Z.A, Z.B, Z.C, Z.D)
     F, G, H = Z.A, Z.B, Z.C
     L = sol.L

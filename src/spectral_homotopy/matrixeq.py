@@ -17,8 +17,8 @@ and the closed loops correspond by conjugate transposition.  Either form is
 solved only after _circle_positivity has shown Z + Z* > 0 on the unit circle
 exactly (the discrete-time positive-real lemma), which is when the
 stabilizing solution exists.  It is found by a structure-preserving doubling
-iteration, the one route, then polished by Newton steps, each of which is one
-Stein solve.
+iteration, the one route; each solve then gates its residual, factors its
+innovation block and checks its closed loop once, in its own form.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FactorizationError, MembershipError, SolverError
-from .statespace import coerce_field
+from .statespace import (STRICT_TOL, _check_hermitian, _hermitize,
+                         _spectral_radius, coerce_field)
 
 __all__ = [
     "DareSolution",
@@ -43,34 +44,11 @@ DLYAP_RESIDUAL_TOL = 1e-11
 DARE_RESIDUAL_TOL = 1e-10
 ITER_UPDATE_TOL = 1e-13
 ITER_BUDGET = 200
-STRICT_TOL = 1e-12
 # An eigenvalue s of the Cayley-transformed pencil of _circle_positivity with
 # |Re s| <= AXIS_TOL (1 + |s|) counts as a zero of Z + Z* on the unit circle.
 # Roundoff leaves a zero on the circle ~1e-12 off the axis; a density with a
 # positive margin of 1e-6 keeps its zeros ~1e-5 away from it.
 AXIS_TOL = 1e-8
-
-
-def _hermitize(X):
-    return 0.5 * (X + X.conj().swapaxes(-1, -2))
-
-
-def _check_hermitian(X, name):
-    """Hermitian part of X, or of each slice of a stack; raises on a defect."""
-    X = np.atleast_2d(np.asarray(X))
-    if X.size:
-        defect = np.max(np.abs(X - X.conj().swapaxes(-1, -2)), axis=(-2, -1))
-        bad = defect > STRICT_TOL * (1.0 + np.max(np.abs(X), axis=(-2, -1)))
-        if np.any(bad):
-            raise ValueError(f"{name} is not Hermitian "
-                             f"(defect {float(np.max(defect[bad])):.3e})")
-    return _hermitize(X)
-
-
-def _spectral_radius(A):
-    if A.size == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvals(A))))
 
 
 def solve_dlyap(A1, Q):
@@ -293,9 +271,17 @@ def _circle_positivity(F, G, H, J):
     (M + L)^{-1} (M - L), maps the circle onto the imaginary axis and the
     infinite eigenvalues of a singular L (nilpotent F) to s = 1; M + L is
     invertible because z = -1 is not a zero.
+
+    Roundoff can move a multiple eigenvalue, a multiple zero of Z + Z* on
+    the circle, off the axis by far more than AXIS_TOL (by ~1e-4 for the
+    zero of order 4 of |1 - z^{-1}|^4), while Z + Z* at its angle still
+    vanishes to roundoff.  So Z + Z* is also evaluated at the angles of all
+    eigenvalues, and is singular where its min eigenvalue is at most
+    STRICT_TOL ||R||.
     """
     R = _hermitize(J + J.conj().T)
-    rmin = float(np.min(np.linalg.eigvalsh(R)))
+    rvals = np.linalg.eigvalsh(R)
+    rmin = float(rvals[0])
     if not rmin > 0.0:
         return ("its mean J + J* is not positive definite "
                 f"(min eigenvalue {rmin:.6e})")
@@ -319,6 +305,15 @@ def _circle_positivity(F, G, H, J):
     if dist[k] <= AXIS_TOL:
         theta = float(np.angle((1.0 + s[k]) / (1.0 - s[k])))
         return f"it is singular at theta = {theta:.6f}"
+    # the angle of z = (1 + s) / (1 - s), without dividing by 1 - s = 0
+    theta = np.angle((1.0 + s) * (1.0 - s).conj())
+    z = np.exp(1j * theta)
+    Zc = H @ np.linalg.solve(z[:, None, None] * eye - F,
+                             np.broadcast_to(G, (z.size,) + G.shape)) + J
+    low = np.linalg.eigvalsh(Zc + Zc.conj().swapaxes(-1, -2))[:, 0]
+    k = int(np.argmin(low))
+    if low[k] <= STRICT_TOL * float(rvals[-1]):
+        return f"it is singular at theta = {float(theta[k]):.6f}"
     return None
 
 
@@ -358,7 +353,7 @@ def solve_dare_appendix(F, G, H, J):
             or J.shape != (mz, mz):
         raise ValueError("inconsistent shapes for (F, G, H, J)")
     rho = _spectral_radius(F)
-    if nz and not rho < 1.0 - STRICT_TOL:
+    if not rho < 1.0 - STRICT_TOL:
         raise MembershipError(
             f"F must be Schur stable; spectral radius {rho:.15g}")
     R = _hermitize(J + J.conj().T)
@@ -370,16 +365,6 @@ def solve_dare_appendix(F, G, H, J):
     if why is not None:
         raise MembershipError(
             f"Z + Z* is not positive on the unit circle: {why}")
-    return _solve_additive(F, G, H, J, R)
-
-
-def _solve_additive(F, G, H, J, R):
-    """The additive-form solve proper, on inputs that passed the checks.
-
-    Doubling is the only route: on data with Z + Z* > 0 on the circle it
-    converges, and a SolverError from it propagates.
-    """
-    nz = F.shape[0]
     scale = (1.0 + np.linalg.norm(G)) / (1.0 + np.linalg.norm(R))
     if nz == 0 or np.linalg.norm(H) * scale <= 1e-13:
         L = standard_cholesky(R)
@@ -387,54 +372,49 @@ def _solve_additive(F, G, H, J, R):
                             residual_norm=0.0, iterations=0, method="degenerate")
 
     P, iters = _sda_appendix(F, G, H, R)
-
-    # Newton polish: each step solves a Stein equation in the current
-    # closed loop; quadratic, so one or two steps reach machine residual.
-    history = []
-    for _ in range(5):
-        resid, Om, K = _appendix_residual(F, G, H, R, P)
-        rnorm = float(np.linalg.norm(resid))
-        history.append(rnorm)
-        if rnorm <= 1e-14 * (1.0 + float(np.linalg.norm(P))):
-            break
-        Kcl = F - K @ H
-        if not _spectral_radius(Kcl) < 1.0:
-            break
-        try:
-            P = _hermitize(P + solve_dlyap(Kcl, _hermitize(resid)))
-        except (SolverError, MembershipError):
-            break
-
     resid, Om, K = _appendix_residual(F, G, H, R, P)
-    rnorm = float(np.linalg.norm(resid))
-    if rnorm > DARE_RESIDUAL_TOL * (1.0 + float(np.linalg.norm(P))):
-        raise SolverError(
-            f"Riccati residual {rnorm:.3e} exceeds tolerance "
-            f"{DARE_RESIDUAL_TOL:.1e} (1 + ||P||)", history=history)
+    rnorm = _residual_gate(resid, P)
     L = standard_cholesky(_hermitize(Om))
     Kcl = F - K @ H
-    rho_cl = _spectral_radius(Kcl)
-    if not rho_cl < 1.0 - STRICT_TOL:
-        raise SolverError(
-            f"computed solution is not stabilizing (closed-loop spectral "
-            f"radius {rho_cl:.15g})", history=history)
+    _stabilizing_gate(Kcl, rnorm)
     if not any(np.iscomplexobj(X) for X in (F, G, H, J)):
         P, L, Kcl = P.real, L.real, Kcl.real
     return DareSolution(P=P, L=L, closed_loop=Kcl, residual_norm=rnorm,
                         iterations=iters, method="doubling")
 
 
+def _residual_gate(resid, P):
+    """Frobenius norm of a Riccati defect; raises above the residual gate."""
+    rnorm = float(np.linalg.norm(resid))
+    if rnorm > DARE_RESIDUAL_TOL * (1.0 + float(np.linalg.norm(P))):
+        raise SolverError(
+            f"Riccati residual {rnorm:.3e} exceeds tolerance "
+            f"{DARE_RESIDUAL_TOL:.1e} (1 + ||P||)", history=[rnorm])
+    return rnorm
+
+
+def _stabilizing_gate(closed_loop, rnorm):
+    """Raises unless the closed loop of a Riccati solution is Schur stable."""
+    rho_cl = _spectral_radius(closed_loop)
+    if not rho_cl < 1.0 - STRICT_TOL:
+        raise SolverError(
+            f"computed solution is not stabilizing (closed-loop spectral "
+            f"radius {rho_cl:.15g})", history=[rnorm])
+
+
 def _lambda_residual(A, B, Lam, P):
+    """Defect of the lag-weight equation at P, the reverse Cholesky factor
+    L of B*PB (L*L = B*PB) and the closed loop A - B (B*PB)^{-1} B*PA."""
     M = _hermitize(B.conj().T @ P @ B)
     try:
-        np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
+        L = reverse_cholesky(M)
+    except FactorizationError:
         raise FactorizationError(
-            "B*PB is not positive definite for the current iterate")
+            "B*PB is not positive definite at the computed solution") from None
     Cg = np.linalg.solve(M, B.conj().T @ P @ A)
     resid = A.conj().T @ P @ A - (B.conj().T @ P @ A).conj().T @ Cg + Lam - P
     Pi = A - B @ Cg
-    return _hermitize(resid), M, Pi
+    return _hermitize(resid), L, Pi
 
 
 def _lambda_additive(A, B, Lam):
@@ -458,8 +438,9 @@ def solve_dare_lambda(filterbank, Lam):
     -------
     DareSolution
         With B*PB = L*L (reverse Cholesky: L lower triangular with positive
-        diagonal) and closed loop A - B (B*PB)^{-1} B*PA; ``method`` and
-        ``iterations`` are those of the additive-form solve.
+        diagonal) and closed loop A - B (B*PB)^{-1} B*PA; ``method`` is
+        "doubling" and ``iterations`` counts the doubling steps of the
+        additive-form solve.
     """
     A, B = filterbank.A, filterbank.B
     Lam = _check_hermitian(Lam, "Lambda")
@@ -476,23 +457,16 @@ def solve_dare_lambda(filterbank, Lam):
     if why is not None:
         raise MembershipError(
             f"G* Lambda G is not positive on the unit circle: {why}")
-    app = _solve_additive(F, G, H, J, _hermitize(J + J.conj().T))
-    P = _hermitize(Q + app.P)
+    # the additive form's own gates would repeat the ones below: its
+    # innovation block is B*PB and its closed loop the adjoint of Pi
+    X, iters = _sda_appendix(F, G, H, _hermitize(J + J.conj().T))
+    P = _hermitize(Q + X)
 
-    resid, M, Pi = _lambda_residual(A, B, Lam, P)
-    rnorm = float(np.linalg.norm(resid))
-    if rnorm > DARE_RESIDUAL_TOL * (1.0 + float(np.linalg.norm(P))):
-        raise SolverError(
-            f"Riccati residual {rnorm:.3e} exceeds tolerance "
-            f"{DARE_RESIDUAL_TOL:.1e} (1 + ||P||)", history=[rnorm])
-    rho_cl = _spectral_radius(Pi)
-    if not rho_cl < 1.0 - STRICT_TOL:
-        raise SolverError(
-            f"computed solution is not stabilizing (closed-loop spectral "
-            f"radius {rho_cl:.15g})", history=[rnorm])
-    L = reverse_cholesky(M)
+    resid, L, Pi = _lambda_residual(A, B, Lam, P)
+    rnorm = _residual_gate(resid, P)
+    _stabilizing_gate(Pi, rnorm)
     P = coerce_field(P, filterbank.field, what="Riccati solution")
     L = coerce_field(L, filterbank.field, what="Riccati factor")
     Pi = coerce_field(Pi, filterbank.field, what="Riccati closed loop")
     return DareSolution(P=P, L=L, closed_loop=Pi, residual_norm=rnorm,
-                        iterations=app.iterations, method=app.method)
+                        iterations=iters, method="doubling")

@@ -54,8 +54,8 @@ import numpy as np
 
 from .errors import EvaluationError, SolverError
 from .matrixeq import _stein_solver, solve_dlyap
-from .statespace import (FactorParameter, StateSpaceSystem, circle_grid,
-                         coerce_field, grid_size_from_spacing)
+from .statespace import (FactorParameter, StateSpaceSystem, _hermitize,
+                         circle_grid, coerce_field, grid_size_from_spacing)
 
 __all__ = [
     "CoordinateChart",
@@ -90,10 +90,6 @@ QUAD_FIELD_TOL = 1e-9
 def trace_inner(X, Y):
     """Real inner product Re trace(X Y*); both spaces here are real-linear."""
     return float(np.real(np.sum(np.asarray(X) * np.conj(Y))))
-
-
-def _hermitize(X):
-    return 0.5 * (X + X.conj().swapaxes(-1, -2))
 
 
 def _as_param(filterbank, C):
@@ -320,8 +316,7 @@ class _StatespacePoint:
         """J_g in chart coordinates: all M columns from one stacked solve."""
         return chart.range_coords(self.derivatives(chart.factor_basis)).T
 
-    def solve(self, chart, Y, gram_cond_limit=GRAM_COND_LIMIT,
-              verify_tol=VERIFY_TOL):
+    def solve(self, chart, Y):
         """The direction solve of solve_jacobian_system at this point."""
         yr = chart.range_coords(Y)
         ynorm = float(np.linalg.norm(yr))
@@ -333,20 +328,20 @@ class _StatespacePoint:
         with np.errstate(divide="ignore", invalid="ignore"):
             condJ = float(sv[0] / sv[-1])
         cond = condJ * condJ
-        if not np.isfinite(cond) or cond > gram_cond_limit:
+        if not np.isfinite(cond) or cond > GRAM_COND_LIMIT:
             raise SolverError(
                 f"Gram system condition {cond:.3e} exceeds limit "
-                f"{gram_cond_limit:.1e}")
+                f"{GRAM_COND_LIMIT:.1e}")
         # below the limit no singular value is under lstsq's default
         # cutoff, so this is the least-squares solution it would return
         alpha = Vh.T @ ((U.T @ yr) / sv)
         V = chart.factor_from_coords(alpha)
         (dY,) = self.derivatives(V[None])
         resid = float(np.linalg.norm(chart.range_coords(dY) - yr)) / ynorm
-        if not resid <= verify_tol:
+        if not resid <= VERIFY_TOL:
             raise SolverError(
                 f"direction solve verification failed: relative residual "
-                f"{resid:.3e} exceeds {verify_tol:.1e}")
+                f"{resid:.3e} exceeds {VERIFY_TOL:.1e}")
         return V, JacobianSolveInfo(gram_cond=cond, verify_residual=resid,
                                     columns=chart.dim)
 
@@ -398,7 +393,7 @@ def _field_matrix_basis(m, n, field):
     return units
 
 
-def build_range_gamma_basis(filterbank, drop_tol=BASIS_DROP_TOL):
+def build_range_gamma_basis(filterbank):
     """Orthonormal basis of the range of the covariance operator.
 
     A Hermitian X lies in the range iff X - A X A* = B H + H* B* for some
@@ -417,7 +412,7 @@ def build_range_gamma_basis(filterbank, drop_tol=BASIS_DROP_TOL):
             for E in basis:
                 Y = Y - trace_inner(Y, E) * E
         nn = np.linalg.norm(Y)
-        if nn > drop_tol * scale:
+        if nn > BASIS_DROP_TOL * scale:
             basis.append(Y / nn)
     return tuple(basis)
 
@@ -678,8 +673,7 @@ class JacobianSolveInfo:
     columns: int
 
 
-def solve_jacobian_system(chart, prior, C, Y, gram_cond_limit=GRAM_COND_LIMIT,
-                          verify_tol=VERIFY_TOL):
+def solve_jacobian_system(chart, prior, C, Y):
     """Solve g'(psi, C; V) = Y for a direction V in the factor slice.
 
     All M basis directions go through the exact derivative route as one
@@ -698,12 +692,11 @@ def solve_jacobian_system(chart, prior, C, Y, gram_cond_limit=GRAM_COND_LIMIT,
     covariance difference (absolute machine noise, so its share of ||Y||
     grows without bound as the rhs shrinks) and is discarded by the
     projection.  The returned V is verified in-function by one more exact
-    evaluation: ||g'(psi,C;V) - Y|| <= verify_tol ||Y|| in the range metric,
+    evaluation: ||g'(psi,C;V) - Y|| <= VERIFY_TOL ||Y|| in the range metric,
     skipped for Y = 0.
 
     Returns (V, JacobianSolveInfo).  Raises SolverError when the Gram
-    conditioning exceeds ``gram_cond_limit`` or verification fails.
+    conditioning exceeds GRAM_COND_LIMIT or verification fails.
     """
     param = _as_param(chart.filterbank, C)
-    return _StatespacePoint(chart.filterbank, prior, param).solve(
-        chart, Y, gram_cond_limit=gram_cond_limit, verify_tol=verify_tol)
+    return _StatespacePoint(chart.filterbank, prior, param).solve(chart, Y)

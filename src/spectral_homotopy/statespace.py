@@ -39,6 +39,40 @@ __all__ = [
 ]
 
 STRICT_TOL = 1e-12
+# relative singular-value cutoff of the rank tests on B and on the
+# reachability matrix [B, AB, ..., A^{n-1} B]
+RANK_RTOL = 1e-9
+
+
+def _hermitize(X):
+    return 0.5 * (X + X.conj().swapaxes(-1, -2))
+
+
+def _hermitian_defect(X):
+    """Largest entry of |X - X*| over the slices of X (2-d or a stack) whose
+    defect exceeds STRICT_TOL (1 + max |X|), or None when there is none."""
+    if not X.size:
+        return None
+    defect = np.max(np.abs(X - X.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    bad = defect > STRICT_TOL * (1.0 + np.max(np.abs(X), axis=(-2, -1)))
+    return float(np.max(defect[bad])) if np.any(bad) else None
+
+
+def _check_hermitian(X, name):
+    """Hermitian part of X, or of each slice of a stack; raises on a defect."""
+    X = np.atleast_2d(np.asarray(X))
+    defect = _hermitian_defect(X)
+    if defect is not None:
+        raise ValueError(f"{name} is not Hermitian (defect {defect:.3e})")
+    return _hermitize(X)
+
+
+def _spectral_radius(A):
+    """Largest eigenvalue modulus of a square A (0 for an empty one); Schur
+    stability is ``_spectral_radius(A) < 1 - STRICT_TOL`` throughout."""
+    if A.size == 0:
+        return 0.0
+    return float(np.max(np.abs(np.linalg.eigvals(A))))
 
 
 def _as_matrix(x, name):
@@ -131,14 +165,6 @@ class StateSpaceSystem:
     def n_outputs(self):
         return self.C.shape[0]
 
-    def spectral_radius(self):
-        if self.n_states == 0:
-            return 0.0
-        return float(np.max(np.abs(np.linalg.eigvals(self.A))))
-
-    def is_stable(self, margin=STRICT_TOL):
-        return self.spectral_radius() < 1.0 - margin
-
     def eval(self, z):
         """Evaluate W(z) at a single complex point."""
         return eval_transfer(self, z)
@@ -187,7 +213,7 @@ def _channel_blowup(outer, m):
                             np.kron(outer.C, eye_m), np.kron(outer.D, eye_m))
 
 
-def _reachability_rank(A, B, rtol=1e-9):
+def _reachability_rank(A, B):
     n = A.shape[0]
     blocks = [B]
     for _ in range(n - 1):
@@ -196,7 +222,7 @@ def _reachability_rank(A, B, rtol=1e-9):
     s = np.linalg.svd(R, compute_uv=False)
     if s.size == 0:
         return 0
-    return int(np.sum(s > rtol * s[0]))
+    return int(np.sum(s > RANK_RTOL * s[0]))
 
 
 @dataclass(frozen=True)
@@ -226,12 +252,12 @@ class FilterBank:
             raise ValueError(f"B has {B.shape[0]} rows, expected {n}")
         if B.shape[1] > n:
             raise ValueError("B cannot have more columns than A has rows")
-        rho = float(np.max(np.abs(np.linalg.eigvals(A)))) if n else 0.0
+        rho = _spectral_radius(A)
         if not rho < 1.0 - STRICT_TOL:
             raise MembershipError(
                 f"filter A is not Schur stable: spectral radius {rho:.15g}")
         sv = np.linalg.svd(B, compute_uv=False)
-        if sv.size == 0 or sv[-1] <= 1e-9 * sv[0]:
+        if sv.size == 0 or sv[-1] <= RANK_RTOL * sv[0]:
             raise MembershipError("filter B is not of full column rank")
         if _reachability_rank(A, B) < n:
             raise MembershipError("(A, B) is not reachable")
@@ -314,7 +340,7 @@ class PriorSpectrum:
             raise ValueError(f"unknown prior kind {self.kind!r}")
         if self.sigma.n_inputs != 1 or self.sigma.n_outputs != 1:
             raise ValueError("sigma must be a scalar system")
-        rho = self.sigma.spectral_radius()
+        rho = _spectral_radius(self.sigma.A)
         if not rho < 1.0 - STRICT_TOL:
             raise MembershipError(
                 f"sigma is not Schur stable: spectral radius {rho:.15g}")
@@ -423,13 +449,10 @@ def prior_from_outer(system):
         raise MembershipError(
             "sigma has zero feedthrough (a transmission zero at infinity) "
             "and is not outer")
-    if system.n_states:
-        zero_dyn = system.A - system.B @ system.C / d
-        zmods = np.abs(np.linalg.eigvals(zero_dyn))
-        worst = float(zmods.max())
-        if worst >= 1.0 - STRICT_TOL:
-            raise MembershipError(
-                f"sigma is not outer: transmission zero of modulus {worst:.15g}")
+    worst = _spectral_radius(system.A - system.B @ system.C / d)
+    if worst >= 1.0 - STRICT_TOL:
+        raise MembershipError(
+            f"sigma is not outer: transmission zero of modulus {worst:.15g}")
     return PriorSpectrum(system, kind="rational")
 
 
@@ -499,7 +522,7 @@ def _closed_loop(filterbank, C):
     Pi = None
     if np.abs(np.linalg.det(CB)) > 0:
         Pi = filterbank.A - filterbank.B @ np.linalg.solve(CB, C @ filterbank.A)
-        rho = float(np.max(np.abs(np.linalg.eigvals(Pi))))
+        rho = _spectral_radius(Pi)
         if not rho < 1.0 - STRICT_TOL:
             failures.append(
                 f"closed loop is not Schur stable (spectral radius {rho:.15g})")
@@ -530,14 +553,10 @@ def is_in_Lplus(filterbank, Lam):
     n = filterbank.n
     if Lam.shape != (n, n):
         raise ValueError(f"Lambda must be {n}x{n}, got {Lam.shape}")
-    herm_defect = float(np.max(np.abs(Lam - Lam.conj().T)))
-    if herm_defect > STRICT_TOL * (1.0 + float(np.max(np.abs(Lam)))):
-        raise ValueError(
-            f"Lambda is not Hermitian (defect {herm_defect:.3e})")
+    Lam = _check_hermitian(Lam, "Lambda")
     G = filterbank.eval_grid(np.exp(1j * circle_grid(1024)))
     M = G.conj().transpose(0, 2, 1) @ Lam @ G
-    M = 0.5 * (M + M.conj().transpose(0, 2, 1))
-    min_eig = float(np.linalg.eigvalsh(M).min())
+    min_eig = float(np.linalg.eigvalsh(_hermitize(M)).min())
     additive = _lambda_additive(filterbank.A, filterbank.B, Lam)[1]
     return LplusDiagnostics(member=_circle_positivity(*additive) is None,
                             min_eigenvalue=min_eig)

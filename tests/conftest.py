@@ -4,11 +4,12 @@ parameter, and samplers for admissible random inputs."""
 import numpy as np
 import pytest
 
-from spectral_homotopy import (CoordinateChart, FactorParameter,
-                               StateSpaceSystem, make_chart,
+from spectral_homotopy import (CoordinateChart, FactorParameter, FilterBank,
+                               StateSpaceSystem, constant_prior, make_chart,
                                make_covariance_extension_filter,
                                maxent_initialization, moment_g_statespace,
-                               prior_from_polynomial, solve_dlyap)
+                               prior_from_outer, prior_from_polynomial,
+                               solve_dlyap)
 from spectral_homotopy.statespace import _channel_blowup
 
 # reference point used throughout: a parameter whose two coordinate systems
@@ -92,6 +93,47 @@ def random_pair(random_param, random_prior):
         return random_prior(rng), random_param(rng)
 
     return sample
+
+
+def make_bank(bank, field):
+    if bank == "diag":
+        return FilterBank(np.diag([0.5, -0.3, 0.7, 0.2]), np.ones((4, 1)),
+                          field=field)
+    return make_covariance_extension_filter(*bank, field=field)
+
+
+def draw_normal(rng, shape, field):
+    x = rng.standard_normal(shape)
+    if field == "complex":
+        x = x + 1j * rng.standard_normal(shape)
+    return x
+
+
+def draw_prior(rng, kind, field):
+    if kind == "constant":
+        return constant_prior(0.5 + rng.random())
+    if kind == "rational":
+        # one pole and one zero inside the disc
+        a, zero = rng.uniform(-0.8, 0.8, 2)
+        return prior_from_outer(StateSpaceSystem(
+            np.array([[a]]), np.array([[1.0]]), np.array([[a - zero]]),
+            np.array([[1.0]])))
+    roots = rng.uniform(0.0, 0.8, 2) * np.exp(1j * rng.uniform(0, np.pi, 2))
+    if field == "real":
+        return prior_from_polynomial(np.poly([roots[0], roots[0].conj()]).real)
+    return prior_from_polynomial(np.poly(roots))
+
+
+def draw_param(fb, rng):
+    # maximum-entropy parameter of an attainable covariance: the white-noise
+    # state covariance X0 plus a random range element, scaled so that the
+    # sum keeps a share of X0's smallest eigenvalue
+    X0 = solve_dlyap(fb.A, fb.B @ fb.B.conj().T)
+    S = fb.B @ draw_normal(rng, (fb.m, fb.n), fb.field)
+    X1 = solve_dlyap(fb.A, S + S.conj().T)
+    scale = rng.uniform(0.1, 0.95) * np.linalg.eigvalsh(X0)[0] \
+        / np.linalg.norm(X1, 2)
+    return maxent_initialization(fb, X0 + scale * X1)
 
 
 def random_additive_quadruple(rng, n=3, p=2, complex_data=False):

@@ -266,6 +266,42 @@ class TestCheck:
         assert "sigma: VIOLATION" in capsys.readouterr().out
 
 
+def _non_hermitian():
+    M = np.eye(4)
+    M[0, 1] = 0.5
+    return M.tolist()
+
+
+class TestInvalidSigma:
+    """A malformed sigma.matrix is a typed error, never a traceback."""
+
+    @pytest.mark.parametrize("verb", ["maxent", "solve"])
+    def test_wrong_shape_is_a_config_error(self, verb, tmp_path, capsys):
+        doc = base_config(sigma={"matrix": np.eye(3).tolist()})
+        cfg = write_config(tmp_path, doc)
+        assert main([verb, "--config", cfg, "--out",
+                     str(tmp_path / "x")]) == 2
+        assert "sigma.matrix" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["maxent", "solve"])
+    def test_non_hermitian_exits_3(self, verb, tmp_path, capsys):
+        doc = base_config(sigma={"matrix": _non_hermitian()})
+        cfg = write_config(tmp_path, doc)
+        assert main([verb, "--config", cfg, "--out",
+                     str(tmp_path / "x")]) == 3
+        assert "Hermitian" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("matrix, finding", [
+        (np.eye(3).tolist(), "sigma.matrix"),
+        (_non_hermitian(), "Hermitian")])
+    def test_check_reports_it_with_exit_zero(self, matrix, finding, tmp_path,
+                                             capsys):
+        cfg = write_config(tmp_path, base_config(sigma={"matrix": matrix}))
+        assert main(["check", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert "sigma: VIOLATION" in out and finding in out
+
+
 class TestMaxent:
     def test_writes_solution(self, tmp_path, capsys):
         doc = base_config(sigma={"matrix": np.eye(4).tolist()})
@@ -375,6 +411,7 @@ class TestConfigRoundTrip:
                       "sigma": {"A": [[0.5]], "B": [[1.0]],
                                 "C": [[0.25]], "D": [[1.0]]}},
         },
+        {"filter": {"preset": "covext", "m": 2, "p": 1, "field": "complex"}},
     ]
 
     @pytest.mark.parametrize("doc", CASES)

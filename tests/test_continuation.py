@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from spectral_homotopy import (ConfigError, FactorParameter, HomotopyConfig,
@@ -17,7 +19,13 @@ from spectral_homotopy import (ConfigError, FactorParameter, HomotopyConfig,
                                prior_from_polynomial, run_continuation,
                                statespace, write_path_csv, write_path_json)
 
-from conftest import B_REF, relative_error
+from conftest import (B_REF, draw_param, draw_prior, make_bank,
+                      relative_error)
+
+# covariance-extension banks (m, p) with n = m (p + 1) <= 8, and a general
+# bank with nonzero poles
+ROUND_TRIP_BANKS = [(m, p) for m in (1, 2, 3) for p in range(4)
+                    if m * (p + 1) <= 8] + ["diag"]
 
 
 class TestMaxent:
@@ -303,11 +311,12 @@ class TestRunContinuation:
         def forbidden(*args, **kwargs):
             raise AssertionError("Riccati solve on the continuation path")
 
-        original = matrixeq._solve_additive
+        originals = (matrixeq._sda_appendix, matrixeq.solve_dare_appendix,
+                     matrixeq.solve_dare_lambda)
         for mod in (matrixeq, statespace, factorization, moment,
                     continuation):
             for name, value in list(vars(mod).items()):
-                if value is original:
+                if any(value is original for original in originals):
                     monkeypatch.setattr(mod, name, forbidden)
         path = run_continuation(fb, prior_ref, sigma_ref)
         assert np.linalg.norm(path.final.C - c_ref) < 1e-6
@@ -328,6 +337,27 @@ class TestRunContinuation:
         start = maxent_initialization(fb, sigma_ref)
         assert_allclose(path.samples[0].C, start.C, atol=1e-14)
         assert path.samples[0].newton_iters == 0
+
+
+class TestRoundTripEverywhere:
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              database=None)
+    @given(bank=st.sampled_from(ROUND_TRIP_BANKS),
+           field=st.sampled_from(("real", "complex")),
+           prior_kind=st.sampled_from(("polynomial", "rational")),
+           seed=st.integers(0, 2**32 - 1))
+    def test_recovers_generating_parameter(self, bank, field, prior_kind,
+                                           seed):
+        # Sigma = g(psi, C_true) is attainable with the known answer C_true
+        fb = make_bank(bank, field)
+        rng = np.random.default_rng(seed)
+        prior = draw_prior(rng, prior_kind, field)
+        C_true = draw_param(fb, rng).C
+        Sigma = moment_g_statespace(fb, prior, FactorParameter(fb, C_true))
+        path = run_continuation(fb, prior, Sigma)
+        assert path.final.t == 1.0
+        assert path.final.residual <= 1e-10
+        assert relative_error(path.final.C, C_true) <= 1e-6
 
 
 class TestConfig:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from spectral_homotopy import (FactorizationError, FactorParameter,
                                FilterBank, MembershipError, PriorSpectrum,
@@ -12,6 +12,8 @@ from spectral_homotopy import (FactorizationError, FactorParameter,
                                reverse_cholesky, solve_dare_appendix,
                                solve_dare_lambda, solve_dlyap,
                                standard_cholesky)
+
+from spectral_homotopy.statespace import _fir_system
 
 from conftest import random_additive_quadruple, relative_error
 
@@ -241,6 +243,35 @@ class TestLagWeightRiccati:
             Pf = _fixed_point_lambda(fb.A, fb.B, Lam)
             assert_allclose(sd.P, Pf, rtol=1e-9, atol=1e-11)
 
+    def test_each_gate_runs_once(self, fb, chart, param_ref, monkeypatch):
+        # one residual gate, one innovation Cholesky and one closed-loop
+        # spectral radius, all in lag-weight form: the additive form's are
+        # the same checks, transposed
+        Lam = h_inverse(chart, param_ref)
+        calls = {"residual": 0, "cholesky": 0}
+        radii = []
+
+        def counted(kind, func):
+            def wrapper(*args):
+                calls[kind] += 1
+                return func(*args)
+            return wrapper
+
+        for name in ("_appendix_residual", "_lambda_residual"):
+            monkeypatch.setattr(matrixeq, name,
+                                counted("residual", getattr(matrixeq, name)))
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            counted("cholesky", np.linalg.cholesky))
+        radius = matrixeq._spectral_radius
+        monkeypatch.setattr(matrixeq, "_spectral_radius",
+                            lambda A: radii.append(A) or radius(A))
+        sol = solve_dare_lambda(fb, Lam)
+        assert calls == {"residual": 1, "cholesky": 1}
+        # the other radius is the stability check of the Stein solve for Q
+        assert len(radii) == 2
+        assert_array_equal(radii[0], fb.A.T)
+        assert_array_equal(radii[1], sol.closed_loop)
+
     def test_inadmissible_weight_rejected(self, fb):
         with pytest.raises(MembershipError, match="positive"):
             solve_dare_lambda(fb, -np.eye(4))
@@ -405,6 +436,22 @@ class TestCounterexample:
         else:
             with pytest.raises(MembershipError, match="theta = 0.000000"):
                 PriorSpectrum(sigma)
+
+    @pytest.mark.parametrize("b, zero", [
+        ([1.0, -2.0, 1.0], 0.0),
+        ([1.0, -3.0, 3.0, -1.0], 0.0),
+        ([1.0, -4.0, 6.0, -4.0, 1.0], 0.0),
+        (np.poly([np.exp(0.3j)] * 2), 0.3),
+        (np.poly([1.0, 0.999]), 0.0)])
+    def test_prior_with_a_multiple_zero_on_the_circle(self, b, zero):
+        # sigma = (1 - e^{i zero} z^{-1})^k for k = 2, 3, 4 gives psi a zero
+        # of order 2k, which roundoff moves off the pencil's imaginary axis
+        # by more than AXIS_TOL; the last has a simple zero beside a root
+        # at 0.999
+        with pytest.raises(MembershipError, match="singular at theta") as exc:
+            PriorSpectrum(_fir_system(b))
+        theta = float(str(exc.value).rsplit("= ", 1)[1])
+        assert abs(theta - zero) < 1e-2
 
 
 def _positivity_bank(bank, field):

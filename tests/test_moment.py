@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from spectral_homotopy import (EvaluationError, FactorParameter, FilterBank,
+from spectral_homotopy import (EvaluationError, FactorParameter,
                                SolverError, StateSpaceSystem,
                                apply_f2_quadrature, apply_g1_direction,
                                apply_g2_quadrature, apply_g2_statespace, assemble_jacobian_matrix,
@@ -14,59 +14,19 @@ from spectral_homotopy import (EvaluationError, FactorParameter, FilterBank,
                                f_jacobian_from_g, h_inverse,
                                jacobian_condition_number, make_chart,
                                make_covariance_extension_filter,
-                               matrixeq, maxent_initialization, moment,
+                               matrixeq, moment,
                                moment_f_quadrature, moment_g_quadrature,
                                moment_g_statespace,
                                prior_from_outer, prior_from_polynomial,
-                               solve_dlyap, solve_jacobian_system,
+                               solve_jacobian_system,
                                trace_inner)
 
-from conftest import (B_REF, C_REF, cascade, factor_inner_realization,
-                      fd_direction, relative_error, rotated_chart)
+from conftest import (B_REF, C_REF, cascade, draw_normal, draw_param,
+                      draw_prior, factor_inner_realization, fd_direction,
+                      make_bank, relative_error, rotated_chart)
 
 # covariance-extension banks (m, p) and a general bank with nonzero poles
 BANKS = [(m, p) for m in (1, 2, 3) for p in (0, 1, 2)] + ["diag"]
-
-
-def _bank(bank, field):
-    if bank == "diag":
-        return FilterBank(np.diag([0.5, -0.3, 0.7, 0.2]), np.ones((4, 1)),
-                          field=field)
-    return make_covariance_extension_filter(*bank, field=field)
-
-
-def _normal(rng, shape, field):
-    x = rng.standard_normal(shape)
-    if field == "complex":
-        x = x + 1j * rng.standard_normal(shape)
-    return x
-
-
-def _random_prior(rng, kind, field):
-    if kind == "constant":
-        return constant_prior(0.5 + rng.random())
-    if kind == "rational":
-        # one pole and one zero inside the disc
-        a, zero = rng.uniform(-0.8, 0.8, 2)
-        return prior_from_outer(StateSpaceSystem(
-            np.array([[a]]), np.array([[1.0]]), np.array([[a - zero]]),
-            np.array([[1.0]])))
-    roots = rng.uniform(0.0, 0.8, 2) * np.exp(1j * rng.uniform(0, np.pi, 2))
-    if field == "real":
-        return prior_from_polynomial(np.poly([roots[0], roots[0].conj()]).real)
-    return prior_from_polynomial(np.poly(roots))
-
-
-def _random_param(fb, rng):
-    # maximum-entropy parameter of an attainable covariance: the white-noise
-    # state covariance X0 plus a random range element, scaled so that the
-    # sum keeps a share of X0's smallest eigenvalue
-    X0 = solve_dlyap(fb.A, fb.B @ fb.B.conj().T)
-    S = fb.B @ _normal(rng, (fb.m, fb.n), fb.field)
-    X1 = solve_dlyap(fb.A, S + S.conj().T)
-    scale = rng.uniform(0.1, 0.95) * np.linalg.eigvalsh(X0)[0] \
-        / np.linalg.norm(X1, 2)
-    return maxent_initialization(fb, X0 + scale * X1)
 
 
 class TestChart:
@@ -229,11 +189,11 @@ class TestDerivatives:
                                                       prior_kind, seed):
         # every direction, not only the factor slice, on covext and general
         # banks in both fields
-        fb = _bank(bank, field)
+        fb = make_bank(bank, field)
         rng = np.random.default_rng(seed)
-        prior = _random_prior(rng, prior_kind, field)
-        param = _random_param(fb, rng)
-        V = _normal(rng, (fb.m, fb.n), field)
+        prior = draw_prior(rng, prior_kind, field)
+        param = draw_param(fb, rng)
+        V = draw_normal(rng, (fb.m, fb.n), field)
         ds = apply_g2_statespace(fb, prior, param, V)
         dq = apply_g2_quadrature(fb, prior, param, V, dtheta=2 * np.pi / 8192)
         assert relative_error(dq, ds) < 1e-8
@@ -294,13 +254,13 @@ def _rational_prior():
 
 def _blend_case(case, rng):
     if case == "covext-real":
-        fb = _bank((2, 1), "real")
+        fb = make_bank((2, 1), "real")
         return fb, prior_from_polynomial(B_REF), FactorParameter(fb, C_REF)
     if case == "covext-complex":
-        fb = _bank((2, 1), "complex")
-        return fb, prior_from_polynomial(B_REF), _random_param(fb, rng)
-    fb = _bank("diag", "real")
-    return fb, _rational_prior(), _random_param(fb, rng)
+        fb = make_bank((2, 1), "complex")
+        return fb, prior_from_polynomial(B_REF), draw_param(fb, rng)
+    fb = make_bank("diag", "real")
+    return fb, _rational_prior(), draw_param(fb, rng)
 
 
 class TestBlendedPoint:
@@ -389,7 +349,7 @@ class TestJacobian:
         fb = make_covariance_extension_filter(2, 1, field=field)
         chart = make_chart(fb)
         param = FactorParameter(fb, C_REF) if field == "real" \
-            else _random_param(fb, rng)
+            else draw_param(fb, rng)
         Js = assemble_jacobian_matrix(chart, prior_ref, param,
                                       which="g", route="statespace")
         Jq = assemble_jacobian_matrix(chart, prior_ref, param,
@@ -406,9 +366,9 @@ class TestJacobian:
     def test_quadrature_matches_pointwise_loop(self, bank, field, which,
                                                prior_ref, rng):
         # same Riemann sum, summed in another order: equal to roundoff
-        fb = _bank(bank, field)
+        fb = make_bank(bank, field)
         chart = make_chart(fb)
-        param = _random_param(fb, rng)
+        param = draw_param(fb, rng)
         point = param if which == "g" else h_inverse(chart, param)
         Jq = assemble_jacobian_matrix(chart, prior_ref, point, which=which,
                                       route="quadrature",
@@ -443,9 +403,9 @@ class TestJacobian:
                                                          prior_ref, rng):
         # all M tangent Stein solves in one stack against one factorization,
         # against one apply_g2_statespace call per basis direction
-        fb = _bank(bank, field)
+        fb = make_bank(bank, field)
         chart = make_chart(fb)
-        param = _random_param(fb, rng)
+        param = draw_param(fb, rng)
         J = assemble_jacobian_matrix(chart, prior_ref, param, which="g",
                                      route="statespace")
         for j, V in enumerate(chart.factor_basis):
@@ -495,9 +455,9 @@ class TestCascadeAssembly:
         # blow-up; the oracle cascade of the prior and the inner system is
         # the oracle, and the radius the point hands its Stein
         # factorization is the spectral radius of A_T
-        fb = _bank(bank, field)
-        param = _random_param(fb, rng)
-        prior = None if kind is None else _random_prior(rng, kind, field)
+        fb = make_bank(bank, field)
+        param = draw_param(fb, rng)
+        prior = None if kind is None else draw_prior(rng, kind, field)
         factored = []
         stein_solver = moment._stein_solver
 
@@ -529,7 +489,7 @@ class TestChainRuleWeightJacobian:
         pytest.param((3, 2), "real", id="covext-3-2"),
         pytest.param("diag", "real", id="diag-real")])
     def test_matches_quadrature(self, bank, field, prior_kind, rng):
-        fb = _bank(bank, field)
+        fb = make_bank(bank, field)
         chart = make_chart(fb)
         prior = (prior_from_polynomial(B_REF) if prior_kind == "polynomial"
                  else _rational_prior())
@@ -537,7 +497,7 @@ class TestChainRuleWeightJacobian:
             # criterion 1's point and grid
             param, dtheta = FactorParameter(fb, C_REF), 1e-4
         else:
-            param, dtheta = _random_param(fb, rng), 2 * np.pi / 4096
+            param, dtheta = draw_param(fb, rng), 2 * np.pi / 4096
         J_g = assemble_jacobian_matrix(chart, prior, param, which="g",
                                        route="statespace")
         J_f = f_jacobian_from_g(chart, param, J_g)
@@ -631,12 +591,12 @@ class TestJacobianSolve:
         assert 1e10 < info.gram_cond < 1e12
 
     def test_condition_limit_enforced(self, fb, chart, prior_ref, param_ref,
-                                      rng):
+                                      rng, monkeypatch):
         Y = apply_g2_statespace(fb, prior_ref, param_ref,
                                 fd_direction(chart, rng))
+        monkeypatch.setattr(moment, "GRAM_COND_LIMIT", 1.0)
         with pytest.raises(SolverError, match="condition"):
-            solve_jacobian_system(chart, prior_ref, param_ref, Y,
-                                  gram_cond_limit=1.0)
+            solve_jacobian_system(chart, prior_ref, param_ref, Y)
 
     def test_discards_unattainable_component(self, fb, chart, prior_ref,
                                              param_ref, rng):
