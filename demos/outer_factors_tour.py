@@ -53,7 +53,7 @@ print("\nh(B B^T) =\n", param.C)
 print("CB =\n", param.CB)
 
 # the defining identity: (z C G)(z C G)* equals G* Lambda G on the circle
-W = right_outer_factor(fb, param).system
+W = right_outer_factor(fb, param)
 Wv = W.eval_grid(zs)
 Gv = fb.eval_grid(zs)
 lhs = Wv.conj().transpose(0, 2, 1) @ Wv
@@ -69,7 +69,7 @@ Lam2 = np.eye(4)
 Lam2[0, 0] = -0.5
 assert is_in_Lplus(fb, Lam2).member
 param2 = h_map(fb, Lam2)
-Wv = right_outer_factor(fb, param2).system.eval_grid(zs)
+Wv = right_outer_factor(fb, param2).eval_grid(zs)
 lhs = Wv.conj().transpose(0, 2, 1) @ Wv
 rhs = Gv.conj().transpose(0, 2, 1) @ Lam2 @ Gv
 print("\nindefinite weight, factorization defect:",
@@ -117,7 +117,7 @@ print("\nadditive factorization: Riccati residual =", sol.residual_norm,
 from spectral_homotopy import StateSpaceSystem
 
 Zv = StateSpaceSystem(A, G, C, J).eval_grid(zs)
-Wv = factor.system.eval_grid(zs)
+Wv = factor.eval_grid(zs)
 herm = Zv + Zv.conj().transpose(0, 2, 1)
 sq = Wv @ Wv.conj().transpose(0, 2, 1)
 print("max |W W* - (Z + Z*)| on the circle:",
@@ -125,8 +125,7 @@ print("max |W W* - (Z + Z*)| on the circle:",
 
 # outer means the factor and its inverse are both stable
 wzeros = np.linalg.eigvals(
-    factor.system.A
-    - factor.system.B @ np.linalg.solve(factor.system.D, factor.system.C))
+    factor.A - factor.B @ np.linalg.solve(factor.D, factor.C))
 print("factor zeros (must stay in the closed disc):", np.abs(wzeros))
 
 

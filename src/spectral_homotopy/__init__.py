@@ -9,12 +9,14 @@ the prior from the closed-form flat-prior solution to the requested one.
 
 Layering, bottom up:
 
-- ``statespace``: filter banks, priors, membership tests for the admissible
-  parameter sets, grid evaluation.
+- ``statespace``: systems, filter banks, priors, membership tests for the
+  admissible parameter sets, and one batched resolvent behind every
+  transfer evaluation.
 - ``matrixeq``: Stein/Lyapunov and Riccati solvers (by doubling) and
   triangular factorizations.
 - ``factorization``: spectral factorization maps between covariance-side and
-  factor-side parameters, outer factors for additive data.
+  factor-side parameters (one construction of C, shared with the
+  maximum-entropy start), outer factors as state-space systems.
 - ``moment``: the two moment maps and their derivatives, by state-space
   formulas and by quadrature, coordinate charts, Jacobians (the weight-side
   one by the chain rule), condition numbers.
@@ -34,7 +36,7 @@ from .statespace import (CplusDiagnostics, FactorParameter, FilterBank,
                          prior_from_polynomial)
 from .matrixeq import (DareSolution, reverse_cholesky, solve_dare_appendix,
                        solve_dare_lambda, solve_dlyap, standard_cholesky)
-from .factorization import (OuterFactor, density_values, h_inverse, h_map,
+from .factorization import (density_values, h_inverse, h_map,
                             left_outer_factor_from_additive,
                             right_outer_factor)
 from .moment import (CoordinateChart, JacobianSolveInfo,
@@ -62,7 +64,7 @@ __all__ = [
     "matrix_to_json", "matrix_from_json",
     "DareSolution", "solve_dlyap", "solve_dare_appendix", "solve_dare_lambda",
     "standard_cholesky", "reverse_cholesky",
-    "OuterFactor", "right_outer_factor", "left_outer_factor_from_additive",
+    "right_outer_factor", "left_outer_factor_from_additive",
     "h_map", "h_inverse", "density_values",
     "trace_inner", "moment_f_quadrature", "moment_g_quadrature",
     "moment_g_statespace", "apply_f2_quadrature", "apply_g2_quadrature",

@@ -44,9 +44,9 @@ from .factorization import h_inverse
 from .moment import (apply_g2_statespace, condition_numbers, make_chart,
                      moment_g_quadrature, moment_g_statespace)
 from .statespace import (FactorParameter, FilterBank, StateSpaceSystem,
-                         _spectral_radius, constant_prior, is_in_Cplus,
-                         is_in_Lplus, make_covariance_extension_filter,
-                         matrix_from_json, matrix_to_json, prior_from_outer,
+                         constant_prior, is_in_Cplus, is_in_Lplus,
+                         make_covariance_extension_filter, matrix_from_json,
+                         matrix_to_json, prior_from_outer,
                          prior_from_polynomial)
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "main"]
@@ -439,7 +439,7 @@ def cmd_check(args):
     fb = cfg.filterbank
     chart = make_chart(fb)
     print(f"filter: n={fb.n} m={fb.m} field={fb.field} "
-          f"spectral radius {_spectral_radius(fb.A):.6g}")
+          f"spectral radius {fb._radius:.6g}")
 
     if cfg.prior_error is not None:
         print(f"prior: VIOLATION {cfg.prior_error}")

@@ -26,11 +26,12 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, MembershipError, SolverError
+from .factorization import _factor_parameter
 from .matrixeq import reverse_cholesky
 from .moment import (_StatespacePoint, build_factor_basis, make_chart,
                      moment_g_statespace)
 from .statespace import (FactorParameter, _hermitian_defect, _hermitize,
-                         coerce_field, matrix_to_json)
+                         matrix_to_json)
 
 __all__ = [
     "HomotopyConfig",
@@ -45,7 +46,6 @@ __all__ = [
 
 SNAP_TOL = 1e-12
 FEASIBILITY_TOL = 1e-8
-BACKTRACK_LIMIT = 30
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,9 @@ def maxent_initialization(filterbank, Sigma, chart=None):
     """Closed-form solution of g(1, C) = Sigma.
 
     With B* Sigma^{-1} B = L* L (L lower triangular, positive diagonal), the
-    parameter is C = L^{-*} B* Sigma^{-1}.  Sigma must be n x n (else
+    parameter is C = L^{-*} B* Sigma^{-1}, built as h_map builds its C from
+    the Riccati solution (factorization._factor_parameter, which makes CB
+    exactly L at any scale of Sigma).  Sigma must be n x n (else
     ValueError), and Hermitian, positive definite and attainable: its
     distance from the range of the covariance operator must not exceed
     FEASIBILITY_TOL relative to its norm (else MembershipError naming every
@@ -148,10 +150,8 @@ def maxent_initialization(filterbank, Sigma, chart=None):
         raise MembershipError("Sigma is " + "; ".join(findings))
     Si = np.linalg.inv(Sigma)
     B = filterbank.B
-    L = reverse_cholesky(B.conj().T @ Si @ B)
-    C = np.linalg.solve(L.conj().T, B.conj().T @ Si)
-    C = coerce_field(C, filterbank.field, what="maximum-entropy parameter")
-    param = FactorParameter(filterbank, C)
+    param = _factor_parameter(filterbank, Si,
+                              reverse_cholesky(B.conj().T @ Si @ B))
     gap = float(np.linalg.norm(
         moment_g_statespace(filterbank, None, param) - Sigma))
     if gap > 1e-9 * float(np.linalg.norm(Sigma)):
@@ -165,16 +165,16 @@ def corrector_newton(chart, prior, t, param, Sigma, config):
     """Newton iteration on g(p(t), C) = Sigma, p(t) = (1 - t) + t psi, from
     the predicted parameter.
 
-    Steps are damped only to stay inside the factor set (residual growth is
-    not a reason to shrink: the verified direction solve already guarantees
-    descent to first order).  The residual is the plain Frobenius norm
-    ||Sigma - g||, not scaled by ||Sigma||.  At each iterate, g and the
-    direction solve share one cascade point and its Stein factorization
-    (the squared powers of A_T).  Returns
+    Every step is a full Newton step (the verified direction solve already
+    guarantees descent to first order).  A candidate outside the factor set
+    raises MembershipError, on which run_continuation retries the
+    continuation step at half the step size.  The residual is the plain
+    Frobenius norm ||Sigma - g||, not scaled by ||Sigma||.  At each iterate,
+    g and the direction solve share one cascade point and its Stein
+    factorization (the squared powers of A_T).  Returns
     (point, residual, iterations, gram_cond) with ``point`` the cascade point
     at the accepted parameter ``point.param``, which the next tangent
-    reuses; raises SolverError when the budget is exhausted or a candidate
-    cannot be kept feasible.
+    reuses; raises SolverError when the budget is exhausted.
     """
     fb = chart.filterbank
     gram_cond = 0.0
@@ -188,33 +188,10 @@ def corrector_newton(chart, prior, t, param, Sigma, config):
             break
         V, info = point.solve(chart, resid_mat)
         gram_cond = info.gram_cond
-        s = 1.0
-        for _ in range(BACKTRACK_LIMIT + 1):
-            try:
-                param = FactorParameter(fb, param.C + s * V)
-                break
-            except MembershipError:
-                s *= 0.5
-        else:
-            raise SolverError(
-                "Newton step could not be damped into the factor set")
+        param = FactorParameter(fb, param.C + V)
     raise SolverError(
         f"Newton did not reach tolerance {config.newton_tol:.1e} in "
         f"{config.max_newton} iterations (last residual {rnorm:.3e})")
-
-
-def _tangent(chart, point):
-    """Path tangent at the cascade point of (p(t), C).
-
-    The tangent v solves the linearized path equation
-
-        g'(p(t), C; v) = -(g(psi, C) - g(1, C)),
-
-    whose right-hand side is the t-derivative of the moment map along the
-    prior family.  Returns (v, info) with info the direction-solve
-    diagnostics; the Euler predictor is C + dt v.
-    """
-    return point.solve(chart, -point.drift())
 
 
 def _tangent_failure(t, dt, exc, history):
@@ -274,10 +251,11 @@ def run_continuation(filterbank, prior, Sigma, config=None, chart=None,
 
     while t < 1.0:
         dt_try = float(config.dt)
-        # the tangent at t does not depend on the step size, and a smaller
-        # step cannot repair a failed direction solve
+        # the tangent g'(p(t), C; V) = -(g(psi, C) - g(1, C)) at t does not
+        # depend on the step size, and a smaller step cannot repair a failed
+        # direction solve
         try:
-            V, info = _tangent(chart, point)
+            V, info = point.solve(chart, -point.drift())
         except SolverError as exc:
             raise _tangent_failure(t, dt_try, exc, history) from exc
         while True:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import FactorizationError, MembershipError, SolverError
 from .statespace import (STRICT_TOL, _check_hermitian, _hermitize,
-                         _spectral_radius, coerce_field)
+                         _resolvent, _spectral_radius, coerce_field)
 
 __all__ = [
     "DareSolution",
@@ -308,8 +308,7 @@ def _circle_positivity(F, G, H, J):
     # the angle of z = (1 + s) / (1 - s), without dividing by 1 - s = 0
     theta = np.angle((1.0 + s) * (1.0 - s).conj())
     z = np.exp(1j * theta)
-    Zc = H @ np.linalg.solve(z[:, None, None] * eye - F,
-                             np.broadcast_to(G, (z.size,) + G.shape)) + J
+    Zc = H @ _resolvent(F, G, z) + J
     low = np.linalg.eigvalsh(Zc + Zc.conj().swapaxes(-1, -2))[:, 0]
     k = int(np.argmin(low))
     if low[k] <= STRICT_TOL * float(rvals[-1]):
@@ -417,11 +416,13 @@ def _lambda_residual(A, B, Lam, P):
     return _hermitize(resid), L, Pi
 
 
-def _lambda_additive(A, B, Lam):
-    """Q solving Q - A*QA = Lambda, and the additive data
-    (A*, A*QB, B*, B*QB / 2) of the reduction, whose Z + Z* is G* Lambda G."""
+def _lambda_additive(filterbank, Lam):
+    """Q solving Q - A*QA = Lambda for Hermitian Lambda, and the additive
+    data (A*, A*QB, B*, B*QB / 2) of the reduction, whose Z + Z* is
+    G* Lambda G.  A* has the spectral radius the bank keeps."""
+    A, B = filterbank.A, filterbank.B
     Ah = A.conj().T
-    Q = solve_dlyap(Ah, Lam)
+    Q = _stein_solver(Ah, radius=filterbank._radius)(Lam)
     return Q, (Ah, Ah @ Q @ B, B.conj().T, 0.5 * B.conj().T @ Q @ B)
 
 
@@ -442,7 +443,6 @@ def solve_dare_lambda(filterbank, Lam):
         "doubling" and ``iterations`` counts the doubling steps of the
         additive-form solve.
     """
-    A, B = filterbank.A, filterbank.B
     Lam = _check_hermitian(Lam, "Lambda")
     if Lam.shape != (filterbank.n, filterbank.n):
         raise ValueError(f"Lambda must be {filterbank.n}x{filterbank.n}")
@@ -452,7 +452,7 @@ def solve_dare_lambda(filterbank, Lam):
     # (F, G, H, J) = (A*, A*QB, B*, B*QB / 2).  Its Z + Z* is G* Lambda G,
     # so the one Stein solve for Q serves both the membership test and the
     # solve.
-    Q, (F, G, H, J) = _lambda_additive(A, B, Lam)
+    Q, (F, G, H, J) = _lambda_additive(filterbank, Lam)
     why = _circle_positivity(F, G, H, J)
     if why is not None:
         raise MembershipError(
@@ -462,7 +462,7 @@ def solve_dare_lambda(filterbank, Lam):
     X, iters = _sda_appendix(F, G, H, _hermitize(J + J.conj().T))
     P = _hermitize(Q + X)
 
-    resid, L, Pi = _lambda_residual(A, B, Lam, P)
+    resid, L, Pi = _lambda_residual(filterbank.A, filterbank.B, Lam, P)
     rnorm = _residual_gate(resid, P)
     _stabilizing_gate(Pi, rnorm)
     P = coerce_field(P, filterbank.field, what="Riccati solution")

@@ -53,9 +53,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError, SolverError
-from .matrixeq import _stein_solver, solve_dlyap
-from .statespace import (FactorParameter, StateSpaceSystem, _hermitize,
-                         circle_grid, coerce_field, grid_size_from_spacing)
+from .matrixeq import _stein_solver
+from .statespace import (FactorParameter, StateSpaceSystem, _as_param,
+                         _hermitize, circle_grid, coerce_field,
+                         grid_size_from_spacing)
 
 __all__ = [
     "CoordinateChart",
@@ -90,10 +91,6 @@ QUAD_FIELD_TOL = 1e-9
 def trace_inner(X, Y):
     """Real inner product Re trace(X Y*); both spaces here are real-linear."""
     return float(np.real(np.sum(np.asarray(X) * np.conj(Y))))
-
-
-def _as_param(filterbank, C):
-    return C if isinstance(C, FactorParameter) else FactorParameter(filterbank, C)
 
 
 def _psi_on(prior, theta):
@@ -394,27 +391,29 @@ def _field_matrix_basis(m, n, field):
 
 
 def build_range_gamma_basis(filterbank):
-    """Orthonormal basis of the range of the covariance operator.
+    """Orthonormal basis of the range of the covariance operator, stacked.
 
     A Hermitian X lies in the range iff X - A X A* = B H + H* B* for some
     m x n matrix H; sweeping H over a basis (one stacked Stein solve for
-    all of them) and orthonormalizing the solutions (Re-trace inner
-    product, drop tolerance relative to the raw scale) spans the range.
+    all of them) spans the range.  One SVD of the solutions, written as real
+    rows (real and imaginary parts, so the row inner product is Re trace),
+    gives the basis: the right singular vectors whose singular values exceed
+    BASIS_DROP_TOL times the largest.
     """
-    S = filterbank.B @ _field_matrix_basis(filterbank.m, filterbank.n,
-                                           filterbank.field)
-    raw = solve_dlyap(filterbank.A, S + S.conj().swapaxes(-1, -2))
-    scale = float(np.max(np.linalg.norm(raw, axis=(1, 2))))
-    basis = []
-    for X in raw:
-        Y = X.copy()
-        for _ in range(2):
-            for E in basis:
-                Y = Y - trace_inner(Y, E) * E
-        nn = np.linalg.norm(Y)
-        if nn > BASIS_DROP_TOL * scale:
-            basis.append(Y / nn)
-    return tuple(basis)
+    fb = filterbank
+    S = fb.B @ _field_matrix_basis(fb.m, fb.n, fb.field)
+    raw = _stein_solver(fb.A, radius=fb._radius)(
+        S + S.conj().swapaxes(-1, -2))
+    rows = raw.reshape(len(raw), -1)
+    if fb.field == "complex":
+        rows = np.hstack([rows.real, rows.imag])
+    _, sv, vh = np.linalg.svd(rows, full_matrices=False)
+    vh = vh[sv > BASIS_DROP_TOL * sv[0]]
+    if fb.field == "complex":
+        vh = vh[:, :fb.n * fb.n] + 1j * vh[:, fb.n * fb.n:]
+    # real combinations of the Hermitian solutions, Hermitian up to the
+    # SVD's roundoff
+    return _hermitize(vh.reshape(-1, fb.n, fb.n))
 
 
 def build_factor_basis(filterbank, anchor=None):

@@ -4,7 +4,9 @@ Systems are causal transfer functions W(z) = C (zI - A)^{-1} B + D evaluated
 on and outside the unit circle.  The module provides the bank of rational
 filters G(z) = (zI - A)^{-1} B that defines the estimation problem, the
 scalar prior spectra psi = |sigma|^2, and the stable factor parameters C
-whose induced closed loop Pi = A - B (CB)^{-1} C A is Schur stable.
+whose induced closed loop Pi = A - B (CB)^{-1} C A is Schur stable.  The
+filter bank, every system (spectral factors included) and matrixeq's
+positivity test evaluate through one batched resolvent solve, _resolvent.
 
 All sets come with explicit numerical tolerances: strict inequalities use a
 1e-12 margin throughout.
@@ -29,7 +31,6 @@ __all__ = [
     "prior_from_polynomial",
     "prior_from_outer",
     "constant_prior",
-    "eval_transfer",
     "is_in_Cplus",
     "is_in_Lplus",
     "circle_grid",
@@ -166,43 +167,32 @@ class StateSpaceSystem:
         return self.C.shape[0]
 
     def eval(self, z):
-        """Evaluate W(z) at a single complex point."""
-        return eval_transfer(self, z)
+        """W(z) at a single point."""
+        return self.eval_grid([z])[0]
 
     def eval_grid(self, z):
-        """Evaluate W at a 1-d array of points; returns shape (len(z), p, m)."""
-        z = np.asarray(z, dtype=complex).ravel()
-        if self.n_states == 0:
-            return np.broadcast_to(
-                self.D.astype(complex), (z.size,) + self.D.shape
-            ).copy()
-        n = self.n_states
-        zI = z[:, None, None] * np.eye(n)
-        try:
-            X = np.linalg.solve(zI - self.A, np.broadcast_to(
-                self.B.astype(complex), (z.size,) + self.B.shape))
-        except np.linalg.LinAlgError as exc:
-            raise EvaluationError(
-                f"zI - A singular on the evaluation grid: {exc}") from exc
-        return self.C @ X + self.D
+        """W on a 1-d array of points; returns shape (len(z), p, m)."""
+        return self.C @ _resolvent(self.A, self.B, z) + self.D
 
 
-def eval_transfer(system, z):
-    """Evaluate C (zI - A)^{-1} B + D at the point ``z``.
+def _resolvent(A, B, z):
+    """(zI - A)^{-1} B at every point of the 1-d array ``z``, stacked as
+    (len(z), n, m); the one solve behind every transfer evaluation.
 
     Raises
     ------
     EvaluationError
-        If ``zI - A`` is singular at ``z`` (the message names the point).
+        If zI - A is singular at a point (the message names it).
     """
-    if system.n_states == 0:
-        return system.D.copy()
-    n = system.n_states
+    z = np.asarray(z, dtype=complex).ravel()
+    zI_A = z[:, None, None] * np.eye(A.shape[0]) - A
     try:
-        X = np.linalg.solve(complex(z) * np.eye(n) - system.A, system.B)
-    except np.linalg.LinAlgError as exc:
-        raise EvaluationError(f"zI - A is singular at z = {z!r}") from exc
-    return system.C @ X + system.D
+        return np.linalg.solve(zI_A, np.broadcast_to(
+            B.astype(complex), (z.size,) + B.shape))
+    except np.linalg.LinAlgError:
+        k = int(np.argmin(np.abs(np.linalg.det(zI_A))))
+        raise EvaluationError(
+            f"zI - A is singular at z = {z[k]!r}") from None
 
 
 def _channel_blowup(outer, m):
@@ -234,10 +224,15 @@ class FilterBank:
     A : (n, n) array, Schur stable (spectral radius < 1 - 1e-12)
     B : (n, m) array, full column rank, with (A, B) reachable
     field : "real" or "complex"
+
+    The spectral radius of A, found by the stability check, is kept for the
+    Stein solves in A and A* (matrixeq._stein_solver).
     """
 
     A: np.ndarray
     B: np.ndarray
+    # declared before ``field``, which shadows dataclasses.field below it
+    _radius: float = field(init=False, repr=False, compare=False)
     field: str = "real"
 
     def __post_init__(self):
@@ -267,6 +262,7 @@ class FilterBank:
         B.setflags(write=False)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
+        object.__setattr__(self, "_radius", rho)
 
     @property
     def n(self):
@@ -278,20 +274,11 @@ class FilterBank:
 
     def eval(self, z):
         """G(z) at a single point."""
-        try:
-            return np.linalg.solve(
-                complex(z) * np.eye(self.n) - self.A, self.B)
-        except np.linalg.LinAlgError as exc:
-            raise EvaluationError(f"zI - A is singular at z = {z!r}") from exc
+        return self.eval_grid([z])[0]
 
     def eval_grid(self, z):
         """G on a 1-d array of points; returns shape (len(z), n, m)."""
-        z = np.asarray(z, dtype=complex).ravel()
-        zI = z[:, None, None] * np.eye(self.n)
-        return np.linalg.solve(
-            zI - self.A,
-            np.broadcast_to(self.B.astype(complex), (z.size,) + self.B.shape),
-        )
+        return _resolvent(self.A, self.B, z)
 
 
 def make_covariance_extension_filter(m, p, field="real"):
@@ -368,10 +355,6 @@ class PriorSpectrum:
         """psi(theta) = |sigma(e^{i theta})|^2 on a grid of angles."""
         s = self.sigma_values(theta)
         return (s * s.conj()).real
-
-    @property
-    def is_constant(self):
-        return self.kind == "constant" or self.sigma.n_states == 0
 
     def _blowup(self, m):
         """sigma's copies for m channels (see _channel_blowup), read-only."""
@@ -493,6 +476,12 @@ def is_in_Cplus(filterbank, C):
     return _closed_loop(filterbank, _as_matrix(C, "C"))[0]
 
 
+def _as_param(filterbank, C):
+    """``C`` as a FactorParameter of ``filterbank``: a FactorParameter is
+    returned as is, a matrix is checked for membership."""
+    return C if isinstance(C, FactorParameter) else FactorParameter(filterbank, C)
+
+
 def _closed_loop(filterbank, C):
     """(diagnostics, CB, Pi) of the membership check of the matrix C.
 
@@ -557,7 +546,7 @@ def is_in_Lplus(filterbank, Lam):
     G = filterbank.eval_grid(np.exp(1j * circle_grid(1024)))
     M = G.conj().transpose(0, 2, 1) @ Lam @ G
     min_eig = float(np.linalg.eigvalsh(_hermitize(M)).min())
-    additive = _lambda_additive(filterbank.A, filterbank.B, Lam)[1]
+    additive = _lambda_additive(filterbank, Lam)[1]
     return LplusDiagnostics(member=_circle_positivity(*additive) is None,
                             min_eigenvalue=min_eig)
 

@@ -40,6 +40,15 @@ class TestMaxent:
             got = moment_g_statespace(fb, None, param)
             assert relative_error(got, Sigma) < 1e-9
 
+    @pytest.mark.parametrize("scale", [1e-8, 1e-6, 1.0, 1e3])
+    def test_defining_equation_at_any_scale(self, fb, sigma_ref, scale):
+        # CB is made exactly L, so at a small scale of Sigma the roundoff
+        # above its diagonal does not fail the absolute membership tolerance
+        Sigma = scale * sigma_ref
+        param = maxent_initialization(fb, Sigma)
+        got = moment_g_statespace(fb, None, param)
+        assert relative_error(got, Sigma) <= 1e-9
+
     def test_rejects_indefinite(self, fb):
         with pytest.raises(MembershipError, match="positive definite"):
             maxent_initialization(fb, np.diag([1.0, 1.0, 1.0, -0.1]))
@@ -111,8 +120,8 @@ class TestPredictorCorrector:
                                           sigma_ref):
         # one Euler step from t = 0 must reduce the t = 1 residual
         start = maxent_initialization(fb, sigma_ref)
-        v, info = continuation._tangent(
-            chart, moment._StatespacePoint(fb, prior_ref, start, 0.0))
+        point = moment._StatespacePoint(fb, prior_ref, start, 0.0)
+        v, info = point.solve(chart, -point.drift())
         C_pred = start.C + 0.1 * v
         assert info.verify_residual <= 1e-8
         r0 = np.linalg.norm(
@@ -126,8 +135,8 @@ class TestPredictorCorrector:
                                                     sigma_ref):
         start = maxent_initialization(fb, sigma_ref)
         flat = constant_prior(1.0)
-        v, _ = continuation._tangent(
-            chart, moment._StatespacePoint(fb, flat, start, 0.0))
+        point = moment._StatespacePoint(fb, flat, start, 0.0)
+        v, _ = point.solve(chart, -point.drift())
         C_pred = start.C + 0.1 * v
         assert np.linalg.norm(v) < 1e-10
         assert_allclose(C_pred, start.C, atol=1e-11)
@@ -195,6 +204,28 @@ class TestRunContinuation:
         assert len(path.samples) == 11
         assert np.linalg.norm(path.final.C - C_true) \
             <= 1e-6 * np.linalg.norm(C_true)
+
+    def test_infeasible_newton_candidate_halves_the_step(
+            self, fb, prior_ref, sigma_ref, monkeypatch):
+        # the corrector takes full Newton steps; a candidate outside the
+        # factor set rejects the continuation step, which is retried at dt / 2
+        solve = moment._StatespacePoint.solve
+        calls = []
+
+        def leaving_solve(self, chart, Y):
+            V, info = solve(self, chart, Y)
+            calls.append(Y)
+            # call 1 is the tangent at t = 0, call 2 the first Newton
+            # direction at t = 0.1; C + V = -C has a negative diagonal of CB
+            if len(calls) == 2:
+                V = -2.0 * self.param.C
+            return V, info
+
+        monkeypatch.setattr(moment._StatespacePoint, "solve", leaving_solve)
+        path = run_continuation(fb, prior_ref, sigma_ref)
+        assert_allclose([s.t for s in path.samples[:3]], [0.0, 0.05, 0.15],
+                        rtol=0, atol=1e-15)
+        assert path.final.t == 1.0
 
     def test_failed_tangent_solve_raises_at_once(self, fb, prior_ref,
                                                  sigma_ref, monkeypatch):

@@ -80,7 +80,6 @@ class TestWeightToFactor:
 class TestRightOuter:
     def test_evaluates_to_zCG(self, fb, param_ref):
         W = right_outer_factor(fb, param_ref)
-        assert W.kind == "right"
         for z in np.exp(1j * np.array([0.0, 0.7, -2.1])):
             want = z * (param_ref.C @ fb.eval(z))
             assert_allclose(W.eval(z), want, atol=1e-12)
@@ -106,7 +105,7 @@ class TestRightOuter:
 
     def test_value_at_infinity_is_CB(self, fb, param_ref):
         W = right_outer_factor(fb, param_ref)
-        assert_allclose(W.system.D, param_ref.CB, atol=0)
+        assert_allclose(W.D, param_ref.CB, atol=0)
         assert_allclose(np.triu(param_ref.CB, 1), 0, atol=1e-14)
 
 
@@ -136,16 +135,15 @@ class TestLeftOuter:
             # value at infinity carries the full constant term
             R = J + J.conj().T
             want = R + H @ sol.P @ H.conj().T
-            Winf = W.system.D
+            Winf = W.D
             assert_allclose(Winf @ Winf.conj().T, want, rtol=1e-10)
 
     def test_factor_is_minimum_phase(self, rng):
         (F, G, H, J), _ = random_additive_quadruple(rng)
         W = left_outer_factor_from_additive(F, G, H, J)
-        s = W.system
-        zero_dyn = s.A - s.B @ np.linalg.solve(s.D, s.C)
+        zero_dyn = W.A - W.B @ np.linalg.solve(W.D, W.C)
         assert np.max(np.abs(np.linalg.eigvals(zero_dyn))) < 1.0
-        assert np.max(np.abs(np.linalg.eigvals(s.A))) < 1.0
+        assert np.max(np.abs(np.linalg.eigvals(W.A))) < 1.0
 
 
 class TestDensityValues:

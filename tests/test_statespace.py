@@ -47,6 +47,11 @@ class TestFilterBank:
         with pytest.raises(EvaluationError):
             fb.eval(0.5)
 
+    def test_eval_grid_at_pole_raises(self):
+        fb = FilterBank(np.diag([0.5, -0.3, 0.7, 0.2]), np.ones((4, 1)))
+        with pytest.raises(EvaluationError, match="0.5"):
+            fb.eval_grid([0.1, 0.5])
+
     def test_rejects_unstable_A(self):
         with pytest.raises(MembershipError, match="Schur"):
             FilterBank(np.array([[1.0]]), np.array([[1.0]]))
@@ -85,6 +90,15 @@ class TestGrids:
 
 
 class TestSystems:
+    def test_system_without_states_is_its_feedthrough(self, rng):
+        D = rng.standard_normal((3, 2))
+        sys0 = StateSpaceSystem(np.zeros((0, 0)), np.zeros((0, 2)),
+                                np.zeros((3, 0)), D)
+        z = np.exp(1j * np.array([0.0, 1.2, -2.5]))
+        assert_allclose(sys0.eval_grid(z), np.broadcast_to(D, (3, 3, 2)),
+                        atol=0)
+        assert_allclose(sys0.eval(2.0), D, atol=0)
+
     def test_series_product_is_pointwise_product(self, rng):
         a = StateSpaceSystem(np.array([[0.4]]), np.array([[1.0, 0.0]]),
                              np.array([[1.0], [2.0]]),
