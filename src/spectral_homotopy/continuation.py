@@ -7,7 +7,14 @@ g(p(t), C(t)) = Sigma in t gives the path ODE
 
     g'(p(t), C; C') = -( g(psi, C) - g(1, C) ),
 
-which is followed by an Euler predictor and a Newton corrector per step.
+which is followed by a cubic Hermite predictor (Euler for the first step,
+which has no earlier sample) and a Newton corrector per step.  The
+predictor extrapolates, in factor coordinates, the cubic through the last
+two accepted samples and their tangents, and adds the result to the last C
+as an increment: Newton directions never correct the part of C outside the
+factor slice, so a prediction that combined the samples' matrices would
+propagate that roundoff with a factor above one per step.  The tangents
+are the ones the steps already solve, so the predictor costs no solve.
 p(t) is never factored: g is affine in it, so one cascade point at t
 (moment._StatespacePoint) gives g, its Jacobian and the drift.  The
 tangent is solved once per accepted point, at the point the corrector
@@ -194,6 +201,20 @@ def corrector_newton(chart, prior, t, param, Sigma, config):
         f"{config.max_newton} iterations (last residual {rnorm:.3e})")
 
 
+def _hermite_increment(h, dt, y0, a0, y1, a1):
+    """y(t_1 + dt) - y_1 for the cubic Hermite interpolant y through
+    (t_1 - h, y0) and (t_1, y1) with derivatives a0 and a1 there.
+
+    The interpolant in the variable s = (t - t_0) / h is evaluated at
+    s = 1 + dt / h; a cubic path is reproduced exactly.
+    """
+    s = 1.0 + dt / h
+    h00 = 2.0 * s**3 - 3.0 * s**2 + 1.0
+    h10 = s**3 - 2.0 * s**2 + s
+    h11 = s**3 - s**2
+    return h00 * (y0 - y1) + h * (h10 * a0 + h11 * a1)
+
+
 def _tangent_failure(t, dt, exc, history):
     """The SolverError that ends a run whose tangent at t cannot be solved."""
     history.append((t, dt, str(exc)))
@@ -249,6 +270,8 @@ def run_continuation(filterbank, prior, Sigma, config=None, chart=None,
     if callback is not None:
         callback(samples[0])
 
+    # (t, y, a) of the previous accepted sample and its tangent
+    previous = None
     while t < 1.0:
         dt_try = float(config.dt)
         # the tangent g'(p(t), C; V) = -(g(psi, C) - g(1, C)) at t does not
@@ -258,12 +281,18 @@ def run_continuation(filterbank, prior, Sigma, config=None, chart=None,
             V, info = point.solve(chart, -point.drift())
         except SolverError as exc:
             raise _tangent_failure(t, dt_try, exc, history) from exc
+        y, a = samples[-1].y, chart.factor_coords(V)
         while True:
             t_next = t + dt_try
             if t_next > 1.0 - SNAP_TOL:
                 t_next = 1.0
             dt_eff = t_next - t
-            C_pred = param.C + dt_eff * V
+            if previous is None:  # Euler: no earlier sample yet
+                step = dt_eff * a
+            else:
+                t0, y0, a0 = previous
+                step = _hermite_increment(t - t0, dt_eff, y0, a0, y, a)
+            C_pred = param.C + chart.factor_from_coords(step)
             try:
                 pred = FactorParameter(filterbank, C_pred)
                 point_next, rnorm, iters, gcond = corrector_newton(
@@ -278,6 +307,7 @@ def run_continuation(filterbank, prior, Sigma, config=None, chart=None,
                         history=history) from exc
                 continue
             break
+        previous = (t, y, a)
         t = t_next
         point = point_next
         param = point.param

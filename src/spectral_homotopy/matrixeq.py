@@ -285,6 +285,12 @@ def _circle_positivity(F, G, H, J):
     if not rmin > 0.0:
         return ("its mean J + J* is not positive definite "
                 f"(min eigenvalue {rmin:.6e})")
+    return _circle_positivity_given_mean(F, G, H, J, R, float(rvals[-1]))
+
+
+def _circle_positivity_given_mean(F, G, H, J, R, rmax):
+    """_circle_positivity past its first clause: R = J + J* is positive
+    definite with largest eigenvalue rmax."""
     nz = F.shape[0]
     if nz == 0:
         return None
@@ -311,7 +317,7 @@ def _circle_positivity(F, G, H, J):
     Zc = H @ _resolvent(F, G, z) + J
     low = np.linalg.eigvalsh(Zc + Zc.conj().swapaxes(-1, -2))[:, 0]
     k = int(np.argmin(low))
-    if low[k] <= STRICT_TOL * float(rvals[-1]):
+    if low[k] <= STRICT_TOL * rmax:
         return f"it is singular at theta = {float(theta[k]):.6f}"
     return None
 
@@ -355,12 +361,15 @@ def solve_dare_appendix(F, G, H, J):
     if not rho < 1.0 - STRICT_TOL:
         raise MembershipError(
             f"F must be Schur stable; spectral radius {rho:.15g}")
+    # R is tested once: its failure is a FactorizationError here, and the
+    # rest of _circle_positivity runs on the same R
     R = _hermitize(J + J.conj().T)
-    rmin = float(np.min(np.linalg.eigvalsh(R)))
+    rvals = np.linalg.eigvalsh(R)
+    rmin = float(rvals[0])
     if not rmin > 0.0:
         raise FactorizationError(
             f"J + J* is not positive definite (min eigenvalue {rmin:.3e})")
-    why = _circle_positivity(F, G, H, J)
+    why = _circle_positivity_given_mean(F, G, H, J, R, float(rvals[-1]))
     if why is not None:
         raise MembershipError(
             f"Z + Z* is not positive on the unit circle: {why}")

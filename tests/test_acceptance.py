@@ -94,29 +94,59 @@ def test_criterion_3_oracle_equivalence(fb, random_pair, _report):
             f"20 random pairs")
 
 
-def test_criterion_4_jacobian_correctness(fb, chart, prior_ref, param_ref,
-                                          _report):
-    rng = np.random.default_rng(4)
+def _jacobian_errors(fb, chart, prior, param, rng):
+    """Worst relative error of the exact derivative against central
+    differences over 10 slice directions, and the worst entrywise relative
+    mismatch of the statespace Jacobian against quadrature."""
     h = 1e-6
     worst_fd = 0.0
     for _ in range(10):
         V = fd_direction(chart, rng)
-        d = apply_g2_statespace(fb, prior_ref, param_ref, V)
+        d = apply_g2_statespace(fb, prior, param, V)
         gp = moment_g_statespace(
-            fb, prior_ref, FactorParameter(fb, param_ref.C + h * V))
+            fb, prior, FactorParameter(fb, param.C + h * V))
         gm = moment_g_statespace(
-            fb, prior_ref, FactorParameter(fb, param_ref.C - h * V))
+            fb, prior, FactorParameter(fb, param.C - h * V))
         worst_fd = max(worst_fd, relative_error((gp - gm) / (2 * h), d))
-    Js = assemble_jacobian_matrix(chart, prior_ref, param_ref, which="g",
+    Js = assemble_jacobian_matrix(chart, prior, param, which="g",
                                   route="statespace")
-    Jq = assemble_jacobian_matrix(chart, prior_ref, param_ref, which="g",
+    Jq = assemble_jacobian_matrix(chart, prior, param, which="g",
                                   route="quadrature")
-    worst_entry = float(np.max(np.abs(Js - Jq) / np.abs(Jq)))
+    return worst_fd, float(np.max(np.abs(Js - Jq) / np.abs(Jq)))
+
+
+def test_criterion_4_jacobian_correctness(fb, chart, prior_ref, param_ref,
+                                          _report):
+    worst_fd, worst_entry = _jacobian_errors(
+        fb, chart, prior_ref, param_ref, np.random.default_rng(4))
     ok = worst_fd <= 1e-5 and worst_entry <= 1e-6
     _report(4, ok,
             f"derivative vs central differences worst {worst_fd:.2e} "
             f"[<=1e-5, 10 directions], route mismatch entrywise "
             f"{worst_entry:.2e} [<=1e-6]")
+
+
+def test_criterion_4_complex_field(prior_ref, _report):
+    # C = [-C2 K, C2] on complex covext(2, 1): the closed loop has the
+    # eigenvalues of K, scaled to spectral radius 0.9, and C2 = CB is lower
+    # triangular with a positive diagonal
+    fbc = make_covariance_extension_filter(2, 1, field="complex")
+    rng = np.random.default_rng(4)
+    K = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    K *= 0.9 / np.max(np.abs(np.linalg.eigvals(K)))
+    C2 = np.tril(rng.standard_normal((2, 2))
+                 + 1j * rng.standard_normal((2, 2)))
+    C2[np.diag_indices(2)] = 0.5 + rng.random(2)
+    param = FactorParameter(fbc, np.hstack([-C2 @ K, C2]))
+    assert param.spectral_radius() >= 0.85
+    worst_fd, worst_entry = _jacobian_errors(
+        fbc, make_chart(fbc), prior_ref, param, rng)
+    ok = worst_fd <= 1e-5 and worst_entry <= 1e-6
+    _report("4, complex field", ok,
+            f"derivative vs central differences worst {worst_fd:.2e} "
+            f"[<=1e-5, 10 directions], route mismatch entrywise "
+            f"{worst_entry:.2e} [<=1e-6], closed-loop radius "
+            f"{param.spectral_radius():.2f}")
 
 
 def test_criterion_5_factorization_residuals(fb, chart, param_ref,

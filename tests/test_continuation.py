@@ -141,6 +141,41 @@ class TestPredictorCorrector:
         assert np.linalg.norm(v) < 1e-10
         assert_allclose(C_pred, start.C, atol=1e-11)
 
+    def test_hermite_increment_reproduces_a_cubic(self):
+        # from two samples of a cubic path and its derivatives, the
+        # predictor extrapolates the path exactly
+        c = np.random.default_rng(1).standard_normal((4, 3))
+
+        def y(t):
+            return c[0] + c[1] * t + c[2] * t**2 + c[3] * t**3
+
+        def dy(t):
+            return c[1] + 2.0 * c[2] * t + 3.0 * c[3] * t**2
+
+        t0, t1 = 0.3, 0.45
+        for dt in (0.025, 0.15, 0.4):
+            step = continuation._hermite_increment(t1 - t0, dt, y(t0), dy(t0),
+                                                   y(t1), dy(t1))
+            assert_allclose(y(t1) + step, y(t1 + dt), rtol=1e-13, atol=1e-14)
+
+    @pytest.mark.parametrize("dt", [0.1, 0.05])
+    def test_prediction_stays_in_the_slice(self, dt):
+        # Newton directions never correct the part of C outside the factor
+        # slice, here Im diag(CB); the prediction is an increment of the last
+        # C in factor coordinates, so that part stays at roundoff (a cubic
+        # combination of the samples' matrices amplifies it fivefold per
+        # step at s = 2, until membership fails and the run stalls)
+        fb = make_bank("diag", "complex")
+        rng = np.random.default_rng(0)
+        prior = draw_prior(rng, "polynomial", "complex")
+        C_true = draw_param(fb, rng).C
+        Sigma = moment_g_statespace(fb, prior, FactorParameter(fb, C_true))
+        path = run_continuation(fb, prior, Sigma, config=HomotopyConfig(dt=dt))
+        assert path.final.t == 1.0
+        off_slice = max(float(np.max(np.abs(np.diag(s.C @ fb.B).imag)))
+                        for s in path.samples)
+        assert off_slice <= 1e-14
+
 
 class TestRunContinuation:
     def test_reference_problem_step_count_and_recovery(self, fb, prior_ref,
@@ -267,7 +302,7 @@ class TestRunContinuation:
         for s in path.samples[1:]:
             want += [s.t] * (s.newton_iters + 1)
         assert built == want
-        assert len(built) == 42
+        assert len(built) == 35
 
     def test_work_per_reference_solve(self, fb, sigma_ref, monkeypatch):
         # what depends only on the prior is built once per solve, a point's
@@ -308,7 +343,7 @@ class TestRunContinuation:
         path = run_continuation(fb, prior, sigma_ref)
         steps = len(path.samples) - 1
         iters = sum(s.newton_iters for s in path.samples)
-        assert (steps, iters) == (10, 30)
+        assert (steps, iters) == (10, 23)
         assert blowups == [fb.m]
         assert point_radii == []
         # the start parameter, one prediction per step (none rejected) and

@@ -334,9 +334,28 @@ class TestAdditiveRiccati:
                                 np.array([[1.0]]), np.array([[0.1]]))
 
     def test_rejects_indefinite_constant_term(self):
-        with pytest.raises(FactorizationError, match="positive"):
+        with pytest.raises(FactorizationError,
+                           match=r"^J \+ J\* is not positive definite "
+                                 r"\(min eigenvalue -2\.000e\+00\)$"):
             solve_dare_appendix(np.array([[0.5]]), np.array([[0.2]]),
                                 np.array([[0.1]]), np.array([[-1.0]]))
+
+    def test_mean_is_tested_once(self, rng, monkeypatch):
+        # J + J* > 0 is decided by one eigvalsh of R per solve, which the
+        # rest of the positivity test reuses
+        (F, G, H, J), _ = random_additive_quadruple(rng)
+        R = J + J.conj().T
+        tested = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(X):
+            if X.shape == R.shape and np.allclose(X, R, rtol=0, atol=1e-12):
+                tested.append(X)
+            return eigvalsh(X)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        solve_dare_appendix(F, G, H, J)
+        assert len(tested) == 1
 
     def test_rejects_unstable_F(self):
         with pytest.raises(MembershipError, match="stable"):
