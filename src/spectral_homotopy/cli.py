@@ -27,6 +27,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import json
 import os
@@ -111,23 +112,18 @@ def _parse_filter(spec, path="filter"):
         p = _parse_number(_require(spec, "p", path), f"{path}.p", int)
         field = spec.get("field", "real")
         try:
-            fb = make_covariance_extension_filter(m, p, field=field)
+            return make_covariance_extension_filter(m, p, field=field)
         except (ValueError, MembershipError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
-        kept = {"preset": "covext", "m": m, "p": p}
-        if "field" in spec:
-            kept["field"] = field
-        return fb, kept
     A = _parse_matrix(_require(spec, "A", path), f"{path}.A")
     B = _parse_matrix(_require(spec, "B", path), f"{path}.B")
     field = spec.get("field",
                      "complex" if (np.iscomplexobj(A) or np.iscomplexobj(B))
                      else "real")
     try:
-        fb = FilterBank(A, B, field=field)
+        return FilterBank(A, B, field=field)
     except (ValueError, MembershipError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    return fb, dict(spec)
 
 
 def _parse_prior(spec, path="prior"):
@@ -164,29 +160,23 @@ def _parse_prior(spec, path="prior"):
 class RunConfig:
     """Parsed configuration; fields are None when the section was absent.
 
-    The validated section documents are kept verbatim (``*_spec``) so that
-    serialization reproduces the input exactly: regenerating floats from
-    typed state would lose values that pass through non-invertible maps
-    (a constant prior is stored by its square root, for instance).
+    ``doc`` is a deep copy of the validated document, so that serialization
+    reproduces the input exactly: regenerating floats from typed state
+    would lose values that pass through non-invertible maps (a constant
+    prior is stored by its square root, for instance).
     """
 
     filterbank: FilterBank
-    filter_spec: dict
+    doc: dict
     prior: object = None
-    prior_spec: dict = None
     sigma: np.ndarray = None
     sigma_from: tuple = None   # (prior-or-None, C) when sigma came from a pair
-    sigma_spec: dict = None
     C: np.ndarray = None
     Lambda: np.ndarray = None
     continuation: HomotopyConfig = dataclasses.field(
         default_factory=HomotopyConfig)
-    continuation_keys: tuple = ()
-    dtheta: float = None       # validated and kept for serialization only
-    quadrature_keys: tuple = ()
     out_dir: str = None
     formats: tuple = ("csv", "json")
-    output_keys: tuple = ()
     prior_error: str = None    # lenient mode: message instead of an exception
 
 
@@ -203,11 +193,10 @@ def parse_config(doc, lenient_prior=False):
     ``prior_error`` instead of raising, so ``check`` can report it.
     """
     doc = _as_section(doc, "config", TOP_KEYS)
-    fb, fspec = _parse_filter(_require(doc, "filter", "config"))
-    cfg = RunConfig(filterbank=fb, filter_spec=fspec)
+    fb = _parse_filter(_require(doc, "filter", "config"))
+    cfg = RunConfig(filterbank=fb, doc=copy.deepcopy(doc))
 
     if "prior" in doc:
-        cfg.prior_spec = doc["prior"]
         try:
             cfg.prior = _parse_prior(doc["prior"])
         except MembershipError as exc:
@@ -217,7 +206,6 @@ def parse_config(doc, lenient_prior=False):
 
     if "sigma" in doc:
         spec = _as_section(doc["sigma"], "sigma", {"matrix", "from"})
-        cfg.sigma_spec = spec
         if "matrix" in spec:
             cfg.sigma = _parse_matrix(spec["matrix"], "sigma.matrix")
         elif "from" in spec:
@@ -246,15 +234,13 @@ def parse_config(doc, lenient_prior=False):
             cfg.continuation = HomotopyConfig(**kwargs)
         except ConfigError as exc:
             raise ConfigError(f"continuation: {exc}") from exc
-        cfg.continuation_keys = tuple(spec)
 
     if "quadrature" in doc:
         spec = _as_section(doc["quadrature"], "quadrature", {"dtheta"})
         if "dtheta" in spec:
-            cfg.dtheta = _parse_number(spec["dtheta"], "quadrature.dtheta")
-            if not cfg.dtheta > 0.0:
+            dtheta = _parse_number(spec["dtheta"], "quadrature.dtheta")
+            if not dtheta > 0.0:
                 raise ConfigError("quadrature.dtheta: must be positive")
-        cfg.quadrature_keys = tuple(spec)
 
     if "output" in doc:
         spec = _as_section(doc["output"], "output", {"directory", "formats"})
@@ -269,31 +255,13 @@ def parse_config(doc, lenient_prior=False):
                 raise ConfigError(
                     "output.formats: expected a list drawn from [csv, json]")
             cfg.formats = tuple(fmts)
-        cfg.output_keys = tuple(spec)
 
     return cfg
 
 
 def serialize_config(cfg):
-    """Rebuild the config document (sections that were present, any order)."""
-    doc = {"filter": dict(cfg.filter_spec)}
-    if cfg.prior_spec is not None:
-        doc["prior"] = cfg.prior_spec
-    if cfg.sigma_spec is not None:
-        doc["sigma"] = cfg.sigma_spec
-    if cfg.C is not None:
-        doc["C"] = matrix_to_json(cfg.C)
-    if cfg.Lambda is not None:
-        doc["Lambda"] = matrix_to_json(cfg.Lambda)
-    if cfg.continuation_keys:
-        values = dataclasses.asdict(cfg.continuation)
-        doc["continuation"] = {k: values[k] for k in cfg.continuation_keys}
-    if cfg.quadrature_keys:
-        doc["quadrature"] = {k: cfg.dtheta for k in cfg.quadrature_keys}
-    if cfg.output_keys:
-        out = {"directory": cfg.out_dir, "formats": list(cfg.formats)}
-        doc["output"] = {k: out[k] for k in cfg.output_keys}
-    return doc
+    """The config document that was parsed, as a copy."""
+    return copy.deepcopy(cfg.doc)
 
 
 def _load_config(args, lenient_prior=False):
@@ -416,7 +384,10 @@ def cmd_condnum(args):
     if cfg.C is None:
         raise ConfigError("C: section is required for condnum")
     fb = cfg.filterbank
-    param = FactorParameter(fb, cfg.C)
+    try:
+        param = FactorParameter(fb, cfg.C)
+    except ValueError as exc:
+        raise ConfigError(f"C: {exc}") from exc
     chart = make_chart(fb)
     t0 = time.perf_counter()
     cond_g, cond_f = condition_numbers(chart, cfg.prior, param)
@@ -447,19 +418,28 @@ def cmd_check(args):
         print(f"prior: ok ({cfg.prior.kind}, minimum phase)")
 
     if cfg.C is not None:
-        diag = is_in_Cplus(fb, cfg.C)
-        if diag:
-            print(f"C: in-set (closed-loop spectral radius "
-                  f"{diag.spectral_radius:.6g})")
+        try:
+            diag = is_in_Cplus(fb, cfg.C)
+        except ValueError as exc:
+            print(f"C: VIOLATION {exc}")
         else:
-            print(f"C: VIOLATION {'; '.join(diag.failures)} "
-                  f"(closed-loop spectral radius {diag.spectral_radius:.6g})")
+            if diag:
+                print(f"C: in-set (closed-loop spectral radius "
+                      f"{diag.spectral_radius:.6g})")
+            else:
+                print(f"C: VIOLATION {'; '.join(diag.failures)} (closed-loop "
+                      f"spectral radius {diag.spectral_radius:.6g})")
 
     if cfg.Lambda is not None:
-        diag = is_in_Lplus(fb, cfg.Lambda)
-        state = "positive on the circle" if diag else "VIOLATION not positive"
-        print(f"Lambda: {state} (exact test; 1024-point grid minimum "
-              f"{diag.min_eigenvalue:.6g}, a diagnostic)")
+        try:
+            diag = is_in_Lplus(fb, cfg.Lambda)
+        except ValueError as exc:
+            print(f"Lambda: VIOLATION {exc}")
+        else:
+            state = ("positive on the circle" if diag
+                     else "VIOLATION not positive")
+            print(f"Lambda: {state} (exact test; 1024-point grid minimum "
+                  f"{diag.min_eigenvalue:.6g}, a diagnostic)")
 
     if cfg.sigma is not None or cfg.sigma_from is not None:
         try:

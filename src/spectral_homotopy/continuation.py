@@ -28,15 +28,14 @@ history when the floor is reached or the tangent solve fails.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, MembershipError, SolverError
 from .factorization import _factor_parameter
 from .matrixeq import reverse_cholesky
-from .moment import (_StatespacePoint, build_factor_basis, make_chart,
-                     moment_g_statespace)
+from .moment import _StatespacePoint, make_chart, moment_g_statespace
 from .statespace import (FactorParameter, _hermitian_defect, _hermitize,
                          matrix_to_json)
 
@@ -233,8 +232,8 @@ def run_continuation(filterbank, prior, Sigma, config=None, chart=None,
     prior : PriorSpectrum
     Sigma : (n, n) Hermitian positive definite feasible covariance
     config : HomotopyConfig, defaults to HomotopyConfig()
-    chart : CoordinateChart, built (anchored at the start parameter) when
-        omitted; fixes the meaning of the coordinate columns in the output
+    chart : CoordinateChart, built by make_chart when omitted; fixes the
+        meaning of the coordinate columns in the output
     callback : optional callable, invoked with each accepted PathSample
 
     Returns
@@ -245,14 +244,8 @@ def run_continuation(filterbank, prior, Sigma, config=None, chart=None,
     """
     config = config or HomotopyConfig()
     if chart is None:
-        # the feasibility check needs a chart; anchor its factor basis at
-        # the start parameter once it is known (the range basis stays)
         chart = make_chart(filterbank)
-        param = maxent_initialization(filterbank, Sigma, chart=chart)
-        chart = replace(chart, factor_basis=build_factor_basis(
-            filterbank, anchor=param.C))
-    else:
-        param = maxent_initialization(filterbank, Sigma, chart=chart)
+    param = maxent_initialization(filterbank, Sigma, chart=chart)
     Sigma = _hermitize(np.atleast_2d(np.asarray(Sigma)))
 
     t = 0.0

@@ -28,8 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FactorizationError, MembershipError, SolverError
-from .statespace import (STRICT_TOL, _check_hermitian, _hermitize,
-                         _resolvent, _spectral_radius, coerce_field)
+from .statespace import (STRICT_TOL, _check_hermitian, _check_lambda,
+                         _hermitize, _resolvent, _spectral_radius,
+                         coerce_field)
 
 __all__ = [
     "DareSolution",
@@ -452,9 +453,7 @@ def solve_dare_lambda(filterbank, Lam):
         "doubling" and ``iterations`` counts the doubling steps of the
         additive-form solve.
     """
-    Lam = _check_hermitian(Lam, "Lambda")
-    if Lam.shape != (filterbank.n, filterbank.n):
-        raise ValueError(f"Lambda must be {filterbank.n}x{filterbank.n}")
+    Lam = _check_lambda(filterbank, Lam)
 
     # Exact reduction: Q - A*QA = Lambda, then P = Q + X with X the
     # stabilizing solution of the additive form for

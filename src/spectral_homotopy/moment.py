@@ -54,9 +54,8 @@ import numpy as np
 
 from .errors import EvaluationError, SolverError
 from .matrixeq import _stein_solver
-from .statespace import (FactorParameter, StateSpaceSystem, _as_param,
-                         _hermitize, circle_grid, coerce_field,
-                         grid_size_from_spacing)
+from .statespace import (StateSpaceSystem, _as_param, _hermitize,
+                         circle_grid, coerce_field, grid_size_from_spacing)
 
 __all__ = [
     "CoordinateChart",
@@ -416,78 +415,30 @@ def build_range_gamma_basis(filterbank):
     return _hermitize(vh.reshape(-1, fb.n, fb.n))
 
 
-def build_factor_basis(filterbank, anchor=None):
-    """Orthonormal basis of the slice {V : VB lower triangular, real diagonal}.
+def build_factor_basis(filterbank):
+    """Orthonormal basis of the slice {V : VB lower triangular, real diagonal},
+    stacked as an (M, m, n) array.
 
-    The slice is a real subspace of the m x n matrices; it is computed as the
-    null space of the real-linear constraint map (above-diagonal entries of
-    VB, and for the complex field the imaginary parts of its diagonal).
-
-    When ``anchor`` is given (a matrix in the slice, typically the current
-    factor parameter), the basis is rotated so its first element is the
-    normalized anchor; the rotation is a Householder reflection in
-    coordinate space, so orthonormality is preserved.
+    The slice is the null space of a real-linear constraint map: the
+    above-diagonal entries of VB and, for the complex field, their imaginary
+    parts and those of the diagonal.  One row of constraints per matrix unit
+    of the field (orthonormal under Re trace); the left singular vectors past
+    the numerical rank, contracted with the units, give the basis.
     """
-    m, n = filterbank.m, filterbank.n
-    B = filterbank.B
-    real_field = filterbank.field == "real"
-    pdim = m * n if real_field else 2 * m * n
-
-    def unvec(p):
-        if real_field:
-            return p.reshape(m, n)
-        return p[:m * n].reshape(m, n) + 1j * p[m * n:].reshape(m, n)
-
-    def vec(V):
-        if real_field:
-            return np.asarray(V, dtype=float).ravel()
-        V = np.asarray(V, dtype=complex)
-        return np.concatenate([V.real.ravel(), V.imag.ravel()])
-
-    rows = []
-    for t in range(pdim):
-        p = np.zeros(pdim)
-        p[t] = 1.0
-        VB = unvec(p) @ B
-        entries = []
-        for i in range(m):
-            for j in range(i + 1, m):
-                entries.append(VB[i, j].real)
-                if not real_field:
-                    entries.append(VB[i, j].imag)
-        if not real_field:
-            for i in range(m):
-                entries.append(VB[i, i].imag)
-        rows.append(entries)
-    K = np.array(rows).T
-    if K.size == 0:
-        basis_params = np.eye(pdim)
+    fb = filterbank
+    units = _field_matrix_basis(fb.m, fb.n, fb.field)
+    VB = units @ fb.B
+    rows, cols = np.triu_indices(fb.m, 1)
+    above = VB[:, rows, cols]
+    if fb.field == "complex":
+        K = np.hstack([above.real, above.imag,
+                       np.diagonal(VB, axis1=1, axis2=2).imag])
     else:
-        # null space: right singular vectors past the numerical rank
-        _, s, vh = np.linalg.svd(K)
-        rank = int(np.sum(s > np.finfo(float).eps * max(K.shape) * s[0]))
-        basis_params = vh[rank:].T
-
-    if anchor is not None:
-        if isinstance(anchor, FactorParameter):
-            anchor = anchor.C
-        a = vec(anchor)
-        nrm = np.linalg.norm(a)
-        if nrm <= 0:
-            raise ValueError("anchor must be nonzero")
-        a = a / nrm
-        c = basis_params.T @ a
-        if np.linalg.norm(basis_params @ c - a) > 1e-10:
-            raise ValueError("anchor does not lie in the slice")
-        c = c / np.linalg.norm(c)
-        e1 = np.zeros_like(c)
-        e1[0] = 1.0
-        u = c - e1
-        if np.linalg.norm(u) > 1e-14:
-            Q = np.eye(c.size) - 2.0 * np.outer(u, u) / float(u @ u)
-            basis_params = basis_params @ Q
-
-    return tuple(unvec(basis_params[:, k]) for k in range(basis_params.shape[1]))
+        K = above
+    u, s, _ = np.linalg.svd(K)
+    rank = int(np.sum(s > np.finfo(float).eps * max(K.shape)
+                      * s.max(initial=0.0)))
+    return np.tensordot(u[:, rank:].T, units, axes=1)
 
 
 def _coords(basis, X):
@@ -503,9 +454,10 @@ class CoordinateChart:
 
     range_basis spans the range of the covariance operator (Hermitian
     matrices), factor_basis spans the ambient factor slice; both are
-    orthonormal under Re trace(X Y*), both have length M, and both are
-    stored stacked, as (M, n, n) and (M, m, n) arrays, so that converting
-    any matrix, or a whole stack of them, is one contraction.
+    orthonormal under Re trace(X Y*), both have length M (else
+    SolverError), and both are stored stacked, as (M, n, n) and (M, m, n)
+    arrays, so that converting any matrix, or a whole stack of them, is one
+    contraction.
     """
 
     filterbank: object
@@ -516,9 +468,10 @@ class CoordinateChart:
         object.__setattr__(self, "range_basis", np.asarray(self.range_basis))
         object.__setattr__(self, "factor_basis", np.asarray(self.factor_basis))
         if len(self.range_basis) != len(self.factor_basis):
-            raise ValueError(
-                f"basis size mismatch: range {len(self.range_basis)}, "
-                f"factor {len(self.factor_basis)}")
+            raise SolverError(
+                f"range/slice dimensions disagree ({len(self.range_basis)} "
+                f"vs {len(self.factor_basis)}); the filter bank violates the "
+                "standing rank assumptions")
 
     @property
     def dim(self):
@@ -554,19 +507,15 @@ class CoordinateChart:
         return coerce_field(V, self.filterbank.field, what="factor element")
 
 
-def make_chart(filterbank, anchor=None):
-    """CoordinateChart with matched bases; dimensions must agree.
+def make_chart(filterbank):
+    """The CoordinateChart of a filter bank: its range and factor bases.
 
-    ``anchor`` rotates the factor basis so that element 0 points along the
-    given matrix (see build_factor_basis).
+    Any orthonormal bases serve; Newton directions and predictions do not
+    depend on the choice.  Bases of different lengths raise SolverError.
     """
-    rb = build_range_gamma_basis(filterbank)
-    fb = build_factor_basis(filterbank, anchor=anchor)
-    if len(rb) != len(fb):
-        raise SolverError(
-            f"range/slice dimensions disagree ({len(rb)} vs {len(fb)}); "
-            "the filter bank violates the standing rank assumptions")
-    return CoordinateChart(filterbank=filterbank, range_basis=rb, factor_basis=fb)
+    return CoordinateChart(filterbank=filterbank,
+                           range_basis=build_range_gamma_basis(filterbank),
+                           factor_basis=build_factor_basis(filterbank))
 
 
 # ---------------------------------------------------------------------------

@@ -303,10 +303,10 @@ def make_covariance_extension_filter(m, p, field="real"):
 class PriorSpectrum:
     """Scalar prior density psi = |sigma|^2 given by its outer factor sigma.
 
-    kind is "constant", "polynomial" (sigma a minimum-phase FIR, coefficients
-    stored highest lag last) or "rational".  The density is validated to be
-    strictly positive on the unit circle at construction, exactly: with Pc
-    sigma's reachability Gramian, sigma sigma* = Z + Z* for the additive data
+    kind is "constant", "polynomial" (sigma a minimum-phase FIR) or
+    "rational".  The density is validated to be strictly positive on the
+    unit circle at construction, exactly: with Pc sigma's reachability
+    Gramian, sigma sigma* = Z + Z* for the additive data
     (A, A Pc C* + B D*, C, (C Pc C* + D D*) / 2), and
     matrixeq._circle_positivity decides Z + Z* > 0.
 
@@ -317,7 +317,6 @@ class PriorSpectrum:
 
     sigma: StateSpaceSystem
     kind: str = "rational"
-    coefficients: np.ndarray | None = None
     _radius: float = field(init=False, repr=False, compare=False)
     _blowups: dict = field(init=False, repr=False, compare=False,
                            default_factory=dict)
@@ -341,10 +340,6 @@ class PriorSpectrum:
         if why is not None:
             raise MembershipError(
                 f"prior density is not positive on the unit circle: {why}")
-        if self.coefficients is not None:
-            c = np.atleast_1d(np.asarray(self.coefficients)).copy()
-            c.setflags(write=False)
-            object.__setattr__(self, "coefficients", c)
 
     def sigma_values(self, theta):
         """sigma(e^{i theta}) on a grid of angles, as a 1-d complex array."""
@@ -390,8 +385,7 @@ def constant_prior(value=1.0):
     if not value > 0.0:
         raise MembershipError("constant prior must be positive")
     s = np.sqrt(value)
-    return PriorSpectrum(_fir_system([s]), kind="constant",
-                         coefficients=np.array([s]))
+    return PriorSpectrum(_fir_system([s]), kind="constant")
 
 
 def prior_from_polynomial(b):
@@ -416,7 +410,7 @@ def prior_from_polynomial(b):
             raise MembershipError(
                 f"b is not minimum phase: root {roots[worst]:.15g} has "
                 f"modulus {mods[worst]:.15g} >= 1")
-    return PriorSpectrum(_fir_system(b), kind="polynomial", coefficients=b)
+    return PriorSpectrum(_fir_system(b), kind="polynomial")
 
 
 def prior_from_outer(system):
@@ -473,7 +467,7 @@ def is_in_Cplus(filterbank, C):
     part > 1e-12) and spectral radius of Pi = A - B (CB)^{-1} C A below
     1 - 1e-12.  Returns diagnostics that are truthy iff all conditions hold.
     """
-    return _closed_loop(filterbank, _as_matrix(C, "C"))[0]
+    return _closed_loop(filterbank, C)[0]
 
 
 def _as_param(filterbank, C):
@@ -483,13 +477,16 @@ def _as_param(filterbank, C):
 
 
 def _closed_loop(filterbank, C):
-    """(diagnostics, CB, Pi) of the membership check of the matrix C.
+    """(diagnostics, C, CB, Pi) of the membership check of the matrix C.
 
-    The one computation of CB, the CB solve, Pi and its spectral radius
-    behind both is_in_Cplus and FactorParameter; Pi is None when CB is
-    singular.
+    The one validation of C (its shape, and a real C for a real bank, else
+    ValueError) and the one computation of CB, the CB solve, Pi and its
+    spectral radius behind both is_in_Cplus and FactorParameter; Pi is None
+    when CB is singular.
     """
     m, n = filterbank.m, filterbank.n
+    C = coerce_field(_as_matrix(C, "C"), filterbank.field,
+                     what="factor parameter C")
     if C.shape != (m, n):
         raise ValueError(f"C must be {m}x{n}, got {C.shape}")
     CB = C @ filterbank.B
@@ -525,24 +522,33 @@ def _closed_loop(filterbank, C):
         max_diag_imag=max_diag_imag,
         failures=tuple(failures),
     )
-    return diagnostics, CB, Pi
+    return diagnostics, C, CB, Pi
+
+
+def _check_lambda(filterbank, Lam):
+    """Lambda as an n x n Hermitian matrix of the bank's field, else
+    ValueError; the one validation behind is_in_Lplus and
+    matrixeq.solve_dare_lambda."""
+    Lam = _as_matrix(Lam, "Lambda")
+    n = filterbank.n
+    if Lam.shape != (n, n):
+        raise ValueError(f"Lambda must be {n}x{n}, got {Lam.shape}")
+    return coerce_field(_check_hermitian(Lam, "Lambda"), filterbank.field,
+                        what="Lambda")
 
 
 def is_in_Lplus(filterbank, Lam):
     """Check G(z)* Lambda G(z) > 0 on the unit circle.
 
-    Lambda must be Hermitian to tolerance 1e-12.  Membership is decided
-    exactly, by matrixeq._circle_positivity on the additive data of the
-    reduction Q - A*QA = Lambda; the diagnostics' ``min_eigenvalue`` is the
-    minimum over a 1024-point circle grid, reported only as a diagnostic.
+    Lambda must be n x n, Hermitian to tolerance 1e-12 and, for a real
+    bank, real (else ValueError).  Membership is decided exactly, by
+    matrixeq._circle_positivity on the additive data of the reduction
+    Q - A*QA = Lambda; the diagnostics' ``min_eigenvalue`` is the minimum
+    over a 1024-point circle grid, reported only as a diagnostic.
     """
     # matrixeq imports this module
     from .matrixeq import _circle_positivity, _lambda_additive
-    Lam = _as_matrix(Lam, "Lambda")
-    n = filterbank.n
-    if Lam.shape != (n, n):
-        raise ValueError(f"Lambda must be {n}x{n}, got {Lam.shape}")
-    Lam = _check_hermitian(Lam, "Lambda")
+    Lam = _check_lambda(filterbank, Lam)
     G = filterbank.eval_grid(np.exp(1j * circle_grid(1024)))
     M = G.conj().transpose(0, 2, 1) @ Lam @ G
     min_eig = float(np.linalg.eigvalsh(_hermitize(M)).min())
@@ -567,9 +573,7 @@ class FactorParameter:
     _radius: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        C = coerce_field(_as_matrix(self.C, "C"), self.filterbank.field,
-                         what="factor parameter C")
-        diag, CB, Pi = _closed_loop(self.filterbank, C)
+        diag, C, CB, Pi = _closed_loop(self.filterbank, self.C)
         if not diag:
             raise MembershipError(
                 "C is not in the stable factor set: " + "; ".join(diag.failures))

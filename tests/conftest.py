@@ -95,6 +95,12 @@ def random_pair(random_param, random_prior):
     return sample
 
 
+# covariance-extension banks (m, p) with n = m (p + 1) <= 8, and a general
+# bank with nonzero poles
+ROUND_TRIP_BANKS = [(m, p) for m in (1, 2, 3) for p in range(4)
+                    if m * (p + 1) <= 8] + ["diag"]
+
+
 def make_bank(bank, field):
     if bank == "diag":
         return FilterBank(np.diag([0.5, -0.3, 0.7, 0.2]), np.ones((4, 1)),

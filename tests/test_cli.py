@@ -12,7 +12,8 @@ from numpy.testing import assert_allclose
 
 import spectral_homotopy
 from spectral_homotopy import (FactorParameter, factorization,
-                               jacobian_condition_number, moment)
+                               jacobian_condition_number, matrix_to_json,
+                               moment)
 from spectral_homotopy.cli import main, parse_config, serialize_config
 
 from conftest import B_REF, C_REF
@@ -300,6 +301,28 @@ class TestInvalidSigma:
         assert main(["check", "--config", cfg]) == 0
         out = capsys.readouterr().out
         assert "sigma: VIOLATION" in out and finding in out
+
+
+class TestInvalidParameters:
+    """A malformed C or Lambda is a typed outcome, never a traceback."""
+
+    @pytest.mark.parametrize("C, finding", [
+        (np.ones((2, 3)).tolist(), "C must be 2x4"),
+        (matrix_to_json(C_REF + 0.1j), "imaginary part")])
+    def test_condnum_config_error(self, C, finding, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config(C=C))
+        assert main(["condnum", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: C: ") and finding in err
+
+    @pytest.mark.parametrize("key, matrix, finding", [
+        ("C", np.ones((2, 3)).tolist(), "C must be 2x4"),
+        ("Lambda", _non_hermitian(), "Lambda is not Hermitian")])
+    def test_check_reports_it_with_exit_zero(self, key, matrix, finding,
+                                             tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config(**{key: matrix}))
+        assert main(["check", "--config", cfg]) == 0
+        assert f"{key}: VIOLATION {finding}" in capsys.readouterr().out
 
 
 class TestMaxent:

@@ -12,20 +12,19 @@ from numpy.testing import assert_allclose, assert_array_equal
 from spectral_homotopy import (ConfigError, FactorParameter, HomotopyConfig,
                                MembershipError, SolverError, StateSpaceSystem,
                                constant_prior, continuation, corrector_newton,
-                               factorization,
+                               factorization, make_chart,
                                make_covariance_extension_filter,
                                maxent_initialization, matrixeq, moment,
                                moment_g_statespace, prior_from_outer,
                                prior_from_polynomial, run_continuation,
                                statespace, write_path_csv, write_path_json)
 
-from conftest import (B_REF, draw_param, draw_prior, make_bank,
-                      relative_error)
+from conftest import (B_REF, C_REF, ROUND_TRIP_BANKS, draw_param,
+                      draw_prior, make_bank, relative_error, rotated_chart)
 
-# covariance-extension banks (m, p) with n = m (p + 1) <= 8, and a general
-# bank with nonzero poles
-ROUND_TRIP_BANKS = [(m, p) for m in (1, 2, 3) for p in range(4)
-                    if m * (p + 1) <= 8] + ["diag"]
+# a factor parameter of the complex covext(2, 1) bank
+C_COMPLEX = np.array([[0.3 + 0.2j, -0.2 + 0.1j, 1.0, 0.0],
+                      [-0.4 + 0.3j, 0.1 - 0.2j, 0.5 - 0.5j, 1.5]])
 
 
 class TestMaxent:
@@ -231,8 +230,7 @@ class TestRunContinuation:
 
     def test_complex_field_round_trip(self, prior_ref):
         fbc = make_covariance_extension_filter(2, 1, field="complex")
-        C_true = np.array([[0.3 + 0.2j, -0.2 + 0.1j, 1.0, 0.0],
-                           [-0.4 + 0.3j, 0.1 - 0.2j, 0.5 - 0.5j, 1.5]])
+        C_true = C_COMPLEX
         Sigma = moment_g_statespace(fbc, prior_ref,
                                     FactorParameter(fbc, C_true))
         path = run_continuation(fbc, prior_ref, Sigma)
@@ -302,7 +300,7 @@ class TestRunContinuation:
         for s in path.samples[1:]:
             want += [s.t] * (s.newton_iters + 1)
         assert built == want
-        assert len(built) == 35
+        assert len(built) == 34
 
     def test_work_per_reference_solve(self, fb, sigma_ref, monkeypatch):
         # what depends only on the prior is built once per solve, a point's
@@ -343,31 +341,44 @@ class TestRunContinuation:
         path = run_continuation(fb, prior, sigma_ref)
         steps = len(path.samples) - 1
         iters = sum(s.newton_iters for s in path.samples)
-        assert (steps, iters) == (10, 23)
+        assert (steps, iters) == (10, 22)
         assert blowups == [fb.m]
         assert point_radii == []
         # the start parameter, one prediction per step (none rejected) and
         # one candidate per Newton iterate (none damped)
         assert len(loops) == 1 + steps + iters
 
-    def test_one_range_basis_per_solve(self, fb, prior_ref, sigma_ref,
-                                       monkeypatch):
-        # without a chart, the feasibility check's chart is anchored at the
-        # start parameter by replacing its factor basis only
+    def test_one_range_basis_and_one_factor_basis_per_solve(
+            self, fb, prior_ref, sigma_ref, monkeypatch):
+        # without a chart, the feasibility check's chart serves the path
         calls = []
-        build = moment.build_range_gamma_basis
+        for name in ("build_range_gamma_basis", "build_factor_basis"):
+            build = getattr(moment, name)
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return build(*args, **kwargs)
+            def counted(*args, _name=name, _build=build):
+                calls.append(_name)
+                return _build(*args)
 
-        monkeypatch.setattr(moment, "build_range_gamma_basis", counted)
-        path = run_continuation(fb, prior_ref, sigma_ref)
-        assert len(calls) == 1
-        C0 = path.samples[0].C
-        assert_allclose(path.chart.factor_basis[0],
-                        C0 / np.linalg.norm(C0), atol=1e-12)
-        assert_allclose(path.chart.factor_coords(C0)[1:], 0.0, atol=1e-12)
+            monkeypatch.setattr(moment, name, counted)
+        run_continuation(fb, prior_ref, sigma_ref)
+        assert sorted(calls) == ["build_factor_basis",
+                                 "build_range_gamma_basis"]
+
+    @pytest.mark.parametrize("field, C", [("real", C_REF),
+                                          ("complex", C_COMPLEX)])
+    def test_chart_orientation_does_not_matter(self, prior_ref, field, C):
+        # Newton directions and the Hermite prediction are invariant under
+        # an orthogonal change of chart coordinates
+        fb = make_covariance_extension_filter(2, 1, field=field)
+        Sigma = moment_g_statespace(fb, prior_ref, FactorParameter(fb, C))
+        default = run_continuation(fb, prior_ref, Sigma)
+        rotated = run_continuation(
+            fb, prior_ref, Sigma,
+            chart=rotated_chart(make_chart(fb), np.random.default_rng(3)))
+        assert_array_equal([s.t for s in rotated.samples],
+                           [s.t for s in default.samples])
+        for got, want in zip(rotated.samples, default.samples):
+            assert relative_error(got.C, want.C) <= 1e-12
 
     def test_no_riccati_solve(self, fb, prior_ref, sigma_ref, c_ref,
                               monkeypatch):

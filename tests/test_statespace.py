@@ -7,9 +7,9 @@ from numpy.testing import assert_allclose
 from spectral_homotopy import (EvaluationError, FactorParameter, FilterBank,
                                MembershipError, StateSpaceSystem,
                                circle_grid, coerce_field,
-                               grid_size_from_spacing, is_in_Cplus,
+                               grid_size_from_spacing, h_map, is_in_Cplus,
                                is_in_Lplus, make_covariance_extension_filter,
-                               matrix_from_json, matrix_to_json,
+                               matrix_from_json, matrix_to_json, matrixeq,
                                prior_from_outer, prior_from_polynomial)
 
 from conftest import (C_REF, cascade, factor_inner_realization,
@@ -151,6 +151,14 @@ class TestStableFactorSet:
         with pytest.raises(ValueError):
             is_in_Cplus(fb, np.eye(3))
 
+    def test_complex_parameter_of_a_real_bank_raises(self):
+        # the membership test checks the field as FactorParameter does
+        fb1 = make_covariance_extension_filter(1, 1)
+        assert is_in_Cplus(fb1, [[0.5, 1.0]])
+        for check in (is_in_Cplus, FactorParameter):
+            with pytest.raises(ValueError, match="imaginary part"):
+                check(fb1, [[0.5 + 0.1j, 1.0]])
+
     def test_parameter_caches_feedback_data(self, fb, c_ref):
         param = FactorParameter(fb, c_ref)
         assert_allclose(param.CB, c_ref @ fb.B, atol=1e-15)
@@ -195,6 +203,17 @@ class TestPositiveCone:
         M[0, 1] = 1.0
         with pytest.raises(ValueError):
             is_in_Lplus(fb, M)
+
+    def test_complex_weight_of_a_real_bank_raises_before_any_solve(
+            self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Stein solve for an invalid Lambda")
+
+        fb1 = make_covariance_extension_filter(1, 1)
+        monkeypatch.setattr(matrixeq, "_stein_solver", forbidden)
+        for check in (is_in_Lplus, h_map):
+            with pytest.raises(ValueError, match="Lambda: imaginary part"):
+                check(fb1, np.array([[2.0, 0.3j], [-0.3j, 1.0]]))
 
 
 class TestPriors:
