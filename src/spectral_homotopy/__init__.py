@@ -17,9 +17,11 @@ Layering, bottom up:
 - ``factorization``: spectral factorization maps between covariance-side and
   factor-side parameters (one construction of C, shared with the
   maximum-entropy start), outer factors as state-space systems.
-- ``moment``: the two moment maps and their derivatives, by state-space
-  formulas and by quadrature, coordinate charts, Jacobians (the weight-side
-  one by the chain rule), condition numbers.
+- ``moment``: the two moment maps and their derivatives, coordinate charts,
+  Jacobians (the weight-side one by the chain rule), condition numbers.  The
+  exact route for g is one ``CascadePoint`` per parameter: its value,
+  drift, derivatives, Jacobian and verified direction solve; quadrature is
+  the tests' independent oracle.
 - ``continuation``: maximum-entropy start, predictor/corrector path
   following, CSV/JSON serialization.
 - ``cli``: ``spectral-homotopy`` command-line entry points.
@@ -39,14 +41,13 @@ from .matrixeq import (DareSolution, reverse_cholesky, solve_dare_appendix,
 from .factorization import (density_values, h_inverse, h_map,
                             left_outer_factor_from_additive,
                             right_outer_factor)
-from .moment import (CoordinateChart, JacobianSolveInfo,
-                     apply_f2_quadrature, apply_g1_direction,
-                     apply_g2_quadrature, apply_g2_statespace,
+from .moment import (CascadePoint, CoordinateChart, JacobianSolveInfo,
+                     apply_f2_quadrature, apply_g2_quadrature,
                      assemble_jacobian_matrix, build_factor_basis,
                      build_range_gamma_basis, condition_numbers,
                      f_jacobian_from_g, jacobian_condition_number,
                      make_chart, moment_f_quadrature, moment_g_quadrature,
-                     moment_g_statespace, solve_jacobian_system, trace_inner)
+                     moment_g_statespace, trace_inner)
 from .continuation import (HomotopyConfig, PathSample, SolutionPath,
                            corrector_newton, maxent_initialization,
                            run_continuation, write_path_csv, write_path_json)
@@ -68,11 +69,10 @@ __all__ = [
     "h_map", "h_inverse", "density_values",
     "trace_inner", "moment_f_quadrature", "moment_g_quadrature",
     "moment_g_statespace", "apply_f2_quadrature", "apply_g2_quadrature",
-    "apply_g2_statespace", "apply_g1_direction", "build_range_gamma_basis",
-    "build_factor_basis", "CoordinateChart", "make_chart",
+    "build_range_gamma_basis", "build_factor_basis", "CoordinateChart",
+    "make_chart", "CascadePoint", "JacobianSolveInfo",
     "assemble_jacobian_matrix", "jacobian_condition_number",
     "f_jacobian_from_g", "condition_numbers",
-    "JacobianSolveInfo", "solve_jacobian_system",
     "HomotopyConfig", "PathSample", "SolutionPath", "maxent_initialization",
     "corrector_newton", "run_continuation",
     "write_path_csv", "write_path_json",

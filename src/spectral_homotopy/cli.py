@@ -27,7 +27,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import copy
 import dataclasses
 import json
 import os
@@ -42,7 +41,7 @@ from .continuation import (HomotopyConfig, _check_covariance,
 from .errors import (ConfigError, EvaluationError, FactorizationError,
                      MembershipError, SolverError)
 from .factorization import h_inverse
-from .moment import (apply_g2_statespace, condition_numbers, make_chart,
+from .moment import (CascadePoint, condition_numbers, make_chart,
                      moment_g_quadrature, moment_g_statespace)
 from .statespace import (FactorParameter, FilterBank, StateSpaceSystem,
                          constant_prior, is_in_Cplus, is_in_Lplus,
@@ -50,7 +49,7 @@ from .statespace import (FactorParameter, FilterBank, StateSpaceSystem,
                          matrix_to_json, prior_from_outer,
                          prior_from_polynomial)
 
-__all__ = ["RunConfig", "parse_config", "serialize_config", "main"]
+__all__ = ["RunConfig", "parse_config", "main"]
 
 
 # ---------------------------------------------------------------------------
@@ -158,16 +157,9 @@ def _parse_prior(spec, path="prior"):
 
 @dataclasses.dataclass
 class RunConfig:
-    """Parsed configuration; fields are None when the section was absent.
-
-    ``doc`` is a deep copy of the validated document, so that serialization
-    reproduces the input exactly: regenerating floats from typed state
-    would lose values that pass through non-invertible maps (a constant
-    prior is stored by its square root, for instance).
-    """
+    """Parsed configuration; fields are None when the section was absent."""
 
     filterbank: FilterBank
-    doc: dict
     prior: object = None
     sigma: np.ndarray = None
     sigma_from: tuple = None   # (prior-or-None, C) when sigma came from a pair
@@ -194,7 +186,7 @@ def parse_config(doc, lenient_prior=False):
     """
     doc = _as_section(doc, "config", TOP_KEYS)
     fb = _parse_filter(_require(doc, "filter", "config"))
-    cfg = RunConfig(filterbank=fb, doc=copy.deepcopy(doc))
+    cfg = RunConfig(filterbank=fb)
 
     if "prior" in doc:
         try:
@@ -257,11 +249,6 @@ def parse_config(doc, lenient_prior=False):
             cfg.formats = tuple(fmts)
 
     return cfg
-
-
-def serialize_config(cfg):
-    """The config document that was parsed, as a copy."""
-    return copy.deepcopy(cfg.doc)
 
 
 def _load_config(args, lenient_prior=False):
@@ -408,7 +395,6 @@ def cmd_condnum(args):
 def cmd_check(args):
     cfg = _load_config(args, lenient_prior=True)
     fb = cfg.filterbank
-    chart = make_chart(fb)
     print(f"filter: n={fb.n} m={fb.m} field={fb.field} "
           f"spectral radius {fb._radius:.6g}")
 
@@ -444,7 +430,7 @@ def cmd_check(args):
     if cfg.sigma is not None or cfg.sigma_from is not None:
         try:
             _, problems, eig_min, rr = _check_covariance(
-                chart, _resolve_sigma(cfg))
+                make_chart(fb), _resolve_sigma(cfg))
         except (ConfigError, MembershipError) as exc:
             print(f"sigma: VIOLATION {exc}")
             return 0
@@ -518,11 +504,12 @@ def _suite_roundtrip(fb, chart, rng, random_sigma):
 def _suite_fd(fb, chart, rng, random_sigma):
     prior = prior_from_polynomial([1.0, -1.0, 0.89])
     param = maxent_initialization(fb, random_sigma())
+    point = CascadePoint(fb, prior, param)
     h = 1e-6
     worst = 0.0
     for _ in range(3):
         V = chart.factor_from_coords(rng.standard_normal(chart.dim))
-        d = apply_g2_statespace(fb, prior, param, V)
+        d = point.derivatives(V)
         gp = moment_g_statespace(
             fb, prior, FactorParameter(fb, param.C + h * V))
         gm = moment_g_statespace(

@@ -16,7 +16,7 @@ factor slice, so a prediction that combined the samples' matrices would
 propagate that roundoff with a factor above one per step.  The tangents
 are the ones the steps already solve, so the predictor costs no solve.
 p(t) is never factored: g is affine in it, so one cascade point at t
-(moment._StatespacePoint) gives g, its Jacobian and the drift.  The
+(moment.CascadePoint) gives g, its Jacobian and the drift.  The
 tangent is solved once per accepted point, at the point the corrector
 built for its last residual check (at t = 0, at a point whose P_t = P_1
 also gives the start sample's residual); steps are halved on corrector
@@ -35,7 +35,7 @@ import numpy as np
 from .errors import ConfigError, MembershipError, SolverError
 from .factorization import _factor_parameter
 from .matrixeq import reverse_cholesky
-from .moment import _StatespacePoint, make_chart, moment_g_statespace
+from .moment import CascadePoint, make_chart, moment_g_statespace
 from .statespace import (FactorParameter, _hermitian_defect, _hermitize,
                          matrix_to_json)
 
@@ -185,7 +185,7 @@ def corrector_newton(chart, prior, t, param, Sigma, config):
     fb = chart.filterbank
     gram_cond = 0.0
     for it in range(int(config.max_newton) + 1):
-        point = _StatespacePoint(fb, prior, param, t)
+        point = CascadePoint(fb, prior, param, t)
         resid_mat = Sigma - point.value()
         rnorm = float(np.linalg.norm(resid_mat))
         if rnorm <= config.newton_tol:
@@ -222,8 +222,7 @@ def _tangent_failure(t, dt, exc, history):
         history=history)
 
 
-def run_continuation(filterbank, prior, Sigma, config=None, chart=None,
-                     callback=None):
+def run_continuation(filterbank, prior, Sigma, config=None, chart=None):
     """Follow the prior homotopy from the maximum-entropy start to t = 1.
 
     Parameters
@@ -234,7 +233,6 @@ def run_continuation(filterbank, prior, Sigma, config=None, chart=None,
     config : HomotopyConfig, defaults to HomotopyConfig()
     chart : CoordinateChart, built by make_chart when omitted; fixes the
         meaning of the coordinate columns in the output
-    callback : optional callable, invoked with each accepted PathSample
 
     Returns
     -------
@@ -252,7 +250,7 @@ def run_continuation(filterbank, prior, Sigma, config=None, chart=None,
     history = []
     # the tangent's point: built here at t = 0, then the corrector's
     try:
-        point = _StatespacePoint(filterbank, prior, param, t)
+        point = CascadePoint(filterbank, prior, param, t)
     except SolverError as exc:
         raise _tangent_failure(t, float(config.dt), exc, history) from exc
     # P_t at t = 0 is P_1, so this point also gives g(1, C_0)
@@ -260,8 +258,6 @@ def run_continuation(filterbank, prior, Sigma, config=None, chart=None,
         t=0.0, C=param.C, y=chart.factor_coords(param.C),
         residual=float(np.linalg.norm(Sigma - point.value())),
         newton_iters=0, gram_cond=0.0, tangent_norm=0.0)]
-    if callback is not None:
-        callback(samples[0])
 
     # (t, y, a) of the previous accepted sample and its tangent
     previous = None
@@ -304,14 +300,11 @@ def run_continuation(filterbank, prior, Sigma, config=None, chart=None,
         t = t_next
         point = point_next
         param = point.param
-        sample = PathSample(
+        samples.append(PathSample(
             t=t, C=param.C, y=chart.factor_coords(param.C), residual=rnorm,
             newton_iters=iters,
             gram_cond=gcond if iters else info.gram_cond,
-            tangent_norm=float(np.linalg.norm(V)))
-        samples.append(sample)
-        if callback is not None:
-            callback(sample)
+            tangent_norm=float(np.linalg.norm(V))))
     return SolutionPath(filterbank=filterbank, config=config, Sigma=Sigma,
                         samples=tuple(samples), chart=chart)
 

@@ -12,7 +12,7 @@ factors, each a StateSpaceSystem:
   with positive real part, via the additive-form Riccati equation.
 
 The prior homotopy needs no factorization: the moment map is affine in the
-density weight (see moment._StatespacePoint).
+density weight (see moment.CascadePoint).
 """
 
 from __future__ import annotations
@@ -79,20 +79,15 @@ def _factor_parameter(filterbank, X, L):
     return FactorParameter(filterbank, C + (L - C @ B) @ pinvB)
 
 
-def h_map(filterbank, Lam, details=False):
+def h_map(filterbank, Lam):
     """Stable factor parameter C with (z C G)(z C G)* = G* Lambda G.
 
     Solves the lag-weight Riccati equation for P, factors B*PB = L*L with L
     lower triangular and positive diagonal, and sets C = L^{-*} B* P, with
     CB snapped to L (see _factor_parameter).
-
-    Returns the FactorParameter, or ``(param, sol)`` when ``details`` is set.
     """
     sol = solve_dare_lambda(filterbank, Lam)
-    param = _factor_parameter(filterbank, sol.P, sol.L)
-    if details:
-        return param, sol
-    return param
+    return _factor_parameter(filterbank, sol.P, sol.L)
 
 
 def h_inverse(chart, C):

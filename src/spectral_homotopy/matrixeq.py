@@ -286,12 +286,6 @@ def _circle_positivity(F, G, H, J):
     if not rmin > 0.0:
         return ("its mean J + J* is not positive definite "
                 f"(min eigenvalue {rmin:.6e})")
-    return _circle_positivity_given_mean(F, G, H, J, R, float(rvals[-1]))
-
-
-def _circle_positivity_given_mean(F, G, H, J, R, rmax):
-    """_circle_positivity past its first clause: R = J + J* is positive
-    definite with largest eigenvalue rmax."""
     nz = F.shape[0]
     if nz == 0:
         return None
@@ -318,7 +312,7 @@ def _circle_positivity_given_mean(F, G, H, J, R, rmax):
     Zc = H @ _resolvent(F, G, z) + J
     low = np.linalg.eigvalsh(Zc + Zc.conj().swapaxes(-1, -2))[:, 0]
     k = int(np.argmin(low))
-    if low[k] <= STRICT_TOL * rmax:
+    if low[k] <= STRICT_TOL * float(rvals[-1]):
         return f"it is singular at theta = {float(theta[k]):.6f}"
     return None
 
@@ -345,9 +339,9 @@ def solve_dare_appendix(F, G, H, J):
 
     Notes
     -----
-    When H = 0 the additive part of Z is constant and every P-dependent term
-    drops out of the factorization; the solver short-circuits to P = 0,
-    L from LL* = R, and reports the factorization defect (zero) as residual.
+    H = 0 (or nz = 0) needs no special case: P then solves the Stein
+    equation P = FPF* - G R^{-1} G*, which the doubling iteration reaches
+    like any other, L L* = R and the closed loop is F.
     """
     F = np.atleast_2d(np.asarray(F))
     G = np.atleast_2d(np.asarray(G))
@@ -362,23 +356,21 @@ def solve_dare_appendix(F, G, H, J):
     if not rho < 1.0 - STRICT_TOL:
         raise MembershipError(
             f"F must be Schur stable; spectral radius {rho:.15g}")
-    # R is tested once: its failure is a FactorizationError here, and the
-    # rest of _circle_positivity runs on the same R
+    # an indefinite R = J + J* is a FactorizationError here; a Cholesky
+    # probe decides it, so _circle_positivity's eigenvalues of R are the
+    # only ones computed
     R = _hermitize(J + J.conj().T)
-    rvals = np.linalg.eigvalsh(R)
-    rmin = float(rvals[0])
-    if not rmin > 0.0:
+    try:
+        np.linalg.cholesky(R)
+    except np.linalg.LinAlgError:
+        rmin = float(np.linalg.eigvalsh(R)[0])
         raise FactorizationError(
-            f"J + J* is not positive definite (min eigenvalue {rmin:.3e})")
-    why = _circle_positivity_given_mean(F, G, H, J, R, float(rvals[-1]))
+            f"J + J* is not positive definite (min eigenvalue {rmin:.3e})"
+        ) from None
+    why = _circle_positivity(F, G, H, J)
     if why is not None:
         raise MembershipError(
             f"Z + Z* is not positive on the unit circle: {why}")
-    scale = (1.0 + np.linalg.norm(G)) / (1.0 + np.linalg.norm(R))
-    if nz == 0 or np.linalg.norm(H) * scale <= 1e-13:
-        L = standard_cholesky(R)
-        return DareSolution(P=np.zeros((nz, nz)), L=L, closed_loop=F.copy(),
-                            residual_norm=0.0, iterations=0, method="degenerate")
 
     P, iters = _sda_appendix(F, G, H, R)
     resid, Om, K = _appendix_residual(F, G, H, R, P)

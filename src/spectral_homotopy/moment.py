@@ -34,7 +34,7 @@ P' - A_T P' A_T* = -(X P + P X*), for any V.  Every Stein equation at a
 point has the same A_T, so one list of its squared powers A_T^(2^k)
 (Smith's iteration, see matrixeq.solve_dlyap) serves the Gramian, all M
 Jacobian columns (one stacked solve) and the verification of a direction
-solve (see _StatespacePoint), for every homotopy prior (1 - t) + t psi:
+solve (see CascadePoint), for every homotopy prior (1 - t) + t psi:
 g is affine in the density weight, so that prior is never factored.  The
 Gramian routes are the only production routes for g (the continuation and
 the CLI's cond_g); quadrature of g is implemented independently and the
@@ -54,10 +54,11 @@ import numpy as np
 
 from .errors import EvaluationError, SolverError
 from .matrixeq import _stein_solver
-from .statespace import (StateSpaceSystem, _as_param, _hermitize,
-                         circle_grid, coerce_field, grid_size_from_spacing)
+from .statespace import (_as_param, _hermitize, circle_grid, coerce_field,
+                         constant_prior, grid_size_from_spacing)
 
 __all__ = [
+    "CascadePoint",
     "CoordinateChart",
     "JacobianSolveInfo",
     "make_chart",
@@ -69,13 +70,10 @@ __all__ = [
     "moment_g_statespace",
     "apply_f2_quadrature",
     "apply_g2_quadrature",
-    "apply_g2_statespace",
-    "apply_g1_direction",
     "assemble_jacobian_matrix",
     "f_jacobian_from_g",
     "jacobian_condition_number",
     "condition_numbers",
-    "solve_jacobian_system",
 ]
 
 DEFAULT_GRID_N = 4096
@@ -85,26 +83,14 @@ VERIFY_TOL = 1e-8
 # accumulated roundoff of a long Riemann sum; looser than the strict
 # evaluation-route hygiene bound on purpose
 QUAD_FIELD_TOL = 1e-9
+# prior=None, the maximum-entropy case, is this prior wherever a prior
+# enters (CascadePoint, _kernel_grid), so its blow-up is kept like any other
+_FLAT_PRIOR = constant_prior(1.0)
 
 
 def trace_inner(X, Y):
     """Real inner product Re trace(X Y*); both spaces here are real-linear."""
     return float(np.real(np.sum(np.asarray(X) * np.conj(Y))))
-
-
-def _psi_on(prior, theta):
-    if prior is None:
-        return np.ones(theta.size)
-    return prior.psi_values(theta)
-
-
-def _prior_blowup(prior, m):
-    """The prior's copies for an m-input cascade (PriorSpectrum._blowup)
-    and their spectral radius; the flat prior has no states."""
-    if prior is None:
-        return StateSpaceSystem(np.zeros((0, 0)), np.zeros((0, m)),
-                                np.zeros((m, 0)), np.eye(m)), 0.0
-    return prior._blowup(m), prior._radius
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +109,13 @@ def _kernel_grid(filterbank, prior, point, which, N):
     One Cholesky factorization M = L L* per grid block both gates positivity
     and solves: K = W* W with W = L^{-1} G*.
     """
+    prior = _FLAT_PRIOR if prior is None else prior
     theta = circle_grid(N)
     G = filterbank.eval_grid(np.exp(1j * theta))
     W = np.linalg.solve(_cholesky_grid(G, point, which),
                         G.conj().transpose(0, 2, 1))
     K = W.conj().transpose(0, 2, 1) @ W
-    return _psi_on(prior, theta), K
+    return prior.psi_values(theta), K
 
 
 def _cholesky_grid(G, point, which):
@@ -227,8 +214,23 @@ def apply_g2_quadrature(filterbank, prior, C, V, dtheta=None):
 # integration-free evaluation
 
 
-class _StatespacePoint:
-    """The exact route at one point (p_t, C), p_t = (1 - t) + t psi.
+@dataclass(frozen=True)
+class JacobianSolveInfo:
+    """Diagnostics of one linear-system solve against the g-Jacobian."""
+
+    gram_cond: float
+    verify_residual: float
+    columns: int
+
+
+class CascadePoint:
+    """The exact route for g at one point (p_t, C), p_t = (1 - t) + t psi.
+
+    One point gives the value g(p_t, C), the drift d/dt of it, the
+    derivative along any direction, the Jacobian in chart coordinates and
+    the verified direction solve, all from one Stein factorization.  ``C``
+    may be a matrix or a FactorParameter; ``prior`` None is the flat prior
+    psi = 1.
 
     G (z C G)^{-1} is stable with realization (Pi, Bt, I, 0), Bt = B (CB)^{-1};
     the cascade T = sigma G (z C G)^{-1} feeds the prior's states into it,
@@ -250,11 +252,13 @@ class _StatespacePoint:
     every derivative column and the verification are linear in P_t.
     """
 
-    def __init__(self, filterbank, prior, param, t=1.0):
+    def __init__(self, filterbank, prior, C, t=1.0):
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"t must lie in [0, 1], got {t}")
+        param = _as_param(filterbank, C)
         n, m = filterbank.n, filterbank.m
-        sigma, sigma_radius = _prior_blowup(prior, m)
+        prior = _FLAT_PRIOR if prior is None else prior
+        sigma = prior._blowup(m)
         q = sigma.n_states
         Bt = np.linalg.solve(param.CB.T, filterbank.B.T).T
         dtype = np.result_type(param.Pi, Bt, sigma.A, sigma.D, float)
@@ -271,7 +275,7 @@ class _StatespacePoint:
         self.param = param
         self._Bt = Bt
         self._stein = _stein_solver(
-            A, radius=max(param.spectral_radius(), sigma_radius))
+            A, radius=max(param.spectral_radius(), prior._radius))
         P1, Ppsi = self._stein(np.stack([B1 @ B1.conj().T, B @ B.conj().T]))
         self._P = (1.0 - t) * P1 + t * Ppsi
         self._P_drift = Ppsi - P1
@@ -285,11 +289,17 @@ class _StatespacePoint:
         return self._read(self._P, "moment value")
 
     def drift(self):
-        """d/dt of the value: g(psi, C) - g(1, C) = C_T (P_psi - P_1) C_T*."""
+        """d/dt of the value: g(psi, C) - g(1, C) = C_T (P_psi - P_1) C_T*.
+
+        The moment map is affine in the density weight, so the drift does
+        not depend on t; it is the inhomogeneous term of the path ODE.
+        """
         return self._read(self._P_drift, "moment drift")
 
-    def derivatives(self, Vs):
-        """g'(p_t, C; V) for every V of the (k, m, n) stack ``Vs``, stacked.
+    def derivatives(self, V):
+        """g'(p_t, C; V) for an m x n direction V, or for every V of a
+        (k, m, n) stack, stacked; exact for every direction of the bank's
+        field, not only the factor slice.
 
         Moving C along V moves the closed loop and the inner input matrix by
         dPi = -Bt V Pi and dBt = -Bt V Bt, so the cascade moves by
@@ -300,10 +310,17 @@ class _StatespacePoint:
             P' - A_T P' A_T* = -(X P + P X*),
 
         linear in P, so it holds for P = P_t, and g'(p_t, C; V) = C_T P' C_T*.
-        All k equations share A_T, so they are one batched Stein solve.
+        All k equations share A_T, so they are one batched Stein solve.  A V
+        of another shape, or with an imaginary part on a real bank, raises
+        ValueError.
         """
+        V = coerce_field(V, self.field, what="direction V")
+        shape = self.param.C.shape
+        if V.ndim not in (2, 3) or V.shape[-2:] != shape:
+            raise ValueError(f"V must be {shape[0]}x{shape[1]} or a stack of "
+                             f"such directions, got shape {V.shape}")
         Ct, P = self.C_T, self._P
-        XP = Ct.T @ (self._Bt @ Vs @ (Ct @ P))
+        XP = Ct.T @ (self._Bt @ V @ (Ct @ P))
         dP = self._stein(-(XP + XP.conj().swapaxes(-1, -2)))
         return coerce_field(_hermitize(Ct @ dP @ Ct.T), self.field,
                             what="derivative value")
@@ -313,7 +330,30 @@ class _StatespacePoint:
         return chart.range_coords(self.derivatives(chart.factor_basis)).T
 
     def solve(self, chart, Y):
-        """The direction solve of solve_jacobian_system at this point."""
+        """Solve g'(p_t, C; V) = Y for a direction V in the factor slice.
+
+        All M basis directions go through derivatives as one stacked tangent
+        Stein solve, against the squared powers of A_T that the Gramian
+        already computed; the verification below reuses them, so a solve
+        factors A_T once.  The coefficients are characterized by the Gram
+        normal equations in the image space (inner product Re trace);
+        because the range basis is orthonormal, those reduce to the square
+        coordinate system J alpha = coords(Y) with Gram = J^T J, and the
+        solve is done on J so the error grows with cond(J), not cond(J)^2.
+        The reported gram_cond is exactly the Gram-matrix condition number,
+        cond(J)^2.
+
+        The solve works entirely in range coordinates.  Derivative values
+        lie in the range subspace; any component of Y orthogonal to it is
+        roundoff of a covariance difference (absolute machine noise, so its
+        share of ||Y|| grows without bound as the rhs shrinks) and is
+        discarded by the projection.  The returned V is verified by one more
+        exact evaluation: ||g'(p_t, C; V) - Y|| <= VERIFY_TOL ||Y|| in the
+        range metric, skipped for Y = 0.
+
+        Returns (V, JacobianSolveInfo).  Raises SolverError when the Gram
+        conditioning exceeds GRAM_COND_LIMIT or verification fails.
+        """
         yr = chart.range_coords(Y)
         ynorm = float(np.linalg.norm(yr))
         if ynorm == 0.0:
@@ -332,8 +372,8 @@ class _StatespacePoint:
         # cutoff, so this is the least-squares solution it would return
         alpha = Vh.T @ ((U.T @ yr) / sv)
         V = chart.factor_from_coords(alpha)
-        (dY,) = self.derivatives(V[None])
-        resid = float(np.linalg.norm(chart.range_coords(dY) - yr)) / ynorm
+        resid = float(np.linalg.norm(
+            chart.range_coords(self.derivatives(V)) - yr)) / ynorm
         if not resid <= VERIFY_TOL:
             raise SolverError(
                 f"direction solve verification failed: relative residual "
@@ -348,33 +388,7 @@ def moment_g_statespace(filterbank, prior, C):
     The integrand is the power spectrum of the cascade T = sigma G (z C G)^{-1},
     so g equals C_T P C_T* with P the controllability Gramian of T.
     """
-    return _StatespacePoint(filterbank, prior, _as_param(filterbank, C)).value()
-
-
-def apply_g2_statespace(filterbank, prior, C, V):
-    """Directional derivative of g in C, evaluated without quadrature.
-
-    One Stein solve for the Gramian derivative of the cascade
-    T = sigma G (z C G)^{-1} (see _StatespacePoint.derivatives); exact for
-    every direction V of matching shape.
-    """
-    param = _as_param(filterbank, C)
-    V = coerce_field(np.atleast_2d(np.asarray(V)), filterbank.field,
-                     what="direction V")
-    if V.shape != param.C.shape:
-        raise ValueError(f"V must be {param.C.shape[0]}x{param.C.shape[1]}")
-    (dG,) = _StatespacePoint(filterbank, prior, param).derivatives(V[None])
-    return dG
-
-
-def apply_g1_direction(filterbank, prior, C):
-    """Derivative of t -> g((1-t) + t psi, C): the fixed value g(psi,C) - g(1,C).
-
-    The moment map is affine in the density weight, so this direction does
-    not depend on t; it is the inhomogeneous term of the path ODE.
-    """
-    return _StatespacePoint(filterbank, prior,
-                            _as_param(filterbank, C)).drift()
+    return CascadePoint(filterbank, prior, C).value()
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +557,7 @@ def assemble_jacobian_matrix(chart, prior, point, which="g", route="quadrature",
         if which != "g":
             raise ValueError(
                 "the exact Gramian route only evaluates the factor-side map")
-        return _StatespacePoint(fb, prior, _as_param(fb, point)).jacobian(
-            chart)
+        return CascadePoint(fb, prior, point).jacobian(chart)
     if route != "quadrature":
         raise ValueError(f"unknown route {route!r}")
     N = _resolve_grid(dtheta)
@@ -606,45 +619,7 @@ def condition_numbers(chart, prior, C):
     J_g comes from one cascade point (one stacked tangent Stein solve) and
     J_f from it by the chain rule (f_jacobian_from_g); no grid is built.
     """
-    param = _as_param(chart.filterbank, C)
-    J_g = _StatespacePoint(chart.filterbank, prior, param).jacobian(chart)
-    J_f = f_jacobian_from_g(chart, param, J_g)
+    point = CascadePoint(chart.filterbank, prior, C)
+    J_g = point.jacobian(chart)
+    J_f = f_jacobian_from_g(chart, point.param, J_g)
     return float(np.linalg.cond(J_g)), float(np.linalg.cond(J_f))
-
-
-@dataclass(frozen=True)
-class JacobianSolveInfo:
-    """Diagnostics of one linear-system solve against the g-Jacobian."""
-
-    gram_cond: float
-    verify_residual: float
-    columns: int
-
-
-def solve_jacobian_system(chart, prior, C, Y):
-    """Solve g'(psi, C; V) = Y for a direction V in the factor slice.
-
-    All M basis directions go through the exact derivative route as one
-    stacked tangent Stein solve, against the squared powers of A_T that
-    the cascade Gramian already computed; the verification below reuses
-    them, so one call factors A_T once (see _StatespacePoint).  The
-    coefficients are characterized by the Gram normal equations in the image
-    space (inner product Re trace); because the range basis is orthonormal,
-    those reduce to the square coordinate system J alpha = coords(Y) with
-    Gram = J^T J, and the solve is done on J so the error grows with
-    cond(J), not cond(J)^2.  The reported gram_cond is exactly the
-    Gram-matrix condition number, cond(J)^2.
-
-    The solve works entirely in range coordinates.  Derivative values lie in
-    the range subspace; any component of Y orthogonal to it is roundoff of a
-    covariance difference (absolute machine noise, so its share of ||Y||
-    grows without bound as the rhs shrinks) and is discarded by the
-    projection.  The returned V is verified in-function by one more exact
-    evaluation: ||g'(psi,C;V) - Y|| <= VERIFY_TOL ||Y|| in the range metric,
-    skipped for Y = 0.
-
-    Returns (V, JacobianSolveInfo).  Raises SolverError when the Gram
-    conditioning exceeds GRAM_COND_LIMIT or verification fails.
-    """
-    param = _as_param(chart.filterbank, C)
-    return _StatespacePoint(chart.filterbank, prior, param).solve(chart, Y)

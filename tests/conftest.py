@@ -191,7 +191,7 @@ def cascade(outer, inner):
 
     The scalar factor is applied per input channel of ``inner``, so the state
     dimension is ``inner.n_states + outer.n_states * inner.n_inputs``.  The
-    tests' oracle for the cascade that moment._StatespacePoint assembles in
+    tests' oracle for the cascade that moment.CascadePoint assembles in
     place.
     """
     if outer.n_inputs != 1 or outer.n_outputs != 1:

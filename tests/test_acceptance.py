@@ -10,8 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from spectral_homotopy import (FactorParameter,
-                               HomotopyConfig, apply_g2_statespace,
+from spectral_homotopy import (CascadePoint, FactorParameter,
+                               HomotopyConfig,
                                assemble_jacobian_matrix, circle_grid,
                                constant_prior, h_inverse, h_map,
                                jacobian_condition_number,
@@ -98,11 +98,12 @@ def _jacobian_errors(fb, chart, prior, param, rng):
     """Worst relative error of the exact derivative against central
     differences over 10 slice directions, and the worst entrywise relative
     mismatch of the statespace Jacobian against quadrature."""
+    point = CascadePoint(fb, prior, param)
     h = 1e-6
     worst_fd = 0.0
     for _ in range(10):
         V = fd_direction(chart, rng)
-        d = apply_g2_statespace(fb, prior, param, V)
+        d = point.derivatives(V)
         gp = moment_g_statespace(
             fb, prior, FactorParameter(fb, param.C + h * V))
         gm = moment_g_statespace(

@@ -14,7 +14,7 @@ import spectral_homotopy
 from spectral_homotopy import (FactorParameter, factorization,
                                jacobian_condition_number, matrix_to_json,
                                moment)
-from spectral_homotopy.cli import main, parse_config, serialize_config
+from spectral_homotopy.cli import main
 
 from conftest import B_REF, C_REF
 
@@ -266,6 +266,26 @@ class TestCheck:
         assert main(["check", "--config", cfg]) == 0
         assert "sigma: VIOLATION" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("extra, charts", [
+        pytest.param({}, 0, id="filter-and-C"),
+        pytest.param({"sigma": SIGMA_FROM_REF}, 1, id="with-sigma")])
+    def test_builds_a_chart_only_for_sigma(self, extra, charts, tmp_path,
+                                           capsys, monkeypatch):
+        # only the sigma check reads the range basis
+        built = []
+        build = moment.build_range_gamma_basis
+
+        def counted(fb):
+            built.append(fb)
+            return build(fb)
+
+        monkeypatch.setattr(moment, "build_range_gamma_basis", counted)
+        doc = {"filter": {"preset": "covext", "m": 2, "p": 1},
+               "C": C_REF.tolist(), **extra}
+        assert main(["check", "--config", write_config(tmp_path, doc)]) == 0
+        assert "C: in-set" in capsys.readouterr().out
+        assert len(built) == charts
+
 
 def _non_hermitian():
     M = np.eye(4)
@@ -414,33 +434,3 @@ class TestOverrides:
         assert exc.value.code == 2
         assert "unrecognized arguments: --dtheta" in capsys.readouterr().err
 
-
-class TestConfigRoundTrip:
-    CASES = [
-        base_config(sigma=SIGMA_FROM_REF,
-                    continuation={"dt": 0.25, "max_newton": 30},
-                    quadrature={"dtheta": 1e-3},
-                    output={"directory": "runs", "formats": ["csv"]}),
-        base_config(C=C_REF.tolist()),
-        {
-            "filter": {"preset": "covext", "m": 2, "p": 1},
-            "prior": {"kind": "constant", "value": 2.5},
-            "sigma": {"matrix": np.eye(4).tolist()},
-        },
-        {
-            "filter": {"A": [[0.0, 0.5], [0.0, 0.0]],
-                       "B": [[0.0], [1.0]]},
-            "prior": {"kind": "rational",
-                      "sigma": {"A": [[0.5]], "B": [[1.0]],
-                                "C": [[0.25]], "D": [[1.0]]}},
-        },
-        {"filter": {"preset": "covext", "m": 2, "p": 1, "field": "complex"}},
-    ]
-
-    @pytest.mark.parametrize("doc", CASES)
-    def test_serialize_inverts_parse(self, doc):
-        def norm(d):
-            return json.loads(json.dumps(d, sort_keys=True))
-
-        rebuilt = serialize_config(parse_config(doc))
-        assert norm(rebuilt) == norm(doc)

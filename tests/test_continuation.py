@@ -119,7 +119,7 @@ class TestPredictorCorrector:
                                           sigma_ref):
         # one Euler step from t = 0 must reduce the t = 1 residual
         start = maxent_initialization(fb, sigma_ref)
-        point = moment._StatespacePoint(fb, prior_ref, start, 0.0)
+        point = moment.CascadePoint(fb, prior_ref, start, 0.0)
         v, info = point.solve(chart, -point.drift())
         C_pred = start.C + 0.1 * v
         assert info.verify_residual <= 1e-8
@@ -134,7 +134,7 @@ class TestPredictorCorrector:
                                                     sigma_ref):
         start = maxent_initialization(fb, sigma_ref)
         flat = constant_prior(1.0)
-        point = moment._StatespacePoint(fb, flat, start, 0.0)
+        point = moment.CascadePoint(fb, flat, start, 0.0)
         v, _ = point.solve(chart, -point.drift())
         C_pred = start.C + 0.1 * v
         assert np.linalg.norm(v) < 1e-10
@@ -208,14 +208,6 @@ class TestRunContinuation:
             ends.append(path.final.C)
         assert np.linalg.norm(ends[0] - ends[1]) < 1e-6
 
-    def test_callback_sees_every_sample(self, fb, prior_ref, sigma_ref):
-        seen = []
-        path = run_continuation(fb, prior_ref, sigma_ref,
-                                config=HomotopyConfig(dt=0.5),
-                                callback=seen.append)
-        assert len(seen) == len(path.samples)
-        assert seen[0].t == 0.0 and seen[-1].t == 1.0
-
     def test_infeasible_covariance_raises(self, fb, prior_ref):
         with pytest.raises(MembershipError, match="attainable"):
             run_continuation(fb, prior_ref, np.diag([1.0, 1.0, 2.0, 1.0]))
@@ -242,7 +234,7 @@ class TestRunContinuation:
             self, fb, prior_ref, sigma_ref, monkeypatch):
         # the corrector takes full Newton steps; a candidate outside the
         # factor set rejects the continuation step, which is retried at dt / 2
-        solve = moment._StatespacePoint.solve
+        solve = moment.CascadePoint.solve
         calls = []
 
         def leaving_solve(self, chart, Y):
@@ -254,7 +246,7 @@ class TestRunContinuation:
                 V = -2.0 * self.param.C
             return V, info
 
-        monkeypatch.setattr(moment._StatespacePoint, "solve", leaving_solve)
+        monkeypatch.setattr(moment.CascadePoint, "solve", leaving_solve)
         path = run_continuation(fb, prior_ref, sigma_ref)
         assert_allclose([s.t for s in path.samples[:3]], [0.0, 0.05, 0.15],
                         rtol=0, atol=1e-15)
@@ -269,7 +261,7 @@ class TestRunContinuation:
             calls.append(args)
             raise SolverError("Gram system condition 1e+16 exceeds limit")
 
-        monkeypatch.setattr(moment._StatespacePoint, "solve", failing_solve)
+        monkeypatch.setattr(moment.CascadePoint, "solve", failing_solve)
         with pytest.raises(SolverError, match="tangent solve failed") as exc:
             run_continuation(fb, prior_ref, sigma_ref)
         assert len(calls) == 1
@@ -281,13 +273,13 @@ class TestRunContinuation:
         # cascade point of psi at weight t, and nothing is built twice: the
         # tangent at an accepted t_k reuses the corrector's last point
         built = []
-        init = moment._StatespacePoint.__init__
+        init = moment.CascadePoint.__init__
 
-        def counting_init(self, filterbank, prior, param, t=1.0):
+        def counting_init(self, filterbank, prior, C, t=1.0):
             built.append(t)
-            init(self, filterbank, prior, param, t)
+            init(self, filterbank, prior, C, t)
 
-        monkeypatch.setattr(moment._StatespacePoint, "__init__",
+        monkeypatch.setattr(moment.CascadePoint, "__init__",
                             counting_init)
         path = run_continuation(fb, prior_ref, sigma_ref)
         steps = len(path.samples) - 1
@@ -311,7 +303,7 @@ class TestRunContinuation:
         channel_blowup = statespace._channel_blowup
         closed_loop = statespace._closed_loop
         spectral_radius = matrixeq._spectral_radius
-        init = moment._StatespacePoint.__init__
+        init = moment.CascadePoint.__init__
 
         def counted_blowup(outer, m):
             if outer is prior.sigma:
@@ -337,7 +329,7 @@ class TestRunContinuation:
         monkeypatch.setattr(statespace, "_channel_blowup", counted_blowup)
         monkeypatch.setattr(statespace, "_closed_loop", counted_loop)
         monkeypatch.setattr(matrixeq, "_spectral_radius", counted_radius)
-        monkeypatch.setattr(moment._StatespacePoint, "__init__", tracked_init)
+        monkeypatch.setattr(moment.CascadePoint, "__init__", tracked_init)
         path = run_continuation(fb, prior, sigma_ref)
         steps = len(path.samples) - 1
         iters = sum(s.newton_iters for s in path.samples)

@@ -290,13 +290,16 @@ def additive_residual(F, G, H, J, P):
 
 class TestAdditiveRiccati:
     def test_constant_part_short_circuits(self):
-        # H = 0: nothing depends on P, factor is the constant square root
-        F = np.array([[0.5]])
-        sol = solve_dare_appendix(F, np.array([[1.0]]), np.array([[0.0]]),
-                                  np.array([[2.0]]))
-        assert_allclose(sol.P, [[0.0]], atol=0)
+        # H = 0: P solves the Stein equation P = F P F* - G R^{-1} G*, here
+        # P = P / 4 - 1 / 4, and the innovation factor is the square root of
+        # R = J + J*; doubling reaches both like any other case
+        F, G, H, J = (np.array([[v]]) for v in (0.5, 1.0, 0.0, 2.0))
+        sol = solve_dare_appendix(F, G, H, J)
+        assert_allclose(sol.P, [[-1.0 / 3.0]], rtol=1e-14)
         assert_allclose(sol.L, [[2.0]], rtol=1e-14)
-        assert sol.method == "degenerate"
+        assert additive_residual(F, G, H, J, sol.P) \
+            <= matrixeq.DARE_RESIDUAL_TOL * (1.0 + np.linalg.norm(sol.P))
+        assert_array_equal(sol.closed_loop, F)
 
     def test_random_positive_quadruples(self, rng):
         z = np.exp(1j * circle_grid(512))

@@ -6,19 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from spectral_homotopy import (CoordinateChart, EvaluationError,
-                               FactorParameter, SolverError, StateSpaceSystem,
-                               apply_f2_quadrature, apply_g1_direction,
-                               apply_g2_quadrature, apply_g2_statespace, assemble_jacobian_matrix,
+from spectral_homotopy import (CascadePoint, CoordinateChart,
+                               EvaluationError, FactorParameter, SolverError,
+                               StateSpaceSystem, apply_f2_quadrature,
+                               apply_g2_quadrature, assemble_jacobian_matrix,
                                condition_numbers, constant_prior,
                                f_jacobian_from_g, h_inverse,
                                jacobian_condition_number, make_chart,
                                make_covariance_extension_filter,
-                               matrixeq, moment,
+                               matrixeq, moment, statespace,
                                moment_f_quadrature, moment_g_quadrature,
                                moment_g_statespace,
                                prior_from_outer, prior_from_polynomial,
-                               solve_jacobian_system,
                                trace_inner)
 
 from conftest import (B_REF, C_REF, ROUND_TRIP_BANKS, cascade,
@@ -175,29 +174,40 @@ class TestDerivatives:
 
     def test_factor_scaling_direction(self, fb, prior_ref, param_ref):
         # g(psi, c C) = g(psi, C) / c^2
-        dG = apply_g2_statespace(fb, prior_ref, param_ref, param_ref.C)
+        dG = CascadePoint(fb, prior_ref, param_ref).derivatives(param_ref.C)
         G0 = moment_g_statespace(fb, prior_ref, param_ref)
         assert relative_error(dG, -2.0 * G0) < 1e-10
 
     def test_zero_direction(self, fb, prior_ref, param_ref):
-        dG = apply_g2_statespace(fb, prior_ref, param_ref,
-                                 np.zeros((2, 4)))
+        dG = CascadePoint(fb, prior_ref, param_ref).derivatives(
+            np.zeros((2, 4)))
         assert_allclose(dG, np.zeros((4, 4)), atol=1e-14)
 
+    @pytest.mark.parametrize("V, match", [
+        pytest.param(np.zeros((4, 2)), "V must be 2x4", id="transposed"),
+        pytest.param(np.zeros(8), "V must be 2x4", id="flat"),
+        pytest.param(np.zeros((1, 1, 2, 4)), "V must be 2x4", id="4-d"),
+        pytest.param(1j * np.ones((2, 4)), "imaginary part", id="complex")])
+    def test_rejects_foreign_direction(self, fb, prior_ref, param_ref, V,
+                                       match):
+        # a direction must have C's shape and, on a real bank, be real
+        with pytest.raises(ValueError, match=match):
+            CascadePoint(fb, prior_ref, param_ref).derivatives(V)
     def test_linearity(self, fb, chart, prior_ref, param_ref, rng):
         V1 = fd_direction(chart, rng)
         V2 = fd_direction(chart, rng)
-        d1 = apply_g2_statespace(fb, prior_ref, param_ref, V1)
-        d2 = apply_g2_statespace(fb, prior_ref, param_ref, V2)
-        d12 = apply_g2_statespace(fb, prior_ref, param_ref,
-                                  1.5 * V1 - 0.25 * V2)
+        point = CascadePoint(fb, prior_ref, param_ref)
+        d1 = point.derivatives(V1)
+        d2 = point.derivatives(V2)
+        d12 = point.derivatives(1.5 * V1 - 0.25 * V2)
         assert relative_error(d12, 1.5 * d1 - 0.25 * d2) < 1e-9
 
     def test_statespace_matches_quadrature(self, fb, chart, prior_ref,
                                            param_ref, rng):
+        point = CascadePoint(fb, prior_ref, param_ref)
         for _ in range(5):
             V = fd_direction(chart, rng)
-            ds = apply_g2_statespace(fb, prior_ref, param_ref, V)
+            ds = point.derivatives(V)
             dq = apply_g2_quadrature(fb, prior_ref, param_ref, V,
                                      dtheta=2 * np.pi / 8192)
             assert relative_error(dq, ds) < 1e-8
@@ -217,16 +227,17 @@ class TestDerivatives:
         prior = draw_prior(rng, prior_kind, field)
         param = draw_param(fb, rng)
         V = draw_normal(rng, (fb.m, fb.n), field)
-        ds = apply_g2_statespace(fb, prior, param, V)
+        ds = CascadePoint(fb, prior, param).derivatives(V)
         dq = apply_g2_quadrature(fb, prior, param, V, dtheta=2 * np.pi / 8192)
         assert relative_error(dq, ds) < 1e-8
 
     def test_matches_central_difference(self, fb, chart, prior_ref,
                                         param_ref, rng):
+        point = CascadePoint(fb, prior_ref, param_ref)
         h = 1e-6
         for _ in range(5):
             V = fd_direction(chart, rng)
-            d = apply_g2_statespace(fb, prior_ref, param_ref, V)
+            d = point.derivatives(V)
             gp = moment_g_statespace(
                 fb, prior_ref, FactorParameter(fb, param_ref.C + h * V))
             gm = moment_g_statespace(
@@ -246,12 +257,12 @@ class TestDerivatives:
         assert relative_error((fp - fm) / (2 * h), d) < 1e-5
 
     def test_prior_drift_vanishes_for_flat_prior(self, fb, param_ref):
-        drift = apply_g1_direction(fb, constant_prior(1.0), param_ref)
+        drift = CascadePoint(fb, constant_prior(1.0), param_ref).drift()
         assert_allclose(drift, np.zeros((4, 4)), atol=1e-14)
 
     def test_prior_drift_is_moment_difference(self, fb, prior_ref,
                                               param_ref):
-        drift = apply_g1_direction(fb, prior_ref, param_ref)
+        drift = CascadePoint(fb, prior_ref, param_ref).drift()
         want = (moment_g_statespace(fb, prior_ref, param_ref)
                 - moment_g_statespace(fb, constant_prior(1.0), param_ref))
         assert relative_error(drift, want) < 1e-12
@@ -296,7 +307,7 @@ class TestBlendedPoint:
         fb, prior, param = _blend_case(case, rng)
         chart = make_chart(fb)
         dtheta = 2 * np.pi / 4096
-        point = moment._StatespacePoint(fb, prior, param, t)
+        point = CascadePoint(fb, prior, param, t)
         blend = _BlendedPrior(prior, t)
         Sq = moment_g_quadrature(fb, blend, param, dtheta=dtheta)
         assert relative_error(Sq, point.value()) < 1e-7
@@ -312,24 +323,24 @@ class TestBlendedPoint:
 
     def test_endpoints_exact(self, fb, prior_ref, param_ref):
         # t = 0 is the flat prior, t = 1 the prior itself
-        flat = moment._StatespacePoint(fb, prior_ref, param_ref, 0.0)
+        flat = CascadePoint(fb, prior_ref, param_ref, 0.0)
         want = moment_g_statespace(fb, constant_prior(1.0), param_ref)
         assert relative_error(flat.value(), want) < 1e-13
         assert_array_equal(
-            moment._StatespacePoint(fb, prior_ref, param_ref, 1.0).value(),
+            CascadePoint(fb, prior_ref, param_ref, 1.0).value(),
             moment_g_statespace(fb, prior_ref, param_ref))
         for t in (-0.1, 1.1):
             with pytest.raises(ValueError, match="t must lie"):
-                moment._StatespacePoint(fb, prior_ref, param_ref, t)
+                CascadePoint(fb, prior_ref, param_ref, t)
 
     def test_intermediate_blend(self, fb, chart, prior_ref, param_ref):
         # value and Jacobian are affine in t; the drift is their slope
-        ends = [moment._StatespacePoint(fb, prior_ref, param_ref, t)
+        ends = [CascadePoint(fb, prior_ref, param_ref, t)
                 for t in (0.0, 1.0)]
         g0, g1 = (p.value() for p in ends)
         J0, J1 = (p.derivatives(chart.factor_basis) for p in ends)
         for t in (0.25, 0.5, 0.9):
-            point = moment._StatespacePoint(fb, prior_ref, param_ref, t)
+            point = CascadePoint(fb, prior_ref, param_ref, t)
             assert relative_error(point.value(),
                                   (1 - t) * g0 + t * g1) < 1e-13
             assert relative_error(point.derivatives(chart.factor_basis),
@@ -338,10 +349,47 @@ class TestBlendedPoint:
 
     def test_constant_prior_blends_to_constant(self, fb, param_ref):
         # blending a flat prior of level c only moves the level
-        point = moment._StatespacePoint(fb, constant_prior(2.5), param_ref,
-                                        0.4)
+        point = CascadePoint(fb, constant_prior(2.5), param_ref, 0.4)
         want = (0.6 + 0.4 * 2.5) * moment_g_statespace(fb, None, param_ref)
         assert relative_error(point.value(), want) < 1e-14
+
+
+class TestFlatPrior:
+    """prior=None is constant_prior(1.0), on both routes."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_none_is_the_unit_constant_prior(self, field, rng):
+        fb = make_bank((2, 1), field)
+        param = draw_param(fb, rng)
+        one = constant_prior(1.0)
+        assert_array_equal(moment_g_statespace(fb, None, param),
+                           moment_g_statespace(fb, one, param))
+        assert_array_equal(moment_g_quadrature(fb, None, param),
+                           moment_g_quadrature(fb, one, param))
+
+    def test_blowup_is_kept(self, fb, param_ref, monkeypatch):
+        # a flat point takes the copies that one constant prior keeps, like
+        # any prior's, instead of building its own
+        owners, built = [], []
+        blowup = statespace.PriorSpectrum._blowup
+        channel_blowup = statespace._channel_blowup
+
+        def spied(self, m):
+            owners.append(self)
+            return blowup(self, m)
+
+        def counted(outer, m):
+            built.append(m)
+            return channel_blowup(outer, m)
+
+        monkeypatch.setattr(statespace.PriorSpectrum, "_blowup", spied)
+        monkeypatch.setattr(statespace, "_channel_blowup", counted)
+        for _ in range(3):
+            CascadePoint(fb, None, param_ref)
+        assert len(owners) == 3
+        assert all(owner is owners[0] for owner in owners)
+        assert owners[0].kind == "constant"
+        assert len(built) <= 1
 
 
 def _pointwise_jacobian(chart, prior, point, which, N):
@@ -425,7 +473,7 @@ class TestJacobian:
     def test_batched_statespace_matches_column_by_column(self, bank, field,
                                                          prior_ref, rng):
         # all M tangent Stein solves in one stack against one factorization,
-        # against one apply_g2_statespace call per basis direction
+        # against one derivative per basis direction
         fb = make_bank(bank, field)
         chart = make_chart(fb)
         param = draw_param(fb, rng)
@@ -433,7 +481,7 @@ class TestJacobian:
                                      route="statespace")
         for j, V in enumerate(chart.factor_basis):
             col = chart.range_coords(
-                apply_g2_statespace(fb, prior_ref, param, V))
+                CascadePoint(fb, prior_ref, param).derivatives(V))
             assert np.linalg.norm(J[:, j] - col) <= 1e-13 * np.linalg.norm(col)
 
     def test_weight_route_needs_quadrature(self, fb, chart, prior_ref,
@@ -480,7 +528,7 @@ class TestCascadeAssembly:
             return stein_solver(a, radius=radius)
 
         monkeypatch.setattr(moment, "_stein_solver", recorded)
-        point = moment._StatespacePoint(fb, prior, param)
+        point = CascadePoint(fb, prior, param)
         sigma = prior.sigma if prior is not None else StateSpaceSystem(
             np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[1.0]])
         T = cascade(sigma, factor_inner_realization(fb, param))
@@ -554,29 +602,30 @@ class TestChainRuleWeightJacobian:
 
 
 class TestJacobianSolve:
-    def test_recovers_planted_direction(self, fb, chart, prior_ref,
-                                        param_ref, rng):
+    @pytest.fixture
+    def point(self, fb, prior_ref, param_ref):
+        return CascadePoint(fb, prior_ref, param_ref)
+
+    def test_recovers_planted_direction(self, chart, point, rng):
         for _ in range(5):
             V0 = fd_direction(chart, rng)
-            Y = apply_g2_statespace(fb, prior_ref, param_ref, V0)
-            V, info = solve_jacobian_system(chart, prior_ref, param_ref, Y)
+            V, info = point.solve(chart, point.derivatives(V0))
             assert relative_error(V, V0) < 1e-6
             assert info.verify_residual <= 1e-8
             assert info.columns == 7
 
-    def test_scaling_direction_recovers_parameter(self, fb, chart, prior_ref,
+    def test_scaling_direction_recovers_parameter(self, chart, point,
                                                   param_ref):
         # g'(C; C) = -2 g uniquely identifies V = C inside the slice
-        Y = -2.0 * moment_g_statespace(fb, prior_ref, param_ref)
-        V, _ = solve_jacobian_system(chart, prior_ref, param_ref, Y)
+        V, _ = point.solve(chart, -2.0 * point.value())
         assert relative_error(V, param_ref.C) < 1e-6
 
     def test_one_stein_factorization_per_solve(self, fb, chart, prior_ref,
-                                               param_ref, rng, monkeypatch):
+                                               param_ref, point, rng,
+                                               monkeypatch):
         # the Gramian, all M columns and the verification are Stein solves
         # in the same A_T, so one factorization serves all M + 2 of them
-        Y = apply_g2_statespace(fb, prior_ref, param_ref,
-                                fd_direction(chart, rng))
+        Y = point.derivatives(fd_direction(chart, rng))
         shapes = []
         stein_solver = moment._stein_solver
 
@@ -585,41 +634,33 @@ class TestJacobianSolve:
             return stein_solver(a, radius=radius)
 
         monkeypatch.setattr(moment, "_stein_solver", counted)
-        solve_jacobian_system(chart, prior_ref, param_ref, Y)
+        CascadePoint(fb, prior_ref, param_ref).solve(chart, Y)
         # the cascade runs one copy of the prior's states per input channel
         n_T = fb.n + fb.m * prior_ref.sigma.A.shape[0]
         assert shapes == [(n_T, n_T)]
 
-    def test_zero_right_hand_side(self, fb, chart, prior_ref, param_ref):
-        V, info = solve_jacobian_system(chart, prior_ref, param_ref,
-                                        np.zeros((4, 4)))
+    def test_zero_right_hand_side(self, chart, point):
+        V, info = point.solve(chart, np.zeros((4, 4)))
         assert_array_equal(V, np.zeros((2, 4)))
         assert info.verify_residual == 0.0
 
-    def test_reports_conditioning(self, fb, chart, prior_ref, param_ref,
-                                  rng):
-        Y = apply_g2_statespace(fb, prior_ref, param_ref,
-                                fd_direction(chart, rng))
-        _, info = solve_jacobian_system(chart, prior_ref, param_ref, Y)
+    def test_reports_conditioning(self, chart, point, rng):
+        _, info = point.solve(chart,
+                              point.derivatives(fd_direction(chart, rng)))
         # squared condition number of the coordinate matrix
         assert 1e10 < info.gram_cond < 1e12
 
-    def test_condition_limit_enforced(self, fb, chart, prior_ref, param_ref,
-                                      rng, monkeypatch):
-        Y = apply_g2_statespace(fb, prior_ref, param_ref,
-                                fd_direction(chart, rng))
+    def test_condition_limit_enforced(self, chart, point, rng, monkeypatch):
+        Y = point.derivatives(fd_direction(chart, rng))
         monkeypatch.setattr(moment, "GRAM_COND_LIMIT", 1.0)
         with pytest.raises(SolverError, match="condition"):
-            solve_jacobian_system(chart, prior_ref, param_ref, Y)
+            point.solve(chart, Y)
 
-    def test_discards_unattainable_component(self, fb, chart, prior_ref,
-                                             param_ref, rng):
+    def test_discards_unattainable_component(self, chart, point, rng):
         # derivative values are attainable; junk orthogonal to that space
         # must not poison the solve
         V0 = fd_direction(chart, rng)
-        Y = apply_g2_statespace(fb, prior_ref, param_ref, V0)
         noise = np.diag([1.0, 1.0, -1.0, -1.0]) * 1e-13
-        V, info = solve_jacobian_system(chart, prior_ref, param_ref,
-                                        Y + noise)
+        V, info = point.solve(chart, point.derivatives(V0) + noise)
         assert relative_error(V, V0) < 1e-6
         assert info.verify_residual <= 1e-8
