@@ -17,9 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from spectral_homotopy import (
+    CascadePoint,
     FactorParameter,
-    assemble_jacobian_matrix,
-    constant_prior,
     f_jacobian_from_g,
     make_chart,
     make_covariance_extension_filter,
@@ -38,20 +37,16 @@ C_ref = np.array([[0.5, 0.65, 1.0, 0.0],
                   [-2.2615, -1.0, 2.0, 1.0]])
 Sigma = moment_g_statespace(fb, prior, C_ref)
 
-# g is affine in the prior density, so at (1 - t) + t psi its Jacobian is
-# the blend (1 - t) J_g(1) + t J_g(psi) of two exact ones (one stacked
-# Stein solve each); the blended prior is never factored.  f = g o h, so
-# the weight-side Jacobian at Lambda = h^{-1}(C) follows by the chain rule,
+# g is affine in the prior density, so one cascade point at
+# (1 - t) + t psi gives the exact Jacobian there (one stacked Stein solve);
+# the blended prior is never factored.  f = g o h, so the weight-side
+# Jacobian at Lambda = h^{-1}(C) follows by the chain rule,
 # J_f = J_g J_{h^{-1}}^{-1}, and J_{h^{-1}} does not depend on the prior:
 # neither side needs a quadrature grid.
-flat = constant_prior(1.0)
 
 
 def blended_conditions(t, param):
-    J1, Jpsi = (assemble_jacobian_matrix(chart, p, param, which="g",
-                                         route="statespace")
-                for p in (flat, prior))
-    J_g = (1.0 - t) * J1 + t * Jpsi
+    J_g = CascadePoint(fb, prior, param, t).jacobian(chart)
     J_f = f_jacobian_from_g(chart, param, J_g)
     return float(np.linalg.cond(J_g)), float(np.linalg.cond(J_f))
 

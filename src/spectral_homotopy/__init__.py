@@ -20,8 +20,9 @@ Layering, bottom up:
 - ``moment``: the two moment maps and their derivatives, coordinate charts,
   Jacobians (the weight-side one by the chain rule), condition numbers.  The
   exact route for g is one ``CascadePoint`` per parameter: its value,
-  drift, derivatives, Jacobian and verified direction solve; quadrature is
-  the tests' independent oracle.
+  drift, derivatives, Jacobian and verified direction solve.  The tests'
+  independent oracle is one ``GridPoint`` per point, with the same
+  interface, by quadrature of f or g.
 - ``continuation``: maximum-entropy start, predictor/corrector path
   following, CSV/JSON serialization.
 - ``cli``: ``spectral-homotopy`` command-line entry points.
@@ -41,13 +42,11 @@ from .matrixeq import (DareSolution, reverse_cholesky, solve_dare_appendix,
 from .factorization import (density_values, h_inverse, h_map,
                             left_outer_factor_from_additive,
                             right_outer_factor)
-from .moment import (CascadePoint, CoordinateChart, JacobianSolveInfo,
-                     apply_f2_quadrature, apply_g2_quadrature,
-                     assemble_jacobian_matrix, build_factor_basis,
+from .moment import (CascadePoint, CoordinateChart, GridPoint,
+                     JacobianSolveInfo, build_factor_basis,
                      build_range_gamma_basis, condition_numbers,
                      f_jacobian_from_g, jacobian_condition_number,
-                     make_chart, moment_f_quadrature, moment_g_quadrature,
-                     moment_g_statespace, trace_inner)
+                     make_chart, moment_g_statespace, trace_inner)
 from .continuation import (HomotopyConfig, PathSample, SolutionPath,
                            corrector_newton, maxent_initialization,
                            run_continuation, write_path_csv, write_path_json)
@@ -67,11 +66,10 @@ __all__ = [
     "standard_cholesky", "reverse_cholesky",
     "right_outer_factor", "left_outer_factor_from_additive",
     "h_map", "h_inverse", "density_values",
-    "trace_inner", "moment_f_quadrature", "moment_g_quadrature",
-    "moment_g_statespace", "apply_f2_quadrature", "apply_g2_quadrature",
+    "trace_inner", "moment_g_statespace",
     "build_range_gamma_basis", "build_factor_basis", "CoordinateChart",
-    "make_chart", "CascadePoint", "JacobianSolveInfo",
-    "assemble_jacobian_matrix", "jacobian_condition_number",
+    "make_chart", "CascadePoint", "GridPoint", "JacobianSolveInfo",
+    "jacobian_condition_number",
     "f_jacobian_from_g", "condition_numbers",
     "HomotopyConfig", "PathSample", "SolutionPath", "maxent_initialization",
     "corrector_newton", "run_continuation",

@@ -12,7 +12,8 @@ Verbs:
   report-only, exits 0 whenever the config itself parses.  Lambda
   membership is exact; the grid minimum printed with it is a diagnostic.
 - ``maxent``: closed-form flat-prior solution for Sigma.
-- ``selftest``: reduced-size consistency suites.
+- ``selftest``: reduced-size consistency suites, on the real and on the
+  complex covext(2, 1) bank.
 
 Overrides: ``--out`` (solve, condnum, maxent), ``--dt`` and ``--tol``
 (solve); ``check`` takes only ``--config``.  No verb builds a quadrature
@@ -41,8 +42,8 @@ from .continuation import (HomotopyConfig, _check_covariance,
 from .errors import (ConfigError, EvaluationError, FactorizationError,
                      MembershipError, SolverError)
 from .factorization import h_inverse
-from .moment import (CascadePoint, condition_numbers, make_chart,
-                     moment_g_quadrature, moment_g_statespace)
+from .moment import (CascadePoint, GridPoint, condition_numbers, make_chart,
+                     moment_g_statespace)
 from .statespace import (FactorParameter, FilterBank, StateSpaceSystem,
                          constant_prior, is_in_Cplus, is_in_Lplus,
                          make_covariance_extension_filter, matrix_from_json,
@@ -82,6 +83,8 @@ def _parse_matrix(data, path):
 def _parse_number(value, path, kind=float):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
     return kind(value)
 
 
@@ -463,14 +466,16 @@ def cmd_maxent(args):
 # ---------------------------------------------------------------------------
 # selftest
 
-def _selftest_setup():
-    fb = make_covariance_extension_filter(2, 1)
+def _selftest_setup(field):
+    fb = make_covariance_extension_filter(2, 1, field=field)
     chart = make_chart(fb)
     rng = np.random.default_rng(20240817)
 
     def random_sigma():
         X = rng.standard_normal((fb.n, fb.n))
-        Xp = chart.project_range_gamma(0.5 * (X + X.T))
+        if field == "complex":
+            X = X + 1j * rng.standard_normal((fb.n, fb.n))
+        Xp = chart.project_range_gamma(0.5 * (X + X.conj().T))
         lam = float(np.min(np.linalg.eigvalsh(Xp)))
         return Xp + (abs(lam) + 0.5 + rng.random()) * np.eye(fb.n)
 
@@ -483,7 +488,7 @@ def _suite_oracle(fb, chart, rng, random_sigma):
     for _ in range(5):
         param = maxent_initialization(fb, random_sigma())
         gs = moment_g_statespace(fb, prior, param)
-        gq = moment_g_quadrature(fb, prior, param, dtheta=2 * np.pi / 2048)
+        gq = GridPoint(fb, prior, param, dtheta=2 * np.pi / 2048).value()
         worst = max(worst, float(np.linalg.norm(gs - gq)
                                  / np.linalg.norm(gs)))
     return worst, 1e-7
@@ -524,19 +529,21 @@ def cmd_selftest(args):
     suites = [("oracle-equivalence", _suite_oracle),
               ("round-trip", _suite_roundtrip),
               ("finite-difference", _suite_fd)]
-    setup = _selftest_setup()
     ok = True
     t0 = time.perf_counter()
-    for name, suite in suites:
-        try:
-            worst, tol = suite(*setup)
-        except Exception as exc:   # a crash is a failure, keep going
-            print(f"{name}: FAIL ({type(exc).__name__}: {exc})")
-            ok = False
-            continue
-        status = "PASS" if worst <= tol else "FAIL"
-        ok = ok and worst <= tol
-        print(f"{name}: {status} (worst {worst:.3e}, tol {tol:.0e})")
+    for field in ("real", "complex"):
+        setup = _selftest_setup(field)
+        for name, suite in suites:
+            label = f"{name} [{field}]"
+            try:
+                worst, tol = suite(*setup)
+            except Exception as exc:   # a crash is a failure, keep going
+                print(f"{label}: FAIL ({type(exc).__name__}: {exc})")
+                ok = False
+                continue
+            status = "PASS" if worst <= tol else "FAIL"
+            ok = ok and worst <= tol
+            print(f"{label}: {status} (worst {worst:.3e}, tol {tol:.0e})")
     print(f"selftest: {'PASS' if ok else 'FAIL'} "
           f"({time.perf_counter() - t0:.1f} s)")
     return 0 if ok else 1

@@ -113,13 +113,17 @@ def _check_covariance(chart, Sigma):
     Returns (Sigma, findings, eig_min, rr): the Hermitian part of Sigma, the
     list of what disqualifies it (empty when it is admissible), its smallest
     eigenvalue and its relative distance from the range of the covariance
-    operator.  Sigma must be Hermitian to STRICT_TOL, positive definite and
+    operator.  Sigma must be finite (else that is the one finding, and
+    eig_min and rr are nan), Hermitian to STRICT_TOL, positive definite and
     attainable: rr at most FEASIBILITY_TOL.  A wrong shape raises ValueError.
     """
     Sigma = np.atleast_2d(np.asarray(Sigma))
     n = chart.filterbank.n
     if Sigma.shape != (n, n):
         raise ValueError(f"Sigma must be {n}x{n}, got {Sigma.shape}")
+    bad = int(np.sum(~np.isfinite(Sigma)))
+    if bad:
+        return Sigma, [f"not finite ({bad} non-finite entries)"], np.nan, np.nan
     findings = []
     defect = _hermitian_defect(Sigma)
     if defect is not None:

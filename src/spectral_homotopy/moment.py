@@ -8,11 +8,10 @@ Phi is integral(G Phi G*) dtheta / 2 pi.  Two parametrizations appear,
 
 together with their directional derivatives.  Both share one quadrature
 kernel K = G M^{-1} G*: the derivative of either map in a direction D acting
-inside M is -integral(psi K D K).  Every quadrature derivative, and every
-column of a quadrature Jacobian, comes from one grid contraction
-Q = sum_k psi_k K_k (x) K_k (an n^2 x n^2 matrix; for g the right factor is
-C K_k, which keeps the cancellation in D = V*C + C*V pointwise), after
-which each direction costs O(n^4) operations, whatever the grid size.
+inside M is -integral(psi K D K).  A GridPoint evaluates either map at one
+point by quadrature: it builds the grid once and contracts it once, after
+which its value, every derivative and the Jacobian cost nothing that grows
+with the grid size.
 
 Values of f and g live in the range of the covariance operator
 Gamma: X = integral(G Phi G*) satisfies X - A X A* = B H + H* B* for some H,
@@ -41,9 +40,9 @@ the CLI's cond_g); quadrature of g is implemented independently and the
 tests hold the two against each other.  f = g o h, so the chain rule gives
 f's Jacobian exactly from the same point: J_f = J_g J_{h^{-1}}^{-1}, where
 J_{h^{-1}} (the range coordinates of V*C + C*V over the factor basis) does
-not depend on the prior (see condition_numbers).  Quadrature of f stays as
-the tests' oracle for it.  Every quadrature function takes one grid knob,
-``dtheta``; without it the grid has DEFAULT_GRID_N points.
+not depend on the prior (see condition_numbers).  GridPoint, with
+CascadePoint's interface and one grid knob, ``dtheta``, is the tests'
+independent oracle for both maps.
 """
 
 from __future__ import annotations
@@ -65,12 +64,8 @@ __all__ = [
     "build_range_gamma_basis",
     "build_factor_basis",
     "trace_inner",
-    "moment_f_quadrature",
-    "moment_g_quadrature",
+    "GridPoint",
     "moment_g_statespace",
-    "apply_f2_quadrature",
-    "apply_g2_quadrature",
-    "assemble_jacobian_matrix",
     "f_jacobian_from_g",
     "jacobian_condition_number",
     "condition_numbers",
@@ -97,12 +92,6 @@ def trace_inner(X, Y):
 # quadrature kernel
 
 
-def _resolve_grid(dtheta):
-    if dtheta is None:
-        return DEFAULT_GRID_N
-    return grid_size_from_spacing(dtheta)
-
-
 def _kernel_grid(filterbank, prior, point, which, N):
     """Grid values of psi and K = G M^{-1} G* for M = G* Lambda G or (CG)*(CG).
 
@@ -123,11 +112,9 @@ def _cholesky_grid(G, point, which):
     function of its own so that M's grid temporaries die before K is formed."""
     if which == "f":
         M = G.conj().transpose(0, 2, 1) @ point @ G
-    elif which == "g":
+    else:
         CG = np.matmul(point, G)
         M = CG.conj().transpose(0, 2, 1) @ CG
-    else:
-        raise ValueError(f"unknown moment map {which!r}")
     M = 0.5 * (M + M.conj().transpose(0, 2, 1))
     try:
         return np.linalg.cholesky(M)
@@ -138,76 +125,74 @@ def _cholesky_grid(G, point, which):
             f"{min_eig:.6e}") from None
 
 
-def _kernel_columns(psi, K, R, mats, N):
-    """-integral(psi K D R) on the grid for every matrix D in ``mats``, stacked.
+class GridPoint:
+    """The quadrature oracle at one point: f at Lambda (``which="f"``) or g
+    at C (``which="g"``, ``point`` a matrix or FactorParameter).
 
-    Entry (a, d) of sum_k psi_k K_k D R_k is sum_{b,c} Q[a,b,c,d] D[b,c] with
-    Q = sum_k psi_k vec(K_k) vec(R_k)^T, so one (n^2 x N)(N x rn) product
-    over the grid serves every direction; the per-direction work is n^3 r.
-    """
-    size, n, _ = K.shape
-    r = R.shape[1]
-    Q = K.reshape(size, n * n).T @ (psi[:, None] * R.reshape(size, r * n))
-    return -np.einsum("abcd,mbc->mad", Q.reshape(n, n, r, n),
-                      np.asarray(mats)) / N
+    It has CascadePoint's interface (value, derivatives, jacobian) and is
+    implemented independently of it: one Riemann sum on a uniform circle
+    grid, whose spacing is the divisor of 2 pi closest to ``dtheta``
+    (DEFAULT_GRID_N points when ``dtheta`` is None).  The grid converges
+    spectrally fast for the rational integrand.  The constructor builds the
+    grid once and sums it twice: into the value, sum_k psi_k K_k / N, and
+    into Q = sum_k psi_k vec(K_k) vec(R_k)^T with R = K for f and R = C K
+    for g.  Entry (a, d) of sum_k psi_k K_k D R_k is then
+    sum_{b,c} Q[a,b,c,d] D[b,c], so every derivative, and every column of
+    the Jacobian, costs n^3 r operations whatever the grid size.
 
-
-def _g2_columns(psi, K, C, directions, N):
-    """-integral(psi K (V*C + C*V) K) for every V in ``directions``, stacked.
-
-    K is Hermitian, so the integrand is Y + Y* with Y = K V* (C K).  Where
+    The derivative of f along dLambda is -integral(psi K dLambda K); that of
+    g along V is -integral(psi K (V*C + C*V) K) = Y + Y* with
+    Y = -integral(psi K V* (C K)), since K is Hermitian.  Where
     M = (CG)*(CG) is nearly singular, K blows up along the direction that
     C G nearly annihilates, so C K grows only like the square root of K.
     Forming C K at each grid point keeps that cancellation to roundoff; a
     grid sum with K on both sides rounds it away (cond_g off by 1e-5
     instead of 1e-9 at cond_g ~ 1e8).
     """
-    Vh = np.asarray(directions).conj().swapaxes(-1, -2)
-    Y = _kernel_columns(psi, K, C @ K, Vh, N)
-    return Y + Y.conj().transpose(0, 2, 1)
 
+    def __init__(self, filterbank, prior, point, which="g", dtheta=None):
+        if which == "g":
+            point = _as_param(filterbank, point).C
+        elif which == "f":
+            point = np.asarray(point)
+        else:
+            raise ValueError(f"unknown moment map {which!r}")
+        N = DEFAULT_GRID_N if dtheta is None else grid_size_from_spacing(dtheta)
+        psi, K = _kernel_grid(filterbank, prior, point, which, N)
+        R = point @ K if which == "g" else K
+        n = K.shape[1]
+        self.which, self.field, self._N = which, filterbank.field, N
+        self._value = _hermitize(np.tensordot(psi, K, axes=(0, 0)) / N)
+        self._Q = (K.reshape(N, n * n).T
+                   @ (psi[:, None] * R.reshape(N, -1))).reshape(n, n, -1, n)
 
-def moment_f_quadrature(filterbank, prior, Lam, dtheta=None):
-    """f(psi, Lambda) by Riemann summation on a uniform circle grid.
+    def value(self):
+        """f(psi, Lambda) or g(psi, C)."""
+        return coerce_field(self._value, self.field, tol=QUAD_FIELD_TOL,
+                            what="moment value")
 
-    The grid is equispaced, so the sum converges spectrally fast for the
-    rational integrand; its spacing is the divisor of 2 pi closest to
-    ``dtheta``, and it has 4096 points when ``dtheta`` is None.
-    """
-    N = _resolve_grid(dtheta)
-    psi, K = _kernel_grid(filterbank, prior, np.asarray(Lam), "f", N)
-    val = _hermitize(np.tensordot(psi, K, axes=(0, 0)) / N)
-    return coerce_field(val, filterbank.field, tol=QUAD_FIELD_TOL,
-                        what="moment value")
+    def _columns(self, D):
+        """The derivative along every direction of the stack D (for f without
+        its Hermitian part taken; the chart's coordinates ignore it)."""
+        if self.which == "g":
+            D = D.conj().swapaxes(-1, -2)
+        Y = -np.einsum("abcd,mbc->mad", self._Q, D) / self._N
+        return Y + Y.conj().swapaxes(-1, -2) if self.which == "g" else Y
 
+    def derivatives(self, D):
+        """The derivative along one direction (dLambda for f, V for g) or
+        along every direction of a (k, ., .) stack, stacked."""
+        D = np.asarray(D)
+        cols = self._columns(D if D.ndim == 3 else D[None])
+        cols = coerce_field(_hermitize(cols), self.field, tol=QUAD_FIELD_TOL,
+                            what="derivative value")
+        return cols if D.ndim == 3 else cols[0]
 
-def moment_g_quadrature(filterbank, prior, C, dtheta=None):
-    """g(psi, C) by Riemann summation on a uniform circle grid."""
-    N = _resolve_grid(dtheta)
-    param = _as_param(filterbank, C)
-    psi, K = _kernel_grid(filterbank, prior, param.C, "g", N)
-    val = _hermitize(np.tensordot(psi, K, axes=(0, 0)) / N)
-    return coerce_field(val, filterbank.field, tol=QUAD_FIELD_TOL,
-                        what="moment value")
-
-
-def apply_f2_quadrature(filterbank, prior, Lam, dLam, dtheta=None):
-    """Directional derivative of f in Lambda: -integral(psi K dLam K)."""
-    N = _resolve_grid(dtheta)
-    psi, K = _kernel_grid(filterbank, prior, np.asarray(Lam), "f", N)
-    (val,) = _kernel_columns(psi, K, K, [np.asarray(dLam)], N)
-    return coerce_field(_hermitize(val), filterbank.field, tol=QUAD_FIELD_TOL,
-                        what="derivative value")
-
-
-def apply_g2_quadrature(filterbank, prior, C, V, dtheta=None):
-    """Directional derivative of g in C: -integral(psi K (V*C + C*V) K)."""
-    N = _resolve_grid(dtheta)
-    param = _as_param(filterbank, C)
-    psi, K = _kernel_grid(filterbank, prior, param.C, "g", N)
-    (val,) = _g2_columns(psi, K, param.C, [np.atleast_2d(np.asarray(V))], N)
-    return coerce_field(_hermitize(val), filterbank.field, tol=QUAD_FIELD_TOL,
-                        what="derivative value")
+    def jacobian(self, chart):
+        """The Jacobian in chart coordinates: columns along the factor basis
+        for g and along the range basis for f."""
+        basis = chart.factor_basis if self.which == "g" else chart.range_basis
+        return chart.range_coords(self._columns(basis)).T
 
 
 # ---------------------------------------------------------------------------
@@ -536,51 +521,26 @@ def make_chart(filterbank):
 # Jacobians
 
 
-def assemble_jacobian_matrix(chart, prior, point, which="g", route="quadrature",
-                             dtheta=None):
-    """M x M real Jacobian of the moment map in chart coordinates.
-
-    For which="g" the columns are derivatives along the factor basis at the
-    parameter ``point`` (a matrix or FactorParameter); for which="f" along
-    the range basis at ``point`` = Lambda.  Route "statespace" (g only) is
-    the production route: each column is one tangent Stein solve.  Route
-    "quadrature" sums the shared kernel on a circle grid of spacing
-    ``dtheta`` once, into Q = sum_k psi_k K_k (x) K_k (for g, K_k (x) C K_k),
-    and reads all columns off Q (see _kernel_columns); it is the tests'
-    independent check of the exact g route and of the chain-rule f
-    Jacobian (see f_jacobian_from_g).
-    """
-    fb = chart.filterbank
-    if which not in ("f", "g"):
-        raise ValueError(f"unknown moment map {which!r}")
-    if route == "statespace":
-        if which != "g":
-            raise ValueError(
-                "the exact Gramian route only evaluates the factor-side map")
-        return CascadePoint(fb, prior, point).jacobian(chart)
-    if route != "quadrature":
-        raise ValueError(f"unknown route {route!r}")
-    N = _resolve_grid(dtheta)
-    if which == "g":
-        param = _as_param(fb, point)
-        psi, K = _kernel_grid(fb, prior, param.C, "g", N)
-        cols = _g2_columns(psi, K, param.C, chart.factor_basis, N)
-    else:
-        psi, K = _kernel_grid(fb, prior, np.asarray(point), "f", N)
-        cols = _kernel_columns(psi, K, K, chart.range_basis, N)
-    return chart.range_coords(cols).T
-
-
 def jacobian_condition_number(chart, prior, point, which="g",
                               route="quadrature", dtheta=None):
     """Spectral condition number of the chart-coordinate Jacobian.
 
-    Invariant (up to discretization error) under orthonormal changes of
-    either basis, since those act by orthogonal matrices on each side.
+    Route "statespace" (g only) reads the Jacobian off a CascadePoint at the
+    parameter ``point``; route "quadrature" off a GridPoint of spacing
+    ``dtheta`` at ``point`` (C for g, Lambda for f).  Invariant (up to
+    discretization error) under orthonormal changes of either basis, since
+    those act by orthogonal matrices on each side.
     """
-    J = assemble_jacobian_matrix(chart, prior, point, which=which, route=route,
-                                 dtheta=dtheta)
-    return float(np.linalg.cond(J))
+    if route == "statespace":
+        if which != "g":
+            raise ValueError(
+                "the exact Gramian route only evaluates the factor-side map")
+        oracle = CascadePoint(chart.filterbank, prior, point)
+    elif route == "quadrature":
+        oracle = GridPoint(chart.filterbank, prior, point, which, dtheta)
+    else:
+        raise ValueError(f"unknown route {route!r}")
+    return float(np.linalg.cond(oracle.jacobian(chart)))
 
 
 def _h_inverse_jacobian(chart, C):

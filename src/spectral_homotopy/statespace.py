@@ -380,10 +380,10 @@ def _fir_system(b):
 
 
 def constant_prior(value=1.0):
-    """The flat prior psi = value (value > 0)."""
+    """The flat prior psi = value (0 < value < inf)."""
     value = float(value)
-    if not value > 0.0:
-        raise MembershipError("constant prior must be positive")
+    if not 0.0 < value < np.inf:
+        raise MembershipError("constant prior must be positive and finite")
     s = np.sqrt(value)
     return PriorSpectrum(_fir_system([s]), kind="constant")
 
@@ -440,8 +440,6 @@ class CplusDiagnostics:
     member: bool
     spectral_radius: float
     max_upper_abs: float
-    min_diag_real: float
-    max_diag_imag: float
     failures: tuple = field(default_factory=tuple)
 
     def __bool__(self):
@@ -518,21 +516,21 @@ def _closed_loop(filterbank, C):
         member=not failures,
         spectral_radius=rho,
         max_upper_abs=max_upper,
-        min_diag_real=min_diag_real,
-        max_diag_imag=max_diag_imag,
         failures=tuple(failures),
     )
     return diagnostics, C, CB, Pi
 
 
 def _check_lambda(filterbank, Lam):
-    """Lambda as an n x n Hermitian matrix of the bank's field, else
+    """Lambda as a finite n x n Hermitian matrix of the bank's field, else
     ValueError; the one validation behind is_in_Lplus and
     matrixeq.solve_dare_lambda."""
     Lam = _as_matrix(Lam, "Lambda")
     n = filterbank.n
     if Lam.shape != (n, n):
         raise ValueError(f"Lambda must be {n}x{n}, got {Lam.shape}")
+    if not np.all(np.isfinite(Lam)):
+        raise ValueError("Lambda has non-finite entries")
     return coerce_field(_check_hermitian(Lam, "Lambda"), filterbank.field,
                         what="Lambda")
 

@@ -95,16 +95,33 @@ def random_pair(random_param, random_prior):
     return sample
 
 
-# covariance-extension banks (m, p) with n = m (p + 1) <= 8, and a general
-# bank with nonzero poles
+# covariance-extension banks (m, p) with n = m (p + 1) <= 8, a general bank
+# with nonzero real poles, and a THREE bank with complex poles
 ROUND_TRIP_BANKS = [(m, p) for m in (1, 2, 3) for p in range(4)
-                    if m * (p + 1) <= 8] + ["diag"]
+                    if m * (p + 1) <= 8] + ["diag", "three"]
+
+
+def _three_bank(field):
+    """THREE-type bank (Byrnes, Georgiou & Lindquist 2000): the six poles
+    0.9 e^{2 pi i k / 6} and B = ones.  The complex bank is diagonal; the
+    real one holds the poles 0.9 and -0.9 on its diagonal and each conjugate
+    pair as a 2 x 2 rotation block."""
+    if field == "complex":
+        A = np.diag(0.9 * np.exp(2j * np.pi * np.arange(6) / 6))
+    else:
+        A = np.diag([0.9, -0.9, 0.0, 0.0, 0.0, 0.0])
+        for i, angle in ((2, np.pi / 3), (4, 2 * np.pi / 3)):
+            c, s = 0.9 * np.cos(angle), 0.9 * np.sin(angle)
+            A[i:i + 2, i:i + 2] = [[c, -s], [s, c]]
+    return FilterBank(A, np.ones((6, 1)), field=field)
 
 
 def make_bank(bank, field):
     if bank == "diag":
         return FilterBank(np.diag([0.5, -0.3, 0.7, 0.2]), np.ones((4, 1)),
                           field=field)
+    if bank == "three":
+        return _three_bank(field)
     return make_covariance_extension_filter(*bank, field=field)
 
 

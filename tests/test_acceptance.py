@@ -10,16 +10,15 @@ import time
 import numpy as np
 import pytest
 
-from spectral_homotopy import (CascadePoint, FactorParameter,
-                               HomotopyConfig,
-                               assemble_jacobian_matrix, circle_grid,
+from spectral_homotopy import (CascadePoint, FactorParameter, GridPoint,
+                               HomotopyConfig, circle_grid,
                                constant_prior, h_inverse, h_map,
                                jacobian_condition_number,
                                left_outer_factor_from_additive, make_chart,
                                make_covariance_extension_filter,
-                               maxent_initialization, moment_g_quadrature,
-                               moment_g_statespace, prior_from_polynomial,
-                               run_continuation, solve_dare_lambda)
+                               maxent_initialization, moment_g_statespace,
+                               prior_from_polynomial, run_continuation,
+                               solve_dare_lambda)
 
 from conftest import (B_REF, C_REF, fd_direction, random_additive_quadruple,
                       relative_error, rotated_chart)
@@ -87,7 +86,7 @@ def test_criterion_3_oracle_equivalence(fb, random_pair, _report):
     for _ in range(20):
         prior, param = random_pair(rng)
         Ss = moment_g_statespace(fb, prior, param)
-        Sq = moment_g_quadrature(fb, prior, param, dtheta=2 * np.pi / 4096)
+        Sq = GridPoint(fb, prior, param, dtheta=2 * np.pi / 4096).value()
         worst = max(worst, relative_error(Sq, Ss))
     _report(3, worst <= 1e-7,
             f"state-space vs quadrature worst {worst:.2e} [<=1e-7], "
@@ -109,10 +108,8 @@ def _jacobian_errors(fb, chart, prior, param, rng):
         gm = moment_g_statespace(
             fb, prior, FactorParameter(fb, param.C - h * V))
         worst_fd = max(worst_fd, relative_error((gp - gm) / (2 * h), d))
-    Js = assemble_jacobian_matrix(chart, prior, param, which="g",
-                                  route="statespace")
-    Jq = assemble_jacobian_matrix(chart, prior, param, which="g",
-                                  route="quadrature")
+    Js = point.jacobian(chart)
+    Jq = GridPoint(fb, prior, param).jacobian(chart)
     return worst_fd, float(np.max(np.abs(Js - Jq) / np.abs(Jq)))
 
 

@@ -80,6 +80,21 @@ class TestConfigErrors:
         assert main(["condnum", "--config", cfg]) == 2
         assert "quadrature.grid_n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value, code", [(2, 0), (2.0, 0), (2.9, 2),
+                                             (1.5, 2)])
+    @pytest.mark.parametrize("path", ["filter.m", "filter.p",
+                                      "continuation.max_newton"])
+    def test_integer_fields_reject_fractions(self, path, value, code,
+                                             tmp_path, capsys):
+        # a fraction is an error naming the field, not a silent truncation
+        doc = base_config(continuation={})
+        section, key = path.split(".")
+        doc[section][key] = value
+        cfg = write_config(tmp_path, doc)
+        assert main(["check", "--config", cfg]) == code
+        if code:
+            assert f"{path}: expected an integer" in capsys.readouterr().err
+
     def test_missing_required_section(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config())
         assert main(["solve", "--config", cfg]) == 2
@@ -293,6 +308,12 @@ def _non_hermitian():
     return M.tolist()
 
 
+def _non_finite(bad):
+    M = np.eye(4)
+    M[1, 1] = bad
+    return M.tolist()
+
+
 class TestInvalidSigma:
     """A malformed sigma.matrix is a typed error, never a traceback."""
 
@@ -312,9 +333,20 @@ class TestInvalidSigma:
                      str(tmp_path / "x")]) == 3
         assert "Hermitian" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["maxent", "solve"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_exits_3(self, verb, bad, tmp_path, capsys):
+        doc = base_config(sigma={"matrix": _non_finite(bad)})
+        cfg = write_config(tmp_path, doc)
+        assert main([verb, "--config", cfg, "--out",
+                     str(tmp_path / "x")]) == 3
+        assert "Sigma is not finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("matrix, finding", [
         (np.eye(3).tolist(), "sigma.matrix"),
-        (_non_hermitian(), "Hermitian")])
+        (_non_hermitian(), "Hermitian"),
+        (_non_finite(np.nan), "non-finite"),
+        (_non_finite(np.inf), "non-finite")])
     def test_check_reports_it_with_exit_zero(self, matrix, finding, tmp_path,
                                              capsys):
         cfg = write_config(tmp_path, base_config(sigma={"matrix": matrix}))
@@ -337,12 +369,28 @@ class TestInvalidParameters:
 
     @pytest.mark.parametrize("key, matrix, finding", [
         ("C", np.ones((2, 3)).tolist(), "C must be 2x4"),
-        ("Lambda", _non_hermitian(), "Lambda is not Hermitian")])
+        ("Lambda", _non_hermitian(), "Lambda is not Hermitian"),
+        ("Lambda", _non_finite(np.nan), "Lambda has non-finite entries")])
     def test_check_reports_it_with_exit_zero(self, key, matrix, finding,
                                              tmp_path, capsys):
         cfg = write_config(tmp_path, base_config(**{key: matrix}))
         assert main(["check", "--config", cfg]) == 0
         assert f"{key}: VIOLATION {finding}" in capsys.readouterr().out
+
+
+class TestInvalidPrior:
+    @pytest.mark.parametrize("value", [0.0, float("inf")])
+    def test_check_reports_it_and_solve_rejects_it(self, value, tmp_path,
+                                                   capsys):
+        doc = base_config(sigma=SIGMA_FROM_REF)
+        doc["prior"] = {"kind": "constant", "value": value}
+        cfg = write_config(tmp_path, doc)
+        assert main(["check", "--config", cfg]) == 0
+        assert ("prior: VIOLATION constant prior must be positive and finite"
+                in capsys.readouterr().out)
+        assert main(["solve", "--config", cfg, "--out",
+                     str(tmp_path / "x")]) == 2
+        assert "positive and finite" in capsys.readouterr().err
 
 
 class TestMaxent:
@@ -361,7 +409,8 @@ class TestSelftest:
     def test_passes(self, capsys):
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 4
+        assert out.count("PASS") == 7
+        assert "oracle-equivalence [complex]: PASS" in out
 
     def test_perturbation_hook_forces_roundtrip_failure(self, capsys,
                                                         monkeypatch):
@@ -375,10 +424,11 @@ class TestSelftest:
         monkeypatch.setattr(factorization, "h_map", perturbed)
         assert main(["selftest"]) == 1
         out = capsys.readouterr().out
-        assert "round-trip: FAIL" in out
-        # the other suites do not call h_map
-        assert "oracle-equivalence: PASS" in out
-        assert "finite-difference: PASS" in out
+        for field in ("real", "complex"):
+            assert f"round-trip [{field}]: FAIL" in out
+            # the other suites do not call h_map
+            assert f"oracle-equivalence [{field}]: PASS" in out
+            assert f"finite-difference [{field}]: PASS" in out
 
     def test_imports_no_scipy(self):
         # the package is numpy-only: in a fresh interpreter, importing it

@@ -63,6 +63,17 @@ class TestMaxent:
         with pytest.raises((MembershipError, ValueError)):
             maxent_initialization(fb, M)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, fb, prior_ref, bad):
+        # a typed finding before any eigenvalue computation, which would
+        # fail to converge on such a matrix
+        Sigma = np.eye(4)
+        Sigma[1, 1] = bad
+        for start in (lambda: maxent_initialization(fb, Sigma),
+                      lambda: run_continuation(fb, prior_ref, Sigma)):
+            with pytest.raises(MembershipError, match="not finite"):
+                start()
+
 
 class TestPredictorCorrector:
     def test_corrector_accepts_exact_solution(self, fb, chart, prior_ref,

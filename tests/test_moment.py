@@ -7,15 +7,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from spectral_homotopy import (CascadePoint, CoordinateChart,
-                               EvaluationError, FactorParameter, SolverError,
-                               StateSpaceSystem, apply_f2_quadrature,
-                               apply_g2_quadrature, assemble_jacobian_matrix,
+                               EvaluationError, FactorParameter, GridPoint,
+                               SolverError, StateSpaceSystem,
                                condition_numbers, constant_prior,
                                f_jacobian_from_g, h_inverse,
                                jacobian_condition_number, make_chart,
                                make_covariance_extension_filter,
                                matrixeq, moment, statespace,
-                               moment_f_quadrature, moment_g_quadrature,
                                moment_g_statespace,
                                prior_from_outer, prior_from_polynomial,
                                trace_inner)
@@ -116,8 +114,8 @@ class TestChart:
 class TestMomentMaps:
     def test_flat_weight_moment(self, fb):
         # f(1, I): the two unit-delay blocks average to half the Gramian
-        F = moment_f_quadrature(fb, constant_prior(1.0), np.eye(4),
-                                dtheta=2 * np.pi / 4096)
+        F = GridPoint(fb, constant_prior(1.0), np.eye(4), "f",
+                      dtheta=2 * np.pi / 4096).value()
         assert_allclose(F, 0.5 * np.eye(4), rtol=1e-12, atol=1e-12)
 
     def test_flat_factor_moment(self, fb):
@@ -137,7 +135,7 @@ class TestMomentMaps:
         for _ in range(5):
             prior, param = random_pair(rng)
             Ss = moment_g_statespace(fb, prior, param)
-            Sq = moment_g_quadrature(fb, prior, param, dtheta=2 * np.pi / 4096)
+            Sq = GridPoint(fb, prior, param, dtheta=2 * np.pi / 4096).value()
             assert relative_error(Sq, Ss) < 1e-7
 
     def test_factor_and_weight_routes_agree(self, fb, chart, prior_ref,
@@ -145,21 +143,21 @@ class TestMomentMaps:
         # the two parametrizations of one density must produce one moment
         Lam = h_inverse(chart, param_ref)
         dtheta = 2 * np.pi / 8192
-        Sf = moment_f_quadrature(fb, prior_ref, Lam, dtheta=dtheta)
-        Sg = moment_g_quadrature(fb, prior_ref, param_ref, dtheta=dtheta)
+        Sf = GridPoint(fb, prior_ref, Lam, "f", dtheta=dtheta).value()
+        Sg = GridPoint(fb, prior_ref, param_ref, dtheta=dtheta).value()
         assert relative_error(Sf, Sg) < 1e-10
 
     def test_flat_prior_routes(self, fb, param_ref):
         # constant prior exercises the stateless branch of the cascade
         Ss = moment_g_statespace(fb, constant_prior(2.0), param_ref)
-        Sq = moment_g_quadrature(fb, constant_prior(2.0), param_ref,
-                                 dtheta=2 * np.pi / 4096)
+        Sq = GridPoint(fb, constant_prior(2.0), param_ref,
+                       dtheta=2 * np.pi / 4096).value()
         assert relative_error(Sq, Ss) < 1e-9
 
     def test_quadrature_outside_weight_cone_raises(self, fb, prior_ref):
         # G* (-I) G is negative definite at every grid point
         with pytest.raises(EvaluationError, match="density boundary") as exc:
-            moment_f_quadrature(fb, prior_ref, -np.eye(4))
+            GridPoint(fb, prior_ref, -np.eye(4), "f")
         assert "eigenvalue -" in str(exc.value)
 
 
@@ -168,8 +166,9 @@ class TestDerivatives:
         # f(psi, c Lam) = f(psi, Lam) / c, so the derivative along Lam is -f
         Lam = h_inverse(chart, param_ref)
         dtheta = 2 * np.pi / 4096
-        dF = apply_f2_quadrature(fb, prior_ref, Lam, Lam, dtheta=dtheta)
-        F = moment_f_quadrature(fb, prior_ref, Lam, dtheta=dtheta)
+        point = GridPoint(fb, prior_ref, Lam, "f", dtheta=dtheta)
+        dF = point.derivatives(Lam)
+        F = point.value()
         assert relative_error(dF, -F) < 1e-10
 
     def test_factor_scaling_direction(self, fb, prior_ref, param_ref):
@@ -205,11 +204,11 @@ class TestDerivatives:
     def test_statespace_matches_quadrature(self, fb, chart, prior_ref,
                                            param_ref, rng):
         point = CascadePoint(fb, prior_ref, param_ref)
+        grid = GridPoint(fb, prior_ref, param_ref, dtheta=2 * np.pi / 8192)
         for _ in range(5):
             V = fd_direction(chart, rng)
             ds = point.derivatives(V)
-            dq = apply_g2_quadrature(fb, prior_ref, param_ref, V,
-                                     dtheta=2 * np.pi / 8192)
+            dq = grid.derivatives(V)
             assert relative_error(dq, ds) < 1e-8
 
     @settings(max_examples=40, deadline=None, derandomize=True,
@@ -228,7 +227,8 @@ class TestDerivatives:
         param = draw_param(fb, rng)
         V = draw_normal(rng, (fb.m, fb.n), field)
         ds = CascadePoint(fb, prior, param).derivatives(V)
-        dq = apply_g2_quadrature(fb, prior, param, V, dtheta=2 * np.pi / 8192)
+        dq = GridPoint(fb, prior, param,
+                       dtheta=2 * np.pi / 8192).derivatives(V)
         assert relative_error(dq, ds) < 1e-8
 
     def test_matches_central_difference(self, fb, chart, prior_ref,
@@ -251,9 +251,9 @@ class TestDerivatives:
         dLam *= 0.05 / np.linalg.norm(dLam)
         h = 1e-6
         dtheta = 2 * np.pi / 4096
-        d = apply_f2_quadrature(fb, prior_ref, Lam, dLam, dtheta=dtheta)
-        fp = moment_f_quadrature(fb, prior_ref, Lam + h * dLam, dtheta=dtheta)
-        fm = moment_f_quadrature(fb, prior_ref, Lam - h * dLam, dtheta=dtheta)
+        d = GridPoint(fb, prior_ref, Lam, "f", dtheta=dtheta).derivatives(dLam)
+        fp, fm = (GridPoint(fb, prior_ref, Lam + s * h * dLam, "f",
+                            dtheta=dtheta).value() for s in (1, -1))
         assert relative_error((fp - fm) / (2 * h), d) < 1e-5
 
     def test_prior_drift_vanishes_for_flat_prior(self, fb, param_ref):
@@ -309,16 +309,15 @@ class TestBlendedPoint:
         dtheta = 2 * np.pi / 4096
         point = CascadePoint(fb, prior, param, t)
         blend = _BlendedPrior(prior, t)
-        Sq = moment_g_quadrature(fb, blend, param, dtheta=dtheta)
-        assert relative_error(Sq, point.value()) < 1e-7
+        grid = GridPoint(fb, blend, param, dtheta=dtheta)
+        assert relative_error(grid.value(), point.value()) < 1e-7
         Js = chart.range_coords(point.derivatives(chart.factor_basis)).T
-        Jq = assemble_jacobian_matrix(chart, blend, param, which="g",
-                                      route="quadrature", dtheta=dtheta)
+        Jq = grid.jacobian(chart)
         assert np.max(np.abs(Js - Jq)) / np.max(np.abs(Js)) < 1e-8
-        Dq = (moment_g_quadrature(fb, _BlendedPrior(prior, 1.0), param,
-                                  dtheta=dtheta)
-              - moment_g_quadrature(fb, _BlendedPrior(prior, 0.0), param,
-                                    dtheta=dtheta))
+        Dq = (GridPoint(fb, _BlendedPrior(prior, 1.0), param,
+                        dtheta=dtheta).value()
+              - GridPoint(fb, _BlendedPrior(prior, 0.0), param,
+                          dtheta=dtheta).value())
         assert relative_error(Dq, point.drift()) < 1e-7
 
     def test_endpoints_exact(self, fb, prior_ref, param_ref):
@@ -364,8 +363,8 @@ class TestFlatPrior:
         one = constant_prior(1.0)
         assert_array_equal(moment_g_statespace(fb, None, param),
                            moment_g_statespace(fb, one, param))
-        assert_array_equal(moment_g_quadrature(fb, None, param),
-                           moment_g_quadrature(fb, one, param))
+        assert_array_equal(GridPoint(fb, None, param).value(),
+                           GridPoint(fb, one, param).value())
 
     def test_blowup_is_kept(self, fb, param_ref, monkeypatch):
         # a flat point takes the copies that one constant prior keeps, like
@@ -390,6 +389,76 @@ class TestFlatPrior:
         assert all(owner is owners[0] for owner in owners)
         assert owners[0].kind == "constant"
         assert len(built) <= 1
+
+
+class TestGridPoint:
+    """The quadrature oracle: one grid per point, summed in a fixed order."""
+
+    @pytest.mark.parametrize("which", ["f", "g"])
+    @pytest.mark.parametrize("bank,field", [
+        pytest.param((2, 1), "real", id="covext-real"),
+        pytest.param((2, 1), "complex", id="covext-complex"),
+        pytest.param("diag", "real", id="diag-real")])
+    def test_one_grid_and_the_reference_sums(self, bank, field, which,
+                                             prior_ref, rng, monkeypatch):
+        # the value is sum_k psi_k K_k / N; a derivative contracts the
+        # direction with Q = sum_k psi_k vec(K_k) vec(R_k)^T first and
+        # divides by N after, so every number is bitwise this order's; a
+        # stack of directions equals its slices one at a time
+        fb = make_bank(bank, field)
+        chart = make_chart(fb)
+        param = draw_param(fb, rng)
+        N = 300  # not a power of two, so the division by N rounds
+        if which == "g":
+            point, X, basis = param, param.C, chart.factor_basis
+            D = draw_normal(rng, (3, fb.m, fb.n), field)
+        else:
+            point = X = h_inverse(chart, param)
+            basis = chart.range_basis
+            D = np.stack([chart.range_from_coords(rng.standard_normal(
+                chart.dim)) for _ in range(3)])
+        grids = []
+        kernel_grid = moment._kernel_grid
+
+        def counted(*args):
+            grids.append(args[-1])
+            return kernel_grid(*args)
+
+        monkeypatch.setattr(moment, "_kernel_grid", counted)
+        grid = GridPoint(fb, prior_ref, point, which, dtheta=2 * np.pi / N)
+        value, derivs, J = (grid.value(), grid.derivatives(D),
+                            grid.jacobian(chart))
+        singles = [grid.derivatives(d) for d in D]
+        assert grids == [N]
+
+        psi, K = kernel_grid(fb, prior_ref, X, which, N)
+        R = X @ K if which == "g" else K
+        Q = (K.reshape(N, -1).T @ (psi[:, None] * R.reshape(N, -1))).reshape(
+            fb.n, fb.n, R.shape[1], fb.n)
+
+        def columns(mats):
+            if which == "g":
+                mats = mats.conj().swapaxes(-1, -2)
+            Y = -np.einsum("abcd,mbc->mad", Q, mats) / N
+            return Y + Y.conj().swapaxes(-1, -2) if which == "g" else Y
+
+        def read(Y):
+            Y = 0.5 * (Y + Y.conj().swapaxes(-1, -2))
+            return Y.real if field == "real" else Y
+
+        assert_array_equal(value, read(np.tensordot(psi, K, axes=(0, 0)) / N))
+        assert_array_equal(derivs, read(columns(D)))
+        assert_array_equal(J, chart.range_coords(columns(basis)).T)
+        for single, d in zip(singles, derivs):
+            assert_array_equal(single, d)
+
+    def test_unknown_map_or_route_raises(self, fb, chart, prior_ref,
+                                         param_ref):
+        with pytest.raises(ValueError, match="unknown moment map"):
+            GridPoint(fb, prior_ref, param_ref, "h")
+        with pytest.raises(ValueError, match="unknown route"):
+            jacobian_condition_number(chart, prior_ref, param_ref,
+                                      route="grid")
 
 
 def _pointwise_jacobian(chart, prior, point, which, N):
@@ -421,11 +490,9 @@ class TestJacobian:
         chart = make_chart(fb)
         param = FactorParameter(fb, C_REF) if field == "real" \
             else draw_param(fb, rng)
-        Js = assemble_jacobian_matrix(chart, prior_ref, param,
-                                      which="g", route="statespace")
-        Jq = assemble_jacobian_matrix(chart, prior_ref, param,
-                                      which="g", route="quadrature",
-                                      dtheta=2 * np.pi / 4096)
+        Js = CascadePoint(fb, prior_ref, param).jacobian(chart)
+        Jq = GridPoint(fb, prior_ref, param,
+                       dtheta=2 * np.pi / 4096).jacobian(chart)
         assert Js.shape == {"real": (7, 7), "complex": (12, 12)}[field]
         assert np.max(np.abs(Js - Jq)) / np.max(np.abs(Js)) < 1e-8
 
@@ -441,9 +508,8 @@ class TestJacobian:
         chart = make_chart(fb)
         param = draw_param(fb, rng)
         point = param if which == "g" else h_inverse(chart, param)
-        Jq = assemble_jacobian_matrix(chart, prior_ref, point, which=which,
-                                      route="quadrature",
-                                      dtheta=2 * np.pi / 64)
+        Jq = GridPoint(fb, prior_ref, point, which,
+                       dtheta=2 * np.pi / 64).jacobian(chart)
         Jl = _pointwise_jacobian(chart, prior_ref, point, which, 64)
         for j in range(chart.dim):
             assert relative_error(Jq[:, j], Jl[:, j]) < 1e-12
@@ -477,8 +543,7 @@ class TestJacobian:
         fb = make_bank(bank, field)
         chart = make_chart(fb)
         param = draw_param(fb, rng)
-        J = assemble_jacobian_matrix(chart, prior_ref, param, which="g",
-                                     route="statespace")
+        J = CascadePoint(fb, prior_ref, param).jacobian(chart)
         for j, V in enumerate(chart.factor_basis):
             col = chart.range_coords(
                 CascadePoint(fb, prior_ref, param).derivatives(V))
@@ -487,9 +552,9 @@ class TestJacobian:
     def test_weight_route_needs_quadrature(self, fb, chart, prior_ref,
                                            param_ref):
         Lam = h_inverse(chart, param_ref)
-        with pytest.raises(ValueError):
-            assemble_jacobian_matrix(chart, prior_ref, Lam, which="f",
-                                     route="statespace")
+        with pytest.raises(ValueError, match="factor-side"):
+            jacobian_condition_number(chart, prior_ref, Lam, which="f",
+                                      route="statespace")
 
     def test_condition_spread_at_reference_point(self, fb, chart, prior_ref,
                                                  param_ref):
@@ -560,12 +625,10 @@ class TestChainRuleWeightJacobian:
             param, dtheta = FactorParameter(fb, C_REF), 1e-4
         else:
             param, dtheta = draw_param(fb, rng), 2 * np.pi / 4096
-        J_g = assemble_jacobian_matrix(chart, prior, param, which="g",
-                                       route="statespace")
+        J_g = CascadePoint(fb, prior, param).jacobian(chart)
         J_f = f_jacobian_from_g(chart, param, J_g)
         Lam = h_inverse(chart, param)
-        J_q = assemble_jacobian_matrix(chart, prior, Lam, which="f",
-                                       route="quadrature", dtheta=dtheta)
+        J_q = GridPoint(fb, prior, Lam, "f", dtheta=dtheta).jacobian(chart)
         assert np.max(np.abs(J_f - J_q)) / np.max(np.abs(J_q)) < 1e-8
         cond_g, cond_f = condition_numbers(chart, prior, param)
         assert cond_g == float(np.linalg.cond(J_g))

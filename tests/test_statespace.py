@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from spectral_homotopy import (EvaluationError, FactorParameter, FilterBank,
                                MembershipError, StateSpaceSystem,
-                               circle_grid, coerce_field,
+                               circle_grid, coerce_field, constant_prior,
                                grid_size_from_spacing, h_map, is_in_Cplus,
                                is_in_Lplus, make_covariance_extension_filter,
                                matrix_from_json, matrix_to_json, matrixeq,
@@ -204,6 +204,14 @@ class TestPositiveCone:
         with pytest.raises(ValueError):
             is_in_Lplus(fb, M)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_raises(self, fb, bad):
+        Lam = np.eye(4)
+        Lam[2, 2] = bad
+        for check in (is_in_Lplus, h_map):
+            with pytest.raises(ValueError, match="non-finite"):
+                check(fb, Lam)
+
     def test_complex_weight_of_a_real_bank_raises_before_any_solve(
             self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -226,6 +234,11 @@ class TestPriors:
         want = np.abs(b[0] + b[1] / z + b[2] / z ** 2) ** 2
         got = np.abs(prior_ref.sigma_values(theta)) ** 2
         assert_allclose(got, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.inf, np.nan])
+    def test_constant_prior_must_be_positive_and_finite(self, value):
+        with pytest.raises(MembershipError, match="positive and finite"):
+            constant_prior(value)
 
     def test_polynomial_prior_rejects_unstable_root(self):
         with pytest.raises(MembershipError, match="minimum phase"):
