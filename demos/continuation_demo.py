@@ -4,8 +4,11 @@
 Given a feasible covariance Sigma and a target prior, the continuation
 starts at the maximum-entropy parameter (the closed-form solution for the
 flat prior) and deforms the prior in steps of dt, correcting with Newton
-after each predictor move.  This script runs the reference problem,
-prints the per-step diagnostics, and verifies the endpoint.
+after each predictor move.  Intermediate points are accepted inside a
+relative residual tube (PATH_TOL ||Sigma||), so most steps take one
+Newton iteration; only the endpoint t = 1 is converged to newton_tol.
+This script runs the reference problem, prints the per-step diagnostics,
+and verifies the endpoint.
 
 Writes path.csv and path.json next to this script.
 """

@@ -562,7 +562,8 @@ def _build_parser():
     overrides = {
         "--out": dict(help="output directory (overrides output.directory)"),
         "--dt": dict(type=float, help="continuation step override"),
-        "--tol": dict(type=float, help="Newton tolerance override"),
+        "--tol": dict(type=float,
+                      help="Newton tolerance override (endpoint t = 1)"),
     }
 
     def add(name, func, helptext, flags=(), needs_config=True):

@@ -8,21 +8,28 @@ g(p(t), C(t)) = Sigma in t gives the path ODE
     g'(p(t), C; C') = -( g(psi, C) - g(1, C) ),
 
 which is followed by a cubic Hermite predictor (Euler for the first step,
-which has no earlier sample) and a Newton corrector per step.  The
-predictor extrapolates, in factor coordinates, the cubic through the last
-two accepted samples and their tangents, and adds the result to the last C
-as an increment: Newton directions never correct the part of C outside the
-factor slice, so a prediction that combined the samples' matrices would
-propagate that roundoff with a factor above one per step.  The tangents
+which has no earlier sample) and a Newton corrector per step.  Only the
+endpoint t = 1 is converged to ``newton_tol``: an intermediate point is
+accepted once its residual lies inside the tube
+||Sigma - g|| <= max(newton_tol, PATH_TOL ||Sigma||), since the next
+corrector pulls the path back anyway (Allgower & Georg, Numerical
+Continuation Methods).  The tube is relative, so it does not depend on
+the scale of Sigma.  The predictor extrapolates, in factor coordinates,
+the cubic through the last two accepted samples and their tangents, and
+adds the result to the last C as an increment: Newton directions never
+correct the part of C outside the factor slice, so a prediction that
+combined the samples' matrices would propagate that roundoff with a
+factor above one per step.  The tangents
 are the ones the steps already solve, so the predictor costs no solve.
 p(t) is never factored: g is affine in it, so one cascade point at t
 (moment.CascadePoint) gives g, its Jacobian and the drift.  The
 tangent is solved once per accepted point, at the point the corrector
-built for its last residual check (at t = 0, at a point whose P_t = P_1
-also gives the start sample's residual); steps are halved on corrector
-failure (each step retries from the configured dt, so one hard spot does
-not shrink the rest of the path) and a SolverError reports the failure
-history when the floor is reached or the tangent solve fails.
+built for its last residual check (at t = 0, at the start point, whose
+P_t = P_1 also checks the start's defining equation); steps are halved
+on corrector failure (each step retries from the configured dt, so one
+hard spot does not shrink the rest of the path) and a SolverError
+reports the failure history when the floor is reached or the tangent
+solve fails.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ import numpy as np
 from .errors import ConfigError, MembershipError, SolverError
 from .factorization import _factor_parameter
 from .matrixeq import reverse_cholesky
-from .moment import CascadePoint, make_chart, moment_g_statespace
+from .moment import CascadePoint, make_chart
 from .statespace import (FactorParameter, _hermitian_defect, _hermitize,
                          matrix_to_json)
 
@@ -52,11 +59,18 @@ __all__ = [
 
 SNAP_TOL = 1e-12
 FEASIBILITY_TOL = 1e-8
+# intermediate path points are accepted at this residual relative to ||Sigma||
+PATH_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class HomotopyConfig:
-    """Step-size and tolerance settings for the continuation run."""
+    """Step-size and tolerance settings for the continuation run.
+
+    ``newton_tol`` is the absolute residual ||Sigma - g|| the corrector
+    reaches at the endpoint t = 1; intermediate points stop inside the
+    looser tube max(newton_tol, PATH_TOL ||Sigma||).
+    """
 
     dt: float = 0.1
     min_dt: float = 1e-4
@@ -141,20 +155,18 @@ def _check_covariance(chart, Sigma):
     return Sigma, findings, eig_min, rr
 
 
-def maxent_initialization(filterbank, Sigma, chart=None):
-    """Closed-form solution of g(1, C) = Sigma.
+def _start_point(chart, prior, Sigma):
+    """The cascade point at t = 0 on the maximum-entropy parameter.
 
     With B* Sigma^{-1} B = L* L (L lower triangular, positive diagonal), the
     parameter is C = L^{-*} B* Sigma^{-1}, built as h_map builds its C from
     the Riccati solution (factorization._factor_parameter, which makes CB
-    exactly L at any scale of Sigma).  Sigma must be n x n (else
-    ValueError), and Hermitian, positive definite and attainable: its
-    distance from the range of the covariance operator must not exceed
-    FEASIBILITY_TOL relative to its norm (else MembershipError naming every
-    violation).
+    exactly L at any scale of Sigma).  At t = 0 the point's P_t is P_1, so
+    its value is g(1, C), which must meet Sigma to 1e-9 ||Sigma|| (else
+    SolverError).  Sigma must be admissible (else MembershipError, see
+    maxent_initialization).  Returns (point, Sigma) with Sigma Hermitized.
     """
-    if chart is None:
-        chart = make_chart(filterbank)
+    filterbank = chart.filterbank
     Sigma, findings, _, _ = _check_covariance(chart, Sigma)
     if findings:
         raise MembershipError("Sigma is " + "; ".join(findings))
@@ -162,13 +174,28 @@ def maxent_initialization(filterbank, Sigma, chart=None):
     B = filterbank.B
     param = _factor_parameter(filterbank, Si,
                               reverse_cholesky(B.conj().T @ Si @ B))
-    gap = float(np.linalg.norm(
-        moment_g_statespace(filterbank, None, param) - Sigma))
+    point = CascadePoint(filterbank, prior, param, 0.0)
+    gap = float(np.linalg.norm(point.value() - Sigma))
     if gap > 1e-9 * float(np.linalg.norm(Sigma)):
         raise SolverError(
             f"maximum-entropy parameter failed its defining equation "
             f"(||g(1, C) - Sigma|| = {gap:.3e})")
-    return param
+    return point, Sigma
+
+
+def maxent_initialization(filterbank, Sigma, chart=None):
+    """Closed-form solution of g(1, C) = Sigma.
+
+    The parameter is C = L^{-*} B* Sigma^{-1} with B* Sigma^{-1} B = L* L
+    (see _start_point, which also checks g(1, C) = Sigma to 1e-9 ||Sigma||,
+    else SolverError).  Sigma must be n x n (else ValueError), and
+    Hermitian, positive definite and attainable: its distance from the
+    range of the covariance operator must not exceed FEASIBILITY_TOL
+    relative to its norm (else MembershipError naming every violation).
+    """
+    if chart is None:
+        chart = make_chart(filterbank)
+    return _start_point(chart, None, Sigma)[0].param
 
 
 def corrector_newton(chart, prior, t, param, Sigma, config):
@@ -179,20 +206,26 @@ def corrector_newton(chart, prior, t, param, Sigma, config):
     guarantees descent to first order).  A candidate outside the factor set
     raises MembershipError, on which run_continuation retries the
     continuation step at half the step size.  The residual is the plain
-    Frobenius norm ||Sigma - g||, not scaled by ||Sigma||.  At each iterate,
-    g and the direction solve share one cascade point and its Stein
-    factorization (the squared powers of A_T).  Returns
+    Frobenius norm ||Sigma - g||.  The endpoint t = 1 stops at
+    ``config.newton_tol``; an intermediate t stops inside the relative tube
+    max(newton_tol, PATH_TOL ||Sigma||), whose error the next step's
+    corrector removes.  At each iterate, g and the direction solve share
+    one cascade point and its Stein factorization (the squared powers of
+    A_T).  Returns
     (point, residual, iterations, gram_cond) with ``point`` the cascade point
     at the accepted parameter ``point.param``, which the next tangent
     reuses; raises SolverError when the budget is exhausted.
     """
     fb = chart.filterbank
+    tol = config.newton_tol
+    if t < 1.0:
+        tol = max(tol, PATH_TOL * float(np.linalg.norm(Sigma)))
     gram_cond = 0.0
     for it in range(int(config.max_newton) + 1):
         point = CascadePoint(fb, prior, param, t)
         resid_mat = Sigma - point.value()
         rnorm = float(np.linalg.norm(resid_mat))
-        if rnorm <= config.newton_tol:
+        if rnorm <= tol:
             return point, rnorm, it, gram_cond
         if it == int(config.max_newton):
             break
@@ -200,7 +233,7 @@ def corrector_newton(chart, prior, t, param, Sigma, config):
         gram_cond = info.gram_cond
         param = FactorParameter(fb, param.C + V)
     raise SolverError(
-        f"Newton did not reach tolerance {config.newton_tol:.1e} in "
+        f"Newton did not reach tolerance {tol:.1e} at t = {t:.6g} in "
         f"{config.max_newton} iterations (last residual {rnorm:.3e})")
 
 
@@ -247,17 +280,12 @@ def run_continuation(filterbank, prior, Sigma, config=None, chart=None):
     config = config or HomotopyConfig()
     if chart is None:
         chart = make_chart(filterbank)
-    param = maxent_initialization(filterbank, Sigma, chart=chart)
-    Sigma = _hermitize(np.atleast_2d(np.asarray(Sigma)))
+    # the tangent's point: the start point at t = 0, then the corrector's
+    point, Sigma = _start_point(chart, prior, Sigma)
+    param = point.param
 
     t = 0.0
     history = []
-    # the tangent's point: built here at t = 0, then the corrector's
-    try:
-        point = CascadePoint(filterbank, prior, param, t)
-    except SolverError as exc:
-        raise _tangent_failure(t, float(config.dt), exc, history) from exc
-    # P_t at t = 0 is P_1, so this point also gives g(1, C_0)
     samples = [PathSample(
         t=0.0, C=param.C, y=chart.factor_coords(param.C),
         residual=float(np.linalg.norm(Sigma - point.value())),

@@ -480,13 +480,20 @@ def _closed_loop(filterbank, C):
     The one validation of C (its shape, and a real C for a real bank, else
     ValueError) and the one computation of CB, the CB solve, Pi and its
     spectral radius behind both is_in_Cplus and FactorParameter; Pi is None
-    when CB is singular.
+    when CB is singular.  A C with non-finite entries has that as its one
+    failure, found before any product (CB and Pi are None, the radius inf).
     """
     m, n = filterbank.m, filterbank.n
     C = coerce_field(_as_matrix(C, "C"), filterbank.field,
                      what="factor parameter C")
     if C.shape != (m, n):
         raise ValueError(f"C must be {m}x{n}, got {C.shape}")
+    bad = int(np.sum(~np.isfinite(C)))
+    if bad:
+        diagnostics = CplusDiagnostics(
+            member=False, spectral_radius=np.inf, max_upper_abs=np.nan,
+            failures=(f"C is not finite ({bad} non-finite entries)",))
+        return diagnostics, C, None, None
     CB = C @ filterbank.B
     failures = []
     max_upper = float(np.max(np.abs(np.triu(CB, 1))))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -376,6 +377,21 @@ class TestInvalidParameters:
         cfg = write_config(tmp_path, base_config(**{key: matrix}))
         assert main(["check", "--config", cfg]) == 0
         assert f"{key}: VIOLATION {finding}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_C_is_its_one_finding(self, bad, tmp_path, capsys):
+        C = C_REF.copy()
+        C[1, 1] = bad
+        cfg = write_config(tmp_path, base_config(C=C.tolist()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check", "--config", cfg]) == 0
+            out = capsys.readouterr().out
+            assert main(["condnum", "--config", cfg]) == 3
+            err = capsys.readouterr().err
+        assert ("C: VIOLATION C is not finite (1 non-finite entries) "
+                "(closed-loop spectral radius inf)") in out
+        assert "C is not finite" in err and "singular" not in err
 
 
 class TestInvalidPrior:

@@ -295,15 +295,15 @@ class TestRunContinuation:
         path = run_continuation(fb, prior_ref, sigma_ref)
         steps = len(path.samples) - 1
         assert steps == 10  # dt = 0.1 throughout: no step was rejected
-        # the start's defining equation (flat prior), the tangent at t = 0,
-        # whose P_t = P_1 also gives the start sample's residual, then per
-        # step one point per corrector iterate at the next t; the last of
-        # these serves the next tangent
-        want = [1.0, 0.0]
+        # the start point at t = 0, whose P_t = P_1 checks the start's
+        # defining equation and serves the first tangent, then per step one
+        # point per corrector iterate at the next t; the last of these
+        # serves the next tangent
+        want = [0.0]
         for s in path.samples[1:]:
             want += [s.t] * (s.newton_iters + 1)
         assert built == want
-        assert len(built) == 34
+        assert len(built) == 24
 
     def test_work_per_reference_solve(self, fb, sigma_ref, monkeypatch):
         # what depends only on the prior is built once per solve, a point's
@@ -344,12 +344,38 @@ class TestRunContinuation:
         path = run_continuation(fb, prior, sigma_ref)
         steps = len(path.samples) - 1
         iters = sum(s.newton_iters for s in path.samples)
-        assert (steps, iters) == (10, 22)
+        assert (steps, iters) == (10, 13)
         assert blowups == [fb.m]
         assert point_radii == []
         # the start parameter, one prediction per step (none rejected) and
         # one candidate per Newton iterate (none damped)
         assert len(loops) == 1 + steps + iters
+
+    @pytest.mark.parametrize("case", ["reference", "three-complex"])
+    def test_intermediate_points_in_the_tube_endpoint_at_tol(
+            self, fb, prior_ref, sigma_ref, case):
+        # only t = 1 is converged to newton_tol; every intermediate sample
+        # lies within PATH_TOL ||Sigma|| of Sigma, recomputed independently
+        # of the corrector's own residual
+        if case == "reference":
+            prior, Sigma = prior_ref, sigma_ref
+        else:
+            fb = make_bank("three", "complex")
+            rng = np.random.default_rng(11)
+            prior = draw_prior(rng, "polynomial", "complex")
+            Sigma = moment_g_statespace(fb, prior, draw_param(fb, rng))
+        cfg = HomotopyConfig()
+        path = run_continuation(fb, prior, Sigma, config=cfg)
+        tube = continuation.PATH_TOL * np.linalg.norm(Sigma)
+        assert tube > cfg.newton_tol
+        assert path.final.t == 1.0
+        for s in path.samples[1:]:
+            g = moment.CascadePoint(fb, prior, s.C, s.t).value()
+            resid = np.linalg.norm(Sigma - g)
+            assert resid <= (cfg.newton_tol if s.t == 1.0 else tube)
+            assert resid == pytest.approx(s.residual, rel=1e-6, abs=1e-13)
+        # the tube is used: some intermediate point stops above newton_tol
+        assert max(s.residual for s in path.samples[1:-1]) > cfg.newton_tol
 
     def test_one_range_basis_and_one_factor_basis_per_solve(
             self, fb, prior_ref, sigma_ref, monkeypatch):

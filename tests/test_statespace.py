@@ -1,5 +1,7 @@
 """Filter bank geometry, membership tests, priors, serialization."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -158,6 +160,20 @@ class TestStableFactorSet:
         for check in (is_in_Cplus, FactorParameter):
             with pytest.raises(ValueError, match="imaginary part"):
                 check(fb1, [[0.5 + 0.1j, 1.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_parameter_is_its_one_finding(self, fb, bad):
+        # found before CB is formed, so numpy warns of nothing
+        C = C_REF.copy()
+        C[1, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            diag = is_in_Cplus(fb, C)
+            with pytest.raises(MembershipError, match="C is not finite"):
+                FactorParameter(fb, C)
+        assert not diag
+        assert diag.failures == ("C is not finite (1 non-finite entries)",)
+        assert diag.spectral_radius == np.inf
 
     def test_parameter_caches_feedback_data(self, fb, c_ref):
         param = FactorParameter(fb, c_ref)
