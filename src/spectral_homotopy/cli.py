@@ -265,11 +265,14 @@ def _load_config(args, lenient_prior=False):
     cfg = parse_config(doc, lenient_prior=lenient_prior)
     if getattr(args, "out", None) is not None:
         cfg.out_dir = args.out
-    if getattr(args, "dt", None) is not None:
-        cfg.continuation = dataclasses.replace(cfg.continuation, dt=args.dt)
-    if getattr(args, "tol", None) is not None:
-        cfg.continuation = dataclasses.replace(cfg.continuation,
-                                               newton_tol=args.tol)
+    for flag, key in (("dt", "dt"), ("tol", "newton_tol")):
+        value = getattr(args, flag, None)
+        if value is not None:
+            try:
+                cfg.continuation = dataclasses.replace(cfg.continuation,
+                                                       **{key: value})
+            except ConfigError as exc:
+                raise ConfigError(f"--{flag}: {exc}") from exc
     return cfg
 
 

@@ -22,19 +22,25 @@ combined the samples' matrices would propagate that roundoff with a
 factor above one per step.  The tangents
 are the ones the steps already solve, so the predictor costs no solve.
 p(t) is never factored: g is affine in it, so one cascade point at t
-(moment.CascadePoint) gives g, its Jacobian and the drift.  The
-tangent is solved once per accepted point, at the point the corrector
-built for its last residual check (at t = 0, at the start point, whose
-P_t = P_1 also checks the start's defining equation); steps are halved
-on corrector failure (each step retries from the configured dt, so one
-hard spot does not shrink the rest of the path) and a SolverError
-reports the failure history when the floor is reached or the tangent
-solve fails.
+(moment.CascadePoint) gives g, its Jacobian and the drift.  The tangent
+and the Newton step share one Jacobian (the Euler-Newton method of
+Allgower & Georg): at t < 1 each corrector iterate solves [Sigma - g,
+-drift] against its one Jacobian, and the tangent of the last iterate,
+one Newton step away from the accepted point, predicts the next step.
+That O(||Newton step||) offset is below the predictor's own error.  A
+standalone tangent solve runs only at the start point (whose P_t = P_1
+also checks the start's defining equation) and after a step whose
+corrector took no iteration.  Steps are halved on corrector failure,
+a failed stacked solve included (each step retries from the configured
+dt, so one hard spot does not shrink the rest of the path), and a
+SolverError reports the failure history when the floor is reached or a
+standalone tangent solve fails.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -69,7 +75,10 @@ class HomotopyConfig:
 
     ``newton_tol`` is the absolute residual ||Sigma - g|| the corrector
     reaches at the endpoint t = 1; intermediate points stop inside the
-    looser tube max(newton_tol, PATH_TOL ||Sigma||).
+    looser tube max(newton_tol, PATH_TOL ||Sigma||).  It must be finite
+    and positive, and ``max_newton`` an integer of at least 1 (an integral
+    float such as 2.0 is stored as an int), else ConfigError naming the
+    field.
     """
 
     dt: float = 0.1
@@ -83,15 +92,33 @@ class HomotopyConfig:
         if not 0.0 < self.min_dt <= self.dt:
             raise ConfigError(
                 f"min_dt must lie in (0, dt], got {self.min_dt}")
-        if not self.newton_tol > 0.0:
-            raise ConfigError("newton_tol must be positive")
-        if int(self.max_newton) < 1:
-            raise ConfigError("max_newton must be at least 1")
+        if not 0.0 < self.newton_tol < np.inf:
+            raise ConfigError(
+                f"newton_tol must be finite and positive, got "
+                f"{self.newton_tol}")
+        n = self.max_newton
+        if (isinstance(n, bool) or not isinstance(n, numbers.Real)
+                or not float(n).is_integer() or n < 1):
+            raise ConfigError(
+                f"max_newton must be an integer of at least 1, got {n!r}")
+        object.__setattr__(self, "max_newton", int(n))
 
 
 @dataclass(frozen=True)
 class PathSample:
-    """One accepted continuation step."""
+    """One accepted continuation step (or the start, t = 0).
+
+    ``tangent_norm`` is the Frobenius norm of the tangent dC/dt that
+    predicts the next step, and ``gram_cond`` the Gram condition
+    cond(J)^2 of the Jacobian J it was solved with, so the two always
+    describe one Jacobian:
+    - at t = 0, and at a t < 1 whose corrector took no iteration, the
+      standalone tangent solve at the sample's own C;
+    - at any other t < 1, the corrector's last iterate, one Newton step
+      before the sample's C, whose Jacobian gave that step and the tangent;
+    - at t = 1, no tangent is solved (``tangent_norm`` 0.0) and
+      ``gram_cond`` is the last iterate's Jacobian (0.0 after no iteration).
+    """
 
     t: float
     C: np.ndarray
@@ -211,25 +238,39 @@ def corrector_newton(chart, prior, t, param, Sigma, config):
     max(newton_tol, PATH_TOL ||Sigma||), whose error the next step's
     corrector removes.  At each iterate, g and the direction solve share
     one cascade point and its Stein factorization (the squared powers of
-    A_T).  Returns
-    (point, residual, iterations, gram_cond) with ``point`` the cascade point
-    at the accepted parameter ``point.param``, which the next tangent
-    reuses; raises SolverError when the budget is exhausted.
+    A_T).  For t < 1 that direction solve takes two right-hand sides,
+    [Sigma - g, -drift], against the iterate's one Jacobian (Euler-Newton,
+    Allgower & Georg): the first gives the Newton step, the second the path
+    tangent at the iterate, so the next predictor needs no Jacobian of its
+    own.  At t = 1 no tangent is needed and the Newton right-hand side is
+    solved alone.
+
+    Returns (point, residual, iterations, gram_cond, tangent): ``point`` is
+    the cascade point at the accepted parameter ``point.param``;
+    ``gram_cond`` is the Gram condition of the last iterate's Jacobian (0.0
+    when the prediction was accepted as it stood); ``tangent`` is the
+    tangent solved from that Jacobian, one Newton step away from the
+    accepted parameter, or None at t = 1 or after 0 iterations.  Raises
+    SolverError when the budget is exhausted or a direction solve fails.
     """
     fb = chart.filterbank
     tol = config.newton_tol
     if t < 1.0:
         tol = max(tol, PATH_TOL * float(np.linalg.norm(Sigma)))
-    gram_cond = 0.0
-    for it in range(int(config.max_newton) + 1):
+    gram_cond, tangent = 0.0, None
+    for it in range(config.max_newton + 1):
         point = CascadePoint(fb, prior, param, t)
         resid_mat = Sigma - point.value()
         rnorm = float(np.linalg.norm(resid_mat))
         if rnorm <= tol:
-            return point, rnorm, it, gram_cond
-        if it == int(config.max_newton):
+            return point, rnorm, it, gram_cond, tangent
+        if it == config.max_newton:
             break
-        V, info = point.solve(chart, resid_mat)
+        if t < 1.0:
+            (V, tangent), info = point.solve(
+                chart, np.stack([resid_mat, -point.drift()]))
+        else:
+            V, info = point.solve(chart, resid_mat)
         gram_cond = info.gram_cond
         param = FactorParameter(fb, param.C + V)
     raise SolverError(
@@ -276,33 +317,40 @@ def run_continuation(filterbank, prior, Sigma, config=None, chart=None):
     SolutionPath
         Samples at t = 0 and at every accepted step up to and including
         t = 1.  With the default dt = 0.1 the path has exactly ten steps.
+        On the reference problem the run factors 14 Jacobians: one per
+        Newton iterate and one for the tangent at the start.
     """
     config = config or HomotopyConfig()
     if chart is None:
         chart = make_chart(filterbank)
-    # the tangent's point: the start point at t = 0, then the corrector's
     point, Sigma = _start_point(chart, prior, Sigma)
-    param = point.param
 
-    t = 0.0
-    history = []
-    samples = [PathSample(
-        t=0.0, C=param.C, y=chart.factor_coords(param.C),
-        residual=float(np.linalg.norm(Sigma - point.value())),
-        newton_iters=0, gram_cond=0.0, tangent_norm=0.0)]
-
+    t, iters, gram_cond, tangent = 0.0, 0, 0.0, None
+    rnorm = float(np.linalg.norm(Sigma - point.value()))
+    history, samples = [], []
     # (t, y, a) of the previous accepted sample and its tangent
     previous = None
-    while t < 1.0:
+    while True:
+        param = point.param
+        if t < 1.0 and tangent is None:
+            # at t = 0, or after a step whose corrector took no iteration:
+            # the tangent g'(p(t), C; V) = -(g(psi, C) - g(1, C)) at the
+            # point itself.  It does not depend on the step size, and a
+            # smaller step cannot repair a failed direction solve
+            try:
+                tangent, info = point.solve(chart, -point.drift())
+            except SolverError as exc:
+                raise _tangent_failure(t, config.dt, exc, history) from exc
+            gram_cond = info.gram_cond
+        y = chart.factor_coords(param.C)
+        samples.append(PathSample(
+            t=t, C=param.C, y=y, residual=rnorm, newton_iters=iters,
+            gram_cond=gram_cond, tangent_norm=(
+                0.0 if tangent is None else float(np.linalg.norm(tangent)))))
+        if t >= 1.0:
+            break
+        a = chart.factor_coords(tangent)
         dt_try = float(config.dt)
-        # the tangent g'(p(t), C; V) = -(g(psi, C) - g(1, C)) at t does not
-        # depend on the step size, and a smaller step cannot repair a failed
-        # direction solve
-        try:
-            V, info = point.solve(chart, -point.drift())
-        except SolverError as exc:
-            raise _tangent_failure(t, dt_try, exc, history) from exc
-        y, a = samples[-1].y, chart.factor_coords(V)
         while True:
             t_next = t + dt_try
             if t_next > 1.0 - SNAP_TOL:
@@ -316,7 +364,7 @@ def run_continuation(filterbank, prior, Sigma, config=None, chart=None):
             C_pred = param.C + chart.factor_from_coords(step)
             try:
                 pred = FactorParameter(filterbank, C_pred)
-                point_next, rnorm, iters, gcond = corrector_newton(
+                point, rnorm, iters, gram_cond, tangent = corrector_newton(
                     chart, prior, t_next, pred, Sigma, config)
             except (SolverError, MembershipError) as exc:
                 history.append((t, dt_try, str(exc)))
@@ -330,13 +378,6 @@ def run_continuation(filterbank, prior, Sigma, config=None, chart=None):
             break
         previous = (t, y, a)
         t = t_next
-        point = point_next
-        param = point.param
-        samples.append(PathSample(
-            t=t, C=param.C, y=chart.factor_coords(param.C), residual=rnorm,
-            newton_iters=iters,
-            gram_cond=gcond if iters else info.gram_cond,
-            tangent_norm=float(np.linalg.norm(V))))
     return SolutionPath(filterbank=filterbank, config=config, Sigma=Sigma,
                         samples=tuple(samples), chart=chart)
 
@@ -347,7 +388,9 @@ def _fmt(v):
 
 def write_path_csv(path, dest):
     """Write a SolutionPath as CSV: t, y_1..y_M, residual, newton_iters,
-    gram_cond; floats carry 17 significant digits."""
+    gram_cond; floats carry 17 significant digits.  ``gram_cond`` is the
+    Gram condition of the Jacobian that gave the sample's tangent (at
+    t = 1, its last Newton step; see PathSample)."""
     M = path.samples[0].y.size
     header = ["t"] + [f"y_{k}" for k in range(1, M + 1)] \
         + ["residual", "newton_iters", "gram_cond"]

@@ -201,10 +201,14 @@ class GridPoint:
 
 @dataclass(frozen=True)
 class JacobianSolveInfo:
-    """Diagnostics of one linear-system solve against the g-Jacobian."""
+    """Diagnostics of one linear-system solve against the g-Jacobian.
+
+    ``verify_residual`` is a float for one right-hand side and a (k,) array,
+    one relative residual per slice, for a stack of k.
+    """
 
     gram_cond: float
-    verify_residual: float
+    verify_residual: float | np.ndarray
     columns: int
 
 
@@ -315,7 +319,8 @@ class CascadePoint:
         return chart.range_coords(self.derivatives(chart.factor_basis)).T
 
     def solve(self, chart, Y):
-        """Solve g'(p_t, C; V) = Y for a direction V in the factor slice.
+        """Solve g'(p_t, C; V) = Y for a direction V in the factor slice, for
+        one Y or for every Y of a (k, n, n) stack (V is then (k, m, n)).
 
         All M basis directions go through derivatives as one stacked tangent
         Stein solve, against the squared powers of A_T that the Gramian
@@ -326,45 +331,58 @@ class CascadePoint:
         coordinate system J alpha = coords(Y) with Gram = J^T J, and the
         solve is done on J so the error grows with cond(J), not cond(J)^2.
         The reported gram_cond is exactly the Gram-matrix condition number,
-        cond(J)^2.
+        cond(J)^2.  A stack shares the one Jacobian, its one SVD and its
+        Gram gate, so the continuation's corrector gets its Newton step and
+        the path tangent (right-hand side -drift) from one factorization.
 
         The solve works entirely in range coordinates.  Derivative values
         lie in the range subspace; any component of Y orthogonal to it is
         roundoff of a covariance difference (absolute machine noise, so its
         share of ||Y|| grows without bound as the rhs shrinks) and is
         discarded by the projection.  The returned V is verified by one more
-        exact evaluation: ||g'(p_t, C; V) - Y|| <= VERIFY_TOL ||Y|| in the
-        range metric, skipped for Y = 0.
+        exact evaluation, one stacked Stein solve for a stack:
+        ||g'(p_t, C; V) - Y|| <= VERIFY_TOL ||Y|| in the range metric, each
+        slice against its own ||Y||.  A zero Y (or slice) gives a zero V with
+        residual 0, and no SVD is taken when every Y is zero.
 
-        Returns (V, JacobianSolveInfo).  Raises SolverError when the Gram
-        conditioning exceeds GRAM_COND_LIMIT or verification fails.
+        Returns (V, JacobianSolveInfo).  Raises SolverError, once for the
+        whole stack, when the Gram conditioning exceeds GRAM_COND_LIMIT or
+        a slice fails verification.
         """
-        yr = chart.range_coords(Y)
-        ynorm = float(np.linalg.norm(yr))
-        if ynorm == 0.0:
-            return np.zeros_like(self.param.C), JacobianSolveInfo(
-                gram_cond=1.0, verify_residual=0.0, columns=chart.dim)
-        # one SVD gives the Gram condition (s_0 / s_min)^2 and the solve
-        U, sv, Vh = np.linalg.svd(self.jacobian(chart))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            condJ = float(sv[0] / sv[-1])
-        cond = condJ * condJ
-        if not np.isfinite(cond) or cond > GRAM_COND_LIMIT:
-            raise SolverError(
-                f"Gram system condition {cond:.3e} exceeds limit "
-                f"{GRAM_COND_LIMIT:.1e}")
-        # below the limit no singular value is under lstsq's default
-        # cutoff, so this is the least-squares solution it would return
-        alpha = Vh.T @ ((U.T @ yr) / sv)
-        V = chart.factor_from_coords(alpha)
-        resid = float(np.linalg.norm(
-            chart.range_coords(self.derivatives(V)) - yr)) / ynorm
-        if not resid <= VERIFY_TOL:
-            raise SolverError(
-                f"direction solve verification failed: relative residual "
-                f"{resid:.3e} exceeds {VERIFY_TOL:.1e}")
-        return V, JacobianSolveInfo(gram_cond=cond, verify_residual=resid,
-                                    columns=chart.dim)
+        Y = np.asarray(Y)
+        stacked = Y.ndim == 3
+        yr = chart.range_coords(Y if stacked else Y[None])
+        ynorm = np.linalg.norm(yr, axis=1)
+        zero = ynorm == 0.0
+        V = np.zeros((len(yr),) + self.param.C.shape, self.param.C.dtype)
+        cond, resid = 1.0, np.zeros(len(yr))
+        if not zero.all():
+            # one SVD gives the Gram condition (s_0 / s_min)^2 and the solve
+            U, sv, Vh = np.linalg.svd(self.jacobian(chart))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                condJ = float(sv[0] / sv[-1])
+            cond = condJ * condJ
+            if not np.isfinite(cond) or cond > GRAM_COND_LIMIT:
+                raise SolverError(
+                    f"Gram system condition {cond:.3e} exceeds limit "
+                    f"{GRAM_COND_LIMIT:.1e}")
+            # below the limit no singular value is under lstsq's default
+            # cutoff, so this is the least-squares solution it would return
+            V = chart.factor_from_coords(((yr @ U) / sv) @ Vh)
+            err = np.linalg.norm(
+                chart.range_coords(self.derivatives(V)) - yr, axis=1)
+            np.divide(err, ynorm, out=resid, where=~zero)
+            bad = np.flatnonzero(~(resid <= VERIFY_TOL))
+            if bad.size:
+                i = bad[0]
+                where = f" in slice {i} of {len(yr)}" if stacked else ""
+                raise SolverError(
+                    f"direction solve verification failed{where}: relative "
+                    f"residual {resid[i]:.3e} exceeds {VERIFY_TOL:.1e}")
+        return (V if stacked else V[0]), JacobianSolveInfo(
+            gram_cond=cond,
+            verify_residual=resid if stacked else float(resid[0]),
+            columns=chart.dim)
 
 
 def moment_g_statespace(filterbank, prior, C):
@@ -501,8 +519,10 @@ class CoordinateChart:
         return _coords(self.factor_basis, V)
 
     def factor_from_coords(self, y):
-        y = np.asarray(y, dtype=float).ravel()
-        V = np.tensordot(y, self.factor_basis, axes=1)
+        """The factor direction with coordinates y, or (k, m, n) for a
+        (k, M) stack."""
+        V = np.tensordot(np.asarray(y, dtype=float), self.factor_basis,
+                         axes=1)
         return coerce_field(V, self.filterbank.field, what="factor element")
 
 

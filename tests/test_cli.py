@@ -96,6 +96,28 @@ class TestConfigErrors:
         if code:
             assert f"{path}: expected an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, field", [
+        (["--tol", "inf"], "--tol: newton_tol"),
+        (["--dt", "nan"], "--dt: dt"),
+    ])
+    def test_unusable_override_is_a_config_error(self, argv, field, tmp_path,
+                                                 capsys):
+        # an infinite tolerance used to run and stall at min_dt
+        cfg = write_config(tmp_path, base_config(sigma=SIGMA_FROM_REF))
+        out = tmp_path / "run"
+        assert main(["solve", "--config", cfg, "--out", str(out)]
+                    + argv) == 2
+        assert field in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_infinite_tolerance_in_config_names_the_field(self, tmp_path,
+                                                          capsys):
+        doc = base_config(sigma=SIGMA_FROM_REF,
+                          continuation={"newton_tol": float("inf")})
+        cfg = write_config(tmp_path, doc)
+        assert main(["solve", "--config", cfg]) == 2
+        assert "continuation: newton_tol" in capsys.readouterr().err
+
     def test_missing_required_section(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config())
         assert main(["solve", "--config", cfg]) == 2

@@ -79,9 +79,10 @@ class TestPredictorCorrector:
     def test_corrector_accepts_exact_solution(self, fb, chart, prior_ref,
                                               sigma_ref, param_ref):
         cfg = HomotopyConfig(newton_tol=1e-10)
-        point, rnorm, iters, _ = corrector_newton(chart, prior_ref, 1.0,
-                                                  param_ref, sigma_ref, cfg)
+        point, rnorm, iters, _, tangent = corrector_newton(
+            chart, prior_ref, 1.0, param_ref, sigma_ref, cfg)
         assert iters == 0
+        assert tangent is None
         assert rnorm <= 1e-10
         assert_array_equal(point.param.C, param_ref.C)
 
@@ -90,9 +91,10 @@ class TestPredictorCorrector:
         bump = chart.factor_from_coords(1e-3 * rng.standard_normal(chart.dim))
         start = FactorParameter(fb, param_ref.C + bump)
         cfg = HomotopyConfig(newton_tol=1e-10, max_newton=20)
-        point, rnorm, iters, _ = corrector_newton(chart, prior_ref, 1.0,
-                                                  start, sigma_ref, cfg)
+        point, rnorm, iters, _, tangent = corrector_newton(
+            chart, prior_ref, 1.0, start, sigma_ref, cfg)
         assert rnorm <= 1e-10
+        assert tangent is None  # t = 1 needs no tangent
         assert 1 <= iters <= 6
         assert relative_error(point.param.C, param_ref.C) < 1e-7
 
@@ -103,6 +105,26 @@ class TestPredictorCorrector:
         cfg = HomotopyConfig(newton_tol=1e-15, max_newton=1)
         with pytest.raises(SolverError):
             corrector_newton(chart, prior_ref, 1.0, start, sigma_ref, cfg)
+
+    def test_corrector_returns_the_last_iterates_tangent(
+            self, fb, chart, prior_ref, sigma_ref, rng):
+        # at t < 1 the Newton step and the tangent come from one Jacobian,
+        # the last iterate's: with one iteration, the start's
+        on_path = run_continuation(fb, prior_ref, sigma_ref,
+                                   config=HomotopyConfig(dt=0.5)).samples[1]
+        assert on_path.t == 0.5
+        bump = chart.factor_from_coords(1e-5 * rng.standard_normal(chart.dim))
+        start = FactorParameter(fb, on_path.C + bump)
+        point, rnorm, iters, gram_cond, tangent = corrector_newton(
+            chart, prior_ref, 0.5, start, sigma_ref, HomotopyConfig())
+        assert iters == 1
+        first = moment.CascadePoint(fb, prior_ref, start, 0.5)
+        want, info = first.solve(chart, -first.drift())
+        assert relative_error(tangent, want) < 1e-9
+        assert gram_cond == info.gram_cond
+        # one Newton step away from the accepted point's own tangent
+        own, _ = point.solve(chart, -point.drift())
+        assert 0.0 < relative_error(tangent, own) < 1e-3
 
     def test_one_membership_check_per_candidate(self, fb, chart, prior_ref,
                                                 sigma_ref, param_ref, rng,
@@ -120,8 +142,8 @@ class TestPredictorCorrector:
             return closed_loop(*args, **kwargs)
 
         monkeypatch.setattr(statespace, "_closed_loop", counted)
-        _, _, iters, _ = corrector_newton(chart, prior_ref, 1.0, start,
-                                          sigma_ref, HomotopyConfig())
+        _, _, iters, _, _ = corrector_newton(chart, prior_ref, 1.0, start,
+                                             sigma_ref, HomotopyConfig())
         assert iters >= 1
         # every full Newton step stayed feasible, so one candidate each
         assert len(checks) == iters
@@ -252,9 +274,11 @@ class TestRunContinuation:
             V, info = solve(self, chart, Y)
             calls.append(Y)
             # call 1 is the tangent at t = 0, call 2 the first Newton
-            # direction at t = 0.1; C + V = -C has a negative diagonal of CB
+            # direction at t = 0.1, stacked with that iterate's tangent;
+            # C + V = -C has a negative diagonal of CB
             if len(calls) == 2:
-                V = -2.0 * self.param.C
+                assert np.shape(Y) == (2, fb.n, fb.n)
+                V = np.stack([-2.0 * self.param.C, V[1]])
             return V, info
 
         monkeypatch.setattr(moment.CascadePoint, "solve", leaving_solve)
@@ -350,6 +374,81 @@ class TestRunContinuation:
         # the start parameter, one prediction per step (none rejected) and
         # one candidate per Newton iterate (none damped)
         assert len(loops) == 1 + steps + iters
+
+    def test_one_jacobian_per_newton_iterate(self, fb, prior_ref, sigma_ref,
+                                             monkeypatch):
+        # the tangent shares the corrector's Jacobian: each iterate at t < 1
+        # solves [Sigma - g, -drift] as one stack, t = 1 solves the Newton
+        # right-hand side alone, and only the start solves a tangent of
+        # its own
+        jacobians, rhs = [], []
+        jacobian = moment.CascadePoint.jacobian
+        solve = moment.CascadePoint.solve
+
+        def counted_jacobian(self, chart):
+            jacobians.append(chart)
+            return jacobian(self, chart)
+
+        def counted_solve(self, chart, Y):
+            rhs.append(np.shape(Y))
+            return solve(self, chart, Y)
+
+        monkeypatch.setattr(moment.CascadePoint, "jacobian", counted_jacobian)
+        monkeypatch.setattr(moment.CascadePoint, "solve", counted_solve)
+        path = run_continuation(fb, prior_ref, sigma_ref)
+        iters = sum(s.newton_iters for s in path.samples)
+        want = [(fb.n, fb.n)]
+        for s in path.samples[1:]:
+            shape = (fb.n, fb.n) if s.t == 1.0 else (2, fb.n, fb.n)
+            want += [shape] * s.newton_iters
+        assert rhs == want
+        assert len(jacobians) == 1 + iters == 14
+
+    def test_samples_carry_the_tangent_they_predict_with(
+            self, fb, prior_ref, sigma_ref, monkeypatch):
+        # a sample's gram_cond and tangent_norm describe one Jacobian: the
+        # last one its corrector factored (the start's own tangent solve at
+        # t = 0), whose tangent predicts the next step; t = 1 has none
+        solves = []
+        solve = moment.CascadePoint.solve
+
+        def recorded(self, chart, Y):
+            V, info = solve(self, chart, Y)
+            solves.append((V, info))
+            return V, info
+
+        monkeypatch.setattr(moment.CascadePoint, "solve", recorded)
+        path = run_continuation(fb, prior_ref, sigma_ref)
+        V, info = solves[0]
+        assert path.samples[0].tangent_norm == np.linalg.norm(V)
+        assert path.samples[0].gram_cond == info.gram_cond
+        used = 1
+        for s in path.samples[1:]:
+            assert s.newton_iters >= 1
+            used += s.newton_iters
+            V, info = solves[used - 1]
+            assert s.gram_cond == info.gram_cond
+            if s.t < 1.0:
+                assert s.tangent_norm == np.linalg.norm(V[1])
+            else:
+                assert V.ndim == 2 and s.tangent_norm == 0.0
+        assert used == len(solves)
+
+    def test_tangent_after_no_iteration_is_solved_at_the_point(
+            self, fb, sigma_ref, monkeypatch):
+        # under the flat prior every prediction is already on the path, so
+        # no corrector iterates and each t < 1 solves its tangent alone
+        rhs = []
+        solve = moment.CascadePoint.solve
+
+        def counted(self, chart, Y):
+            rhs.append(np.shape(Y))
+            return solve(self, chart, Y)
+
+        monkeypatch.setattr(moment.CascadePoint, "solve", counted)
+        path = run_continuation(fb, constant_prior(1.0), sigma_ref)
+        assert [s.newton_iters for s in path.samples] == [0] * 11
+        assert rhs == [(fb.n, fb.n)] * 10
 
     @pytest.mark.parametrize("case", ["reference", "three-complex"])
     def test_intermediate_points_in_the_tube_endpoint_at_tol(
@@ -481,6 +580,24 @@ class TestConfig:
             HomotopyConfig(newton_tol=-1.0)
         with pytest.raises(ConfigError):
             HomotopyConfig(max_newton=0)
+
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0])
+    def test_newton_tol_must_be_finite_and_positive(self, tol):
+        # an infinite tolerance never corrects, which used to end in a
+        # continuation stalled at min_dt instead of a config error
+        with pytest.raises(ConfigError, match="newton_tol"):
+            HomotopyConfig(newton_tol=tol)
+
+    @pytest.mark.parametrize("value", [2.5, 0.0, np.inf, np.nan, True, "3"])
+    def test_max_newton_must_be_an_integer(self, value):
+        # a fraction is an error, not a silent truncation
+        with pytest.raises(ConfigError, match="max_newton"):
+            HomotopyConfig(max_newton=value)
+
+    @pytest.mark.parametrize("value", [3, 3.0, np.int64(3)])
+    def test_integral_max_newton_is_stored_as_int(self, value):
+        cfg = HomotopyConfig(max_newton=value)
+        assert cfg.max_newton == 3 and type(cfg.max_newton) is int
 
 
 class TestWriters:

@@ -106,6 +106,15 @@ class TestChart:
         V = chart.factor_from_coords(a)
         assert_allclose(chart.factor_coords(V), a, atol=1e-13)
 
+    def test_stacked_factor_coordinates_round_trip(self, chart, rng):
+        # factor_from_coords takes the (k, M) stacks factor_coords returns
+        a = rng.standard_normal((3, chart.dim))
+        V = chart.factor_from_coords(a)
+        assert V.shape == (3,) + chart.factor_basis.shape[1:]
+        for k in range(3):
+            assert_array_equal(V[k], chart.factor_from_coords(a[k]))
+        assert_allclose(chart.factor_coords(V), a, atol=1e-13)
+
     def test_factor_slice_keeps_corner_triangular(self, fb, chart, rng):
         V = fd_direction(chart, rng)
         assert_allclose(np.triu(V @ fb.B, 1), 0, atol=1e-14)
@@ -727,3 +736,95 @@ class TestJacobianSolve:
         V, info = point.solve(chart, point.derivatives(V0) + noise)
         assert relative_error(V, V0) < 1e-6
         assert info.verify_residual <= 1e-8
+
+    @pytest.mark.parametrize("t", [0.0, 0.4, 1.0])
+    def test_stack_equals_single_solves(self, fb, chart, prior_ref,
+                                        param_ref, rng, t):
+        # k right-hand sides against one Jacobian give the k single solves;
+        # the stacked and single products round differently, by about
+        # eps cond(J) relative
+        point = CascadePoint(fb, prior_ref, param_ref, t)
+        Y = np.stack([point.derivatives(fd_direction(chart, rng)),
+                      -point.drift(), 1e-6 * point.value()])
+        V, info = point.solve(chart, Y)
+        assert V.shape == (3,) + param_ref.C.shape
+        assert info.verify_residual.shape == (3,)
+        for k in range(3):
+            Vk, info_k = point.solve(chart, Y[k])
+            assert relative_error(V[k], Vk) < 1e-9
+            assert info.gram_cond == info_k.gram_cond
+            assert info.verify_residual[k] <= 1e-8
+
+    def test_stacked_solve_factors_one_jacobian(self, fb, chart, prior_ref,
+                                                param_ref, rng, monkeypatch):
+        # one Jacobian (M columns), one SVD and one stacked verification
+        # for the whole stack
+        point = CascadePoint(fb, prior_ref, param_ref, 0.5)
+        Y = np.stack([point.derivatives(fd_direction(chart, rng)),
+                      -point.drift()])
+        stacks = []
+        derivatives = CascadePoint.derivatives
+
+        def counted(self, V):
+            stacks.append(np.shape(V))
+            return derivatives(self, V)
+
+        monkeypatch.setattr(CascadePoint, "derivatives", counted)
+        point.solve(chart, Y)
+        assert stacks == [chart.factor_basis.shape, (2,) + param_ref.C.shape]
+
+    def test_zero_slice_gives_zero_direction(self, chart, point, rng):
+        Y = point.derivatives(fd_direction(chart, rng))
+        V, info = point.solve(chart, np.stack([Y, np.zeros((4, 4)), -Y]))
+        assert_array_equal(V[1], np.zeros((2, 4)))
+        assert info.verify_residual[1] == 0.0
+        assert_allclose(V[2], -V[0], rtol=1e-12, atol=1e-14)
+        # a stack of zeros takes no SVD, as a single zero does
+        V, info = point.solve(chart, np.zeros((2, 4, 4)))
+        assert_array_equal(V, np.zeros((2, 2, 4)))
+        assert_array_equal(info.verify_residual, [0.0, 0.0])
+        assert info.gram_cond == 1.0
+
+    def test_each_slice_verified_against_its_own_norm(self, chart, point,
+                                                      rng, monkeypatch):
+        # plant the same absolute error in every returned direction: each
+        # slice's relative residual is that error over its own ||y||, so the
+        # slice 1e4 times smaller reads 1e4 times larger and alone fails
+        # (relative to the whole stack's norm, both would read the same)
+        Y = point.derivatives(fd_direction(chart, rng))
+        Y = np.stack([Y, 1e-4 * Y])
+        ynorm = np.linalg.norm(chart.range_coords(Y), axis=1)
+        W = chart.factor_basis[0]
+        err = np.linalg.norm(chart.range_coords(point.derivatives(W)))
+        from_coords = moment.CoordinateChart.factor_from_coords
+
+        def planted(self, y):
+            return from_coords(self, y) + delta * W
+
+        monkeypatch.setattr(moment.CoordinateChart, "factor_from_coords",
+                            planted)
+        delta = 1e-9 * ynorm[1] / err
+        _, info = point.solve(chart, Y)
+        assert info.verify_residual[1] == pytest.approx(1e-9, rel=1e-2)
+        assert info.verify_residual[0] < 1e-11
+        delta = 1e-6 * ynorm[1] / err
+        with pytest.raises(SolverError, match="in slice 1 of 2"):
+            point.solve(chart, Y)
+        with pytest.raises(SolverError, match="in slice 0 of 2"):
+            point.solve(chart, Y[::-1])
+
+    def test_gram_gate_raises_once_for_the_stack(self, chart, point, rng,
+                                                 monkeypatch):
+        Y = point.derivatives(fd_direction(chart, rng))
+        jacobians = []
+        jacobian = CascadePoint.jacobian
+
+        def counted(self, chart):
+            jacobians.append(chart)
+            return jacobian(self, chart)
+
+        monkeypatch.setattr(CascadePoint, "jacobian", counted)
+        monkeypatch.setattr(moment, "GRAM_COND_LIMIT", 1.0)
+        with pytest.raises(SolverError, match="Gram system condition"):
+            point.solve(chart, np.stack([Y, -point.drift(), Y]))
+        assert len(jacobians) == 1
