@@ -20,7 +20,6 @@ from spectral_homotopy import (
     CascadePoint,
     FactorParameter,
     f_jacobian_from_g,
-    make_chart,
     make_covariance_extension_filter,
     moment_g_statespace,
     prior_from_polynomial,
@@ -31,7 +30,6 @@ from spectral_homotopy import (
 # prior with zeros at 0.5 +- 0.8i, and a factor close to the edge of
 # the stable set (closed-loop spectral radius 0.985)
 fb = make_covariance_extension_filter(2, 1)
-chart = make_chart(fb)
 prior = prior_from_polynomial([1.0, -1.0, 0.89])
 C_ref = np.array([[0.5, 0.65, 1.0, 0.0],
                   [-2.2615, -1.0, 2.0, 1.0]])
@@ -55,7 +53,9 @@ def blended_conditions(t, param):
 
 print("running the continuation ...")
 t0 = time.perf_counter()
-path = run_continuation(fb, prior, Sigma, chart=chart)
+path = run_continuation(fb, prior, Sigma)
+# the run's coordinate chart, a function of the bank alone
+chart = path.chart
 print(f"done: {len(path.samples) - 1} steps in {time.perf_counter() - t0:.1f} s")
 
 rows = []

@@ -24,7 +24,6 @@ from spectral_homotopy import (
     constant_prior,
     h_inverse,
     is_in_Lplus,
-    make_chart,
     make_covariance_extension_filter,
     maxent_initialization,
     moment_g_statespace,
@@ -37,7 +36,6 @@ from spectral_homotopy import (
 np.set_printoptions(precision=4, suppress=True)
 
 fb = make_covariance_extension_filter(2, 1)
-chart = make_chart(fb)
 prior = prior_from_polynomial([1.0, -1.0, 0.89])
 
 # manufacture the data: the covariance a known factor parameter produces
@@ -49,7 +47,7 @@ print("Sigma =\n", Sigma)
 
 # %% the starting point costs one spectral factorization, no iteration
 
-start = maxent_initialization(fb, Sigma, chart=chart)
+start = maxent_initialization(fb, Sigma)
 print("\nmaximum-entropy start:\nC0 =\n", start.C)
 g0 = moment_g_statespace(fb, constant_prior(1.0), start.C)
 print("start matches Sigma under the flat prior:",
@@ -58,7 +56,7 @@ print("start matches Sigma under the flat prior:",
 
 # %% run the continuation and watch the corrector
 
-path = run_continuation(fb, prior, Sigma, chart=chart)
+path = run_continuation(fb, prior, Sigma)
 print("\n   t    newton   residual     gram cond   |tangent|")
 for s in path.samples:
     print(f"  {s.t:4.2f}   {s.newton_iters:3d}     {s.residual:.3e}"
@@ -74,7 +72,7 @@ g_err = (np.linalg.norm(moment_g_statespace(fb, prior, final.C) - Sigma)
 print(f"\nrecovered the generating parameter to {c_err:.2e}")
 print(f"moment defect at the endpoint: {g_err:.2e}")
 
-Lam = h_inverse(chart, final)
+Lam = h_inverse(path.chart, final)
 print("weight representative of the endpoint:\n", Lam)
 print("admissible:", bool(is_in_Lplus(fb, Lam)))
 

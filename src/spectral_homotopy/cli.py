@@ -15,11 +15,19 @@ Verbs:
 - ``selftest``: reduced-size consistency suites, on the real and on the
   complex covext(2, 1) bank.
 
+One domain policy for every section: parsing checks structure, and the
+verb that reads a section checks its domain.  ``solve`` reads ``prior``
+and ``sigma``, ``condnum`` ``prior`` and ``C``, ``maxent`` ``sigma``, whose
+``from`` reads its own prior, else ``prior``, else the flat one.  A prior's
+domain violation is recorded at parse time and raised by a verb that reads
+that prior, as a configuration error naming ``prior`` or
+``sigma.from.prior``; ``check`` prints it as a VIOLATION line.
+
 Overrides: ``--out`` (solve, condnum, maxent), ``--dt`` and ``--tol``
 (solve); ``check`` takes only ``--config``.  No verb builds a quadrature
 grid except ``selftest``, whose oracle suite checks the exact g against
-one.  The config section ``quadrature`` (``dtheta``) is still parsed and
-validated so that existing configs keep working, but nothing reads it.
+one; the section ``quadrature`` (``dtheta``) is parsed so that existing
+configs keep working, but nothing reads it.
 
 Exit codes: 0 success, 1 selftest failure, 2 configuration error, 3 solver
 failure.
@@ -105,30 +113,30 @@ def _parse_scalar_list(data, path):
 
 def _parse_filter(spec, path="filter"):
     spec = _as_section(spec, path, {"preset", "m", "p", "A", "B", "field"})
-    if "preset" in spec:
-        preset = spec["preset"]
-        if preset != "covext":
-            raise ConfigError(f"{path}.preset: unknown preset {preset!r} "
-                              "(available: covext)")
-        m = _parse_number(_require(spec, "m", path), f"{path}.m", int)
-        p = _parse_number(_require(spec, "p", path), f"{path}.p", int)
-        field = spec.get("field", "real")
-        try:
-            return make_covariance_extension_filter(m, p, field=field)
-        except (ValueError, MembershipError) as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-    A = _parse_matrix(_require(spec, "A", path), f"{path}.A")
-    B = _parse_matrix(_require(spec, "B", path), f"{path}.B")
-    field = spec.get("field",
-                     "complex" if (np.iscomplexobj(A) or np.iscomplexobj(B))
-                     else "real")
     try:
-        return FilterBank(A, B, field=field)
+        if "preset" in spec:
+            preset = spec["preset"]
+            if preset != "covext":
+                raise ConfigError(f"{path}.preset: unknown preset "
+                                  f"{preset!r} (available: covext)")
+            m = _parse_number(_require(spec, "m", path), f"{path}.m", int)
+            p = _parse_number(_require(spec, "p", path), f"{path}.p", int)
+            return make_covariance_extension_filter(
+                m, p, field=spec.get("field", "real"))
+        A = _parse_matrix(_require(spec, "A", path), f"{path}.A")
+        B = _parse_matrix(_require(spec, "B", path), f"{path}.B")
+        complex_ = np.iscomplexobj(A) or np.iscomplexobj(B)
+        return FilterBank(A, B, field=spec.get(
+            "field", "complex" if complex_ else "real"))
     except (ValueError, MembershipError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _parse_prior(spec, path="prior"):
+    """The prior at ``path``, the one reader of ``prior`` and
+    ``sigma.from.prior``.  A structural fault raises ConfigError; a domain
+    violation (MembershipError) is returned as the ConfigError "<path>: ..."
+    that a verb reading this prior raises (see _checked)."""
     spec = _as_section(spec, path, {"kind", "value", "b", "sigma"})
     kind = _require(spec, "kind", path)
     try:
@@ -142,62 +150,55 @@ def _parse_prior(spec, path="prior"):
         if kind == "rational":
             sub = _as_section(_require(spec, "sigma", path), f"{path}.sigma",
                               {"A", "B", "C", "D"})
-            sys_ = StateSpaceSystem(
-                _parse_matrix(_require(sub, "A", f"{path}.sigma"),
-                              f"{path}.sigma.A"),
-                _parse_matrix(_require(sub, "B", f"{path}.sigma"),
-                              f"{path}.sigma.B"),
-                _parse_matrix(_require(sub, "C", f"{path}.sigma"),
-                              f"{path}.sigma.C"),
-                _parse_matrix(_require(sub, "D", f"{path}.sigma"),
-                              f"{path}.sigma.D"))
-            return prior_from_outer(sys_)
+            return prior_from_outer(StateSpaceSystem(*(
+                _parse_matrix(_require(sub, key, f"{path}.sigma"),
+                              f"{path}.sigma.{key}") for key in "ABCD")))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    except MembershipError as exc:
+        error = ConfigError(f"{path}: {exc}")
+        error.__cause__ = exc
+        return error
     raise ConfigError(f"{path}.kind: unknown kind {kind!r} "
                       "(constant | polynomial | rational)")
 
 
 @dataclasses.dataclass
 class RunConfig:
-    """Parsed configuration; fields are None when the section was absent."""
+    """Parsed configuration; fields are None when the section was absent.
+
+    ``sigma`` is the matrix of sigma.matrix, or (prior or None, C) of
+    sigma.from; a prior may be a recorded violation (see _parse_prior).
+    """
 
     filterbank: FilterBank
     prior: object = None
-    sigma: np.ndarray = None
-    sigma_from: tuple = None   # (prior-or-None, C) when sigma came from a pair
+    sigma: object = None
     C: np.ndarray = None
     Lambda: np.ndarray = None
     continuation: HomotopyConfig = dataclasses.field(
         default_factory=HomotopyConfig)
     out_dir: str = None
     formats: tuple = ("csv", "json")
-    prior_error: str = None    # lenient mode: message instead of an exception
 
 
 TOP_KEYS = {"filter", "prior", "sigma", "C", "Lambda", "continuation",
             "quadrature", "output"}
 
 
-def parse_config(doc, lenient_prior=False):
-    """Validate a config document into a RunConfig.
+def parse_config(doc):
+    """Validate the structure of a config document into a RunConfig.
 
-    Error messages carry the JSON path of the offending field.  With
-    ``lenient_prior`` a prior that parses structurally but violates a domain
-    constraint (e.g. a non-minimum-phase polynomial) is recorded as
-    ``prior_error`` instead of raising, so ``check`` can report it.
+    Error messages carry the JSON path of the offending field.  Domains are
+    left to the verbs (see the module docstring); the filter, which every
+    verb reads, is checked in full here.
     """
     doc = _as_section(doc, "config", TOP_KEYS)
     fb = _parse_filter(_require(doc, "filter", "config"))
     cfg = RunConfig(filterbank=fb)
 
     if "prior" in doc:
-        try:
-            cfg.prior = _parse_prior(doc["prior"])
-        except MembershipError as exc:
-            if not lenient_prior:
-                raise ConfigError(f"prior: {exc}") from exc
-            cfg.prior_error = str(exc)
+        cfg.prior = _parse_prior(doc["prior"])
 
     if "sigma" in doc:
         spec = _as_section(doc["sigma"], "sigma", {"matrix", "from"})
@@ -205,11 +206,10 @@ def parse_config(doc, lenient_prior=False):
             cfg.sigma = _parse_matrix(spec["matrix"], "sigma.matrix")
         elif "from" in spec:
             sub = _as_section(spec["from"], "sigma.from", {"prior", "C"})
-            gen_prior = (_parse_prior(sub["prior"], "sigma.from.prior")
-                         if "prior" in sub else None)
-            genC = _parse_matrix(_require(sub, "C", "sigma.from"),
-                                 "sigma.from.C")
-            cfg.sigma_from = (gen_prior, genC)
+            cfg.sigma = (_parse_prior(sub["prior"], "sigma.from.prior")
+                         if "prior" in sub else None,
+                         _parse_matrix(_require(sub, "C", "sigma.from"),
+                                       "sigma.from.C"))
         else:
             raise ConfigError("sigma: needs either 'matrix' or 'from'")
 
@@ -254,7 +254,7 @@ def parse_config(doc, lenient_prior=False):
     return cfg
 
 
-def _load_config(args, lenient_prior=False):
+def _load_config(args):
     try:
         with open(args.config) as fh:
             doc = json.load(fh)
@@ -262,7 +262,7 @@ def _load_config(args, lenient_prior=False):
         raise ConfigError(f"cannot read config {args.config!r}: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {args.config!r} is not valid JSON: {exc}")
-    cfg = parse_config(doc, lenient_prior=lenient_prior)
+    cfg = parse_config(doc)
     if getattr(args, "out", None) is not None:
         cfg.out_dir = args.out
     for flag, key in (("dt", "dt"), ("tol", "newton_tol")):
@@ -276,77 +276,78 @@ def _load_config(args, lenient_prior=False):
     return cfg
 
 
-def _resolve_sigma(cfg):
-    if cfg.sigma is not None:
-        n = cfg.filterbank.n
-        if cfg.sigma.shape != (n, n):
-            raise ConfigError(f"sigma.matrix: must be {n}x{n} for the "
-                              f"filter, got {cfg.sigma.shape}")
-        return cfg.sigma
-    if cfg.sigma_from is not None:
-        gen_prior, genC = cfg.sigma_from
-        prior = gen_prior if gen_prior is not None else cfg.prior
-        try:
-            param = FactorParameter(cfg.filterbank, genC)
-        except ValueError as exc:
-            raise ConfigError(f"sigma.from.C: {exc}") from exc
-        return moment_g_statespace(cfg.filterbank, prior, param)
-    raise ConfigError("sigma: section is required for this command")
+# ---------------------------------------------------------------------------
+# verbs: each checks the domain of the sections it reads
 
 
-def _ensure_outdir(cfg):
+def _checked(value):
+    """A parsed section, raising the domain violation recorded for it."""
+    if isinstance(value, ConfigError):
+        raise value
+    return value
+
+
+def _section(cfg, key, verb):
+    """Section ``key``, which ``verb`` requires, domain-checked by _checked."""
+    if getattr(cfg, key) is None:
+        raise ConfigError(f"{key}: section is required for {verb}")
+    return _checked(getattr(cfg, key))
+
+
+def _param(cfg, C, path):
+    """Matrix at ``path`` as a FactorParameter; ValueError -> ConfigError."""
+    try:
+        return FactorParameter(cfg.filterbank, C)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _resolve_sigma(cfg, verb):
+    """Sigma for ``verb``: sigma.matrix, which must be n x n, or g(psi, C)
+    of sigma.from, psi its own prior, else ``prior``, else the flat one."""
+    sigma = _section(cfg, "sigma", verb)
+    if isinstance(sigma, tuple):
+        gen_prior, genC = sigma
+        prior = _checked(cfg.prior if gen_prior is None else gen_prior)
+        return moment_g_statespace(cfg.filterbank, prior,
+                                   _param(cfg, genC, "sigma.from.C"))
+    n = cfg.filterbank.n
+    if sigma.shape != (n, n):
+        raise ConfigError(f"sigma.matrix: must be {n}x{n} for the "
+                          f"filter, got {sigma.shape}")
+    return sigma
+
+
+def _write(cfg, name, content):
+    """Write the artifact ``name`` (a JSON document, or a function of the open
+    file) into the output directory and print ``wrote <path>``."""
     out = cfg.out_dir or "."
     os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _write_json(path, doc):
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
-# ---------------------------------------------------------------------------
-# verbs
+    dest = os.path.join(out, name)
+    with open(dest, "w") as fh:
+        if callable(content):
+            content(fh)
+        else:
+            json.dump(content, fh, indent=2)
+            fh.write("\n")
+    print(f"wrote {dest}")
 
 
 def cmd_solve(args):
     cfg = _load_config(args)
-    if cfg.prior is None:
-        raise ConfigError("prior: section is required for solve")
+    prior = _section(cfg, "prior", "solve")
     t0 = time.perf_counter()
-    Sigma = _resolve_sigma(cfg)
+    Sigma = _resolve_sigma(cfg, "solve")
     fb = cfg.filterbank
-    path = run_continuation(fb, cfg.prior, Sigma, config=cfg.continuation)
+    path = run_continuation(fb, prior, Sigma, config=cfg.continuation)
     t_solve = time.perf_counter() - t0
 
     # the corrector's last residual is g(psi, C) - Sigma at the final C
     final = path.final_parameter()
     resid = path.final.residual
-    Lam = h_inverse(path.chart, final)
-
     t1 = time.perf_counter()
-    cond_g, cond_f = condition_numbers(path.chart, cfg.prior, final)
+    cond_g, cond_f = condition_numbers(path.chart, prior, final)
     t_cond = time.perf_counter() - t1
-
-    out = _ensure_outdir(cfg)
-    written = []
-    if "csv" in cfg.formats:
-        dest = os.path.join(out, "path.csv")
-        write_path_csv(path, dest)
-        written.append(dest)
-    if "json" in cfg.formats:
-        dest = os.path.join(out, "path.json")
-        write_path_json(path, dest)
-        written.append(dest)
-    cdest = os.path.join(out, "final_C.json")
-    _write_json(cdest, {"m": fb.m, "n": fb.n, "field": fb.field,
-                        "C": matrix_to_json(final.C)})
-    written.append(cdest)
-    ldest = os.path.join(out, "final_Lambda.json")
-    _write_json(ldest, {"n": fb.n, "field": fb.field,
-                        "Lambda": matrix_to_json(Lam)})
-    written.append(ldest)
     report = {
         "steps": len(path.samples) - 1,
         "final_t": path.final.t,
@@ -359,53 +360,46 @@ def cmd_solve(args):
         "timings_s": {"continuation": t_solve, "condition_numbers": t_cond,
                       "total": time.perf_counter() - t0},
     }
-    rdest = os.path.join(out, "report.json")
-    _write_json(rdest, report)
-    written.append(rdest)
-
     print(f"solve: {report['steps']} steps, final residual {resid:.3e}, "
           f"cond_g {cond_g:.4e}, cond_f {cond_f:.4e}")
-    for dest in written:
-        print(f"wrote {dest}")
+    for fmt, writer in (("csv", write_path_csv), ("json", write_path_json)):
+        if fmt in cfg.formats:
+            _write(cfg, f"path.{fmt}", lambda fh: writer(path, fh))
+    _write(cfg, "final_C.json", {"m": fb.m, "n": fb.n, "field": fb.field,
+                                 "C": matrix_to_json(final.C)})
+    _write(cfg, "final_Lambda.json", {
+        "n": fb.n, "field": fb.field,
+        "Lambda": matrix_to_json(h_inverse(path.chart, final))})
+    _write(cfg, "report.json", report)
     return 0
 
 
 def cmd_condnum(args):
     cfg = _load_config(args)
-    if cfg.prior is None:
-        raise ConfigError("prior: section is required for condnum")
-    if cfg.C is None:
-        raise ConfigError("C: section is required for condnum")
-    fb = cfg.filterbank
-    try:
-        param = FactorParameter(fb, cfg.C)
-    except ValueError as exc:
-        raise ConfigError(f"C: {exc}") from exc
-    chart = make_chart(fb)
+    prior = _section(cfg, "prior", "condnum")
+    param = _param(cfg, _section(cfg, "C", "condnum"), "C")
+    chart = make_chart(cfg.filterbank)
     t0 = time.perf_counter()
-    cond_g, cond_f = condition_numbers(chart, cfg.prior, param)
+    cond_g, cond_f = condition_numbers(chart, prior, param)
     elapsed = time.perf_counter() - t0
     print(f"cond_g = {cond_g:.6e}")
     print(f"cond_f = {cond_f:.6e}")
     print(f"ratio  = {cond_f / cond_g:.6e}")
     if cfg.out_dir is not None:
-        out = _ensure_outdir(cfg)
-        dest = os.path.join(out, "condnum.json")
-        _write_json(dest, {"cond_g": cond_g, "cond_f": cond_f,
-                           "ratio": cond_f / cond_g,
-                           "time_s": elapsed})
-        print(f"wrote {dest}")
+        _write(cfg, "condnum.json", {"cond_g": cond_g, "cond_f": cond_f,
+                                     "ratio": cond_f / cond_g,
+                                     "time_s": elapsed})
     return 0
 
 
 def cmd_check(args):
-    cfg = _load_config(args, lenient_prior=True)
+    cfg = _load_config(args)
     fb = cfg.filterbank
     print(f"filter: n={fb.n} m={fb.m} field={fb.field} "
           f"spectral radius {fb._radius:.6g}")
 
-    if cfg.prior_error is not None:
-        print(f"prior: VIOLATION {cfg.prior_error}")
+    if isinstance(cfg.prior, ConfigError):
+        print(f"prior: VIOLATION {cfg.prior.__cause__}")
     elif cfg.prior is not None:
         print(f"prior: ok ({cfg.prior.kind}, minimum phase)")
 
@@ -433,13 +427,12 @@ def cmd_check(args):
             print(f"Lambda: {state} (exact test; 1024-point grid minimum "
                   f"{diag.min_eigenvalue:.6g}, a diagnostic)")
 
-    if cfg.sigma is not None or cfg.sigma_from is not None:
+    if cfg.sigma is not None:
         try:
             _, problems, eig_min, rr = _check_covariance(
-                make_chart(fb), _resolve_sigma(cfg))
+                make_chart(fb), _resolve_sigma(cfg, "check"))
         except (ConfigError, MembershipError) as exc:
-            print(f"sigma: VIOLATION {exc}")
-            return 0
+            problems = [str(exc)]
         if problems:
             print("sigma: VIOLATION " + "; ".join(problems))
         else:
@@ -451,18 +444,15 @@ def cmd_check(args):
 def cmd_maxent(args):
     cfg = _load_config(args)
     fb = cfg.filterbank
-    Sigma = _resolve_sigma(cfg)
+    Sigma = _resolve_sigma(cfg, "maxent")
     param = maxent_initialization(fb, Sigma)
     gap = float(np.linalg.norm(moment_g_statespace(fb, None, param) - Sigma))
     rel = gap / float(np.linalg.norm(Sigma))
     print(f"maxent: defining residual {gap:.3e} ({rel:.3e} relative)")
     if cfg.out_dir is not None:
-        out = _ensure_outdir(cfg)
-        dest = os.path.join(out, "maxent_C.json")
-        _write_json(dest, {"m": fb.m, "n": fb.n, "field": fb.field,
-                           "C": matrix_to_json(param.C),
-                           "residual": gap})
-        print(f"wrote {dest}")
+        _write(cfg, "maxent_C.json", {"m": fb.m, "n": fb.n, "field": fb.field,
+                                      "C": matrix_to_json(param.C),
+                                      "residual": gap})
     return 0
 
 

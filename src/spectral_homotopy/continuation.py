@@ -210,7 +210,7 @@ def _start_point(chart, prior, Sigma):
     return point, Sigma
 
 
-def maxent_initialization(filterbank, Sigma, chart=None):
+def maxent_initialization(filterbank, Sigma):
     """Closed-form solution of g(1, C) = Sigma.
 
     The parameter is C = L^{-*} B* Sigma^{-1} with B* Sigma^{-1} B = L* L
@@ -220,9 +220,7 @@ def maxent_initialization(filterbank, Sigma, chart=None):
     range of the covariance operator must not exceed FEASIBILITY_TOL
     relative to its norm (else MembershipError naming every violation).
     """
-    if chart is None:
-        chart = make_chart(filterbank)
-    return _start_point(chart, None, Sigma)[0].param
+    return _start_point(make_chart(filterbank), None, Sigma)[0].param
 
 
 def corrector_newton(chart, prior, t, param, Sigma, config):
@@ -300,7 +298,7 @@ def _tangent_failure(t, dt, exc, history):
         history=history)
 
 
-def run_continuation(filterbank, prior, Sigma, config=None, chart=None):
+def run_continuation(filterbank, prior, Sigma, config=None):
     """Follow the prior homotopy from the maximum-entropy start to t = 1.
 
     Parameters
@@ -309,8 +307,6 @@ def run_continuation(filterbank, prior, Sigma, config=None, chart=None):
     prior : PriorSpectrum
     Sigma : (n, n) Hermitian positive definite feasible covariance
     config : HomotopyConfig, defaults to HomotopyConfig()
-    chart : CoordinateChart, built by make_chart when omitted; fixes the
-        meaning of the coordinate columns in the output
 
     Returns
     -------
@@ -318,11 +314,12 @@ def run_continuation(filterbank, prior, Sigma, config=None, chart=None):
         Samples at t = 0 and at every accepted step up to and including
         t = 1.  With the default dt = 0.1 the path has exactly ten steps.
         On the reference problem the run factors 14 Jacobians: one per
-        Newton iterate and one for the tangent at the start.
+        Newton iterate and one for the tangent at the start.  Its
+        ``chart``, ``make_chart(filterbank)`` built once per run, fixes the
+        meaning of the samples' coordinates ``y``.
     """
     config = config or HomotopyConfig()
-    if chart is None:
-        chart = make_chart(filterbank)
+    chart = make_chart(filterbank)
     point, Sigma = _start_point(chart, prior, Sigma)
 
     t, iters, gram_cond, tangent = 0.0, 0, 0.0, None

@@ -93,10 +93,11 @@ def h_map(filterbank, Lam):
 def h_inverse(chart, C):
     """Lambda with G* Lambda G = (z C G)(z C G)*: the range projection of C*C.
 
-    ``chart`` must expose ``project_range_gamma``;  ``C`` may be a raw matrix
-    or a FactorParameter.
+    ``chart`` is make_chart of the bank; ``C`` is a FactorParameter of it,
+    or a matrix that FactorParameter accepts (else its ValueError or
+    MembershipError).
     """
-    Cm = C.C if isinstance(C, FactorParameter) else np.atleast_2d(np.asarray(C))
+    Cm = _as_param(chart.filterbank, C).C
     return chart.project_range_gamma(Cm.conj().T @ Cm)
 
 
@@ -104,11 +105,14 @@ def density_values(filterbank, C, prior, theta):
     """The parametric spectral density on a grid of angles.
 
     Phi(theta) = psi(theta) * (W(e^{i theta})* W(e^{i theta}))^{-1} with
-    W = z C G; returns shape (len(theta), m, m).
+    W = z C G; returns shape (len(theta), m, m).  ``prior=None`` is the flat
+    prior psi = 1.
     """
     theta = np.asarray(theta, dtype=float).ravel()
     Wv = right_outer_factor(filterbank, C).eval_grid(np.exp(1j * theta))
     Mv = Wv.conj().transpose(0, 2, 1) @ Wv
+    if prior is None:  # moment, a layer above, holds the one flat prior
+        from .moment import _FLAT_PRIOR as prior
     psi = prior.psi_values(theta)
     out = np.linalg.inv(Mv) * psi[:, None, None]
     return 0.5 * (out + out.conj().transpose(0, 2, 1))

@@ -78,8 +78,8 @@ VERIFY_TOL = 1e-8
 # accumulated roundoff of a long Riemann sum; looser than the strict
 # evaluation-route hygiene bound on purpose
 QUAD_FIELD_TOL = 1e-9
-# prior=None, the maximum-entropy case, is this prior wherever a prior
-# enters (CascadePoint, _kernel_grid), so its blow-up is kept like any other
+# prior=None, the maximum-entropy case, is this prior wherever a prior enters
+# (CascadePoint, _kernel_grid, density_values), so its blow-up is kept
 _FLAT_PRIOR = constant_prior(1.0)
 
 

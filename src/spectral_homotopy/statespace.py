@@ -83,6 +83,13 @@ def _as_matrix(x, name):
     return a
 
 
+def _check_finite(x, name):
+    """``x``, else ValueError naming it; run before any eigenvalue or root."""
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} has non-finite entries")
+    return x
+
+
 def coerce_field(x, fieldname, tol=STRICT_TOL, what="matrix"):
     """Return ``x`` as a real array when ``fieldname == 'real'``.
 
@@ -128,7 +135,8 @@ def grid_size_from_spacing(dtheta):
 
 @dataclass(frozen=True)
 class StateSpaceSystem:
-    """Causal system W(z) = C (zI - A)^{-1} B + D with Schur-stable A."""
+    """Causal system W(z) = C (zI - A)^{-1} B + D with Schur-stable A; its
+    matrices must be finite (else ValueError naming the matrix)."""
 
     A: np.ndarray
     B: np.ndarray
@@ -136,10 +144,8 @@ class StateSpaceSystem:
     D: np.ndarray
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A))
-        B = np.atleast_2d(np.asarray(self.B))
-        C = np.atleast_2d(np.asarray(self.C))
-        D = np.atleast_2d(np.asarray(self.D))
+        A, B, C, D = (np.atleast_2d(np.asarray(X))
+                      for X in (self.A, self.B, self.C, self.D))
         n = A.shape[0]
         if A.shape != (n, n):
             raise ValueError(f"A must be square, got {A.shape}")
@@ -152,7 +158,7 @@ class StateSpaceSystem:
                 f"D must be {C.shape[0]}x{B.shape[1]}, got {D.shape}"
             )
         for name, val in (("A", A), ("B", B), ("C", C), ("D", D)):
-            object.__setattr__(self, name, val)
+            object.__setattr__(self, name, _check_finite(val, name))
 
     @property
     def n_states(self):
@@ -221,8 +227,8 @@ class FilterBank:
 
     Parameters
     ----------
-    A : (n, n) array, Schur stable (spectral radius < 1 - 1e-12)
-    B : (n, m) array, full column rank, with (A, B) reachable
+    A : (n, n) finite array, Schur stable (spectral radius < 1 - 1e-12)
+    B : (n, m) finite array, full column rank, with (A, B) reachable
     field : "real" or "complex"
 
     The spectral radius of A, found by the stability check, is kept for the
@@ -238,8 +244,10 @@ class FilterBank:
     def __post_init__(self):
         if self.field not in ("real", "complex"):
             raise ValueError(f"field must be 'real' or 'complex', got {self.field!r}")
-        A = coerce_field(_as_matrix(self.A, "A"), self.field, what="filter A")
-        B = coerce_field(_as_matrix(self.B, "B"), self.field, what="filter B")
+        A = coerce_field(_check_finite(_as_matrix(self.A, "A"), "filter A"),
+                         self.field, what="filter A")
+        B = coerce_field(_check_finite(_as_matrix(self.B, "B"), "filter B"),
+                         self.field, what="filter B")
         n = A.shape[0]
         if A.shape != (n, n):
             raise ValueError(f"A must be square, got {A.shape}")
@@ -391,13 +399,14 @@ def constant_prior(value=1.0):
 def prior_from_polynomial(b):
     """Prior psi = |b(z)|^2 for an FIR b(z) = b_0 + b_1 z^{-1} + ... + b_q z^{-q}.
 
-    b must be minimum phase: b_0 != 0 and every root of b (as a polynomial in
-    z^{-1}) of modulus < 1.  Otherwise a MembershipError reports the
-    offending root.
+    b must be a finite non-empty 1-d array (else ValueError) and minimum
+    phase: b_0 != 0 and every root of b (as a polynomial in z^{-1}) of
+    modulus < 1.  Otherwise a MembershipError reports the offending root.
     """
     b = np.atleast_1d(np.asarray(b))
     if b.ndim != 1 or b.size == 0:
         raise ValueError("b must be a non-empty 1-d coefficient array")
+    _check_finite(b, "b")
     if abs(b[0]) <= STRICT_TOL:
         raise MembershipError(
             "leading coefficient b_0 vanishes: b has a root at infinity "
@@ -536,10 +545,8 @@ def _check_lambda(filterbank, Lam):
     n = filterbank.n
     if Lam.shape != (n, n):
         raise ValueError(f"Lambda must be {n}x{n}, got {Lam.shape}")
-    if not np.all(np.isfinite(Lam)):
-        raise ValueError("Lambda has non-finite entries")
-    return coerce_field(_check_hermitian(Lam, "Lambda"), filterbank.field,
-                        what="Lambda")
+    Lam = _check_hermitian(_check_finite(Lam, "Lambda"), "Lambda")
+    return coerce_field(Lam, filterbank.field, what="Lambda")
 
 
 def is_in_Lplus(filterbank, Lam):

@@ -1,5 +1,6 @@
 """Command-line interface: verbs, exit codes, artifacts, config handling."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import spectral_homotopy
-from spectral_homotopy import (FactorParameter, factorization,
+from spectral_homotopy import (FactorParameter, cli, factorization,
                                jacobian_condition_number, matrix_to_json,
                                moment)
 from spectral_homotopy.cli import main
@@ -429,6 +430,101 @@ class TestInvalidPrior:
         assert main(["solve", "--config", cfg, "--out",
                      str(tmp_path / "x")]) == 2
         assert "positive and finite" in capsys.readouterr().err
+
+
+NON_MINIMUM_PHASE = {"kind": "polynomial", "b": [1.0, -2.0]}
+
+
+class TestDomainPolicy:
+    """Parsing checks structure; the verb that reads a section checks its
+    domain, the prior's included (recorded at parse time)."""
+
+    def test_generating_prior_is_reported_and_rejected(self, tmp_path,
+                                                       capsys):
+        sigma = {"from": {"prior": NON_MINIMUM_PHASE, "C": C_REF.tolist()}}
+        cfg = write_config(tmp_path, base_config(sigma=sigma))
+        assert main(["check", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert "prior: ok" in out
+        assert "sigma: VIOLATION sigma.from.prior: b is not minimum phase" \
+            in out
+        for verb in ("solve", "maxent"):
+            assert main([verb, "--config", cfg, "--out",
+                         str(tmp_path / verb)]) == 2
+            assert capsys.readouterr().err.startswith(
+                "config error: sigma.from.prior: b is not minimum phase")
+            assert not (tmp_path / verb).exists()
+
+    def test_invalid_prior_is_not_replaced_by_the_flat_one(self, tmp_path,
+                                                           capsys):
+        # sigma.from without its own prior reads `prior`: an invalid one is
+        # its violation, not a silent fallback to psi = 1
+        doc = base_config(sigma=SIGMA_FROM_REF)
+        doc["prior"] = NON_MINIMUM_PHASE
+        cfg = write_config(tmp_path, doc)
+        assert main(["check", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert "prior: VIOLATION b is not minimum phase" in out
+        assert "sigma: VIOLATION prior: b is not minimum phase" in out
+        for verb in ("solve", "maxent"):
+            assert main([verb, "--config", cfg, "--out",
+                         str(tmp_path / verb)]) == 2
+            assert capsys.readouterr().err.startswith(
+                "config error: prior: b is not minimum phase")
+
+    def test_every_section_is_read_one_way(self):
+        # no parse mode exempts a section from the policy
+        for func in (cli.parse_config, cli._load_config):
+            assert "lenient_prior" not in inspect.signature(func).parameters
+
+    def test_maxent_reads_no_prior(self, tmp_path, capsys):
+        doc = base_config(sigma={"matrix": np.eye(4).tolist()})
+        doc["prior"] = NON_MINIMUM_PHASE
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "me"
+        assert main(["maxent", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "maxent_C.json").exists()
+        # the verbs that read the prior still reject it
+        assert main(["solve", "--config", cfg]) == 2
+        assert main(["condnum", "--config", write_config(
+            tmp_path, dict(doc, C=C_REF.tolist()), "c.json")]) == 2
+        assert "config error: prior: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb, section", [
+        ("solve", "prior"), ("solve", "sigma"), ("condnum", "prior"),
+        ("condnum", "C"), ("maxent", "sigma")])
+    def test_one_message_for_a_missing_section(self, verb, section, tmp_path,
+                                               capsys):
+        doc = base_config(sigma=SIGMA_FROM_REF, C=C_REF.tolist())
+        del doc[section]
+        assert main([verb, "--config", write_config(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {section}: section is required for {verb}\n")
+
+    @pytest.mark.parametrize("section, spec, message", [
+        ("filter", {"A": [[float("nan")]], "B": [[1.0]]},
+         "filter: filter A has non-finite entries"),
+        ("filter", {"A": [[0.5]], "B": [[float("inf")]]},
+         "filter: filter B has non-finite entries"),
+        ("prior", {"kind": "polynomial", "b": [1.0, float("nan")]},
+         "prior: b has non-finite entries"),
+        ("prior", {"kind": "polynomial", "b": [float("inf"), 0.5]},
+         "prior: b has non-finite entries"),
+        ("prior", {"kind": "rational", "sigma": {
+            "A": [[0.5]], "B": [[1.0]], "C": [[float("nan")]],
+            "D": [[1.0]]}}, "prior: C has non-finite entries")])
+    @pytest.mark.parametrize("verb", ["check", "solve"])
+    def test_non_finite_data_is_a_config_error_naming_it(
+            self, verb, section, spec, message, tmp_path, capsys):
+        # JSON's NaN and Infinity reach the library, which names the input
+        # before numpy can warn or raise on it
+        doc = base_config(sigma=SIGMA_FROM_REF)
+        doc[section] = spec
+        argv = [verb, "--config", write_config(tmp_path, doc)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 class TestMaxent:

@@ -1,5 +1,6 @@
 """Homotopy continuation: start, predictor, corrector, path, writers."""
 
+import inspect
 import io
 import json
 
@@ -494,19 +495,30 @@ class TestRunContinuation:
 
     @pytest.mark.parametrize("field, C", [("real", C_REF),
                                           ("complex", C_COMPLEX)])
-    def test_chart_orientation_does_not_matter(self, prior_ref, field, C):
+    def test_chart_orientation_does_not_matter(self, prior_ref, field, C,
+                                               monkeypatch):
         # Newton directions and the Hermite prediction are invariant under
-        # an orthogonal change of chart coordinates
+        # an orthogonal change of chart coordinates; the run builds its
+        # chart from the bank, so the rotated one is handed in there
         fb = make_covariance_extension_filter(2, 1, field=field)
         Sigma = moment_g_statespace(fb, prior_ref, FactorParameter(fb, C))
         default = run_continuation(fb, prior_ref, Sigma)
-        rotated = run_continuation(
-            fb, prior_ref, Sigma,
-            chart=rotated_chart(make_chart(fb), np.random.default_rng(3)))
+        chart = rotated_chart(make_chart(fb), np.random.default_rng(3))
+        monkeypatch.setattr(continuation, "make_chart", lambda bank: chart)
+        rotated = run_continuation(fb, prior_ref, Sigma)
+        assert rotated.chart is chart
         assert_array_equal([s.t for s in rotated.samples],
                            [s.t for s in default.samples])
         for got, want in zip(rotated.samples, default.samples):
             assert relative_error(got.C, want.C) <= 1e-12
+
+    def test_the_chart_comes_from_the_bank_alone(self):
+        # a chart is a function of the bank, so no caller passes one (a
+        # chart of another bank used to fail as "Sigma is not attainable")
+        assert list(inspect.signature(run_continuation).parameters) == [
+            "filterbank", "prior", "Sigma", "config"]
+        assert list(inspect.signature(maxent_initialization).parameters) \
+            == ["filterbank", "Sigma"]
 
     def test_no_riccati_solve(self, fb, prior_ref, sigma_ref, c_ref,
                               monkeypatch):

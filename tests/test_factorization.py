@@ -72,6 +72,28 @@ class TestWeightToFactor:
         monkeypatch.setattr(statespace.StateSpaceSystem, "eval_grid", no_grid)
         assert relative_error(h_map(fb, Lam).C, C_REF) < 1e-8
 
+    def test_inverse_checks_a_matrix_as_factor_parameter_does(self, chart):
+        # a 3x4 C used to give a 4x4 "Lambda" for the 2x4 bank
+        with pytest.raises(ValueError, match="C must be 2x4"):
+            h_inverse(chart, np.zeros((3, 4)))
+        with pytest.raises(MembershipError, match="stable factor set"):
+            h_inverse(chart, np.zeros((2, 4)))
+        assert_allclose(h_inverse(chart, C_REF),
+                        h_inverse(chart, FactorParameter(chart.filterbank,
+                                                         C_REF)), atol=0)
+
+    def test_inverse_takes_a_factor_parameter_as_it_is(self, chart,
+                                                       param_ref,
+                                                       monkeypatch):
+        # no second membership check of a parameter that carries its own
+        def forbidden(*args):
+            raise AssertionError("membership checked again")
+
+        monkeypatch.setattr(statespace, "_closed_loop", forbidden)
+        Lam = h_inverse(chart, param_ref)
+        assert_allclose(Lam, chart.project_range_gamma(
+            param_ref.C.conj().T @ param_ref.C), atol=0)
+
     def test_inadmissible_weight_rejected(self, fb):
         with pytest.raises(MembershipError):
             h_map(fb, -np.eye(4))
@@ -153,6 +175,13 @@ class TestDensityValues:
         Phi = density_values(fb, fb.B.T, constant_prior(1.0), theta)
         assert_allclose(Phi, np.broadcast_to(np.eye(2), (32, 2, 2)),
                         atol=1e-12)
+
+    def test_no_prior_is_the_flat_prior(self, fb, param_ref):
+        # prior=None means constant_prior(1.0), as everywhere else
+        theta = circle_grid(32)
+        assert_allclose(density_values(fb, param_ref, None, theta),
+                        density_values(fb, param_ref, constant_prior(1.0),
+                                       theta), atol=0)
 
     def test_matches_direct_formula(self, fb, prior_ref, param_ref):
         theta = circle_grid(64)

@@ -70,6 +70,19 @@ class TestFilterBank:
         with pytest.raises(MembershipError, match="reachable"):
             FilterBank(A, B)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("which", ["A", "B"])
+    def test_rejects_non_finite_data_by_name(self, which, bad):
+        # checked before any eigenvalue, rank or reachability computation,
+        # so numpy neither warns nor raises its own error first
+        data = {"A": np.array([[0.5]]), "B": np.array([[1.0]])}
+        data[which] = np.array([[bad]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match=f"filter {which} has non-finite"):
+                FilterBank(data["A"], data["B"])
+
     def test_preset_argument_validation(self):
         with pytest.raises(ValueError):
             make_covariance_extension_filter(0, 1)
@@ -259,6 +272,26 @@ class TestPriors:
     def test_polynomial_prior_rejects_unstable_root(self):
         with pytest.raises(MembershipError, match="minimum phase"):
             prior_from_polynomial([1.0, -2.0])
+
+    @pytest.mark.parametrize("b", [[1.0, np.nan], [np.inf, 0.5],
+                                   [1.0, -1.0, -np.inf]])
+    def test_polynomial_prior_rejects_non_finite_b(self, b):
+        # found before np.roots, which would raise its own LinAlgError on a
+        # NaN and, for a leading inf, warn and report a NaN eigenvalue
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="b has non-finite entries"):
+                prior_from_polynomial(b)
+
+    @pytest.mark.parametrize("which", ["A", "B", "C", "D"])
+    def test_system_rejects_non_finite_matrices_by_name(self, which):
+        data = {k: np.array([[v]]) for k, v in zip("ABCD", (0.5, 1, 0.3, 1))}
+        data[which] = np.array([[np.nan]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match=f"^{which} has non-finite entries"):
+                prior_from_outer(StateSpaceSystem(**data))
 
     def test_rational_prior_rejects_zero_feedthrough(self):
         sys_ = StateSpaceSystem(np.array([[0.5]]), np.array([[1.0]]),
