@@ -18,6 +18,7 @@ from spectral_homotopy import (
     make_chart,
     make_covariance_extension_filter,
     right_outer_factor,
+    solve_dare_appendix,
     solve_dare_lambda,
     solve_dlyap,
 )
@@ -40,8 +41,8 @@ print("Lambda = B B^T:")
 print("  P =\n", sol.P)
 print("  L =\n", sol.L)
 print("  closed-loop eigenvalues:", np.linalg.eigvals(sol.closed_loop))
-print("  residual:", sol.residual_norm, " method:", sol.method,
-      " iterations:", sol.iterations)
+print("  residual:", sol.residual_norm, " doubling iterations:",
+      sol.iterations)
 assert np.allclose(sol.P, Lam)
 assert np.allclose(sol.L, np.eye(2))
 
@@ -110,9 +111,10 @@ Pc = solve_dlyap(A, B @ B.T)
 G = A @ Pc @ C.T + B @ D.T
 J = 0.5 * (C @ Pc @ C.T + D @ D.T)
 
-factor, sol = left_outer_factor_from_additive(A, G, C, J, details=True)
+factor = left_outer_factor_from_additive(A, G, C, J)
+sol = solve_dare_appendix(A, G, C, J)
 print("\nadditive factorization: Riccati residual =", sol.residual_norm,
-      " method:", sol.method)
+      " doubling iterations:", sol.iterations)
 
 from spectral_homotopy import StateSpaceSystem
 

@@ -7,13 +7,15 @@ estimates Phi within the family psi / (Gamma* Gamma), where psi is a scalar
 prior density and Gamma = C G is an outer factor, by following a homotopy in
 the prior from the closed-form flat-prior solution to the requested one.
 
-Layering, bottom up:
+Layering, bottom up.  Each module imports, at module level only, from
+``errors`` and from the modules listed before it:
 
-- ``statespace``: systems, filter banks, priors, membership tests for the
-  admissible parameter sets, and one batched resolvent behind every
-  transfer evaluation.
-- ``matrixeq``: Stein/Lyapunov and Riccati solvers (by doubling) and
-  triangular factorizations.
+- ``statespace``: systems, filter banks, priors (each admitted by one check
+  that its factor sigma is outer), membership of the stable factor set,
+  and one batched resolvent behind every transfer evaluation.
+- ``matrixeq``: Stein/Lyapunov and Riccati solvers (by doubling), the exact
+  positivity test on the unit circle with the weight membership test
+  ``is_in_Lplus`` built on it, and triangular factorizations.
 - ``factorization``: spectral factorization maps between covariance-side and
   factor-side parameters (one construction of C, shared with the
   maximum-entropy start), outer factors as state-space systems.
@@ -31,13 +33,13 @@ Layering, bottom up:
 from .errors import (ConfigError, EvaluationError, FactorizationError,
                      MembershipError, SolverError, SpectralHomotopyError)
 from .statespace import (CplusDiagnostics, FactorParameter, FilterBank,
-                         LplusDiagnostics, PriorSpectrum, StateSpaceSystem,
-                         circle_grid, coerce_field, constant_prior,
-                         grid_size_from_spacing, is_in_Cplus, is_in_Lplus,
-                         make_covariance_extension_filter, matrix_from_json,
-                         matrix_to_json, prior_from_outer,
+                         PriorSpectrum, StateSpaceSystem, circle_grid,
+                         coerce_field, constant_prior, grid_size_from_spacing,
+                         is_in_Cplus, make_covariance_extension_filter,
+                         matrix_from_json, matrix_to_json, prior_from_outer,
                          prior_from_polynomial)
-from .matrixeq import (DareSolution, reverse_cholesky, solve_dare_appendix,
+from .matrixeq import (DareSolution, LplusDiagnostics, is_in_Lplus,
+                       reverse_cholesky, solve_dare_appendix,
                        solve_dare_lambda, solve_dlyap, standard_cholesky)
 from .factorization import (density_values, h_inverse, h_map,
                             left_outer_factor_from_additive,

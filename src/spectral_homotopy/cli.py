@@ -44,16 +44,17 @@ import time
 
 import numpy as np
 
+from . import factorization
 from .continuation import (HomotopyConfig, _check_covariance,
                            maxent_initialization, run_continuation,
                            write_path_csv, write_path_json)
 from .errors import (ConfigError, EvaluationError, FactorizationError,
                      MembershipError, SolverError)
-from .factorization import h_inverse
+from .matrixeq import is_in_Lplus
 from .moment import (CascadePoint, GridPoint, condition_numbers, make_chart,
                      moment_g_statespace)
 from .statespace import (FactorParameter, FilterBank, StateSpaceSystem,
-                         constant_prior, is_in_Cplus, is_in_Lplus,
+                         _check_finite, constant_prior, is_in_Cplus,
                          make_covariance_extension_filter, matrix_from_json,
                          matrix_to_json, prior_from_outer,
                          prior_from_polynomial)
@@ -303,8 +304,9 @@ def _param(cfg, C, path):
 
 
 def _resolve_sigma(cfg, verb):
-    """Sigma for ``verb``: sigma.matrix, which must be n x n, or g(psi, C)
-    of sigma.from, psi its own prior, else ``prior``, else the flat one."""
+    """Sigma for ``verb``: sigma.matrix, which must be n x n and finite, or
+    g(psi, C) of sigma.from, psi its own prior, else ``prior``, else the
+    flat one."""
     sigma = _section(cfg, "sigma", verb)
     if isinstance(sigma, tuple):
         gen_prior, genC = sigma
@@ -315,7 +317,10 @@ def _resolve_sigma(cfg, verb):
     if sigma.shape != (n, n):
         raise ConfigError(f"sigma.matrix: must be {n}x{n} for the "
                           f"filter, got {sigma.shape}")
-    return sigma
+    try:
+        return _check_finite(sigma, "Sigma")
+    except ValueError as exc:
+        raise ConfigError(f"sigma.matrix: {exc}") from exc
 
 
 def _write(cfg, name, content):
@@ -367,9 +372,9 @@ def cmd_solve(args):
             _write(cfg, f"path.{fmt}", lambda fh: writer(path, fh))
     _write(cfg, "final_C.json", {"m": fb.m, "n": fb.n, "field": fb.field,
                                  "C": matrix_to_json(final.C)})
-    _write(cfg, "final_Lambda.json", {
-        "n": fb.n, "field": fb.field,
-        "Lambda": matrix_to_json(h_inverse(path.chart, final))})
+    Lam = factorization.h_inverse(path.chart, final)
+    _write(cfg, "final_Lambda.json", {"n": fb.n, "field": fb.field,
+                                      "Lambda": matrix_to_json(Lam)})
     _write(cfg, "report.json", report)
     return 0
 
@@ -488,12 +493,13 @@ def _suite_oracle(fb, chart, rng, random_sigma):
 
 
 def _suite_roundtrip(fb, chart, rng, random_sigma):
-    from .factorization import h_map
+    # the maps are looked up on their module at call time, so a perturbed
+    # h_map patched in there shows that a wrong answer fails the suite
     worst = 0.0
     for _ in range(5):
         p0 = maxent_initialization(fb, random_sigma())
-        Lam = h_inverse(chart, p0)
-        p1 = h_map(fb, Lam)
+        Lam = factorization.h_inverse(chart, p0)
+        p1 = factorization.h_map(fb, Lam)
         worst = max(worst, float(np.linalg.norm(p1.C - p0.C)
                                  / np.linalg.norm(p0.C)))
     return worst, 1e-8

@@ -49,8 +49,8 @@ from .errors import ConfigError, MembershipError, SolverError
 from .factorization import _factor_parameter
 from .matrixeq import reverse_cholesky
 from .moment import CascadePoint, make_chart
-from .statespace import (FactorParameter, _hermitian_defect, _hermitize,
-                         matrix_to_json)
+from .statespace import (FactorParameter, _check_finite, _hermitian_defect,
+                         _hermitize, matrix_to_json)
 
 __all__ = [
     "HomotopyConfig",
@@ -154,17 +154,15 @@ def _check_covariance(chart, Sigma):
     Returns (Sigma, findings, eig_min, rr): the Hermitian part of Sigma, the
     list of what disqualifies it (empty when it is admissible), its smallest
     eigenvalue and its relative distance from the range of the covariance
-    operator.  Sigma must be finite (else that is the one finding, and
-    eig_min and rr are nan), Hermitian to STRICT_TOL, positive definite and
-    attainable: rr at most FEASIBILITY_TOL.  A wrong shape raises ValueError.
+    operator.  Sigma must be Hermitian to STRICT_TOL, positive definite and
+    attainable: rr at most FEASIBILITY_TOL.  A wrong shape or a non-finite
+    entry raises ValueError.
     """
     Sigma = np.atleast_2d(np.asarray(Sigma))
     n = chart.filterbank.n
     if Sigma.shape != (n, n):
         raise ValueError(f"Sigma must be {n}x{n}, got {Sigma.shape}")
-    bad = int(np.sum(~np.isfinite(Sigma)))
-    if bad:
-        return Sigma, [f"not finite ({bad} non-finite entries)"], np.nan, np.nan
+    _check_finite(Sigma, "Sigma")
     findings = []
     defect = _hermitian_defect(Sigma)
     if defect is not None:
@@ -215,8 +213,8 @@ def maxent_initialization(filterbank, Sigma):
 
     The parameter is C = L^{-*} B* Sigma^{-1} with B* Sigma^{-1} B = L* L
     (see _start_point, which also checks g(1, C) = Sigma to 1e-9 ||Sigma||,
-    else SolverError).  Sigma must be n x n (else ValueError), and
-    Hermitian, positive definite and attainable: its distance from the
+    else SolverError).  Sigma must be n x n and finite (else ValueError),
+    and Hermitian, positive definite and attainable: its distance from the
     range of the covariance operator must not exceed FEASIBILITY_TOL
     relative to its norm (else MembershipError naming every violation).
     """

@@ -20,7 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from .matrixeq import solve_dare_appendix, solve_dare_lambda
-from .statespace import FactorParameter, StateSpaceSystem, _as_param
+from .statespace import (_FLAT_PRIOR, FactorParameter, StateSpaceSystem,
+                         _as_param)
 
 __all__ = [
     "right_outer_factor",
@@ -43,24 +44,21 @@ def right_outer_factor(filterbank, C):
     return StateSpaceSystem(A, B, param.C @ A, param.CB)
 
 
-def left_outer_factor_from_additive(F, Gm, H, J, details=False):
+def left_outer_factor_from_additive(F, Gm, H, J):
     """Outer W with W W* = Z + Z* for Z(z) = H (zI - F)^{-1} Gm + J.
 
     W(z) = H (zI - F)^{-1} (Gm + F P H*) L^{-*} + L with P the stabilizing
     Riccati solution and L L* the innovation block R + H P H*; the zeros of
     W are the eigenvalues of the closed loop.  Preconditions and failure
     modes are those of the additive-form Riccati solver (F Schur stable,
-    Z + Z* > 0 on the circle, J + J* > 0).  Returns the StateSpaceSystem W,
-    or ``(W, sol)`` with the Riccati record when ``details`` is set.
+    Z + Z* > 0 on the circle, J + J* > 0); its record is
+    solve_dare_appendix(F, Gm, H, J).
     """
     sol = solve_dare_appendix(F, Gm, H, J)
     F, Gm, H = (np.atleast_2d(np.asarray(X)) for X in (F, Gm, H))
     M = Gm + F @ sol.P @ H.conj().T
-    W = StateSpaceSystem(F, np.linalg.solve(sol.L, M.conj().T).conj().T, H,
-                         sol.L)
-    if details:
-        return W, sol
-    return W
+    return StateSpaceSystem(F, np.linalg.solve(sol.L, M.conj().T).conj().T, H,
+                            sol.L)
 
 
 def _factor_parameter(filterbank, X, L):
@@ -111,8 +109,6 @@ def density_values(filterbank, C, prior, theta):
     theta = np.asarray(theta, dtype=float).ravel()
     Wv = right_outer_factor(filterbank, C).eval_grid(np.exp(1j * theta))
     Mv = Wv.conj().transpose(0, 2, 1) @ Wv
-    if prior is None:  # moment, a layer above, holds the one flat prior
-        from .moment import _FLAT_PRIOR as prior
-    psi = prior.psi_values(theta)
+    psi = (_FLAT_PRIOR if prior is None else prior).psi_values(theta)
     out = np.linalg.inv(Mv) * psi[:, None, None]
     return 0.5 * (out + out.conj().transpose(0, 2, 1))

@@ -2,7 +2,11 @@
 
 Discrete-time Stein/Lyapunov equations (by Smith's squared iteration, in
 plain numpy), two Riccati forms, the exact positivity test they rest on, and
-the triangular factorizations they need.  Two Riccati conventions appear:
+the triangular factorizations they need.  The positivity test also decides
+membership of a weight Lambda (is_in_Lplus), through the reduction below
+that solve_dare_lambda uses.  Priors do not need it: an outer sigma has
+psi = |sigma|^2 > 0 (statespace.PriorSpectrum).  Two Riccati conventions
+appear:
 
 * the lag-weight form  P = A*PA - A*PB (B*PB)^{-1} B*PA + Lambda,
   which carries no regularizing term inside B*PB and therefore cannot be fed
@@ -28,11 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FactorizationError, MembershipError, SolverError
-from .statespace import (STRICT_TOL, _check_hermitian, _check_lambda,
-                         _hermitize, _resolvent, _spectral_radius,
-                         coerce_field)
+from .statespace import (STRICT_TOL, _as_matrix, _check_finite,
+                         _check_hermitian, _hermitize, _resolvent,
+                         _spectral_radius, circle_grid, coerce_field)
 
 __all__ = [
+    "LplusDiagnostics",
+    "is_in_Lplus",
     "DareSolution",
     "solve_dlyap",
     "standard_cholesky",
@@ -212,7 +218,6 @@ class DareSolution:
     closed_loop: np.ndarray
     residual_norm: float
     iterations: int
-    method: str
 
 
 def _appendix_residual(F, G, H, R, P):
@@ -381,7 +386,7 @@ def solve_dare_appendix(F, G, H, J):
     if not any(np.iscomplexobj(X) for X in (F, G, H, J)):
         P, L, Kcl = P.real, L.real, Kcl.real
     return DareSolution(P=P, L=L, closed_loop=Kcl, residual_norm=rnorm,
-                        iterations=iters, method="doubling")
+                        iterations=iters)
 
 
 def _residual_gate(resid, P):
@@ -418,6 +423,18 @@ def _lambda_residual(A, B, Lam, P):
     return _hermitize(resid), L, Pi
 
 
+def _check_lambda(filterbank, Lam):
+    """Lambda as a finite n x n Hermitian matrix of the bank's field, else
+    ValueError; the one validation behind is_in_Lplus and
+    solve_dare_lambda."""
+    Lam = _as_matrix(Lam, "Lambda")
+    n = filterbank.n
+    if Lam.shape != (n, n):
+        raise ValueError(f"Lambda must be {n}x{n}, got {Lam.shape}")
+    Lam = _check_hermitian(_check_finite(Lam, "Lambda"), "Lambda")
+    return coerce_field(Lam, filterbank.field, what="Lambda")
+
+
 def _lambda_additive(filterbank, Lam):
     """Q solving Q - A*QA = Lambda for Hermitian Lambda, and the additive
     data (A*, A*QB, B*, B*QB / 2) of the reduction, whose Z + Z* is
@@ -426,6 +443,35 @@ def _lambda_additive(filterbank, Lam):
     Ah = A.conj().T
     Q = _stein_solver(Ah, radius=filterbank._radius)(Lam)
     return Q, (Ah, Ah @ Q @ B, B.conj().T, 0.5 * B.conj().T @ Q @ B)
+
+
+@dataclass(frozen=True)
+class LplusDiagnostics:
+    """Membership report for positivity of G* Lambda G on the circle."""
+
+    member: bool
+    min_eigenvalue: float
+
+    def __bool__(self):
+        return self.member
+
+
+def is_in_Lplus(filterbank, Lam):
+    """Check G(z)* Lambda G(z) > 0 on the unit circle.
+
+    Lambda must be n x n, Hermitian to tolerance 1e-12 and, for a real
+    bank, real (else ValueError).  Membership is decided exactly, by
+    _circle_positivity on the additive data of the reduction
+    Q - A*QA = Lambda; the diagnostics' ``min_eigenvalue`` is the minimum
+    over a 1024-point circle grid, reported only as a diagnostic.
+    """
+    Lam = _check_lambda(filterbank, Lam)
+    G = filterbank.eval_grid(np.exp(1j * circle_grid(1024)))
+    M = G.conj().transpose(0, 2, 1) @ Lam @ G
+    min_eig = float(np.linalg.eigvalsh(_hermitize(M)).min())
+    additive = _lambda_additive(filterbank, Lam)[1]
+    return LplusDiagnostics(member=_circle_positivity(*additive) is None,
+                            min_eigenvalue=min_eig)
 
 
 def solve_dare_lambda(filterbank, Lam):
@@ -441,9 +487,8 @@ def solve_dare_lambda(filterbank, Lam):
     -------
     DareSolution
         With B*PB = L*L (reverse Cholesky: L lower triangular with positive
-        diagonal) and closed loop A - B (B*PB)^{-1} B*PA; ``method`` is
-        "doubling" and ``iterations`` counts the doubling steps of the
-        additive-form solve.
+        diagonal) and closed loop A - B (B*PB)^{-1} B*PA; ``iterations``
+        counts the doubling steps of the additive-form solve.
     """
     Lam = _check_lambda(filterbank, Lam)
 
@@ -469,4 +514,4 @@ def solve_dare_lambda(filterbank, Lam):
     L = coerce_field(L, filterbank.field, what="Riccati factor")
     Pi = coerce_field(Pi, filterbank.field, what="Riccati closed loop")
     return DareSolution(P=P, L=L, closed_loop=Pi, residual_norm=rnorm,
-                        iterations=iters, method="doubling")
+                        iterations=iters)

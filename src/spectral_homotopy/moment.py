@@ -53,8 +53,8 @@ import numpy as np
 
 from .errors import EvaluationError, SolverError
 from .matrixeq import _stein_solver
-from .statespace import (_as_param, _hermitize, circle_grid, coerce_field,
-                         constant_prior, grid_size_from_spacing)
+from .statespace import (_FLAT_PRIOR, _as_param, _hermitize, circle_grid,
+                         coerce_field, grid_size_from_spacing)
 
 __all__ = [
     "CascadePoint",
@@ -78,9 +78,6 @@ VERIFY_TOL = 1e-8
 # accumulated roundoff of a long Riemann sum; looser than the strict
 # evaluation-route hygiene bound on purpose
 QUAD_FIELD_TOL = 1e-9
-# prior=None, the maximum-entropy case, is this prior wherever a prior enters
-# (CascadePoint, _kernel_grid, density_values), so its blow-up is kept
-_FLAT_PRIOR = constant_prior(1.0)
 
 
 def trace_inner(X, Y):

@@ -3,10 +3,12 @@
 Systems are causal transfer functions W(z) = C (zI - A)^{-1} B + D evaluated
 on and outside the unit circle.  The module provides the bank of rational
 filters G(z) = (zI - A)^{-1} B that defines the estimation problem, the
-scalar prior spectra psi = |sigma|^2, and the stable factor parameters C
-whose induced closed loop Pi = A - B (CB)^{-1} C A is Schur stable.  The
-filter bank, every system (spectral factors included) and matrixeq's
-positivity test evaluate through one batched resolvent solve, _resolvent.
+scalar prior spectra psi = |sigma|^2, each admitted by one check that sigma
+is outer, and the stable factor parameters C whose induced closed loop
+Pi = A - B (CB)^{-1} C A is Schur stable.  The filter bank, every system
+(spectral factors included) and matrixeq's positivity test evaluate
+through one batched resolvent solve, _resolvent.  This is the lowest
+layer above errors: it imports no other module of the package.
 
 All sets come with explicit numerical tolerances: strict inequalities use a
 1e-12 margin throughout.
@@ -26,13 +28,11 @@ __all__ = [
     "PriorSpectrum",
     "FactorParameter",
     "CplusDiagnostics",
-    "LplusDiagnostics",
     "make_covariance_extension_filter",
     "prior_from_polynomial",
     "prior_from_outer",
     "constant_prior",
     "is_in_Cplus",
-    "is_in_Lplus",
     "circle_grid",
     "grid_size_from_spacing",
     "matrix_to_json",
@@ -312,11 +312,13 @@ class PriorSpectrum:
     """Scalar prior density psi = |sigma|^2 given by its outer factor sigma.
 
     kind is "constant", "polynomial" (sigma a minimum-phase FIR) or
-    "rational".  The density is validated to be strictly positive on the
-    unit circle at construction, exactly: with Pc sigma's reachability
-    Gramian, sigma sigma* = Z + Z* for the additive data
-    (A, A Pc C* + B D*, C, (C Pc C* + D D*) / 2), and
-    matrixeq._circle_positivity decides Z + Z* > 0.
+    "rational".  Construction checks, for every kind, that sigma is outer:
+    its A is Schur stable, its feedthrough d is nonzero (|d| above
+    1e-12 max |C|) and its zero dynamics A - BC/d have spectral radius
+    below 1 - 1e-12 (else
+    MembershipError, "b is not minimum phase" for a polynomial prior and
+    "sigma is not outer" otherwise).  That is all psi > 0 needs: sigma^{-1}
+    is then stable, so sigma has no zero on the unit circle.
 
     The spectral radius of sigma's A, found by the stability check, is kept
     with the per-channel copies of sigma that a cascade with an m-input
@@ -334,20 +336,23 @@ class PriorSpectrum:
             raise ValueError(f"unknown prior kind {self.kind!r}")
         if self.sigma.n_inputs != 1 or self.sigma.n_outputs != 1:
             raise ValueError("sigma must be a scalar system")
-        rho = _spectral_radius(self.sigma.A)
+        A, B, C, D = (self.sigma.A, self.sigma.B, self.sigma.C, self.sigma.D)
+        what = ("b is not minimum phase" if self.kind == "polynomial"
+                else "sigma is not outer")
+        rho = _spectral_radius(A)
         if not rho < 1.0 - STRICT_TOL:
             raise MembershipError(
-                f"sigma is not Schur stable: spectral radius {rho:.15g}")
-        object.__setattr__(self, "_radius", rho)
-        # matrixeq imports this module
-        from .matrixeq import _circle_positivity, _stein_solver
-        A, B, C, D = (self.sigma.A, self.sigma.B, self.sigma.C, self.sigma.D)
-        Pc = _stein_solver(A, radius=rho)(B @ B.conj().T)
-        why = _circle_positivity(A, A @ Pc @ C.conj().T + B @ D.conj().T, C,
-                                 0.5 * (C @ Pc @ C.conj().T + D @ D.conj().T))
-        if why is not None:
+                f"{what}: A is not Schur stable (spectral radius {rho:.15g})")
+        d = D[0, 0]
+        # relative to C, so that the check does not depend on sigma's scale
+        if abs(d) <= STRICT_TOL * np.max(np.abs(C), initial=0.0):
             raise MembershipError(
-                f"prior density is not positive on the unit circle: {why}")
+                f"{what}: its feedthrough vanishes (a zero at infinity)")
+        worst = _spectral_radius(A - B @ C / d)
+        if not worst < 1.0 - STRICT_TOL:
+            raise MembershipError(
+                f"{what}: a zero of modulus {worst:.15g} >= 1")
+        object.__setattr__(self, "_radius", rho)
 
     def sigma_values(self, theta):
         """sigma(e^{i theta}) on a grid of angles, as a 1-d complex array."""
@@ -396,49 +401,34 @@ def constant_prior(value=1.0):
     return PriorSpectrum(_fir_system([s]), kind="constant")
 
 
+# prior=None, the maximum-entropy case, is this prior wherever a prior enters
+# (moment.CascadePoint, the quadrature kernel, density_values), so its
+# blow-up is kept
+_FLAT_PRIOR = constant_prior(1.0)
+
+
 def prior_from_polynomial(b):
     """Prior psi = |b(z)|^2 for an FIR b(z) = b_0 + b_1 z^{-1} + ... + b_q z^{-q}.
 
     b must be a finite non-empty 1-d array (else ValueError) and minimum
     phase: b_0 != 0 and every root of b (as a polynomial in z^{-1}) of
-    modulus < 1.  Otherwise a MembershipError reports the offending root.
+    modulus < 1, else MembershipError.  The roots are the zeros of the FIR
+    realization, so PriorSpectrum's outer check decides this.
     """
     b = np.atleast_1d(np.asarray(b))
     if b.ndim != 1 or b.size == 0:
         raise ValueError("b must be a non-empty 1-d coefficient array")
-    _check_finite(b, "b")
-    if abs(b[0]) <= STRICT_TOL:
-        raise MembershipError(
-            "leading coefficient b_0 vanishes: b has a root at infinity "
-            "in z^{-1} and is not minimum phase")
-    if b.size > 1:
-        roots = np.roots(b)
-        mods = np.abs(roots)
-        worst = int(np.argmax(mods))
-        if mods[worst] >= 1.0 - STRICT_TOL:
-            raise MembershipError(
-                f"b is not minimum phase: root {roots[worst]:.15g} has "
-                f"modulus {mods[worst]:.15g} >= 1")
-    return PriorSpectrum(_fir_system(b), kind="polynomial")
+    return PriorSpectrum(_fir_system(_check_finite(b, "b")),
+                         kind="polynomial")
 
 
 def prior_from_outer(system):
     """Prior psi = |sigma|^2 for a scalar rational outer factor sigma.
 
-    sigma must be scalar, Schur stable, with nonzero feedthrough and all
-    transmission zeros strictly inside the unit circle.
+    sigma must be scalar (else ValueError) and outer: Schur stable, with
+    nonzero feedthrough and all transmission zeros strictly inside the unit
+    circle (else MembershipError, see PriorSpectrum).
     """
-    if system.n_inputs != 1 or system.n_outputs != 1:
-        raise ValueError("sigma must be a scalar system")
-    d = complex(system.D.reshape(()))
-    if abs(d) <= STRICT_TOL:
-        raise MembershipError(
-            "sigma has zero feedthrough (a transmission zero at infinity) "
-            "and is not outer")
-    worst = _spectral_radius(system.A - system.B @ system.C / d)
-    if worst >= 1.0 - STRICT_TOL:
-        raise MembershipError(
-            f"sigma is not outer: transmission zero of modulus {worst:.15g}")
     return PriorSpectrum(system, kind="rational")
 
 
@@ -450,17 +440,6 @@ class CplusDiagnostics:
     spectral_radius: float
     max_upper_abs: float
     failures: tuple = field(default_factory=tuple)
-
-    def __bool__(self):
-        return self.member
-
-
-@dataclass(frozen=True)
-class LplusDiagnostics:
-    """Membership report for positivity of G* Lambda G on the circle."""
-
-    member: bool
-    min_eigenvalue: float
 
     def __bool__(self):
         return self.member
@@ -486,23 +465,16 @@ def _as_param(filterbank, C):
 def _closed_loop(filterbank, C):
     """(diagnostics, C, CB, Pi) of the membership check of the matrix C.
 
-    The one validation of C (its shape, and a real C for a real bank, else
-    ValueError) and the one computation of CB, the CB solve, Pi and its
-    spectral radius behind both is_in_Cplus and FactorParameter; Pi is None
-    when CB is singular.  A C with non-finite entries has that as its one
-    failure, found before any product (CB and Pi are None, the radius inf).
+    The one validation of C (finite entries, its shape, and a real C for a
+    real bank, else ValueError) and the one computation of CB, the CB
+    solve, Pi and its spectral radius behind both is_in_Cplus and
+    FactorParameter; Pi is None when CB is singular.
     """
     m, n = filterbank.m, filterbank.n
-    C = coerce_field(_as_matrix(C, "C"), filterbank.field,
+    C = coerce_field(_check_finite(_as_matrix(C, "C"), "C"), filterbank.field,
                      what="factor parameter C")
     if C.shape != (m, n):
         raise ValueError(f"C must be {m}x{n}, got {C.shape}")
-    bad = int(np.sum(~np.isfinite(C)))
-    if bad:
-        diagnostics = CplusDiagnostics(
-            member=False, spectral_radius=np.inf, max_upper_abs=np.nan,
-            failures=(f"C is not finite ({bad} non-finite entries)",))
-        return diagnostics, C, None, None
     CB = C @ filterbank.B
     failures = []
     max_upper = float(np.max(np.abs(np.triu(CB, 1))))
@@ -535,38 +507,6 @@ def _closed_loop(filterbank, C):
         failures=tuple(failures),
     )
     return diagnostics, C, CB, Pi
-
-
-def _check_lambda(filterbank, Lam):
-    """Lambda as a finite n x n Hermitian matrix of the bank's field, else
-    ValueError; the one validation behind is_in_Lplus and
-    matrixeq.solve_dare_lambda."""
-    Lam = _as_matrix(Lam, "Lambda")
-    n = filterbank.n
-    if Lam.shape != (n, n):
-        raise ValueError(f"Lambda must be {n}x{n}, got {Lam.shape}")
-    Lam = _check_hermitian(_check_finite(Lam, "Lambda"), "Lambda")
-    return coerce_field(Lam, filterbank.field, what="Lambda")
-
-
-def is_in_Lplus(filterbank, Lam):
-    """Check G(z)* Lambda G(z) > 0 on the unit circle.
-
-    Lambda must be n x n, Hermitian to tolerance 1e-12 and, for a real
-    bank, real (else ValueError).  Membership is decided exactly, by
-    matrixeq._circle_positivity on the additive data of the reduction
-    Q - A*QA = Lambda; the diagnostics' ``min_eigenvalue`` is the minimum
-    over a 1024-point circle grid, reported only as a diagnostic.
-    """
-    # matrixeq imports this module
-    from .matrixeq import _circle_positivity, _lambda_additive
-    Lam = _check_lambda(filterbank, Lam)
-    G = filterbank.eval_grid(np.exp(1j * circle_grid(1024)))
-    M = G.conj().transpose(0, 2, 1) @ Lam @ G
-    min_eig = float(np.linalg.eigvalsh(_hermitize(M)).min())
-    additive = _lambda_additive(filterbank, Lam)[1]
-    return LplusDiagnostics(member=_circle_positivity(*additive) is None,
-                            min_eigenvalue=min_eig)
 
 
 @dataclass(frozen=True)

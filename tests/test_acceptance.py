@@ -18,7 +18,7 @@ from spectral_homotopy import (CascadePoint, FactorParameter, GridPoint,
                                make_covariance_extension_filter,
                                maxent_initialization, moment_g_statespace,
                                prior_from_polynomial, run_continuation,
-                               solve_dare_lambda)
+                               solve_dare_appendix, solve_dare_lambda)
 
 from conftest import (B_REF, C_REF, fd_direction, random_additive_quadruple,
                       relative_error, rotated_chart)
@@ -176,7 +176,8 @@ def test_criterion_5_factorization_residuals(fb, chart, param_ref,
     for complex_data in (False,) * 5 + (True,) * 5:
         (F, G, H, J), _ = random_additive_quadruple(
             rng, complex_data=complex_data)
-        Wf, sol = left_outer_factor_from_additive(F, G, H, J, details=True)
+        Wf = left_outer_factor_from_additive(F, G, H, J)
+        sol = solve_dare_appendix(F, G, H, J)
         worst_dare = max(worst_dare,
                          sol.residual_norm / (1.0 + np.linalg.norm(sol.P)))
         I = np.eye(F.shape[0])

@@ -360,11 +360,17 @@ class TestInvalidSigma:
     @pytest.mark.parametrize("verb", ["maxent", "solve"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_exits_3(self, verb, bad, tmp_path, capsys):
+        # a non-finite entry is a configuration error (exit 2) naming
+        # sigma.matrix, as for the other sections' data
         doc = base_config(sigma={"matrix": _non_finite(bad)})
         cfg = write_config(tmp_path, doc)
-        assert main([verb, "--config", cfg, "--out",
-                     str(tmp_path / "x")]) == 3
-        assert "Sigma is not finite" in capsys.readouterr().err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([verb, "--config", cfg, "--out",
+                         str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: sigma.matrix: Sigma has non-finite entries\n")
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("matrix, finding", [
         (np.eye(3).tolist(), "sigma.matrix"),
@@ -410,11 +416,10 @@ class TestInvalidParameters:
             warnings.simplefilter("error")
             assert main(["check", "--config", cfg]) == 0
             out = capsys.readouterr().out
-            assert main(["condnum", "--config", cfg]) == 3
+            assert main(["condnum", "--config", cfg]) == 2
             err = capsys.readouterr().err
-        assert ("C: VIOLATION C is not finite (1 non-finite entries) "
-                "(closed-loop spectral radius inf)") in out
-        assert "C is not finite" in err and "singular" not in err
+        assert "C: VIOLATION C has non-finite entries\n" in out
+        assert err == "config error: C: C has non-finite entries\n"
 
 
 class TestInvalidPrior:

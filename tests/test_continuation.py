@@ -3,6 +3,7 @@
 import inspect
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -66,14 +67,17 @@ class TestMaxent:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, fb, prior_ref, bad):
-        # a typed finding before any eigenvalue computation, which would
-        # fail to converge on such a matrix
+        # a ValueError naming Sigma before any eigenvalue computation, which
+        # would fail to converge on such a matrix
         Sigma = np.eye(4)
         Sigma[1, 1] = bad
         for start in (lambda: maxent_initialization(fb, Sigma),
                       lambda: run_continuation(fb, prior_ref, Sigma)):
-            with pytest.raises(MembershipError, match="not finite"):
-                start()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError,
+                                   match="Sigma has non-finite entries"):
+                    start()
 
 
 class TestPredictorCorrector:

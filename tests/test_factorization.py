@@ -9,7 +9,7 @@ from spectral_homotopy import (FactorParameter, FilterBank, MembershipError,
                                h_inverse, h_map,
                                left_outer_factor_from_additive,
                                prior_from_polynomial, right_outer_factor,
-                               statespace)
+                               solve_dare_appendix, statespace)
 
 from conftest import C_REF, random_additive_quadruple, relative_error
 
@@ -143,8 +143,8 @@ class TestLeftOuter:
         z = np.exp(1j * circle_grid(512))
         for _ in range(5):
             (F, G, H, J), _ = random_additive_quadruple(rng)
-            W, sol = left_outer_factor_from_additive(F, G, H, J,
-                                                     details=True)
+            W = left_outer_factor_from_additive(F, G, H, J)
+            sol = solve_dare_appendix(F, G, H, J)
             I = np.eye(F.shape[0])
             Zg = J + np.einsum(
                 "ij,kjl->kil", H,

@@ -440,7 +440,6 @@ class TestCounterexample:
         Lam = _counterexample_weight(-1e-9)
         assert is_in_Lplus(self.fb, Lam).member
         sol = solve_dare_lambda(self.fb, Lam)
-        assert sol.method == "doubling"
         assert dare_lambda_residual(self.fb, Lam, sol.P) <= 1e-10 * (
             1 + np.linalg.norm(sol.P))
         param = h_map(self.fb, Lam)
@@ -452,11 +451,13 @@ class TestCounterexample:
         # sigma = b_0 + b_1 z^{-1}: 1 - z^{-1} vanishes at z = 1, while
         # z^{-1} has |sigma|^2 = 1 on the circle (though it is not outer)
         sigma = StateSpaceSystem([[0.0]], [[1.0]], [[b[1]]], [[b[0]]])
+        why = _prior_positivity(sigma)
         if positive:
-            assert PriorSpectrum(sigma).sigma is sigma
+            assert why is None
         else:
-            with pytest.raises(MembershipError, match="theta = 0.000000"):
-                PriorSpectrum(sigma)
+            assert why is not None and "theta = 0.000000" in why
+        with pytest.raises(MembershipError, match="sigma is not outer"):
+            PriorSpectrum(sigma)
 
     @pytest.mark.parametrize("b, zero", [
         ([1.0, -2.0, 1.0], 0.0),
@@ -469,10 +470,23 @@ class TestCounterexample:
         # of order 2k, which roundoff moves off the pencil's imaginary axis
         # by more than AXIS_TOL; the last has a simple zero beside a root
         # at 0.999
-        with pytest.raises(MembershipError, match="singular at theta") as exc:
-            PriorSpectrum(_fir_system(b))
-        theta = float(str(exc.value).rsplit("= ", 1)[1])
+        why = _prior_positivity(_fir_system(b))
+        assert why is not None and "singular at theta" in why
+        theta = float(why.rsplit("= ", 1)[1])
         assert abs(theta - zero) < 1e-2
+        with pytest.raises(MembershipError, match="sigma is not outer"):
+            PriorSpectrum(_fir_system(b))
+
+
+def _prior_positivity(sigma):
+    """Why |sigma|^2 is not positive on the unit circle, or None, by the
+    exact test: with Pc sigma's reachability Gramian, sigma sigma* = Z + Z*
+    for the additive data (A, A Pc C* + B D*, C, (C Pc C* + D D*) / 2)."""
+    A, B, C, D = sigma.A, sigma.B, sigma.C, sigma.D
+    Pc = matrixeq._stein_solver(A)(B @ B.conj().T)
+    return matrixeq._circle_positivity(
+        A, A @ Pc @ C.conj().T + B @ D.conj().T, C,
+        0.5 * (C @ Pc @ C.conj().T + D @ D.conj().T))
 
 
 def _positivity_bank(bank, field):
@@ -538,7 +552,6 @@ class TestExactPositivity:
             assert is_in_Lplus(fb, Lam).member == (margin > 0)
             if margin > 0:
                 sol = solve_dare_lambda(fb, Lam)
-                assert sol.method == "doubling"
                 assert dare_lambda_residual(fb, Lam, sol.P) <= 1e-10 * (
                     1 + np.linalg.norm(sol.P))
             else:
@@ -583,7 +596,6 @@ class TestComplexField:
         assert abs(param.spectral_radius() - radius) < 1e-12
         Lam = h_inverse(make_chart(fb), param)
         sol = solve_dare_lambda(fb, Lam)
-        assert sol.method == "doubling"
         assert dare_lambda_residual(fb, Lam, sol.P) <= 1e-10 * (
             1 + np.linalg.norm(sol.P))
         assert relative_error(h_map(fb, Lam).C, param.C) < 1e-10

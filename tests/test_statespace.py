@@ -7,12 +7,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spectral_homotopy import (EvaluationError, FactorParameter, FilterBank,
-                               MembershipError, StateSpaceSystem,
+                               MembershipError, PriorSpectrum,
+                               StateSpaceSystem,
                                circle_grid, coerce_field, constant_prior,
                                grid_size_from_spacing, h_map, is_in_Cplus,
                                is_in_Lplus, make_covariance_extension_filter,
                                matrix_from_json, matrix_to_json, matrixeq,
                                prior_from_outer, prior_from_polynomial)
+
+from spectral_homotopy.statespace import _fir_system
 
 from conftest import (C_REF, cascade, factor_inner_realization,
                       series_product)
@@ -176,17 +179,16 @@ class TestStableFactorSet:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_parameter_is_its_one_finding(self, fb, bad):
-        # found before CB is formed, so numpy warns of nothing
+        # a ValueError naming C, found before CB is formed, so numpy warns
+        # of nothing
         C = C_REF.copy()
         C[1, 1] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            diag = is_in_Cplus(fb, C)
-            with pytest.raises(MembershipError, match="C is not finite"):
-                FactorParameter(fb, C)
-        assert not diag
-        assert diag.failures == ("C is not finite (1 non-finite entries)",)
-        assert diag.spectral_radius == np.inf
+            for check in (is_in_Cplus, FactorParameter):
+                with pytest.raises(ValueError,
+                                   match="^C has non-finite entries$"):
+                    check(fb, C)
 
     def test_parameter_caches_feedback_data(self, fb, c_ref):
         param = FactorParameter(fb, c_ref)
@@ -305,6 +307,48 @@ class TestPriors:
                                 np.array([[2.0]]), np.array([[1.0]]))
         with pytest.raises(MembershipError, match="outer"):
             prior_from_outer(sys_)
+
+    def test_building_a_prior_solves_no_matrix_equation(self, monkeypatch):
+        # an outer sigma has psi > 0, so no prior needs the Stein solve and
+        # the positivity pencil of an exact circle test
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a prior ran a positivity test")
+
+        for name in ("_circle_positivity", "_stein_solver"):
+            monkeypatch.setattr(matrixeq, name, forbidden)
+        rational = StateSpaceSystem([[0.5]], [[1.0]], [[0.3]], [[1.0]])
+        for build in (lambda: constant_prior(2.0),
+                      lambda: prior_from_polynomial([1.0, -1.0, 0.89]),
+                      lambda: prior_from_polynomial([1.0, -0.5j]),
+                      lambda: prior_from_outer(rational)):
+            assert build().psi_values(np.array([0.0])) > 0.0
+        with pytest.raises(MembershipError, match="b is not minimum phase"):
+            prior_from_polynomial([1.0, -1.0])
+        with pytest.raises(MembershipError, match="sigma is not outer"):
+            prior_from_outer(StateSpaceSystem([[0.5]], [[1.0]], [[-0.5]],
+                                              [[1.0]]))
+
+    @pytest.mark.parametrize("b, stem", [
+        ([0.0, 1.0], "b is not minimum phase: its feedthrough vanishes"),
+        ([1.0, -1.0], "b is not minimum phase: a zero of modulus 1 "),
+        ([1.0, 0.0, 4.0], "b is not minimum phase: a zero of modulus ")])
+    def test_one_outer_check_for_every_kind(self, b, stem):
+        # the FIR's zeros are the roots of b, found by PriorSpectrum's one
+        # check; built directly, the same sigma is a non-outer rational prior
+        with pytest.raises(MembershipError, match=f"^{stem}"):
+            prior_from_polynomial(b)
+        with pytest.raises(MembershipError, match="^sigma is not outer: "):
+            PriorSpectrum(_fir_system(np.array(b)))
+
+    def test_outer_check_does_not_depend_on_scale(self):
+        # b = 1e-13 (1 + 0.1 z^{-1}) is outer at any scale, and so is a
+        # tiny constant; a feedthrough that is small beside C is a zero at
+        # infinity
+        for prior in (constant_prior(1e-30),
+                      prior_from_polynomial([1e-13, 1e-14])):
+            assert prior.psi_values(np.array([0.0])) > 0.0
+        with pytest.raises(MembershipError, match="feedthrough vanishes"):
+            prior_from_polynomial([1e-13, 1.0])
 
 
 class TestSerialization:
