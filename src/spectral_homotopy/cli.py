@@ -31,12 +31,17 @@ configs keep working, but nothing reads it.
 
 Exit codes: 0 success, 1 selftest failure, 2 configuration error, 3 solver
 failure.
+
+``main`` may be called in-process any number of times: it builds the
+argument parser on its first call and reuses it, and a usage error still
+raises ``SystemExit(2)``.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -552,7 +557,15 @@ def cmd_selftest(args):
 # entry point
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first call and shared after it.
+
+    argparse keeps no state between ``parse_args`` calls, so one parser
+    serves every in-process ``main`` call.  Each verb's ``func`` default is
+    the ``cmd_*`` function bound here, on the first call; a ``cmd_*``
+    replaced on the module later is not seen (clear the cache first).
+    """
     parser = argparse.ArgumentParser(
         prog="spectral-homotopy",
         description="Parametric spectral estimation from state covariances")

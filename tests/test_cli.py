@@ -1,5 +1,6 @@
 """Command-line interface: verbs, exit codes, artifacts, config handling."""
 
+import argparse
 import inspect
 import json
 import os
@@ -37,6 +38,16 @@ def base_config(**extra):
 
 
 SIGMA_FROM_REF = {"from": {"C": C_REF.tolist()}}
+
+
+def run_fresh(code):
+    """Run ``code`` in a fresh interpreter that imports this package."""
+    src = str(Path(spectral_homotopy.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else src + os.pathsep + path)
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
 
 
 class TestConfigErrors:
@@ -359,7 +370,7 @@ class TestInvalidSigma:
 
     @pytest.mark.parametrize("verb", ["maxent", "solve"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_exits_3(self, verb, bad, tmp_path, capsys):
+    def test_non_finite_exits_2(self, verb, bad, tmp_path, capsys):
         # a non-finite entry is a configuration error (exit 2) naming
         # sigma.matrix, as for the other sections' data
         doc = base_config(sigma={"matrix": _non_finite(bad)})
@@ -579,12 +590,7 @@ class TestSelftest:
             "assert cli.main(['selftest']) == 0\n"
             "print(sorted(m for m in sys.modules\n"
             "             if m == 'scipy' or m.startswith('scipy.')))\n")
-        src = str(Path(spectral_homotopy.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ,
-                   PYTHONPATH=src if not path else src + os.pathsep + path)
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=300)
+        proc = run_fresh(code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
 
@@ -623,3 +629,63 @@ class TestOverrides:
         assert exc.value.code == 2
         assert "unrecognized arguments: --dtheta" in capsys.readouterr().err
 
+
+class TestParserBuiltOnce:
+    """main builds its argument parser on the first call and reuses it."""
+
+    def test_six_parsers_all_in_the_first_call(self, tmp_path, capsys,
+                                               monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        cli._build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            counting_init)
+        cfg = write_config(tmp_path, base_config(C=C_REF.tolist()))
+
+        def condnum(name):
+            out = tmp_path / name
+            assert main(["condnum", "--config", cfg, "--out", str(out)]) == 0
+            return json.loads((out / "condnum.json").read_text())
+
+        first = condnum("first")
+        # the root and one parser per verb
+        assert len(built) == 6
+        assert main(["check", "--config", cfg]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--config", cfg, "--tol", "1e-9"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "usage: spectral-homotopy [-h] "
+            "{solve,condnum,check,maxent,selftest} ...\n"
+            "spectral-homotopy: error: unrecognized arguments: --tol 1e-9\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["condnum", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(
+            "usage: spectral-homotopy condnum [-h] --config CONFIG")
+        last = condnum("last")
+        assert len(built) == 6
+        for key in ("cond_g", "cond_f"):
+            assert last[key] == first[key]
+
+    def test_importing_builds_no_parser(self):
+        code = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting_init(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting_init\n"
+            "import spectral_homotopy\n"
+            "from spectral_homotopy import cli\n"
+            "print(len(built), cli._build_parser.cache_info().currsize)\n")
+        proc = run_fresh(code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "0"]

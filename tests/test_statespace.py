@@ -278,8 +278,8 @@ class TestPriors:
     @pytest.mark.parametrize("b", [[1.0, np.nan], [np.inf, 0.5],
                                    [1.0, -1.0, -np.inf]])
     def test_polynomial_prior_rejects_non_finite_b(self, b):
-        # found before np.roots, which would raise its own LinAlgError on a
-        # NaN and, for a leading inf, warn and report a NaN eigenvalue
+        # found on b, before the outer check's eigenvalues; the FIR
+        # realization's own check would name its C or D instead
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="b has non-finite entries"):
