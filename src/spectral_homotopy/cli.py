@@ -23,11 +23,14 @@ domain violation is recorded at parse time and raised by a verb that reads
 that prior, as a configuration error naming ``prior`` or
 ``sigma.from.prior``; ``check`` prints it as a VIOLATION line.
 
-Overrides: ``--out`` (solve, condnum, maxent), ``--dt`` and ``--tol``
-(solve); ``check`` takes only ``--config``.  No verb builds a quadrature
-grid except ``selftest``, whose oracle suite checks the exact g against
-one; the section ``quadrature`` (``dtheta``) is parsed so that existing
-configs keep working, but nothing reads it.
+``--out`` (solve, condnum, maxent) is the one route to the output
+directory: ``solve`` writes into the current directory without it, and
+``condnum`` and ``maxent`` then write no file.  ``--dt`` and ``--tol``
+(solve) override the ``continuation`` section's ``dt`` and
+``newton_tol``; ``check`` takes only ``--config``.  No verb builds a
+quadrature grid except ``selftest``, whose oracle suite checks the exact g
+against one; the section ``quadrature`` (``dtheta``) is parsed so that
+existing configs keep working, but nothing reads it.
 
 Exit codes: 0 success, 1 selftest failure, 2 configuration error, 3 solver
 failure.
@@ -59,9 +62,9 @@ from .matrixeq import is_in_Lplus
 from .moment import (CascadePoint, GridPoint, condition_numbers, make_chart,
                      moment_g_statespace)
 from .statespace import (FactorParameter, FilterBank, StateSpaceSystem,
-                         _check_finite, constant_prior, is_in_Cplus,
-                         make_covariance_extension_filter, matrix_from_json,
-                         matrix_to_json, prior_from_outer,
+                         _check_finite, _check_prior_field, constant_prior,
+                         is_in_Cplus, make_covariance_extension_filter,
+                         matrix_from_json, matrix_to_json, prior_from_outer,
                          prior_from_polynomial)
 
 __all__ = ["RunConfig", "parse_config", "main"]
@@ -138,35 +141,43 @@ def _parse_filter(spec, path="filter"):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _parse_prior(spec, path="prior"):
+def _parse_prior(spec, field, path="prior"):
     """The prior at ``path``, the one reader of ``prior`` and
-    ``sigma.from.prior``.  A structural fault raises ConfigError; a domain
-    violation (MembershipError) is returned as the ConfigError "<path>: ..."
-    that a verb reading this prior raises (see _checked)."""
+    ``sigma.from.prior``, for a bank of ``field``.  A structural fault
+    raises ConfigError; a domain violation (a MembershipError, or a psi
+    that is not even on a real bank) is returned as the ConfigError "<path>: ..." that a
+    verb reading this prior raises (see _checked)."""
     spec = _as_section(spec, path, {"kind", "value", "b", "sigma"})
     kind = _require(spec, "kind", path)
+    if kind not in ("constant", "polynomial", "rational"):
+        raise ConfigError(f"{path}.kind: unknown kind {kind!r} "
+                          "(constant | polynomial | rational)")
     try:
         if kind == "constant":
             value = _parse_number(_require(spec, "value", path),
                                   f"{path}.value")
-            return constant_prior(value)
-        if kind == "polynomial":
+            prior = constant_prior(value)
+        elif kind == "polynomial":
             b = _parse_scalar_list(_require(spec, "b", path), f"{path}.b")
-            return prior_from_polynomial(b)
-        if kind == "rational":
+            prior = prior_from_polynomial(b)
+        else:
             sub = _as_section(_require(spec, "sigma", path), f"{path}.sigma",
                               {"A", "B", "C", "D"})
-            return prior_from_outer(StateSpaceSystem(*(
+            prior = prior_from_outer(StateSpaceSystem(*(
                 _parse_matrix(_require(sub, key, f"{path}.sigma"),
                               f"{path}.sigma.{key}") for key in "ABCD")))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     except MembershipError as exc:
-        error = ConfigError(f"{path}: {exc}")
-        error.__cause__ = exc
-        return error
-    raise ConfigError(f"{path}.kind: unknown kind {kind!r} "
-                      "(constant | polynomial | rational)")
+        violation = exc
+    else:
+        try:
+            return _check_prior_field(prior, field)
+        except ValueError as exc:
+            violation = exc
+    error = ConfigError(f"{path}: {violation}")
+    error.__cause__ = violation
+    return error
 
 
 @dataclasses.dataclass
@@ -184,12 +195,10 @@ class RunConfig:
     Lambda: np.ndarray = None
     continuation: HomotopyConfig = dataclasses.field(
         default_factory=HomotopyConfig)
-    out_dir: str = None
-    formats: tuple = ("csv", "json")
 
 
 TOP_KEYS = {"filter", "prior", "sigma", "C", "Lambda", "continuation",
-            "quadrature", "output"}
+            "quadrature"}
 
 
 def parse_config(doc):
@@ -204,7 +213,7 @@ def parse_config(doc):
     cfg = RunConfig(filterbank=fb)
 
     if "prior" in doc:
-        cfg.prior = _parse_prior(doc["prior"])
+        cfg.prior = _parse_prior(doc["prior"], fb.field)
 
     if "sigma" in doc:
         spec = _as_section(doc["sigma"], "sigma", {"matrix", "from"})
@@ -212,7 +221,8 @@ def parse_config(doc):
             cfg.sigma = _parse_matrix(spec["matrix"], "sigma.matrix")
         elif "from" in spec:
             sub = _as_section(spec["from"], "sigma.from", {"prior", "C"})
-            cfg.sigma = (_parse_prior(sub["prior"], "sigma.from.prior")
+            cfg.sigma = (_parse_prior(sub["prior"], fb.field,
+                                      "sigma.from.prior")
                          if "prior" in sub else None,
                          _parse_matrix(_require(sub, "C", "sigma.from"),
                                        "sigma.from.C"))
@@ -226,11 +236,9 @@ def parse_config(doc):
 
     if "continuation" in doc:
         spec = _as_section(doc["continuation"], "continuation",
-                           {"dt", "min_dt", "newton_tol", "max_newton"})
-        kwargs = {}
-        for key in spec:
-            kind = int if key == "max_newton" else float
-            kwargs[key] = _parse_number(spec[key], f"continuation.{key}", kind)
+                           {"dt", "newton_tol"})
+        kwargs = {key: _parse_number(spec[key], f"continuation.{key}")
+                  for key in spec}
         try:
             cfg.continuation = HomotopyConfig(**kwargs)
         except ConfigError as exc:
@@ -242,20 +250,6 @@ def parse_config(doc):
             dtheta = _parse_number(spec["dtheta"], "quadrature.dtheta")
             if not dtheta > 0.0:
                 raise ConfigError("quadrature.dtheta: must be positive")
-
-    if "output" in doc:
-        spec = _as_section(doc["output"], "output", {"directory", "formats"})
-        if "directory" in spec:
-            if not isinstance(spec["directory"], str):
-                raise ConfigError("output.directory: expected a string")
-            cfg.out_dir = spec["directory"]
-        if "formats" in spec:
-            fmts = spec["formats"]
-            if (not isinstance(fmts, list)
-                    or any(f not in ("csv", "json") for f in fmts)):
-                raise ConfigError(
-                    "output.formats: expected a list drawn from [csv, json]")
-            cfg.formats = tuple(fmts)
 
     return cfg
 
@@ -269,8 +263,6 @@ def _load_config(args):
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {args.config!r} is not valid JSON: {exc}")
     cfg = parse_config(doc)
-    if getattr(args, "out", None) is not None:
-        cfg.out_dir = args.out
     for flag, key in (("dt", "dt"), ("tol", "newton_tol")):
         value = getattr(args, flag, None)
         if value is not None:
@@ -328,10 +320,11 @@ def _resolve_sigma(cfg, verb):
         raise ConfigError(f"sigma.matrix: {exc}") from exc
 
 
-def _write(cfg, name, content):
+def _write(out, name, content):
     """Write the artifact ``name`` (a JSON document, or a function of the open
-    file) into the output directory and print ``wrote <path>``."""
-    out = cfg.out_dir or "."
+    file) into the directory ``out`` (None: the current one) and print
+    ``wrote <path>``."""
+    out = out or "."
     os.makedirs(out, exist_ok=True)
     dest = os.path.join(out, name)
     with open(dest, "w") as fh:
@@ -372,15 +365,15 @@ def cmd_solve(args):
     }
     print(f"solve: {report['steps']} steps, final residual {resid:.3e}, "
           f"cond_g {cond_g:.4e}, cond_f {cond_f:.4e}")
-    for fmt, writer in (("csv", write_path_csv), ("json", write_path_json)):
-        if fmt in cfg.formats:
-            _write(cfg, f"path.{fmt}", lambda fh: writer(path, fh))
-    _write(cfg, "final_C.json", {"m": fb.m, "n": fb.n, "field": fb.field,
+    out = args.out
+    _write(out, "path.csv", lambda fh: write_path_csv(path, fh))
+    _write(out, "path.json", lambda fh: write_path_json(path, fh))
+    _write(out, "final_C.json", {"m": fb.m, "n": fb.n, "field": fb.field,
                                  "C": matrix_to_json(final.C)})
     Lam = factorization.h_inverse(path.chart, final)
-    _write(cfg, "final_Lambda.json", {"n": fb.n, "field": fb.field,
+    _write(out, "final_Lambda.json", {"n": fb.n, "field": fb.field,
                                       "Lambda": matrix_to_json(Lam)})
-    _write(cfg, "report.json", report)
+    _write(out, "report.json", report)
     return 0
 
 
@@ -395,10 +388,11 @@ def cmd_condnum(args):
     print(f"cond_g = {cond_g:.6e}")
     print(f"cond_f = {cond_f:.6e}")
     print(f"ratio  = {cond_f / cond_g:.6e}")
-    if cfg.out_dir is not None:
-        _write(cfg, "condnum.json", {"cond_g": cond_g, "cond_f": cond_f,
-                                     "ratio": cond_f / cond_g,
-                                     "time_s": elapsed})
+    if args.out is not None:
+        _write(args.out, "condnum.json", {"cond_g": cond_g,
+                                          "cond_f": cond_f,
+                                          "ratio": cond_f / cond_g,
+                                          "time_s": elapsed})
     return 0
 
 
@@ -459,10 +453,10 @@ def cmd_maxent(args):
     gap = float(np.linalg.norm(moment_g_statespace(fb, None, param) - Sigma))
     rel = gap / float(np.linalg.norm(Sigma))
     print(f"maxent: defining residual {gap:.3e} ({rel:.3e} relative)")
-    if cfg.out_dir is not None:
-        _write(cfg, "maxent_C.json", {"m": fb.m, "n": fb.n, "field": fb.field,
-                                      "C": matrix_to_json(param.C),
-                                      "residual": gap})
+    if args.out is not None:
+        _write(args.out, "maxent_C.json", {
+            "m": fb.m, "n": fb.n, "field": fb.field,
+            "C": matrix_to_json(param.C), "residual": gap})
     return 0
 
 
@@ -572,7 +566,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="verb", required=True)
 
     overrides = {
-        "--out": dict(help="output directory (overrides output.directory)"),
+        "--out": dict(help="output directory"),
         "--dt": dict(type=float, help="continuation step override"),
         "--tol": dict(type=float,
                       help="Newton tolerance override (endpoint t = 1)"),

@@ -33,14 +33,13 @@ also checks the start's defining equation) and after a step whose
 corrector took no iteration.  Steps are halved on corrector failure,
 a failed stacked solve included (each step retries from the configured
 dt, so one hard spot does not shrink the rest of the path), and a
-SolverError reports the failure history when the floor is reached or a
-standalone tangent solve fails.
+SolverError reports the failure history when the floor MIN_DT is reached
+or a standalone tangent solve fails.
 """
 
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -67,41 +66,35 @@ SNAP_TOL = 1e-12
 FEASIBILITY_TOL = 1e-8
 # intermediate path points are accepted at this residual relative to ||Sigma||
 PATH_TOL = 1e-6
+# the smallest continuation step, and the Newton iterations per corrector
+MIN_DT = 1e-4
+MAX_NEWTON = 20
 
 
 @dataclass(frozen=True)
 class HomotopyConfig:
     """Step-size and tolerance settings for the continuation run.
 
-    ``newton_tol`` is the absolute residual ||Sigma - g|| the corrector
-    reaches at the endpoint t = 1; intermediate points stop inside the
-    looser tube max(newton_tol, PATH_TOL ||Sigma||).  It must be finite
-    and positive, and ``max_newton`` an integer of at least 1 (an integral
-    float such as 2.0 is stored as an int), else ConfigError naming the
-    field.
+    ``dt`` is the step each continuation step first tries; it must lie in
+    [MIN_DT, 1], the smallest step a halving may reach.  ``newton_tol`` is
+    the absolute residual ||Sigma - g|| the corrector reaches at the
+    endpoint t = 1; intermediate points stop inside the looser tube
+    max(newton_tol, PATH_TOL ||Sigma||).  It must be finite and positive.
+    A value out of range raises ConfigError naming the field.  A corrector
+    takes at most MAX_NEWTON iterations.
     """
 
     dt: float = 0.1
-    min_dt: float = 1e-4
     newton_tol: float = 1e-10
-    max_newton: int = 20
 
     def __post_init__(self):
-        if not 0.0 < self.dt <= 1.0:
-            raise ConfigError(f"dt must lie in (0, 1], got {self.dt}")
-        if not 0.0 < self.min_dt <= self.dt:
+        if not MIN_DT <= self.dt <= 1.0:
             raise ConfigError(
-                f"min_dt must lie in (0, dt], got {self.min_dt}")
+                f"dt must lie in [{MIN_DT:g}, 1], got {self.dt}")
         if not 0.0 < self.newton_tol < np.inf:
             raise ConfigError(
                 f"newton_tol must be finite and positive, got "
                 f"{self.newton_tol}")
-        n = self.max_newton
-        if (isinstance(n, bool) or not isinstance(n, numbers.Real)
-                or not float(n).is_integer() or n < 1):
-            raise ConfigError(
-                f"max_newton must be an integer of at least 1, got {n!r}")
-        object.__setattr__(self, "max_newton", int(n))
 
 
 @dataclass(frozen=True)
@@ -254,13 +247,13 @@ def corrector_newton(chart, prior, t, param, Sigma, config):
     if t < 1.0:
         tol = max(tol, PATH_TOL * float(np.linalg.norm(Sigma)))
     gram_cond, tangent = 0.0, None
-    for it in range(config.max_newton + 1):
+    for it in range(MAX_NEWTON + 1):
         point = CascadePoint(fb, prior, param, t)
         resid_mat = Sigma - point.value()
         rnorm = float(np.linalg.norm(resid_mat))
         if rnorm <= tol:
             return point, rnorm, it, gram_cond, tangent
-        if it == config.max_newton:
+        if it == MAX_NEWTON:
             break
         if t < 1.0:
             (V, tangent), info = point.solve(
@@ -271,7 +264,7 @@ def corrector_newton(chart, prior, t, param, Sigma, config):
         param = FactorParameter(fb, param.C + V)
     raise SolverError(
         f"Newton did not reach tolerance {tol:.1e} at t = {t:.6g} in "
-        f"{config.max_newton} iterations (last residual {rnorm:.3e})")
+        f"{MAX_NEWTON} iterations (last residual {rnorm:.3e})")
 
 
 def _hermite_increment(h, dt, y0, a0, y1, a1):
@@ -364,10 +357,10 @@ def run_continuation(filterbank, prior, Sigma, config=None):
             except (SolverError, MembershipError) as exc:
                 history.append((t, dt_try, str(exc)))
                 dt_try *= 0.5
-                if dt_try < config.min_dt:
+                if dt_try < MIN_DT:
                     raise SolverError(
                         f"continuation stalled at t = {t:.6g}: step size fell "
-                        f"below min_dt = {config.min_dt:.1e}",
+                        f"below the smallest step {MIN_DT:.1e}",
                         history=history) from exc
                 continue
             break

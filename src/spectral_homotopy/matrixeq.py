@@ -383,8 +383,6 @@ def solve_dare_appendix(F, G, H, J):
     L = standard_cholesky(_hermitize(Om))
     Kcl = F - K @ H
     _stabilizing_gate(Kcl, rnorm)
-    if not any(np.iscomplexobj(X) for X in (F, G, H, J)):
-        P, L, Kcl = P.real, L.real, Kcl.real
     return DareSolution(P=P, L=L, closed_loop=Kcl, residual_norm=rnorm,
                         iterations=iters)
 
@@ -510,8 +508,5 @@ def solve_dare_lambda(filterbank, Lam):
     resid, L, Pi = _lambda_residual(filterbank.A, filterbank.B, Lam, P)
     rnorm = _residual_gate(resid, P)
     _stabilizing_gate(Pi, rnorm)
-    P = coerce_field(P, filterbank.field, what="Riccati solution")
-    L = coerce_field(L, filterbank.field, what="Riccati factor")
-    Pi = coerce_field(Pi, filterbank.field, what="Riccati closed loop")
     return DareSolution(P=P, L=L, closed_loop=Pi, residual_norm=rnorm,
                         iterations=iters)

@@ -53,8 +53,9 @@ import numpy as np
 
 from .errors import EvaluationError, SolverError
 from .matrixeq import _stein_solver
-from .statespace import (_FLAT_PRIOR, _as_param, _hermitize, circle_grid,
-                         coerce_field, grid_size_from_spacing)
+from .statespace import (_FLAT_PRIOR, _as_param, _check_prior_field,
+                         _hermitize, circle_grid, coerce_field,
+                         grid_size_from_spacing)
 
 __all__ = [
     "CascadePoint",
@@ -216,7 +217,8 @@ class CascadePoint:
     derivative along any direction, the Jacobian in chart coordinates and
     the verified direction solve, all from one Stein factorization.  ``C``
     may be a matrix or a FactorParameter; ``prior`` None is the flat prior
-    psi = 1.
+    psi = 1.  On a real bank psi must be even, else ValueError naming the
+    prior (statespace._check_prior_field).
 
     G (z C G)^{-1} is stable with realization (Pi, Bt, I, 0), Bt = B (CB)^{-1};
     the cascade T = sigma G (z C G)^{-1} feeds the prior's states into it,
@@ -243,7 +245,8 @@ class CascadePoint:
             raise ValueError(f"t must lie in [0, 1], got {t}")
         param = _as_param(filterbank, C)
         n, m = filterbank.n, filterbank.m
-        prior = _FLAT_PRIOR if prior is None else prior
+        prior = _check_prior_field(_FLAT_PRIOR if prior is None else prior,
+                                   filterbank.field)
         sigma = prior._blowup(m)
         q = sigma.n_states
         Bt = np.linalg.solve(param.CB.T, filterbank.B.T).T
@@ -497,8 +500,7 @@ class CoordinateChart:
 
     def range_from_coords(self, y):
         y = np.asarray(y, dtype=float).ravel()
-        X = np.tensordot(y, self.range_basis, axes=1)
-        return coerce_field(X, self.filterbank.field, what="range element")
+        return np.tensordot(y, self.range_basis, axes=1)
 
     def project_range_gamma(self, X):
         """Orthogonal projection onto the range of the covariance operator."""
@@ -518,9 +520,8 @@ class CoordinateChart:
     def factor_from_coords(self, y):
         """The factor direction with coordinates y, or (k, m, n) for a
         (k, M) stack."""
-        V = np.tensordot(np.asarray(y, dtype=float), self.factor_basis,
-                         axes=1)
-        return coerce_field(V, self.filterbank.field, what="factor element")
+        return np.tensordot(np.asarray(y, dtype=float), self.factor_basis,
+                            axes=1)
 
 
 def make_chart(filterbank):

@@ -320,6 +320,8 @@ class PriorSpectrum:
     "sigma is not outer" otherwise).  That is all psi > 0 needs: sigma^{-1}
     is then stable, so sigma has no zero on the unit circle.
 
+    Construction also decides, exactly, whether psi is even (see
+    _is_even): a real bank needs an even psi (see _check_prior_field).
     The spectral radius of sigma's A, found by the stability check, is kept
     with the per-channel copies of sigma that a cascade with an m-input
     system runs (built once per m, see _blowup).
@@ -328,6 +330,7 @@ class PriorSpectrum:
     sigma: StateSpaceSystem
     kind: str = "rational"
     _radius: float = field(init=False, repr=False, compare=False)
+    _even: bool = field(init=False, repr=False, compare=False)
     _blowups: dict = field(init=False, repr=False, compare=False,
                            default_factory=dict)
 
@@ -353,6 +356,7 @@ class PriorSpectrum:
             raise MembershipError(
                 f"{what}: a zero of modulus {worst:.15g} >= 1")
         object.__setattr__(self, "_radius", rho)
+        object.__setattr__(self, "_even", _is_even(self.sigma))
 
     def sigma_values(self, theta):
         """sigma(e^{i theta}) on a grid of angles, as a 1-d complex array."""
@@ -372,6 +376,42 @@ class PriorSpectrum:
                 val.setflags(write=False)
             self._blowups[m] = copies
         return self._blowups[m]
+
+
+def _is_even(sigma):
+    """Whether psi = |sigma|^2 of an outer sigma is even in theta.
+
+    psi(-theta) is |s(e^{i theta})|^2 for the outer s(z) = conj(sigma(conj
+    z)), whose Markov parameters are the conjugates of sigma's; outer
+    factors are unique up to a unimodular constant, so psi is even iff
+    sigma's Markov parameters are real up to one common phase.  s - c sigma
+    has order at most 2q (q = sigma's order), so by Cayley-Hamilton
+    h_0 = D and h_k = C A^{k-1} B, k = 1..2q, decide it.  The largest h_k
+    fixes the phase; the rest must then be real to STRICT_TOL relative to
+    it.  A real realization is even.
+    """
+    A, B, C, D = sigma.A, sigma.B, sigma.C, sigma.D
+    if not any(np.iscomplexobj(X) for X in (A, B, C, D)):
+        return True
+    h = np.array([D[0, 0]] + [(C @ np.linalg.matrix_power(A, k) @ B)[0, 0]
+                              for k in range(2 * sigma.n_states)])
+    top = h[np.argmax(np.abs(h))]
+    return bool(np.max(np.abs((h * (abs(top) / top)).imag))
+                <= STRICT_TOL * abs(top))
+
+
+def _check_prior_field(prior, fieldname):
+    """``prior``, else ValueError when it cannot enter a ``fieldname`` bank.
+
+    On a real bank g(psi, C) is real for real C only if psi is even; any
+    other psi makes it complex, so no real C solves for it.
+    """
+    if fieldname == "real" and not prior._even:
+        raise ValueError(
+            "prior psi is not even (sigma's Markov parameters are not real "
+            "up to one common phase), so g(psi, C) is complex for every C "
+            "of a real bank")
+    return prior
 
 
 def _fir_system(b):

@@ -95,12 +95,11 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("value, code", [(2, 0), (2.0, 0), (2.9, 2),
                                              (1.5, 2)])
-    @pytest.mark.parametrize("path", ["filter.m", "filter.p",
-                                      "continuation.max_newton"])
+    @pytest.mark.parametrize("path", ["filter.m", "filter.p"])
     def test_integer_fields_reject_fractions(self, path, value, code,
                                              tmp_path, capsys):
         # a fraction is an error naming the field, not a silent truncation
-        doc = base_config(continuation={})
+        doc = base_config()
         section, key = path.split(".")
         doc[section][key] = value
         cfg = write_config(tmp_path, doc)
@@ -114,13 +113,36 @@ class TestConfigErrors:
     ])
     def test_unusable_override_is_a_config_error(self, argv, field, tmp_path,
                                                  capsys):
-        # an infinite tolerance used to run and stall at min_dt
+        # an infinite tolerance used to run and stall at the smallest step
         cfg = write_config(tmp_path, base_config(sigma=SIGMA_FROM_REF))
         out = tmp_path / "run"
         assert main(["solve", "--config", cfg, "--out", str(out)]
                     + argv) == 2
         assert field in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("section, spec, path", [
+        ("continuation", {"min_dt": 1e-4}, "continuation.min_dt"),
+        ("continuation", {"max_newton": 5}, "continuation.max_newton"),
+        ("output", {"directory": "out"}, "config.output")])
+    def test_removed_settings_are_unknown_keys(self, section, spec, path,
+                                               tmp_path, capsys):
+        # the smallest step and the Newton budget are constants, and --out
+        # is the one route to the output directory
+        doc = base_config(sigma=SIGMA_FROM_REF, **{section: spec})
+        out = tmp_path / "run"
+        assert main(["solve", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: {path}: unknown key")
+        assert not out.exists()
+
+    def test_step_below_the_smallest_names_the_bounds(self, tmp_path,
+                                                      capsys):
+        cfg = write_config(tmp_path, base_config(sigma=SIGMA_FROM_REF))
+        assert main(["solve", "--config", cfg, "--dt", "5e-5"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: --dt: dt must lie in [0.0001, 1], got 5e-05\n")
 
     def test_infinite_tolerance_in_config_names_the_field(self, tmp_path,
                                                           capsys):
@@ -172,15 +194,17 @@ class TestSolve:
                      str(tmp_path / "x")]) == 3
         assert "positive definite" in capsys.readouterr().err
 
-    def test_format_filter(self, tmp_path, capsys):
-        doc = base_config(sigma=SIGMA_FROM_REF,
-                          continuation={"dt": 0.5},
-                          output={"formats": ["csv"]})
+    def test_writes_both_path_files(self, tmp_path, capsys):
+        doc = base_config(sigma=SIGMA_FROM_REF, continuation={"dt": 0.5})
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "run"
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
-        assert (out / "path.csv").exists()
-        assert not (out / "path.json").exists()
+        assert sorted(os.listdir(out)) == [
+            "final_C.json", "final_Lambda.json", "path.csv", "path.json",
+            "report.json"]
+        doc = json.loads((out / "path.json").read_text())
+        assert doc["config"] == {"dt": 0.5, "newton_tol": 1e-10}
+        assert len((out / "path.csv").read_text().splitlines()) == 4
 
     def test_dt_override_changes_step_count(self, tmp_path, capsys):
         doc = base_config(sigma=SIGMA_FROM_REF, continuation={"dt": 0.5})
@@ -449,6 +473,63 @@ class TestInvalidPrior:
 
 
 NON_MINIMUM_PHASE = {"kind": "polynomial", "b": [1.0, -2.0]}
+# 1 + 0.5i z^{-1}: outer, but psi(theta) = 1.25 + sin(theta) is not even
+ODD_PRIOR = {"kind": "polynomial", "b": [[1.0, 0.0], [0.0, 0.5]]}
+ODD_MESSAGE = "prior psi is not even"
+
+
+class TestOddPrior:
+    """A psi that is not even makes g(psi, C) complex, so no C of a real
+    bank solves for it: a domain violation of the prior, recorded at parse
+    time."""
+
+    def test_check_reports_it_with_exit_zero(self, tmp_path, capsys):
+        doc = base_config(prior=ODD_PRIOR, sigma=SIGMA_FROM_REF)
+        assert main(["check", "--config", write_config(tmp_path, doc)]) == 0
+        out = capsys.readouterr().out
+        assert f"prior: VIOLATION {ODD_MESSAGE}" in out
+        assert f"sigma: VIOLATION prior: {ODD_MESSAGE}" in out
+
+    @pytest.mark.parametrize("verb", ["solve", "condnum"])
+    def test_verbs_that_read_it_exit_2(self, verb, tmp_path, capsys):
+        doc = base_config(prior=ODD_PRIOR, sigma=SIGMA_FROM_REF,
+                          C=C_REF.tolist())
+        out = tmp_path / verb
+        assert main([verb, "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: prior: {ODD_MESSAGE}")
+        assert not out.exists()
+
+    def test_generating_prior_of_maxent(self, tmp_path, capsys):
+        sigma = {"from": {"prior": ODD_PRIOR, "C": C_REF.tolist()}}
+        cfg = write_config(tmp_path, base_config(sigma=sigma))
+        assert main(["maxent", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: sigma.from.prior: {ODD_MESSAGE}")
+        assert main(["check", "--config", cfg]) == 0
+        assert (f"sigma: VIOLATION sigma.from.prior: {ODD_MESSAGE}"
+                in capsys.readouterr().out)
+
+    def test_complex_bank_takes_it(self, tmp_path, capsys):
+        doc = base_config(prior=ODD_PRIOR)
+        doc["filter"]["field"] = "complex"
+        assert main(["check", "--config", write_config(tmp_path, doc)]) == 0
+        assert "prior: ok (polynomial, minimum phase)" \
+            in capsys.readouterr().out
+
+    def test_phase_rotated_prior_solves(self, tmp_path, capsys):
+        # i [1, -1, 0.89] has the reference prior's psi, so the same answer
+        rotated = {"kind": "polynomial",
+                   "b": [[0.0, b] for b in B_REF]}
+        doc = base_config(prior=rotated, sigma=SIGMA_FROM_REF)
+        cfg = write_config(tmp_path, doc)
+        assert main(["check", "--config", cfg]) == 0
+        assert "prior: ok" in capsys.readouterr().out
+        out = tmp_path / "run"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        final = json.loads((out / "final_C.json").read_text())
+        assert np.linalg.norm(np.array(final["C"]) - C_REF) < 1e-6
 
 
 class TestDomainPolicy:

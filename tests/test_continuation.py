@@ -1,5 +1,6 @@
 """Homotopy continuation: start, predictor, corrector, path, writers."""
 
+import dataclasses
 import inspect
 import io
 import json
@@ -95,7 +96,7 @@ class TestPredictorCorrector:
                                                   sigma_ref, param_ref, rng):
         bump = chart.factor_from_coords(1e-3 * rng.standard_normal(chart.dim))
         start = FactorParameter(fb, param_ref.C + bump)
-        cfg = HomotopyConfig(newton_tol=1e-10, max_newton=20)
+        cfg = HomotopyConfig(newton_tol=1e-10)
         point, rnorm, iters, _, tangent = corrector_newton(
             chart, prior_ref, 1.0, start, sigma_ref, cfg)
         assert rnorm <= 1e-10
@@ -104,12 +105,22 @@ class TestPredictorCorrector:
         assert relative_error(point.param.C, param_ref.C) < 1e-7
 
     def test_corrector_budget_exhaustion(self, fb, chart, prior_ref,
-                                         sigma_ref, param_ref, rng):
+                                         sigma_ref, param_ref, rng,
+                                         monkeypatch):
         bump = chart.factor_from_coords(1e-3 * rng.standard_normal(chart.dim))
         start = FactorParameter(fb, param_ref.C + bump)
-        cfg = HomotopyConfig(newton_tol=1e-15, max_newton=1)
-        with pytest.raises(SolverError):
+        monkeypatch.setattr(continuation, "MAX_NEWTON", 1)
+        solve, solves = moment.CascadePoint.solve, []
+
+        def counted(self, chart, Y):
+            solves.append(Y)
+            return solve(self, chart, Y)
+
+        monkeypatch.setattr(moment.CascadePoint, "solve", counted)
+        cfg = HomotopyConfig(newton_tol=1e-15)
+        with pytest.raises(SolverError, match="in 1 iterations"):
             corrector_newton(chart, prior_ref, 1.0, start, sigma_ref, cfg)
+        assert len(solves) == 1
 
     def test_corrector_returns_the_last_iterates_tangent(
             self, fb, chart, prior_ref, sigma_ref, rng):
@@ -251,12 +262,19 @@ class TestRunContinuation:
             run_continuation(fb, prior_ref, np.diag([1.0, 1.0, 2.0, 1.0]))
 
     def test_impossible_tolerance_reports_history(self, fb, prior_ref,
-                                                  sigma_ref):
-        cfg = HomotopyConfig(dt=0.5, min_dt=0.4, newton_tol=1e-16,
-                             max_newton=2)
-        with pytest.raises(SolverError) as exc:
+                                                  sigma_ref, monkeypatch):
+        # a smaller floor and budget than the constants' stall the same way,
+        # only sooner
+        monkeypatch.setattr(continuation, "MIN_DT", 0.4)
+        monkeypatch.setattr(continuation, "MAX_NEWTON", 2)
+        cfg = HomotopyConfig(dt=0.5, newton_tol=1e-16)
+        with pytest.raises(SolverError, match="stalled at t = 0: step size "
+                           "fell below the smallest step 4.0e-01") as exc:
             run_continuation(fb, prior_ref, sigma_ref, config=cfg)
-        assert exc.value.history
+        # the first step fails its 2 iterations, and half of it is below
+        # the floor
+        assert [h[:2] for h in exc.value.history] == [(0.0, 0.5)]
+        assert "in 2 iterations" in exc.value.history[0][2]
 
     def test_complex_field_round_trip(self, prior_ref):
         fbc = make_covariance_extension_filter(2, 1, field="complex")
@@ -591,29 +609,32 @@ class TestConfig:
         with pytest.raises(ConfigError):
             HomotopyConfig(dt=0.0)
         with pytest.raises(ConfigError):
-            HomotopyConfig(dt=0.1, min_dt=0.2)
-        with pytest.raises(ConfigError):
             HomotopyConfig(newton_tol=-1.0)
-        with pytest.raises(ConfigError):
-            HomotopyConfig(max_newton=0)
+
+    def test_only_the_step_and_the_tolerance_are_settings(self):
+        # the smallest step and the Newton budget are algorithm constants
+        assert [f.name for f in dataclasses.fields(HomotopyConfig)] == [
+            "dt", "newton_tol"]
+        assert (continuation.MIN_DT, continuation.MAX_NEWTON) == (1e-4, 20)
+
+    @pytest.mark.parametrize("dt, ok", [(5e-5, False), (1e-4, True),
+                                        (1.0, True), (1.5, False),
+                                        (np.nan, False)])
+    def test_dt_lies_between_the_smallest_step_and_one(self, dt, ok):
+        if ok:
+            assert HomotopyConfig(dt=dt).dt == dt
+        else:
+            with pytest.raises(ConfigError,
+                               match=r"^dt must lie in \[0.0001, 1\]"):
+                HomotopyConfig(dt=dt)
 
     @pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0])
     def test_newton_tol_must_be_finite_and_positive(self, tol):
         # an infinite tolerance never corrects, which used to end in a
-        # continuation stalled at min_dt instead of a config error
+        # continuation stalled at the smallest step instead of a config
+        # error
         with pytest.raises(ConfigError, match="newton_tol"):
             HomotopyConfig(newton_tol=tol)
-
-    @pytest.mark.parametrize("value", [2.5, 0.0, np.inf, np.nan, True, "3"])
-    def test_max_newton_must_be_an_integer(self, value):
-        # a fraction is an error, not a silent truncation
-        with pytest.raises(ConfigError, match="max_newton"):
-            HomotopyConfig(max_newton=value)
-
-    @pytest.mark.parametrize("value", [3, 3.0, np.int64(3)])
-    def test_integral_max_newton_is_stored_as_int(self, value):
-        cfg = HomotopyConfig(max_newton=value)
-        assert cfg.max_newton == 3 and type(cfg.max_newton) is int
 
 
 class TestWriters:

@@ -615,6 +615,34 @@ class TestCascadeAssembly:
         assert abs(radius - matrixeq._spectral_radius(a)) <= 1e-12
 
 
+class TestOddPrior:
+    # 1 + 0.5i z^{-1}: outer, with psi(theta) = 1.25 + sin(theta) not even
+    B_ODD = np.array([1.0, 0.5j])
+
+    def test_real_bank_rejects_it_by_name(self, fb, param_ref):
+        # g(psi, C) would be complex: an error naming the prior, not a
+        # failed real-field coercion of the value or the drift
+        prior = prior_from_polynomial(self.B_ODD)
+        with pytest.raises(ValueError, match="^prior psi is not even"):
+            CascadePoint(fb, prior, param_ref, 0.5)
+        with pytest.raises(ValueError, match="^prior psi is not even"):
+            moment_g_statespace(fb, prior, param_ref)
+
+    def test_complex_bank_takes_it(self, rng):
+        fbc = make_covariance_extension_filter(2, 1, field="complex")
+        point = CascadePoint(fbc, prior_from_polynomial(self.B_ODD),
+                             draw_param(fbc, rng))
+        assert np.all(np.isfinite(point.value()))
+
+    def test_phase_rotated_prior_gives_the_same_value(self, fb, param_ref):
+        want = moment_g_statespace(fb, prior_from_polynomial(B_REF),
+                                   param_ref)
+        got = moment_g_statespace(
+            fb, prior_from_polynomial(1j * np.asarray(B_REF)), param_ref)
+        assert not np.iscomplexobj(got)
+        assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
 class TestChainRuleWeightJacobian:
     """J_f = J_g J_{h^{-1}}^{-1} against the quadrature oracle for f."""
 

@@ -15,7 +15,7 @@ from spectral_homotopy import (EvaluationError, FactorParameter, FilterBank,
                                matrix_from_json, matrix_to_json, matrixeq,
                                prior_from_outer, prior_from_polynomial)
 
-from spectral_homotopy.statespace import _fir_system
+from spectral_homotopy.statespace import _check_prior_field, _fir_system
 
 from conftest import (C_REF, cascade, factor_inner_realization,
                       series_product)
@@ -339,6 +339,42 @@ class TestPriors:
             prior_from_polynomial(b)
         with pytest.raises(MembershipError, match="^sigma is not outer: "):
             PriorSpectrum(_fir_system(np.array(b)))
+
+    @pytest.mark.parametrize("sigma, even", [
+        (_fir_system(np.array([1.0, -1.0, 0.89])), True),
+        # one common phase
+        (_fir_system(1j * np.array([1.0, -1.0, 0.89])), True),
+        (_fir_system(np.exp(0.7j) * np.array([1.0, 0.5])), True),
+        # 1 + 0.5i z^{-1}: psi = 1.25 + sin(theta)
+        (_fir_system(np.array([1.0, 0.5j])), False),
+        # a pole at 0.5i: h = 1, 0.3, 0.15i, ...
+        (StateSpaceSystem([[0.5j]], [[1.0]], [[0.3]], [[1.0]]), False),
+        # the conjugate pole pair of a real system is even
+        (StateSpaceSystem(np.diag([0.5j, -0.5j]), [[1.0], [1.0]],
+                          [[0.2, 0.2]], [[1.0]]), True)])
+    def test_evenness_of_psi(self, sigma, even):
+        prior = prior_from_outer(sigma)
+        assert prior._even is even
+        # the decision agrees with psi itself
+        theta = np.linspace(0.1, 3.0, 7)
+        gap = np.max(np.abs(prior.psi_values(theta)
+                            - prior.psi_values(-theta)))
+        assert bool(gap <= 1e-13) is even
+
+    def test_evenness_survives_a_complex_similarity(self, rng):
+        ref = prior_from_polynomial([1.0, -1.0, 0.89]).sigma
+        T = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        Ti = np.linalg.inv(T)
+        phase = np.exp(-1.1j)
+        prior = prior_from_outer(StateSpaceSystem(
+            T @ ref.A @ Ti, T @ ref.B, phase * ref.C @ Ti, phase * ref.D))
+        assert prior._even
+
+    def test_a_real_bank_rejects_an_odd_prior(self):
+        odd = prior_from_polynomial([1.0, 0.5j])
+        with pytest.raises(ValueError, match="^prior psi is not even"):
+            _check_prior_field(odd, "real")
+        assert _check_prior_field(odd, "complex") is odd
 
     def test_outer_check_does_not_depend_on_scale(self):
         # b = 1e-13 (1 + 0.1 z^{-1}) is outer at any scale, and so is a
