@@ -37,7 +37,13 @@ failure.
 
 ``main`` may be called in-process any number of times: it builds the
 argument parser on its first call and reuses it, and a usage error still
-raises ``SystemExit(2)``.
+raises ``SystemExit(2)``.  What depends on the bank or the prior alone is
+shared the same way: a ``covext`` preset is one bank per (m, p, field),
+its chart is built once and kept on it, and a polynomial prior is one
+prior per coefficient vector, with its per-channel copies (see
+make_covariance_extension_filter, make_chart and prior_from_polynomial).
+A repeated ``condnum`` on one config builds none of them again; the
+config file is read and checked on every call.
 """
 
 from __future__ import annotations

@@ -40,6 +40,7 @@ or a standalone tangent solve fails.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -80,14 +81,22 @@ class HomotopyConfig:
     the absolute residual ||Sigma - g|| the corrector reaches at the
     endpoint t = 1; intermediate points stop inside the looser tube
     max(newton_tol, PATH_TOL ||Sigma||).  It must be finite and positive.
-    A value out of range raises ConfigError naming the field.  A corrector
-    takes at most MAX_NEWTON iterations.
+    Both must be real numbers (numpy scalars included, bools not) and are
+    kept as floats; any other value, or one out of range, raises
+    ConfigError naming the field.  A corrector takes at most MAX_NEWTON
+    iterations.
     """
 
     dt: float = 0.1
     newton_tol: float = 1e-10
 
     def __post_init__(self):
+        for name in ("dt", "newton_tol"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(
+                    f"{name} must be a real number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if not MIN_DT <= self.dt <= 1.0:
             raise ConfigError(
                 f"dt must lie in [{MIN_DT:g}, 1], got {self.dt}")
@@ -306,8 +315,10 @@ def run_continuation(filterbank, prior, Sigma, config=None):
         t = 1.  With the default dt = 0.1 the path has exactly ten steps.
         On the reference problem the run factors 14 Jacobians: one per
         Newton iterate and one for the tangent at the start.  Its
-        ``chart``, ``make_chart(filterbank)`` built once per run, fixes the
-        meaning of the samples' coordinates ``y``.
+        ``chart``, ``make_chart(filterbank)``, fixes the meaning of the
+        samples' coordinates ``y``; it is built on the bank's first run (or
+        first make_chart call) and kept on the bank, so later runs on the
+        same bank build no basis.
     """
     config = config or HomotopyConfig()
     chart = make_chart(filterbank)

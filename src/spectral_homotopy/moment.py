@@ -96,7 +96,6 @@ def _kernel_grid(filterbank, prior, point, which, N):
     One Cholesky factorization M = L L* per grid block both gates positivity
     and solves: K = W* W with W = L^{-1} G*.
     """
-    prior = _FLAT_PRIOR if prior is None else prior
     theta = circle_grid(N)
     G = filterbank.eval_grid(np.exp(1j * theta))
     W = np.linalg.solve(_cholesky_grid(G, point, which),
@@ -125,7 +124,9 @@ def _cholesky_grid(G, point, which):
 
 class GridPoint:
     """The quadrature oracle at one point: f at Lambda (``which="f"``) or g
-    at C (``which="g"``, ``point`` a matrix or FactorParameter).
+    at C (``which="g"``, ``point`` a matrix or FactorParameter).  ``prior``
+    None is the flat prior psi = 1; on a real bank psi must be even, else
+    ValueError naming the prior, as for CascadePoint.
 
     It has CascadePoint's interface (value, derivatives, jacobian) and is
     implemented independently of it: one Riemann sum on a uniform circle
@@ -149,6 +150,8 @@ class GridPoint:
     """
 
     def __init__(self, filterbank, prior, point, which="g", dtheta=None):
+        prior = _check_prior_field(_FLAT_PRIOR if prior is None else prior,
+                                   filterbank.field)
         if which == "g":
             point = _as_param(filterbank, point).C
         elif which == "f":
@@ -529,10 +532,22 @@ def make_chart(filterbank):
 
     Any orthonormal bases serve; Newton directions and predictions do not
     depend on the choice.  Bases of different lengths raise SolverError.
+    The chart depends on the bank alone, so it is built on the first call
+    for a bank, with read-only bases, and kept on the bank; every later
+    call returns that chart.  Threads that race on a bank's first call may
+    each build one: the builds are equal bit for bit, and the bank keeps
+    the last.
     """
-    return CoordinateChart(filterbank=filterbank,
-                           range_basis=build_range_gamma_basis(filterbank),
-                           factor_basis=build_factor_basis(filterbank))
+    chart = filterbank._chart
+    if chart is None:
+        chart = CoordinateChart(
+            filterbank=filterbank,
+            range_basis=build_range_gamma_basis(filterbank),
+            factor_basis=build_factor_basis(filterbank))
+        chart.range_basis.setflags(write=False)
+        chart.factor_basis.setflags(write=False)
+        object.__setattr__(filterbank, "_chart", chart)
+    return chart
 
 
 # ---------------------------------------------------------------------------

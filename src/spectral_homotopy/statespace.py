@@ -16,6 +16,8 @@ All sets come with explicit numerical tolerances: strict inequalities use a
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -232,13 +234,16 @@ class FilterBank:
     field : "real" or "complex"
 
     The spectral radius of A, found by the stability check, is kept for the
-    Stein solves in A and A* (matrixeq._stein_solver).
+    Stein solves in A and A* (matrixeq._stein_solver), and the bank's
+    coordinate chart is kept once moment.make_chart has built it.
     """
 
     A: np.ndarray
     B: np.ndarray
-    # declared before ``field``, which shadows dataclasses.field below it
+    # declared before ``field``, which shadows dataclasses.field below them
     _radius: float = field(init=False, repr=False, compare=False)
+    _chart: object = field(init=False, repr=False, compare=False,
+                           default=None)
     field: str = "real"
 
     def __post_init__(self):
@@ -295,9 +300,23 @@ def make_covariance_extension_filter(m, p, field="real"):
     A is the nilpotent block shift with identity blocks on the first block
     superdiagonal, B stacks zeros over the identity; G(z) stacks
     z^{-p-1} I_m, ..., z^{-1} I_m (deepest lag first), with n = m (p + 1).
+    m and p must be integers with m >= 1 and p >= 0, and field "real" or
+    "complex" (else ValueError).  The bank is immutable, so one bank per
+    (m, p, field) is built per process and shared by every call, with the
+    chart that moment.make_chart keeps on it.
     """
+    if any(isinstance(x, bool) or not hasattr(x, "__index__") for x in (m, p)):
+        raise ValueError(f"m and p must be integers, got {m!r} and {p!r}")
+    m, p = operator.index(m), operator.index(p)
     if m < 1 or p < 0:
         raise ValueError("need m >= 1 and p >= 0")
+    if field not in ("real", "complex"):
+        raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
+    return _covext_bank(m, p, str(field))
+
+
+@functools.cache
+def _covext_bank(m, p, field):
     n = m * (p + 1)
     A = np.zeros((n, n))
     for i in range(p):
@@ -415,20 +434,18 @@ def _check_prior_field(prior, fieldname):
 
 
 def _fir_system(b):
+    """The controller-form realization of b_0 + b_1 z^{-1} + ... + b_q z^{-q},
+    with read-only arrays of its own."""
     b = np.atleast_1d(np.asarray(b))
     q = b.size - 1
     dtype = complex if np.iscomplexobj(b) else float
-    if q == 0:
-        zero = np.zeros((0, 0), dtype=dtype)
-        return StateSpaceSystem(zero, np.zeros((0, 1), dtype=dtype),
-                                np.zeros((1, 0), dtype=dtype),
-                                np.array([[b[0]]], dtype=dtype))
-    A = np.zeros((q, q), dtype=dtype)
-    A[1:, :-1] = np.eye(q - 1)
+    A = np.eye(q, k=-1, dtype=dtype)
     B = np.zeros((q, 1), dtype=dtype)
-    B[0, 0] = 1.0
-    C = np.asarray(b[1:], dtype=dtype).reshape(1, q)
+    B[:1] = 1.0
+    C = np.array(b[1:], dtype=dtype).reshape(1, q)
     D = np.array([[b[0]]], dtype=dtype)
+    for val in (A, B, C, D):
+        val.setflags(write=False)
     return StateSpaceSystem(A, B, C, D)
 
 
@@ -442,9 +459,13 @@ def constant_prior(value=1.0):
 
 
 # prior=None, the maximum-entropy case, is this prior wherever a prior enters
-# (moment.CascadePoint, the quadrature kernel, density_values), so its
+# (moment.CascadePoint, moment.GridPoint, density_values), so its
 # blow-up is kept
 _FLAT_PRIOR = constant_prior(1.0)
+
+
+# priors kept by prior_from_polynomial, least recently used dropped first
+_PRIOR_CACHE_SIZE = 64
 
 
 def prior_from_polynomial(b):
@@ -454,11 +475,22 @@ def prior_from_polynomial(b):
     phase: b_0 != 0 and every root of b (as a polynomial in z^{-1}) of
     modulus < 1, else MembershipError.  The roots are the zeros of the FIR
     realization, so PriorSpectrum's outer check decides this.
+
+    The prior is immutable, so one is shared per coefficient vector (its
+    dtype and bytes), with the per-channel copies it keeps; the last
+    _PRIOR_CACHE_SIZE vectors are kept.  A rejected b is checked again on
+    every call.
     """
     b = np.atleast_1d(np.asarray(b))
     if b.ndim != 1 or b.size == 0:
         raise ValueError("b must be a non-empty 1-d coefficient array")
-    return PriorSpectrum(_fir_system(_check_finite(b, "b")),
+    _check_finite(b, "b")
+    return _polynomial_prior(b.dtype, b.tobytes())
+
+
+@functools.lru_cache(maxsize=_PRIOR_CACHE_SIZE)
+def _polynomial_prior(dtype, data):
+    return PriorSpectrum(_fir_system(np.frombuffer(data, dtype)),
                          kind="polynomial")
 
 

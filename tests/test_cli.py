@@ -15,8 +15,9 @@ from numpy.testing import assert_allclose
 
 import spectral_homotopy
 from spectral_homotopy import (FactorParameter, cli, factorization,
-                               jacobian_condition_number, matrix_to_json,
-                               moment)
+                               jacobian_condition_number,
+                               make_covariance_extension_filter,
+                               matrix_to_json, moment, statespace)
 from spectral_homotopy.cli import main
 
 from conftest import B_REF, C_REF
@@ -306,6 +307,45 @@ class TestCondnum:
         assert main(["condnum", "--config", cfg]) == 2
         assert "C" in capsys.readouterr().err
 
+    def test_a_repeated_call_builds_no_set_up(self, tmp_path, capsys,
+                                              monkeypatch):
+        # the preset's bank, its chart and the prior with its per-channel
+        # copies are shared by in-process calls: the second call on one
+        # config builds none of them and writes the same numbers.  The
+        # prior is this test's own, so the first call builds its copies
+        built = []
+        for mod, name in ((moment, "build_range_gamma_basis"),
+                          (moment, "build_factor_basis"),
+                          (statespace, "_channel_blowup")):
+            def counted(*args, _name=name, _build=getattr(mod, name)):
+                built.append(_name)
+                return _build(*args)
+
+            monkeypatch.setattr(mod, name, counted)
+        for cls in (statespace.FilterBank, statespace.PriorSpectrum):
+            def counted_init(self, _name=cls.__name__,
+                             _init=cls.__post_init__):
+                built.append(_name)
+                _init(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted_init)
+        doc = {"filter": {"preset": "covext", "m": 2, "p": 1},
+               "prior": {"kind": "polynomial", "b": [1.0, -0.7, 0.37]},
+               "C": C_REF.tolist()}
+        cfg = write_config(tmp_path, doc)
+        reports = []
+        for k in range(2):
+            built.clear()
+            out = tmp_path / f"out{k}"
+            assert main(["condnum", "--config", cfg, "--out", str(out)]) == 0
+            reports.append(json.loads((out / "condnum.json").read_text()))
+            if k == 0:
+                assert built.count("PriorSpectrum") == 1
+                assert built.count("_channel_blowup") == 1
+        assert built == []
+        for key in ("cond_g", "cond_f", "ratio"):
+            assert reports[1][key] == reports[0][key]
+
 
 class TestCheck:
     def test_reports_prior_violation_with_exit_zero(self, tmp_path, capsys):
@@ -345,7 +385,9 @@ class TestCheck:
         pytest.param({"sigma": SIGMA_FROM_REF}, 1, id="with-sigma")])
     def test_builds_a_chart_only_for_sigma(self, extra, charts, tmp_path,
                                            capsys, monkeypatch):
-        # only the sigma check reads the range basis
+        # only the sigma check reads the range basis; an explicit A and B
+        # make a bank of this call's own, so no chart kept by an earlier
+        # call serves it
         built = []
         build = moment.build_range_gamma_basis
 
@@ -354,7 +396,8 @@ class TestCheck:
             return build(fb)
 
         monkeypatch.setattr(moment, "build_range_gamma_basis", counted)
-        doc = {"filter": {"preset": "covext", "m": 2, "p": 1},
+        bank = make_covariance_extension_filter(2, 1)
+        doc = {"filter": {"A": bank.A.tolist(), "B": bank.B.tolist()},
                "C": C_REF.tolist(), **extra}
         assert main(["check", "--config", write_config(tmp_path, doc)]) == 0
         assert "C: in-set" in capsys.readouterr().out
@@ -767,6 +810,17 @@ class TestParserBuiltOnce:
             "import spectral_homotopy\n"
             "from spectral_homotopy import cli\n"
             "print(len(built), cli._build_parser.cache_info().currsize)\n")
+        proc = run_fresh(code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "0"]
+
+    def test_importing_fills_no_set_up_cache(self):
+        # the shared banks and priors are built by the first call that
+        # asks for them, never at import
+        code = (
+            "from spectral_homotopy import cli, statespace\n"
+            "print(statespace._covext_bank.cache_info().currsize,\n"
+            "      statespace._polynomial_prior.cache_info().currsize)\n")
         proc = run_fresh(code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0", "0"]

@@ -12,15 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from spectral_homotopy import (ConfigError, FactorParameter, HomotopyConfig,
-                               MembershipError, SolverError, StateSpaceSystem,
+from spectral_homotopy import (ConfigError, FactorParameter, FilterBank,
+                               HomotopyConfig, MembershipError, PriorSpectrum,
+                               SolverError, StateSpaceSystem,
                                constant_prior, continuation, corrector_newton,
                                factorization, make_chart,
                                make_covariance_extension_filter,
                                maxent_initialization, matrixeq, moment,
                                moment_g_statespace, prior_from_outer,
-                               prior_from_polynomial, run_continuation,
+                               run_continuation,
                                statespace, write_path_csv, write_path_json)
+from spectral_homotopy.statespace import _fir_system
 
 from conftest import (B_REF, C_REF, ROUND_TRIP_BANKS, draw_param,
                       draw_prior, make_bank, relative_error, rotated_chart)
@@ -356,7 +358,8 @@ class TestRunContinuation:
         # what depends only on the prior is built once per solve, a point's
         # Stein factorization takes A_T's spectral radius from its blocks,
         # and each candidate's closed loop is computed once
-        prior = prior_from_polynomial(B_REF)  # its blow-up is not built yet
+        # a prior of its own, whose blow-up is not built yet
+        prior = PriorSpectrum(_fir_system(np.array(B_REF)), kind="polynomial")
         blowups, loops, in_point, point_radii = [], [], [], []
         channel_blowup = statespace._channel_blowup
         closed_loop = statespace._closed_loop
@@ -501,7 +504,10 @@ class TestRunContinuation:
 
     def test_one_range_basis_and_one_factor_basis_per_solve(
             self, fb, prior_ref, sigma_ref, monkeypatch):
-        # without a chart, the feasibility check's chart serves the path
+        # without a chart, the feasibility check's chart serves the path,
+        # and the bank keeps it for its next solve; a bank of this test's
+        # own has no chart yet
+        own = FilterBank(fb.A, fb.B)
         calls = []
         for name in ("build_range_gamma_basis", "build_factor_basis"):
             build = getattr(moment, name)
@@ -511,9 +517,12 @@ class TestRunContinuation:
                 return _build(*args)
 
             monkeypatch.setattr(moment, name, counted)
-        run_continuation(fb, prior_ref, sigma_ref)
+        run_continuation(own, prior_ref, sigma_ref)
         assert sorted(calls) == ["build_factor_basis",
                                  "build_range_gamma_basis"]
+        calls.clear()
+        run_continuation(own, prior_ref, sigma_ref)
+        assert calls == []
 
     @pytest.mark.parametrize("field, C", [("real", C_REF),
                                           ("complex", C_COMPLEX)])
@@ -627,6 +636,24 @@ class TestConfig:
             with pytest.raises(ConfigError,
                                match=r"^dt must lie in \[0.0001, 1\]"):
                 HomotopyConfig(dt=dt)
+
+    @pytest.mark.parametrize("name", ["dt", "newton_tol"])
+    @pytest.mark.parametrize("value", [True, False, np.True_, "0.1", None,
+                                       1j, np.complex128(0.1), [0.1]],
+                             ids=repr)
+    def test_settings_must_be_real_numbers(self, name, value):
+        # a bool used to pass as 1 or 0, and a string or None raised a bare
+        # TypeError from the range comparison
+        with pytest.raises(ConfigError,
+                           match=f"^{name} must be a real number, got "):
+            HomotopyConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [np.float64(0.5), np.float32(0.5),
+                                       np.int64(1), 1], ids=repr)
+    def test_numpy_scalars_are_real_numbers(self, value):
+        cfg = HomotopyConfig(dt=value, newton_tol=value)
+        assert type(cfg.dt) is float and cfg.dt == value
+        assert type(cfg.newton_tol) is float and cfg.newton_tol == value
 
     @pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0])
     def test_newton_tol_must_be_finite_and_positive(self, tol):

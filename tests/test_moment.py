@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from spectral_homotopy import (CascadePoint, CoordinateChart,
-                               EvaluationError, FactorParameter, GridPoint,
+                               EvaluationError, FactorParameter, FilterBank,
+                               GridPoint,
                                SolverError, StateSpaceSystem,
                                condition_numbers, constant_prior,
                                f_jacobian_from_g, h_inverse,
@@ -17,6 +18,8 @@ from spectral_homotopy import (CascadePoint, CoordinateChart,
                                moment_g_statespace,
                                prior_from_outer, prior_from_polynomial,
                                trace_inner)
+from spectral_homotopy.moment import (build_factor_basis,
+                                      build_range_gamma_basis)
 
 from conftest import (B_REF, C_REF, ROUND_TRIP_BANKS, cascade,
                       draw_normal, draw_param, draw_prior,
@@ -49,6 +52,24 @@ class TestChart:
             for j, Y in enumerate(basis):
                 want = 1.0 if i == j else 0.0
                 assert abs(trace_inner(X, Y) - want) < 1e-12
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_one_chart_per_bank(self, field):
+        # a bank of this test's own: its first make_chart builds the chart,
+        # bit for bit a fresh build, and every later call returns it
+        preset = make_covariance_extension_filter(2, 1, field=field)
+        fb = FilterBank(preset.A, preset.B, field=field)
+        chart = make_chart(fb)
+        assert make_chart(fb) is chart
+        assert chart.filterbank is fb
+        for got, want in ((chart.range_basis, build_range_gamma_basis(fb)),
+                          (chart.factor_basis, build_factor_basis(fb))):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+        assert make_chart(preset) is make_chart(
+            make_covariance_extension_filter(2, 1, field=field))
+        assert make_chart(preset) is not chart
 
     def test_bases_of_different_lengths_raise(self, chart):
         with pytest.raises(SolverError, match="dimensions disagree"):
@@ -279,10 +300,11 @@ class TestDerivatives:
 
 class _BlendedPrior:
     """The density (1 - t) + t psi, for quadrature only: the grid needs its
-    values, never a factor."""
+    values and whether it is even (as psi is), never a factor."""
 
     def __init__(self, prior, t):
         self.prior, self.t = prior, t
+        self._even = prior._even
 
     def psi_values(self, theta):
         return (1.0 - self.t) + self.t * self.prior.psi_values(theta)
@@ -627,6 +649,20 @@ class TestOddPrior:
             CascadePoint(fb, prior, param_ref, 0.5)
         with pytest.raises(ValueError, match="^prior psi is not even"):
             moment_g_statespace(fb, prior, param_ref)
+
+    def test_the_quadrature_oracle_rejects_it_by_name(self, fb, chart,
+                                                      param_ref):
+        # as the exact route does: the grid's value used to fail its
+        # real-field coercion, and its Jacobian's condition number came out
+        # finite (1.3e6) for a g that is complex
+        prior = prior_from_polynomial(self.B_ODD)
+        with pytest.raises(ValueError, match="^prior psi is not even"):
+            GridPoint(fb, prior, param_ref).value()
+        with pytest.raises(ValueError, match="^prior psi is not even"):
+            jacobian_condition_number(chart, prior, param_ref,
+                                      route="quadrature")
+        with pytest.raises(ValueError, match="^prior psi is not even"):
+            GridPoint(fb, prior, h_inverse(chart, param_ref), "f")
 
     def test_complex_bank_takes_it(self, rng):
         fbc = make_covariance_extension_filter(2, 1, field="complex")

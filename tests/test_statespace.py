@@ -4,16 +4,18 @@ import warnings
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from spectral_homotopy import (EvaluationError, FactorParameter, FilterBank,
                                MembershipError, PriorSpectrum,
                                StateSpaceSystem,
                                circle_grid, coerce_field, constant_prior,
                                grid_size_from_spacing, h_map, is_in_Cplus,
-                               is_in_Lplus, make_covariance_extension_filter,
+                               is_in_Lplus, make_chart,
+                               make_covariance_extension_filter,
                                matrix_from_json, matrix_to_json, matrixeq,
-                               prior_from_outer, prior_from_polynomial)
+                               prior_from_outer, prior_from_polynomial,
+                               statespace)
 
 from spectral_homotopy.statespace import _check_prior_field, _fir_system
 
@@ -91,6 +93,102 @@ class TestFilterBank:
             make_covariance_extension_filter(0, 1)
         with pytest.raises(ValueError):
             make_covariance_extension_filter(2, -1)
+
+
+def _arrays(obj, seen=None):
+    """Every numpy array reachable from ``obj`` through attributes, dicts
+    and sequences."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        items = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        items = obj
+    elif hasattr(obj, "__dict__"):
+        items = vars(obj).values()
+    else:
+        return []
+    return [a for item in items for a in _arrays(item, seen)]
+
+
+class TestSharedSetUp:
+    """A preset bank per (m, p, field) and a polynomial prior per
+    coefficient vector are built once per process and shared."""
+
+    def test_one_bank_per_arguments(self):
+        fb = make_covariance_extension_filter(2, 1)
+        assert make_covariance_extension_filter(2, 1, field="real") is fb
+        assert make_covariance_extension_filter(np.int64(2), np.int8(1)) is fb
+        banks = [make_covariance_extension_filter(m, p, field=field)
+                 for m, p in ((2, 1), (1, 2), (2, 2))
+                 for field in ("real", "complex")]
+        assert banks[0] is fb
+        assert len({id(bank) for bank in banks}) == len(banks)
+        assert [(b.m, b.n, b.field) for b in banks[::2]] == [
+            (2, 4, "real"), (1, 3, "real"), (2, 6, "real")]
+
+    @pytest.mark.parametrize("m, p, field", [
+        (2.0, 1, "real"), (True, 1, "real"), (2, "1", "real"),
+        (2, 1, "Real"), (2, 1, ["real"])])
+    def test_preset_rejects_other_arguments(self, m, p, field):
+        with pytest.raises(ValueError):
+            make_covariance_extension_filter(m, p, field=field)
+
+    def test_one_prior_per_coefficient_vector(self):
+        prior = prior_from_polynomial([1.0, -1.0, 0.89])
+        assert prior_from_polynomial(np.array([1.0, -1.0, 0.89])) is prior
+        others = [prior_from_polynomial([1.0, -1.0, 0.88]),
+                  prior_from_polynomial([1.0, -0.5]),
+                  prior_from_polynomial(np.array([1.0, -1.0, 0.89],
+                                                 dtype=complex))]
+        assert len({id(p) for p in [prior] + others}) == 4
+        # another dtype is another prior with the same density
+        ints = prior_from_polynomial(np.array([2, 1]))
+        floats = prior_from_polynomial(np.array([2.0, 1.0]))
+        assert ints is not floats
+        theta = circle_grid(16)
+        assert_array_equal(ints.psi_values(theta), floats.psi_values(theta))
+
+    def test_every_shared_array_is_read_only(self):
+        fb = make_covariance_extension_filter(2, 1)
+        chart = make_chart(fb)
+        prior = prior_from_polynomial([1.0, -1.0, 0.89])
+        prior._blowup(fb.m)
+        seen = set()
+        arrays = [a for obj in (fb, chart, prior) for a in _arrays(obj, seen)]
+        # A, B; the two bases; sigma's and each blow-up's A, B, C, D
+        assert len(arrays) == 2 + 2 + 4 * (1 + len(prior._blowups))
+        assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            prior.sigma.C[0, 0] = 0.0
+
+    def test_the_prior_cache_is_bounded(self):
+        size = statespace._PRIOR_CACHE_SIZE
+        first = prior_from_polynomial([1.0, 0.125])
+        for k in range(size + 5):
+            prior_from_polynomial([1.0, 0.5 / (k + 3)])
+        info = statespace._polynomial_prior.cache_info()
+        assert (info.maxsize, info.currsize) == (size, size)
+        # the least recently used vector went first
+        assert prior_from_polynomial([1.0, 0.125]) is not first
+
+    def test_a_rejected_prior_is_checked_on_every_call(self, monkeypatch):
+        built = []
+        fir_system = statespace._fir_system
+
+        def counted(b):
+            built.append(b)
+            return fir_system(b)
+
+        monkeypatch.setattr(statespace, "_fir_system", counted)
+        for _ in range(2):
+            with pytest.raises(MembershipError, match="not minimum phase"):
+                prior_from_polynomial([1.0, -2.0])
+        assert len(built) == 2
 
 
 class TestGrids:
@@ -316,6 +414,8 @@ class TestPriors:
 
         for name in ("_circle_positivity", "_stein_solver"):
             monkeypatch.setattr(matrixeq, name, forbidden)
+        # so that the polynomial priors below are built, not looked up
+        statespace._polynomial_prior.cache_clear()
         rational = StateSpaceSystem([[0.5]], [[1.0]], [[0.3]], [[1.0]])
         for build in (lambda: constant_prior(2.0),
                       lambda: prior_from_polynomial([1.0, -1.0, 0.89]),
