@@ -23,11 +23,12 @@ domain violation is recorded at parse time and raised by a verb that reads
 that prior, as a configuration error naming ``prior`` or
 ``sigma.from.prior``; ``check`` prints it as a VIOLATION line.
 
-``--out`` (solve, condnum, maxent) is the one route to the output
-directory: ``solve`` writes into the current directory without it, and
-``condnum`` and ``maxent`` then write no file.  ``--dt`` and ``--tol``
-(solve) override the ``continuation`` section's ``dt`` and
-``newton_tol``; ``check`` takes only ``--config``.  No verb builds a
+``--config`` and ``--out`` are the only flags: they name paths, and every
+solver setting is read from the config (``continuation``'s ``dt`` and
+``newton_tol``), which ``path.json`` records.  ``--out`` (solve, condnum,
+maxent) is the one route to the output directory: ``solve`` writes into
+the current directory without it, and ``condnum`` and ``maxent`` then
+write no file; ``check`` takes only ``--config``.  No verb builds a
 quadrature grid except ``selftest``, whose oracle suite checks the exact g
 against one; the section ``quadrature`` (``dtheta``) is parsed so that
 existing configs keep working, but nothing reads it.
@@ -260,24 +261,15 @@ def parse_config(doc):
     return cfg
 
 
-def _load_config(args):
+def _load_config(path):
     try:
-        with open(args.config) as fh:
+        with open(path) as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {args.config!r}: {exc}")
+        raise ConfigError(f"cannot read config {path!r}: {exc}")
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {args.config!r} is not valid JSON: {exc}")
-    cfg = parse_config(doc)
-    for flag, key in (("dt", "dt"), ("tol", "newton_tol")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            try:
-                cfg.continuation = dataclasses.replace(cfg.continuation,
-                                                       **{key: value})
-            except ConfigError as exc:
-                raise ConfigError(f"--{flag}: {exc}") from exc
-    return cfg
+        raise ConfigError(f"config {path!r} is not valid JSON: {exc}")
+    return parse_config(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +335,7 @@ def _write(out, name, content):
 
 
 def cmd_solve(args):
-    cfg = _load_config(args)
+    cfg = _load_config(args.config)
     prior = _section(cfg, "prior", "solve")
     t0 = time.perf_counter()
     Sigma = _resolve_sigma(cfg, "solve")
@@ -384,7 +376,7 @@ def cmd_solve(args):
 
 
 def cmd_condnum(args):
-    cfg = _load_config(args)
+    cfg = _load_config(args.config)
     prior = _section(cfg, "prior", "condnum")
     param = _param(cfg, _section(cfg, "C", "condnum"), "C")
     chart = make_chart(cfg.filterbank)
@@ -403,7 +395,7 @@ def cmd_condnum(args):
 
 
 def cmd_check(args):
-    cfg = _load_config(args)
+    cfg = _load_config(args.config)
     fb = cfg.filterbank
     print(f"filter: n={fb.n} m={fb.m} field={fb.field} "
           f"spectral radius {fb._radius:.6g}")
@@ -452,7 +444,7 @@ def cmd_check(args):
 
 
 def cmd_maxent(args):
-    cfg = _load_config(args)
+    cfg = _load_config(args.config)
     fb = cfg.filterbank
     Sigma = _resolve_sigma(cfg, "maxent")
     param = maxent_initialization(fb, Sigma)
@@ -571,28 +563,21 @@ def _build_parser():
         description="Parametric spectral estimation from state covariances")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    overrides = {
-        "--out": dict(help="output directory"),
-        "--dt": dict(type=float, help="continuation step override"),
-        "--tol": dict(type=float,
-                      help="Newton tolerance override (endpoint t = 1)"),
-    }
-
-    def add(name, func, helptext, flags=(), needs_config=True):
+    def add(name, func, helptext, out=False, needs_config=True):
         p = sub.add_parser(name, help=helptext)
         if needs_config:
             p.add_argument("--config", required=True,
                            help="path to a JSON config file")
-        for flag in flags:
-            p.add_argument(flag, **overrides[flag])
+        if out:
+            p.add_argument("--out", help="output directory")
         p.set_defaults(func=func)
 
     add("solve", cmd_solve, "follow the prior homotopy, write artifacts",
-        ("--out", "--dt", "--tol"))
+        out=True)
     add("condnum", cmd_condnum, "condition numbers at a given parameter",
-        ("--out",))
+        out=True)
     add("check", cmd_check, "membership and feasibility report")
-    add("maxent", cmd_maxent, "closed-form flat-prior solution", ("--out",))
+    add("maxent", cmd_maxent, "closed-form flat-prior solution", out=True)
     add("selftest", cmd_selftest, "reduced-size consistency suites",
         needs_config=False)
     return parser

@@ -199,8 +199,10 @@ def _start_point(chart, prior, Sigma):
         raise MembershipError("Sigma is " + "; ".join(findings))
     Si = np.linalg.inv(Sigma)
     B = filterbank.B
-    param = _factor_parameter(filterbank, Si,
-                              reverse_cholesky(B.conj().T @ Si @ B))
+    # the roundoff asymmetry of B* Si B grows with cond(Sigma), and the
+    # Cholesky factor checks symmetry to STRICT_TOL
+    param = _factor_parameter(
+        filterbank, Si, reverse_cholesky(_hermitize(B.conj().T @ Si @ B)))
     point = CascadePoint(filterbank, prior, param, 0.0)
     gap = float(np.linalg.norm(point.value() - Sigma))
     if gap > 1e-9 * float(np.linalg.norm(Sigma)):

@@ -210,7 +210,6 @@ class JacobianSolveInfo:
 
     gram_cond: float
     verify_residual: float | np.ndarray
-    columns: int
 
 
 class CascadePoint:
@@ -384,8 +383,7 @@ class CascadePoint:
                     f"residual {resid[i]:.3e} exceeds {VERIFY_TOL:.1e}")
         return (V if stacked else V[0]), JacobianSolveInfo(
             gram_cond=cond,
-            verify_residual=resid if stacked else float(resid[0]),
-            columns=chart.dim)
+            verify_residual=resid if stacked else float(resid[0]))
 
 
 def moment_g_statespace(filterbank, prior, C):

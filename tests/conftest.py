@@ -159,6 +159,22 @@ def draw_param(fb, rng):
     return maxent_initialization(fb, X0 + scale * X1)
 
 
+def draw_random_bank(seed):
+    """The random problem of ``seed``: m in 1..3 inputs and n in m+1..8
+    states, either field, a Gaussian A scaled to a spectral radius in
+    [0.3, 0.95], a Gaussian B and a prior of a drawn kind.  Returns (bank,
+    prior, rng), the generator left ready for draw_param."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 4))
+    n = int(rng.integers(m + 1, 9))
+    field = ("real", "complex")[rng.integers(2)]
+    A = draw_normal(rng, (n, n), field)
+    A = A * rng.uniform(0.3, 0.95) / np.max(np.abs(np.linalg.eigvals(A)))
+    B = draw_normal(rng, (n, m), field)
+    kind = ("constant", "polynomial", "rational")[rng.integers(3)]
+    return FilterBank(A, B, field=field), draw_prior(rng, kind, field), rng
+
+
 def random_additive_quadruple(rng, n=3, p=2, complex_data=False):
     """Random (F, G, H, J) with Z + Z* = S S* on the circle by construction,
     together with the generating stable system S = (A, B, C, D)."""

@@ -14,7 +14,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from spectral_homotopy import (ConfigError, FactorParameter, FilterBank,
                                HomotopyConfig, MembershipError, PriorSpectrum,
-                               SolverError, StateSpaceSystem,
+                               SolverError, SpectralHomotopyError,
+                               StateSpaceSystem,
                                constant_prior, continuation, corrector_newton,
                                factorization, make_chart,
                                make_covariance_extension_filter,
@@ -25,7 +26,8 @@ from spectral_homotopy import (ConfigError, FactorParameter, FilterBank,
 from spectral_homotopy.statespace import _fir_system
 
 from conftest import (B_REF, C_REF, ROUND_TRIP_BANKS, draw_param,
-                      draw_prior, make_bank, relative_error, rotated_chart)
+                      draw_prior, draw_random_bank, make_bank,
+                      relative_error, rotated_chart)
 
 # a factor parameter of the complex covext(2, 1) bank
 C_COMPLEX = np.array([[0.3 + 0.2j, -0.2 + 0.1j, 1.0, 0.0],
@@ -606,6 +608,32 @@ class TestRoundTripEverywhere:
         assert path.final.t == 1.0
         assert path.final.residual <= 1e-10
         assert relative_error(path.final.C, C_true) <= 1e-6
+
+
+class TestRandomBanks:
+    """Banks of conftest.draw_random_bank end in a recovery or a typed
+    error.  These draws have an ill-conditioned covariance, on which the
+    roundoff asymmetry of the start's B* Sigma^{-1} B exceeds the
+    Hermitian tolerance of its Cholesky factor unless it is Hermitized."""
+
+    def test_ill_conditioned_covariance_is_recovered(self):
+        # seed 40: m = 2, n = 7, real bank, rational prior
+        fb, prior, rng = draw_random_bank(40)
+        C_true = draw_param(fb, rng).C
+        Sigma = moment_g_statespace(fb, prior, FactorParameter(fb, C_true))
+        assert np.linalg.cond(Sigma) > 1e5
+        path = run_continuation(fb, prior, Sigma)
+        assert path.final.t == 1.0
+        assert relative_error(path.final.C, C_true) <= 1e-6
+
+    def test_maxent_start_raises_only_typed_errors(self):
+        # seed 219: m = 1, n = 6, complex bank; draw_param runs
+        # maxent_initialization on a covariance with cond(X0) ~ 9e9
+        fb, _, rng = draw_random_bank(219)
+        try:
+            draw_param(fb, rng)
+        except SpectralHomotopyError as exc:
+            assert "defining equation" in str(exc)
 
 
 class TestConfig:

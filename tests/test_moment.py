@@ -748,7 +748,6 @@ class TestJacobianSolve:
             V, info = point.solve(chart, point.derivatives(V0))
             assert relative_error(V, V0) < 1e-6
             assert info.verify_residual <= 1e-8
-            assert info.columns == 7
 
     def test_scaling_direction_recovers_parameter(self, chart, point,
                                                   param_ref):
