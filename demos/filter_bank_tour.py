@@ -86,20 +86,23 @@ print("blend at t = 0.5: density from", half.min(), "to", half.max())
 
 # %% the weight cone: positivity of G* Lambda G, not of Lambda
 
+# membership is decided exactly; a non-member comes with the reason
 diag = is_in_Lplus(fb, np.eye(4))
-print("\nLambda = I:        member =", diag.member,
-      " min eigenvalue on circle =", diag.min_eigenvalue)
+print("\nLambda = I:        member =", diag.member, " reason =", diag.reason)
 
-# an indefinite Lambda can still be admissible
+# an indefinite Lambda can still be admissible: G* Lambda G stays positive
+# on the 64 angles above although Lambda has a negative eigenvalue
 Lam = np.eye(4)
 Lam[0, 0] = -0.5
 diag = is_in_Lplus(fb, Lam)
+margin = np.linalg.eigvalsh(Gv.conj().transpose(0, 2, 1) @ Lam @ Gv).min()
 print("indefinite Lambda: member =", diag.member,
-      " min eigenvalue on circle =", round(diag.min_eigenvalue, 6),
+      " min eigenvalue of G* Lambda G on the grid =", round(margin, 6),
       " matrix eigenvalues =", np.linalg.eigvalsh(Lam))
+assert diag.member and margin > 0.0 > np.linalg.eigvalsh(Lam)[0]
 
 diag = is_in_Lplus(fb, -np.eye(4))
-print("Lambda = -I:       member =", diag.member)
+print("Lambda = -I:       member =", diag.member, " reason =", diag.reason)
 
 
 # %% the stable factor set

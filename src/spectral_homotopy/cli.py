@@ -10,7 +10,8 @@ Verbs:
   moment.condition_numbers).  ``solve`` reports the same pair at its end.
 - ``check``: membership and feasibility report for the config inputs;
   report-only, exits 0 whenever the config itself parses.  Lambda
-  membership is exact; the grid minimum printed with it is a diagnostic.
+  membership is exact, and a VIOLATION names where G* Lambda G fails, in
+  the words h_map raises for the same Lambda.
 - ``maxent``: closed-form flat-prior solution for Sigma.
 - ``selftest``: reduced-size consistency suites, on the real and on the
   complex covext(2, 1) bank.
@@ -60,7 +61,7 @@ import time
 import numpy as np
 
 from . import factorization
-from .continuation import (HomotopyConfig, _check_covariance,
+from .continuation import (HomotopyConfig, _check_covariance, _start_point,
                            maxent_initialization, run_continuation,
                            write_path_csv, write_path_json)
 from .errors import (ConfigError, EvaluationError, FactorizationError,
@@ -113,18 +114,11 @@ def _parse_number(value, path, kind=float):
 
 
 def _parse_scalar_list(data, path):
-    """List of plain numbers or [re, im] pairs -> 1-d array."""
+    """List of plain numbers or [re, im] pairs -> 1-d array, decoded as the
+    one row of a matrix."""
     if not isinstance(data, list) or not data:
         raise ConfigError(f"{path}: expected a non-empty list")
-    if isinstance(data[0], list):
-        try:
-            return np.array([complex(e[0], e[1]) for e in data])
-        except (TypeError, IndexError) as exc:
-            raise ConfigError(f"{path}: bad [re, im] entry ({exc})") from exc
-    try:
-        return np.array([float(v) for v in data])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: bad number entry ({exc})") from exc
+    return _parse_matrix([data], path)[0]
 
 
 def _parse_filter(spec, path="filter"):
@@ -424,10 +418,9 @@ def cmd_check(args):
         except ValueError as exc:
             print(f"Lambda: VIOLATION {exc}")
         else:
-            state = ("positive on the circle" if diag
-                     else "VIOLATION not positive")
-            print(f"Lambda: {state} (exact test; 1024-point grid minimum "
-                  f"{diag.min_eigenvalue:.6g}, a diagnostic)")
+            print("Lambda: positive on the circle" if diag else
+                  "Lambda: VIOLATION G* Lambda G is not positive on the "
+                  f"unit circle: {diag.reason}")
 
     if cfg.sigma is not None:
         try:
@@ -447,14 +440,14 @@ def cmd_maxent(args):
     cfg = _load_config(args.config)
     fb = cfg.filterbank
     Sigma = _resolve_sigma(cfg, "maxent")
-    param = maxent_initialization(fb, Sigma)
-    gap = float(np.linalg.norm(moment_g_statespace(fb, None, param) - Sigma))
+    # the start's gate computes the defining residual ||g(1, C) - Sigma||
+    point, _, gap = _start_point(make_chart(fb), None, Sigma)
     rel = gap / float(np.linalg.norm(Sigma))
     print(f"maxent: defining residual {gap:.3e} ({rel:.3e} relative)")
     if args.out is not None:
         _write(args.out, "maxent_C.json", {
             "m": fb.m, "n": fb.n, "field": fb.field,
-            "C": matrix_to_json(param.C), "residual": gap})
+            "C": matrix_to_json(point.param.C), "residual": gap})
     return 0
 
 

@@ -190,8 +190,10 @@ def _start_point(chart, prior, Sigma):
     the Riccati solution (factorization._factor_parameter, which makes CB
     exactly L at any scale of Sigma).  At t = 0 the point's P_t is P_1, so
     its value is g(1, C), which must meet Sigma to 1e-9 ||Sigma|| (else
-    SolverError).  Sigma must be admissible (else MembershipError, see
-    maxent_initialization).  Returns (point, Sigma) with Sigma Hermitized.
+    SolverError naming the gap and cond(Sigma), whose roundoff the closed
+    form carries).  Sigma must be admissible (else MembershipError, see
+    maxent_initialization).  Returns (point, Sigma, gap): Sigma Hermitized
+    and gap = ||g(1, C) - Sigma||.
     """
     filterbank = chart.filterbank
     Sigma, findings, _, _ = _check_covariance(chart, Sigma)
@@ -208,8 +210,9 @@ def _start_point(chart, prior, Sigma):
     if gap > 1e-9 * float(np.linalg.norm(Sigma)):
         raise SolverError(
             f"maximum-entropy parameter failed its defining equation "
-            f"(||g(1, C) - Sigma|| = {gap:.3e})")
-    return point, Sigma
+            f"(||g(1, C) - Sigma|| = {gap:.3e}, cond(Sigma) = "
+            f"{np.linalg.cond(Sigma):.3e})")
+    return point, Sigma, gap
 
 
 def maxent_initialization(filterbank, Sigma):
@@ -324,10 +327,10 @@ def run_continuation(filterbank, prior, Sigma, config=None):
     """
     config = config or HomotopyConfig()
     chart = make_chart(filterbank)
-    point, Sigma = _start_point(chart, prior, Sigma)
+    # the start's residual is the gap its gate checked
+    point, Sigma, rnorm = _start_point(chart, prior, Sigma)
 
     t, iters, gram_cond, tangent = 0.0, 0, 0.0, None
-    rnorm = float(np.linalg.norm(Sigma - point.value()))
     history, samples = [], []
     # (t, y, a) of the previous accepted sample and its tangent
     previous = None
@@ -387,6 +390,15 @@ def _fmt(v):
     return f"{float(v):.17g}"
 
 
+def _write_text(dest, text):
+    """Write ``text`` to ``dest``, an open text file or a path."""
+    if hasattr(dest, "write"):
+        dest.write(text)
+    else:
+        with open(dest, "w") as fh:
+            fh.write(text)
+
+
 def write_path_csv(path, dest):
     """Write a SolutionPath as CSV: t, y_1..y_M, residual, newton_iters,
     gram_cond; floats carry 17 significant digits.  ``gram_cond`` is the
@@ -400,12 +412,7 @@ def write_path_csv(path, dest):
         row = [_fmt(s.t)] + [_fmt(v) for v in s.y] \
             + [_fmt(s.residual), str(int(s.newton_iters)), _fmt(s.gram_cond)]
         lines.append(",".join(row))
-    text = "\n".join(lines) + "\n"
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        with open(dest, "w") as fh:
-            fh.write(text)
+    _write_text(dest, "\n".join(lines) + "\n")
 
 
 def write_path_json(path, dest):
@@ -429,9 +436,4 @@ def write_path_json(path, dest):
             for s in path.samples
         ],
     }
-    text = json.dumps(doc, indent=2)
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        with open(dest, "w") as fh:
-            fh.write(text)
+    _write_text(dest, json.dumps(doc, indent=2))

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import FactorizationError, MembershipError, SolverError
 from .statespace import (STRICT_TOL, _as_matrix, _check_finite,
                          _check_hermitian, _hermitize, _resolvent,
-                         _spectral_radius, circle_grid, coerce_field)
+                         _spectral_radius, coerce_field)
 
 __all__ = [
     "LplusDiagnostics",
@@ -445,10 +445,11 @@ def _lambda_additive(filterbank, Lam):
 
 @dataclass(frozen=True)
 class LplusDiagnostics:
-    """Membership report for positivity of G* Lambda G on the circle."""
+    """Membership report for positivity of G* Lambda G on the circle:
+    ``reason`` says why it is not positive (None when it is)."""
 
     member: bool
-    min_eigenvalue: float
+    reason: str | None
 
     def __bool__(self):
         return self.member
@@ -460,16 +461,12 @@ def is_in_Lplus(filterbank, Lam):
     Lambda must be n x n, Hermitian to tolerance 1e-12 and, for a real
     bank, real (else ValueError).  Membership is decided exactly, by
     _circle_positivity on the additive data of the reduction
-    Q - A*QA = Lambda; the diagnostics' ``min_eigenvalue`` is the minimum
-    over a 1024-point circle grid, reported only as a diagnostic.
+    Q - A*QA = Lambda; its finding is the diagnostics' ``reason``, the one
+    solve_dare_lambda raises for the same Lambda.
     """
     Lam = _check_lambda(filterbank, Lam)
-    G = filterbank.eval_grid(np.exp(1j * circle_grid(1024)))
-    M = G.conj().transpose(0, 2, 1) @ Lam @ G
-    min_eig = float(np.linalg.eigvalsh(_hermitize(M)).min())
-    additive = _lambda_additive(filterbank, Lam)[1]
-    return LplusDiagnostics(member=_circle_positivity(*additive) is None,
-                            min_eigenvalue=min_eig)
+    why = _circle_positivity(*_lambda_additive(filterbank, Lam)[1])
+    return LplusDiagnostics(member=why is None, reason=why)
 
 
 def solve_dare_lambda(filterbank, Lam):

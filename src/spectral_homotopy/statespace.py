@@ -35,6 +35,7 @@ __all__ = [
     "prior_from_outer",
     "constant_prior",
     "is_in_Cplus",
+    "coerce_field",
     "circle_grid",
     "grid_size_from_spacing",
     "matrix_to_json",
@@ -605,14 +606,6 @@ class FactorParameter:
             val.setflags(write=False)
             object.__setattr__(self, name, val)
         object.__setattr__(self, "_radius", diag.spectral_radius)
-
-    @property
-    def m(self):
-        return self.filterbank.m
-
-    @property
-    def n(self):
-        return self.filterbank.n
 
     def spectral_radius(self):
         """Spectral radius of the closed loop Pi, kept from construction."""

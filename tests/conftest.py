@@ -96,9 +96,10 @@ def random_pair(random_param, random_prior):
 
 
 # covariance-extension banks (m, p) with n = m (p + 1) <= 8, a general bank
-# with nonzero real poles, and a THREE bank with complex poles
+# with nonzero real poles, a THREE bank with complex poles, and a general
+# two-input bank
 ROUND_TRIP_BANKS = [(m, p) for m in (1, 2, 3) for p in range(4)
-                    if m * (p + 1) <= 8] + ["diag", "three"]
+                    if m * (p + 1) <= 8] + ["diag", "three", "pair"]
 
 
 def _three_bank(field):
@@ -116,12 +117,25 @@ def _three_bank(field):
     return FilterBank(A, np.ones((6, 1)), field=field)
 
 
+def _pair_bank(field):
+    """A general bank with m = 2 inputs and n = 5 states: the poles
+    0.5 +- 0.4i (a 2 x 2 rotation block), 0.8, -0.6 and 0.3, and a dense B
+    whose columns mix every mode."""
+    A = np.diag([0.0, 0.0, 0.8, -0.6, 0.3])
+    A[:2, :2] = [[0.5, -0.4], [0.4, 0.5]]
+    B = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0],
+                  [0.5, 2.0]])
+    return FilterBank(A, B, field=field)
+
+
 def make_bank(bank, field):
     if bank == "diag":
         return FilterBank(np.diag([0.5, -0.3, 0.7, 0.2]), np.ones((4, 1)),
                           field=field)
     if bank == "three":
         return _three_bank(field)
+    if bank == "pair":
+        return _pair_bank(field)
     return make_covariance_extension_filter(*bank, field=field)
 
 

@@ -15,8 +15,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import spectral_homotopy
-from spectral_homotopy import (FactorParameter, cli, factorization,
-                               jacobian_condition_number,
+from spectral_homotopy import (FactorParameter, MembershipError, cli,
+                               factorization, jacobian_condition_number,
                                make_covariance_extension_filter,
                                matrix_to_json, moment, statespace)
 from spectral_homotopy.cli import main
@@ -442,11 +442,34 @@ class TestCheck:
     def test_reports_a_dip_between_grid_points(self, tmp_path, capsys):
         # G* Lambda G = (cos t - cos a)^2 - 1e-9 dips below zero between two
         # points of the 1024-point grid, whose minimum is positive; the
-        # exact test reports the violation
+        # exact test reports the violation at the dip's angle, in the words
+        # that h_map raises, and no grid is evaluated
         doc = {"filter": {"preset": "covext", "m": 1, "p": 2},
                "Lambda": _counterexample_weight(1e-9).tolist()}
         assert main(["check", "--config", write_config(tmp_path, doc)]) == 0
-        assert "Lambda: VIOLATION" in capsys.readouterr().out
+        line, = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("Lambda:")]
+        assert line.startswith("Lambda: VIOLATION G* Lambda G is not positive "
+                               "on the unit circle: it is singular at theta = ")
+        theta = float(line.rsplit(" ", 1)[1])
+        assert abs(abs(theta) - 2 * np.pi * 100.5 / 1024) < 1e-4
+        assert "grid" not in line and "3.13332e-06" not in line
+        fb = make_covariance_extension_filter(1, 2)
+        with pytest.raises(MembershipError) as raised:
+            factorization.h_map(fb, _counterexample_weight(1e-9))
+        assert line == f"Lambda: VIOLATION {raised.value}"
+
+    @pytest.mark.parametrize("Lam, line", [
+        (np.eye(4), "Lambda: positive on the circle"),
+        (-np.eye(4), "Lambda: VIOLATION G* Lambda G is not positive on the "
+                     "unit circle: its mean J + J* is not positive definite "
+                     "(min eigenvalue -2.000000e+00)")],
+        ids=["identity", "minus-identity"])
+    def test_lambda_line_is_the_exact_finding(self, tmp_path, capsys, Lam,
+                                              line):
+        doc = base_config(Lambda=Lam.tolist())
+        assert main(["check", "--config", write_config(tmp_path, doc)]) == 0
+        assert line in capsys.readouterr().out.splitlines()
 
 
 def _non_hermitian():
@@ -729,6 +752,27 @@ class TestMaxent:
         # not fail membership
         doc = base_config(sigma={"from": {"C": (1000.0 * C_REF).tolist()}})
         assert main(["maxent", "--config", write_config(tmp_path, doc)]) == 0
+
+    def test_residual_is_the_defining_gap(self, tmp_path, monkeypatch):
+        # the reported residual is ||g(1, C) - Sigma|| bit for bit, taken
+        # from the start's own gate: with sigma.from, g is evaluated once
+        # for Sigma and once for the start, and never again
+        doc = base_config(sigma=SIGMA_FROM_REF)
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "me"
+        calls = []
+        g = cli.moment_g_statespace
+        monkeypatch.setattr(cli, "moment_g_statespace",
+                            lambda *a: calls.append(a) or g(*a))
+        assert main(["maxent", "--config", cfg, "--out", str(out)]) == 0
+        assert len(calls) == 1
+        payload = json.loads((out / "maxent_C.json").read_text())
+        fb = make_covariance_extension_filter(2, 1)
+        Sigma = g(fb, cli.prior_from_polynomial(B_REF),
+                  FactorParameter(fb, C_REF))
+        gap = np.linalg.norm(
+            g(fb, None, FactorParameter(fb, np.array(payload["C"]))) - Sigma)
+        assert payload["residual"] == float(gap)
 
 
 class TestSelftest:

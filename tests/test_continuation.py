@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import io
 import json
+import re
 import warnings
 
 import numpy as np
@@ -588,6 +589,31 @@ class TestRunContinuation:
         assert_allclose(path.samples[0].C, start.C, atol=1e-14)
         assert path.samples[0].newton_iters == 0
 
+    def test_start_residual_is_the_start_gate_gap(self, fb, prior_ref,
+                                                  sigma_ref, monkeypatch):
+        # the t = 0 residual is the gap the start's gate checked, with no
+        # second evaluation of g: the start's cascade point gives its value
+        # once, and it is ||g(1, C) - Sigma|| bit for bit
+        gaps, values = [], []
+        start, value = continuation._start_point, moment.CascadePoint.value
+
+        def gated(*args):
+            found = start(*args)
+            gaps.append(found[2])
+            return found
+
+        def counted(self):
+            values.append(self.param)
+            return value(self)
+
+        monkeypatch.setattr(continuation, "_start_point", gated)
+        monkeypatch.setattr(moment.CascadePoint, "value", counted)
+        path = run_continuation(fb, prior_ref, sigma_ref)
+        assert [path.samples[0].residual] == gaps
+        assert sum(p is values[0] for p in values) == 1
+        flat = moment_g_statespace(fb, None, path.samples[0].C)
+        assert gaps[0] == float(np.linalg.norm(flat - sigma_ref))
+
 
 class TestRoundTripEverywhere:
     @settings(max_examples=30, deadline=None, derandomize=True,
@@ -610,11 +636,38 @@ class TestRoundTripEverywhere:
         assert relative_error(path.final.C, C_true) <= 1e-6
 
 
+# what a typed failure on a random bank must name: the start's defining
+# equation with cond(Sigma), whose roundoff breaks it, the residual gate of
+# a Stein solve, the Gram gate of a direction solve, the smallest step of a
+# stalled run, or the input Sigma
+NAMED_CAUSE = (r"defining equation \(.*cond\(Sigma\) = |Stein solve "
+               r"residual .* exceeds tolerance|Gram system condition .* "
+               r"exceeds limit|below the smallest step|^Sigma ")
+
+
 class TestRandomBanks:
     """Banks of conftest.draw_random_bank end in a recovery or a typed
-    error.  These draws have an ill-conditioned covariance, on which the
-    roundoff asymmetry of the start's B* Sigma^{-1} B exceeds the
-    Hermitian tolerance of its Cholesky factor unless it is Hermitized."""
+    error that names its cause.  The two seeded draws have an
+    ill-conditioned covariance, on which the roundoff asymmetry of the
+    start's B* Sigma^{-1} B exceeds the Hermitian tolerance of its Cholesky
+    factor unless it is Hermitized."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_every_draw_recovers_or_names_its_cause(self, seed):
+        # no draw is filtered out by its conditioning: an ill-conditioned
+        # Sigma is part of the scenario space
+        fb, prior, rng = draw_random_bank(seed)
+        try:
+            C_true = draw_param(fb, rng).C
+            Sigma = moment_g_statespace(fb, prior, FactorParameter(fb, C_true))
+            path = run_continuation(fb, prior, Sigma)
+        except SpectralHomotopyError as exc:
+            assert re.search(NAMED_CAUSE, str(exc)), str(exc)
+            return
+        assert path.final.t == 1.0
+        assert relative_error(path.final.C, C_true) <= 1e-6
 
     def test_ill_conditioned_covariance_is_recovered(self):
         # seed 40: m = 2, n = 7, real bank, rational prior
@@ -628,12 +681,14 @@ class TestRandomBanks:
 
     def test_maxent_start_raises_only_typed_errors(self):
         # seed 219: m = 1, n = 6, complex bank; draw_param runs
-        # maxent_initialization on a covariance with cond(X0) ~ 9e9
+        # maxent_initialization on a covariance with cond(X0) ~ 9e9, whose
+        # roundoff is the cause the start's gate names
         fb, _, rng = draw_random_bank(219)
         try:
             draw_param(fb, rng)
         except SpectralHomotopyError as exc:
             assert "defining equation" in str(exc)
+            assert "cond(Sigma) = " in str(exc)
 
 
 class TestConfig:

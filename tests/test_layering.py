@@ -1,11 +1,13 @@
 """Package layering: every import is at module level and goes down a layer."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 import spectral_homotopy
+from spectral_homotopy import errors
 
 # bottom up; a module may import only from the modules before it
 ORDER = ("errors", "statespace", "matrixeq", "factorization", "moment",
@@ -54,3 +56,15 @@ def test_imports_go_down_a_layer(name):
     upward = [(line, module) for line, module in _package_imports(_tree(name))
               if module not in ORDER[:rank]]
     assert upward == []
+
+
+def test_package_exports_what_its_layers_export():
+    # errors keeps no __all__: its exports are its exception classes
+    exported = {"__version__"} | {
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, Exception)}
+    for name in ORDER[1:-1]:
+        exported |= set(importlib.import_module(
+            f"spectral_homotopy.{name}").__all__)
+    assert len(spectral_homotopy.__all__) == len(exported)
+    assert set(spectral_homotopy.__all__) == exported

@@ -1,5 +1,7 @@
 """Stein and Riccati solvers, triangular factorizations."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -431,9 +433,14 @@ class TestCounterexample:
         Lam = _counterexample_weight(1e-9)
         diag = is_in_Lplus(self.fb, Lam)
         assert not diag.member
-        assert diag.min_eigenvalue > 0.0  # the grid alone would pass it
+        # the reason names a zero next to the dip at a = 2 pi 100.5 / 1024,
+        # which the grid alone would miss
+        theta = re.fullmatch(r"it is singular at theta = (-?[0-9.]+)",
+                             diag.reason)
+        assert abs(abs(float(theta[1])) - 2 * np.pi * 100.5 / 1024) < 1e-4
         for solve in (h_map, solve_dare_lambda):
-            with pytest.raises(MembershipError, match="not positive"):
+            with pytest.raises(MembershipError,
+                               match=re.escape(diag.reason) + "$"):
                 solve(self.fb, Lam)
 
     def test_positive_weight_near_the_boundary_solves(self):
@@ -571,7 +578,7 @@ class TestExactPositivity:
         Lam[4:, :2] = X.conj().T
         diag = is_in_Lplus(fb, Lam)
         assert not diag.member
-        assert_allclose(diag.min_eigenvalue, -1.0, rtol=1e-12)
+        assert diag.reason == "its min eigenvalue at z = -1 is -1.000000e+00"
         with pytest.raises(MembershipError, match="at z = -1"):
             solve_dare_lambda(fb, Lam)
 

@@ -313,13 +313,18 @@ class TestPositiveCone:
     def test_identity_weight(self, fb):
         diag = is_in_Lplus(fb, np.eye(4))
         assert diag
+        assert diag.reason is None
         # two unit-delay blocks contribute 1 each on the whole circle
-        assert_allclose(diag.min_eigenvalue, 2.0, rtol=1e-12)
+        G = fb.eval_grid(np.exp(1j * circle_grid(16)))
+        assert_allclose(G.conj().transpose(0, 2, 1) @ G,
+                        np.broadcast_to(2.0 * np.eye(2), (16, 2, 2)),
+                        rtol=1e-12, atol=1e-12)
 
     def test_negative_weight_rejected(self, fb):
         diag = is_in_Lplus(fb, -np.eye(4))
         assert not diag
-        assert diag.min_eigenvalue < 0
+        assert diag.reason == ("its mean J + J* is not positive definite "
+                               "(min eigenvalue -2.000000e+00)")
 
     def test_indefinite_but_admissible_weight(self, fb):
         # admissibility is positivity of G* Lam G, not of Lam itself
