@@ -191,9 +191,11 @@ def _start_point(chart, prior, Sigma):
     exactly L at any scale of Sigma).  At t = 0 the point's P_t is P_1, so
     its value is g(1, C), which must meet Sigma to 1e-9 ||Sigma|| (else
     SolverError naming the gap and cond(Sigma), whose roundoff the closed
-    form carries).  Sigma must be admissible (else MembershipError, see
-    maxent_initialization).  Returns (point, Sigma, gap): Sigma Hermitized
-    and gap = ||g(1, C) - Sigma||.
+    form carries).  A Stein solve of the point that fails its residual gate
+    raises SolverError too, naming the start and cond(Sigma), chained from
+    the gate's error and carrying its history.  Sigma must be admissible
+    (else MembershipError, see maxent_initialization).  Returns (point,
+    Sigma, gap): Sigma Hermitized and gap = ||g(1, C) - Sigma||.
     """
     filterbank = chart.filterbank
     Sigma, findings, _, _ = _check_covariance(chart, Sigma)
@@ -205,7 +207,12 @@ def _start_point(chart, prior, Sigma):
     # Cholesky factor checks symmetry to STRICT_TOL
     param = _factor_parameter(
         filterbank, Si, reverse_cholesky(_hermitize(B.conj().T @ Si @ B)))
-    point = CascadePoint(filterbank, prior, param, 0.0)
+    try:
+        point = CascadePoint(filterbank, prior, param, 0.0)
+    except SolverError as exc:
+        raise SolverError(
+            f"maximum-entropy start failed: {exc} (cond(Sigma) = "
+            f"{np.linalg.cond(Sigma):.3e})", history=exc.history) from exc
     gap = float(np.linalg.norm(point.value() - Sigma))
     if gap > 1e-9 * float(np.linalg.norm(Sigma)):
         raise SolverError(
@@ -271,7 +278,7 @@ def corrector_newton(chart, prior, t, param, Sigma, config):
             break
         if t < 1.0:
             (V, tangent), info = point.solve(
-                chart, np.stack([resid_mat, -point.drift()]))
+                chart, np.array([resid_mat, -point.drift()]))
         else:
             V, info = point.solve(chart, resid_mat)
         gram_cond = info.gram_cond

@@ -27,6 +27,7 @@ innovation block and checks its closed loop once, in its own form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,7 +108,8 @@ def _stein_solver(A1, radius=None):
 
     The factorization is the list of squared powers A1^(2^k) that Smith's
     sum needs.  The returned function takes Hermitian Q, 2-D or stacked (it
-    is hermitized, not checked), and gates the residual of every slice, so
+    is hermitized, not checked), gates the residual of every slice and
+    returns the Hermitian part of the sum, which is Hermitian bit for bit;
     any number of right-hand sides share the one list of powers.  A caller
     that knows the spectral radius of A1 (from the blocks of a block
     triangular A1, say) passes it as ``radius`` for the stability check;
@@ -123,8 +125,8 @@ def _stein_solver(A1, radius=None):
     powers = []
     Ak = A1
     while True:
-        size = np.vdot(Ak, Ak).real
-        if not np.isfinite(size):
+        size = float(np.vdot(Ak, Ak).real)
+        if not math.isfinite(size):
             raise SolverError(
                 f"powers of A1 overflow after {len(powers)} squarings")
         if size <= _POWER_TAIL:
@@ -141,12 +143,12 @@ def _stein_solver(A1, radius=None):
         Q = _hermitize(np.asarray(Q))
         stack = Q.reshape(-1, n, n)
         R = _hermitize(_smith_sum(powers, stack))
-        resid = np.linalg.norm(R - A1 @ R @ A1h - stack, axis=(1, 2))
-        bound = DLYAP_RESIDUAL_TOL * (1.0 + np.linalg.norm(R, axis=(1, 2)))
-        bad = ~(resid <= bound)
-        if np.any(bad):
+        resid = _slice_norms(R - A1 @ R @ A1h - stack)
+        bound = DLYAP_RESIDUAL_TOL * (1.0 + _slice_norms(R))
+        ok = resid <= bound
+        if not ok.all():
             # argmax takes a NaN residual for the largest
-            i = int(np.argmax(np.where(bad, resid, -np.inf)))
+            i = int(np.argmax(np.where(ok, -np.inf, resid)))
             where = f" in slice {i} of {len(stack)}" if Q.ndim == 3 else ""
             raise SolverError(
                 f"Stein solve residual {resid[i]:.3e} exceeds tolerance{where}",
@@ -154,6 +156,11 @@ def _stein_solver(A1, radius=None):
         return R.reshape(Q.shape)
 
     return solve
+
+
+def _slice_norms(X):
+    """Frobenius norm of every slice of the stack X, by one reduction."""
+    return np.sqrt(np.einsum("kij,kij->k", X.conj(), X).real)
 
 
 def _smith_sum(powers, Q):
@@ -197,9 +204,8 @@ def reverse_cholesky(M):
     L = E K* E.
     """
     M = np.atleast_2d(np.asarray(M))
-    E = np.fliplr(np.eye(M.shape[0]))
-    K = standard_cholesky(E @ M @ E)
-    return E @ K.conj().T @ E
+    K = standard_cholesky(M[::-1, ::-1])
+    return K.conj().T[::-1, ::-1]
 
 
 @dataclass(frozen=True)

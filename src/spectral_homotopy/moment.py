@@ -261,19 +261,27 @@ class CascadePoint:
         B[:n] = Bt @ sigma.D
         B[n:] = sigma.B
         B1[:n] = Bt
-        self.A_T, self.B_T, self.C_T = A, B, np.eye(n, n + q)
+        self.A_T, self.B_T = A, B
         self.field = filterbank.field
         self.param = param
-        self._Bt = Bt
+        self._Bt, self._n = Bt, n
         self._stein = _stein_solver(
             A, radius=max(param.spectral_radius(), prior._radius))
-        P1, Ppsi = self._stein(np.stack([B1 @ B1.conj().T, B @ B.conj().T]))
+        P1, Ppsi = self._stein(np.array([B1 @ B1.conj().T, B @ B.conj().T]))
         self._P = (1.0 - t) * P1 + t * Ppsi
         self._P_drift = Ppsi - P1
 
+    @property
+    def C_T(self):
+        """The cascade's output matrix [I 0]."""
+        return np.eye(self._n, len(self.A_T))
+
     def _read(self, P, what):
-        X = _hermitize(self.C_T @ P @ self.C_T.T)
-        return coerce_field(X, self.field, what=what)
+        # C_T P C_T* is the leading n x n block (of each slice) of P, a copy;
+        # the Stein solver returns exactly Hermitian slices, and P_t and the
+        # drift are real combinations of them, so the block is Hermitian too
+        return coerce_field(P[..., :self._n, :self._n].copy(), self.field,
+                            what=what)
 
     def value(self):
         """g((1 - t) + t psi, C) = C_T P_t C_T*."""
@@ -310,11 +318,14 @@ class CascadePoint:
         if V.ndim not in (2, 3) or V.shape[-2:] != shape:
             raise ValueError(f"V must be {shape[0]}x{shape[1]} or a stack of "
                              f"such directions, got shape {V.shape}")
-        Ct, P = self.C_T, self._P
-        XP = Ct.T @ (self._Bt @ V @ (Ct @ P))
+        # X P = C_T* Bt V (C_T P): Bt V times the first n rows of P, over
+        # zero rows
+        n, P = self._n, self._P
+        top = self._Bt @ V @ P[:n]
+        XP = np.zeros(top.shape[:-2] + P.shape, top.dtype)
+        XP[..., :n, :] = top
         dP = self._stein(-(XP + XP.conj().swapaxes(-1, -2)))
-        return coerce_field(_hermitize(Ct @ dP @ Ct.T), self.field,
-                            what="derivative value")
+        return self._read(dP, "derivative value")
 
     def jacobian(self, chart):
         """J_g in chart coordinates: all M columns from one stacked solve."""
@@ -364,7 +375,8 @@ class CascadePoint:
             with np.errstate(divide="ignore", invalid="ignore"):
                 condJ = float(sv[0] / sv[-1])
             cond = condJ * condJ
-            if not np.isfinite(cond) or cond > GRAM_COND_LIMIT:
+            # NaN and inf fail it too
+            if not cond <= GRAM_COND_LIMIT:
                 raise SolverError(
                     f"Gram system condition {cond:.3e} exceeds limit "
                     f"{GRAM_COND_LIMIT:.1e}")
@@ -374,9 +386,9 @@ class CascadePoint:
             err = np.linalg.norm(
                 chart.range_coords(self.derivatives(V)) - yr, axis=1)
             np.divide(err, ynorm, out=resid, where=~zero)
-            bad = np.flatnonzero(~(resid <= VERIFY_TOL))
-            if bad.size:
-                i = bad[0]
+            ok = resid <= VERIFY_TOL
+            if not ok.all():
+                i = int(np.argmin(ok))
                 where = f" in slice {i} of {len(yr)}" if stacked else ""
                 raise SolverError(
                     f"direction solve verification failed{where}: relative "
@@ -459,11 +471,11 @@ def build_factor_basis(filterbank):
     return np.tensordot(u[:, rank:].T, units, axes=1)
 
 
-def _coords(basis, X):
-    """Re trace(X E*) for every E of the stacked ``basis``; X may be stacked."""
+def _coords(basis_h, X):
+    """Re trace(X E*) for every E of a stacked basis, given as ``basis_h``,
+    its flattened slices conjugated and as columns; X may be stacked."""
     X = np.asarray(X)
-    flat = X.reshape(X.shape[:-2] + (-1,))
-    return np.real(flat @ basis.reshape(len(basis), -1).conj().T)
+    return np.real(X.reshape(X.shape[:-2] + (-1,)) @ basis_h)
 
 
 @dataclass(frozen=True, eq=False)
@@ -475,7 +487,8 @@ class CoordinateChart:
     orthonormal under Re trace(X Y*), both have length M (else
     SolverError), and both are stored stacked, as (M, n, n) and (M, m, n)
     arrays, so that converting any matrix, or a whole stack of them, is one
-    contraction.
+    contraction.  The conjugate transposes of the flattened bases, which the
+    coordinate maps contract with, are kept read-only.
     """
 
     filterbank: object
@@ -490,6 +503,11 @@ class CoordinateChart:
                 f"range/slice dimensions disagree ({len(self.range_basis)} "
                 f"vs {len(self.factor_basis)}); the filter bank violates the "
                 "standing rank assumptions")
+        for name in ("range_basis", "factor_basis"):
+            basis = getattr(self, name)
+            basis_h = basis.reshape(len(basis), -1).conj().T
+            basis_h.setflags(write=False)
+            object.__setattr__(self, f"_{name}_h", basis_h)
 
     @property
     def dim(self):
@@ -497,7 +515,7 @@ class CoordinateChart:
 
     def range_coords(self, X):
         """Range coordinates of X, or (k, M) for a (k, n, n) stack."""
-        return _coords(self.range_basis, X)
+        return _coords(self._range_basis_h, X)
 
     def range_from_coords(self, y):
         y = np.asarray(y, dtype=float).ravel()
@@ -516,13 +534,14 @@ class CoordinateChart:
 
     def factor_coords(self, V):
         """Factor coordinates of V, or (k, M) for a (k, m, n) stack."""
-        return _coords(self.factor_basis, V)
+        return _coords(self._factor_basis_h, V)
 
     def factor_from_coords(self, y):
         """The factor direction with coordinates y, or (k, m, n) for a
         (k, M) stack."""
-        return np.tensordot(np.asarray(y, dtype=float), self.factor_basis,
-                            axes=1)
+        y = np.asarray(y, dtype=float)
+        V = y @ self.factor_basis.reshape(self.dim, -1)
+        return V.reshape(y.shape[:-1] + self.factor_basis.shape[1:])
 
 
 def make_chart(filterbank):

@@ -76,7 +76,7 @@ def _spectral_radius(A):
     stability is ``_spectral_radius(A) < 1 - STRICT_TOL`` throughout."""
     if A.size == 0:
         return 0.0
-    return float(np.max(np.abs(np.linalg.eigvals(A))))
+    return float(np.abs(np.linalg.eigvals(A)).max())
 
 
 def _as_matrix(x, name):
@@ -88,7 +88,7 @@ def _as_matrix(x, name):
 
 def _check_finite(x, name):
     """``x``, else ValueError naming it; run before any eigenvalue or root."""
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError(f"{name} has non-finite entries")
     return x
 
@@ -101,7 +101,7 @@ def coerce_field(x, fieldname, tol=STRICT_TOL, what="matrix"):
     slice by slice.  Complex-field inputs pass through.
     """
     x = np.asarray(x)
-    if fieldname == "real" and np.iscomplexobj(x):
+    if fieldname == "real" and x.dtype.kind == "c":
         if x.size:
             # each matrix of a stack is held to its own scale
             axes = tuple(range(x.ndim))[-2:]
@@ -235,14 +235,17 @@ class FilterBank:
     field : "real" or "complex"
 
     The spectral radius of A, found by the stability check, is kept for the
-    Stein solves in A and A* (matrixeq._stein_solver), and the bank's
-    coordinate chart is kept once moment.make_chart has built it.
+    Stein solves in A and A* (matrixeq._stein_solver), the read-only indices
+    of the entries above the diagonal of an m x m matrix for the membership
+    check of CB, and the bank's coordinate chart once moment.make_chart has
+    built it.
     """
 
     A: np.ndarray
     B: np.ndarray
     # declared before ``field``, which shadows dataclasses.field below them
     _radius: float = field(init=False, repr=False, compare=False)
+    _upper: tuple = field(init=False, repr=False, compare=False)
     _chart: object = field(init=False, repr=False, compare=False,
                            default=None)
     field: str = "real"
@@ -270,13 +273,14 @@ class FilterBank:
             raise MembershipError("filter B is not of full column rank")
         if _reachability_rank(A, B) < n:
             raise MembershipError("(A, B) is not reachable")
-        A = A.copy()
-        B = B.copy()
-        A.setflags(write=False)
-        B.setflags(write=False)
+        A, B = A.copy(), B.copy()
+        upper = np.triu_indices(B.shape[1], 1)
+        for val in (A, B) + upper:
+            val.setflags(write=False)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "_radius", rho)
+        object.__setattr__(self, "_upper", upper)
 
     @property
     def n(self):
@@ -550,10 +554,10 @@ def _closed_loop(filterbank, C):
         raise ValueError(f"C must be {m}x{n}, got {C.shape}")
     CB = C @ filterbank.B
     failures = []
-    max_upper = float(np.max(np.abs(np.triu(CB, 1))))
-    diag = np.diag(CB)
-    min_diag_real = float(np.min(diag.real))
-    max_diag_imag = float(np.max(np.abs(diag.imag))) if np.iscomplexobj(CB) else 0.0
+    max_upper = float(np.abs(CB[filterbank._upper]).max(initial=0.0))
+    diag = CB.diagonal()
+    min_diag_real = float(diag.real.min())
+    max_diag_imag = float(np.abs(diag.imag).max()) if CB.dtype.kind == "c" else 0.0
     if max_upper > STRICT_TOL:
         failures.append(
             f"CB is not lower triangular (max above-diagonal modulus {max_upper:.3e})")
@@ -565,14 +569,15 @@ def _closed_loop(filterbank, C):
             f"diagonal of CB is not positive (min real part {min_diag_real:.3e})")
     rho = np.inf
     Pi = None
-    if np.abs(np.linalg.det(CB)) > 0:
+    try:
         Pi = filterbank.A - filterbank.B @ np.linalg.solve(CB, C @ filterbank.A)
+    except np.linalg.LinAlgError:
+        failures.append("CB is singular; closed loop undefined")
+    else:
         rho = _spectral_radius(Pi)
         if not rho < 1.0 - STRICT_TOL:
             failures.append(
                 f"closed loop is not Schur stable (spectral radius {rho:.15g})")
-    else:
-        failures.append("CB is singular; closed loop undefined")
     diagnostics = CplusDiagnostics(
         member=not failures,
         spectral_radius=rho,

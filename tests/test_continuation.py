@@ -404,6 +404,35 @@ class TestRunContinuation:
         # one candidate per Newton iterate (none damped)
         assert len(loops) == 1 + steps + iters
 
+    def test_stein_work_per_reference_solve(self, fb, chart, prior_ref,
+                                            sigma_ref, monkeypatch):
+        # with the chart built, the reference solve factors one A_T per
+        # cascade point (24) and runs 52 stacked solves against them, each
+        # gating its residual: the two Gramians of every point (24 x 2
+        # slices), the M = 7 Jacobian columns of every direction solve
+        # (14 x 7) and its verification (one slice at t = 0 and t = 1, two
+        # between)
+        factored, slices = [], []
+        stein_solver = moment._stein_solver
+        smith_sum = matrixeq._smith_sum
+
+        def counted_solver(a, radius=None):
+            factored.append(a.shape)
+            return stein_solver(a, radius=radius)
+
+        def counted_sum(powers, Q):
+            slices.append(len(Q))
+            return smith_sum(powers, Q)
+
+        monkeypatch.setattr(moment, "_stein_solver", counted_solver)
+        monkeypatch.setattr(matrixeq, "_smith_sum", counted_sum)
+        run_continuation(fb, prior_ref, sigma_ref)
+        assert chart.dim == 7
+        assert len(factored) == 24
+        assert len(slices) == 52
+        assert sum(slices) == 171
+        assert sorted(slices) == [1] * 3 + [2] * (24 + 11) + [7] * 14
+
     def test_one_jacobian_per_newton_iterate(self, fb, prior_ref, sigma_ref,
                                              monkeypatch):
         # the tangent shares the corrector's Jacobian: each iterate at t < 1
@@ -678,6 +707,27 @@ class TestRandomBanks:
         path = run_continuation(fb, prior, Sigma)
         assert path.final.t == 1.0
         assert relative_error(path.final.C, C_true) <= 1e-6
+
+    def test_start_names_itself_when_a_stein_gate_fails(self):
+        # seed 1530: m = 1, n = 8, real bank, polynomial prior and
+        # cond(Sigma) = 4.2e8; the Gramian solve of the start's cascade
+        # point fails its residual gate before the defining equation is
+        # checked, and the error says so
+        fb, prior, rng = draw_random_bank(1530)
+        C_true = draw_param(fb, rng).C
+        Sigma = moment_g_statespace(fb, prior, FactorParameter(fb, C_true))
+        with pytest.raises(SolverError) as info:
+            run_continuation(fb, prior, Sigma)
+        exc = info.value
+        assert re.fullmatch(
+            r"maximum-entropy start failed: Stein solve residual \S+ exceeds "
+            r"tolerance in slice 1 of 2 \(cond\(Sigma\) = 4\.\d{3}e\+08\)",
+            str(exc)), str(exc)
+        assert re.search(NAMED_CAUSE, str(exc))
+        cause = exc.__cause__
+        assert isinstance(cause, SolverError)
+        assert str(cause) in str(exc)
+        assert exc.history == cause.history
 
     def test_maxent_start_raises_only_typed_errors(self):
         # seed 219: m = 1, n = 6, complex bank; draw_param runs

@@ -637,6 +637,42 @@ class TestCascadeAssembly:
         assert abs(radius - matrixeq._spectral_radius(a)) <= 1e-12
 
 
+class TestCascadeReads:
+    """A point reads g, the drift and every derivative as the leading block
+    of a Hermitian Stein solution, without Hermitizing it again."""
+
+    @pytest.mark.parametrize("kind", ["polynomial", "rational", None])
+    @pytest.mark.parametrize("bank", [(2, 1), (3, 2), "diag"])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_reads_are_exactly_hermitian(self, field, bank, kind, rng):
+        # the Stein solver Hermitizes its output, and P_t = (1 - t) P_1 +
+        # t P_psi and the drift are real combinations of such arrays, so
+        # each read equals its own conjugate transpose bit for bit
+        fb = make_bank(bank, field)
+        chart = make_chart(fb)
+        prior = None if kind is None else draw_prior(rng, kind, field)
+        point = CascadePoint(fb, prior, draw_param(fb, rng), 0.3)
+        V = chart.factor_basis[:3]
+        for X in (point.value(), point.drift(), point.derivatives(V[0]),
+                  *point.derivatives(V)):
+            assert_array_equal(X, X.conj().T)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_reads_are_copies(self, field, prior_ref, rng):
+        fb = make_covariance_extension_filter(2, 1, field=field)
+        chart = make_chart(fb)
+        point = CascadePoint(fb, prior_ref, draw_param(fb, rng), 0.5)
+        V = chart.factor_basis[:2]
+        reads = (point.value, point.drift, lambda: point.derivatives(V))
+        for read in reads:
+            X = read()
+            assert not np.shares_memory(X, point._P)
+            assert not np.shares_memory(X, point._P_drift)
+            want = X.copy()
+            X[...] = 7.0
+            assert_array_equal(read(), want)
+
+
 class TestOddPrior:
     # 1 + 0.5i z^{-1}: outer, with psi(theta) = 1.25 + sin(theta) not even
     B_ODD = np.array([1.0, 0.5j])

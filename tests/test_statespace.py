@@ -160,8 +160,10 @@ class TestSharedSetUp:
         prior._blowup(fb.m)
         seen = set()
         arrays = [a for obj in (fb, chart, prior) for a in _arrays(obj, seen)]
-        # A, B; the two bases; sigma's and each blow-up's A, B, C, D
-        assert len(arrays) == 2 + 2 + 4 * (1 + len(prior._blowups))
+        # A, B and the row and column indices above the diagonal of CB; the
+        # two bases and the conjugate transposes the coordinate maps
+        # contract with; sigma's and each blow-up's A, B, C, D
+        assert len(arrays) == 2 + 2 + 2 + 2 + 4 * (1 + len(prior._blowups))
         assert not any(a.flags.writeable for a in arrays)
         with pytest.raises(ValueError, match="read-only"):
             prior.sigma.C[0, 0] = 0.0
