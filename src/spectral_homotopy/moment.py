@@ -222,15 +222,15 @@ class CascadePoint:
     psi = 1.  On a real bank psi must be even, else ValueError naming the
     prior (statespace._check_prior_field).
 
-    G (z C G)^{-1} is stable with realization (Pi, Bt, I, 0), Bt = B (CB)^{-1};
-    the cascade T = sigma G (z C G)^{-1} feeds the prior's states into it,
+    The cascade T = sigma G (z C G)^{-1} feeds the prior's states into the
+    closed-loop realization (Pi, Bt, I, 0) that the FactorParameter keeps,
 
         A_T = [[Pi, Bt C_s], [0, A_s]],   B_T = [Bt D_s; B_s],   C_T = [I 0],
 
     where (A_s, B_s, C_s, D_s) = (A (x) I_m, B (x) I_m, C (x) I_m, D I_m)
     are the prior's per-channel copies, built once per prior and m
-    (PriorSpectrum._blowup); a point assembles A_T in place around its own
-    Pi and Bt, with no realization objects.
+    (PriorSpectrum._blowup); a point assembles A_T in place around the
+    parameter's Pi and Bt, with no realization objects.
     A_T is block upper triangular, so its spectral radius is the larger of
     Pi's (kept by the FactorParameter) and the prior's, and the Stein
     factorization's stability check needs no eigenvalues.  The flat prior
@@ -251,7 +251,7 @@ class CascadePoint:
                                    filterbank.field)
         sigma = prior._blowup(m)
         q = sigma.n_states
-        Bt = np.linalg.solve(param.CB.T, filterbank.B.T).T
+        Bt = param.Bt
         dtype = np.result_type(param.Pi, Bt, sigma.A, sigma.D, float)
         A = np.zeros((n + q, n + q), dtype)
         A[:n, :n] = param.Pi
@@ -264,7 +264,7 @@ class CascadePoint:
         self.A_T, self.B_T = A, B
         self.field = filterbank.field
         self.param = param
-        self._Bt, self._n = Bt, n
+        self._n = n
         self._stein = _stein_solver(
             A, radius=max(param.spectral_radius(), prior._radius))
         P1, Ppsi = self._stein(np.array([B1 @ B1.conj().T, B @ B.conj().T]))
@@ -321,7 +321,7 @@ class CascadePoint:
         # X P = C_T* Bt V (C_T P): Bt V times the first n rows of P, over
         # zero rows
         n, P = self._n, self._P
-        top = self._Bt @ V @ P[:n]
+        top = self.param.Bt @ V @ P[:n]
         XP = np.zeros(top.shape[:-2] + P.shape, top.dtype)
         XP[..., :n, :] = top
         dP = self._stein(-(XP + XP.conj().swapaxes(-1, -2)))

@@ -72,10 +72,14 @@ def _check_hermitian(X, name):
 
 
 def _spectral_radius(A):
-    """Largest eigenvalue modulus of a square A (0 for an empty one); Schur
-    stability is ``_spectral_radius(A) < 1 - STRICT_TOL`` throughout."""
+    """Largest eigenvalue modulus of a square A (0 for an empty one, inf for
+    one with a non-finite entry, so that every stability gate rejects it by
+    name); Schur stability is ``_spectral_radius(A) < 1 - STRICT_TOL``
+    throughout."""
     if A.size == 0:
         return 0.0
+    if not np.isfinite(A).all():
+        return np.inf
     return float(np.abs(np.linalg.eigvals(A)).max())
 
 
@@ -515,7 +519,6 @@ class CplusDiagnostics:
 
     member: bool
     spectral_radius: float
-    max_upper_abs: float
     failures: tuple = field(default_factory=tuple)
 
     def __bool__(self):
@@ -540,12 +543,14 @@ def _as_param(filterbank, C):
 
 
 def _closed_loop(filterbank, C):
-    """(diagnostics, C, CB, Pi) of the membership check of the matrix C.
+    """(diagnostics, C, CB, Pi, Bt) of the membership check of the matrix C.
 
     The one validation of C (finite entries, its shape, and a real C for a
-    real bank, else ValueError) and the one computation of CB, the CB
-    solve, Pi and its spectral radius behind both is_in_Cplus and
-    FactorParameter; Pi is None when CB is singular.
+    real bank, else ValueError) and the one computation of CB, the closed
+    loop and its spectral radius behind both is_in_Cplus and
+    FactorParameter.  G (z C G)^{-1} has the realization (Pi, Bt, I, 0), with
+    input matrix Bt = B (CB)^{-1}, from the one solve against CB, and closed
+    loop Pi = A - Bt C A; Pi and Bt are None when CB is singular.
     """
     m, n = filterbank.m, filterbank.n
     C = coerce_field(_check_finite(_as_matrix(C, "C"), "C"), filterbank.field,
@@ -568,12 +573,13 @@ def _closed_loop(filterbank, C):
         failures.append(
             f"diagonal of CB is not positive (min real part {min_diag_real:.3e})")
     rho = np.inf
-    Pi = None
+    Pi = Bt = None
     try:
-        Pi = filterbank.A - filterbank.B @ np.linalg.solve(CB, C @ filterbank.A)
+        Bt = np.linalg.solve(CB.T, filterbank.B.T).T
     except np.linalg.LinAlgError:
         failures.append("CB is singular; closed loop undefined")
     else:
+        Pi = filterbank.A - Bt @ (C @ filterbank.A)
         rho = _spectral_radius(Pi)
         if not rho < 1.0 - STRICT_TOL:
             failures.append(
@@ -581,33 +587,35 @@ def _closed_loop(filterbank, C):
     diagnostics = CplusDiagnostics(
         member=not failures,
         spectral_radius=rho,
-        max_upper_abs=max_upper,
         failures=tuple(failures),
     )
-    return diagnostics, C, CB, Pi
+    return diagnostics, C, CB, Pi, Bt
 
 
 @dataclass(frozen=True)
 class FactorParameter:
     """A point C of the stable factor set, bound to its filter bank.
 
-    Construction validates membership and caches CB, the closed loop
-    Pi = A - B (CB)^{-1} C A and its spectral radius, all from the one
-    computation of the membership check.
+    Construction validates membership and keeps, read-only, CB and the
+    closed-loop realization (Pi, Bt, I, 0) of G (z C G)^{-1}: the input
+    matrix Bt = B (CB)^{-1}, the closed loop Pi = A - Bt C A, stable, and
+    its spectral radius, all from the one computation of the membership
+    check.
     """
 
     filterbank: FilterBank
     C: np.ndarray
     CB: np.ndarray = field(init=False, repr=False)
     Pi: np.ndarray = field(init=False, repr=False)
+    Bt: np.ndarray = field(init=False, repr=False)
     _radius: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        diag, C, CB, Pi = _closed_loop(self.filterbank, self.C)
+        diag, C, CB, Pi, Bt = _closed_loop(self.filterbank, self.C)
         if not diag:
             raise MembershipError(
                 "C is not in the stable factor set: " + "; ".join(diag.failures))
-        for name, val in (("C", C.copy()), ("CB", CB), ("Pi", Pi)):
+        for name, val in (("C", C.copy()), ("CB", CB), ("Pi", Pi), ("Bt", Bt)):
             val.setflags(write=False)
             object.__setattr__(self, name, val)
         object.__setattr__(self, "_radius", diag.spectral_radius)

@@ -256,8 +256,8 @@ def factor_inner_realization(filterbank, C):
     """
     param = C if isinstance(C, FactorParameter) else FactorParameter(filterbank, C)
     n = filterbank.n
-    Bt = np.linalg.solve(param.CB.T, filterbank.B.T).T
-    return StateSpaceSystem(param.Pi, Bt, np.eye(n), np.zeros((n, filterbank.m)))
+    return StateSpaceSystem(param.Pi, param.Bt, np.eye(n),
+                            np.zeros((n, filterbank.m)))
 
 
 def fd_direction(chart, rng):

@@ -568,6 +568,26 @@ class TestInvalidParameters:
         assert err == "config error: C: C has non-finite entries\n"
 
 
+    def test_overflowing_closed_loop_is_a_violation(self, tmp_path, capsys):
+        # CB = [[1e-310, 0], [2, 1]]: nonsingular, but the closed loop
+        # overflows; both verbs name the failed gates, and numpy's
+        # "infs or NaNs" never reaches the user
+        C = [[0.5, 0.65, 1e-310, 0.0], [-2.2615, -1.0, 2.0, 1.0]]
+        cfg = write_config(tmp_path, base_config(C=C))
+        findings = ("diagonal of CB is not positive (min real part "
+                    "1.000e-310); closed loop is not Schur stable (spectral "
+                    "radius inf)")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["check", "--config", cfg]) == 0
+            out = capsys.readouterr().out
+            assert main(["condnum", "--config", cfg]) == 3
+            err = capsys.readouterr().err
+        assert f"C: VIOLATION {findings} (closed-loop spectral radius inf)\n" \
+            in out
+        assert err == ("solver error: C is not in the stable factor set: "
+                       f"{findings}\n")
+
+
 class TestInvalidPrior:
     @pytest.mark.parametrize("value", [0.0, float("inf")])
     def test_check_reports_it_and_solve_rejects_it(self, value, tmp_path,
@@ -581,6 +601,24 @@ class TestInvalidPrior:
         assert main(["solve", "--config", cfg, "--out",
                      str(tmp_path / "x")]) == 2
         assert "positive and finite" in capsys.readouterr().err
+
+
+    def test_overflowing_zero_is_a_violation(self, tmp_path, capsys):
+        # A - B C / D overflows: the outer check names a zero of modulus
+        # inf, where numpy's "infs or NaNs" used to end the verb
+        doc = base_config(sigma=SIGMA_FROM_REF)
+        doc["prior"] = {"kind": "rational", "sigma": {
+            "A": [[0.5]], "B": [[1e300]], "C": [[1e10]], "D": [[0.1]]}}
+        cfg = write_config(tmp_path, doc)
+        finding = "sigma is not outer: a zero of modulus inf >= 1"
+        with np.errstate(over="ignore"):
+            assert main(["check", "--config", cfg]) == 0
+            out = capsys.readouterr().out
+            assert main(["solve", "--config", cfg, "--out",
+                         str(tmp_path / "x")]) == 2
+            err = capsys.readouterr().err
+        assert f"prior: VIOLATION {finding}\n" in out
+        assert err == f"config error: prior: {finding}\n"
 
 
 NON_MINIMUM_PHASE = {"kind": "polynomial", "b": [1.0, -2.0]}

@@ -433,6 +433,26 @@ class TestRunContinuation:
         assert sum(slices) == 171
         assert sorted(slices) == [1] * 3 + [2] * (24 + 11) + [7] * 14
 
+    def test_dense_solves_per_reference_solve(self, fb, chart, prior_ref,
+                                              sigma_ref, monkeypatch):
+        # with the chart built, the reference solve makes 26 np.linalg.solve
+        # calls: one against CB per closed loop (the start, 10 predictions
+        # and 13 Newton candidates) and two in the start's flat-prior
+        # factorization; a cascade point reads Bt from its parameter
+        calls = []
+        solve = np.linalg.solve
+
+        def counted(a, b):
+            calls.append(np.shape(a))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        path = run_continuation(fb, prior_ref, sigma_ref)
+        assert chart.dim == 7
+        assert (len(path.samples) - 1,
+                sum(s.newton_iters for s in path.samples)) == (10, 13)
+        assert len(calls) == 26
+
     def test_one_jacobian_per_newton_iterate(self, fb, prior_ref, sigma_ref,
                                              monkeypatch):
         # the tangent shares the corrector's Jacobian: each iterate at t < 1

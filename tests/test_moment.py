@@ -636,6 +636,23 @@ class TestCascadeAssembly:
         assert a is point.A_T
         assert abs(radius - matrixeq._spectral_radius(a)) <= 1e-12
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_a_parameter_brings_its_closed_loop(self, field, prior_ref, rng,
+                                                monkeypatch):
+        # Pi and Bt = B (CB)^{-1} come from the parameter's membership
+        # check, so a point built on a FactorParameter makes no dense solve
+        fb = make_covariance_extension_filter(2, 1, field=field)
+        param = draw_param(fb, rng)
+
+        def forbidden(*args):
+            raise AssertionError("np.linalg.solve called")
+
+        monkeypatch.setattr(np.linalg, "solve", forbidden)
+        point = CascadePoint(fb, prior_ref, param, 0.5)
+        n = fb.n
+        assert_array_equal(point.A_T[:n, :n], param.Pi)
+        assert point.param is param
+
 
 class TestCascadeReads:
     """A point reads g, the drift and every derivative as the leading block

@@ -19,8 +19,8 @@ from spectral_homotopy import (EvaluationError, FactorParameter, FilterBank,
 
 from spectral_homotopy.statespace import _check_prior_field, _fir_system
 
-from conftest import (C_REF, cascade, factor_inner_realization,
-                      series_product)
+from conftest import (C_REF, cascade, draw_param, factor_inner_realization,
+                      make_bank, series_product)
 
 
 class TestFilterBank:
@@ -263,7 +263,30 @@ class TestStableFactorSet:
         C = np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 0.0, 1.0]])
         diag = is_in_Cplus(fb, C)
         assert not diag
-        assert diag.max_upper_abs > 0.5
+        # CB = [[1, 1], [0, 1]]
+        assert diag.failures == (
+            "CB is not lower triangular (max above-diagonal modulus 1.000e+00)",)
+
+    def test_overflowing_closed_loop_is_a_named_failure(self, fb):
+        # CB = [[1e-310, 0], [2, 1]] is nonsingular, but B (CB)^{-1} and Pi
+        # overflow: the closed loop's spectral radius is inf, a failure
+        # named beside the diagonal's, not an error from the eigenvalues
+        C = [[0.5, 0.65, 1e-310, 0.0], [-2.2615, -1.0, 2.0, 1.0]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            diag = is_in_Cplus(fb, C)
+            assert diag.spectral_radius == np.inf
+            assert diag.failures == (
+                "diagonal of CB is not positive (min real part 1.000e-310)",
+                "closed loop is not Schur stable (spectral radius inf)")
+            with pytest.raises(MembershipError,
+                               match=r"\(spectral radius inf\)$"):
+                FactorParameter(fb, C)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_spectral_radius_of_a_non_finite_matrix_is_inf(self, bad):
+        A = np.array([[0.5, 0.0], [bad, 0.1]])
+        for a in (A, A.astype(complex)):
+            assert statespace._spectral_radius(a) == np.inf
 
     def test_shape_mismatch_raises(self, fb):
         with pytest.raises(ValueError):
@@ -296,6 +319,18 @@ class TestStableFactorSet:
         # closed loop Pi = A - B (CB)^{-1} C A must be Schur stable
         rho = float(np.max(np.abs(np.linalg.eigvals(param.Pi))))
         assert rho < 1.0
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("bank", [(2, 1), (3, 1), "pair"])
+    def test_parameter_keeps_the_closed_loop_input(self, bank, field):
+        # Bt = B (CB)^{-1}, read-only beside CB and Pi = A - Bt C A
+        fb = make_bank(bank, field)
+        param = draw_param(fb, np.random.default_rng(3))
+        for name in ("CB", "Pi", "Bt"):
+            assert not getattr(param, name).flags.writeable
+        B = fb.B
+        assert (np.linalg.norm(param.Bt @ param.CB - B)
+                <= 1e-14 * np.linalg.norm(B))
 
     def test_parameter_rejects_nonmember(self, fb):
         C = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
@@ -412,6 +447,15 @@ class TestPriors:
                                 np.array([[2.0]]), np.array([[1.0]]))
         with pytest.raises(MembershipError, match="outer"):
             prior_from_outer(sys_)
+
+    def test_rational_prior_with_an_overflowing_zero_is_not_outer(self):
+        # A - B C / D overflows to -inf: a zero of modulus inf, named by
+        # the outer check instead of an error from the eigenvalues
+        sys_ = StateSpaceSystem([[0.5]], [[1e300]], [[1e10]], [[0.1]])
+        with np.errstate(over="ignore"):
+            with pytest.raises(MembershipError, match=(
+                    "^sigma is not outer: a zero of modulus inf >= 1$")):
+                prior_from_outer(sys_)
 
     def test_building_a_prior_solves_no_matrix_equation(self, monkeypatch):
         # an outer sigma has psi > 0, so no prior needs the Stein solve and
