@@ -30,51 +30,17 @@ Layering, bottom up.  Each module imports, at module level only, from
 - ``cli``: ``spectral-homotopy`` command-line entry points.
 """
 
-from .errors import (ConfigError, EvaluationError, FactorizationError,
-                     MembershipError, SolverError, SpectralHomotopyError)
-from .statespace import (CplusDiagnostics, FactorParameter, FilterBank,
-                         PriorSpectrum, StateSpaceSystem, circle_grid,
-                         coerce_field, constant_prior, grid_size_from_spacing,
-                         is_in_Cplus, make_covariance_extension_filter,
-                         matrix_from_json, matrix_to_json, prior_from_outer,
-                         prior_from_polynomial)
-from .matrixeq import (DareSolution, LplusDiagnostics, is_in_Lplus,
-                       reverse_cholesky, solve_dare_appendix,
-                       solve_dare_lambda, solve_dlyap, standard_cholesky)
-from .factorization import (density_values, h_inverse, h_map,
-                            left_outer_factor_from_additive,
-                            right_outer_factor)
-from .moment import (CascadePoint, CoordinateChart, GridPoint,
-                     JacobianSolveInfo, build_factor_basis,
-                     build_range_gamma_basis, condition_numbers,
-                     f_jacobian_from_g, jacobian_condition_number,
-                     make_chart, moment_g_statespace, trace_inner)
-from .continuation import (HomotopyConfig, PathSample, SolutionPath,
-                           corrector_newton, maxent_initialization,
-                           run_continuation, write_path_csv, write_path_json)
+from . import continuation, errors, factorization, matrixeq, moment, statespace
+from .errors import *
+from .statespace import *
+from .matrixeq import *
+from .factorization import *
+from .moment import *
+from .continuation import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "SpectralHomotopyError", "EvaluationError", "MembershipError",
-    "FactorizationError", "SolverError", "ConfigError",
-    "StateSpaceSystem", "FilterBank", "PriorSpectrum", "FactorParameter",
-    "CplusDiagnostics", "LplusDiagnostics",
-    "make_covariance_extension_filter", "constant_prior",
-    "prior_from_polynomial", "prior_from_outer", "is_in_Cplus", "is_in_Lplus",
-    "circle_grid", "grid_size_from_spacing", "coerce_field",
-    "matrix_to_json", "matrix_from_json",
-    "DareSolution", "solve_dlyap", "solve_dare_appendix", "solve_dare_lambda",
-    "standard_cholesky", "reverse_cholesky",
-    "right_outer_factor", "left_outer_factor_from_additive",
-    "h_map", "h_inverse", "density_values",
-    "trace_inner", "moment_g_statespace",
-    "build_range_gamma_basis", "build_factor_basis", "CoordinateChart",
-    "make_chart", "CascadePoint", "GridPoint", "JacobianSolveInfo",
-    "jacobian_condition_number",
-    "f_jacobian_from_g", "condition_numbers",
-    "HomotopyConfig", "PathSample", "SolutionPath", "maxent_initialization",
-    "corrector_newton", "run_continuation",
-    "write_path_csv", "write_path_json",
-    "__version__",
-]
+# each layer's __all__ is the one list of its public names
+__all__ = [name for layer in (errors, statespace, matrixeq, factorization,
+                              moment, continuation)
+           for name in layer.__all__] + ["__version__"]

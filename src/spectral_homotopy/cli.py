@@ -34,8 +34,8 @@ quadrature grid except ``selftest``, whose oracle suite checks the exact g
 against one; the section ``quadrature`` (``dtheta``) is parsed so that
 existing configs keep working, but nothing reads it.
 
-Exit codes: 0 success, 1 selftest failure, 2 configuration error, 3 solver
-failure.
+Exit codes: 0 success, 1 selftest failure, 2 configuration error, 3 any
+other error of the package (reported as ``solver error:``).
 
 ``main`` may be called in-process any number of times: it builds the
 argument parser on its first call and reuses it, and a usage error still
@@ -64,8 +64,7 @@ from . import factorization
 from .continuation import (HomotopyConfig, _check_covariance, _start_point,
                            maxent_initialization, run_continuation,
                            write_path_csv, write_path_json)
-from .errors import (ConfigError, EvaluationError, FactorizationError,
-                     MembershipError, SolverError)
+from .errors import ConfigError, MembershipError, SpectralHomotopyError
 from .matrixeq import is_in_Lplus
 from .moment import (CascadePoint, GridPoint, condition_numbers, make_chart,
                      moment_g_statespace)
@@ -181,7 +180,7 @@ def _parse_prior(spec, field, path="prior"):
     return error
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(eq=False)
 class RunConfig:
     """Parsed configuration; fields are None when the section was absent.
 
@@ -583,8 +582,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, MembershipError, FactorizationError,
-            EvaluationError) as exc:
+    except SpectralHomotopyError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
 

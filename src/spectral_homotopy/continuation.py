@@ -106,7 +106,7 @@ class HomotopyConfig:
                 f"{self.newton_tol}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathSample:
     """One accepted continuation step (or the start, t = 0).
 
@@ -131,7 +131,7 @@ class PathSample:
     tangent_norm: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolutionPath:
     """Full record of a continuation run; ``chart`` fixes the meaning of
     the samples' coordinates ``y``."""
@@ -193,9 +193,9 @@ def _start_point(chart, prior, Sigma):
     SolverError naming the gap and cond(Sigma), whose roundoff the closed
     form carries).  A Stein solve of the point that fails its residual gate
     raises SolverError too, naming the start and cond(Sigma), chained from
-    the gate's error and carrying its history.  Sigma must be admissible
-    (else MembershipError, see maxent_initialization).  Returns (point,
-    Sigma, gap): Sigma Hermitized and gap = ||g(1, C) - Sigma||.
+    the gate's error.  Sigma must be admissible (else MembershipError, see
+    maxent_initialization).  Returns (point, Sigma, gap): Sigma Hermitized
+    and gap = ||g(1, C) - Sigma||.
     """
     filterbank = chart.filterbank
     Sigma, findings, _, _ = _check_covariance(chart, Sigma)
@@ -212,7 +212,7 @@ def _start_point(chart, prior, Sigma):
     except SolverError as exc:
         raise SolverError(
             f"maximum-entropy start failed: {exc} (cond(Sigma) = "
-            f"{np.linalg.cond(Sigma):.3e})", history=exc.history) from exc
+            f"{np.linalg.cond(Sigma):.3e})") from exc
     gap = float(np.linalg.norm(point.value() - Sigma))
     if gap > 1e-9 * float(np.linalg.norm(Sigma)):
         raise SolverError(

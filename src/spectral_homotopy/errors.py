@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+__all__ = ["SpectralHomotopyError", "EvaluationError", "MembershipError",
+           "FactorizationError", "SolverError", "ConfigError"]
+
 
 class SpectralHomotopyError(Exception):
     """Base class for all errors raised by this package."""
@@ -29,7 +32,9 @@ class FactorizationError(SpectralHomotopyError):
 class SolverError(SpectralHomotopyError):
     """An iterative solver failed to converge or hit a safeguard floor.
 
-    Carries optional diagnostic history (per-iteration residuals).
+    ``history`` lists ``(t, dt, reason)`` for each failed step of a
+    continuation run (see continuation.run_continuation); it is empty for
+    every other failure, whose message gives the value that failed.
     """
 
     def __init__(self, message, history=None):

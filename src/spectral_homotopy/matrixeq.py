@@ -151,8 +151,7 @@ def _stein_solver(A1, radius=None):
             i = int(np.argmax(np.where(ok, -np.inf, resid)))
             where = f" in slice {i} of {len(stack)}" if Q.ndim == 3 else ""
             raise SolverError(
-                f"Stein solve residual {resid[i]:.3e} exceeds tolerance{where}",
-                history=[float(resid[i])])
+                f"Stein solve residual {resid[i]:.3e} exceeds tolerance{where}")
         return R.reshape(Q.shape)
 
     return solve
@@ -208,7 +207,7 @@ def reverse_cholesky(M):
     return K.conj().T[::-1, ::-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DareSolution:
     """Solution record of a Riccati solve.
 
@@ -262,8 +261,8 @@ def _sda_appendix(F, G, H, R):
         if delta <= ITER_UPDATE_TOL:
             return Hk, it
     raise SolverError(
-        f"doubling iteration did not converge in {ITER_BUDGET} steps",
-        history=[float(delta)])
+        f"doubling iteration did not converge in {ITER_BUDGET} steps (last "
+        f"relative update {delta:.3e})")
 
 
 def _circle_positivity(F, G, H, J):
@@ -388,7 +387,7 @@ def solve_dare_appendix(F, G, H, J):
     rnorm = _residual_gate(resid, P)
     L = standard_cholesky(_hermitize(Om))
     Kcl = F - K @ H
-    _stabilizing_gate(Kcl, rnorm)
+    _stabilizing_gate(Kcl)
     return DareSolution(P=P, L=L, closed_loop=Kcl, residual_norm=rnorm,
                         iterations=iters)
 
@@ -399,17 +398,17 @@ def _residual_gate(resid, P):
     if rnorm > DARE_RESIDUAL_TOL * (1.0 + float(np.linalg.norm(P))):
         raise SolverError(
             f"Riccati residual {rnorm:.3e} exceeds tolerance "
-            f"{DARE_RESIDUAL_TOL:.1e} (1 + ||P||)", history=[rnorm])
+            f"{DARE_RESIDUAL_TOL:.1e} (1 + ||P||)")
     return rnorm
 
 
-def _stabilizing_gate(closed_loop, rnorm):
+def _stabilizing_gate(closed_loop):
     """Raises unless the closed loop of a Riccati solution is Schur stable."""
     rho_cl = _spectral_radius(closed_loop)
     if not rho_cl < 1.0 - STRICT_TOL:
         raise SolverError(
             f"computed solution is not stabilizing (closed-loop spectral "
-            f"radius {rho_cl:.15g})", history=[rnorm])
+            f"radius {rho_cl:.15g})")
 
 
 def _lambda_residual(A, B, Lam, P):
@@ -510,6 +509,6 @@ def solve_dare_lambda(filterbank, Lam):
 
     resid, L, Pi = _lambda_residual(filterbank.A, filterbank.B, Lam, P)
     rnorm = _residual_gate(resid, P)
-    _stabilizing_gate(Pi, rnorm)
+    _stabilizing_gate(Pi)
     return DareSolution(P=P, L=L, closed_loop=Pi, residual_norm=rnorm,
                         iterations=iters)

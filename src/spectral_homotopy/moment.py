@@ -200,7 +200,7 @@ class GridPoint:
 # integration-free evaluation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JacobianSolveInfo:
     """Diagnostics of one linear-system solve against the g-Jacobian.
 
@@ -328,7 +328,11 @@ class CascadePoint:
         return self._read(dP, "derivative value")
 
     def jacobian(self, chart):
-        """J_g in chart coordinates: all M columns from one stacked solve."""
+        """J_g in chart coordinates: all M columns from one stacked solve.
+        ``chart`` must be the chart of this point's bank object, else
+        ValueError."""
+        if chart.filterbank is not self.param.filterbank:
+            raise ValueError("the chart is of another filter bank")
         return chart.range_coords(self.derivatives(chart.factor_basis)).T
 
     def solve(self, chart, Y):
@@ -360,8 +364,11 @@ class CascadePoint:
 
         Returns (V, JacobianSolveInfo).  Raises SolverError, once for the
         whole stack, when the Gram conditioning exceeds GRAM_COND_LIMIT or
-        a slice fails verification.
+        a slice fails verification, and ValueError, as jacobian does, for a
+        chart of another bank, even when every Y is zero.
         """
+        if chart.filterbank is not self.param.filterbank:
+            raise ValueError("the chart is of another filter bank")
         Y = np.asarray(Y)
         stacked = Y.ndim == 3
         yr = chart.range_coords(Y if stacked else Y[None])

@@ -11,14 +11,18 @@ through one batched resolvent solve, _resolvent.  This is the lowest
 layer above errors: it imports no other module of the package.
 
 All sets come with explicit numerical tolerances: strict inequalities use a
-1e-12 margin throughout.
+1e-12 margin throughout.  Every type here that holds an array is a frozen
+dataclass whose fields are its constructor's inputs; what construction
+derives from them is kept beside the fields, and an instance compares and
+hashes by identity, since equal arrays in two instances do not make them
+one object (a chart, say, is kept on one bank object).
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,7 +144,7 @@ def grid_size_from_spacing(dtheta):
     return max(1, int(round(2.0 * np.pi / float(dtheta))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateSpaceSystem:
     """Causal system W(z) = C (zI - A)^{-1} B + D with Schur-stable A; its
     matrices must be finite (else ValueError naming the matrix)."""
@@ -228,7 +232,7 @@ def _reachability_rank(A, B):
     return int(np.sum(s > RANK_RTOL * s[0]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilterBank:
     """Bank of rational filters G(z) = (zI - A)^{-1} B.
 
@@ -247,11 +251,6 @@ class FilterBank:
 
     A: np.ndarray
     B: np.ndarray
-    # declared before ``field``, which shadows dataclasses.field below them
-    _radius: float = field(init=False, repr=False, compare=False)
-    _upper: tuple = field(init=False, repr=False, compare=False)
-    _chart: object = field(init=False, repr=False, compare=False,
-                           default=None)
     field: str = "real"
 
     def __post_init__(self):
@@ -281,10 +280,9 @@ class FilterBank:
         upper = np.triu_indices(B.shape[1], 1)
         for val in (A, B) + upper:
             val.setflags(write=False)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "_radius", rho)
-        object.__setattr__(self, "_upper", upper)
+        for name, val in (("A", A), ("B", B), ("_radius", rho),
+                          ("_upper", upper), ("_chart", None)):
+            object.__setattr__(self, name, val)
 
     @property
     def n(self):
@@ -335,7 +333,7 @@ def _covext_bank(m, p, field):
     return FilterBank(A, B, field=field)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriorSpectrum:
     """Scalar prior density psi = |sigma|^2 given by its outer factor sigma.
 
@@ -357,10 +355,6 @@ class PriorSpectrum:
 
     sigma: StateSpaceSystem
     kind: str = "rational"
-    _radius: float = field(init=False, repr=False, compare=False)
-    _even: bool = field(init=False, repr=False, compare=False)
-    _blowups: dict = field(init=False, repr=False, compare=False,
-                           default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in ("constant", "polynomial", "rational"):
@@ -379,12 +373,16 @@ class PriorSpectrum:
         if abs(d) <= STRICT_TOL * np.max(np.abs(C), initial=0.0):
             raise MembershipError(
                 f"{what}: its feedthrough vanishes (a zero at infinity)")
-        worst = _spectral_radius(A - B @ C / d)
+        # an overflow is left to _spectral_radius, which names it
+        with np.errstate(over="ignore", invalid="ignore"):
+            zero_dynamics = A - B @ C / d
+        worst = _spectral_radius(zero_dynamics)
         if not worst < 1.0 - STRICT_TOL:
             raise MembershipError(
                 f"{what}: a zero of modulus {worst:.15g} >= 1")
-        object.__setattr__(self, "_radius", rho)
-        object.__setattr__(self, "_even", _is_even(self.sigma))
+        for name, val in (("_radius", rho), ("_even", _is_even(self.sigma)),
+                          ("_blowups", {})):
+            object.__setattr__(self, name, val)
 
     def sigma_values(self, theta):
         """sigma(e^{i theta}) on a grid of angles, as a 1-d complex array."""
@@ -519,7 +517,7 @@ class CplusDiagnostics:
 
     member: bool
     spectral_radius: float
-    failures: tuple = field(default_factory=tuple)
+    failures: tuple = ()
 
     def __bool__(self):
         return self.member
@@ -537,9 +535,14 @@ def is_in_Cplus(filterbank, C):
 
 
 def _as_param(filterbank, C):
-    """``C`` as a FactorParameter of ``filterbank``: a FactorParameter is
-    returned as is, a matrix is checked for membership."""
-    return C if isinstance(C, FactorParameter) else FactorParameter(filterbank, C)
+    """``C`` as a FactorParameter of ``filterbank``: a matrix is checked for
+    membership, and a FactorParameter is returned as is if it belongs to
+    this very bank object (else ValueError)."""
+    if not isinstance(C, FactorParameter):
+        return FactorParameter(filterbank, C)
+    if C.filterbank is not filterbank:
+        raise ValueError("C is a FactorParameter of another filter bank")
+    return C
 
 
 def _closed_loop(filterbank, C):
@@ -579,7 +582,9 @@ def _closed_loop(filterbank, C):
     except np.linalg.LinAlgError:
         failures.append("CB is singular; closed loop undefined")
     else:
-        Pi = filterbank.A - Bt @ (C @ filterbank.A)
+        # an overflow is left to _spectral_radius, which names it
+        with np.errstate(over="ignore", invalid="ignore"):
+            Pi = filterbank.A - Bt @ (C @ filterbank.A)
         rho = _spectral_radius(Pi)
         if not rho < 1.0 - STRICT_TOL:
             failures.append(
@@ -592,7 +597,7 @@ def _closed_loop(filterbank, C):
     return diagnostics, C, CB, Pi, Bt
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactorParameter:
     """A point C of the stable factor set, bound to its filter bank.
 
@@ -605,10 +610,6 @@ class FactorParameter:
 
     filterbank: FilterBank
     C: np.ndarray
-    CB: np.ndarray = field(init=False, repr=False)
-    Pi: np.ndarray = field(init=False, repr=False)
-    Bt: np.ndarray = field(init=False, repr=False)
-    _radius: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         diag, C, CB, Pi, Bt = _closed_loop(self.filterbank, self.C)

@@ -15,7 +15,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import spectral_homotopy
-from spectral_homotopy import (FactorParameter, MembershipError, cli,
+from spectral_homotopy import (FactorParameter, MembershipError, cli, errors,
                                factorization, jacobian_condition_number,
                                make_covariance_extension_filter,
                                matrix_to_json, moment, statespace)
@@ -273,6 +273,28 @@ class TestCondnum:
         assert abs(report["cond_g"] - 2.4674e5) / 2.4674e5 <= 0.01
         assert abs(report["cond_f"] - 3.8187e8) / 3.8187e8 <= 0.01
         assert report["ratio"] > 1e3
+
+    @pytest.mark.parametrize("error, code, prefix", [
+        (errors.ConfigError, 2, "config error"),
+        (errors.SpectralHomotopyError, 3, "solver error"),
+        (errors.EvaluationError, 3, "solver error"),
+        (errors.MembershipError, 3, "solver error"),
+        (errors.FactorizationError, 3, "solver error"),
+        (errors.SolverError, 3, "solver error"),
+        (type("OwnError", (errors.SpectralHomotopyError,), {}), 3,
+         "solver error"),
+    ])
+    def test_one_exit_code_per_error_class(self, error, code, prefix,
+                                           tmp_path, capsys, monkeypatch):
+        # ConfigError exits 2 and every other error of the package 3, a
+        # subclass that cli never names included
+        def failing(*args):
+            raise error("raised in the verb")
+
+        monkeypatch.setattr(cli, "condition_numbers", failing)
+        cfg = write_config(tmp_path, base_config(C=C_REF.tolist()))
+        assert main(["condnum", "--config", cfg]) == code
+        assert capsys.readouterr().err == f"{prefix}: raised in the verb\n"
 
     def test_cond_g_is_the_exact_route(self, chart, prior_ref, param_ref,
                                        tmp_path, capsys, monkeypatch):
@@ -577,11 +599,10 @@ class TestInvalidParameters:
         findings = ("diagonal of CB is not positive (min real part "
                     "1.000e-310); closed loop is not Schur stable (spectral "
                     "radius inf)")
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["check", "--config", cfg]) == 0
-            out = capsys.readouterr().out
-            assert main(["condnum", "--config", cfg]) == 3
-            err = capsys.readouterr().err
+        assert main(["check", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert main(["condnum", "--config", cfg]) == 3
+        err = capsys.readouterr().err
         assert f"C: VIOLATION {findings} (closed-loop spectral radius inf)\n" \
             in out
         assert err == ("solver error: C is not in the stable factor set: "
@@ -611,12 +632,11 @@ class TestInvalidPrior:
             "A": [[0.5]], "B": [[1e300]], "C": [[1e10]], "D": [[0.1]]}}
         cfg = write_config(tmp_path, doc)
         finding = "sigma is not outer: a zero of modulus inf >= 1"
-        with np.errstate(over="ignore"):
-            assert main(["check", "--config", cfg]) == 0
-            out = capsys.readouterr().out
-            assert main(["solve", "--config", cfg, "--out",
-                         str(tmp_path / "x")]) == 2
-            err = capsys.readouterr().err
+        assert main(["check", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert main(["solve", "--config", cfg, "--out",
+                     str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
         assert f"prior: VIOLATION {finding}\n" in out
         assert err == f"config error: prior: {finding}\n"
 

@@ -59,12 +59,23 @@ def test_imports_go_down_a_layer(name):
 
 
 def test_package_exports_what_its_layers_export():
-    # errors keeps no __all__: its exports are its exception classes
-    exported = {"__version__"} | {
-        name for name, obj in vars(errors).items()
-        if isinstance(obj, type) and issubclass(obj, Exception)}
-    for name in ORDER[1:-1]:
-        exported |= set(importlib.import_module(
-            f"spectral_homotopy.{name}").__all__)
-    assert len(spectral_homotopy.__all__) == len(exported)
-    assert set(spectral_homotopy.__all__) == exported
+    # each layer's __all__ lists its public names; the package exports
+    # exactly those of the layers below cli, and __version__
+    exported = ["__version__"]
+    for name in ORDER[:-1]:
+        exported += importlib.import_module(
+            f"spectral_homotopy.{name}").__all__
+    assert sorted(spectral_homotopy.__all__) == sorted(set(exported))
+
+
+@pytest.mark.parametrize("name", ORDER[:-1])
+def test_package_names_bind_their_layers_objects(name):
+    layer = importlib.import_module(f"spectral_homotopy.{name}")
+    for public in layer.__all__:
+        assert getattr(spectral_homotopy, public) is getattr(layer, public)
+
+
+def test_errors_lists_every_exception_class():
+    classes = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, Exception)}
+    assert set(errors.__all__) == classes

@@ -362,6 +362,16 @@ class TestAdditiveRiccati:
         solve_dare_appendix(F, G, H, J)
         assert len(tested) == 1
 
+    def test_unconverged_doubling_names_its_last_update(self, rng,
+                                                        monkeypatch):
+        (F, G, H, J), _ = random_additive_quadruple(rng)
+        monkeypatch.setattr(matrixeq, "ITER_BUDGET", 2)
+        with pytest.raises(SolverError, match=(
+                r"^doubling iteration did not converge in 2 steps \(last "
+                r"relative update \d\.\d{3}e[+-]\d\d\)$")) as info:
+            solve_dare_appendix(F, G, H, J)
+        assert info.value.history == []
+
     def test_rejects_unstable_F(self):
         with pytest.raises(MembershipError, match="stable"):
             solve_dare_appendix(np.array([[1.1]]), np.array([[1.0]]),

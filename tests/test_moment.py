@@ -10,14 +10,15 @@ from spectral_homotopy import (CascadePoint, CoordinateChart,
                                EvaluationError, FactorParameter, FilterBank,
                                GridPoint,
                                SolverError, StateSpaceSystem,
-                               condition_numbers, constant_prior,
+                               circle_grid, condition_numbers,
+                               constant_prior, density_values,
                                f_jacobian_from_g, h_inverse,
                                jacobian_condition_number, make_chart,
                                make_covariance_extension_filter,
                                matrixeq, moment, statespace,
                                moment_g_statespace,
                                prior_from_outer, prior_from_polynomial,
-                               trace_inner)
+                               right_outer_factor, trace_inner)
 from spectral_homotopy.moment import (build_factor_basis,
                                       build_range_gamma_basis)
 
@@ -944,3 +945,64 @@ class TestJacobianSolve:
         with pytest.raises(SolverError, match="Gram system condition"):
             point.solve(chart, np.stack([Y, -point.drift(), Y]))
         assert len(jacobians) == 1
+
+
+def _other_bank(field):
+    """4 states and 2 inputs, the shape of covext(2, 1), on other poles."""
+    B = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
+    return FilterBank(np.diag([0.5, 0.2, -0.3, 0.1]), B, field=field)
+
+
+class TestOtherBank:
+    """A parameter or a chart belongs to one bank object: handing one to
+    another bank, even a bank of equal contents, is a ValueError."""
+
+    @pytest.mark.parametrize("owner", ["other", "twin"])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_parameter_of_another_bank_is_refused(self, field, owner,
+                                                  prior_ref, rng):
+        fb = make_covariance_extension_filter(2, 1, field=field)
+        chart = make_chart(fb)
+        if owner == "other":
+            param = draw_param(_other_bank(field), rng)
+        else:
+            param = FactorParameter(FilterBank(fb.A, fb.B, field=field),
+                                    C_REF)
+        calls = [
+            lambda: moment_g_statespace(fb, prior_ref, param),
+            lambda: CascadePoint(fb, prior_ref, param),
+            lambda: GridPoint(fb, prior_ref, param),
+            lambda: jacobian_condition_number(chart, prior_ref, param,
+                                              route="statespace"),
+            lambda: condition_numbers(chart, prior_ref, param),
+            lambda: h_inverse(chart, param),
+            lambda: right_outer_factor(fb, param),
+            lambda: density_values(fb, param, prior_ref, circle_grid(8)),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=(
+                    "^C is a FactorParameter of another filter bank$")):
+                call()
+        # the parameter's own bank takes it as is
+        assert CascadePoint(param.filterbank, None, param).param is param
+
+    @pytest.mark.parametrize("owner", ["other", "twin"])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_chart_of_another_bank_is_refused(self, field, owner, prior_ref,
+                                              rng):
+        fb = make_covariance_extension_filter(2, 1, field=field)
+        other = (_other_bank(field) if owner == "other"
+                 else FilterBank(fb.A, fb.B, field=field))
+        point = CascadePoint(fb, prior_ref, C_REF)
+        chart = make_chart(other)
+        Y = point.drift()
+        match = "^the chart is of another filter bank$"
+        for call in (lambda: point.jacobian(chart),
+                     lambda: point.solve(chart, Y),
+                     lambda: point.solve(chart, np.zeros_like(Y)),
+                     lambda: point.solve(chart, np.stack([Y, Y]))):
+            with pytest.raises(ValueError, match=match):
+                call()
+        # the point's own chart solves the same right-hand side
+        V, info = point.solve(make_chart(fb), Y)
+        assert info.verify_residual <= moment.VERIFY_TOL

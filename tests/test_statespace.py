@@ -1,5 +1,7 @@
 """Filter bank geometry, membership tests, priors, serialization."""
 
+import dataclasses
+import inspect
 import warnings
 
 import numpy as np
@@ -193,6 +195,53 @@ class TestSharedSetUp:
         assert len(built) == 2
 
 
+class TestValueTypes:
+    """Each value type declares only its constructor's inputs as fields and
+    compares and hashes by identity: two objects of equal contents are two
+    values, as a chart kept on one bank object is not another bank's."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_equal_contents_are_two_values(self, field):
+        fb = make_covariance_extension_filter(2, 1, field=field)
+        sigma = (np.array([[0.5]]), np.array([[1.0]]), np.array([[0.3]]),
+                 np.array([[1.0]]))
+        pairs = [
+            (FilterBank(fb.A, fb.B, field=field),
+             FilterBank(fb.A, fb.B, field=field)),
+            (StateSpaceSystem(*sigma), StateSpaceSystem(*sigma)),
+            (prior_from_outer(StateSpaceSystem(*sigma)),
+             prior_from_outer(StateSpaceSystem(*sigma))),
+            (FactorParameter(fb, C_REF), FactorParameter(fb, C_REF)),
+        ]
+        for a, b in pairs:
+            assert a == a and not a == b and a != b
+            assert hash(a) == object.__hash__(a)
+            assert hash(b) == object.__hash__(b)
+            assert len({a, b, a}) == 2
+
+    @pytest.mark.parametrize("cls, names", [
+        (FilterBank, ["A", "B", "field"]),
+        (PriorSpectrum, ["sigma", "kind"]),
+        (FactorParameter, ["filterbank", "C"]),
+    ])
+    def test_fields_are_the_constructor_inputs(self, cls, names):
+        assert [f.name for f in dataclasses.fields(cls)] == names
+        assert list(inspect.signature(cls).parameters) == names
+
+    def test_derived_state_is_set_by_construction(self):
+        fb = FilterBank(np.diag([0.5, 0.2]), np.array([[1.0], [1.0]]))
+        assert fb._chart is None and fb._radius == 0.5
+        assert make_chart(fb) is fb._chart is make_chart(fb)
+        prior = prior_from_outer(StateSpaceSystem(
+            [[0.5]], [[1.0]], [[0.3]], [[1.0]]))
+        assert prior._blowups == {} and prior._even
+        assert prior._blowup(2) is prior._blowup(2)
+        assert list(prior._blowups) == [2]
+        param = FactorParameter(fb, [[1.0, 0.0]])
+        assert_array_equal(param.CB, [[1.0]])
+        assert param.spectral_radius() == param._radius
+
+
 class TestGrids:
     def test_circle_grid_range_and_spacing(self):
         theta = circle_grid(8)
@@ -272,15 +321,14 @@ class TestStableFactorSet:
         # overflow: the closed loop's spectral radius is inf, a failure
         # named beside the diagonal's, not an error from the eigenvalues
         C = [[0.5, 0.65, 1e-310, 0.0], [-2.2615, -1.0, 2.0, 1.0]]
-        with np.errstate(over="ignore", invalid="ignore"):
-            diag = is_in_Cplus(fb, C)
-            assert diag.spectral_radius == np.inf
-            assert diag.failures == (
-                "diagonal of CB is not positive (min real part 1.000e-310)",
-                "closed loop is not Schur stable (spectral radius inf)")
-            with pytest.raises(MembershipError,
-                               match=r"\(spectral radius inf\)$"):
-                FactorParameter(fb, C)
+        diag = is_in_Cplus(fb, C)
+        assert diag.spectral_radius == np.inf
+        assert diag.failures == (
+            "diagonal of CB is not positive (min real part 1.000e-310)",
+            "closed loop is not Schur stable (spectral radius inf)")
+        with pytest.raises(MembershipError,
+                           match=r"\(spectral radius inf\)$"):
+            FactorParameter(fb, C)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_spectral_radius_of_a_non_finite_matrix_is_inf(self, bad):
@@ -452,10 +500,9 @@ class TestPriors:
         # A - B C / D overflows to -inf: a zero of modulus inf, named by
         # the outer check instead of an error from the eigenvalues
         sys_ = StateSpaceSystem([[0.5]], [[1e300]], [[1e10]], [[0.1]])
-        with np.errstate(over="ignore"):
-            with pytest.raises(MembershipError, match=(
-                    "^sigma is not outer: a zero of modulus inf >= 1$")):
-                prior_from_outer(sys_)
+        with pytest.raises(MembershipError, match=(
+                "^sigma is not outer: a zero of modulus inf >= 1$")):
+            prior_from_outer(sys_)
 
     def test_building_a_prior_solves_no_matrix_equation(self, monkeypatch):
         # an outer sigma has psi > 0, so no prior needs the Stein solve and
