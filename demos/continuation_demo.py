@@ -5,11 +5,13 @@ Given a feasible covariance Sigma and a target prior, the continuation
 starts at the maximum-entropy parameter (the closed-form solution for the
 flat prior) and deforms the prior in steps of dt, correcting with Newton
 after each predictor move.  Intermediate points are accepted inside a
-relative residual tube (PATH_TOL ||Sigma||), so most steps take one
-Newton iteration; only the endpoint t = 1 is converged to newton_tol.
-Each iterate's Jacobian also gives the path tangent, so a sample's gram
-cond and |tangent| columns describe the corrector's last Jacobian, whose
-tangent predicts the next step (t = 0 solves its own; t = 1 needs none).
+relative residual tube (PATH_TOL ||Sigma||, PATH_TOL = 3e-4), so a step
+takes at most one Newton iteration, and none when its prediction already
+lies in the tube (t = 0.3); only the endpoint t = 1 is converged to
+newton_tol, in two.  Each iterate's Jacobian also gives the path tangent,
+so a sample's gram cond and |tangent| columns describe the corrector's
+last Jacobian, whose tangent predicts the next step (t = 0 and a step
+with no iteration solve their own; t = 1 needs none).
 This script runs the reference problem, prints the per-step diagnostics,
 and verifies the endpoint.
 

@@ -11,16 +11,21 @@ which is followed by a cubic Hermite predictor (Euler for the first step,
 which has no earlier sample) and a Newton corrector per step.  Only the
 endpoint t = 1 is converged to ``newton_tol``: an intermediate point is
 accepted once its residual lies inside the tube
-||Sigma - g|| <= max(newton_tol, PATH_TOL ||Sigma||), since the next
-corrector pulls the path back anyway (Allgower & Georg, Numerical
-Continuation Methods).  The tube is relative, so it does not depend on
-the scale of Sigma.  The predictor extrapolates, in factor coordinates,
-the cubic through the last two accepted samples and their tangents, and
-adds the result to the last C as an increment: Newton directions never
-correct the part of C outside the factor slice, so a prediction that
-combined the samples' matrices would propagate that roundoff with a
-factor above one per step.  The tangents
-are the ones the steps already solve, so the predictor costs no solve.
+||Sigma - g|| <= max(newton_tol, PATH_TOL ||Sigma||), since it only has to
+keep the next prediction inside Newton's basin, and the next corrector
+pulls the path back anyway (Allgower & Georg, Numerical Continuation
+Methods).  PATH_TOL = 3e-4 is the predictor's own error: at dt = 0.1 it
+lands 1e-5 to 3e-4 ||Sigma|| off the reference path, so a tighter tube
+would pay an iterate to bring a point closer than the next prediction
+stays, and a prediction inside the tube is accepted with no iterate.  The
+tube is relative, so it does not depend on the scale of Sigma.  The
+predictor extrapolates, in factor coordinates, the cubic through the last
+two accepted samples and their tangents, and adds the result to the last
+C as an increment: Newton directions never correct the part of C outside
+the factor slice, so a prediction that combined the samples' matrices
+would propagate that roundoff with a factor above one per step.  The
+tangents are the ones the steps already solve, so the predictor costs no
+solve.
 p(t) is never factored: g is affine in it, so one cascade point at t
 (moment.CascadePoint) gives g, its Jacobian and the drift.  The tangent
 and the Newton step share one Jacobian (the Euler-Newton method of
@@ -65,8 +70,9 @@ __all__ = [
 
 SNAP_TOL = 1e-12
 FEASIBILITY_TOL = 1e-8
-# intermediate path points are accepted at this residual relative to ||Sigma||
-PATH_TOL = 1e-6
+# intermediate path points are accepted at this residual relative to
+# ||Sigma||: the predictor's own error at dt = 0.1 on the reference path
+PATH_TOL = 3e-4
 # the smallest continuation step, and the Newton iterations per corrector
 MIN_DT = 1e-4
 MAX_NEWTON = 20
@@ -80,7 +86,8 @@ class HomotopyConfig:
     [MIN_DT, 1], the smallest step a halving may reach.  ``newton_tol`` is
     the absolute residual ||Sigma - g|| the corrector reaches at the
     endpoint t = 1; intermediate points stop inside the looser tube
-    max(newton_tol, PATH_TOL ||Sigma||).  It must be finite and positive.
+    max(newton_tol, PATH_TOL ||Sigma||), PATH_TOL = 3e-4.  It must be
+    finite and positive.
     Both must be real numbers (numpy scalars included, bools not) and are
     kept as floats; any other value, or one out of range, raises
     ConfigError naming the field.  A corrector takes at most MAX_NEWTON
@@ -245,10 +252,11 @@ def corrector_newton(chart, prior, t, param, Sigma, config):
     continuation step at half the step size.  The residual is the plain
     Frobenius norm ||Sigma - g||.  The endpoint t = 1 stops at
     ``config.newton_tol``; an intermediate t stops inside the relative tube
-    max(newton_tol, PATH_TOL ||Sigma||), whose error the next step's
-    corrector removes.  At each iterate, g and the direction solve share
-    one cascade point and its Stein factorization (the squared powers of
-    A_T).  For t < 1 that direction solve takes two right-hand sides,
+    max(newton_tol, PATH_TOL ||Sigma||), PATH_TOL = 3e-4, whose error the
+    next step's corrector removes: a prediction already inside it is
+    accepted with 0 iterations.  At each iterate, g and the direction solve
+    share one cascade point and its Stein factorization (the squared powers
+    of A_T).  For t < 1 that direction solve takes two right-hand sides,
     [Sigma - g, -drift], against the iterate's one Jacobian (Euler-Newton,
     Allgower & Georg): the first gives the Newton step, the second the path
     tangent at the iterate, so the next predictor needs no Jacobian of its
@@ -325,8 +333,10 @@ def run_continuation(filterbank, prior, Sigma, config=None):
     SolutionPath
         Samples at t = 0 and at every accepted step up to and including
         t = 1.  With the default dt = 0.1 the path has exactly ten steps.
-        On the reference problem the run factors 14 Jacobians: one per
-        Newton iterate and one for the tangent at the start.  Its
+        On the reference problem the run takes 10 Newton iterates and
+        factors 12 Jacobians: one per iterate, one for the tangent at the
+        start and one for the tangent at t = 0.3, whose prediction lay
+        inside the tube and took no iterate.  Its
         ``chart``, ``make_chart(filterbank)``, fixes the meaning of the
         samples' coordinates ``y``; it is built on the bank's first run (or
         first make_chart call) and kept on the bank, so later runs on the

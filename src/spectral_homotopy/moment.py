@@ -162,7 +162,8 @@ class GridPoint:
         psi, K = _kernel_grid(filterbank, prior, point, which, N)
         R = point @ K if which == "g" else K
         n = K.shape[1]
-        self.which, self.field, self._N = which, filterbank.field, N
+        self.filterbank, self.which, self._N = filterbank, which, N
+        self.field = filterbank.field
         self._value = _hermitize(np.tensordot(psi, K, axes=(0, 0)) / N)
         self._Q = (K.reshape(N, n * n).T
                    @ (psi[:, None] * R.reshape(N, -1))).reshape(n, n, -1, n)
@@ -191,7 +192,10 @@ class GridPoint:
 
     def jacobian(self, chart):
         """The Jacobian in chart coordinates: columns along the factor basis
-        for g and along the range basis for f."""
+        for g and along the range basis for f.  ``chart`` must be the chart
+        of this point's bank object, else ValueError."""
+        if chart.filterbank is not self.filterbank:
+            raise ValueError("the chart is of another filter bank")
         basis = chart.factor_basis if self.which == "g" else chart.range_basis
         return chart.range_coords(self._columns(basis)).T
 

@@ -130,16 +130,19 @@ class TestPredictorCorrector:
     def test_corrector_returns_the_last_iterates_tangent(
             self, fb, chart, prior_ref, sigma_ref, rng):
         # at t < 1 the Newton step and the tangent come from one Jacobian,
-        # the last iterate's: with one iteration, the start's
+        # the last iterate's: with one iteration, the start's.  The bump puts
+        # the start outside the tube, and one iterate brings it inside
         on_path = run_continuation(fb, prior_ref, sigma_ref,
                                    config=HomotopyConfig(dt=0.5)).samples[1]
         assert on_path.t == 0.5
-        bump = chart.factor_from_coords(1e-5 * rng.standard_normal(chart.dim))
+        bump = chart.factor_from_coords(3e-4 * rng.standard_normal(chart.dim))
         start = FactorParameter(fb, on_path.C + bump)
+        first = moment.CascadePoint(fb, prior_ref, start, 0.5)
+        tube = continuation.PATH_TOL * np.linalg.norm(sigma_ref)
+        assert np.linalg.norm(sigma_ref - first.value()) > 2.0 * tube
         point, rnorm, iters, gram_cond, tangent = corrector_newton(
             chart, prior_ref, 0.5, start, sigma_ref, HomotopyConfig())
         assert iters == 1
-        first = moment.CascadePoint(fb, prior_ref, start, 0.5)
         want, info = first.solve(chart, -first.drift())
         assert relative_error(tangent, want) < 1e-9
         assert gram_cond == info.gram_cond
@@ -355,7 +358,7 @@ class TestRunContinuation:
         for s in path.samples[1:]:
             want += [s.t] * (s.newton_iters + 1)
         assert built == want
-        assert len(built) == 24
+        assert len(built) == 21
 
     def test_work_per_reference_solve(self, fb, sigma_ref, monkeypatch):
         # what depends only on the prior is built once per solve, a point's
@@ -397,7 +400,7 @@ class TestRunContinuation:
         path = run_continuation(fb, prior, sigma_ref)
         steps = len(path.samples) - 1
         iters = sum(s.newton_iters for s in path.samples)
-        assert (steps, iters) == (10, 13)
+        assert (steps, iters) == (10, 10)
         assert blowups == [fb.m]
         assert point_radii == []
         # the start parameter, one prediction per step (none rejected) and
@@ -407,11 +410,12 @@ class TestRunContinuation:
     def test_stein_work_per_reference_solve(self, fb, chart, prior_ref,
                                             sigma_ref, monkeypatch):
         # with the chart built, the reference solve factors one A_T per
-        # cascade point (24) and runs 52 stacked solves against them, each
-        # gating its residual: the two Gramians of every point (24 x 2
+        # cascade point (21) and runs 45 stacked solves against them, each
+        # gating its residual: the two Gramians of every point (21 x 2
         # slices), the M = 7 Jacobian columns of every direction solve
-        # (14 x 7) and its verification (one slice at t = 0 and t = 1, two
-        # between)
+        # (12 x 7) and its verification (one slice for each of the two
+        # standalone tangent solves, at t = 0 and 0.3, and for each of the
+        # two iterates at t = 1; two for each of the 8 iterates between)
         factored, slices = [], []
         stein_solver = moment._stein_solver
         smith_sum = matrixeq._smith_sum
@@ -428,16 +432,16 @@ class TestRunContinuation:
         monkeypatch.setattr(matrixeq, "_smith_sum", counted_sum)
         run_continuation(fb, prior_ref, sigma_ref)
         assert chart.dim == 7
-        assert len(factored) == 24
-        assert len(slices) == 52
-        assert sum(slices) == 171
-        assert sorted(slices) == [1] * 3 + [2] * (24 + 11) + [7] * 14
+        assert len(factored) == 21
+        assert len(slices) == 45
+        assert sum(slices) == 146
+        assert sorted(slices) == [1] * 4 + [2] * (21 + 8) + [7] * 12
 
     def test_dense_solves_per_reference_solve(self, fb, chart, prior_ref,
                                               sigma_ref, monkeypatch):
-        # with the chart built, the reference solve makes 26 np.linalg.solve
+        # with the chart built, the reference solve makes 23 np.linalg.solve
         # calls: one against CB per closed loop (the start, 10 predictions
-        # and 13 Newton candidates) and two in the start's flat-prior
+        # and 10 Newton candidates) and two in the start's flat-prior
         # factorization; a cascade point reads Bt from its parameter
         calls = []
         solve = np.linalg.solve
@@ -450,15 +454,15 @@ class TestRunContinuation:
         path = run_continuation(fb, prior_ref, sigma_ref)
         assert chart.dim == 7
         assert (len(path.samples) - 1,
-                sum(s.newton_iters for s in path.samples)) == (10, 13)
-        assert len(calls) == 26
+                sum(s.newton_iters for s in path.samples)) == (10, 10)
+        assert len(calls) == 23
 
     def test_one_jacobian_per_newton_iterate(self, fb, prior_ref, sigma_ref,
                                              monkeypatch):
         # the tangent shares the corrector's Jacobian: each iterate at t < 1
         # solves [Sigma - g, -drift] as one stack, t = 1 solves the Newton
-        # right-hand side alone, and only the start solves a tangent of
-        # its own
+        # right-hand side alone, and only the start and a t < 1 whose
+        # corrector took no iteration (t = 0.3) solve a tangent of their own
         jacobians, rhs = [], []
         jacobian = moment.CascadePoint.jacobian
         solve = moment.CascadePoint.solve
@@ -474,39 +478,46 @@ class TestRunContinuation:
         monkeypatch.setattr(moment.CascadePoint, "jacobian", counted_jacobian)
         monkeypatch.setattr(moment.CascadePoint, "solve", counted_solve)
         path = run_continuation(fb, prior_ref, sigma_ref)
-        iters = sum(s.newton_iters for s in path.samples)
-        want = [(fb.n, fb.n)]
-        for s in path.samples[1:]:
+        want = []
+        for s in path.samples:
             shape = (fb.n, fb.n) if s.t == 1.0 else (2, fb.n, fb.n)
             want += [shape] * s.newton_iters
+            if s.newton_iters == 0 and s.t < 1.0:
+                want.append((fb.n, fb.n))
         assert rhs == want
-        assert len(jacobians) == 1 + iters == 14
+        assert len(jacobians) == len(want) == 12
 
     def test_samples_carry_the_tangent_they_predict_with(
             self, fb, prior_ref, sigma_ref, monkeypatch):
-        # a sample's gram_cond and tangent_norm describe one Jacobian: the
-        # last one its corrector factored (the start's own tangent solve at
-        # t = 0), whose tangent predicts the next step; t = 1 has none
+        # a sample's gram_cond and tangent_norm describe one Jacobian, whose
+        # tangent predicts the next step: the standalone tangent solve at the
+        # sample's own C at t = 0 and after a corrector that took no
+        # iteration, else the corrector's last iterate, one Newton step
+        # before the sample's C; t = 1 has no tangent
         solves = []
         solve = moment.CascadePoint.solve
 
         def recorded(self, chart, Y):
             V, info = solve(self, chart, Y)
-            solves.append((V, info))
+            solves.append((self.param.C, V, info))
             return V, info
 
         monkeypatch.setattr(moment.CascadePoint, "solve", recorded)
         path = run_continuation(fb, prior_ref, sigma_ref)
-        V, info = solves[0]
-        assert path.samples[0].tangent_norm == np.linalg.norm(V)
-        assert path.samples[0].gram_cond == info.gram_cond
-        used = 1
-        for s in path.samples[1:]:
-            assert s.newton_iters >= 1
-            used += s.newton_iters
-            V, info = solves[used - 1]
+        # the prediction at t = 0.3 already lies in the tube
+        assert [s.t for s in path.samples if s.newton_iters == 0] \
+            == pytest.approx([0.0, 0.3], abs=1e-15)
+        used = 0
+        for s in path.samples:
+            own = s.newton_iters == 0 and s.t < 1.0
+            used += s.newton_iters + own
+            C, V, info = solves[used - 1]
             assert s.gram_cond == info.gram_cond
-            if s.t < 1.0:
+            if own:
+                assert C is s.C and V.ndim == 2
+                assert s.tangent_norm == np.linalg.norm(V)
+            elif s.t < 1.0:
+                assert not np.array_equal(C, s.C)
                 assert s.tangent_norm == np.linalg.norm(V[1])
             else:
                 assert V.ndim == 2 and s.tangent_norm == 0.0

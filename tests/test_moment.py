@@ -997,7 +997,12 @@ class TestOtherBank:
         chart = make_chart(other)
         Y = point.drift()
         match = "^the chart is of another filter bank$"
-        for call in (lambda: point.jacobian(chart),
+        # the quadrature oracle refuses it too, for g and for f
+        Lambda = h_inverse(make_chart(fb), C_REF)
+        for call in (lambda: GridPoint(fb, prior_ref, C_REF).jacobian(chart),
+                     lambda: GridPoint(fb, prior_ref, Lambda,
+                                       which="f").jacobian(chart),
+                     lambda: point.jacobian(chart),
                      lambda: point.solve(chart, Y),
                      lambda: point.solve(chart, np.zeros_like(Y)),
                      lambda: point.solve(chart, np.stack([Y, Y]))):
