@@ -33,13 +33,16 @@ Allgower & Georg): at t < 1 each corrector iterate solves [Sigma - g,
 -drift] against its one Jacobian, and the tangent of the last iterate,
 one Newton step away from the accepted point, predicts the next step.
 That O(||Newton step||) offset is below the predictor's own error.  A
-standalone tangent solve runs only at the start point (whose P_t = P_1
-also checks the start's defining equation) and after a step whose
-corrector took no iteration.  Steps are halved on corrector failure,
-a failed stacked solve included (each step retries from the configured
-dt, so one hard spot does not shrink the rest of the path), and a
-SolverError reports the failure history when the floor MIN_DT is reached
-or a standalone tangent solve fails.
+corrector that accepts its prediction with no iterate solves the tangent
+at the accepted point, so it returns a tangent at every t < 1; only the
+start point (whose P_t = P_1 also checks the start's defining equation)
+solves its tangent in run_continuation.  A failure there ends the run at
+once, since no smaller step moves the t = 0 point.  Every later failure,
+of a corrector iterate, a membership check or a tangent solve, halves the
+step (each step retries from the configured dt, so one hard spot does not
+shrink the rest of the path), and a SolverError reports the failure
+history, ending with the last failure's reason, when the floor MIN_DT is
+reached.
 """
 
 from __future__ import annotations
@@ -121,8 +124,10 @@ class PathSample:
     predicts the next step, and ``gram_cond`` the Gram condition
     cond(J)^2 of the Jacobian J it was solved with, so the two always
     describe one Jacobian:
-    - at t = 0, and at a t < 1 whose corrector took no iteration, the
-      standalone tangent solve at the sample's own C;
+    - at t = 0, the start's tangent solve at the sample's own C, made by
+      run_continuation;
+    - at a t < 1 whose corrector took no iteration, the corrector's tangent
+      solve at the sample's own C;
     - at any other t < 1, the corrector's last iterate, one Newton step
       before the sample's C, whose Jacobian gave that step and the tangent;
     - at t = 1, no tangent is solved (``tangent_norm`` 0.0) and
@@ -140,14 +145,19 @@ class PathSample:
 
 @dataclass(frozen=True, eq=False)
 class SolutionPath:
-    """Full record of a continuation run; ``chart`` fixes the meaning of
-    the samples' coordinates ``y``."""
+    """Full record of a continuation run."""
 
     filterbank: object
     config: HomotopyConfig
     Sigma: np.ndarray
     samples: tuple = field(default_factory=tuple)
-    chart: object = None
+
+    @property
+    def chart(self):
+        """The bank's chart, make_chart(filterbank), which fixes the meaning
+        of the samples' coordinates ``y``; it is the object the bank keeps,
+        so reading it builds no basis after the run."""
+        return make_chart(self.filterbank)
 
     @property
     def final(self):
@@ -260,16 +270,20 @@ def corrector_newton(chart, prior, t, param, Sigma, config):
     [Sigma - g, -drift], against the iterate's one Jacobian (Euler-Newton,
     Allgower & Georg): the first gives the Newton step, the second the path
     tangent at the iterate, so the next predictor needs no Jacobian of its
-    own.  At t = 1 no tangent is needed and the Newton right-hand side is
-    solved alone.
+    own.  A prediction accepted at t < 1 with 0 iterations has no iterate's
+    tangent, and its tangent is solved at the accepted point alone.  At
+    t = 1 no tangent is needed and the Newton right-hand side is solved
+    alone.
 
     Returns (point, residual, iterations, gram_cond, tangent): ``point`` is
     the cascade point at the accepted parameter ``point.param``;
-    ``gram_cond`` is the Gram condition of the last iterate's Jacobian (0.0
-    when the prediction was accepted as it stood); ``tangent`` is the
-    tangent solved from that Jacobian, one Newton step away from the
-    accepted parameter, or None at t = 1 or after 0 iterations.  Raises
-    SolverError when the budget is exhausted or a direction solve fails.
+    ``tangent`` is the path tangent that predicts the next step, None only
+    at t = 1: after >= 1 iterations the last iterate's, one Newton step
+    away from the accepted parameter, after 0 iterations the one solved at
+    ``point``; ``gram_cond`` is the Gram condition of the Jacobian that
+    tangent came from (at t = 1, of the last iterate's Jacobian, 0.0 after
+    no iteration).  Raises SolverError when the budget is exhausted or a
+    direction or tangent solve fails.
     """
     fb = chart.filterbank
     tol = config.newton_tol
@@ -281,6 +295,9 @@ def corrector_newton(chart, prior, t, param, Sigma, config):
         resid_mat = Sigma - point.value()
         rnorm = float(np.linalg.norm(resid_mat))
         if rnorm <= tol:
+            if t < 1.0 and tangent is None:
+                tangent, info = point.solve(chart, -point.drift())
+                gram_cond = info.gram_cond
             return point, rnorm, it, gram_cond, tangent
         if it == MAX_NEWTON:
             break
@@ -310,14 +327,6 @@ def _hermite_increment(h, dt, y0, a0, y1, a1):
     return h00 * (y0 - y1) + h * (h10 * a0 + h11 * a1)
 
 
-def _tangent_failure(t, dt, exc, history):
-    """The SolverError that ends a run whose tangent at t cannot be solved."""
-    history.append((t, dt, str(exc)))
-    return SolverError(
-        f"continuation stalled at t = {t:.6g}: tangent solve failed ({exc})",
-        history=history)
-
-
 def run_continuation(filterbank, prior, Sigma, config=None):
     """Follow the prior homotopy from the maximum-entropy start to t = 1.
 
@@ -334,44 +343,48 @@ def run_continuation(filterbank, prior, Sigma, config=None):
         Samples at t = 0 and at every accepted step up to and including
         t = 1.  With the default dt = 0.1 the path has exactly ten steps.
         On the reference problem the run takes 10 Newton iterates and
-        factors 12 Jacobians: one per iterate, one for the tangent at the
-        start and one for the tangent at t = 0.3, whose prediction lay
-        inside the tube and took no iterate.  Its
-        ``chart``, ``make_chart(filterbank)``, fixes the meaning of the
-        samples' coordinates ``y``; it is built on the bank's first run (or
-        first make_chart call) and kept on the bank, so later runs on the
-        same bank build no basis.
+        factors 12 Jacobians: one per iterate, one for the start's tangent
+        and one for the tangent the corrector solves at t = 0.3, whose
+        prediction lay inside the tube and took no iterate.  Its ``chart``,
+        ``make_chart(filterbank)``, fixes the meaning of the samples'
+        coordinates ``y``; it is built on the bank's first run (or first
+        make_chart call) and kept on the bank, so later runs on the same
+        bank build no basis.
+
+    The tangent at the start is solved here, and its failure raises
+    SolverError at once (``continuation stalled at t = 0: tangent solve
+    failed``), since no smaller step moves the t = 0 point.  Every later
+    tangent comes from corrector_newton, and any failure of a step halves
+    it, down to MIN_DT.
     """
     config = config or HomotopyConfig()
     chart = make_chart(filterbank)
     # the start's residual is the gap its gate checked
     point, Sigma, rnorm = _start_point(chart, prior, Sigma)
+    # the tangent g'(p(0), C; V) = -(g(psi, C) - g(1, C)) at the start
+    try:
+        tangent, info = point.solve(chart, -point.drift())
+    except SolverError as exc:
+        raise SolverError(
+            f"continuation stalled at t = 0: tangent solve failed ({exc})",
+            history=[(0.0, config.dt, str(exc))]) from exc
 
-    t, iters, gram_cond, tangent = 0.0, 0, 0.0, None
+    t, iters, gram_cond = 0.0, 0, info.gram_cond
     history, samples = [], []
     # (t, y, a) of the previous accepted sample and its tangent
     previous = None
     while True:
-        param = point.param
-        if t < 1.0 and tangent is None:
-            # at t = 0, or after a step whose corrector took no iteration:
-            # the tangent g'(p(t), C; V) = -(g(psi, C) - g(1, C)) at the
-            # point itself.  It does not depend on the step size, and a
-            # smaller step cannot repair a failed direction solve
-            try:
-                tangent, info = point.solve(chart, -point.drift())
-            except SolverError as exc:
-                raise _tangent_failure(t, config.dt, exc, history) from exc
-            gram_cond = info.gram_cond
-        y = chart.factor_coords(param.C)
+        C = point.param.C
+        y = chart.factor_coords(C)
         samples.append(PathSample(
-            t=t, C=param.C, y=y, residual=rnorm, newton_iters=iters,
+            t=t, C=C, y=y, residual=rnorm, newton_iters=iters,
             gram_cond=gram_cond, tangent_norm=(
                 0.0 if tangent is None else float(np.linalg.norm(tangent)))))
         if t >= 1.0:
             break
         a = chart.factor_coords(tangent)
         dt_try = float(config.dt)
+        # the one failure policy after the start: halve the step and retry
         while True:
             t_next = t + dt_try
             if t_next > 1.0 - SNAP_TOL:
@@ -382,25 +395,24 @@ def run_continuation(filterbank, prior, Sigma, config=None):
             else:
                 t0, y0, a0 = previous
                 step = _hermite_increment(t - t0, dt_eff, y0, a0, y, a)
-            C_pred = param.C + chart.factor_from_coords(step)
+            C_pred = C + chart.factor_from_coords(step)
             try:
                 pred = FactorParameter(filterbank, C_pred)
                 point, rnorm, iters, gram_cond, tangent = corrector_newton(
                     chart, prior, t_next, pred, Sigma, config)
+                break
             except (SolverError, MembershipError) as exc:
                 history.append((t, dt_try, str(exc)))
                 dt_try *= 0.5
                 if dt_try < MIN_DT:
                     raise SolverError(
                         f"continuation stalled at t = {t:.6g}: step size fell "
-                        f"below the smallest step {MIN_DT:.1e}",
-                        history=history) from exc
-                continue
-            break
+                        f"below the smallest step {MIN_DT:.1e} (last failure: "
+                        f"{exc})", history=history) from exc
         previous = (t, y, a)
         t = t_next
     return SolutionPath(filterbank=filterbank, config=config, Sigma=Sigma,
-                        samples=tuple(samples), chart=chart)
+                        samples=tuple(samples))
 
 
 def _fmt(v):

@@ -9,13 +9,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from spectral_homotopy import (ConfigError, FactorParameter, FilterBank,
                                HomotopyConfig, MembershipError, PriorSpectrum,
-                               SolverError, SpectralHomotopyError,
+                               SolutionPath, SolverError,
+                               SpectralHomotopyError,
                                StateSpaceSystem,
                                constant_prior, continuation, corrector_newton,
                                factorization, make_chart,
@@ -149,6 +150,23 @@ class TestPredictorCorrector:
         # one Newton step away from the accepted point's own tangent
         own, _ = point.solve(chart, -point.drift())
         assert 0.0 < relative_error(tangent, own) < 1e-3
+
+    def test_corrector_solves_the_tangent_of_an_accepted_prediction(
+            self, fb, chart, prior_ref, sigma_ref):
+        # a prediction inside the tube takes no iterate, and the corrector
+        # solves the tangent at the accepted point itself: every t < 1
+        # returns a tangent
+        on_path = run_continuation(fb, prior_ref, sigma_ref,
+                                   config=HomotopyConfig(dt=0.5)).samples[1]
+        assert on_path.t == 0.5
+        start = FactorParameter(fb, on_path.C)
+        point, rnorm, iters, gram_cond, tangent = corrector_newton(
+            chart, prior_ref, 0.5, start, sigma_ref, HomotopyConfig())
+        assert iters == 0 and rnorm == on_path.residual
+        assert point.param is start
+        want, info = point.solve(chart, -point.drift())
+        assert_array_equal(tangent, want)
+        assert gram_cond == info.gram_cond
 
     def test_one_membership_check_per_candidate(self, fb, chart, prior_ref,
                                                 sigma_ref, param_ref, rng,
@@ -332,6 +350,70 @@ class TestRunContinuation:
             run_continuation(fb, prior_ref, sigma_ref)
         assert len(calls) == 1
         assert len(exc.value.history) == 1
+
+    def test_failed_tangent_solve_after_the_start_halves_the_step(
+            self, fb, prior_ref, sigma_ref, c_ref, monkeypatch):
+        # the prediction at t = 0.3 lies in the tube, so the corrector solves
+        # the tangent at the accepted point; that solve failing is a failed
+        # step like any other, retried from t = 0.2 at half the step
+        reason = "Gram system condition 1e+16 exceeds limit"
+        at, failed = [], []
+        corrector = continuation.corrector_newton
+        solve = moment.CascadePoint.solve
+
+        def tracked(chart, prior, t, *args):
+            at.append(t)
+            return corrector(chart, prior, t, *args)
+
+        def failing_once(self, chart, Y):
+            if not failed and at and abs(at[-1] - 0.3) < 1e-12:
+                assert np.shape(Y) == (fb.n, fb.n)
+                failed.append(Y)
+                raise SolverError(reason)
+            return solve(self, chart, Y)
+
+        monkeypatch.setattr(continuation, "corrector_newton", tracked)
+        monkeypatch.setattr(moment.CascadePoint, "solve", failing_once)
+        path = run_continuation(fb, prior_ref, sigma_ref)
+        assert len(failed) == 1
+        times = [0.25 + 0.1 * k for k in range(8)] + [1.0]
+        assert_allclose(at, [0.1, 0.2, 0.3] + times, rtol=0, atol=1e-12)
+        assert_allclose([s.t for s in path.samples], [0.0, 0.1, 0.2] + times,
+                        rtol=0, atol=1e-12)
+        assert relative_error(path.final.C, c_ref) <= 1e-9
+        # with a floor above the halved step, the same failure stalls the
+        # run, whose history is that one failed step from t = 0.2 at dt 0.1
+        monkeypatch.setattr(continuation, "MIN_DT", 0.06)
+        at.clear()
+        failed.clear()
+        with pytest.raises(SolverError) as exc:
+            run_continuation(fb, prior_ref, sigma_ref)
+        assert str(exc.value) == (
+            "continuation stalled at t = 0.2: step size fell below the "
+            f"smallest step 6.0e-02 (last failure: {reason})")
+        assert exc.value.history == [(0.2, 0.1, reason)]
+
+    @pytest.mark.parametrize("flat", [False, True])
+    def test_corrector_returns_a_tangent_at_every_t_below_one(
+            self, fb, prior_ref, sigma_ref, flat, monkeypatch):
+        # after >= 1 iterates the last iterate's tangent, after 0 iterates
+        # (t = 0.3 of the reference run, every step under the flat prior)
+        # the one solved at the accepted point; none at t = 1
+        returned = []
+        corrector = continuation.corrector_newton
+
+        def recorded(chart, prior, t, *args):
+            found = corrector(chart, prior, t, *args)
+            returned.append((t, found[2], found[4]))
+            return found
+
+        monkeypatch.setattr(continuation, "corrector_newton", recorded)
+        prior = constant_prior(1.0) if flat else prior_ref
+        run_continuation(fb, prior, sigma_ref)
+        assert returned[-1][0] == 1.0
+        assert any(iters == 0 for t, iters, _ in returned if t < 1.0)
+        for t, iters, tangent in returned:
+            assert (tangent is None) == (t == 1.0), (t, iters)
 
     def test_one_point_per_tangent_and_newton_iterate(self, fb, prior_ref,
                                                       sigma_ref, monkeypatch):
@@ -614,6 +696,12 @@ class TestRunContinuation:
         assert list(inspect.signature(maxent_initialization).parameters) \
             == ["filterbank", "Sigma"]
 
+    def test_a_path_built_by_hand_has_the_banks_chart(self, fb, sigma_ref):
+        # the chart is not an input of a path: it is the one the bank keeps
+        path = SolutionPath(fb, HomotopyConfig(), sigma_ref)
+        assert path.chart is make_chart(fb)
+        assert "chart" not in [f.name for f in dataclasses.fields(path)]
+
     def test_no_riccati_solve(self, fb, prior_ref, sigma_ref, c_ref,
                               monkeypatch):
         # the homotopy prior needs no spectral factor, so no additive-form
@@ -698,11 +786,11 @@ class TestRoundTripEverywhere:
 
 # what a typed failure on a random bank must name: the start's defining
 # equation with cond(Sigma), whose roundoff breaks it, the residual gate of
-# a Stein solve, the Gram gate of a direction solve, the smallest step of a
-# stalled run, or the input Sigma
+# a Stein solve, the Gram gate of a direction solve, or the input Sigma; a
+# run stalled at the smallest step names its last failure's cause
 NAMED_CAUSE = (r"defining equation \(.*cond\(Sigma\) = |Stein solve "
                r"residual .* exceeds tolerance|Gram system condition .* "
-               r"exceeds limit|below the smallest step|^Sigma ")
+               r"exceeds limit|^Sigma ")
 
 
 class TestRandomBanks:
@@ -715,6 +803,13 @@ class TestRandomBanks:
     @settings(max_examples=40, deadline=None, derandomize=True,
               database=None)
     @given(seed=st.integers(0, 2**32 - 1))
+    # draws that end in typed errors: the start's defining-equation gate
+    # (73380435 in run_continuation, 522867 in draw_param's own start) and
+    # the Gram gate of the start's tangent (949303, 1184)
+    @example(seed=73380435)
+    @example(seed=522867)
+    @example(seed=949303)
+    @example(seed=1184)
     def test_every_draw_recovers_or_names_its_cause(self, seed):
         # no draw is filtered out by its conditioning: an ill-conditioned
         # Sigma is part of the scenario space

@@ -330,6 +330,22 @@ class TestStableFactorSet:
                            match=r"\(spectral radius inf\)$"):
             FactorParameter(fb, C)
 
+    def test_complex_diagonal_of_CB_is_a_named_failure(self):
+        # on a complex bank the diagonal of CB must be real; here its (0, 0)
+        # entry is 1 + 1e-3 j while the closed loop stays Schur stable
+        fb = make_covariance_extension_filter(2, 1, field="complex")
+        C = np.array([[0.3 + 0.2j, -0.2 + 0.1j, 1.0 + 1e-3j, 0.0],
+                      [-0.4 + 0.3j, 0.1 - 0.2j, 0.5 - 0.5j, 1.5]])
+        diag = is_in_Cplus(fb, C)
+        assert not diag
+        assert diag.spectral_radius < 1.0
+        assert diag.failures == (
+            "diagonal of CB is not real (max imaginary part 1.000e-03)",)
+        with pytest.raises(MembershipError,
+                           match=r": diagonal of CB is not real \(max "
+                                 r"imaginary part 1\.000e-03\)$"):
+            FactorParameter(fb, C)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_spectral_radius_of_a_non_finite_matrix_is_inf(self, bad):
         A = np.array([[0.5, 0.0], [bad, 0.1]])
