@@ -11,7 +11,11 @@ Verbs:
 - ``check``: membership and feasibility report for the config inputs;
   report-only, exits 0 whenever the config itself parses.  Lambda
   membership is exact, and a VIOLATION names where G* Lambda G fails, in
-  the words h_map raises for the same Lambda.
+  the words h_map raises for the same Lambda.  With a feasible ``sigma``
+  and a valid ``prior`` it also runs the start of ``solve`` (the
+  maximum-entropy point and its tangent solve) and prints ``start: ok``
+  with the Gram condition and cond(Sigma), or ``start: VIOLATION`` with
+  the message ``solve`` would exit 3 with.
 - ``maxent``: closed-form flat-prior solution for Sigma.
 - ``selftest``: reduced-size consistency suites, on the real and on the
   complex covext(2, 1) bank.
@@ -61,9 +65,9 @@ import time
 import numpy as np
 
 from . import factorization
-from .continuation import (HomotopyConfig, _check_covariance, _start_point,
-                           maxent_initialization, run_continuation,
-                           write_path_csv, write_path_json)
+from .continuation import (HomotopyConfig, _check_covariance, _start,
+                           _start_point, maxent_initialization,
+                           run_continuation, write_path_csv, write_path_json)
 from .errors import ConfigError, MembershipError, SpectralHomotopyError
 from .matrixeq import is_in_Lplus
 from .moment import (CascadePoint, GridPoint, condition_numbers, make_chart,
@@ -423,8 +427,8 @@ def cmd_check(args):
 
     if cfg.sigma is not None:
         try:
-            _, problems, eig_min, rr = _check_covariance(
-                make_chart(fb), _resolve_sigma(cfg, "check"))
+            Sigma = _resolve_sigma(cfg, "check")
+            _, problems, eig_min, rr = _check_covariance(make_chart(fb), Sigma)
         except (ConfigError, MembershipError) as exc:
             problems = [str(exc)]
         if problems:
@@ -432,7 +436,24 @@ def cmd_check(args):
         else:
             print(f"sigma: feasible (min eigenvalue {eig_min:.6g}, "
                   f"range residual {rr:.3e})")
+            if cfg.prior is not None and not isinstance(cfg.prior,
+                                                        ConfigError):
+                _check_start(cfg, Sigma)
     return 0
+
+
+def _check_start(cfg, Sigma):
+    """Print whether ``solve`` can start on this config: the maximum-entropy
+    start and its tangent solve, by the code run_continuation starts with;
+    a failure prints the message ``solve`` exits 3 with."""
+    try:
+        _, Sigma, _, _, info = _start(make_chart(cfg.filterbank), cfg.prior,
+                                      Sigma, cfg.continuation)
+    except SpectralHomotopyError as exc:
+        print(f"start: VIOLATION {exc}")
+    else:
+        print(f"start: ok (Gram condition {info.gram_cond:.3e}, "
+              f"cond(Sigma) {np.linalg.cond(Sigma):.3e})")
 
 
 def cmd_maxent(args):

@@ -327,6 +327,26 @@ def _hermite_increment(h, dt, y0, a0, y1, a1):
     return h00 * (y0 - y1) + h * (h10 * a0 + h11 * a1)
 
 
+def _start(chart, prior, Sigma, config):
+    """The start of run_continuation: _start_point and the tangent
+    g'(p(0), C; V) = -(g(psi, C) - g(1, C)) solved there.
+
+    Returns (point, Sigma, gap, tangent, info), info the tangent solve's
+    JacobianSolveInfo.  A failed tangent solve raises SolverError at once
+    (``continuation stalled at t = 0: tangent solve failed``), its history
+    the one failure at t = 0 and config.dt; so does every error of
+    _start_point.
+    """
+    point, Sigma, gap = _start_point(chart, prior, Sigma)
+    try:
+        tangent, info = point.solve(chart, -point.drift())
+    except SolverError as exc:
+        raise SolverError(
+            f"continuation stalled at t = 0: tangent solve failed ({exc})",
+            history=[(0.0, config.dt, str(exc))]) from exc
+    return point, Sigma, gap, tangent, info
+
+
 def run_continuation(filterbank, prior, Sigma, config=None):
     """Follow the prior homotopy from the maximum-entropy start to t = 1.
 
@@ -351,23 +371,16 @@ def run_continuation(filterbank, prior, Sigma, config=None):
         make_chart call) and kept on the bank, so later runs on the same
         bank build no basis.
 
-    The tangent at the start is solved here, and its failure raises
-    SolverError at once (``continuation stalled at t = 0: tangent solve
-    failed``), since no smaller step moves the t = 0 point.  Every later
-    tangent comes from corrector_newton, and any failure of a step halves
-    it, down to MIN_DT.
+    The tangent at the start is solved first (_start, which the CLI's
+    ``check`` runs too), and its failure raises SolverError at once
+    (``continuation stalled at t = 0: tangent solve failed``), since no
+    smaller step moves the t = 0 point.  Every later tangent comes from
+    corrector_newton, and any failure of a step halves it, down to MIN_DT.
     """
     config = config or HomotopyConfig()
     chart = make_chart(filterbank)
     # the start's residual is the gap its gate checked
-    point, Sigma, rnorm = _start_point(chart, prior, Sigma)
-    # the tangent g'(p(0), C; V) = -(g(psi, C) - g(1, C)) at the start
-    try:
-        tangent, info = point.solve(chart, -point.drift())
-    except SolverError as exc:
-        raise SolverError(
-            f"continuation stalled at t = 0: tangent solve failed ({exc})",
-            history=[(0.0, config.dt, str(exc))]) from exc
+    point, Sigma, rnorm, tangent, info = _start(chart, prior, Sigma, config)
 
     t, iters, gram_cond = 0.0, 0, info.gram_cond
     history, samples = [], []

@@ -9,9 +9,11 @@ Phi is integral(G Phi G*) dtheta / 2 pi.  Two parametrizations appear,
 together with their directional derivatives.  Both share one quadrature
 kernel K = G M^{-1} G*: the derivative of either map in a direction D acting
 inside M is -integral(psi K D K).  A GridPoint evaluates either map at one
-point by quadrature: it builds the grid once and contracts it once, after
-which its value, every derivative and the Jacobian cost nothing that grows
-with the grid size.
+point by quadrature: it walks the grid once, in blocks of a fixed byte
+budget (GRID_BLOCK_BYTES), and adds each block's share into two arrays
+whose size does not depend on the grid, after which its value, every
+derivative and the Jacobian cost nothing that grows with the grid size, and
+no array of it ever holds the whole grid.
 
 Values of f and g live in the range of the covariance operator
 Gamma: X = integral(G Phi G*) satisfies X - A X A* = B H + H* B* for some H,
@@ -73,6 +75,9 @@ __all__ = [
 ]
 
 DEFAULT_GRID_N = 4096
+# GridPoint sums its grid in blocks whose kernel K takes this many bytes
+# (1024 points at n = 4), so that its memory does not grow with the grid
+GRID_BLOCK_BYTES = 2**18
 BASIS_DROP_TOL = 1e-9
 GRAM_COND_LIMIT = 1e14
 VERIFY_TOL = 1e-8
@@ -90,36 +95,32 @@ def trace_inner(X, Y):
 # quadrature kernel
 
 
-def _kernel_grid(filterbank, prior, point, which, N):
-    """Grid values of psi and K = G M^{-1} G* for M = G* Lambda G or (CG)*(CG).
+def _kernel_grid(filterbank, prior, point, which, theta):
+    """Values of psi and K = G M^{-1} G* at the angles ``theta``, for
+    M = G* Lambda G or (CG)*(CG).
 
-    One Cholesky factorization M = L L* per grid block both gates positivity
-    and solves: K = W* W with W = L^{-1} G*.
+    One Cholesky factorization M = L L* per angle both gates positivity and
+    solves: K = W* W with W = L^{-1} G*.  Where M is not positive definite,
+    EvaluationError names the smallest eigenvalue of M over ``theta``.
     """
-    theta = circle_grid(N)
     G = filterbank.eval_grid(np.exp(1j * theta))
-    W = np.linalg.solve(_cholesky_grid(G, point, which),
-                        G.conj().transpose(0, 2, 1))
-    K = W.conj().transpose(0, 2, 1) @ W
-    return prior.psi_values(theta), K
-
-
-def _cholesky_grid(G, point, which):
-    """Cholesky factors of M on the grid, raising at the density boundary; a
-    function of its own so that M's grid temporaries die before K is formed."""
+    Gh = G.conj().transpose(0, 2, 1)
     if which == "f":
-        M = G.conj().transpose(0, 2, 1) @ point @ G
+        M = Gh @ point @ G
     else:
         CG = np.matmul(point, G)
         M = CG.conj().transpose(0, 2, 1) @ CG
     M = 0.5 * (M + M.conj().transpose(0, 2, 1))
     try:
-        return np.linalg.cholesky(M)
+        L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
         min_eig = float(np.linalg.eigvalsh(M).min())
         raise EvaluationError(
             "density boundary reached: G* (.) G has minimum grid eigenvalue "
             f"{min_eig:.6e}") from None
+    W = np.linalg.solve(L, Gh)
+    K = W.conj().transpose(0, 2, 1) @ W
+    return prior.psi_values(theta), K
 
 
 class GridPoint:
@@ -132,12 +133,19 @@ class GridPoint:
     implemented independently of it: one Riemann sum on a uniform circle
     grid, whose spacing is the divisor of 2 pi closest to ``dtheta``
     (DEFAULT_GRID_N points when ``dtheta`` is None).  The grid converges
-    spectrally fast for the rational integrand.  The constructor builds the
-    grid once and sums it twice: into the value, sum_k psi_k K_k / N, and
-    into Q = sum_k psi_k vec(K_k) vec(R_k)^T with R = K for f and R = C K
-    for g.  Entry (a, d) of sum_k psi_k K_k D R_k is then
+    spectrally fast for the rational integrand.  The constructor walks the
+    grid once, in contiguous blocks of angles in grid order (as many points
+    as an n x n complex kernel per point fits into GRID_BLOCK_BYTES), and
+    adds each block's share to two sums: the value, sum_k psi_k K_k / N,
+    and Q = sum_k psi_k vec(K_k) vec(R_k)^T with R = K for f and R = C K
+    for g.  So its memory is bounded by the block, not the grid (under
+    2 MiB at n = 4 for any dtheta), and a grid of one block is summed
+    exactly as one sum.  Entry (a, d) of sum_k psi_k K_k D R_k is then
     sum_{b,c} Q[a,b,c,d] D[b,c], so every derivative, and every column of
-    the Jacobian, costs n^3 r operations whatever the grid size.
+    the Jacobian, costs n^3 r operations whatever the grid size.  Where
+    M = G* Lambda G or (CG)*(CG) is not positive definite at a grid point,
+    EvaluationError (``density boundary``) names the smallest eigenvalue
+    of M over that point's block.
 
     The derivative of f along dLambda is -integral(psi K dLambda K); that of
     g along V is -integral(psi K (V*C + C*V) K) = Y + Y* with
@@ -159,14 +167,21 @@ class GridPoint:
         else:
             raise ValueError(f"unknown moment map {which!r}")
         N = DEFAULT_GRID_N if dtheta is None else grid_size_from_spacing(dtheta)
-        psi, K = _kernel_grid(filterbank, prior, point, which, N)
-        R = point @ K if which == "g" else K
-        n = K.shape[1]
+        n = filterbank.n
+        # points per block: an n x n complex kernel takes 16 n^2 bytes
+        size = max(1, GRID_BLOCK_BYTES // (16 * n * n))
+        value = Q = 0
+        for start in range(0, N, size):
+            theta = circle_grid(N, start, min(start + size, N))
+            psi, K = _kernel_grid(filterbank, prior, point, which, theta)
+            R = point @ K if which == "g" else K
+            value += np.tensordot(psi, K, axes=(0, 0))
+            Q += K.reshape(len(K), n * n).T @ (psi[:, None]
+                                               * R.reshape(len(K), -1))
         self.filterbank, self.which, self._N = filterbank, which, N
         self.field = filterbank.field
-        self._value = _hermitize(np.tensordot(psi, K, axes=(0, 0)) / N)
-        self._Q = (K.reshape(N, n * n).T
-                   @ (psi[:, None] * R.reshape(N, -1))).reshape(n, n, -1, n)
+        self._value = _hermitize(value / N)
+        self._Q = Q.reshape(n, n, -1, n)
 
     def value(self):
         """f(psi, Lambda) or g(psi, C)."""

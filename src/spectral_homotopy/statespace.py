@@ -126,12 +126,15 @@ def coerce_field(x, fieldname, tol=STRICT_TOL, what="matrix"):
     return x
 
 
-def circle_grid(n):
-    """Equidistant angles on (-pi, pi]: theta_k = -pi + k * 2 pi / n, k = 1..n."""
+def circle_grid(n, start=0, stop=None):
+    """Equidistant angles on (-pi, pi]: theta_k = -pi + k * 2 pi / n, for
+    k = start + 1..stop (k = 1..n by default).  A range of k gives the same
+    angles, bit for bit, as the same slice of the whole grid."""
     if n < 1:
         raise ValueError("grid size must be positive")
+    stop = n if stop is None else stop
     step = 2.0 * np.pi / n
-    return -np.pi + step * np.arange(1, n + 1)
+    return -np.pi + step * np.arange(start + 1, stop + 1)
 
 def grid_size_from_spacing(dtheta):
     """Number of grid points whose uniform spacing best matches ``dtheta``.

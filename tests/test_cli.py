@@ -4,6 +4,7 @@ import argparse
 import inspect
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -18,7 +19,8 @@ import spectral_homotopy
 from spectral_homotopy import (FactorParameter, MembershipError, cli, errors,
                                factorization, jacobian_condition_number,
                                make_covariance_extension_filter,
-                               matrix_to_json, moment, statespace)
+                               matrix_to_json, moment, run_continuation,
+                               statespace)
 from spectral_homotopy.cli import main
 
 from conftest import B_REF, C_REF, draw_param, draw_random_bank
@@ -493,6 +495,64 @@ class TestCheck:
         assert main(["check", "--config", write_config(tmp_path, doc)]) == 0
         assert line in capsys.readouterr().out.splitlines()
 
+    def test_start_line_of_the_reference(self, fb, prior_ref, tmp_path,
+                                         capsys):
+        # the start's tangent solve is the one run_continuation makes: its
+        # Gram condition is the t = 0 sample's
+        doc = base_config(sigma=SIGMA_FROM_REF)
+        assert main(["check", "--config", write_config(tmp_path, doc)]) == 0
+        out = capsys.readouterr().out
+        assert "VIOLATION" not in out
+        line, = [line for line in out.splitlines()
+                 if line.startswith("start:")]
+        Sigma = moment.moment_g_statespace(fb, prior_ref, C_REF)
+        start = run_continuation(fb, prior_ref, Sigma).samples[0]
+        assert line == (f"start: ok (Gram condition {start.gram_cond:.3e}, "
+                        f"cond(Sigma) {np.linalg.cond(Sigma):.3e})")
+
+    @pytest.mark.parametrize("extra", [
+        pytest.param({"prior": {"kind": "polynomial", "b": B_REF}},
+                     id="no-sigma"),
+        pytest.param({"sigma": SIGMA_FROM_REF}, id="no-prior"),
+        pytest.param({"prior": {"kind": "polynomial", "b": [1.0, -2.0]},
+                      "sigma": SIGMA_FROM_REF}, id="prior-violation"),
+        pytest.param({"prior": {"kind": "polynomial", "b": B_REF},
+                      "sigma": {"matrix": np.diag([1.0, 1.0, 2.0, 1.0])
+                                .tolist()}}, id="sigma-violation")])
+    def test_no_start_line_without_a_valid_prior_and_sigma(self, extra,
+                                                           tmp_path, capsys):
+        doc = {"filter": {"preset": "covext", "m": 2, "p": 1}, **extra}
+        assert main(["check", "--config", write_config(tmp_path, doc)]) == 0
+        assert "start:" not in capsys.readouterr().out
+
+    # random banks whose solve fails at the start, one per gate and prior
+    # kind: the start's defining equation (rational prior), the Gram gate
+    # of its tangent (constant and rational) and its Stein gate
+    # (polynomial)
+    @pytest.mark.parametrize("seed, gate", [
+        pytest.param(73380435, r"maximum-entropy parameter failed its "
+                     r"defining equation ", id="start-rational"),
+        pytest.param(949303, r"continuation stalled at t = 0: tangent solve "
+                     r"failed \(Gram system condition ", id="gram-constant"),
+        pytest.param(1184, r"continuation stalled at t = 0: tangent solve "
+                     r"failed \(Gram system condition ", id="gram-rational"),
+        pytest.param(1530, r"maximum-entropy start failed: Stein solve "
+                     r"residual ", id="stein-polynomial")])
+    def test_start_violation_is_the_solve_error(self, seed, gate, tmp_path,
+                                                capsys):
+        cfg = write_config(tmp_path, _random_bank_config(seed))
+        assert main(["check", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert "sigma: feasible" in out
+        line, = [line for line in out.splitlines()
+                 if line.startswith("start:")]
+        assert line.startswith("start: VIOLATION ")
+        message = line[len("start: VIOLATION "):]
+        assert re.match(gate, message), message
+        assert main(["solve", "--config", cfg,
+                     "--out", str(tmp_path / "run")]) == 3
+        assert capsys.readouterr().err == f"solver error: {message}\n"
+
 
 def _non_hermitian():
     M = np.eye(4)
@@ -504,6 +564,30 @@ def _non_finite(bad):
     M = np.eye(4)
     M[1, 1] = bad
     return M.tolist()
+
+
+def _random_bank_config(seed):
+    """The problem of conftest.draw_random_bank(seed) as a config: the
+    bank's A and B, its prior, and Sigma = g(psi, C) at a drawn C."""
+    fb, prior, rng = draw_random_bank(seed)
+    C = draw_param(fb, rng)
+    sigma = prior.sigma
+    if prior.kind == "constant":
+        spec = {"kind": "constant", "value": float(sigma.D[0, 0] ** 2)}
+    elif prior.kind == "polynomial":
+        b = np.concatenate([sigma.D.ravel(), sigma.C.ravel()])
+        spec = {"kind": "polynomial", "b": matrix_to_json(b)[0]}
+    else:
+        spec = {"kind": "rational", "sigma": {
+            key: matrix_to_json(getattr(sigma, key)) for key in "ABCD"}}
+    # Sigma is g at the config's own prior: a constant one's square root may
+    # differ from the drawn sigma in the last bit
+    if prior.kind == "constant":
+        prior = statespace.constant_prior(spec["value"])
+    Sigma = moment.moment_g_statespace(fb, prior, C)
+    return {"filter": {"A": matrix_to_json(fb.A), "B": matrix_to_json(fb.B),
+                       "field": fb.field},
+            "prior": spec, "sigma": {"matrix": matrix_to_json(Sigma)}}
 
 
 class TestInvalidSigma:

@@ -1,5 +1,7 @@
 """Moment maps, their derivatives, coordinate charts, Jacobian solves."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -423,8 +425,63 @@ class TestFlatPrior:
         assert len(built) <= 1
 
 
+def _grid_case(bank, field, which, rng):
+    """(bank, chart, GridPoint argument, its matrix, basis, directions) for
+    an oracle of ``which`` at a random parameter."""
+    fb = make_bank(bank, field)
+    chart = make_chart(fb)
+    param = draw_param(fb, rng)
+    if which == "g":
+        point, X, basis = param, param.C, chart.factor_basis
+        D = draw_normal(rng, (3, fb.m, fb.n), field)
+    else:
+        point = X = h_inverse(chart, param)
+        basis = chart.range_basis
+        D = np.stack([chart.range_from_coords(rng.standard_normal(
+            chart.dim)) for _ in range(3)])
+    return fb, chart, point, X, basis, D
+
+
+def _one_sum(fb, chart, prior, X, which, N, basis, D):
+    """(value, derivatives along D, Jacobian) from the whole N-point grid at
+    once: the value sum_k psi_k K_k / N; a derivative contracts the
+    direction with Q = sum_k psi_k vec(K_k) vec(R_k)^T first and divides
+    by N after."""
+    psi, K = moment._kernel_grid(fb, prior, X, which, circle_grid(N))
+    R = X @ K if which == "g" else K
+    Q = (K.reshape(N, -1).T @ (psi[:, None] * R.reshape(N, -1))).reshape(
+        fb.n, fb.n, R.shape[1], fb.n)
+
+    def columns(mats):
+        if which == "g":
+            mats = mats.conj().swapaxes(-1, -2)
+        Y = -np.einsum("abcd,mbc->mad", Q, mats) / N
+        return Y + Y.conj().swapaxes(-1, -2) if which == "g" else Y
+
+    def read(Y):
+        Y = 0.5 * (Y + Y.conj().swapaxes(-1, -2))
+        return Y.real if fb.field == "real" else Y
+
+    return (read(np.tensordot(psi, K, axes=(0, 0)) / N), read(columns(D)),
+            chart.range_coords(columns(basis)).T)
+
+
+def _counted_blocks(monkeypatch):
+    """The angles of every _kernel_grid call, in call order."""
+    blocks = []
+    kernel_grid = moment._kernel_grid
+
+    def counted(*args):
+        blocks.append(args[-1])
+        return kernel_grid(*args)
+
+    monkeypatch.setattr(moment, "_kernel_grid", counted)
+    return blocks
+
+
 class TestGridPoint:
-    """The quadrature oracle: one grid per point, summed in a fixed order."""
+    """The quadrature oracle: one walk over the grid, in contiguous blocks of
+    a fixed byte budget, each summed in a fixed order."""
 
     @pytest.mark.parametrize("which", ["f", "g"])
     @pytest.mark.parametrize("bank,field", [
@@ -433,56 +490,85 @@ class TestGridPoint:
         pytest.param("diag", "real", id="diag-real")])
     def test_one_grid_and_the_reference_sums(self, bank, field, which,
                                              prior_ref, rng, monkeypatch):
-        # the value is sum_k psi_k K_k / N; a derivative contracts the
-        # direction with Q = sum_k psi_k vec(K_k) vec(R_k)^T first and
-        # divides by N after, so every number is bitwise this order's; a
-        # stack of directions equals its slices one at a time
-        fb = make_bank(bank, field)
-        chart = make_chart(fb)
-        param = draw_param(fb, rng)
+        # N = 300 points are one block, so every number is bitwise the one
+        # sum's (_one_sum); a stack of directions equals its slices one at
+        # a time
+        fb, chart, point, X, basis, D = _grid_case(bank, field, which, rng)
         N = 300  # not a power of two, so the division by N rounds
-        if which == "g":
-            point, X, basis = param, param.C, chart.factor_basis
-            D = draw_normal(rng, (3, fb.m, fb.n), field)
-        else:
-            point = X = h_inverse(chart, param)
-            basis = chart.range_basis
-            D = np.stack([chart.range_from_coords(rng.standard_normal(
-                chart.dim)) for _ in range(3)])
-        grids = []
-        kernel_grid = moment._kernel_grid
-
-        def counted(*args):
-            grids.append(args[-1])
-            return kernel_grid(*args)
-
-        monkeypatch.setattr(moment, "_kernel_grid", counted)
+        blocks = _counted_blocks(monkeypatch)
         grid = GridPoint(fb, prior_ref, point, which, dtheta=2 * np.pi / N)
         value, derivs, J = (grid.value(), grid.derivatives(D),
                             grid.jacobian(chart))
         singles = [grid.derivatives(d) for d in D]
-        assert grids == [N]
+        assert len(blocks) == 1
+        assert_array_equal(np.concatenate(blocks), circle_grid(N))
 
-        psi, K = kernel_grid(fb, prior_ref, X, which, N)
-        R = X @ K if which == "g" else K
-        Q = (K.reshape(N, -1).T @ (psi[:, None] * R.reshape(N, -1))).reshape(
-            fb.n, fb.n, R.shape[1], fb.n)
-
-        def columns(mats):
-            if which == "g":
-                mats = mats.conj().swapaxes(-1, -2)
-            Y = -np.einsum("abcd,mbc->mad", Q, mats) / N
-            return Y + Y.conj().swapaxes(-1, -2) if which == "g" else Y
-
-        def read(Y):
-            Y = 0.5 * (Y + Y.conj().swapaxes(-1, -2))
-            return Y.real if field == "real" else Y
-
-        assert_array_equal(value, read(np.tensordot(psi, K, axes=(0, 0)) / N))
-        assert_array_equal(derivs, read(columns(D)))
-        assert_array_equal(J, chart.range_coords(columns(basis)).T)
+        want_value, want_derivs, want_J = _one_sum(
+            fb, chart, prior_ref, X, which, N, basis, D)
+        assert_array_equal(value, want_value)
+        assert_array_equal(derivs, want_derivs)
+        assert_array_equal(J, want_J)
         for single, d in zip(singles, derivs):
             assert_array_equal(single, d)
+
+    @pytest.mark.parametrize("which", ["f", "g"])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_block_seams(self, field, which, offset, prior_ref, rng,
+                         monkeypatch):
+        # grids of one point short of, exactly at and one point past two
+        # full blocks: the blocks tile the grid in order, and the block
+        # sums agree with the one sum to roundoff
+        fb, chart, point, X, basis, D = _grid_case((2, 1), field, which, rng)
+        # points per block: 16 bytes per complex kernel entry
+        size = moment.GRID_BLOCK_BYTES // (16 * fb.n ** 2)
+        assert size == 1024
+        N = 2 * size + offset
+        blocks = _counted_blocks(monkeypatch)
+        grid = GridPoint(fb, prior_ref, point, which, dtheta=2 * np.pi / N)
+        assert [len(b) for b in blocks] == {
+            -1: [size, size - 1], 0: [size, size], 1: [size, size, 1]}[offset]
+        assert_array_equal(np.concatenate(blocks), circle_grid(N))
+
+        want = _one_sum(fb, chart, prior_ref, X, which, N, basis, D)
+        got = (grid.value(), grid.derivatives(D), grid.jacobian(chart))
+        for g, w in zip(got, want):
+            assert relative_error(g, w) <= 1e-12
+
+    @pytest.mark.parametrize("bank,which", [
+        pytest.param((2, 1), "g", id="covext21-g"),
+        pytest.param((2, 1), "f", id="covext21-f"),
+        pytest.param((3, 2), "g", id="covext32-g")])
+    def test_memory_does_not_grow_with_the_grid(self, bank, which,
+                                                prior_ref):
+        # the paper's dtheta = 1e-4 grid (62832 points); holding it whole
+        # peaked at 39.9 MiB on covext(2, 1) and 156.9 MiB on covext(3, 2)
+        fb = make_bank(bank, "real")
+        param = FactorParameter(fb, C_REF if bank == (2, 1) else fb.B.T)
+        point = param if which == "g" else h_inverse(make_chart(fb), param)
+        tracemalloc.start()
+        try:
+            GridPoint(fb, prior_ref, point, which, dtheta=1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_near_circle_rational_prior(self, field):
+        # sigma = 1/(1 - 0.999 z^-1) = 1 + 0.999/(z - 0.999): psi peaks at
+        # 1e6 in a band of width 2e-3 around theta = 0, which 2^16 points
+        # resolve and the default grid does not
+        fb = make_bank((2, 1), field)
+        a = 0.999
+        prior = prior_from_outer(StateSpaceSystem([[a]], [[1.0]], [[a]],
+                                                  [[1.0]]))
+        param = FactorParameter(fb, C_REF)
+        want = moment_g_statespace(fb, prior, param)
+        fine = GridPoint(fb, prior, param, dtheta=2 * np.pi / 2**16)
+        assert relative_error(fine.value(), want) <= 1e-12
+        assert relative_error(GridPoint(fb, prior, param).value(),
+                              want) > 1e-3
 
     def test_unknown_map_or_route_raises(self, fb, chart, prior_ref,
                                          param_ref):

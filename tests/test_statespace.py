@@ -250,6 +250,12 @@ class TestGrids:
         assert_allclose(theta[-1], np.pi)
         assert theta[0] > -np.pi
 
+    def test_circle_grid_range_is_a_slice(self):
+        theta = circle_grid(300)
+        for start, stop in [(0, 300), (0, 7), (7, 300), (299, 300)]:
+            assert_array_equal(circle_grid(300, start, stop),
+                               theta[start:stop])
+
     def test_grid_size_from_spacing(self):
         assert grid_size_from_spacing(1e-3) == round(2 * np.pi / 1e-3)
         n = grid_size_from_spacing(1e-4)
