@@ -82,7 +82,9 @@ print("admissible:", bool(is_in_Lplus(fb, Lam)))
 # %% artifacts
 
 here = Path(__file__).resolve().parent
-write_path_csv(path, here / "path.csv")
-write_path_json(path, here / "path.json")
+with open(here / "path.csv", "w") as fh:
+    write_path_csv(path, fh)
+with open(here / "path.json", "w") as fh:
+    write_path_json(path, fh)
 print("\nwrote", here / "path.csv")
 print("wrote", here / "path.json")

@@ -57,7 +57,7 @@ from .errors import ConfigError, MembershipError, SolverError
 from .factorization import _factor_parameter
 from .matrixeq import reverse_cholesky
 from .moment import CascadePoint, make_chart
-from .statespace import (FactorParameter, _check_finite, _hermitian_defect,
+from .statespace import (FactorParameter, _as_matrix, _hermitian_defect,
                          _hermitize, matrix_to_json)
 
 __all__ = [
@@ -177,11 +177,10 @@ def _check_covariance(chart, Sigma):
     attainable: rr at most FEASIBILITY_TOL.  A wrong shape or a non-finite
     entry raises ValueError.
     """
-    Sigma = np.atleast_2d(np.asarray(Sigma))
+    Sigma = _as_matrix(Sigma, "Sigma")
     n = chart.filterbank.n
     if Sigma.shape != (n, n):
         raise ValueError(f"Sigma must be {n}x{n}, got {Sigma.shape}")
-    _check_finite(Sigma, "Sigma")
     findings = []
     defect = _hermitian_defect(Sigma)
     if defect is not None:
@@ -432,20 +431,12 @@ def _fmt(v):
     return f"{float(v):.17g}"
 
 
-def _write_text(dest, text):
-    """Write ``text`` to ``dest``, an open text file or a path."""
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        with open(dest, "w") as fh:
-            fh.write(text)
-
-
 def write_path_csv(path, dest):
-    """Write a SolutionPath as CSV: t, y_1..y_M, residual, newton_iters,
-    gram_cond; floats carry 17 significant digits.  ``gram_cond`` is the
-    Gram condition of the Jacobian that gave the sample's tangent (at
-    t = 1, its last Newton step; see PathSample)."""
+    """Write a SolutionPath to the open text file ``dest`` as CSV: t,
+    y_1..y_M, residual, newton_iters, gram_cond; floats carry 17
+    significant digits.  ``gram_cond`` is the Gram condition of the
+    Jacobian that gave the sample's tangent (at t = 1, its last Newton
+    step; see PathSample)."""
     M = path.samples[0].y.size
     header = ["t"] + [f"y_{k}" for k in range(1, M + 1)] \
         + ["residual", "newton_iters", "gram_cond"]
@@ -454,11 +445,12 @@ def write_path_csv(path, dest):
         row = [_fmt(s.t)] + [_fmt(v) for v in s.y] \
             + [_fmt(s.residual), str(int(s.newton_iters)), _fmt(s.gram_cond)]
         lines.append(",".join(row))
-    _write_text(dest, "\n".join(lines) + "\n")
+    dest.write("\n".join(lines) + "\n")
 
 
 def write_path_json(path, dest):
-    """JSON sidecar: run metadata plus the factor parameter at every sample."""
+    """Write the JSON sidecar of a SolutionPath to the open text file
+    ``dest``: run metadata plus the factor parameter at every sample."""
     doc = {
         "m": path.filterbank.m,
         "n": path.filterbank.n,
@@ -478,4 +470,4 @@ def write_path_json(path, dest):
             for s in path.samples
         ],
     }
-    _write_text(dest, json.dumps(doc, indent=2))
+    dest.write(json.dumps(doc, indent=2))

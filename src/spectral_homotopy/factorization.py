@@ -21,7 +21,7 @@ import numpy as np
 
 from .matrixeq import solve_dare_appendix, solve_dare_lambda
 from .statespace import (_FLAT_PRIOR, FactorParameter, StateSpaceSystem,
-                         _as_param)
+                         _as_matrix, _as_param, _hermitize)
 
 __all__ = [
     "right_outer_factor",
@@ -55,7 +55,7 @@ def left_outer_factor_from_additive(F, Gm, H, J):
     solve_dare_appendix(F, Gm, H, J).
     """
     sol = solve_dare_appendix(F, Gm, H, J)
-    F, Gm, H = (np.atleast_2d(np.asarray(X)) for X in (F, Gm, H))
+    F, Gm, H = (_as_matrix(X, name) for X, name in zip((F, Gm, H), "FGH"))
     M = Gm + F @ sol.P @ H.conj().T
     return StateSpaceSystem(F, np.linalg.solve(sol.L, M.conj().T).conj().T, H,
                             sol.L)
@@ -110,5 +110,4 @@ def density_values(filterbank, C, prior, theta):
     Wv = right_outer_factor(filterbank, C).eval_grid(np.exp(1j * theta))
     Mv = Wv.conj().transpose(0, 2, 1) @ Wv
     psi = (_FLAT_PRIOR if prior is None else prior).psi_values(theta)
-    out = np.linalg.inv(Mv) * psi[:, None, None]
-    return 0.5 * (out + out.conj().transpose(0, 2, 1))
+    return _hermitize(np.linalg.inv(Mv) * psi[:, None, None])

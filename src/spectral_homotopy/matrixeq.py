@@ -33,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FactorizationError, MembershipError, SolverError
-from .statespace import (STRICT_TOL, _as_matrix, _check_finite,
-                         _check_hermitian, _hermitize, _resolvent,
-                         _spectral_radius, coerce_field)
+from .statespace import (STRICT_TOL, _as_matrix, _check_hermitian,
+                         _hermitize, _resolvent, _spectral_radius,
+                         coerce_field)
 
 __all__ = [
     "LplusDiagnostics",
@@ -81,13 +81,16 @@ def solve_dlyap(A1, Q):
 
     Raises
     ------
+    ValueError
+        If A1 or Q has a non-finite entry, Q is not Hermitian, or their
+        shapes disagree.
     MembershipError
         If A1 is not Schur stable.
     SolverError
         If the powers of A1 overflow or do not decay within 64 squarings,
         or if any slice fails the residual gate.
     """
-    A1 = np.atleast_2d(np.asarray(A1))
+    A1 = _as_matrix(A1, "A1")
     Q = _check_hermitian(Q, "Q")
     n = A1.shape[0]
     if A1.shape != (n, n) or Q.ndim > 3 or Q.shape[-2:] != (n, n):
@@ -176,6 +179,8 @@ def standard_cholesky(M):
 
     Raises
     ------
+    ValueError
+        If M has a non-finite entry or is not Hermitian.
     FactorizationError
         If M is not positive definite; carries the offending pivot index.
     """
@@ -202,7 +207,7 @@ def reverse_cholesky(M):
     permutes back: with E the anti-identity and K K* = E M E, the factor is
     L = E K* E.
     """
-    M = np.atleast_2d(np.asarray(M))
+    M = _as_matrix(M, "M")
     K = standard_cholesky(M[::-1, ::-1])
     return K.conj().T[::-1, ::-1]
 
@@ -299,15 +304,14 @@ def _circle_positivity(F, G, H, J):
     nz = F.shape[0]
     if nz == 0:
         return None
-    eye = np.eye(nz)
-    Zm = H @ np.linalg.solve(-eye - F, G)
+    Zm = H @ _resolvent(F, G, [-1.0])[0]
     pmin = float(np.min(np.linalg.eigvalsh(_hermitize(R + Zm + Zm.conj().T))))
     if not pmin > 0.0:
         return f"its min eigenvalue at z = -1 is {pmin:.6e}"
     Hh = H.conj().T
     RiH = np.linalg.solve(R, H)
     RiGh = np.linalg.solve(R, G.conj().T)
-    zero = np.zeros((nz, nz))
+    eye, zero = np.eye(nz), np.zeros((nz, nz))
     M = np.block([[F - G @ RiH, -G @ RiGh], [zero, eye]])
     L = np.block([[eye, zero], [-Hh @ RiH, F.conj().T - Hh @ RiGh]])
     s = np.linalg.eigvals(np.linalg.solve(M + L, M - L))
@@ -341,6 +345,8 @@ def solve_dare_appendix(F, G, H, J):
     H : (mz, nz) array
     J : (mz, mz) array with J + J* positive definite
 
+    All four must be finite (else ValueError naming the matrix).
+
     Returns
     -------
     DareSolution
@@ -353,10 +359,8 @@ def solve_dare_appendix(F, G, H, J):
     equation P = FPF* - G R^{-1} G*, which the doubling iteration reaches
     like any other, L L* = R and the closed loop is F.
     """
-    F = np.atleast_2d(np.asarray(F))
-    G = np.atleast_2d(np.asarray(G))
-    H = np.atleast_2d(np.asarray(H))
-    J = np.atleast_2d(np.asarray(J))
+    F, G, H, J = (_as_matrix(X, name)
+                  for X, name in zip((F, G, H, J), "FGHJ"))
     nz = F.shape[0]
     mz = J.shape[0]
     if F.shape != (nz, nz) or G.shape != (nz, mz) or H.shape != (mz, nz) \
@@ -434,7 +438,7 @@ def _check_lambda(filterbank, Lam):
     n = filterbank.n
     if Lam.shape != (n, n):
         raise ValueError(f"Lambda must be {n}x{n}, got {Lam.shape}")
-    Lam = _check_hermitian(_check_finite(Lam, "Lambda"), "Lambda")
+    Lam = _check_hermitian(Lam, "Lambda")
     return coerce_field(Lam, filterbank.field, what="Lambda")
 
 

@@ -55,9 +55,9 @@ import numpy as np
 
 from .errors import EvaluationError, SolverError
 from .matrixeq import _stein_solver
-from .statespace import (_FLAT_PRIOR, _as_param, _check_prior_field,
-                         _hermitize, circle_grid, coerce_field,
-                         grid_size_from_spacing)
+from .statespace import (_FLAT_PRIOR, _as_matrix, _as_param,
+                         _check_prior_field, _hermitize, circle_grid,
+                         coerce_field, grid_size_from_spacing)
 
 __all__ = [
     "CascadePoint",
@@ -110,7 +110,7 @@ def _kernel_grid(filterbank, prior, point, which, theta):
     else:
         CG = np.matmul(point, G)
         M = CG.conj().transpose(0, 2, 1) @ CG
-    M = 0.5 * (M + M.conj().transpose(0, 2, 1))
+    M = _hermitize(M)
     try:
         L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
@@ -124,8 +124,9 @@ def _kernel_grid(filterbank, prior, point, which, theta):
 
 
 class GridPoint:
-    """The quadrature oracle at one point: f at Lambda (``which="f"``) or g
-    at C (``which="g"``, ``point`` a matrix or FactorParameter).  ``prior``
+    """The quadrature oracle at one point: f at a finite Lambda
+    (``which="f"``, else ValueError naming Lambda) or g at C
+    (``which="g"``, ``point`` a matrix or FactorParameter).  ``prior``
     None is the flat prior psi = 1; on a real bank psi must be even, else
     ValueError naming the prior, as for CascadePoint.
 
@@ -163,7 +164,7 @@ class GridPoint:
         if which == "g":
             point = _as_param(filterbank, point).C
         elif which == "f":
-            point = np.asarray(point)
+            point = _as_matrix(point, "Lambda")
         else:
             raise ValueError(f"unknown moment map {which!r}")
         N = DEFAULT_GRID_N if dtheta is None else grid_size_from_spacing(dtheta)
@@ -513,8 +514,9 @@ class CoordinateChart:
     orthonormal under Re trace(X Y*), both have length M (else
     SolverError), and both are stored stacked, as (M, n, n) and (M, m, n)
     arrays, so that converting any matrix, or a whole stack of them, is one
-    contraction.  The conjugate transposes of the flattened bases, which the
-    coordinate maps contract with, are kept read-only.
+    contraction.  Construction marks both bases read-only, and keeps,
+    read-only too, the conjugate transposes of the flattened bases that the
+    coordinate maps contract with.
     """
 
     filterbank: object
@@ -532,7 +534,8 @@ class CoordinateChart:
         for name in ("range_basis", "factor_basis"):
             basis = getattr(self, name)
             basis_h = basis.reshape(len(basis), -1).conj().T
-            basis_h.setflags(write=False)
+            for val in (basis, basis_h):
+                val.setflags(write=False)
             object.__setattr__(self, f"_{name}_h", basis_h)
 
     @property
@@ -587,8 +590,6 @@ def make_chart(filterbank):
             filterbank=filterbank,
             range_basis=build_range_gamma_basis(filterbank),
             factor_basis=build_factor_basis(filterbank))
-        chart.range_basis.setflags(write=False)
-        chart.factor_basis.setflags(write=False)
         object.__setattr__(filterbank, "_chart", chart)
     return chart
 
@@ -638,12 +639,13 @@ def f_jacobian_from_g(chart, C, J_g):
     one linear solve, J_{h^{-1}}^T J_f^T = J_g^T.  h^{-1} is a
     diffeomorphism from the factor set onto the weights, so J_{h^{-1}} is
     invertible there; a singular or non-finite one raises SolverError.
+    A non-finite J_g raises ValueError naming it.
     """
     H = _h_inverse_jacobian(chart, C)
     if not np.all(np.isfinite(H)):
         raise SolverError("Jacobian of h^{-1} has non-finite entries")
     try:
-        return np.linalg.solve(H.T, np.asarray(J_g).T).T
+        return np.linalg.solve(H.T, _as_matrix(J_g, "J_g").T).T
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"Jacobian of h^{{-1}} is singular ({exc})") from None
 

@@ -10,6 +10,12 @@ Pi = A - B (CB)^{-1} C A is Schur stable.  The filter bank, every system
 through one batched resolvent solve, _resolvent.  This is the lowest
 layer above errors: it imports no other module of the package.
 
+Every matrix a caller hands the package enters through one gate here:
+_as_matrix for a matrix and _check_hermitian for Hermitian data (a matrix
+or a stack) both raise ValueError naming the input, "<name> must be a 2-d
+array", "<name> must be square" or "<name> has non-finite entries", before
+any eigenvalue, factorization or solve sees it.
+
 All sets come with explicit numerical tolerances: strict inequalities use a
 1e-12 margin throughout.  Every type here that holds an array is a frozen
 dataclass whose fields are its constructor's inputs; what construction
@@ -67,8 +73,11 @@ def _hermitian_defect(X):
 
 
 def _check_hermitian(X, name):
-    """Hermitian part of X, or of each slice of a stack; raises on a defect."""
-    X = np.atleast_2d(np.asarray(X))
+    """Hermitian part of X, or of each slice of a stack; raises on a
+    non-finite entry (see _check_finite), a non-square X or a defect."""
+    X = _check_finite(np.atleast_2d(np.asarray(X)), name)
+    if X.shape[-1] != X.shape[-2]:
+        raise ValueError(f"{name} must be square, got {X.shape}")
     defect = _hermitian_defect(X)
     if defect is not None:
         raise ValueError(f"{name} is not Hermitian (defect {defect:.3e})")
@@ -88,14 +97,17 @@ def _spectral_radius(A):
 
 
 def _as_matrix(x, name):
+    """``x`` as a finite 2-d array, else ValueError naming it: the one gate
+    for a matrix a caller hands the package."""
     a = np.atleast_2d(np.asarray(x))
     if a.ndim != 2:
         raise ValueError(f"{name} must be a 2-d array, got shape {a.shape}")
-    return a
+    return _check_finite(a, name)
 
 
 def _check_finite(x, name):
-    """``x``, else ValueError naming it; run before any eigenvalue or root."""
+    """``x``, else ValueError naming it; run before any eigenvalue, root or
+    solve."""
     if not np.isfinite(x).all():
         raise ValueError(f"{name} has non-finite entries")
     return x
@@ -130,11 +142,12 @@ def circle_grid(n, start=0, stop=None):
     """Equidistant angles on (-pi, pi]: theta_k = -pi + k * 2 pi / n, for
     k = start + 1..stop (k = 1..n by default).  A range of k gives the same
     angles, bit for bit, as the same slice of the whole grid."""
-    if n < 1:
-        raise ValueError("grid size must be positive")
+    if isinstance(n, bool) or not hasattr(n, "__index__") or n < 1:
+        raise ValueError(f"grid size must be a positive integer, got {n!r}")
     stop = n if stop is None else stop
     step = 2.0 * np.pi / n
     return -np.pi + step * np.arange(start + 1, stop + 1)
+
 
 def grid_size_from_spacing(dtheta):
     """Number of grid points whose uniform spacing best matches ``dtheta``.
@@ -142,8 +155,8 @@ def grid_size_from_spacing(dtheta):
     The returned n tiles the circle exactly (n * (2 pi / n) = 2 pi); a literal
     non-divisor spacing would leave a coverage gap on (-pi, pi].
     """
-    if not dtheta > 0:
-        raise ValueError("dtheta must be positive")
+    if not 0 < dtheta < np.inf:
+        raise ValueError("dtheta must be finite and positive")
     return max(1, int(round(2.0 * np.pi / float(dtheta))))
 
 
@@ -158,8 +171,7 @@ class StateSpaceSystem:
     D: np.ndarray
 
     def __post_init__(self):
-        A, B, C, D = (np.atleast_2d(np.asarray(X))
-                      for X in (self.A, self.B, self.C, self.D))
+        A, B, C, D = (_as_matrix(getattr(self, name), name) for name in "ABCD")
         n = A.shape[0]
         if A.shape != (n, n):
             raise ValueError(f"A must be square, got {A.shape}")
@@ -171,8 +183,8 @@ class StateSpaceSystem:
             raise ValueError(
                 f"D must be {C.shape[0]}x{B.shape[1]}, got {D.shape}"
             )
-        for name, val in (("A", A), ("B", B), ("C", C), ("D", D)):
-            object.__setattr__(self, name, _check_finite(val, name))
+        for name, val in zip("ABCD", (A, B, C, D)):
+            object.__setattr__(self, name, val)
 
     @property
     def n_states(self):
@@ -230,8 +242,6 @@ def _reachability_rank(A, B):
         blocks.append(A @ blocks[-1])
     R = np.hstack(blocks)
     s = np.linalg.svd(R, compute_uv=False)
-    if s.size == 0:
-        return 0
     return int(np.sum(s > RANK_RTOL * s[0]))
 
 
@@ -259,10 +269,10 @@ class FilterBank:
     def __post_init__(self):
         if self.field not in ("real", "complex"):
             raise ValueError(f"field must be 'real' or 'complex', got {self.field!r}")
-        A = coerce_field(_check_finite(_as_matrix(self.A, "A"), "filter A"),
-                         self.field, what="filter A")
-        B = coerce_field(_check_finite(_as_matrix(self.B, "B"), "filter B"),
-                         self.field, what="filter B")
+        A = coerce_field(_as_matrix(self.A, "filter A"), self.field,
+                         what="filter A")
+        B = coerce_field(_as_matrix(self.B, "filter B"), self.field,
+                         what="filter B")
         n = A.shape[0]
         if A.shape != (n, n):
             raise ValueError(f"A must be square, got {A.shape}")
@@ -559,7 +569,7 @@ def _closed_loop(filterbank, C):
     loop Pi = A - Bt C A; Pi and Bt are None when CB is singular.
     """
     m, n = filterbank.m, filterbank.n
-    C = coerce_field(_check_finite(_as_matrix(C, "C"), "C"), filterbank.field,
+    C = coerce_field(_as_matrix(C, "C"), filterbank.field,
                      what="factor parameter C")
     if C.shape != (m, n):
         raise ValueError(f"C must be {m}x{n}, got {C.shape}")

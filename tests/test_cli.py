@@ -157,6 +157,25 @@ class TestConfigErrors:
         assert main(["solve", "--config", cfg]) == 2
         assert "sigma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, message", [
+        ([1.0], "config: expected an object, got list"),
+        ({"filter": {"preset": "covext", "p": 1}},
+         "filter.m: required key is missing"),
+        (base_config(prior={"kind": "polynomial", "b": []}),
+         "prior.b: expected a non-empty list"),
+        ({"filter": {"preset": "lattice", "m": 2, "p": 1}},
+         "filter.preset: unknown preset 'lattice' (available: covext)"),
+        (base_config(prior={"kind": "spline"}),
+         "prior.kind: unknown kind 'spline' "
+         "(constant | polynomial | rational)"),
+        (base_config(sigma={}), "sigma: needs either 'matrix' or 'from'")],
+        ids=["not-an-object", "missing-m", "empty-b", "unknown-preset",
+             "unknown-kind", "sigma-without-source"])
+    def test_structural_faults_name_their_path(self, doc, message, tmp_path,
+                                               capsys):
+        assert main(["check", "--config", write_config(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
 
 class TestSolve:
     def test_writes_artifacts_and_recovers_generator(self, tmp_path, capsys):
@@ -941,6 +960,31 @@ class TestSelftest:
             # the other suites do not call h_map
             assert f"oracle-equivalence [{field}]: PASS" in out
             assert f"finite-difference [{field}]: PASS" in out
+
+    def test_a_suite_that_raises_fails_and_the_rest_still_run(
+            self, capsys, monkeypatch):
+        ran = []
+
+        def crash(*setup):
+            raise RuntimeError("boom")
+
+        def passing(name):
+            def suite(*setup):
+                ran.append(name)
+                return 0.0, 1.0
+            return suite
+
+        monkeypatch.setattr(cli, "_suite_oracle", crash)
+        monkeypatch.setattr(cli, "_suite_roundtrip", passing("round-trip"))
+        monkeypatch.setattr(cli, "_suite_fd", passing("finite-difference"))
+        assert main(["selftest"]) == 1
+        out = capsys.readouterr().out
+        for field in ("real", "complex"):
+            assert (f"oracle-equivalence [{field}]: FAIL (RuntimeError: "
+                    "boom)\n") in out
+        assert ran == ["round-trip", "finite-difference"] * 2
+        assert out.count(": PASS") == 4
+        assert "selftest: FAIL" in out
 
     def test_imports_no_scipy(self):
         # the package is numpy-only: in a fresh interpreter, importing it

@@ -72,6 +72,25 @@ class TestMaxent:
         with pytest.raises((MembershipError, ValueError)):
             maxent_initialization(fb, M)
 
+    def test_rejects_a_sigma_of_another_size(self, fb):
+        with pytest.raises(ValueError,
+                           match=re.escape("Sigma must be 4x4, got (3, 3)")):
+            maxent_initialization(fb, np.eye(3))
+
+    def test_zero_sigma_is_one_finding(self, fb):
+        # its range residual is 0 by definition, not 0 / 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, findings, eig_min, rr = continuation._check_covariance(
+                make_chart(fb), np.zeros((4, 4)))
+            with pytest.raises(MembershipError, match=re.escape(
+                    "Sigma is not positive definite (min eigenvalue "
+                    "0.000000e+00)")):
+                maxent_initialization(fb, np.zeros((4, 4)))
+        assert findings == [
+            "not positive definite (min eigenvalue 0.000000e+00)"]
+        assert (eig_min, rr) == (0.0, 0.0)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, fb, prior_ref, bad):
         # a ValueError naming Sigma before any eigenvalue computation, which

@@ -54,6 +54,23 @@ class TestStein:
         with pytest.raises(MembershipError, match="Schur"):
             solve_dlyap(np.array([[1.0]]), np.array([[1.0]]))
 
+    @pytest.mark.parametrize("A1, Q, message", [
+        (np.zeros((2, 3)), np.eye(2), "A1 must be 2x2 and Q 2x2"),
+        (0.5 * np.eye(2), np.eye(3), "A1 must be 2x2 and Q 2x2"),
+        (0.5 * np.eye(2), np.zeros((1, 1, 2, 2)), "A1 must be 2x2 and Q 2x2"),
+        (0.5 * np.eye(2), np.zeros((3, 2)), "Q must be square, got (3, 2)"),
+        (np.zeros((1, 2, 2)), np.eye(2), "A1 must be a 2-d array")],
+        ids=["non-square-A1", "Q-size", "4-d-Q", "non-square-Q", "3-d-A1"])
+    def test_rejects_mismatched_shapes(self, A1, Q, message):
+        # each named before numpy can raise on the shapes
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            solve_dlyap(A1, Q)
+
+    def test_empty_equation_has_the_empty_solution(self):
+        for Q in (np.zeros((0, 0)), np.zeros((3, 0, 0))):
+            X = solve_dlyap(np.zeros((0, 0)), Q)
+            assert X.shape == Q.shape
+
     def test_real_inputs_give_real_output(self, rng):
         A1 = 0.3 * rng.standard_normal((3, 3))
         Q = np.eye(3)
@@ -188,6 +205,12 @@ class TestCholesky:
             assert np.all(np.diag(Lr) > 0)
             assert_allclose(np.triu(Ls, 1), 0, atol=1e-15)
             assert_allclose(np.triu(Lr, 1), 0, atol=1e-15)
+
+    def test_non_square_input_is_named(self):
+        for factor in (standard_cholesky, reverse_cholesky):
+            with pytest.raises(ValueError, match=re.escape(
+                    "M must be square, got (2, 3)")):
+                factor(np.ones((2, 3)))
 
     def test_indefinite_input_names_pivot(self):
         M = np.diag([1.0, -1.0])
@@ -381,6 +404,17 @@ class TestAdditiveRiccati:
         with pytest.raises(ValueError):
             solve_dare_appendix(np.eye(2) * 0.1, np.ones((3, 1)),
                                 np.ones((1, 2)), np.ones((1, 1)))
+
+    def test_zero_states_need_no_special_case(self):
+        # nz = 0: Z = J, so P is 0 x 0, L L* = J + J* and the closed loop
+        # is the empty F
+        J = np.array([[2.0, 0.5], [-0.3, 1.0]])
+        sol = solve_dare_appendix(np.zeros((0, 0)), np.zeros((0, 2)),
+                                  np.zeros((2, 0)), J)
+        assert sol.P.shape == (0, 0) and sol.closed_loop.shape == (0, 0)
+        assert_allclose(sol.L @ sol.L.T, J + J.T, rtol=1e-14)
+        assert_array_equal(sol.L, np.tril(sol.L))
+        assert np.all(np.diag(sol.L) > 0)
 
 
 # The fixed-point iterations below are the test_methods_agree oracles for the

@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import re
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from spectral_homotopy import (EvaluationError, FactorParameter, FilterBank,
-                               MembershipError, PriorSpectrum,
+                               GridPoint, MembershipError, PriorSpectrum,
                                StateSpaceSystem,
                                circle_grid, coerce_field, constant_prior,
                                grid_size_from_spacing, h_map, is_in_Cplus,
@@ -89,6 +90,20 @@ class TestFilterBank:
             with pytest.raises(ValueError,
                                match=f"filter {which} has non-finite"):
                 FilterBank(data["A"], data["B"])
+
+    @pytest.mark.parametrize("A, B, field, message", [
+        (np.eye(2) / 2, np.ones((2, 1)), "quaternion",
+         "field must be 'real' or 'complex', got 'quaternion'"),
+        (np.zeros((2, 3)), np.ones((2, 1)), "real", "A must be square"),
+        (np.eye(2) / 2, np.ones((3, 1)), "real", "B has 3 rows, expected 2"),
+        (np.eye(2) / 2, np.ones((2, 3)), "real",
+         "B cannot have more columns than A has rows"),
+        (np.zeros((1, 2, 2)), np.ones((2, 1)), "real",
+         "filter A must be a 2-d array")],
+        ids=["field", "non-square-A", "B-rows", "B-columns", "3-d-A"])
+    def test_rejects_bad_shapes_and_fields(self, A, B, field, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            FilterBank(A, B, field=field)
 
     def test_preset_argument_validation(self):
         with pytest.raises(ValueError):
@@ -261,6 +276,28 @@ class TestGrids:
         n = grid_size_from_spacing(1e-4)
         assert abs(2 * np.pi / n - 1e-4) < 1e-8
 
+    @pytest.mark.parametrize("n", [0, -3, 2.5, 4.0, np.nan, np.inf, True])
+    def test_circle_grid_takes_a_positive_integer(self, n):
+        # 2.5 used to give three angles 2 pi / 2.5 apart, and nan or inf
+        # leaked numpy's own arange error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"grid size must be a positive integer, got {n!r}")):
+                circle_grid(n)
+
+    def test_circle_grid_takes_a_numpy_integer(self):
+        assert_array_equal(circle_grid(np.int64(8)), circle_grid(8))
+
+    @pytest.mark.parametrize("dtheta", [0.0, -1e-3, np.nan, np.inf])
+    def test_spacing_must_be_finite_and_positive(self, fb, dtheta):
+        # an infinite spacing used to give a one-point "quadrature"
+        for make in (lambda: grid_size_from_spacing(dtheta),
+                     lambda: GridPoint(fb, None, C_REF, dtheta=dtheta)):
+            with pytest.raises(ValueError,
+                               match="^dtheta must be finite and positive$"):
+                make()
+
 
 class TestSystems:
     def test_system_without_states_is_its_feedthrough(self, rng):
@@ -361,6 +398,12 @@ class TestStableFactorSet:
     def test_shape_mismatch_raises(self, fb):
         with pytest.raises(ValueError):
             is_in_Cplus(fb, np.eye(3))
+
+    def test_three_dimensional_parameter_raises(self, fb):
+        for check in (is_in_Cplus, FactorParameter):
+            with pytest.raises(ValueError, match=re.escape(
+                    "C must be a 2-d array, got shape (1, 2, 4)")):
+                check(fb, C_REF[None])
 
     def test_complex_parameter_of_a_real_bank_raises(self):
         # the membership test checks the field as FactorParameter does
@@ -504,6 +547,42 @@ class TestPriors:
             with pytest.raises(ValueError,
                                match=f"^{which} has non-finite entries"):
                 prior_from_outer(StateSpaceSystem(**data))
+
+    @pytest.mark.parametrize("which, shape, message", [
+        ("A", (1, 2), "A must be square, got (1, 2)"),
+        ("B", (2, 1), "B has 2 rows, expected 1"),
+        ("C", (1, 2), "C has 2 columns, expected 1"),
+        ("D", (1, 2), "D must be 1x1, got (1, 2)"),
+        ("D", (1, 1, 1), "D must be a 2-d array, got shape (1, 1, 1)")])
+    def test_system_rejects_each_shape_fault(self, which, shape, message):
+        data = {k: np.array([[v]]) for k, v in zip("ABCD", (0.5, 1, 0.3, 1))}
+        data[which] = np.full(shape, 0.5)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            StateSpaceSystem(**data)
+
+    def test_prior_kind_and_scalar_sigma(self):
+        scalar = _fir_system([1.0, 0.5])
+        with pytest.raises(ValueError, match="^unknown prior kind 'spline'$"):
+            PriorSpectrum(scalar, kind="spline")
+        two_inputs = StateSpaceSystem(np.array([[0.5]]), np.ones((1, 2)),
+                                      np.ones((1, 1)), np.ones((1, 2)))
+        with pytest.raises(ValueError,
+                           match="^sigma must be a scalar system$"):
+            PriorSpectrum(two_inputs)
+
+    def test_rational_prior_rejects_unstable_sigma(self):
+        unstable = StateSpaceSystem(np.array([[1.5]]), np.array([[1.0]]),
+                                    np.array([[0.1]]), np.array([[1.0]]))
+        with pytest.raises(MembershipError, match=re.escape(
+                "sigma is not outer: A is not Schur stable (spectral "
+                "radius 1.5)")):
+            prior_from_outer(unstable)
+
+    def test_polynomial_prior_takes_a_1d_b(self):
+        for b in ([[1.0, 0.5]], []):
+            with pytest.raises(ValueError, match=(
+                    "^b must be a non-empty 1-d coefficient array$")):
+                prior_from_polynomial(b)
 
     def test_rational_prior_rejects_zero_feedthrough(self):
         sys_ = StateSpaceSystem(np.array([[0.5]]), np.array([[1.0]]),
