@@ -16,7 +16,11 @@ Verbs:
   maximum-entropy point and its tangent solve) and prints ``start: ok``
   with the Gram condition and cond(Sigma), or ``start: VIOLATION`` with
   the message ``solve`` would exit 3 with.
-- ``maxent``: closed-form flat-prior solution for Sigma.
+- ``maxent``: closed-form flat-prior solution for Sigma.  ``solve``,
+  ``check`` and ``maxent`` share one start, continuation._start; under
+  the flat prior its tangent is zero, so ``maxent`` exits 3 on the
+  start's defining-equation and Stein gates, as ``solve`` does, but never
+  on a tangent solve.
 - ``selftest``: reduced-size consistency suites, on the real and on the
   complex covext(2, 1) bank.
 
@@ -66,14 +70,14 @@ import numpy as np
 
 from . import factorization
 from .continuation import (HomotopyConfig, _check_covariance, _start,
-                           _start_point, maxent_initialization,
-                           run_continuation, write_path_csv, write_path_json)
+                           maxent_initialization, run_continuation,
+                           write_path_csv, write_path_json)
 from .errors import ConfigError, MembershipError, SpectralHomotopyError
 from .matrixeq import is_in_Lplus
 from .moment import (CascadePoint, GridPoint, condition_numbers, make_chart,
                      moment_g_statespace)
 from .statespace import (FactorParameter, FilterBank, StateSpaceSystem,
-                         _check_finite, _check_prior_field, constant_prior,
+                         _as_prior, _check_finite, constant_prior,
                          is_in_Cplus, make_covariance_extension_filter,
                          matrix_from_json, matrix_to_json, prior_from_outer,
                          prior_from_polynomial)
@@ -176,7 +180,7 @@ def _parse_prior(spec, field, path="prior"):
         violation = exc
     else:
         try:
-            return _check_prior_field(prior, field)
+            return _as_prior(prior, field)
         except ValueError as exc:
             violation = exc
     error = ConfigError(f"{path}: {violation}")
@@ -438,22 +442,17 @@ def cmd_check(args):
                   f"range residual {rr:.3e})")
             if cfg.prior is not None and not isinstance(cfg.prior,
                                                         ConfigError):
-                _check_start(cfg, Sigma)
+                # whether solve can start: its own start, and on failure
+                # the message solve exits 3 with
+                try:
+                    _, Sigma, _, _, info = _start(make_chart(fb), cfg.prior,
+                                                  Sigma, cfg.continuation)
+                except SpectralHomotopyError as exc:
+                    print(f"start: VIOLATION {exc}")
+                else:
+                    print(f"start: ok (Gram condition {info.gram_cond:.3e}, "
+                          f"cond(Sigma) {np.linalg.cond(Sigma):.3e})")
     return 0
-
-
-def _check_start(cfg, Sigma):
-    """Print whether ``solve`` can start on this config: the maximum-entropy
-    start and its tangent solve, by the code run_continuation starts with;
-    a failure prints the message ``solve`` exits 3 with."""
-    try:
-        _, Sigma, _, _, info = _start(make_chart(cfg.filterbank), cfg.prior,
-                                      Sigma, cfg.continuation)
-    except SpectralHomotopyError as exc:
-        print(f"start: VIOLATION {exc}")
-    else:
-        print(f"start: ok (Gram condition {info.gram_cond:.3e}, "
-              f"cond(Sigma) {np.linalg.cond(Sigma):.3e})")
 
 
 def cmd_maxent(args):
@@ -461,7 +460,7 @@ def cmd_maxent(args):
     fb = cfg.filterbank
     Sigma = _resolve_sigma(cfg, "maxent")
     # the start's gate computes the defining residual ||g(1, C) - Sigma||
-    point, _, gap = _start_point(make_chart(fb), None, Sigma)
+    point, _, gap, _, _ = _start(make_chart(fb), None, Sigma)
     rel = gap / float(np.linalg.norm(Sigma))
     print(f"maxent: defining residual {gap:.3e} ({rel:.3e} relative)")
     if args.out is not None:

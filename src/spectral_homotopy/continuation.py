@@ -36,8 +36,11 @@ That O(||Newton step||) offset is below the predictor's own error.  A
 corrector that accepts its prediction with no iterate solves the tangent
 at the accepted point, so it returns a tangent at every t < 1; only the
 start point (whose P_t = P_1 also checks the start's defining equation)
-solves its tangent in run_continuation.  A failure there ends the run at
-once, since no smaller step moves the t = 0 point.  Every later failure,
+solves its own.  One function builds that start, the maximum-entropy point
+and its tangent, for run_continuation, maxent_initialization and the
+CLI's ``check`` and ``maxent``; under the flat prior its tangent is zero
+and costs no solve.  A failure there ends the run at once, since no
+smaller step moves the t = 0 point.  Every later failure,
 of a corrector iterate, a membership check or a tangent solve, halves the
 step (each step retries from the configured dt, so one hard spot does not
 shrink the rest of the path), and a SolverError reports the failure
@@ -198,20 +201,30 @@ def _check_covariance(chart, Sigma):
     return Sigma, findings, eig_min, rr
 
 
-def _start_point(chart, prior, Sigma):
-    """The cascade point at t = 0 on the maximum-entropy parameter.
+def _start(chart, prior, Sigma, config=HomotopyConfig()):
+    """The start of the continuation, and all of it: the cascade point at
+    t = 0 on the maximum-entropy parameter, and the tangent
+    g'(p(0), C; V) = -(g(psi, C) - g(1, C)) solved there.
 
-    With B* Sigma^{-1} B = L* L (L lower triangular, positive diagonal), the
-    parameter is C = L^{-*} B* Sigma^{-1}, built as h_map builds its C from
-    the Riccati solution (factorization._factor_parameter, which makes CB
-    exactly L at any scale of Sigma).  At t = 0 the point's P_t is P_1, so
-    its value is g(1, C), which must meet Sigma to 1e-9 ||Sigma|| (else
-    SolverError naming the gap and cond(Sigma), whose roundoff the closed
-    form carries).  A Stein solve of the point that fails its residual gate
+    Sigma must be admissible (else MembershipError, see
+    maxent_initialization).  With B* Sigma^{-1} B = L* L (L lower
+    triangular, positive diagonal), the parameter is
+    C = L^{-*} B* Sigma^{-1}, built as h_map builds its C from the Riccati
+    solution (factorization._factor_parameter, which makes CB exactly L at
+    any scale of Sigma).  At t = 0 the point's P_t is P_1, so its value is
+    g(1, C), which must meet Sigma to 1e-9 ||Sigma|| (else SolverError
+    naming the gap and cond(Sigma), whose roundoff the closed form
+    carries).  A Stein solve of the point that fails its residual gate
     raises SolverError too, naming the start and cond(Sigma), chained from
-    the gate's error.  Sigma must be admissible (else MembershipError, see
-    maxent_initialization).  Returns (point, Sigma, gap): Sigma Hermitized
-    and gap = ||g(1, C) - Sigma||.
+    the gate's error.  A failed tangent solve raises SolverError
+    (``continuation stalled at t = 0: tangent solve failed``), its history
+    the one failure at t = 0 and config.dt.  Under the flat prior (None)
+    the drift is exactly zero, so the tangent is zero and its solve takes
+    no SVD and cannot fail.
+
+    Returns (point, Sigma, gap, tangent, info): Sigma Hermitized,
+    gap = ||g(1, C) - Sigma|| and info the tangent solve's
+    JacobianSolveInfo.
     """
     filterbank = chart.filterbank
     Sigma, findings, _, _ = _check_covariance(chart, Sigma)
@@ -235,20 +248,28 @@ def _start_point(chart, prior, Sigma):
             f"maximum-entropy parameter failed its defining equation "
             f"(||g(1, C) - Sigma|| = {gap:.3e}, cond(Sigma) = "
             f"{np.linalg.cond(Sigma):.3e})")
-    return point, Sigma, gap
+    try:
+        tangent, info = point.solve(chart, -point.drift())
+    except SolverError as exc:
+        raise SolverError(
+            f"continuation stalled at t = 0: tangent solve failed ({exc})",
+            history=[(0.0, config.dt, str(exc))]) from exc
+    return point, Sigma, gap, tangent, info
 
 
 def maxent_initialization(filterbank, Sigma):
     """Closed-form solution of g(1, C) = Sigma.
 
-    The parameter is C = L^{-*} B* Sigma^{-1} with B* Sigma^{-1} B = L* L
-    (see _start_point, which also checks g(1, C) = Sigma to 1e-9 ||Sigma||,
-    else SolverError).  Sigma must be n x n and finite (else ValueError),
-    and Hermitian, positive definite and attainable: its distance from the
-    range of the covariance operator must not exceed FEASIBILITY_TOL
-    relative to its norm (else MembershipError naming every violation).
+    The parameter is C = L^{-*} B* Sigma^{-1} with B* Sigma^{-1} B = L* L,
+    the start of every continuation (see _start, which also checks
+    g(1, C) = Sigma to 1e-9 ||Sigma||, else SolverError; its flat-prior
+    tangent is zero and costs no solve).  Sigma must be n x n and finite
+    (else ValueError), and Hermitian, positive definite and attainable:
+    its distance from the range of the covariance operator must not exceed
+    FEASIBILITY_TOL relative to its norm (else MembershipError naming
+    every violation).
     """
-    return _start_point(make_chart(filterbank), None, Sigma)[0].param
+    return _start(make_chart(filterbank), None, Sigma)[0].param
 
 
 def corrector_newton(chart, prior, t, param, Sigma, config):
@@ -326,26 +347,6 @@ def _hermite_increment(h, dt, y0, a0, y1, a1):
     return h00 * (y0 - y1) + h * (h10 * a0 + h11 * a1)
 
 
-def _start(chart, prior, Sigma, config):
-    """The start of run_continuation: _start_point and the tangent
-    g'(p(0), C; V) = -(g(psi, C) - g(1, C)) solved there.
-
-    Returns (point, Sigma, gap, tangent, info), info the tangent solve's
-    JacobianSolveInfo.  A failed tangent solve raises SolverError at once
-    (``continuation stalled at t = 0: tangent solve failed``), its history
-    the one failure at t = 0 and config.dt; so does every error of
-    _start_point.
-    """
-    point, Sigma, gap = _start_point(chart, prior, Sigma)
-    try:
-        tangent, info = point.solve(chart, -point.drift())
-    except SolverError as exc:
-        raise SolverError(
-            f"continuation stalled at t = 0: tangent solve failed ({exc})",
-            history=[(0.0, config.dt, str(exc))]) from exc
-    return point, Sigma, gap, tangent, info
-
-
 def run_continuation(filterbank, prior, Sigma, config=None):
     """Follow the prior homotopy from the maximum-entropy start to t = 1.
 
@@ -370,8 +371,9 @@ def run_continuation(filterbank, prior, Sigma, config=None):
         make_chart call) and kept on the bank, so later runs on the same
         bank build no basis.
 
-    The tangent at the start is solved first (_start, which the CLI's
-    ``check`` runs too), and its failure raises SolverError at once
+    The start, the maximum-entropy point and its tangent, comes from
+    _start, the one start the CLI's ``check`` and ``maxent`` run too; a
+    failed start tangent raises SolverError at once
     (``continuation stalled at t = 0: tangent solve failed``), since no
     smaller step moves the t = 0 point.  Every later tangent comes from
     corrector_newton, and any failure of a step halves it, down to MIN_DT.

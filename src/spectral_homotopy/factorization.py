@@ -20,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from .matrixeq import solve_dare_appendix, solve_dare_lambda
-from .statespace import (_FLAT_PRIOR, FactorParameter, StateSpaceSystem,
-                         _as_matrix, _as_param, _hermitize)
+from .statespace import (FactorParameter, StateSpaceSystem, _as_matrix,
+                         _as_param, _as_prior, _hermitize)
 
 __all__ = [
     "right_outer_factor",
@@ -104,10 +104,11 @@ def density_values(filterbank, C, prior, theta):
 
     Phi(theta) = psi(theta) * (W(e^{i theta})* W(e^{i theta}))^{-1} with
     W = z C G; returns shape (len(theta), m, m).  ``prior=None`` is the flat
-    prior psi = 1.
+    prior psi = 1; psi need not be even, and anything but a prior or None
+    raises ValueError (statespace._as_prior).
     """
     theta = np.asarray(theta, dtype=float).ravel()
     Wv = right_outer_factor(filterbank, C).eval_grid(np.exp(1j * theta))
     Mv = Wv.conj().transpose(0, 2, 1) @ Wv
-    psi = (_FLAT_PRIOR if prior is None else prior).psi_values(theta)
+    psi = _as_prior(prior).psi_values(theta)
     return _hermitize(np.linalg.inv(Mv) * psi[:, None, None])

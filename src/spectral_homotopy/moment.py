@@ -54,10 +54,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError, SolverError
-from .matrixeq import _stein_solver
-from .statespace import (_FLAT_PRIOR, _as_matrix, _as_param,
-                         _check_prior_field, _hermitize, circle_grid,
-                         coerce_field, grid_size_from_spacing)
+from .matrixeq import _check_lambda, _stein_solver
+from .statespace import (_as_matrix, _as_param, _as_prior, _hermitize,
+                         circle_grid, coerce_field, grid_size_from_spacing)
 
 __all__ = [
     "CascadePoint",
@@ -124,11 +123,12 @@ def _kernel_grid(filterbank, prior, point, which, theta):
 
 
 class GridPoint:
-    """The quadrature oracle at one point: f at a finite Lambda
-    (``which="f"``, else ValueError naming Lambda) or g at C
-    (``which="g"``, ``point`` a matrix or FactorParameter).  ``prior``
-    None is the flat prior psi = 1; on a real bank psi must be even, else
-    ValueError naming the prior, as for CascadePoint.
+    """The quadrature oracle at one point: f at Lambda (``which="f"``,
+    admitted as is_in_Lplus admits it: finite, n x n, Hermitian and of the
+    bank's field, else ValueError naming Lambda) or g at C (``which="g"``,
+    ``point`` a matrix or FactorParameter).  ``prior`` None is the flat
+    prior psi = 1; a prior that is not a PriorSpectrum, or not even on a
+    real bank, raises ValueError naming the prior, as for CascadePoint.
 
     It has CascadePoint's interface (value, derivatives, jacobian) and is
     implemented independently of it: one Riemann sum on a uniform circle
@@ -159,12 +159,11 @@ class GridPoint:
     """
 
     def __init__(self, filterbank, prior, point, which="g", dtheta=None):
-        prior = _check_prior_field(_FLAT_PRIOR if prior is None else prior,
-                                   filterbank.field)
+        prior = _as_prior(prior, filterbank.field)
         if which == "g":
             point = _as_param(filterbank, point).C
         elif which == "f":
-            point = _as_matrix(point, "Lambda")
+            point = _check_lambda(filterbank, point)
         else:
             raise ValueError(f"unknown moment map {which!r}")
         N = DEFAULT_GRID_N if dtheta is None else grid_size_from_spacing(dtheta)
@@ -239,8 +238,9 @@ class CascadePoint:
     derivative along any direction, the Jacobian in chart coordinates and
     the verified direction solve, all from one Stein factorization.  ``C``
     may be a matrix or a FactorParameter; ``prior`` None is the flat prior
-    psi = 1.  On a real bank psi must be even, else ValueError naming the
-    prior (statespace._check_prior_field).
+    psi = 1.  ``prior`` must be a PriorSpectrum or None, and on a real bank
+    psi must be even; either violation raises ValueError naming the prior
+    (statespace._as_prior).
 
     The cascade T = sigma G (z C G)^{-1} feeds the prior's states into the
     closed-loop realization (Pi, Bt, I, 0) that the FactorParameter keeps,
@@ -267,8 +267,7 @@ class CascadePoint:
             raise ValueError(f"t must lie in [0, 1], got {t}")
         param = _as_param(filterbank, C)
         n, m = filterbank.n, filterbank.m
-        prior = _check_prior_field(_FLAT_PRIOR if prior is None else prior,
-                                   filterbank.field)
+        prior = _as_prior(prior, filterbank.field)
         sigma = prior._blowup(m)
         q = sigma.n_states
         Bt = param.Bt
@@ -639,13 +638,17 @@ def f_jacobian_from_g(chart, C, J_g):
     one linear solve, J_{h^{-1}}^T J_f^T = J_g^T.  h^{-1} is a
     diffeomorphism from the factor set onto the weights, so J_{h^{-1}} is
     invertible there; a singular or non-finite one raises SolverError.
-    A non-finite J_g raises ValueError naming it.
+    A J_g that is not a finite M x M matrix raises ValueError naming it.
     """
+    J_g = _as_matrix(J_g, "J_g")
+    M = chart.dim
+    if J_g.shape != (M, M):
+        raise ValueError(f"J_g must be {M}x{M}, got {J_g.shape}")
     H = _h_inverse_jacobian(chart, C)
     if not np.all(np.isfinite(H)):
         raise SolverError("Jacobian of h^{-1} has non-finite entries")
     try:
-        return np.linalg.solve(H.T, _as_matrix(J_g, "J_g").T).T
+        return np.linalg.solve(H.T, J_g.T).T
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"Jacobian of h^{{-1}} is singular ({exc})") from None
 

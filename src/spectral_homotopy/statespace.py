@@ -14,7 +14,8 @@ Every matrix a caller hands the package enters through one gate here:
 _as_matrix for a matrix and _check_hermitian for Hermitian data (a matrix
 or a stack) both raise ValueError naming the input, "<name> must be a 2-d
 array", "<name> must be square" or "<name> has non-finite entries", before
-any eigenvalue, factorization or solve sees it.
+any eigenvalue, factorization or solve sees it.  Every prior enters through
+_as_prior, the one place that reads ``prior=None`` as the flat prior.
 
 All sets come with explicit numerical tolerances: strict inequalities use a
 1e-12 margin throughout.  Every type here that holds an array is a frozen
@@ -360,7 +361,7 @@ class PriorSpectrum:
     is then stable, so sigma has no zero on the unit circle.
 
     Construction also decides, exactly, whether psi is even (see
-    _is_even): a real bank needs an even psi (see _check_prior_field).
+    _is_even): a real bank needs an even psi (see _as_prior).
     The spectral radius of sigma's A, found by the stability check, is kept
     with the per-channel copies of sigma that a cascade with an m-input
     system runs (built once per m, see _blowup).
@@ -439,12 +440,19 @@ def _is_even(sigma):
                 <= STRICT_TOL * abs(top))
 
 
-def _check_prior_field(prior, fieldname):
-    """``prior``, else ValueError when it cannot enter a ``fieldname`` bank.
-
-    On a real bank g(psi, C) is real for real C only if psi is even; any
-    other psi makes it complex, so no real C solves for it.
+def _as_prior(prior, fieldname=None):
+    """The prior a caller hands the package: None is the flat prior psi = 1
+    (_FLAT_PRIOR), and anything without a prior's evenness flag raises
+    ValueError.  With a ``fieldname``, a prior that cannot enter a bank of
+    that field raises ValueError too: on a real bank g(psi, C) is real for
+    real C only if psi is even; any other psi makes it complex, so no real
+    C solves for it.
     """
+    if prior is None:
+        return _FLAT_PRIOR
+    if not hasattr(prior, "_even"):
+        raise ValueError(f"prior must be a PriorSpectrum or None, got "
+                         f"{type(prior).__name__}")
     if fieldname == "real" and not prior._even:
         raise ValueError(
             "prior psi is not even (sigma's Markov parameters are not real "
@@ -479,8 +487,7 @@ def constant_prior(value=1.0):
 
 
 # prior=None, the maximum-entropy case, is this prior wherever a prior enters
-# (moment.CascadePoint, moment.GridPoint, density_values), so its
-# blow-up is kept
+# (_as_prior), so its blow-up is kept
 _FLAT_PRIOR = constant_prior(1.0)
 
 

@@ -18,9 +18,9 @@ from numpy.testing import assert_allclose
 import spectral_homotopy
 from spectral_homotopy import (FactorParameter, MembershipError, cli, errors,
                                factorization, jacobian_condition_number,
-                               make_covariance_extension_filter,
-                               matrix_to_json, moment, run_continuation,
-                               statespace)
+                               make_chart, make_covariance_extension_filter,
+                               matrix_to_json, maxent_initialization, moment,
+                               run_continuation, statespace)
 from spectral_homotopy.cli import main
 
 from conftest import B_REF, C_REF, draw_param, draw_random_bank
@@ -43,6 +43,39 @@ def base_config(**extra):
 
 
 SIGMA_FROM_REF = {"from": {"C": C_REF.tolist()}}
+
+# Sigma = g(psi_ref, C) of three covext-wide benchmark windows whose solve
+# stalls at t = 0 (Gram conditions 4.4e14, 3.2e15 and 8.8e14), as literals:
+# JSON floats round-trip exactly
+WIDE_STALLS = {
+    "seed2-op60": [
+        [506.04085351883367, -1098.0996331702586, 503.2108847577522,
+         -1090.1763008729056],
+        [-1098.0996331702586, 2387.6740696667885, -1095.6129601289026,
+         2376.813581466815],
+        [503.2108847577522, -1095.6129601289026, 506.0408535188308,
+         -1098.0996331702468],
+        [-1090.1763008729056, 2376.813581466815, -1098.0996331702468,
+         2387.674069666751]],
+    "seed3-op100": [
+        [592.0570012703816, -1547.9061149732943, 589.0610890333346,
+         -1537.9017961807863],
+        [-1547.9061149732943, 4054.1725475557487, -1544.820186423045,
+         4038.4303331407787],
+        [589.0610890333346, -1544.820186423045, 592.0570012703722,
+         -1547.9061149732872],
+        [-1537.9017961807863, 4038.4303331407787, -1547.9061149732872,
+         4054.172547555777]],
+    "seed4-op63": [
+        [492.504707473441, -1122.3305742680789, 490.1566601305576,
+         -1115.3215373855896],
+        [-1122.3305742680789, 2562.3814879011456, -1120.3934767679536,
+         2552.662926837153],
+        [490.1566601305576, -1120.3934767679536, 492.5047074734417,
+         -1122.3305742680745],
+        [-1115.3215373855896, 2552.662926837153, -1122.3305742680745,
+         2562.381487901123]],
+}
 
 
 def _fresh_env():
@@ -572,6 +605,26 @@ class TestCheck:
                      "--out", str(tmp_path / "run")]) == 3
         assert capsys.readouterr().err == f"solver error: {message}\n"
 
+    # covext-wide windows (seed 2 op 60, seed 3 op 100, seed 4 op 63 of the
+    # benchmark's 5% windows around C_REF, reference prior): each Sigma is
+    # feasible, and the start's tangent fails the Gram gate
+    @pytest.mark.parametrize("Sigma", [
+        pytest.param(WIDE_STALLS[key], id=key) for key in WIDE_STALLS])
+    def test_wide_window_stalls_at_the_start(self, Sigma, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config(sigma={"matrix": Sigma}))
+        assert main(["check", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert "sigma: feasible" in out
+        line, = [line for line in out.splitlines()
+                 if line.startswith("start:")]
+        assert line.startswith("start: VIOLATION ")
+        message = line[len("start: VIOLATION "):]
+        assert message.startswith("continuation stalled at t = 0: tangent "
+                                  "solve failed (Gram system condition ")
+        assert main(["solve", "--config", cfg,
+                     "--out", str(tmp_path / "run")]) == 3
+        assert capsys.readouterr().err == f"solver error: {message}\n"
+
 
 def _non_hermitian():
     M = np.eye(4)
@@ -934,6 +987,44 @@ class TestMaxent:
         gap = np.linalg.norm(
             g(fb, None, FactorParameter(fb, np.array(payload["C"]))) - Sigma)
         assert payload["residual"] == float(gap)
+
+    # maxent runs solve's start under the flat prior: the defining-equation
+    # gate, which does not depend on the prior, fails it with solve's own
+    # message; the Gram gate of the psi tangent (banks 949303 and 1184)
+    # does not, since the flat prior's tangent is zero
+    @pytest.mark.parametrize("seed, code", [
+        pytest.param(73380435, 3, id="start-gate"),
+        pytest.param(949303, 0, id="gram-constant"),
+        pytest.param(1184, 0, id="gram-rational")])
+    def test_runs_the_start_of_solve(self, seed, code, tmp_path, capsys):
+        cfg = write_config(tmp_path, _random_bank_config(seed))
+        assert main(["solve", "--config", cfg,
+                     "--out", str(tmp_path / "run")]) == 3
+        solve_err = capsys.readouterr().err
+        assert main(["maxent", "--config", cfg]) == code
+        err = capsys.readouterr().err
+        assert err == (solve_err if code else "")
+
+    @pytest.mark.parametrize("seed", [None, 949303, 1184])
+    def test_takes_no_svd_once_the_chart_is_built(self, seed, monkeypatch):
+        # the flat prior's drift is exactly zero, so the start's tangent
+        # solve forms no Jacobian; the random banks' psi tangents fail the
+        # Gram gate
+        if seed is None:
+            fb = make_covariance_extension_filter(2, 1)
+            Sigma = moment.moment_g_statespace(fb, None, C_REF)
+        else:
+            fb, prior, rng = draw_random_bank(seed)
+            Sigma = moment.moment_g_statespace(fb, prior, draw_param(fb, rng))
+        make_chart(fb)
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *a, **k: calls.append(a) or svd(*a, **k))
+        param = maxent_initialization(fb, Sigma)
+        assert calls == []
+        assert np.linalg.norm(moment.moment_g_statespace(fb, None, param)
+                              - Sigma) <= 1e-9 * np.linalg.norm(Sigma)
 
 
 class TestSelftest:

@@ -762,7 +762,7 @@ class TestRunContinuation:
         # second evaluation of g: the start's cascade point gives its value
         # once, and it is ||g(1, C) - Sigma|| bit for bit
         gaps, values = [], []
-        start, value = continuation._start_point, moment.CascadePoint.value
+        start, value = continuation._start, moment.CascadePoint.value
 
         def gated(*args):
             found = start(*args)
@@ -773,7 +773,7 @@ class TestRunContinuation:
             values.append(self.param)
             return value(self)
 
-        monkeypatch.setattr(continuation, "_start_point", gated)
+        monkeypatch.setattr(continuation, "_start", gated)
         monkeypatch.setattr(moment.CascadePoint, "value", counted)
         path = run_continuation(fb, prior_ref, sigma_ref)
         assert [path.samples[0].residual] == gaps

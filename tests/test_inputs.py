@@ -3,7 +3,8 @@
 Each entry point below raises ValueError "<name> has non-finite entries"
 for a NaN or an infinite entry in any of its array arguments, before any
 factorization, solve or eigenvalue, so numpy neither warns nor returns a
-NaN result first.
+NaN result first.  A weight or Jacobian of the wrong size or symmetry, and
+a prior that is not one, are named the same way.
 """
 
 import re
@@ -12,11 +13,13 @@ import warnings
 import numpy as np
 import pytest
 
-from spectral_homotopy import (GridPoint, f_jacobian_from_g,
-                               jacobian_condition_number,
+from spectral_homotopy import (GridPoint, HomotopyConfig, condition_numbers,
+                               corrector_newton, density_values,
+                               f_jacobian_from_g, jacobian_condition_number,
                                left_outer_factor_from_additive,
-                               reverse_cholesky, solve_dare_appendix,
-                               solve_dlyap, standard_cholesky)
+                               reverse_cholesky, run_continuation,
+                               solve_dare_appendix, solve_dlyap,
+                               standard_cholesky)
 
 # a scalar Z = H (z - F)^{-1} G + J with Z + Z* > 0 on the circle
 ADDITIVE = {"F": 0.5, "G": 1.0, "H": 0.5, "J": 2.0}
@@ -82,3 +85,49 @@ def test_the_clean_input_passes(case, fb, chart, param_ref):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         call(ctx, np.array(clean, dtype=float))
+
+
+def _defect(X):
+    X = X.copy()
+    X[0, 1] += 1e-3
+    return X
+
+
+# a weight or Jacobian numpy would take, or misread, is named by its gate:
+# Lambda by the one is_in_Lplus uses, J_g by its size M = 7
+@pytest.mark.parametrize("case, X, message", [
+    ("GridPoint-f", np.eye(3), "Lambda must be 4x4, got (3, 3)"),
+    ("f_jacobian_from_g", np.eye(3), "J_g must be 7x7, got (3, 3)"),
+    ("jacobian_condition_number-f", _defect(np.eye(4)),
+     "Lambda is not Hermitian (defect 1.000e-03)")])
+def test_a_misshapen_weight_or_jacobian_is_named(case, X, message, fb, chart,
+                                                 param_ref):
+    call = CASES[case][2]
+    ctx = {"fb": fb, "chart": chart, "param": param_ref}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(ctx, X)
+
+
+# every entry point that takes a prior admits it through one gate
+PRIOR_CALLS = {
+    "run_continuation": lambda fb, chart, param, prior: run_continuation(
+        fb, prior, np.eye(4)),
+    "condition_numbers": lambda fb, chart, param, prior: condition_numbers(
+        chart, prior, param),
+    "GridPoint": lambda fb, chart, param, prior: GridPoint(
+        fb, prior, param),
+    "corrector_newton": lambda fb, chart, param, prior: corrector_newton(
+        chart, prior, 0.5, param, np.eye(4), HomotopyConfig()),
+    "density_values": lambda fb, chart, param, prior: density_values(
+        fb, param, prior, np.zeros(1)),
+}
+
+
+@pytest.mark.parametrize("prior, kind", [
+    ([1.0, -1.0, 0.89], "list"), (2.0, "float")])
+@pytest.mark.parametrize("call", sorted(PRIOR_CALLS))
+def test_a_non_prior_is_a_value_error_naming_it(call, prior, kind, fb, chart,
+                                                param_ref):
+    with pytest.raises(ValueError, match=f"^prior must be a PriorSpectrum or "
+                                         f"None, got {kind}$"):
+        PRIOR_CALLS[call](fb, chart, param_ref, prior)

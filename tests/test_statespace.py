@@ -20,7 +20,7 @@ from spectral_homotopy import (EvaluationError, FactorParameter, FilterBank,
                                prior_from_outer, prior_from_polynomial,
                                statespace)
 
-from spectral_homotopy.statespace import _check_prior_field, _fir_system
+from spectral_homotopy.statespace import _as_prior, _fir_system
 
 from conftest import (C_REF, cascade, draw_param, factor_inner_realization,
                       make_bank, series_product)
@@ -672,8 +672,8 @@ class TestPriors:
     def test_a_real_bank_rejects_an_odd_prior(self):
         odd = prior_from_polynomial([1.0, 0.5j])
         with pytest.raises(ValueError, match="^prior psi is not even"):
-            _check_prior_field(odd, "real")
-        assert _check_prior_field(odd, "complex") is odd
+            _as_prior(odd, "real")
+        assert _as_prior(odd, "complex") is odd
 
     def test_outer_check_does_not_depend_on_scale(self):
         # b = 1e-13 (1 + 0.1 z^{-1}) is outer at any scale, and so is a
