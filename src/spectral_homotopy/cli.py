@@ -77,7 +77,7 @@ from .matrixeq import is_in_Lplus
 from .moment import (CascadePoint, GridPoint, condition_numbers, make_chart,
                      moment_g_statespace)
 from .statespace import (FactorParameter, FilterBank, StateSpaceSystem,
-                         _as_prior, _check_finite, constant_prior,
+                         _as_matrix, _as_prior, constant_prior,
                          is_in_Cplus, make_covariance_extension_filter,
                          matrix_from_json, matrix_to_json, prior_from_outer,
                          prior_from_polynomial)
@@ -310,11 +310,8 @@ def _resolve_sigma(cfg, verb):
         return moment_g_statespace(cfg.filterbank, prior,
                                    _param(cfg, genC, "sigma.from.C"))
     n = cfg.filterbank.n
-    if sigma.shape != (n, n):
-        raise ConfigError(f"sigma.matrix: must be {n}x{n} for the "
-                          f"filter, got {sigma.shape}")
     try:
-        return _check_finite(sigma, "Sigma")
+        return _as_matrix(sigma, "Sigma", (n, n))
     except ValueError as exc:
         raise ConfigError(f"sigma.matrix: {exc}") from exc
 

@@ -180,10 +180,8 @@ def _check_covariance(chart, Sigma):
     attainable: rr at most FEASIBILITY_TOL.  A wrong shape or a non-finite
     entry raises ValueError.
     """
-    Sigma = _as_matrix(Sigma, "Sigma")
     n = chart.filterbank.n
-    if Sigma.shape != (n, n):
-        raise ValueError(f"Sigma must be {n}x{n}, got {Sigma.shape}")
+    Sigma = _as_matrix(Sigma, "Sigma", (n, n))
     findings = []
     defect = _hermitian_defect(Sigma)
     if defect is not None:
@@ -303,9 +301,11 @@ def corrector_newton(chart, prior, t, param, Sigma, config):
     ``point``; ``gram_cond`` is the Gram condition of the Jacobian that
     tangent came from (at t = 1, of the last iterate's Jacobian, 0.0 after
     no iteration).  Raises SolverError when the budget is exhausted or a
-    direction or tangent solve fails.
+    direction or tangent solve fails, and ValueError naming Sigma when it
+    is not a finite n x n matrix.
     """
     fb = chart.filterbank
+    Sigma = _as_matrix(Sigma, "Sigma", (fb.n, fb.n))
     tol = config.newton_tol
     if t < 1.0:
         tol = max(tol, PATH_TOL * float(np.linalg.norm(Sigma)))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .matrixeq import solve_dare_appendix, solve_dare_lambda
 from .statespace import (FactorParameter, StateSpaceSystem, _as_matrix,
-                         _as_param, _as_prior, _hermitize)
+                         _as_param, _as_prior, _check_finite, _hermitize)
 
 __all__ = [
     "right_outer_factor",
@@ -105,9 +105,10 @@ def density_values(filterbank, C, prior, theta):
     Phi(theta) = psi(theta) * (W(e^{i theta})* W(e^{i theta}))^{-1} with
     W = z C G; returns shape (len(theta), m, m).  ``prior=None`` is the flat
     prior psi = 1; psi need not be even, and anything but a prior or None
-    raises ValueError (statespace._as_prior).
+    raises ValueError (statespace._as_prior).  A non-finite angle raises
+    ValueError naming theta before any solve.
     """
-    theta = np.asarray(theta, dtype=float).ravel()
+    theta = _check_finite(np.asarray(theta, dtype=float).ravel(), "theta")
     Wv = right_outer_factor(filterbank, C).eval_grid(np.exp(1j * theta))
     Mv = Wv.conj().transpose(0, 2, 1) @ Wv
     psi = _as_prior(prior).psi_values(theta)

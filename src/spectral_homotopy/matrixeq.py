@@ -33,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FactorizationError, MembershipError, SolverError
-from .statespace import (STRICT_TOL, _as_matrix, _check_hermitian,
-                         _hermitize, _resolvent, _spectral_radius,
-                         coerce_field)
+from .statespace import (STRICT_TOL, _as_matrix, _as_stack,
+                         _check_hermitian, _hermitize, _resolvent,
+                         _spectral_radius)
 
 __all__ = [
     "LplusDiagnostics",
@@ -90,12 +90,8 @@ def solve_dlyap(A1, Q):
         If the powers of A1 overflow or do not decay within 64 squarings,
         or if any slice fails the residual gate.
     """
-    A1 = _as_matrix(A1, "A1")
-    Q = _check_hermitian(Q, "Q")
-    n = A1.shape[0]
-    if A1.shape != (n, n) or Q.ndim > 3 or Q.shape[-2:] != (n, n):
-        raise ValueError(
-            f"A1 must be {n}x{n} and Q {n}x{n} or a stack of {n}x{n} slices")
+    A1 = _as_matrix(A1, "A1", ("n", "n"))
+    Q = _as_stack(_check_hermitian(Q, "Q"), "Q", A1.shape)
     return _stein_solver(A1)(Q)
 
 
@@ -345,7 +341,8 @@ def solve_dare_appendix(F, G, H, J):
     H : (mz, nz) array
     J : (mz, mz) array with J + J* positive definite
 
-    All four must be finite (else ValueError naming the matrix).
+    All four must be finite and of these sizes (else ValueError naming the
+    matrix).
 
     Returns
     -------
@@ -359,13 +356,10 @@ def solve_dare_appendix(F, G, H, J):
     equation P = FPF* - G R^{-1} G*, which the doubling iteration reaches
     like any other, L L* = R and the closed loop is F.
     """
-    F, G, H, J = (_as_matrix(X, name)
-                  for X, name in zip((F, G, H, J), "FGHJ"))
-    nz = F.shape[0]
-    mz = J.shape[0]
-    if F.shape != (nz, nz) or G.shape != (nz, mz) or H.shape != (mz, nz) \
-            or J.shape != (mz, mz):
-        raise ValueError("inconsistent shapes for (F, G, H, J)")
+    F = _as_matrix(F, "F", ("n", "n"))
+    G = _as_matrix(G, "G", (len(F), "m"))
+    H = _as_matrix(H, "H", G.shape[::-1])
+    J = _as_matrix(J, "J", (len(H), len(H)))
     rho = _spectral_radius(F)
     if not rho < 1.0 - STRICT_TOL:
         raise MembershipError(
@@ -434,12 +428,9 @@ def _check_lambda(filterbank, Lam):
     """Lambda as a finite n x n Hermitian matrix of the bank's field, else
     ValueError; the one validation behind is_in_Lplus and
     solve_dare_lambda."""
-    Lam = _as_matrix(Lam, "Lambda")
     n = filterbank.n
-    if Lam.shape != (n, n):
-        raise ValueError(f"Lambda must be {n}x{n}, got {Lam.shape}")
-    Lam = _check_hermitian(Lam, "Lambda")
-    return coerce_field(Lam, filterbank.field, what="Lambda")
+    return _check_hermitian(
+        _as_matrix(Lam, "Lambda", (n, n), filterbank.field), "Lambda")
 
 
 def _lambda_additive(filterbank, Lam):

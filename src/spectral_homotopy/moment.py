@@ -55,8 +55,9 @@ import numpy as np
 
 from .errors import EvaluationError, SolverError
 from .matrixeq import _check_lambda, _stein_solver
-from .statespace import (_as_matrix, _as_param, _as_prior, _hermitize,
-                         circle_grid, coerce_field, grid_size_from_spacing)
+from .statespace import (_as_matrix, _as_param, _as_prior, _as_stack,
+                         _hermitize, circle_grid, coerce_field,
+                         grid_size_from_spacing)
 
 __all__ = [
     "CascadePoint",
@@ -197,9 +198,13 @@ class GridPoint:
         return Y + Y.conj().swapaxes(-1, -2) if self.which == "g" else Y
 
     def derivatives(self, D):
-        """The derivative along one direction (dLambda for f, V for g) or
-        along every direction of a (k, ., .) stack, stacked."""
-        D = np.asarray(D)
+        """The derivative along one direction (an n x n dLambda for f, an
+        m x n V for g) or along every direction of a (k, ., .) stack,
+        stacked.  A direction of another shape, or with an imaginary part
+        on a real bank, raises ValueError naming it."""
+        fb = self.filterbank
+        name, rows = ("V", fb.m) if self.which == "g" else ("dLambda", fb.n)
+        D = _as_stack(D, name, (rows, fb.n), self.field)
         cols = self._columns(D if D.ndim == 3 else D[None])
         cols = coerce_field(_hermitize(cols), self.field, tol=QUAD_FIELD_TOL,
                             what="derivative value")
@@ -332,11 +337,7 @@ class CascadePoint:
         of another shape, or with an imaginary part on a real bank, raises
         ValueError.
         """
-        V = coerce_field(V, self.field, what="direction V")
-        shape = self.param.C.shape
-        if V.ndim not in (2, 3) or V.shape[-2:] != shape:
-            raise ValueError(f"V must be {shape[0]}x{shape[1]} or a stack of "
-                             f"such directions, got shape {V.shape}")
+        V = _as_stack(V, "V", self.param.C.shape, self.field)
         # X P = C_T* Bt V (C_T P): Bt V times the first n rows of P, over
         # zero rows
         n, P = self._n, self._P
@@ -375,7 +376,10 @@ class CascadePoint:
         lie in the range subspace; any component of Y orthogonal to it is
         roundoff of a covariance difference (absolute machine noise, so its
         share of ||Y|| grows without bound as the rhs shrinks) and is
-        discarded by the projection.  The returned V is verified by one more
+        discarded by the projection.  Y itself must be n x n (or a stack
+        of such) and, on a real bank, real, else ValueError naming Y
+        (statespace._as_stack): the range coordinates would drop an
+        imaginary part unseen.  The returned V is verified by one more
         exact evaluation, one stacked Stein solve for a stack:
         ||g'(p_t, C; V) - Y|| <= VERIFY_TOL ||Y|| in the range metric, each
         slice against its own ||Y||.  A zero Y (or slice) gives a zero V with
@@ -388,7 +392,7 @@ class CascadePoint:
         """
         if chart.filterbank is not self.param.filterbank:
             raise ValueError("the chart is of another filter bank")
-        Y = np.asarray(Y)
+        Y = _as_stack(Y, "Y", (self._n, self._n), self.field)
         stacked = Y.ndim == 3
         yr = chart.range_coords(Y if stacked else Y[None])
         ynorm = np.linalg.norm(yr, axis=1)
@@ -640,10 +644,7 @@ def f_jacobian_from_g(chart, C, J_g):
     invertible there; a singular or non-finite one raises SolverError.
     A J_g that is not a finite M x M matrix raises ValueError naming it.
     """
-    J_g = _as_matrix(J_g, "J_g")
-    M = chart.dim
-    if J_g.shape != (M, M):
-        raise ValueError(f"J_g must be {M}x{M}, got {J_g.shape}")
+    J_g = _as_matrix(J_g, "J_g", (chart.dim, chart.dim))
     H = _h_inverse_jacobian(chart, C)
     if not np.all(np.isfinite(H)):
         raise SolverError("Jacobian of h^{-1} has non-finite entries")

@@ -10,12 +10,17 @@ Pi = A - B (CB)^{-1} C A is Schur stable.  The filter bank, every system
 through one batched resolvent solve, _resolvent.  This is the lowest
 layer above errors: it imports no other module of the package.
 
-Every matrix a caller hands the package enters through one gate here:
-_as_matrix for a matrix and _check_hermitian for Hermitian data (a matrix
-or a stack) both raise ValueError naming the input, "<name> must be a 2-d
-array", "<name> must be square" or "<name> has non-finite entries", before
-any eigenvalue, factorization or solve sees it.  Every prior enters through
-_as_prior, the one place that reads ``prior=None`` as the flat prior.
+Every matrix a caller hands the package enters through one gate here,
+which alone decides the size an input may have: _as_matrix for a matrix,
+_as_stack for a Newton-path direction or right-hand side (one matrix or a
+stack of them, not checked for finiteness) and _check_hermitian for
+Hermitian data (a matrix or a stack) raise ValueError naming the input,
+"<name> must be a 2-d array", "<name> must be <size>, got <shape>" (a
+free axis is a letter: "filter B must be 2xm, got (3, 1)"), "<name> must
+be square", "<name> has non-finite entries" or, on a real bank,
+"<name>: imaginary part ..." (see coerce_field), before any eigenvalue,
+factorization or solve sees it.  Every prior enters through _as_prior, the
+one place that reads ``prior=None`` as the flat prior.
 
 All sets come with explicit numerical tolerances: strict inequalities use a
 1e-12 margin throughout.  Every type here that holds an array is a frozen
@@ -97,13 +102,49 @@ def _spectral_radius(A):
     return float(np.abs(np.linalg.eigvals(A)).max())
 
 
-def _as_matrix(x, name):
-    """``x`` as a finite 2-d array, else ValueError naming it: the one gate
-    for a matrix a caller hands the package."""
+def _as_matrix(x, name, shape=("m", "n"), fieldname=None):
+    """``x`` as a finite 2-d array of ``shape`` and, given a ``fieldname``,
+    of that field (see coerce_field), else ValueError naming it: the one
+    gate for a matrix a caller hands the package.
+
+    A shape gives each axis as a size or, for a free axis, a letter; axes
+    that share a letter must be equal, so ("n", "n") asks for a square
+    matrix, and the default takes any 2-d array.  A wrong one raises
+    "<name> must be <size>, got <shape>".
+    """
     a = np.atleast_2d(np.asarray(x))
     if a.ndim != 2:
         raise ValueError(f"{name} must be a 2-d array, got shape {a.shape}")
-    return _check_finite(a, name)
+    return _sized(_check_finite(a, name), name, fieldname, shape)
+
+
+def _as_stack(x, name, shape, fieldname=None):
+    """``x`` as one matrix of ``shape`` or a (k,) + ``shape`` stack of them,
+    of the field ``fieldname`` when one is given, else ValueError as
+    _as_matrix raises it.  Its entries are not checked for finiteness: these
+    are the Newton path's directions and right-hand sides, whose non-finite
+    entries the solves' own gates name (SolverError)."""
+    return _sized(np.asarray(x), name, fieldname, shape, ("k",) + shape)
+
+
+def _sized(a, name, fieldname, *shapes):
+    """``a`` if its shape matches one of ``shapes`` (see _as_matrix), as an
+    array of the field ``fieldname`` when one is given."""
+    # plain loops: this runs on every Newton iterate's directions
+    for shape in shapes:
+        if len(shape) != a.ndim:
+            continue
+        free = {}
+        for want, got in zip(shape, a.shape):
+            if isinstance(want, str):
+                want = free.setdefault(want, got)
+            if want != got:
+                break
+        else:
+            return a if fieldname is None else coerce_field(a, fieldname,
+                                                            what=name)
+    sizes = " or ".join("x".join(map(str, shape)) for shape in shapes)
+    raise ValueError(f"{name} must be {sizes}, got {a.shape}")
 
 
 def _check_finite(x, name):
@@ -163,8 +204,13 @@ def grid_size_from_spacing(dtheta):
 
 @dataclass(frozen=True, eq=False)
 class StateSpaceSystem:
-    """Causal system W(z) = C (zI - A)^{-1} B + D with Schur-stable A; its
-    matrices must be finite (else ValueError naming the matrix)."""
+    """Causal system W(z) = C (zI - A)^{-1} B + D; its matrices must be
+    finite and of matching sizes (else ValueError naming the matrix).
+
+    Construction does not check that A is Schur stable: the consumers that
+    need it do (PriorSpectrum for sigma, solve_dare_appendix for F), and a
+    system built on every call, as density_values builds one, takes no
+    eigenvalue solve."""
 
     A: np.ndarray
     B: np.ndarray
@@ -172,18 +218,11 @@ class StateSpaceSystem:
     D: np.ndarray
 
     def __post_init__(self):
-        A, B, C, D = (_as_matrix(getattr(self, name), name) for name in "ABCD")
+        A = _as_matrix(self.A, "A", ("n", "n"))
         n = A.shape[0]
-        if A.shape != (n, n):
-            raise ValueError(f"A must be square, got {A.shape}")
-        if B.shape[0] != n:
-            raise ValueError(f"B has {B.shape[0]} rows, expected {n}")
-        if C.shape[1] != n:
-            raise ValueError(f"C has {C.shape[1]} columns, expected {n}")
-        if D.shape != (C.shape[0], B.shape[1]):
-            raise ValueError(
-                f"D must be {C.shape[0]}x{B.shape[1]}, got {D.shape}"
-            )
+        B = _as_matrix(self.B, "B", (n, "k"))
+        C = _as_matrix(self.C, "C", ("p", n))
+        D = _as_matrix(self.D, "D", (C.shape[0], B.shape[1]))
         for name, val in zip("ABCD", (A, B, C, D)):
             object.__setattr__(self, name, val)
 
@@ -270,15 +309,9 @@ class FilterBank:
     def __post_init__(self):
         if self.field not in ("real", "complex"):
             raise ValueError(f"field must be 'real' or 'complex', got {self.field!r}")
-        A = coerce_field(_as_matrix(self.A, "filter A"), self.field,
-                         what="filter A")
-        B = coerce_field(_as_matrix(self.B, "filter B"), self.field,
-                         what="filter B")
+        A = _as_matrix(self.A, "filter A", ("n", "n"), self.field)
         n = A.shape[0]
-        if A.shape != (n, n):
-            raise ValueError(f"A must be square, got {A.shape}")
-        if B.shape[0] != n:
-            raise ValueError(f"B has {B.shape[0]} rows, expected {n}")
+        B = _as_matrix(self.B, "filter B", (n, "m"), self.field)
         if B.shape[1] > n:
             raise ValueError("B cannot have more columns than A has rows")
         rho = _spectral_radius(A)
@@ -575,11 +608,7 @@ def _closed_loop(filterbank, C):
     input matrix Bt = B (CB)^{-1}, from the one solve against CB, and closed
     loop Pi = A - Bt C A; Pi and Bt are None when CB is singular.
     """
-    m, n = filterbank.m, filterbank.n
-    C = coerce_field(_as_matrix(C, "C"), filterbank.field,
-                     what="factor parameter C")
-    if C.shape != (m, n):
-        raise ValueError(f"C must be {m}x{n}, got {C.shape}")
+    C = _as_matrix(C, "C", (filterbank.m, filterbank.n), filterbank.field)
     CB = C @ filterbank.B
     failures = []
     max_upper = float(np.abs(CB[filterbank._upper]).max(initial=0.0))

@@ -3,8 +3,8 @@
 Each entry point below raises ValueError "<name> has non-finite entries"
 for a NaN or an infinite entry in any of its array arguments, before any
 factorization, solve or eigenvalue, so numpy neither warns nor returns a
-NaN result first.  A weight or Jacobian of the wrong size or symmetry, and
-a prior that is not one, are named the same way.
+NaN result first.  A weight, Jacobian or covariance of the wrong size or
+symmetry, and a prior that is not one, are named the same way.
 """
 
 import re
@@ -17,9 +17,9 @@ from spectral_homotopy import (GridPoint, HomotopyConfig, condition_numbers,
                                corrector_newton, density_values,
                                f_jacobian_from_g, jacobian_condition_number,
                                left_outer_factor_from_additive,
-                               reverse_cholesky, run_continuation,
-                               solve_dare_appendix, solve_dlyap,
-                               standard_cholesky)
+                               maxent_initialization, reverse_cholesky,
+                               run_continuation, solve_dare_appendix,
+                               solve_dlyap, standard_cholesky)
 
 # a scalar Z = H (z - F)^{-1} G + J with Z + Z* > 0 on the circle
 ADDITIVE = {"F": 0.5, "G": 1.0, "H": 0.5, "J": 2.0}
@@ -58,6 +58,13 @@ CASES = {
     # J_g is M x M, M = 7 on covext(2, 1)
     "f_jacobian_from_g": ("J_g", np.eye(7), lambda ctx, X: (
         f_jacobian_from_g(ctx["chart"], ctx["param"], X))),
+    # the flat-prior corrector at t = 1, from the maximum-entropy solution
+    # of the white-noise covariance I: 0 iterations on the clean Sigma
+    "corrector_newton": ("Sigma", np.eye(4), lambda ctx, X: corrector_newton(
+        ctx["chart"], None, 1.0, maxent_initialization(ctx["fb"], np.eye(4)),
+        X, HomotopyConfig())),
+    "density_values": ("theta", np.zeros(3), lambda ctx, X: density_values(
+        ctx["fb"], ctx["param"], None, X)),
 }
 
 
@@ -93,13 +100,15 @@ def _defect(X):
     return X
 
 
-# a weight or Jacobian numpy would take, or misread, is named by its gate:
-# Lambda by the one is_in_Lplus uses, J_g by its size M = 7
+# a weight, Jacobian or covariance numpy would take, or misread, is named by
+# its gate: Lambda by the one is_in_Lplus uses, J_g by its size M = 7, Sigma
+# by the bank's n = 4
 @pytest.mark.parametrize("case, X, message", [
     ("GridPoint-f", np.eye(3), "Lambda must be 4x4, got (3, 3)"),
     ("f_jacobian_from_g", np.eye(3), "J_g must be 7x7, got (3, 3)"),
     ("jacobian_condition_number-f", _defect(np.eye(4)),
-     "Lambda is not Hermitian (defect 1.000e-03)")])
+     "Lambda is not Hermitian (defect 1.000e-03)"),
+    ("corrector_newton", np.eye(3), "Sigma must be 4x4, got (3, 3)")])
 def test_a_misshapen_weight_or_jacobian_is_named(case, X, message, fb, chart,
                                                  param_ref):
     call = CASES[case][2]

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -79,3 +80,24 @@ def test_errors_lists_every_exception_class():
     classes = {name for name, obj in vars(errors).items()
                if isinstance(obj, type) and issubclass(obj, Exception)}
     assert set(errors.__all__) == classes
+
+
+# a required size in an exception's message: "must be 4x4", "must be
+# {n}x{n}" or "must be square"
+SIZE_MESSAGE = re.compile(r"must be (square|(\d+|\{[^}]*\})x)")
+
+
+def _size_raises(tree):
+    """Line numbers of the raises whose message states a required size."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Raise)
+                  and isinstance(node.exc, ast.Call)
+                  and any(SIZE_MESSAGE.search(ast.unparse(arg))
+                          for arg in node.exc.args))
+
+
+@pytest.mark.parametrize("name", [m for m in ORDER if m != "statespace"])
+def test_only_statespace_decides_a_size(name):
+    # a size is checked by statespace's gate (_as_matrix, _as_stack), which
+    # names the input and reports a wrong shape in one template
+    assert _size_raises(_tree(name)) == []

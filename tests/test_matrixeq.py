@@ -55,9 +55,10 @@ class TestStein:
             solve_dlyap(np.array([[1.0]]), np.array([[1.0]]))
 
     @pytest.mark.parametrize("A1, Q, message", [
-        (np.zeros((2, 3)), np.eye(2), "A1 must be 2x2 and Q 2x2"),
-        (0.5 * np.eye(2), np.eye(3), "A1 must be 2x2 and Q 2x2"),
-        (0.5 * np.eye(2), np.zeros((1, 1, 2, 2)), "A1 must be 2x2 and Q 2x2"),
+        (np.zeros((2, 3)), np.eye(2), "A1 must be nxn, got (2, 3)"),
+        (0.5 * np.eye(2), np.eye(3), "Q must be 2x2 or kx2x2, got (3, 3)"),
+        (0.5 * np.eye(2), np.zeros((1, 1, 2, 2)),
+         "Q must be 2x2 or kx2x2, got (1, 1, 2, 2)"),
         (0.5 * np.eye(2), np.zeros((3, 2)), "Q must be square, got (3, 2)"),
         (np.zeros((1, 2, 2)), np.eye(2), "A1 must be a 2-d array")],
         ids=["non-square-A1", "Q-size", "4-d-Q", "non-square-Q", "3-d-A1"])

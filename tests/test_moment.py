@@ -1,5 +1,6 @@
 """Moment maps, their derivatives, coordinate charts, Jacobian solves."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -578,6 +579,17 @@ class TestGridPoint:
             jacobian_condition_number(chart, prior_ref, param_ref,
                                       route="grid")
 
+    @pytest.mark.parametrize("which, message", [
+        ("g", "V must be 2x4 or kx2x4, got (3, 3)"),
+        ("f", "dLambda must be 4x4 or kx4x4, got (3, 3)")])
+    def test_a_misshapen_direction_is_named(self, fb, prior_ref, param_ref,
+                                            which, message):
+        # a direction of g is m x n, one of f is n x n
+        point = param_ref if which == "g" else np.eye(4)
+        grid = GridPoint(fb, prior_ref, point, which, dtheta=2 * np.pi / 64)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            grid.derivatives(np.eye(3))
+
 
 def _pointwise_jacobian(chart, prior, point, which, N):
     """-sum_k psi_k K_k D K_k / N in chart coordinates, one grid point at a
@@ -939,6 +951,24 @@ class TestJacobianSolve:
         V, info = point.solve(chart, point.derivatives(V0) + noise)
         assert relative_error(V, V0) < 1e-6
         assert info.verify_residual <= 1e-8
+
+    def test_rejects_an_imaginary_right_hand_side_on_a_real_bank(
+            self, chart, point):
+        # g' is real on a real bank, so no V solves for an imaginary Y; the
+        # range coordinates would drop the imaginary part unseen
+        Y = point.derivatives(chart.factor_basis[0])
+        H = np.zeros((4, 4))
+        H[0, 1], H[1, 0] = 1.0, -1.0
+        for bad in (1j * Y, Y + 1j * H, np.array([Y, Y + 1j * H])):
+            with pytest.raises(ValueError, match="^Y: imaginary part "):
+                point.solve(chart, bad)
+
+    @pytest.mark.parametrize("Y", [np.eye(3), np.zeros((1, 1, 4, 4))],
+                             ids=["3x3", "4-d"])
+    def test_rejects_a_misshapen_right_hand_side(self, chart, point, Y):
+        message = f"Y must be 4x4 or kx4x4, got {Y.shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            point.solve(chart, Y)
 
     @pytest.mark.parametrize("t", [0.0, 0.4, 1.0])
     def test_stack_equals_single_solves(self, fb, chart, prior_ref,

@@ -94,8 +94,10 @@ class TestFilterBank:
     @pytest.mark.parametrize("A, B, field, message", [
         (np.eye(2) / 2, np.ones((2, 1)), "quaternion",
          "field must be 'real' or 'complex', got 'quaternion'"),
-        (np.zeros((2, 3)), np.ones((2, 1)), "real", "A must be square"),
-        (np.eye(2) / 2, np.ones((3, 1)), "real", "B has 3 rows, expected 2"),
+        (np.zeros((2, 3)), np.ones((2, 1)), "real",
+         "filter A must be nxn, got (2, 3)"),
+        (np.eye(2) / 2, np.ones((3, 1)), "real",
+         "filter B must be 2xm, got (3, 1)"),
         (np.eye(2) / 2, np.ones((2, 3)), "real",
          "B cannot have more columns than A has rows"),
         (np.zeros((1, 2, 2)), np.ones((2, 1)), "real",
@@ -549,9 +551,9 @@ class TestPriors:
                 prior_from_outer(StateSpaceSystem(**data))
 
     @pytest.mark.parametrize("which, shape, message", [
-        ("A", (1, 2), "A must be square, got (1, 2)"),
-        ("B", (2, 1), "B has 2 rows, expected 1"),
-        ("C", (1, 2), "C has 2 columns, expected 1"),
+        ("A", (1, 2), "A must be nxn, got (1, 2)"),
+        ("B", (2, 1), "B must be 1xk, got (2, 1)"),
+        ("C", (1, 2), "C must be px1, got (1, 2)"),
         ("D", (1, 2), "D must be 1x1, got (1, 2)"),
         ("D", (1, 1, 1), "D must be a 2-d array, got shape (1, 1, 1)")])
     def test_system_rejects_each_shape_fault(self, which, shape, message):
