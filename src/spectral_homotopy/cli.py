@@ -42,8 +42,9 @@ quadrature grid except ``selftest``, whose oracle suite checks the exact g
 against one; the section ``quadrature`` (``dtheta``) is parsed so that
 existing configs keep working, but nothing reads it.
 
-Exit codes: 0 success, 1 selftest failure, 2 configuration error, 3 any
-other error of the package (reported as ``solver error:``).
+Exit codes: 0 success, 1 selftest failure, 2 configuration error (a
+config that cannot be read or an artifact that cannot be written among
+them), 3 any other error of the package (reported as ``solver error:``).
 
 ``main`` may be called in-process any number of times: it builds the
 argument parser on its first call and reuses it, and a usage error still
@@ -319,16 +320,20 @@ def _resolve_sigma(cfg, verb):
 def _write(out, name, content):
     """Write the artifact ``name`` (a JSON document, or a function of the open
     file) into the directory ``out`` (None: the current one) and print
-    ``wrote <path>``."""
+    ``wrote <path>``; a directory or file that cannot be made or written
+    raises ConfigError, as a config that cannot be read does."""
     out = out or "."
-    os.makedirs(out, exist_ok=True)
     dest = os.path.join(out, name)
-    with open(dest, "w") as fh:
-        if callable(content):
-            content(fh)
-        else:
-            json.dump(content, fh, indent=2)
-            fh.write("\n")
+    try:
+        os.makedirs(out, exist_ok=True)
+        with open(dest, "w") as fh:
+            if callable(content):
+                content(fh)
+            else:
+                json.dump(content, fh, indent=2)
+                fh.write("\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {dest!r}: {exc}") from exc
     print(f"wrote {dest}")
 
 

@@ -20,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from .matrixeq import solve_dare_appendix, solve_dare_lambda
-from .statespace import (FactorParameter, StateSpaceSystem, _as_matrix,
-                         _as_param, _as_prior, _check_finite, _hermitize)
+from .statespace import (FactorParameter, StateSpaceSystem, _as_param,
+                         _as_prior, _check_finite, _hermitize)
 
 __all__ = [
     "right_outer_factor",
@@ -55,7 +55,9 @@ def left_outer_factor_from_additive(F, Gm, H, J):
     solve_dare_appendix(F, Gm, H, J).
     """
     sol = solve_dare_appendix(F, Gm, H, J)
-    F, Gm, H = (_as_matrix(X, name) for X, name in zip((F, Gm, H), "FGH"))
+    # the solve admitted F, Gm and H; they are read here without a second
+    # scan
+    F, Gm, H = np.atleast_2d(F, Gm, H)
     M = Gm + F @ sol.P @ H.conj().T
     return StateSpaceSystem(F, np.linalg.solve(sol.L, M.conj().T).conj().T, H,
                             sol.L)

@@ -33,9 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FactorizationError, MembershipError, SolverError
-from .statespace import (STRICT_TOL, _as_matrix, _as_stack,
-                         _check_hermitian, _hermitize, _resolvent,
-                         _spectral_radius)
+from .statespace import (STRICT_TOL, _as_hermitian, _as_matrix, _hermitize,
+                         _resolvent, _spectral_radius)
 
 __all__ = [
     "LplusDiagnostics",
@@ -72,7 +71,9 @@ def solve_dlyap(A1, Q):
     Parameters
     ----------
     A1 : (n, n) array, Schur stable (spectral radius < 1 - 1e-12)
-    Q : (n, n) Hermitian array, or a (k, n, n) stack of them
+    Q : (n, n) Hermitian array, or a (k, n, n) stack of them, Hermitized
+        once by its gate (statespace._as_hermitian), so that the solve
+        sees an exactly Hermitian Q
 
     Returns
     -------
@@ -91,8 +92,8 @@ def solve_dlyap(A1, Q):
         or if any slice fails the residual gate.
     """
     A1 = _as_matrix(A1, "A1", ("n", "n"))
-    Q = _as_stack(_check_hermitian(Q, "Q"), "Q", A1.shape)
-    return _stein_solver(A1)(Q)
+    return _stein_solver(A1)(
+        _as_hermitian(Q, "Q", None, A1.shape, ("k",) + A1.shape))
 
 
 # Smith's sum stops at the first power A_K = A1^(2^K) with ||A_K||_F^2 at
@@ -106,13 +107,15 @@ def _stein_solver(A1, radius=None):
     """Factor a Schur-stable (n, n) A1 once; return Q -> solve_dlyap(A1, Q).
 
     The factorization is the list of squared powers A1^(2^k) that Smith's
-    sum needs.  The returned function takes Hermitian Q, 2-D or stacked (it
-    is hermitized, not checked), gates the residual of every slice and
-    returns the Hermitian part of the sum, which is Hermitian bit for bit;
-    any number of right-hand sides share the one list of powers.  A caller
-    that knows the spectral radius of A1 (from the blocks of a block
-    triangular A1, say) passes it as ``radius`` for the stability check;
-    otherwise it is computed from the eigenvalues.
+    sum needs.  The returned function takes an array Q, 2-D or stacked,
+    that is exactly Hermitian: it is neither checked nor Hermitized, and
+    the anti-Hermitian part of a Q that is not would fail the residual
+    gate.  It gates the residual of every slice and returns the Hermitian
+    part of the sum, which is Hermitian bit for bit; any number of
+    right-hand sides share the one list of powers.  A caller that knows
+    the spectral radius of A1 (from the blocks of a block triangular A1,
+    say) passes it as ``radius`` for the stability check; otherwise it is
+    computed from the eigenvalues.
     """
     n = A1.shape[0]
     if n == 0:
@@ -139,7 +142,6 @@ def _stein_solver(A1, radius=None):
     A1h = A1.conj().T
 
     def solve(Q):
-        Q = _hermitize(np.asarray(Q))
         stack = Q.reshape(-1, n, n)
         R = _hermitize(_smith_sum(powers, stack))
         resid = _slice_norms(R - A1 @ R @ A1h - stack)
@@ -176,11 +178,15 @@ def standard_cholesky(M):
     Raises
     ------
     ValueError
-        If M has a non-finite entry or is not Hermitian.
+        If M is not n x n, has a non-finite entry or is not Hermitian.
     FactorizationError
         If M is not positive definite; carries the offending pivot index.
     """
-    M = _check_hermitian(M, "M")
+    return _cholesky(_as_hermitian(M, "M", None, ("n", "n")))
+
+
+def _cholesky(M):
+    """standard_cholesky of an admitted, exactly Hermitian M."""
     try:
         return np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
@@ -201,11 +207,10 @@ def reverse_cholesky(M):
 
     Factors the exchange-permuted matrix with the standard Cholesky and
     permutes back: with E the anti-identity and K K* = E M E, the factor is
-    L = E K* E.
+    L = E K* E.  M is admitted as standard_cholesky admits it.
     """
-    M = _as_matrix(M, "M")
-    K = standard_cholesky(M[::-1, ::-1])
-    return K.conj().T[::-1, ::-1]
+    M = _as_hermitian(M, "M", None, ("n", "n"))
+    return _cholesky(M[::-1, ::-1]).conj().T[::-1, ::-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -424,15 +429,6 @@ def _lambda_residual(A, B, Lam, P):
     return _hermitize(resid), L, Pi
 
 
-def _check_lambda(filterbank, Lam):
-    """Lambda as a finite n x n Hermitian matrix of the bank's field, else
-    ValueError; the one validation behind is_in_Lplus and
-    solve_dare_lambda."""
-    n = filterbank.n
-    return _check_hermitian(
-        _as_matrix(Lam, "Lambda", (n, n), filterbank.field), "Lambda")
-
-
 def _lambda_additive(filterbank, Lam):
     """Q solving Q - A*QA = Lambda for Hermitian Lambda, and the additive
     data (A*, A*QB, B*, B*QB / 2) of the reduction, whose Z + Z* is
@@ -464,7 +460,8 @@ def is_in_Lplus(filterbank, Lam):
     Q - A*QA = Lambda; its finding is the diagnostics' ``reason``, the one
     solve_dare_lambda raises for the same Lambda.
     """
-    Lam = _check_lambda(filterbank, Lam)
+    Lam = _as_hermitian(Lam, "Lambda", filterbank.field,
+                        (filterbank.n, filterbank.n))
     why = _circle_positivity(*_lambda_additive(filterbank, Lam)[1])
     return LplusDiagnostics(member=why is None, reason=why)
 
@@ -485,7 +482,8 @@ def solve_dare_lambda(filterbank, Lam):
         diagonal) and closed loop A - B (B*PB)^{-1} B*PA; ``iterations``
         counts the doubling steps of the additive-form solve.
     """
-    Lam = _check_lambda(filterbank, Lam)
+    Lam = _as_hermitian(Lam, "Lambda", filterbank.field,
+                        (filterbank.n, filterbank.n))
 
     # Exact reduction: Q - A*QA = Lambda, then P = Q + X with X the
     # stabilizing solution of the additive form for

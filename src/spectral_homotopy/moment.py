@@ -54,9 +54,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError, SolverError
-from .matrixeq import _check_lambda, _stein_solver
-from .statespace import (_as_matrix, _as_param, _as_prior, _as_stack,
-                         _hermitize, circle_grid, coerce_field,
+from .matrixeq import _stein_solver
+from .statespace import (_as_hermitian, _as_matrix, _as_param, _as_prior,
+                         _as_stack, _hermitize, circle_grid, coerce_field,
                          grid_size_from_spacing)
 
 __all__ = [
@@ -164,7 +164,8 @@ class GridPoint:
         if which == "g":
             point = _as_param(filterbank, point).C
         elif which == "f":
-            point = _check_lambda(filterbank, point)
+            point = _as_hermitian(point, "Lambda", filterbank.field,
+                                  (filterbank.n, filterbank.n))
         else:
             raise ValueError(f"unknown moment map {which!r}")
         N = DEFAULT_GRID_N if dtheta is None else grid_size_from_spacing(dtheta)
@@ -291,7 +292,10 @@ class CascadePoint:
         self._n = n
         self._stein = _stein_solver(
             A, radius=max(param.spectral_radius(), prior._radius))
-        P1, Ppsi = self._stein(np.array([B1 @ B1.conj().T, B @ B.conj().T]))
+        # the one right-hand side built by matmul, Hermitized where it is
+        # built: the Stein solve takes exactly Hermitian data
+        P1, Ppsi = self._stein(
+            _hermitize(np.array([B1 @ B1.conj().T, B @ B.conj().T])))
         self._P = (1.0 - t) * P1 + t * Ppsi
         self._P_drift = Ppsi - P1
 

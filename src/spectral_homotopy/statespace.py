@@ -13,14 +13,15 @@ layer above errors: it imports no other module of the package.
 Every matrix a caller hands the package enters through one gate here,
 which alone decides the size an input may have: _as_matrix for a matrix,
 _as_stack for a Newton-path direction or right-hand side (one matrix or a
-stack of them, not checked for finiteness) and _check_hermitian for
-Hermitian data (a matrix or a stack) raise ValueError naming the input,
-"<name> must be a 2-d array", "<name> must be <size>, got <shape>" (a
-free axis is a letter: "filter B must be 2xm, got (3, 1)"), "<name> must
-be square", "<name> has non-finite entries" or, on a real bank,
-"<name>: imaginary part ..." (see coerce_field), before any eigenvalue,
-factorization or solve sees it.  Every prior enters through _as_prior, the
-one place that reads ``prior=None`` as the flat prior.
+stack of them, not checked for finiteness) and _as_hermitian for
+Hermitian data (a matrix or, where the caller allows one, a stack), which
+it returns Hermitized.  Each raises ValueError naming the input,
+"<name> must be <size>, got <shape>" (a free axis is a letter: "filter B
+must be 2xm, got (3, 1)"), "<name> has non-finite entries", "<name> is
+not Hermitian (defect ...)" or, on a real bank, "<name>: imaginary part
+..." (see coerce_field), before any eigenvalue, factorization or solve
+sees it.  Every prior enters through _as_prior, the one place that reads
+``prior=None`` as the flat prior.
 
 All sets come with explicit numerical tolerances: strict inequalities use a
 1e-12 margin throughout.  Every type here that holds an array is a frozen
@@ -78,18 +79,6 @@ def _hermitian_defect(X):
     return float(np.max(defect[bad])) if np.any(bad) else None
 
 
-def _check_hermitian(X, name):
-    """Hermitian part of X, or of each slice of a stack; raises on a
-    non-finite entry (see _check_finite), a non-square X or a defect."""
-    X = _check_finite(np.atleast_2d(np.asarray(X)), name)
-    if X.shape[-1] != X.shape[-2]:
-        raise ValueError(f"{name} must be square, got {X.shape}")
-    defect = _hermitian_defect(X)
-    if defect is not None:
-        raise ValueError(f"{name} is not Hermitian (defect {defect:.3e})")
-    return _hermitize(X)
-
-
 def _spectral_radius(A):
     """Largest eigenvalue modulus of a square A (0 for an empty one, inf for
     one with a non-finite entry, so that every stability gate rejects it by
@@ -102,20 +91,34 @@ def _spectral_radius(A):
     return float(np.abs(np.linalg.eigvals(A)).max())
 
 
-def _as_matrix(x, name, shape=("m", "n"), fieldname=None):
-    """``x`` as a finite 2-d array of ``shape`` and, given a ``fieldname``,
-    of that field (see coerce_field), else ValueError naming it: the one
-    gate for a matrix a caller hands the package.
+def _as_matrix(x, name, shape, fieldname=None):
+    """``x`` as a finite array of ``shape`` and, given a ``fieldname``, of
+    that field (see coerce_field), else ValueError naming it: the one gate
+    for a matrix a caller hands the package.
 
     A shape gives each axis as a size or, for a free axis, a letter; axes
     that share a letter must be equal, so ("n", "n") asks for a square
-    matrix, and the default takes any 2-d array.  A wrong one raises
-    "<name> must be <size>, got <shape>".
+    matrix.  A wrong one, a 3-d array say, raises "<name> must be <size>,
+    got <shape>".
     """
-    a = np.atleast_2d(np.asarray(x))
-    if a.ndim != 2:
-        raise ValueError(f"{name} must be a 2-d array, got shape {a.shape}")
-    return _sized(_check_finite(a, name), name, fieldname, shape)
+    return _sized(_check_finite(np.atleast_2d(np.asarray(x)), name), name,
+                  fieldname, shape)
+
+
+def _as_hermitian(x, name, fieldname, *shapes):
+    """The Hermitian part of ``x``, admitted as _as_matrix admits it but
+    with any of ``shapes`` (a square matrix, or a stack of them where the
+    caller passes that shape), else ValueError naming it; a defect above
+    STRICT_TOL (1 + max |x|) in any slice raises too (see
+    _hermitian_defect).  The one gate for Hermitian data: what it returns
+    is Hermitian bit for bit, as the Stein solve takes it without
+    Hermitizing again (matrixeq._stein_solver)."""
+    a = _sized(_check_finite(np.atleast_2d(np.asarray(x)), name), name,
+               fieldname, *shapes)
+    defect = _hermitian_defect(a)
+    if defect is not None:
+        raise ValueError(f"{name} is not Hermitian (defect {defect:.3e})")
+    return _hermitize(a)
 
 
 def _as_stack(x, name, shape, fieldname=None):
@@ -129,7 +132,8 @@ def _as_stack(x, name, shape, fieldname=None):
 
 def _sized(a, name, fieldname, *shapes):
     """``a`` if its shape matches one of ``shapes`` (see _as_matrix), as an
-    array of the field ``fieldname`` when one is given."""
+    array of the field ``fieldname`` when one is given, else ValueError
+    "<name> must be <size>, got <shape>": the package's one size message."""
     # plain loops: this runs on every Newton iterate's directions
     for shape in shapes:
         if len(shape) != a.ndim:

@@ -96,6 +96,26 @@ class TestConfigErrors:
         assert main(["check", "--config", "/no/such/file.json"]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb, doc, name", [
+        ("solve", base_config(sigma=SIGMA_FROM_REF,
+                              continuation={"dt": 0.5}), "path.csv"),
+        ("condnum", base_config(C=C_REF.tolist()), "condnum.json"),
+        ("maxent", base_config(sigma={"matrix": np.eye(4).tolist()}),
+         "maxent_C.json")])
+    def test_unwritable_out_exits_2(self, verb, doc, name, tmp_path, capsys):
+        # an --out that is a file: the verb's first artifact cannot be
+        # written, a configuration error (exit 2) naming it, not a traceback
+        out = tmp_path / "taken"
+        out.write_text("")
+        argv = [verb, "--config", write_config(tmp_path, doc), "--out",
+                str(out)]
+        assert main(argv) == 2
+        dest = os.path.join(str(out), name)
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {dest!r}: ")
+        assert "File exists" in err and err.count("\n") == 1
+        assert out.read_text() == ""
+
     def test_invalid_json(self, tmp_path, capsys):
         dest = tmp_path / "broken.json"
         dest.write_text("{not json")

@@ -4,7 +4,8 @@ Each entry point below raises ValueError "<name> has non-finite entries"
 for a NaN or an infinite entry in any of its array arguments, before any
 factorization, solve or eigenvalue, so numpy neither warns nor returns a
 NaN result first.  A weight, Jacobian or covariance of the wrong size or
-symmetry, and a prior that is not one, are named the same way.
+symmetry, and a prior that is not one, are named the same way, and each
+is scanned once per call, by its one gate.
 """
 
 import re
@@ -13,13 +14,16 @@ import warnings
 import numpy as np
 import pytest
 
-from spectral_homotopy import (GridPoint, HomotopyConfig, condition_numbers,
+from spectral_homotopy import (GridPoint, HomotopyConfig, cli,
+                               condition_numbers, continuation,
                                corrector_newton, density_values,
-                               f_jacobian_from_g, jacobian_condition_number,
-                               left_outer_factor_from_additive,
-                               maxent_initialization, reverse_cholesky,
-                               run_continuation, solve_dare_appendix,
-                               solve_dlyap, standard_cholesky)
+                               f_jacobian_from_g, factorization, h_map,
+                               is_in_Lplus, jacobian_condition_number,
+                               left_outer_factor_from_additive, matrixeq,
+                               maxent_initialization, moment,
+                               reverse_cholesky, run_continuation,
+                               solve_dare_appendix, solve_dare_lambda,
+                               solve_dlyap, standard_cholesky, statespace)
 
 # a scalar Z = H (z - F)^{-1} G + J with Z + Z* > 0 on the circle
 ADDITIVE = {"F": 0.5, "G": 1.0, "H": 0.5, "J": 2.0}
@@ -50,6 +54,12 @@ CASES = {
     **{f"left_outer_factor_from_additive-{k}": (
         k, np.array([[v]]), _additive(left_outer_factor_from_additive, k))
        for k, v in ADDITIVE.items()},
+    # G* I G > 0 on the circle for covext(2, 1)
+    "is_in_Lplus": ("Lambda", np.eye(4),
+                    lambda ctx, X: is_in_Lplus(ctx["fb"], X)),
+    "solve_dare_lambda": ("Lambda", np.eye(4),
+                          lambda ctx, X: solve_dare_lambda(ctx["fb"], X)),
+    "h_map": ("Lambda", np.eye(4), lambda ctx, X: h_map(ctx["fb"], X)),
     "GridPoint-f": ("Lambda", np.eye(4), lambda ctx, X: GridPoint(
         ctx["fb"], None, X, which="f")),
     "jacobian_condition_number-f": (
@@ -61,22 +71,25 @@ CASES = {
     # the flat-prior corrector at t = 1, from the maximum-entropy solution
     # of the white-noise covariance I: 0 iterations on the clean Sigma
     "corrector_newton": ("Sigma", np.eye(4), lambda ctx, X: corrector_newton(
-        ctx["chart"], None, 1.0, maxent_initialization(ctx["fb"], np.eye(4)),
-        X, HomotopyConfig())),
+        ctx["chart"], None, 1.0, ctx["maxent"], X, HomotopyConfig())),
     "density_values": ("theta", np.zeros(3), lambda ctx, X: density_values(
         ctx["fb"], ctx["param"], None, X)),
 }
 
 
+@pytest.fixture
+def ctx(fb, chart, param_ref):
+    return {"fb": fb, "chart": chart, "param": param_ref,
+            "maxent": maxent_initialization(fb, np.eye(4))}
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_non_finite_input_is_a_value_error_naming_it(case, bad, fb, chart,
-                                                     param_ref):
+def test_non_finite_input_is_a_value_error_naming_it(case, bad, ctx):
     name, clean, call = CASES[case]
     X = np.array(clean, dtype=float)
     # the last entry: a diagonal one, so Hermitian data stays Hermitian
     X.flat[-1] = bad
-    ctx = {"fb": fb, "chart": chart, "param": param_ref}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"^{re.escape(name)} has "
@@ -85,13 +98,31 @@ def test_non_finite_input_is_a_value_error_naming_it(case, bad, fb, chart,
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_the_clean_input_passes(case, fb, chart, param_ref):
+def test_the_clean_input_passes(case, ctx):
     # the spoiled entry alone makes each case above fail
     name, clean, call = CASES[case]
-    ctx = {"fb": fb, "chart": chart, "param": param_ref}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         call(ctx, np.array(clean, dtype=float))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_each_input_is_scanned_once(case, ctx, monkeypatch):
+    # one gate admits each input, so the finiteness scan sees its name once
+    # per call, however many layers the input passes through
+    name, clean, call = CASES[case]
+    scan, seen = statespace._check_finite, []
+
+    def recording(x, what):
+        seen.append(what)
+        return scan(x, what)
+
+    for layer in (statespace, matrixeq, factorization, moment, continuation,
+                  cli):
+        if getattr(layer, "_check_finite", None) is scan:
+            monkeypatch.setattr(layer, "_check_finite", recording)
+    call(ctx, np.array(clean, dtype=float))
+    assert name in seen and len(set(seen)) == len(seen), seen
 
 
 def _defect(X):
@@ -108,11 +139,26 @@ def _defect(X):
     ("f_jacobian_from_g", np.eye(3), "J_g must be 7x7, got (3, 3)"),
     ("jacobian_condition_number-f", _defect(np.eye(4)),
      "Lambda is not Hermitian (defect 1.000e-03)"),
-    ("corrector_newton", np.eye(3), "Sigma must be 4x4, got (3, 3)")])
-def test_a_misshapen_weight_or_jacobian_is_named(case, X, message, fb, chart,
-                                                 param_ref):
+    ("corrector_newton", np.eye(3), "Sigma must be 4x4, got (3, 3)"),
+    # every Hermitian input, a matrix or a stack, is sized by its one gate
+    # in the same template: a stack handed to a Cholesky factorization is
+    # named, not factored slice by slice
+    ("standard_cholesky", np.array([np.eye(2), np.diag([1.0, -1.0])]),
+     "M must be nxn, got (2, 2, 2)"),
+    ("reverse_cholesky", np.ones((2, 3)), "M must be nxn, got (2, 3)"),
+    ("solve_dlyap-Q", np.zeros((3, 2)), "Q must be 2x2 or kx2x2, got (3, 2)"),
+    ("solve_dlyap-Q-stack", np.zeros((2, 3, 3)),
+     "Q must be 2x2 or kx2x2, got (2, 3, 3)"),
+    ("is_in_Lplus", np.eye(3), "Lambda must be 4x4, got (3, 3)"),
+    ("solve_dare_lambda", np.eye(4)[None],
+     "Lambda must be 4x4, got (1, 4, 4)"),
+    ("h_map", np.ones((4, 3)), "Lambda must be 4x4, got (4, 3)"),
+    ("GridPoint-f", np.array([np.eye(4)] * 2),
+     "Lambda must be 4x4, got (2, 4, 4)"),
+    ("jacobian_condition_number-f", np.eye(5),
+     "Lambda must be 4x4, got (5, 5)")])
+def test_a_misshapen_weight_or_jacobian_is_named(case, X, message, ctx):
     call = CASES[case][2]
-    ctx = {"fb": fb, "chart": chart, "param": param_ref}
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(ctx, X)
 

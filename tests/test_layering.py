@@ -82,9 +82,10 @@ def test_errors_lists_every_exception_class():
     assert set(errors.__all__) == classes
 
 
-# a required size in an exception's message: "must be 4x4", "must be
-# {n}x{n}" or "must be square"
-SIZE_MESSAGE = re.compile(r"must be (square|(\d+|\{[^}]*\})x)")
+# a required size in an exception's message outside the template:
+# "must be 4x4", "must be {n}x{n}", "must be square" or "must be a 2-d
+# array"
+SIZE_MESSAGE = re.compile(r"must be (square|a 2-d array|(\d+|\{[^}]*\})x)")
 
 
 def _size_raises(tree):
@@ -96,8 +97,10 @@ def _size_raises(tree):
                           for arg in node.exc.args))
 
 
-@pytest.mark.parametrize("name", [m for m in ORDER if m != "statespace"])
+@pytest.mark.parametrize("name", ORDER)
 def test_only_statespace_decides_a_size(name):
-    # a size is checked by statespace's gate (_as_matrix, _as_stack), which
-    # names the input and reports a wrong shape in one template
+    # a size is checked by statespace's gate (_as_matrix, _as_stack,
+    # _as_hermitian), which names the input and reports a wrong shape in
+    # one template, "<name> must be <size>, got <shape>"; no module, the
+    # gate's own included, states a size in any other words
     assert _size_raises(_tree(name)) == []

@@ -59,8 +59,9 @@ class TestStein:
         (0.5 * np.eye(2), np.eye(3), "Q must be 2x2 or kx2x2, got (3, 3)"),
         (0.5 * np.eye(2), np.zeros((1, 1, 2, 2)),
          "Q must be 2x2 or kx2x2, got (1, 1, 2, 2)"),
-        (0.5 * np.eye(2), np.zeros((3, 2)), "Q must be square, got (3, 2)"),
-        (np.zeros((1, 2, 2)), np.eye(2), "A1 must be a 2-d array")],
+        (0.5 * np.eye(2), np.zeros((3, 2)),
+         "Q must be 2x2 or kx2x2, got (3, 2)"),
+        (np.zeros((1, 2, 2)), np.eye(2), "A1 must be nxn, got (1, 2, 2)")],
         ids=["non-square-A1", "Q-size", "4-d-Q", "non-square-Q", "3-d-A1"])
     def test_rejects_mismatched_shapes(self, A1, Q, message):
         # each named before numpy can raise on the shapes
@@ -210,7 +211,7 @@ class TestCholesky:
     def test_non_square_input_is_named(self):
         for factor in (standard_cholesky, reverse_cholesky):
             with pytest.raises(ValueError, match=re.escape(
-                    "M must be square, got (2, 3)")):
+                    "M must be nxn, got (2, 3)")):
                 factor(np.ones((2, 3)))
 
     def test_indefinite_input_names_pivot(self):

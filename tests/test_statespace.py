@@ -101,7 +101,7 @@ class TestFilterBank:
         (np.eye(2) / 2, np.ones((2, 3)), "real",
          "B cannot have more columns than A has rows"),
         (np.zeros((1, 2, 2)), np.ones((2, 1)), "real",
-         "filter A must be a 2-d array")],
+         "filter A must be nxn, got (1, 2, 2)")],
         ids=["field", "non-square-A", "B-rows", "B-columns", "3-d-A"])
     def test_rejects_bad_shapes_and_fields(self, A, B, field, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
@@ -404,7 +404,7 @@ class TestStableFactorSet:
     def test_three_dimensional_parameter_raises(self, fb):
         for check in (is_in_Cplus, FactorParameter):
             with pytest.raises(ValueError, match=re.escape(
-                    "C must be a 2-d array, got shape (1, 2, 4)")):
+                    "C must be 2x4, got (1, 2, 4)")):
                 check(fb, C_REF[None])
 
     def test_complex_parameter_of_a_real_bank_raises(self):
@@ -555,7 +555,7 @@ class TestPriors:
         ("B", (2, 1), "B must be 1xk, got (2, 1)"),
         ("C", (1, 2), "C must be px1, got (1, 2)"),
         ("D", (1, 2), "D must be 1x1, got (1, 2)"),
-        ("D", (1, 1, 1), "D must be a 2-d array, got shape (1, 1, 1)")])
+        ("D", (1, 1, 1), "D must be 1x1, got (1, 1, 1)")])
     def test_system_rejects_each_shape_fault(self, which, shape, message):
         data = {k: np.array([[v]]) for k, v in zip("ABCD", (0.5, 1, 0.3, 1))}
         data[which] = np.full(shape, 0.5)
